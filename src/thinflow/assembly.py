@@ -13,7 +13,7 @@ each velocity component: (u, v) -> sum_c int (grad v_c)^T A (grad u_c).
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import SpaceMismatchError
+from .errors import AsymmetricOperatorError, SpaceMismatchError
 
 _SYM_CHECK_REL = 1e-13
 
@@ -244,7 +244,11 @@ def _check_symmetric(mat):
     scale = np.abs(mat.data).max() if mat.nnz else 0.0
     if scale:
         diff = abs(mat - mat.T)
-        assert diff.data.size == 0 or diff.data.max() <= _SYM_CHECK_REL * scale
+        defect = diff.data.max() if diff.data.size else 0.0
+        if defect > _SYM_CHECK_REL * scale:
+            raise AsymmetricOperatorError(
+                f"symmetry defect {defect:.3e} above "
+                f"{_SYM_CHECK_REL:.0e} of the largest entry {scale:.3e}")
 
 
 def assemble_diffusion(space, a_eval=None, scaling=1.0, nquad=3):

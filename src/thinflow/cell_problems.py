@@ -14,7 +14,7 @@ The vertical problem (load e_d) is solved as well; it feeds the zero-column
 test of the upscaled matrix.
 """
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import asdict, dataclass, field as dfield
 from typing import Optional
 
 import numpy as np
@@ -24,7 +24,7 @@ from .assembly import (DiscreteField, FunctionSpace, assemble_diffusion,
                        assemble_divergence, assemble_load, assemble_mass,
                        pressure_gauge)
 from .errors import InvalidParameterError, UnsupportedRegimeCoefficientError
-from .linalg import SaddleSystem, solve_sparse
+from .linalg import SaddleSolver, SaddleSystem, SolveCounts
 from .meshing import TensorMesh
 
 
@@ -82,6 +82,14 @@ def _unit_loads(space_v):
     return [assemble_load(space_v, np.eye(d)[i]) for i in range(d)]
 
 
+def _solve_loads(S, B, gauge, loads, tol, counts):
+    """Velocities and pressures of all loads from one factorization."""
+    system = SaddleSystem(K=S, B=B, gauge=gauge,
+                          rhs_u=np.column_stack(loads))
+    W, Q = SaddleSolver(system, counts).solve(system, tol)
+    return list(np.ascontiguousarray(W.T)), list(np.ascontiguousarray(Q.T))
+
+
 def _div_residuals(B, velocities):
     """Divergence defects scaled by the largest member of the family.
 
@@ -100,15 +108,13 @@ def solve_cell_regime_i(field, mu, K, cell_mesh, tol=1e-10):
     space_v, space_p, B, gauge = _cell_spaces(cell_mesh)
     S = (assemble_diffusion(space_v, field.evaluate)
          + (mu / K) * assemble_mass(space_v)).tocsr()
-    velocities, pressures = [], []
-    for load in _unit_loads(space_v):
-        system = SaddleSystem(K=S, B=B, gauge=gauge, rhs_u=load)
-        w, q = solve_sparse(system, tol=tol)
-        velocities.append(w)
-        pressures.append(q)
+    counts = SolveCounts()
+    velocities, pressures = _solve_loads(S, B, gauge, _unit_loads(space_v),
+                                         tol, counts)
     return CellSolution("i", cell_mesh, space_v, space_p, velocities,
                         pressures, _div_residuals(B, velocities),
-                        meta={"mu": mu, "K": K})
+                        meta={"mu": mu, "K": K,
+                              "solver_counts": asdict(counts)})
 
 
 def solve_cell_regime_iii(field, cell_mesh, tol=1e-10):
@@ -120,14 +126,12 @@ def solve_cell_regime_iii(field, cell_mesh, tol=1e-10):
     coefs.check_ellipticity(field, n_samples=256)
     space_v, space_p, B, gauge = _cell_spaces(cell_mesh)
     S = assemble_diffusion(space_v, field.evaluate)
-    velocities, pressures = [], []
-    for load in _unit_loads(space_v):
-        system = SaddleSystem(K=S, B=B, gauge=gauge, rhs_u=load)
-        w, q = solve_sparse(system, tol=tol)
-        velocities.append(w)
-        pressures.append(q)
+    counts = SolveCounts()
+    velocities, pressures = _solve_loads(S, B, gauge, _unit_loads(space_v),
+                                         tol, counts)
     return CellSolution("iii", cell_mesh, space_v, space_p, velocities,
-                        pressures, _div_residuals(B, velocities))
+                        pressures, _div_residuals(B, velocities),
+                        meta={"solver_counts": asdict(counts)})
 
 
 def _extrapolate(level_arrays, n_values):
@@ -182,11 +186,11 @@ def solve_cell_regime_ii(mu, cell_mesh, n_list=(4, 8, 16, 32), tol=1e-10,
     per_level_v = [[] for _ in range(d)]
     per_level_p = [[] for _ in range(d)]
     bounds = [[] for _ in range(d)]
+    counts = SolveCounts()
     for n in n_list:
         S = (K_lap * (1.0 / n ** 2) + mu * M).tocsr()
-        for i in range(d):
-            system = SaddleSystem(K=S, B=B, gauge=gauge, rhs_u=loads[i])
-            w, q = solve_sparse(system, tol=tol)
+        level_v, level_p = _solve_loads(S, B, gauge, loads, tol, counts)
+        for i, (w, q) in enumerate(zip(level_v, level_p)):
             per_level_v[i].append(w)
             per_level_p[i].append(q)
             grad_sq = max(float(w @ (K_lap @ w)), 0.0)
@@ -208,7 +212,8 @@ def solve_cell_regime_ii(mu, cell_mesh, n_list=(4, 8, 16, 32), tol=1e-10,
     return CellSolution("ii", cell_mesh, space_v, space_p, velocities,
                         pressures, residuals, levels=levels,
                         extrapolation_residual=worst,
-                        meta={"mu": mu, "boundary": boundary})
+                        meta={"mu": mu, "boundary": boundary,
+                              "solver_counts": asdict(counts)})
 
 
 def solve_cell_problems(regime, cell_mesh, field=None, mu=1.0, K=None,

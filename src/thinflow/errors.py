@@ -37,6 +37,10 @@ class SingularSystemError(ThinflowError):
     """Linear system is structurally singular (e.g. missing gauge)."""
 
 
+class AsymmetricOperatorError(ThinflowError):
+    """An assembled operator that must be symmetric is not."""
+
+
 class ConvergenceFailureError(ThinflowError):
     """Linear solver did not reach the requested residual."""
 

@@ -3,12 +3,15 @@
 The convective term is handled by Picard (Oseen) linearization started from
 the zero field, which selects a reproducible branch; every linear step is a
 saddle solve at the solver tolerance and the iteration stops when the
-relative velocity update falls below the fixed-point tolerance.  The
+relative velocity update falls below the fixed-point tolerance.  The first
+(Stokes-Brinkmann) step is factored; each Oseen step after it is solved by
+GMRES preconditioned with the latest factorization, and only a step that
+GMRES cannot finish is factored anew.  The
 oscillating coefficient is evaluated pointwise at quadrature nodes, so the
 mesh must resolve its period geometrically.
 """
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import asdict, dataclass, field as dfield
 
 import numpy as np
 
@@ -17,12 +20,20 @@ from .assembly import (DiscreteField, FunctionSpace, assemble_convection,
                        assemble_diffusion, pressure_gauge)
 from .errors import (InvalidParameterError, InvalidResolutionError,
                      PicardDivergenceError)
-from .linalg import SaddleSystem, solve_sparse
+from .linalg import SaddleSolver, SaddleSystem, SolveCounts
 
 
 @dataclass
 class MicroSolution:
-    """Velocity/pressure pair on the thin mesh with its norm record."""
+    """Velocity/pressure pair on the thin mesh with its norm record.
+
+    stop_reason says why the Picard loop ended: "converged" (update below
+    the fixed-point tolerance), "zero_branch" (the forcing is balanced by
+    the pressure alone), "stalled" (updates stagnate at the arithmetic
+    floor) or "linear" (no convection, one step is exact).  solver_counts
+    holds the factorizations, GMRES iterations and pivoted fallbacks of
+    the loop's saddle solves.
+    """
 
     mesh: object
     space_v: FunctionSpace
@@ -35,6 +46,8 @@ class MicroSolution:
     final_update: float
     norms: dict = dfield(default_factory=dict)
     update_history: list = dfield(default_factory=list)
+    stop_reason: str = ""
+    solver_counts: dict = dfield(default_factory=dict)
 
     def velocity_field(self):
         return DiscreteField(self.space_v, self.u)
@@ -80,30 +93,41 @@ def solve_dlb(thin_mesh, field, params, K_eps, picard_tol=1e-10,
     iterations = 0
     update = 0.0
     stall_gate = np.sqrt(picard_tol)
+    counts = SolveCounts()
+    solver = None
     for iterations in range(1, max_iters + 1):
         N = assemble_convection(space_v, u, factor) \
             if factor != 0.0 and np.any(u) else None
         system = SaddleSystem(K=K, B=B, N=N, gauge=gauge, rhs_u=load)
-        u_new, p = solve_sparse(system, tol=tol)
+        step = None if solver is None \
+            else solver.solve_nearby(system, tol, guess=(u, p))
+        if step is None:
+            solver = SaddleSolver(system, counts)
+            step = solver.solve(system, tol)
+        u_new, p = step
         diff = float(np.linalg.norm(u_new - u))
         scale = float(np.linalg.norm(u_new))
         if scale <= 1e-13 * max(load_scale, 1.0):
             # zero branch: the forcing is balanced by the pressure alone
             u, update = u_new, 0.0
             history.append(update)
+            reason = "zero_branch"
             break
         update = diff / scale
         history.append(update)
         u = u_new
         if update <= picard_tol:
+            reason = "converged"
             break
         if factor == 0.0:
             update = 0.0
+            reason = "linear"
             break
         # stagnation at the arithmetic floor of the linear solves counts
         # as convergence provided the update is already far below 1
         if (len(history) >= 2 and update <= stall_gate
                 and update >= 0.25 * history[-2]):
+            reason = "stalled"
             break
     else:
         raise PicardDivergenceError(
@@ -111,7 +135,8 @@ def solve_dlb(thin_mesh, field, params, K_eps, picard_tol=1e-10,
             f"(last update {update:.3e})", history=history)
 
     sol = MicroSolution(thin_mesh, space_v, space_p, u, p, eps, K_eps,
-                        iterations, update, update_history=history)
+                        iterations, update, update_history=history,
+                        stop_reason=reason, solver_counts=asdict(counts))
     sol.norms = apriori_norms(sol)
     return sol
 

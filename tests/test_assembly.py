@@ -1,11 +1,18 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
+
+import thinflow
 
 from thinflow.assembly import (DiscreteField, FunctionSpace,
                                assemble_convection, assemble_diffusion,
                                assemble_divergence, assemble_flux_load,
                                assemble_load, assemble_mass, pressure_gauge)
-from thinflow.errors import SpaceMismatchError
+from thinflow.errors import AsymmetricOperatorError, SpaceMismatchError
 from thinflow.meshing import Geometry, build_cell_mesh, build_macro_mesh, \
     build_thin_mesh
 
@@ -58,6 +65,40 @@ def test_diffusion_symmetry():
     diff = abs(K - K.T)
     assert diff.data.size == 0 or \
         diff.data.max() <= 1e-13 * np.abs(K.data).max()
+
+
+_SKEW_COEFFICIENT_SCRIPT = textwrap.dedent("""
+    import numpy as np
+    from thinflow.assembly import FunctionSpace, assemble_diffusion
+    from thinflow.errors import AsymmetricOperatorError
+    from thinflow.meshing import Geometry, build_cell_mesh
+
+    def skew(pts):
+        # a constant skew part integrates to zero; a varying one does not
+        out = np.zeros((pts.shape[0], 2, 2))
+        out[:, 0, 0] = out[:, 1, 1] = 1.0
+        out[:, 0, 1] = 0.5 * np.sin(2 * np.pi * pts[:, 0])
+        out[:, 1, 0] = -out[:, 0, 1]
+        return out
+
+    V = FunctionSpace(build_cell_mesh(Geometry(2, (1.0,), 0.125), 4, 4),
+                      "velocity")
+    try:
+        assemble_diffusion(V, skew)
+    except AsymmetricOperatorError:
+        print("raised", __debug__)
+""")
+
+
+def test_symmetry_check_survives_optimize():
+    # a non-symmetric coefficient gives a non-symmetric matrix; the check
+    # must raise even when python -O strips assert statements
+    src = os.path.dirname(os.path.dirname(os.path.abspath(thinflow.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", _SKEW_COEFFICIENT_SCRIPT],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["raised", "False"]
 
 
 def test_diffusion_scaling_linearity():

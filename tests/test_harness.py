@@ -86,6 +86,17 @@ def test_default_slopes():
     # declared slopes override the defaults key by key
     assert slopes(3.0, {"u_l2": None, "p_l2": 1.0}) == \
         {"u_l2": None, "grad_u_l2": None, "p_l2": 1.0}
+    # d = 3: a divergence-free forcing leaves no p ~ eps^{1/2} law, so the
+    # pressure slope carries no verdict unless declared
+    d3 = {"geometry": {"d": 3, "omega_extent": [1.0, 1.0]},
+          "coefficient": {"class": "constant", "matrix": np.eye(3).tolist(),
+                          "alpha": 1.0, "beta": 1.0},
+          "fluid": {"mu": 1.0, "f1": ["0", "0"]}}
+    for alpha, u_rate, grad_rate in ((2.0, 2.5, 1.5), (3.0, 3.5, None)):
+        cfg = config(regime={"kappa": 1.0, "alpha": alpha},
+                     sweep={"expected_slopes": None}, **d3)
+        assert cfg.expected_slopes(cfg.regime_spec()) == \
+            {"u_l2": u_rate, "grad_u_l2": grad_rate, "p_l2": None}
 
 
 # -- rate estimation -----------------------------------------------------------

@@ -2,23 +2,37 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from thinflow.assembly import (FunctionSpace, assemble_diffusion,
-                               assemble_divergence, assemble_load,
-                               assemble_mass, pressure_gauge)
+from thinflow.assembly import (FunctionSpace, assemble_convection,
+                               assemble_diffusion, assemble_divergence,
+                               assemble_load, assemble_mass, pressure_gauge)
 from thinflow.errors import SingularSystemError
-from thinflow.linalg import (SaddleSystem, residual, solve_gauged_spd,
-                             solve_sparse)
+from thinflow.linalg import (SaddleSolver, SaddleSystem, SolveCounts,
+                             residual, solve_gauged_spd, solve_sparse)
 from thinflow.meshing import Geometry, build_cell_mesh
 
 
-def stokes_system(nx=4, nz=4, drag=1.0):
+def stokes_system(nx=4, nz=4, drag=1.0, space=False):
     mesh = build_cell_mesh(Geometry(2, (1.0,), 0.125), nx, nz)
     V = FunctionSpace(mesh, "velocity")
     Q = FunctionSpace(mesh, "pressure")
     K = (assemble_diffusion(V) + drag * assemble_mass(V)).tocsr()
     B = assemble_divergence(V, Q)
     load = assemble_load(V, np.array([1.0, 0.0]))
-    return SaddleSystem(K=K, B=B, gauge=pressure_gauge(Q), rhs_u=load)
+    system = SaddleSystem(K=K, B=B, gauge=pressure_gauge(Q), rhs_u=load)
+    return (system, V) if space else system
+
+
+def bordered_reference(system):
+    """(u, p) from the dense system bordered by the gauge row."""
+    n_u, n_p = system.n_u, system.n_p
+    mat = np.zeros((n_u + n_p + 1, n_u + n_p + 1))
+    mat[:n_u, :n_u] = system.velocity_operator().toarray()
+    mat[:n_u, n_u:-1] = system.B.T.toarray()
+    mat[n_u:-1, :n_u] = system.B.toarray()
+    mat[n_u:-1, -1] = mat[-1, n_u:-1] = system.gauge
+    x = np.linalg.solve(mat, np.concatenate([system.rhs_u, system.rhs_p,
+                                             [0.0]]))
+    return x[:n_u], -x[n_u:-1]
 
 
 def test_identity_block():
@@ -105,3 +119,107 @@ def test_gauged_spd_neumann():
     assert abs(gauge @ x) <= 1e-12 * max(np.abs(x).max(), 1.0)
     with pytest.raises(SingularSystemError):
         solve_gauged_spd(K, rhs, np.zeros(n))
+
+
+def test_pinned_solve_matches_bordered_reference():
+    system = stokes_system()
+    u, p = solve_sparse(system, tol=1e-12)
+    u_ref, p_ref = bordered_reference(system)
+    scale = max(np.abs(u_ref).max(), np.abs(p_ref).max())
+    assert np.abs(u - u_ref).max() <= 1e-10 * scale
+    assert np.abs(p - p_ref).max() <= 1e-10 * scale
+
+
+def test_pivoted_fallback_meets_tolerance():
+    # a velocity block whose diagonal is zero up to 1e-30: eliminating on
+    # the diagonal multiplies by 1e30, beyond what one refinement step
+    # repairs, so the solver must refactor with partial pivoting
+    n = 6
+    shift = sp.csr_matrix((np.ones(n), (np.arange(n), (np.arange(n) + 1) % n)))
+    K = (shift + shift.T + sp.diags(np.full(n, 1e-30))).tolil()
+    K[0, 2] = K[2, 0] = 0.5
+    B = sp.csr_matrix(np.array([[1.0, -1.0, 0, 0, 0, 0],
+                                [-1.0, 1.0, 0, 0, 0, 0]]))
+    system = SaddleSystem(K=K.tocsr(), B=B, gauge=np.ones(2),
+                          rhs_u=np.arange(1.0, n + 1))
+    counts = SolveCounts()
+    u, p = SaddleSolver(system, counts).solve(system, tol=1e-10)
+    assert residual(system, (u, p)) <= 1e-10
+    assert counts.pivoted_fallbacks == 1
+    assert counts.factorizations == 2
+    # the well-posed cell system takes no fallback
+    counts = SolveCounts()
+    stokes = stokes_system()
+    SaddleSolver(stokes, counts).solve(stokes, tol=1e-10)
+    assert counts == SolveCounts(factorizations=1)
+
+
+def test_factor_once_matches_one_at_a_time():
+    system = stokes_system()
+    V = FunctionSpace(build_cell_mesh(Geometry(2, (1.0,), 0.125), 4, 4),
+                      "velocity")
+    loads = [assemble_load(V, e) for e in np.eye(2)]
+    many = SaddleSystem(K=system.K, B=system.B, gauge=system.gauge,
+                        rhs_u=np.column_stack(loads))
+    counts = SolveCounts()
+    U, P = SaddleSolver(many, counts).solve(many, tol=1e-10)
+    assert counts.factorizations == 1
+    assert U.shape == (system.n_u, 2) and P.shape == (system.n_p, 2)
+    for i, load in enumerate(loads):
+        single = SaddleSystem(K=system.K, B=system.B, gauge=system.gauge,
+                              rhs_u=load)
+        u, p = solve_sparse(single, tol=1e-10)
+        scale = max(np.abs(u).max(), np.abs(p).max())
+        assert np.abs(U[:, i] - u).max() <= 1e-14 * scale
+        assert np.abs(P[:, i] - p).max() <= 1e-14 * scale
+    assert residual(many, (U, P)) <= 1e-10
+
+
+def test_gauged_spd_incompatible_rhs_matches_multiplier():
+    # the bordered system [[K, g], [g^T, 0]] absorbs the incompatible part
+    # of the rhs in its multiplier
+    n = 11
+    main = 2.0 * np.ones(n)
+    main[0] = main[-1] = 1.0
+    K = sp.diags([main, -np.ones(n - 1), -np.ones(n - 1)], [0, -1, 1],
+                 format="csc")
+    rhs = np.cos(np.pi * np.linspace(0, 1, n)) + 0.3
+    gauge = np.linspace(1.0, 2.0, n)
+    mat = np.zeros((n + 1, n + 1))
+    mat[:n, :n] = K.toarray()
+    mat[:n, -1] = mat[-1, :n] = gauge
+    ref = np.linalg.solve(mat, np.append(rhs, 0.0))[:n]
+    x = solve_gauged_spd(K, rhs, gauge, tol=1e-12)
+    assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_gmres_oseen_step_matches_direct():
+    # the Stokes factorization preconditions an Oseen step whose
+    # convecting field crosses the horizontal (a shear flow would not
+    # convect itself)
+    stokes, V = stokes_system(space=True)
+    u0, p0 = solve_sparse(stokes, tol=1e-10)
+    swirl = V.interpolate(lambda x: np.column_stack(
+        [np.cos(2 * np.pi * x[:, 0]), np.sin(2 * np.pi * x[:, 0])]))
+
+    def oseen(strength):
+        return SaddleSystem(K=stokes.K, B=stokes.B, gauge=stokes.gauge,
+                            N=assemble_convection(V, strength * swirl, 1.0),
+                            rhs_u=stokes.rhs_u)
+
+    counts = SolveCounts()
+    solver = SaddleSolver(stokes, counts)
+    u, p = solver.solve_nearby(oseen(1.0), tol=1e-10, guess=(u0, p0))
+    assert counts.factorizations == 1
+    assert 1 <= counts.krylov_iterations <= 20
+    u_ref, p_ref = solve_sparse(oseen(1.0), tol=1e-12)
+    scale = max(np.abs(u_ref).max(), np.abs(p_ref).max())
+    assert np.abs(u - u_ref).max() <= 1e-10 * scale
+    assert np.abs(p - p_ref).max() <= 1e-10 * scale
+    assert residual(oseen(1.0), (u, p)) <= 1e-10
+    # far from the factored operator GMRES runs out of iterations and
+    # the caller is told to factor
+    counts.krylov_iterations = 0
+    assert solver.solve_nearby(oseen(30.0), tol=1e-10, guess=(u0, p0)) \
+        is None
+    assert counts.krylov_iterations == 20

@@ -24,6 +24,45 @@ def test_zero_forcing_zero_solution():
     assert sol.norms["p_l2"] == 0.0
 
 
+def test_stop_reason_zero_field():
+    params = coefs.FluidParams(mu=1.0, f1=None)
+    sol = solve_dlb(thin_mesh(), IDENT, params, K_eps=0.0625)
+    assert sol.stop_reason == "zero_branch"
+    assert sol.picard_iterations == 1
+    assert sol.solver_counts == {"factorizations": 1,
+                                 "krylov_iterations": 0,
+                                 "pivoted_fallbacks": 0}
+
+
+def d3_forcing(xb):
+    """Divergence-free horizontal forcing: it drives a genuine flow."""
+    s0, c0 = np.sin(2 * np.pi * xb[:, 0]), np.cos(2 * np.pi * xb[:, 0])
+    s1, c1 = np.sin(2 * np.pi * xb[:, 1]), np.cos(2 * np.pi * xb[:, 1])
+    return np.column_stack([4 * np.pi * s0 * s0 * s1 * c1,
+                            -4 * np.pi * s0 * c0 * s1 * s1])
+
+
+def test_stop_reason_d3_flow():
+    eps = 0.125
+    mesh = build_thin_mesh(Geometry(3, (0.5, 0.5), eps), 2, 2)
+    field = coefs.constant_field(3)
+    params = coefs.FluidParams(mu=1.0, rho=1.0, f1=d3_forcing)
+    sol = solve_dlb(mesh, field, params, K_eps=eps ** 2)
+    assert sol.norms["u_l2"] > 1e-3
+    assert sol.stop_reason == "converged"
+    assert sol.final_update <= 1e-10
+    # one factorization; every Oseen step after it is a GMRES solve
+    counts = sol.solver_counts
+    assert counts["factorizations"] == 1
+    assert counts["pivoted_fallbacks"] == 0
+    assert 1 <= counts["krylov_iterations"] <= 20 * (sol.picard_iterations - 1)
+    # without convection one step is exact
+    stokes = solve_dlb(mesh, field, coefs.FluidParams(
+        mu=1.0, rho=0.0, f1=d3_forcing), K_eps=eps ** 2)
+    assert stokes.stop_reason == "linear"
+    assert stokes.picard_iterations == 1
+
+
 def test_conservative_forcing_hydrostatic():
     # (f1(x), 0) with scalar horizontal coordinate is a gradient: the layer
     # is sealed, the force does no work and the flow is hydrostatic
