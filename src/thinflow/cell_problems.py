@@ -24,7 +24,7 @@ from .assembly import (DiscreteField, FunctionSpace, assemble_diffusion,
                        assemble_divergence, assemble_load, assemble_mass,
                        pressure_gauge)
 from .errors import InvalidParameterError, UnsupportedRegimeCoefficientError
-from .linalg import SaddleSolver, SaddleSystem, SolveCounts
+from .linalg import SaddleSystem, SolveCounts, solve_sparse
 from .meshing import TensorMesh
 
 
@@ -86,7 +86,7 @@ def _solve_loads(S, B, gauge, loads, tol, counts):
     """Velocities and pressures of all loads from one factorization."""
     system = SaddleSystem(K=S, B=B, gauge=gauge,
                           rhs_u=np.column_stack(loads))
-    W, Q = SaddleSolver(system, counts).solve(system, tol)
+    W, Q = solve_sparse(system, tol=tol, counts=counts)
     return list(np.ascontiguousarray(W.T)), list(np.ascontiguousarray(Q.T))
 
 

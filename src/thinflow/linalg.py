@@ -17,10 +17,10 @@ pressure to gauge^T p = 0 and checks the unpinned residual against the
 tolerance.  A solve that misses it is repeated with a partially pivoted
 factorization of the same pinned matrix before the solver gives up.
 
-SaddleSolver keeps one factorization for many right-hand sides (the columns
-of a 2-D rhs) and as the GMRES preconditioner of nearby operators, such as
-the Oseen steps of a Picard loop.  solve_sparse is the one-shot form, and
-solve_gauged_spd applies the same path to pure Neumann problems.
+solve_sparse factors a system once and solves it, all loads at once when
+its rhs has one column per load.  SaddleSolver keeps the factorization, to
+precondition GMRES on nearby operators such as the Oseen steps of a Picard
+loop.  solve_gauged_spd applies the same path to pure Neumann problems.
 """
 
 from dataclasses import dataclass, field, replace
@@ -220,33 +220,33 @@ class _Pinning:
 
 
 class SaddleSolver:
-    """A saddle operator factored once, with one pressure dof pinned.
+    """A saddle system factored once, with one pressure dof pinned.
 
-    solve() handles any rhs of the factored operator, several loads at once
-    as the columns of a 2-D rhs_u.  solve_nearby() solves a system with
-    another velocity operator (another convection block) by GMRES,
-    preconditioned with this factorization.  The work done is added to
-    counts.
+    solve() returns the solution of the factored system, several loads at
+    once when its rhs_u has one column per load.  solve_nearby() solves a
+    system with another velocity operator (another convection block) by
+    GMRES, preconditioned with this factorization.  The work done is added
+    to counts.
     """
 
     def __init__(self, system, counts=None):
         self.counts = SolveCounts() if counts is None else counts
         self._pinning = _Pinning(system)
+        self._target = self._pinning.target(system)
         self._lu = _PinnedLU(self._pinning.matrix(system), self.counts)
 
-    def solve(self, system, tol=DEFAULT_TOL_DIRECT):
-        """(u, p) of a system with the factored operator, residual <= tol."""
+    def solve(self, tol=DEFAULT_TOL_DIRECT):
+        """(u, p) of the factored system, residual <= tol."""
         _check_tol(tol)
-        pinning = self._pinning
-        target = pinning.target(system)
+        pinning, target = self._pinning, self._target
         x = self._lu.solve(pinning.rhs(target),
                            lambda x: residual(target, pinning.unpin(x)), tol)
         return pinning.unpin(x)
 
-    def solve_nearby(self, system, tol=DEFAULT_TOL_DIRECT, guess=None):
+    def solve_nearby(self, system, guess, tol=DEFAULT_TOL_DIRECT):
         """(u, p) of a system with another velocity operator, by GMRES.
 
-        GMRES solves for the correction to guess (a (u, p) pair, or zero),
+        GMRES solves for the correction to guess, a (u, p) pair,
         right-preconditioned with this factorization so that the residual
         it minimizes is the system's own.  It runs to relative residual
         tol/100 within KRYLOV_MAX_ITERATIONS iterations; a guess that is
@@ -258,7 +258,7 @@ class SaddleSolver:
         mat = pinning.matrix(system)
         target = pinning.target(system)
         rhs = pinning.rhs(target)
-        x0 = np.zeros_like(rhs) if guess is None else pinning.pinned(guess)
+        x0 = pinning.pinned(guess)
         op = spla.LinearOperator(mat.shape,
                                  matvec=lambda v: mat @ lu.lu.solve(v))
         iterations = []
@@ -280,17 +280,18 @@ class SaddleSolver:
 
 
 def solve_sparse(system, tol=DEFAULT_TOL_DIRECT, method="direct",
-                 max_iterations=None):
+                 max_iterations=None, counts=None):
     """Solve the gauged block system to a relative residual <= tol.
 
     Returns (velocity, pressure); pressure is None for pure velocity
     systems and otherwise satisfies gauge^T p = 0.  A 2-D rhs_u gives one
-    column of u and p per load.  The residual is checked independently of
-    the solver.
+    column of u and p per load, all from one factorization.  The residual
+    is checked independently of the solver.  The work of the direct path
+    is added to counts (a SolveCounts), if given.
     """
     _check_tol(tol)
     if method == "direct":
-        return SaddleSolver(system).solve(system, tol)
+        return SaddleSolver(system, counts).solve(tol)
     if method != "minres":
         raise ValueError(f"unknown method '{method}'")
     if system.N is not None:

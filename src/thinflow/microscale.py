@@ -100,10 +100,10 @@ def solve_dlb(thin_mesh, field, params, K_eps, picard_tol=1e-10,
             if factor != 0.0 and np.any(u) else None
         system = SaddleSystem(K=K, B=B, N=N, gauge=gauge, rhs_u=load)
         step = None if solver is None \
-            else solver.solve_nearby(system, tol, guess=(u, p))
+            else solver.solve_nearby(system, (u, p), tol)
         if step is None:
             solver = SaddleSolver(system, counts)
-            step = solver.solve(system, tol)
+            step = solver.solve(tol)
         u_new, p = step
         diff = float(np.linalg.norm(u_new - u))
         scale = float(np.linalg.norm(u_new))

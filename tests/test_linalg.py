@@ -143,14 +143,13 @@ def test_pivoted_fallback_meets_tolerance():
     system = SaddleSystem(K=K.tocsr(), B=B, gauge=np.ones(2),
                           rhs_u=np.arange(1.0, n + 1))
     counts = SolveCounts()
-    u, p = SaddleSolver(system, counts).solve(system, tol=1e-10)
+    u, p = solve_sparse(system, tol=1e-10, counts=counts)
     assert residual(system, (u, p)) <= 1e-10
     assert counts.pivoted_fallbacks == 1
     assert counts.factorizations == 2
     # the well-posed cell system takes no fallback
     counts = SolveCounts()
-    stokes = stokes_system()
-    SaddleSolver(stokes, counts).solve(stokes, tol=1e-10)
+    solve_sparse(stokes_system(), tol=1e-10, counts=counts)
     assert counts == SolveCounts(factorizations=1)
 
 
@@ -162,7 +161,7 @@ def test_factor_once_matches_one_at_a_time():
     many = SaddleSystem(K=system.K, B=system.B, gauge=system.gauge,
                         rhs_u=np.column_stack(loads))
     counts = SolveCounts()
-    U, P = SaddleSolver(many, counts).solve(many, tol=1e-10)
+    U, P = solve_sparse(many, tol=1e-10, counts=counts)
     assert counts.factorizations == 1
     assert U.shape == (system.n_u, 2) and P.shape == (system.n_p, 2)
     for i, load in enumerate(loads):
@@ -209,7 +208,7 @@ def test_gmres_oseen_step_matches_direct():
 
     counts = SolveCounts()
     solver = SaddleSolver(stokes, counts)
-    u, p = solver.solve_nearby(oseen(1.0), tol=1e-10, guess=(u0, p0))
+    u, p = solver.solve_nearby(oseen(1.0), (u0, p0), tol=1e-10)
     assert counts.factorizations == 1
     assert 1 <= counts.krylov_iterations <= 20
     u_ref, p_ref = solve_sparse(oseen(1.0), tol=1e-12)
@@ -220,6 +219,5 @@ def test_gmres_oseen_step_matches_direct():
     # far from the factored operator GMRES runs out of iterations and
     # the caller is told to factor
     counts.krylov_iterations = 0
-    assert solver.solve_nearby(oseen(30.0), tol=1e-10, guess=(u0, p0)) \
-        is None
+    assert solver.solve_nearby(oseen(30.0), (u0, p0), tol=1e-10) is None
     assert counts.krylov_iterations == 20
