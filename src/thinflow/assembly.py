@@ -10,6 +10,8 @@ The diffusion form applies the coefficient matrix to the gradient index of
 each velocity component: (u, v) -> sum_c int (grad v_c)^T A (grad u_c).
 """
 
+import itertools
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -180,12 +182,8 @@ class FunctionSpace:
     def quadrature_points(self, nquad):
         """Global Gauss points per element: (ne, nq, ndim)."""
         mesh = self.mesh
-        gp, _ = gauss_rule(nquad)
-        per_axis = []
-        for a in range(mesh.ndim):
-            left = mesh.axes[a][:-1]
-            h = np.diff(mesh.axes[a])
-            per_axis.append(left[:, None] + (gp[None, :] + 1) * h[:, None] / 2)
+        per_axis = [coords.reshape(n, nquad) for (coords, _), n in
+                    zip(element_gauss_axes(mesh, nquad), mesh.n_elements)]
         qgrid = np.meshgrid(*[np.arange(nquad)] * mesh.ndim, indexing="ij")
         qidx = [g.ravel() for g in qgrid]
         egrid = np.meshgrid(*[np.arange(n) for n in mesh.n_elements],
@@ -196,6 +194,46 @@ class FunctionSpace:
         for a in range(mesh.ndim):
             pts[:, :, a] = per_axis[a][np.ix_(eidx[a], qidx[a])]
         return pts
+
+
+def element_gauss_axes(mesh, nquad):
+    """Element-aligned Gauss rule per axis: [(coords, weights), ...].
+
+    Each axis carries nquad points in every element, element by element.
+    The tensor product of the axes holds the points and weights of
+    quadrature_points / DiscreteField.quadrature_sample in grid order.
+    """
+    gp, gw = gauss_rule(nquad)
+    rules = []
+    for axis in mesh.axes:
+        left = axis[:-1]
+        h = np.diff(axis)
+        rules.append(((left[:, None] + (gp[None, :] + 1) * h[:, None] / 2)
+                      .ravel(), (gw[None, :] * h[:, None] / 2).ravel()))
+    return rules
+
+
+def _axis_basis(space, a, x, deriv=False):
+    """Lattice nodes and 1D basis weights at coordinates x along axis a.
+
+    Returns (nodes, weights), both (len(x), order + 1): the lattice indices
+    of the element holding each coordinate (periodic axes wrap the
+    coordinate into one period and the indices onto the lattice) and the 1D
+    Lagrange basis there, or its derivative when deriv is set.
+    """
+    mesh, p = space.mesh, space.order
+    axis = mesh.axes[a]
+    x = np.asarray(x, dtype=float)
+    if mesh.periodic[a]:
+        x = axis[0] + np.mod(x - axis[0], axis[-1] - axis[0])
+    h = mesh.spacings[a]
+    e = np.clip(((x - axis[0]) / h).astype(np.int64), 0,
+                mesh.n_elements[a] - 1)
+    vals, ders = _shape1d(p, 2 * (x - axis[e]) / h - 1)
+    nodes = e[:, None] * p + np.arange(p + 1)
+    if mesh.periodic[a]:
+        nodes = np.mod(nodes, space.lattice_sizes[a])
+    return nodes, (ders * (2.0 / h) if deriv else vals)
 
 
 def _eval_callable(fn, pts, ncomp):
@@ -393,49 +431,45 @@ class DiscreteField:
     def full_values(self):
         return self.space.expand(self.coeffs)
 
-    def _locate(self, pts):
-        space, mesh = self.space, self.space.mesh
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        elem, xi = [], []
-        for a in range(mesh.ndim):
-            axis = mesh.axes[a]
-            x = pts[:, a]
-            if mesh.periodic[a]:
-                extent = axis[-1] - axis[0]
-                x = axis[0] + np.mod(x - axis[0], extent)
-            h = mesh.spacings[a]
-            e = np.clip(((x - axis[0]) / h).astype(np.int64), 0,
-                        mesh.n_elements[a] - 1)
-            elem.append(e)
-            xi.append(2 * (x - axis[e]) / h - 1)
-        return pts, elem, xi
-
     def _tensor_eval(self, pts, deriv_axis=None):
         space = self.space
-        mesh = space.mesh
-        pts, elem, xi = self._locate(pts)
-        p = space.order
-        axis_tabs = []
-        for a in range(mesh.ndim):
-            vals, ders = _shape1d(p, xi[a])
-            if deriv_axis == a:
-                axis_tabs.append(ders * (2.0 / mesh.spacings[a]))
-            else:
-                axis_tabs.append(vals)
+        ndim = space.mesh.ndim
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        tables = [_axis_basis(space, a, pts[:, a], deriv=deriv_axis == a)
+                  for a in range(ndim)]
         full = self.full_values()
         out = np.zeros((pts.shape[0], space.ncomp))
-        lgrid = np.meshgrid(*[np.arange(p + 1)] * mesh.ndim, indexing="ij")
-        lidx = [g.ravel() for g in lgrid]
-        for k in range(len(lidx[0])):
+        for local in itertools.product(range(space.order + 1), repeat=ndim):
             w = np.ones(pts.shape[0])
             node = np.zeros(pts.shape[0], dtype=np.int64)
-            for a in range(mesh.ndim):
-                loc = elem[a] * p + lidx[a][k]
-                if mesh.periodic[a]:
-                    loc = np.mod(loc, space.lattice_sizes[a])
-                node = node * space.lattice_sizes[a] + loc
-                w *= axis_tabs[a][:, lidx[a][k]]
+            for a, k in enumerate(local):
+                nodes, weights = tables[a]
+                node = node * space.lattice_sizes[a] + nodes[:, k]
+                w *= weights[:, k]
             out += w[:, None] * full[node]
+        return out
+
+    def evaluate_grid(self, coords, deriv_axis=None):
+        """Field on the tensor grid of per-axis coordinates.
+
+        Returns (m_0, ..., m_{d-1}, ncomp) values, or the derivative along
+        deriv_axis.  Sum factorization: one sparse 1D interpolation matrix
+        (order + 1 entries per row, periodic wrap included) is applied per
+        axis to the lattice array of coefficients.
+        """
+        space = self.space
+        out = self.full_values().reshape(space.lattice_shape
+                                         + (space.ncomp,))
+        for a, x in enumerate(coords):
+            nodes, weights = _axis_basis(space, a, x, deriv=deriv_axis == a)
+            m = nodes.shape[0]
+            rows = np.repeat(np.arange(m), space.order + 1)
+            interp = sp.csr_matrix(
+                (weights.ravel(), (rows, nodes.ravel())),
+                shape=(m, space.lattice_sizes[a]))
+            moved = np.moveaxis(out, a, 0)
+            out = np.moveaxis((interp @ moved.reshape(moved.shape[0], -1))
+                              .reshape((m,) + moved.shape[1:]), 0, a)
         return out
 
     def evaluate(self, pts):

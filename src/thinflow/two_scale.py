@@ -7,16 +7,19 @@ oscillating test function f(xbar, x/eps),
 
 whose limit is the macro/cell double integral of the two-scale representative.
 Quadrature subdivides every oscillation period into panels so the accuracy is
-controlled independently of any finite-element mesh; fields that carry a mesh
-are integrated element-aligned instead.
+controlled independently of any finite-element mesh.  Fields that carry a
+mesh are integrated with the element-aligned Gauss rule of that mesh instead,
+sampled on its tensor grid by sum factorization, and so are the cell profiles
+of a separated two-scale limit and the vertical average of the fluctuation
+ratio.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .assembly import DiscreteField
+from .assembly import DiscreteField, element_gauss_axes
 from .coefficients import ScalarField, mean_value
 from .errors import InvalidDataError, InvalidParameterError, SpaceMismatchError
 
@@ -86,21 +89,6 @@ class OscillatingTestFunction:
         return best
 
 
-@dataclass
-class SimpleTwoScale:
-    """Closed-form two-scale field for tests: fn(xbar, ybar, zeta)."""
-
-    fn: Callable
-    d1: int = 1
-    ncomp: int = 1
-    y_resolution: int = 4
-
-    def evaluate(self, xbar, y):
-        xbar = np.atleast_2d(xbar)
-        y = np.atleast_2d(y)
-        return np.asarray(self.fn(xbar, y[:, :self.d1], y[:, -1]), dtype=float)
-
-
 def _panel_rule(a, b, panels, nq):
     gp, gw = np.polynomial.legendre.leggauss(nq)
     edges = np.linspace(a, b, panels + 1)
@@ -110,9 +98,13 @@ def _panel_rule(a, b, panels, nq):
     return pts, wts
 
 
+def _grid_points(axes):
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.column_stack([g.ravel() for g in grids])
+
+
 def _tensor_rule(rules):
-    grids = np.meshgrid(*[r[0] for r in rules], indexing="ij")
-    pts = np.column_stack([g.ravel() for g in grids])
+    pts = _grid_points([r[0] for r in rules])
     wgrids = np.meshgrid(*[r[1] for r in rules], indexing="ij")
     w = np.ones(pts.shape[0])
     for g in wgrids:
@@ -120,29 +112,42 @@ def _tensor_rule(rules):
     return pts, w
 
 
-def layer_quadrature(geometry, eps, panels_per_period=4, nq=5,
-                     vertical_panels=4):
-    """Composite rule on the thin layer resolving the eps-oscillation."""
+def _layer_rules(geometry, eps, panels_per_period, nq, vertical_panels=4):
     rules = []
     for extent in geometry.omega_extent:
         panels = max(1, round(extent / eps)) * panels_per_period
         rules.append(_panel_rule(0.0, extent, panels, nq))
     rules.append(_panel_rule(-eps, eps, vertical_panels, nq))
-    return _tensor_rule(rules)
+    return rules
 
 
-def _field_sample(u_eps, f_dim, eps, geometry, panels_per_period, nq):
-    """Quadrature points/weights/values for a discrete field or callable."""
+def layer_quadrature(geometry, eps, panels_per_period=4, nq=5,
+                     vertical_panels=4):
+    """Composite rule on the thin layer resolving the eps-oscillation."""
+    return _tensor_rule(_layer_rules(geometry, eps, panels_per_period, nq,
+                                     vertical_panels))
+
+
+def _field_sample(u_eps, eps, geometry, panels_per_period, nq):
+    """Tensor-grid quadrature sample of a discrete field or callable.
+
+    Returns (coords, pts, w, vals): the per-axis coordinates of the rule,
+    its points (N, d) and weights (N,) in grid order, and the values
+    (N, ncomp).  A discrete field is sampled with the nq-point Gauss rule of
+    its own elements, a callable with the composite layer rule.
+    """
     if isinstance(u_eps, DiscreteField):
-        pts, w, vals = u_eps.quadrature_sample(nquad=nq if nq <= 5 else 5)
-        return pts, w, vals
-    if geometry is None:
-        raise InvalidParameterError("geometry required for closed-form fields")
-    pts, w = layer_quadrature(geometry, eps, panels_per_period, nq)
-    vals = np.asarray(u_eps(pts), dtype=float)
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    return pts, w, vals
+        rules = element_gauss_axes(u_eps.space.mesh, nq)
+        pts, w = _tensor_rule(rules)
+        vals = u_eps.evaluate_grid([r[0] for r in rules])
+    else:
+        if geometry is None:
+            raise InvalidParameterError(
+                "geometry required for closed-form fields")
+        rules = _layer_rules(geometry, eps, panels_per_period, nq)
+        pts, w = _tensor_rule(rules)
+        vals = np.asarray(u_eps(pts), dtype=float)
+    return [r[0] for r in rules], pts, w, vals.reshape(pts.shape[0], -1)
 
 
 def two_scale_pairing(u_eps, f, eps, geometry=None, panels_per_period=4, nq=5):
@@ -150,8 +155,8 @@ def two_scale_pairing(u_eps, f, eps, geometry=None, panels_per_period=4, nq=5):
 
     Returns a scalar for scalar fields, otherwise one pairing per component.
     """
-    pts, w, vals = _field_sample(u_eps, f.d1 + 1, eps, geometry,
-                                 panels_per_period, nq)
+    _, pts, w, vals = _field_sample(u_eps, eps, geometry, panels_per_period,
+                                    nq)
     fv = f.evaluate_physical(pts, eps)
     out = (vals * (w * fv)[:, None]).sum(axis=0) / eps
     return float(out[0]) if out.size == 1 else out
@@ -208,37 +213,56 @@ def limit_pairing(u0, f, geometry, nq=5, macro_panels=8, vertical_panels=6):
     return float(out[0]) if out.size == 1 else out
 
 
+def _limit_sample(u0, coords, pts, eps):
+    """u0(xbar, x/eps) on a tensor-grid sample: (N, ncomp).
+
+    A separated limit (driving x cell fields) takes its driving at the
+    distinct horizontal points and its cell fields on the grid.
+    """
+    d1 = len(coords) - 1
+    factors = getattr(u0, "pairing_factors", None)
+    if not callable(factors):
+        u0v = np.asarray(u0.evaluate(pts[:, :d1], pts / eps), dtype=float)
+        return u0v.reshape(pts.shape[0], -1)
+    driving, cell_fields = factors()
+    g = np.atleast_2d(driving(_grid_points(coords[:d1])))
+    bcast = tuple(c.size for c in coords[:d1]) + (1, 1)
+    y_axes = [c / eps for c in coords]
+    out = 0.0
+    for j, wf in enumerate(cell_fields):
+        out = out + g[:, j].reshape(bcast) * wf.evaluate_grid(y_axes)
+    return out.reshape(pts.shape[0], -1)
+
+
 def two_scale_distance(u_eps, u0, eps, geometry=None, p=2,
                        panels_per_period=4, nq=5):
     """Scaled L^p distance between u_eps and its two-scale representative,
 
     eps^{-1/p} || u_eps - u0(xbar, x/eps) ||_{L^p(layer)}.
     """
-    pts, w, vals = _field_sample(u_eps, None, eps, geometry,
-                                 panels_per_period, nq)
-    d1 = pts.shape[1] - 1
-    y = pts / eps
-    u0v = np.asarray(u0.evaluate(pts[:, :d1], y), dtype=float)
-    if u0v.ndim == 1:
-        u0v = u0v[:, None]
-    diff = vals - u0v
+    coords, pts, w, vals = _field_sample(u_eps, eps, geometry,
+                                         panels_per_period, nq)
+    diff = vals - _limit_sample(u0, coords, pts, eps)
     mag = np.sqrt(np.sum(diff * diff, axis=1))
     return float(np.sum(w * mag ** p) ** (1.0 / p) * eps ** (-1.0 / p))
 
 
-def thin_average(u_eps, eps, nq=8):
-    """Vertical average operator: returns a callable of xbar."""
+def _vertical_average_rule(eps, nq):
+    """Heights and weights of the Gauss average over (-eps, eps)."""
     gp, gw = np.polynomial.legendre.leggauss(nq)
-    zq = gp * eps
-    wq = gw / 2.0                      # average, not integral
+    return gp * eps, gw / 2.0          # average, not integral
+
+
+def thin_average(u_eps, eps, nq=8):
+    """Vertical average of a callable field: returns a callable of xbar."""
+    zq, wq = _vertical_average_rule(eps, nq)
 
     def averaged(xbar):
         xbar = np.atleast_2d(xbar)
         acc = None
         for z, wz in zip(zq, wq):
             pts = np.column_stack([xbar, np.full(xbar.shape[0], z)])
-            vals = u_eps.evaluate(pts) if isinstance(u_eps, DiscreteField) \
-                else np.asarray(u_eps(pts), dtype=float)
+            vals = np.asarray(u_eps(pts), dtype=float)
             acc = wz * vals if acc is None else acc + wz * vals
         return acc
     return averaged
@@ -263,10 +287,18 @@ def poincare_wirtinger_ratio(u_eps, eps, geometry=None, p=2, grad=None,
     the extra eps^{-1/p} of the one-sided normalization.
     """
     if isinstance(u_eps, DiscreteField):
-        pts, w, vals = u_eps.quadrature_sample(nquad=max(nq, 4))
-        _, _, _, grads = u_eps.quadrature_sample(nquad=max(nq, 4),
-                                                 gradients=True)
-        gmag = np.sqrt(np.sum(grads * grads, axis=(1, 2)))
+        rules = element_gauss_axes(u_eps.space.mesh, max(nq, 4))
+        coords = [r[0] for r in rules]
+        _, w = _tensor_rule(rules)
+        vals = u_eps.evaluate_grid(coords)
+        gsq = sum(np.sum(u_eps.evaluate_grid(coords, deriv_axis=a) ** 2,
+                         axis=-1) for a in range(len(coords)))
+        gmag = np.sqrt(gsq).ravel()
+        # the points and weights of thin_average, at every horizontal node
+        zq, wq = _vertical_average_rule(eps, max(nq, 6))
+        means = np.tensordot(u_eps.evaluate_grid(coords[:-1] + [zq]), wq,
+                             axes=([-2], [0]))[..., None, :]
+        diff = (vals - means).reshape(w.size, -1)
     else:
         if geometry is None or grad is None:
             raise InvalidParameterError(
@@ -277,12 +309,11 @@ def poincare_wirtinger_ratio(u_eps, eps, geometry=None, p=2, grad=None,
             vals = vals[:, None]
         gv = np.asarray(grad(pts), dtype=float)
         gmag = np.sqrt(np.sum(gv.reshape(pts.shape[0], -1) ** 2, axis=1))
-    d1 = pts.shape[1] - 1
-    mean_fn = thin_average(u_eps, eps, nq=max(nq, 6))
-    means = mean_fn(pts[:, :d1])
-    if np.asarray(means).ndim == 1:
-        means = np.asarray(means)[:, None]
-    diff = vals - means
+        d1 = pts.shape[1] - 1
+        means = thin_average(u_eps, eps, nq=max(nq, 6))(pts[:, :d1])
+        if np.asarray(means).ndim == 1:
+            means = np.asarray(means)[:, None]
+        diff = vals - means
     fluct = float(np.sum(w * np.sum(diff * diff, axis=1) ** (p / 2.0))
                   ** (1.0 / p))
     gnorm = float(np.sum(w * gmag ** p) ** (1.0 / p))

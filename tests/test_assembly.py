@@ -11,7 +11,8 @@ import thinflow
 from thinflow.assembly import (DiscreteField, FunctionSpace,
                                assemble_convection, assemble_diffusion,
                                assemble_divergence, assemble_flux_load,
-                               assemble_load, assemble_mass, pressure_gauge)
+                               assemble_load, assemble_mass,
+                               element_gauss_axes, pressure_gauge)
 from thinflow.errors import AsymmetricOperatorError, SpaceMismatchError
 from thinflow.meshing import Geometry, build_cell_mesh, build_macro_mesh, \
     build_thin_mesh
@@ -287,6 +288,89 @@ def test_gradient_evaluation():
     grads = field.gradient(pts)
     assert grads[:, 0, 0] == pytest.approx(2 * pts[:, 0], abs=1e-12)
     assert grads[:, 1, 1] == pytest.approx(pts[:, 0], abs=1e-12)
+
+
+# -- tensor-grid sampling ------------------------------------------------------
+
+# cell meshes are periodic horizontally and walled vertically; thin meshes are
+# walled on every axis
+GRID_MESHES = {
+    "cell_d2": lambda: build_cell_mesh(Geometry(2, (1.0,), 0.125), 3, 4),
+    "cell_d3": lambda: build_cell_mesh(Geometry(3, (1.0, 1.0), 0.125), 3, 2),
+    "thin_d3": lambda: build_thin_mesh(Geometry(3, (0.5, 0.75), 0.25), 2, 2),
+}
+
+
+def random_field(mesh, kind, seed=3):
+    space = FunctionSpace(mesh, kind)
+    return DiscreteField(space,
+                         np.random.default_rng(seed).standard_normal(space.ndof))
+
+
+@pytest.mark.parametrize("kind", ["velocity", "pressure"])
+@pytest.mark.parametrize("mesh_name", sorted(GRID_MESHES))
+def test_evaluate_grid_matches_pointwise(mesh_name, kind):
+    mesh = GRID_MESHES[mesh_name]()
+    field = random_field(mesh, kind)
+    rng = np.random.default_rng(5)
+    coords = []
+    for axis, per in zip(mesh.axes, mesh.periodic):
+        lo, hi = axis[0], axis[-1]
+        if per:
+            # reach beyond one period on both sides, hit nodes exactly
+            extent = hi - lo
+            x = np.concatenate([rng.uniform(lo - 1.5 * extent,
+                                            hi + 1.5 * extent, 7),
+                                axis[::2], axis + 2 * extent])
+        else:
+            x = np.concatenate([rng.uniform(lo, hi, 5), axis[::2]])
+        coords.append(x)
+    pts = np.column_stack([g.ravel() for g in
+                           np.meshgrid(*coords, indexing="ij")])
+    shape = tuple(x.size for x in coords) + (field.space.ncomp,)
+    scale = np.abs(field.coeffs).max()
+    values = field.evaluate(pts).reshape(shape)
+    assert np.abs(field.evaluate_grid(coords) - values).max() \
+        <= 1e-13 * scale
+    # a whole number of periods further on is the same point
+    shifted = [x + 3 * (axis[-1] - axis[0]) if per else x
+               for x, axis, per in zip(coords, mesh.axes, mesh.periodic)]
+    assert np.abs(field.evaluate_grid(shifted) - values).max() \
+        <= 1e-13 * scale
+    grads = field.gradient(pts)
+    for a in range(mesh.ndim):
+        want = grads[:, :, a].reshape(shape)
+        got = field.evaluate_grid(coords, deriv_axis=a)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("mesh_name", sorted(GRID_MESHES))
+def test_element_gauss_axes_reorder_to_quadrature_sample(mesh_name):
+    mesh = GRID_MESHES[mesh_name]()
+    field = random_field(mesh, "velocity")
+    nquad = 3
+    rules = element_gauss_axes(mesh, nquad)
+    coords = [r[0] for r in rules]
+    grid_pts = np.stack(np.meshgrid(*coords, indexing="ij"), axis=-1)
+    grid_w = np.prod(np.stack(np.meshgrid(*[r[1] for r in rules],
+                                          indexing="ij")), axis=0)
+    grid_vals = field.evaluate_grid(coords)
+
+    # grid order (e_0, q_0, e_1, q_1, ...) -> (e_0, e_1, ..., q_0, q_1, ...)
+    split = [n for ne in mesh.n_elements for n in (ne, nquad)]
+    order = list(range(0, 2 * mesh.ndim, 2)) + list(range(1, 2 * mesh.ndim, 2))
+
+    def element_major(arr):
+        tail = arr.shape[mesh.ndim:]
+        return arr.reshape(split + list(tail)).transpose(
+            order + [2 * mesh.ndim + i for i in range(len(tail))]
+        ).reshape((-1,) + tail)
+
+    pts, w, vals = field.quadrature_sample(nquad)
+    assert np.abs(element_major(grid_pts) - pts).max() <= 1e-15
+    assert np.abs(element_major(grid_w) - w).max() <= 1e-15 * w.max()
+    assert np.abs(element_major(grid_vals) - vals).max() \
+        <= 1e-13 * np.abs(vals).max()
 
 
 def test_pressure_gauge_is_volume():

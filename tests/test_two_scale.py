@@ -1,15 +1,41 @@
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from thinflow import coefficients as coefs
+from thinflow.assembly import DiscreteField, FunctionSpace
+from thinflow.cell_problems import solve_cell_regime_i
 from thinflow.coefficients import ScalarField
 from thinflow.errors import InvalidParameterError, SpaceMismatchError
-from thinflow.meshing import Geometry
-from thinflow.two_scale import (OscillatingTestFunction, SimpleTwoScale,
+from thinflow.macro_model import solve_macro
+from thinflow.meshing import (Geometry, TensorMesh, build_cell_mesh,
+                              build_macro_mesh, build_thin_mesh)
+from thinflow.microscale import solve_dlb
+from thinflow.two_scale import (OscillatingTestFunction,
                                 layer_quadrature, limit_pairing,
                                 oscillation_limit_table,
                                 poincare_wirtinger_ratio, thin_average,
                                 two_scale_distance, two_scale_pairing)
+from thinflow.upscaling import (TwoScaleVelocity, effective_matrix,
+                                reconstruct_two_scale_velocity)
+
+
+@dataclass
+class SimpleTwoScale:
+    """Closed-form two-scale field: fn(xbar, ybar, zeta)."""
+
+    fn: Callable
+    d1: int = 1
+    ncomp: int = 1
+    y_resolution: int = 4
+
+    def evaluate(self, xbar, y):
+        xbar = np.atleast_2d(xbar)
+        y = np.atleast_2d(y)
+        return np.asarray(self.fn(xbar, y[:, :self.d1], y[:, -1]), dtype=float)
 
 
 def geom(eps):
@@ -97,6 +123,19 @@ def test_limit_pairing_examples():
     uplain = SimpleTwoScale(lambda xb, yb, z: 1 + xb[:, 0])
     fosc = osc(y_waves=[((2,), "sin", 1.0)])
     assert abs(limit_pairing(uplain, fosc, g)) <= 1e-12
+
+
+def test_pairing_honours_nq():
+    # one element across the layer: a 7-point rule integrates the degree-12
+    # integrand x^12 exactly, the 5-point rule does not
+    eps = 0.25
+    mesh = TensorMesh([[0.0, 1.0], [-eps, eps]], (False, False), set())
+    space = FunctionSpace(mesh, "pressure")
+    u = DiscreteField(space, space.interpolate(lambda p: np.ones(len(p))))
+    f = osc(const=1.0, macro=lambda xb: xb[:, 0] ** 12)
+    exact = 2.0 / 13.0
+    assert abs(two_scale_pairing(u, f, eps, nq=7) - exact) <= 1e-14
+    assert abs(two_scale_pairing(u, f, eps, nq=5) - exact) > 1e-6
 
 
 # -- strong distance -----------------------------------------------------------
@@ -221,3 +260,96 @@ def test_layer_quadrature_volume():
     pts, w = layer_quadrature(g, 0.125)
     assert w.sum() == pytest.approx(2 * 0.125, rel=1e-12)
     assert pts.shape[1] == 2
+
+
+# -- discrete fields on a d = 3 layer: tensor grid against pointwise ------------
+
+D3_EPS = 0.125
+D3_GEOM = Geometry(3, (0.5, 0.5), D3_EPS)
+
+
+def d3_forcing(xb):
+    """Divergence-free horizontal forcing: it drives a genuine flow."""
+    s0, c0 = np.sin(2 * np.pi * xb[:, 0]), np.cos(2 * np.pi * xb[:, 0])
+    s1, c1 = np.sin(2 * np.pi * xb[:, 1]), np.cos(2 * np.pi * xb[:, 1])
+    return np.column_stack([4 * np.pi * s0 * s0 * s1 * c1,
+                            -4 * np.pi * s0 * c0 * s1 * s1])
+
+
+@pytest.fixture(scope="module")
+def d3_layer():
+    """DNS velocity on one d = 3 layer and its two-scale limit (regime i)."""
+    field = coefs.constant_field(3)
+    params = coefs.FluidParams(mu=1.0, rho=1.0, f1=d3_forcing)
+    sol = solve_dlb(build_thin_mesh(D3_GEOM, 2, 2), field, params,
+                    K_eps=D3_EPS ** 2)
+    cells = solve_cell_regime_i(field, 1.0, 1.0,
+                                build_cell_mesh(D3_GEOM, 2, 8))
+    ahat = effective_matrix("i", cells, field, mu=1.0, K=1.0)
+    macro = solve_macro(ahat, d3_forcing, build_macro_mesh(D3_GEOM, 8))
+    recon = reconstruct_two_scale_velocity(cells, macro, d3_forcing)
+    probe = OscillatingTestFunction(
+        d1=2, macro=lambda xb: 1 + xb[:, 0] * xb[:, 1],
+        zeta_factor=lambda z: 1 - z * z,
+        y_factor=ScalarField(2, const=0.5,
+                             waves=[((1, 0), "cos", 1.0),
+                                    ((1, 1), "sin", 0.5)]))
+    return sol, recon, probe
+
+
+# Pointwise reference: the element-by-element formulas the functionals used
+# before they sampled discrete fields on tensor grids.
+
+def reference_pairing(u, f, eps, nq=5):
+    pts, w, vals = u.quadrature_sample(nquad=nq)
+    fv = f.evaluate_physical(pts, eps)
+    return (vals * (w * fv)[:, None]).sum(axis=0) / eps
+
+
+def reference_distance(u, u0, eps, nq=5):
+    pts, w, vals = u.quadrature_sample(nquad=nq)
+    d1 = pts.shape[1] - 1
+    diff = vals - u0.evaluate(pts[:, :d1], pts / eps)
+    return float(np.sqrt(np.sum(w * np.sum(diff * diff, axis=1)) / eps))
+
+
+def reference_pw_ratio(u, eps, nq=5):
+    pts, w, vals, grads = u.quadrature_sample(nquad=max(nq, 4),
+                                              gradients=True)
+    gnorm = np.sqrt(np.sum(w * np.sum(grads * grads, axis=(1, 2))))
+    means = thin_average(u.evaluate, eps, nq=max(nq, 6))(pts[:, :-1])
+    diff = vals - means
+    fluct = np.sqrt(np.sum(w * np.sum(diff * diff, axis=1)))
+    return float(fluct / (eps * gnorm))
+
+
+def test_functionals_match_pointwise_reference(d3_layer):
+    sol, recon, probe = d3_layer
+    u = sol.velocity_field()
+    scaled = sol.scaled_velocity(D3_EPS ** 2)
+    assert poincare_wirtinger_ratio(u, D3_EPS).ratio == pytest.approx(
+        reference_pw_ratio(u, D3_EPS), rel=1e-12)
+    assert two_scale_distance(scaled, recon, D3_EPS) == pytest.approx(
+        reference_distance(scaled, recon, D3_EPS), rel=1e-12)
+    got = two_scale_pairing(scaled, probe, D3_EPS)
+    want = reference_pairing(scaled, probe, D3_EPS)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_functionals_never_evaluate_pointwise(d3_layer, monkeypatch):
+    sol, recon, probe = d3_layer
+    # the reconstructed driving force differentiates the macro pressure at
+    # scattered points; a closed-form driving keeps this check to the
+    # fields that are sampled on grids
+    limit = TwoScaleVelocity(recon.cell_fields, d3_forcing, 2)
+    u = sol.velocity_field()
+    scaled = sol.scaled_velocity(D3_EPS ** 2)
+
+    def pointwise(*args, **kwargs):
+        raise AssertionError("pointwise evaluation of a discrete field")
+
+    monkeypatch.setattr(DiscreteField, "evaluate", pointwise)
+    monkeypatch.setattr(DiscreteField, "gradient", pointwise)
+    assert poincare_wirtinger_ratio(u, D3_EPS).ratio > 0
+    assert two_scale_distance(scaled, limit, D3_EPS) > 0
+    assert np.abs(two_scale_pairing(scaled, probe, D3_EPS)).max() > 0
