@@ -30,7 +30,12 @@ from .meshing import TensorMesh
 
 @dataclass
 class CellSolution:
-    """Discrete cell velocities/pressures for the d unit-direction loads."""
+    """Discrete cell velocities/pressures for the d unit-direction loads.
+
+    ``form`` is the sparse energy form of the regime's local problem: the
+    cell operator for regimes i and iii, the drag term mu M for regime ii.
+    The upscaled matrix is its Gram table over the velocities.
+    """
 
     regime: str
     mesh: TensorMesh
@@ -39,6 +44,7 @@ class CellSolution:
     velocities: list
     pressures: list
     div_residuals: list
+    form: object
     levels: Optional[dict] = None
     extrapolation_residual: Optional[float] = None
     meta: dict = dfield(default_factory=dict)
@@ -102,19 +108,25 @@ def _div_residuals(B, velocities):
     return [float(np.linalg.norm(B @ w)) / scale for w in velocities]
 
 
-def solve_cell_regime_i(field, mu, K, cell_mesh, tol=1e-10):
-    """Brinkmann cell problems with drag mu/K; velocity clamped at the walls."""
+def _solve_clamped(regime, field, cell_mesh, tol, drag=None, **meta):
+    """-div(A grad w) [+ drag w] + grad q = e_i with the walls clamped."""
     coefs.check_ellipticity(field, n_samples=256)
     space_v, space_p, B, gauge = _cell_spaces(cell_mesh)
-    S = (assemble_diffusion(space_v, field.evaluate)
-         + (mu / K) * assemble_mass(space_v)).tocsr()
+    S = assemble_diffusion(space_v, field.evaluate)
+    if drag is not None:
+        S = (S + drag * assemble_mass(space_v)).tocsr()
     counts = SolveCounts()
     velocities, pressures = _solve_loads(S, B, gauge, _unit_loads(space_v),
                                          tol, counts)
-    return CellSolution("i", cell_mesh, space_v, space_p, velocities,
-                        pressures, _div_residuals(B, velocities),
-                        meta={"mu": mu, "K": K,
-                              "solver_counts": asdict(counts)})
+    return CellSolution(regime, cell_mesh, space_v, space_p, velocities,
+                        pressures, _div_residuals(B, velocities), S,
+                        meta={**meta, "solver_counts": asdict(counts)})
+
+
+def solve_cell_regime_i(field, mu, K, cell_mesh, tol=1e-10):
+    """Brinkmann cell problems with drag mu/K; velocity clamped at the walls."""
+    return _solve_clamped("i", field, cell_mesh, tol, drag=mu / K, mu=mu,
+                          K=K)
 
 
 def solve_cell_regime_iii(field, cell_mesh, tol=1e-10):
@@ -123,15 +135,7 @@ def solve_cell_regime_iii(field, cell_mesh, tol=1e-10):
         raise UnsupportedRegimeCoefficientError(
             "the high-permeability cell problem is only solvable for "
             "periodic coefficients")
-    coefs.check_ellipticity(field, n_samples=256)
-    space_v, space_p, B, gauge = _cell_spaces(cell_mesh)
-    S = assemble_diffusion(space_v, field.evaluate)
-    counts = SolveCounts()
-    velocities, pressures = _solve_loads(S, B, gauge, _unit_loads(space_v),
-                                         tol, counts)
-    return CellSolution("iii", cell_mesh, space_v, space_p, velocities,
-                        pressures, _div_residuals(B, velocities),
-                        meta={"solver_counts": asdict(counts)})
+    return _solve_clamped("iii", field, cell_mesh, tol)
 
 
 def _extrapolate(level_arrays, n_values):
@@ -181,6 +185,7 @@ def solve_cell_regime_ii(mu, cell_mesh, n_list=(4, 8, 16, 32), tol=1e-10,
     gauge = pressure_gauge(space_p)
     K_lap = assemble_diffusion(space_v)
     M = assemble_mass(space_v)
+    drag = mu * M
     loads = _unit_loads(space_v)
     d = mesh.ndim
     per_level_v = [[] for _ in range(d)]
@@ -188,7 +193,7 @@ def solve_cell_regime_ii(mu, cell_mesh, n_list=(4, 8, 16, 32), tol=1e-10,
     bounds = [[] for _ in range(d)]
     counts = SolveCounts()
     for n in n_list:
-        S = (K_lap * (1.0 / n ** 2) + mu * M).tocsr()
+        S = (K_lap * (1.0 / n ** 2) + drag).tocsr()
         level_v, level_p = _solve_loads(S, B, gauge, loads, tol, counts)
         for i, (w, q) in enumerate(zip(level_v, level_p)):
             per_level_v[i].append(w)
@@ -210,7 +215,7 @@ def solve_cell_regime_ii(mu, cell_mesh, n_list=(4, 8, 16, 32), tol=1e-10,
               "bound": [list(map(float, b)) for b in bounds],
               "velocities": per_level_v}
     return CellSolution("ii", cell_mesh, space_v, space_p, velocities,
-                        pressures, residuals, levels=levels,
+                        pressures, residuals, drag, levels=levels,
                         extrapolation_residual=worst,
                         meta={"mu": mu, "boundary": boundary,
                               "solver_counts": asdict(counts)})

@@ -5,109 +5,58 @@
     thinflow cell  <config.json> --regime {i,ii,iii}   cells + upscaling
     thinflow diag  <config.json>   two-scale functional diagnostics
 
-Exit code 0 if and only if every executed check passes.
+Exit code 0 if and only if every executed check passes, 1 if a check fails,
+and 2 if the config is malformed or a stage aborts.
 """
 
 import argparse
-import os
 import sys
 
 import numpy as np
 
-from .cell_problems import solve_cell_problems
-from .errors import PipelineError, ThinflowError
-from .harness import (ConvergenceReport, effective_csv, load_config,
-                      run_pipeline, save_report, _fmt, _probe_function)
-from .meshing import build_cell_mesh
+from .errors import ThinflowError
+from .harness import (ConvergenceReport, add_upscaling_checks, effective_csv,
+                      load_config, pipeline_stage, run_pipeline, save_report,
+                      solve_cells, sweep_csv, write_text, _fmt,
+                      _probe_function)
 from .two_scale import (oscillation_limit_table, poincare_wirtinger_ratio)
-from .upscaling import effective_matrix
 
 
-def _print_checks(report, out):
+def _finish(report, paths):
+    """Print the checks and the written paths; exit code of the verdict."""
     for c in report.checks:
         status = "PASS" if c.passed else ("FAIL" if c.passed is False
                                           else "INFO")
         target = "" if np.isnan(c.target) else f" target={_fmt(c.target)}"
-        print(f"[{status}] {c.name} = {_fmt(c.value)}{target}", file=out)
-
-
-def _cmd_run(args, write_all=True):
-    config = load_config(args.config)
-    try:
-        report = run_pipeline(config)
-    except PipelineError as exc:
-        print(f"[ABORT] {exc}", file=sys.stderr)
-        return 2
-    outdir = args.output or config.output_directory
-    formats = config.output_formats if write_all else ["csv"]
-    paths = save_report(report, outdir, formats=formats)
-    if not write_all:
-        paths = [p for p in paths if p.endswith("sweep.csv")]
-    _print_checks(report, sys.stdout)
+        print(f"[{status}] {c.name} = {_fmt(c.value)}{target}")
     for p in paths:
         print(f"wrote {p}")
     return 0 if report.passed else 1
 
 
-def _cmd_sweep(args):
-    config = load_config(args.config)
-    try:
-        report = run_pipeline(config)
-    except PipelineError as exc:
-        print(f"[ABORT] {exc}", file=sys.stderr)
-        return 2
+def _cmd_run(args, config):
+    """run: every report; sweep: the sweep table only."""
+    report = run_pipeline(config)
     outdir = args.output or config.output_directory
-    os.makedirs(outdir, exist_ok=True)
-    from .harness import sweep_csv
-    path = os.path.join(outdir, "sweep.csv")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(sweep_csv(report))
-    _print_checks(report, sys.stdout)
-    print(f"wrote {path}")
-    return 0 if report.passed else 1
+    if args.command == "sweep":
+        paths = [write_text(outdir, "sweep.csv", sweep_csv(report))]
+    else:
+        paths = save_report(report, outdir, formats=config.output_formats)
+    return _finish(report, paths)
 
 
-def _cmd_cell(args):
-    config = load_config(args.config)
-    regime_tag = args.regime
-    try:
-        geometry = config.geometry()
-        field = config.coefficient_field()
-        params = config.fluid_params()
-        spec = config.regime_spec()
-        numerics = config.numerics
-        mesh = build_cell_mesh(geometry, numerics["cell_nx"],
-                               numerics["cell_nz"])
-        K = spec.kappa if regime_tag == "i" else None
-        cells = solve_cell_problems(regime_tag, mesh, field=field,
-                                    mu=params.mu, K=K,
-                                    n_list=numerics["n_list"],
-                                    tol=numerics["solver_tol"])
-        ahat = effective_matrix(regime_tag, cells, field=field, mu=params.mu,
-                                K=K)
-    except ThinflowError as exc:
-        print(f"[ABORT] stage 'cell': {exc}", file=sys.stderr)
-        return 2
-    report = ConvergenceReport(regime_tag)
-    report.effective = ahat
-    tol = numerics["solver_tol"]
-    report.add_upper("ahat_symmetry_defect", ahat.symmetry_defect, 1e-10)
-    report.add("ahat_min_eigenvalue", ahat.min_eigenvalue, target=0.0,
-               passed=bool(ahat.min_eigenvalue > 0))
-    report.add_upper("ahat_extended_tail", ahat.extended_tail_max, 10 * tol)
-    report.add_upper("ahat_dual_defect", ahat.dual_defect, 1e-8)
+def _cmd_cell(args, config):
+    report = ConvergenceReport(args.regime)
+    with pipeline_stage("cell"):
+        cells = solve_cells(config, args.regime)
+    with pipeline_stage("upscaling"):
+        add_upscaling_checks(report, cells, config.numerics["solver_tol"])
     outdir = args.output or config.output_directory
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, "effective_matrix.csv")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(effective_csv(report))
-    _print_checks(report, sys.stdout)
-    print(f"wrote {path}")
-    return 0 if report.passed else 1
+    path = write_text(outdir, "effective_matrix.csv", effective_csv(report))
+    return _finish(report, [path])
 
 
-def _cmd_diag(args):
-    config = load_config(args.config)
+def _cmd_diag(args, config):
     geometry = config.geometry()
     report = ConvergenceReport("diag")
     probe = _probe_function(geometry.d1)
@@ -132,19 +81,14 @@ def _cmd_diag(args):
         report.add("pw_ratio_linear_profile", pw.ratio,
                    target=1.0 / np.sqrt(3.0), tol=1e-6,
                    passed=bool(abs(pw.ratio - 1.0 / np.sqrt(3.0)) <= 1e-6))
-    outdir = args.output or config.output_directory
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, "diag.csv")
     lines = ["eps,value,limit,abs_error,est_rate"]
     for row in rows:
         lines.append(",".join(_fmt(row[k]) for k in
                               ("eps", "value", "limit", "abs_error",
                                "est_rate")))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    _print_checks(report, sys.stdout)
-    print(f"wrote {path}")
-    return 0 if report.passed else 1
+    outdir = args.output or config.output_directory
+    path = write_text(outdir, "diag.csv", "\n".join(lines) + "\n")
+    return _finish(report, [path])
 
 
 def main(argv=None):
@@ -161,13 +105,13 @@ def main(argv=None):
     p_cell.add_argument("--regime", choices=("i", "ii", "iii"), required=True)
     p_cell.add_argument("--output", default=None)
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "cell":
-        return _cmd_cell(args)
-    return _cmd_diag(args)
+    command = {"run": _cmd_run, "sweep": _cmd_run, "cell": _cmd_cell,
+               "diag": _cmd_diag}[args.command]
+    try:
+        return command(args, load_config(args.config))
+    except ThinflowError as exc:
+        print(f"[ABORT] {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

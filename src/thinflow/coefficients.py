@@ -180,11 +180,6 @@ def asymptotic_periodic_field(d, base_matrix, waves, gaussians,
                             beta_ell=beta_ell)
 
 
-def eval_A(field, y):
-    """Matrix value at a single point y = (y', z)."""
-    return field.evaluate(np.asarray(y, dtype=float).reshape(1, -1))[0]
-
-
 def _sample_points(field, n_samples):
     """Deterministic low-discrepancy samples of the cell (and decay region)."""
     d1 = field.d - 1

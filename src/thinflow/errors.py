@@ -57,10 +57,6 @@ class UnsupportedRegimeCoefficientError(ThinflowError):
     """Coefficient class not admissible for the requested local problem."""
 
 
-class RegimeMismatchError(ThinflowError):
-    """Cell solutions were produced for a different regime."""
-
-
 class InvalidEffectiveMatrixError(ThinflowError):
     """Upscaled matrix fails symmetry / definiteness requirements."""
 

@@ -6,7 +6,9 @@ report whose CSV serializations are byte-identical across reruns of the same
 configuration (17 significant digits, UNIX line endings, no timestamps).
 """
 
+import contextlib
 import json
+import os
 from dataclasses import dataclass, field as dfield
 from typing import Optional
 
@@ -169,8 +171,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path):
-        with open(path) as fh:
-            return cls(json.load(fh))
+        try:
+            with open(path) as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config '{path}': {exc}") from exc
+        return cls(raw)
 
     # -- cooked accessors ---------------------------------------------------
 
@@ -335,42 +341,57 @@ def _probe_function(d1, f1=None):
             d1, const=1.0, waves=[(wavevec, "cos", 1.0)]))
 
 
+@contextlib.contextmanager
+def pipeline_stage(name):
+    """Re-raise any toolkit error of the block as a PipelineError of name."""
+    try:
+        yield
+    except ThinflowError as exc:
+        raise PipelineError(name, exc) from exc
+
+
+def solve_cells(config, regime):
+    """Cell mesh and cell problems of a regime tag, with K = kappa."""
+    numerics = config.numerics
+    cell_mesh = build_cell_mesh(config.geometry(), numerics["cell_nx"],
+                                numerics["cell_nz"])
+    return solve_cell_problems(regime, cell_mesh,
+                               field=config.coefficient_field(),
+                               mu=config.fluid_params().mu,
+                               K=config.regime_spec().kappa,
+                               n_list=numerics["n_list"],
+                               tol=numerics["solver_tol"])
+
+
+def add_upscaling_checks(report, cells, tol):
+    """Upscale the cells into report.effective and add the ahat_* checks."""
+    ahat = effective_matrix(cells)
+    report.effective = ahat
+    report.add_upper("ahat_symmetry_defect", ahat.symmetry_defect, 1e-10)
+    report.add("ahat_min_eigenvalue", ahat.min_eigenvalue, target=0.0,
+               passed=bool(ahat.min_eigenvalue > 0))
+    report.add_upper("ahat_extended_tail", ahat.extended_tail_max, 10 * tol)
+    report.add_upper("ahat_dual_defect", ahat.dual_defect, 1e-8)
+    return ahat
+
+
 def run_pipeline(config):
     """Execute the full regime pipeline and collect the convergence report."""
-    stage = "validate"
-    try:
+    with pipeline_stage("validate"):
         geometry = config.geometry()
         field = config.coefficient_field()
         params = config.fluid_params()
         regime = config.regime_spec()
         numerics = config.numerics
-    except ThinflowError as exc:
-        raise PipelineError(stage, exc) from exc
 
     report = ConvergenceReport(regime.regime)
     tol = numerics["solver_tol"]
 
-    stage = "cell"
-    try:
-        cell_mesh = build_cell_mesh(geometry, numerics["cell_nx"],
-                                    numerics["cell_nz"])
-        cells = solve_cell_problems(regime.regime, cell_mesh, field=field,
-                                    mu=params.mu, K=regime.K,
-                                    n_list=numerics["n_list"], tol=tol)
-    except ThinflowError as exc:
-        raise PipelineError(stage, exc) from exc
+    with pipeline_stage("cell"):
+        cells = solve_cells(config, regime.regime)
 
-    stage = "upscaling"
-    try:
-        ahat = effective_matrix(regime, cells, field=field, mu=params.mu,
-                                K=regime.K)
-        report.effective = ahat
-        report.add_upper("ahat_symmetry_defect", ahat.symmetry_defect, 1e-10)
-        report.add("ahat_min_eigenvalue", ahat.min_eigenvalue, target=0.0,
-                   passed=bool(ahat.min_eigenvalue > 0))
-        report.add_upper("ahat_extended_tail", ahat.extended_tail_max,
-                         10 * tol)
-        report.add_upper("ahat_dual_defect", ahat.dual_defect, 1e-8)
+    with pipeline_stage("upscaling"):
+        ahat = add_upscaling_checks(report, cells, tol)
         if cells.regime == "ii":
             report.add_upper("cell_extrapolation_residual",
                              cells.extrapolation_residual, 1e-6)
@@ -382,11 +403,8 @@ def run_pipeline(config):
             report.add_upper("cell_level_bound_growth", worst, 1.1)
         report.add_upper("cell_div_residual_max",
                          max(cells.div_residuals), 100 * tol)
-    except ThinflowError as exc:
-        raise PipelineError(stage, exc) from exc
 
-    stage = "macro"
-    try:
+    with pipeline_stage("macro"):
         macro_mesh = build_macro_mesh(geometry, numerics["macro_n"])
         macro = solve_macro(ahat, params.f1, macro_mesh, regime.regime,
                             tol=tol)
@@ -401,11 +419,8 @@ def run_pipeline(config):
         report.extras["macro_flux_residual"] = boundary_flux_residual(macro)
         report.extras["macro"] = macro
         report.extras["cells"] = cells
-    except ThinflowError as exc:
-        raise PipelineError(stage, exc) from exc
 
-    stage = "reconstruction"
-    try:
+    with pipeline_stage("reconstruction"):
         recon = reconstruct_two_scale_velocity(cells, macro, params.f1)
         xs = _sample_grid(geometry)
         vmax = float(np.abs(recon.vertical_mean(xs)).max())
@@ -415,11 +430,8 @@ def run_pipeline(config):
         hscale = max(float(np.abs(um).max()), 1.0)
         report.add_upper("recon_macro_match",
                          float(np.abs(hm - um).max()) / hscale, 1e-8)
-    except ThinflowError as exc:
-        raise PipelineError(stage, exc) from exc
 
-    stage = "sweep"
-    try:
+    with pipeline_stage("sweep"):
         probe = _probe_function(geometry.d1, params.f1)
         limit_vec = np.atleast_1d(limit_pairing(recon, probe, geometry))
         rows = []
@@ -458,8 +470,6 @@ def run_pipeline(config):
         degenerate = (geometry.d1 == 1
                       or float(np.abs(macro.u_prime).max()) <= 1e-10 * fscale)
         _sweep_checks(report, config, regime, rows, degenerate=degenerate)
-    except ThinflowError as exc:
-        raise PipelineError(stage, exc) from exc
 
     return report
 
@@ -566,23 +576,25 @@ def effective_csv(report):
     return "\n".join(lines) + "\n"
 
 
-def save_report(report, directory, formats=("csv",), config=None):
+def write_text(directory, name, text):
+    """Write text with UNIX line endings to directory/name; return its path."""
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, name)
+    with open(path, "w", newline="\n") as fh:
+        fh.write(text)
+    return path
+
+
+def save_report(report, directory, formats=("csv",)):
     """Write report.csv, sweep.csv, effective_matrix.csv and optional VTK."""
-    import os
     os.makedirs(directory, exist_ok=True)
     written = []
-
-    def _write(name, text):
-        path = os.path.join(directory, name)
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
-        written.append(path)
-
     if "csv" in formats:
-        _write("report.csv", report_csv(report))
-        _write("sweep.csv", sweep_csv(report))
+        written.append(write_text(directory, "report.csv", report_csv(report)))
+        written.append(write_text(directory, "sweep.csv", sweep_csv(report)))
         if report.effective is not None:
-            _write("effective_matrix.csv", effective_csv(report))
+            written.append(write_text(directory, "effective_matrix.csv",
+                                      effective_csv(report)))
         if "macro" in report.extras:
             from .macro_model import export_macro_csv
             path = os.path.join(directory, "macro.csv")

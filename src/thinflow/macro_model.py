@@ -170,16 +170,3 @@ def export_macro_vtk(macro, path):
         "p0": macro.p0_field().evaluate(verts),
         "u_prime": macro.velocity(verts)})
 
-
-def vertical_mean_check(obj, xbar_samples=None, f1=None):
-    """Diagnostics of the limit's flatness and no-flux conditions.
-
-    For a two-scale velocity returns (max vertical mean, None); for a macro
-    solution returns (0, boundary-flux residual).
-    """
-    if hasattr(obj, "vertical_mean"):
-        if xbar_samples is None:
-            raise ValueError("xbar_samples required for a two-scale field")
-        vmax = float(np.abs(obj.vertical_mean(xbar_samples)).max())
-        return vmax, None
-    return 0.0, boundary_flux_residual(obj)

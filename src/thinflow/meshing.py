@@ -102,9 +102,6 @@ class TensorMesh:
     def volume(self):
         return float(np.prod(self.extents))
 
-    def is_uniform(self):
-        return all(np.allclose(np.diff(a), a[1] - a[0]) for a in self.axes)
-
     # -- vertex-level (bilinear/trilinear) views ---------------------------
 
     def vertex_counts(self, identified=True):
@@ -119,19 +116,6 @@ class TensorMesh:
         """All geometric vertices (slaves included), lexicographic order."""
         grids = np.meshgrid(*self.axes, indexing="ij")
         return np.column_stack([g.ravel() for g in grids])
-
-    def periodic_pairs(self):
-        """(slave, master) geometric vertex index pairs, per periodic axis."""
-        shape = tuple(a.size for a in self.axes)
-        idx = np.arange(int(np.prod(shape))).reshape(shape)
-        pairs = []
-        for ax, per in enumerate(self.periodic):
-            if not per:
-                continue
-            slaves = np.take(idx, -1, axis=ax).ravel()
-            masters = np.take(idx, 0, axis=ax).ravel()
-            pairs.extend(zip(slaves.tolist(), masters.tolist()))
-        return pairs
 
     def element_connectivity(self):
         """Vertex indices of each element (2**ndim corners, VTK ordering)."""
@@ -152,31 +136,6 @@ class TensorMesh:
             loc = tuple(base[a] + off[a] for a in range(self.ndim))
             corners.append(idx[loc])
         return np.column_stack(corners)
-
-    def boundary_facets(self):
-        """List of (normal, area) over the closed geometric boundary."""
-        facets = []
-        for ax in range(self.ndim):
-            others = [a for a in range(self.ndim) if a != ax]
-            if others:
-                sub_areas = np.ones(1)
-                for a in others:
-                    sub_areas = np.multiply.outer(sub_areas, np.diff(self.axes[a]))
-                areas = sub_areas.ravel()
-            else:
-                areas = np.ones(1)
-            for side, sign in ((0, -1.0), (1, 1.0)):
-                normal = np.zeros(self.ndim)
-                normal[ax] = sign
-                facets.extend((normal, float(area)) for area in areas)
-        return facets
-
-    def element_jacobians(self):
-        """Diagonal Jacobian determinant per element (all affine boxes)."""
-        dets = np.ones(1)
-        for a in self.axes:
-            dets = np.multiply.outer(dets, np.diff(a) / 2.0)
-        return dets.ravel()
 
     def __repr__(self):
         return (f"TensorMesh({self.label or 'box'}, nel={self.n_elements}, "

@@ -6,18 +6,18 @@ The entries are cell-quadrature evaluations of the regime formulas
     ii:  a_ij = mu int_I M(w_i . w_j)
     iii: a_ij = int_I M(A grad w_i : grad w_j)
 
-which, on the discrete level, are exactly the assembled bilinear forms of the
-cell systems (the unit horizontal cell has measure one).  For the dragless
-regime the mean-velocity form int_I M(w_j) . e_i is computed as well; the two
-must agree to the discrete Galerkin identity.
+which, on the discrete level, are exactly the Gram tables of the energy forms
+that the cell solvers assembled and store on their solutions (the unit
+horizontal cell has measure one).  The mean-velocity form int_I M(w_j) . e_i
+is computed as well; for the dragless regime the two must agree to the
+discrete Galerkin identity.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import DiscreteField, assemble_diffusion, assemble_mass
-from .errors import InvalidEffectiveMatrixError, RegimeMismatchError
+from .errors import InvalidEffectiveMatrixError
 
 _SYM_REL = 1e-10
 _DUAL_REL = 1e-8
@@ -47,43 +47,15 @@ class EffectiveMatrix:
         self.extended = np.asarray(self.extended, dtype=float)
 
 
-def _regime_tag(regime):
-    return regime if isinstance(regime, str) else regime.regime
-
-
-def effective_matrix(regime, cells, field=None, mu=1.0, K=None):
-    """Upscaled matrix from solved cell problems (regime must match)."""
-    tag = _regime_tag(regime)
-    if tag != cells.regime:
-        raise RegimeMismatchError(
-            f"cell solutions are for regime '{cells.regime}', not '{tag}'")
-    space_v = cells.space_v
+def effective_matrix(cells):
+    """Upscaled matrix: the Gram table of the cells' energy form."""
     d = cells.d
     W = np.column_stack(cells.velocities)
-    if tag == "i":
-        if K is None:
-            K = cells.meta.get("K")
-        S = (assemble_diffusion(space_v, field.evaluate if field else None)
-             + (mu / K) * assemble_mass(space_v)).tocsr()
-        table = W.T @ (S @ W)
-        dual = cells.mean_velocity_table()
-        dual_defect = _relative_defect(table, dual)
-    elif tag == "ii":
-        S = mu * assemble_mass(space_v)
-        table = W.T @ (S @ W)
-        dual = cells.mean_velocity_table()
-        dual_defect = _relative_defect(table, dual)
-    elif tag == "iii":
-        S = assemble_diffusion(space_v, field.evaluate if field else None)
-        table = W.T @ (S @ W)
-        dual = cells.mean_velocity_table()
-        dual_defect = _relative_defect(table, dual)
-        if dual_defect > _DUAL_REL:
-            raise InvalidEffectiveMatrixError(
-                f"energy and mean-velocity forms disagree: {dual_defect:.3e}")
-    else:
-        raise RegimeMismatchError(f"unknown regime '{tag}'")
-
+    table = W.T @ (cells.form @ W)
+    dual_defect = _relative_defect(table, cells.mean_velocity_table())
+    if cells.regime == "iii" and dual_defect > _DUAL_REL:
+        raise InvalidEffectiveMatrixError(
+            f"energy and mean-velocity forms disagree: {dual_defect:.3e}")
     scale = max(float(np.abs(table).max()), 1e-300)
     sym_defect = float(np.abs(table - table.T).max()) / scale
     if sym_defect > _SYM_REL:
@@ -95,8 +67,8 @@ def effective_matrix(regime, cells, field=None, mu=1.0, K=None):
     if eigs[0] <= 0:
         raise InvalidEffectiveMatrixError(
             f"upscaled matrix not positive definite: min eig {eigs[0]:.3e}")
-    return EffectiveMatrix(core, table, tag, sym_defect, float(eigs[0]),
-                           dual_defect)
+    return EffectiveMatrix(core, table, cells.regime, sym_defect,
+                           float(eigs[0]), dual_defect)
 
 
 def _relative_defect(table, dual):

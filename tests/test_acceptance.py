@@ -154,24 +154,24 @@ def effective_collection():
     out = {}
     mesh = build_cell_mesh(GEOM2, 4, 16)
     cells = solve_cell_regime_i(IDENT2, 1.0, 1.0, mesh, tol=SOLVER_TOL)
-    out["i/identity"] = effective_matrix("i", cells, IDENT2, mu=1.0, K=1.0)
+    out["i/identity"] = effective_matrix(cells)
     osc = oscillatory_field()
     mesh_osc = build_cell_mesh(GEOM2, 8, 16)
     cells = solve_cell_regime_i(osc, 1.0, 1.0, mesh_osc, tol=SOLVER_TOL)
-    out["i/oscillatory"] = effective_matrix("i", cells, osc, mu=1.0, K=1.0)
+    out["i/oscillatory"] = effective_matrix(cells)
     asym = coefs.asymptotic_periodic_field(
         2, 2 * np.eye(2), [coefs.Wave((1,), "sin", 0.5 * np.eye(2))],
         [coefs.GaussianBump(0.25 * np.eye(2))], alpha_ell=1.0, beta_ell=3.0)
     cells = solve_cell_regime_i(asym, 1.0, 1.0, mesh_osc, tol=SOLVER_TOL)
-    out["i/asymptotic"] = effective_matrix("i", cells, asym, mu=1.0, K=1.0)
+    out["i/asymptotic"] = effective_matrix(cells)
     cells = solve_cell_regime_ii(2.0, mesh, tol=SOLVER_TOL)
-    out["ii/identity"] = effective_matrix("ii", cells, mu=2.0)
+    out["ii/identity"] = effective_matrix(cells)
     cells = solve_cell_regime_iii(IDENT2, mesh, tol=SOLVER_TOL)
-    out["iii/identity"] = effective_matrix("iii", cells, IDENT2)
+    out["iii/identity"] = effective_matrix(cells)
     zprof = coefs.zeta_profile_field(2, np.eye(2), lambda z: 1 + z * z,
                                      1.0, 2.0)
     cells = solve_cell_regime_iii(zprof, mesh, tol=SOLVER_TOL)
-    out["iii/zeta"] = effective_matrix("iii", cells, zprof)
+    out["iii/zeta"] = effective_matrix(cells)
     return out
 
 
@@ -181,13 +181,12 @@ def test_criterion_01_balanced_cell_oracle():
     exact = 2 * (1 - np.tanh(1.0))
     cells = solve_cell_regime_i(IDENT2, 1.0, 1.0,
                                 build_cell_mesh(GEOM2, 8, 32), tol=SOLVER_TOL)
-    a11 = effective_matrix("i", cells, IDENT2, mu=1.0, K=1.0).matrix[0, 0]
+    a11 = effective_matrix(cells).matrix[0, 0]
     vals = []
     for nz in (8, 16, 32):
         c = solve_cell_regime_i(IDENT2, 1.0, 1.0,
                                 build_cell_mesh(GEOM2, 2, nz), tol=SOLVER_TOL)
-        vals.append(effective_matrix("i", c, IDENT2, mu=1.0,
-                                     K=1.0).matrix[0, 0])
+        vals.append(effective_matrix(c).matrix[0, 0])
     errs = np.abs(np.array(vals) - exact)
     orders = np.log2(errs[:-1] / errs[1:])
     verdict(1, "balanced-regime cell oracle", [
@@ -201,12 +200,12 @@ def test_criterion_01_balanced_cell_oracle():
 def test_criterion_02_dragless_cell_oracle():
     cells = solve_cell_regime_iii(IDENT2, build_cell_mesh(GEOM2, 2, 16),
                                   tol=SOLVER_TOL)
-    a_ident = effective_matrix("iii", cells, IDENT2).matrix[0, 0]
+    a_ident = effective_matrix(cells).matrix[0, 0]
     zprof = coefs.zeta_profile_field(2, np.eye(2), lambda z: 1 + z * z,
                                      1.0, 2.0)
     cells_z = solve_cell_regime_iii(zprof, build_cell_mesh(GEOM2, 2, 16),
                                     tol=SOLVER_TOL)
-    a_zeta = effective_matrix("iii", cells_z, zprof).matrix[0, 0]
+    a_zeta = effective_matrix(cells_z).matrix[0, 0]
     exact_z = 2 - np.pi / 2
     verdict(2, "dragless cell oracles", [
         ("a11 vs 2/3", abs(a_ident - 2 / 3) <= 1e-4,
@@ -220,7 +219,7 @@ def test_criterion_03_drag_limit_extrapolation():
     mu = 2.0
     cells = solve_cell_regime_ii(mu, build_cell_mesh(GEOM2, 2, 8),
                                  n_list=(4, 8, 16, 32), tol=SOLVER_TOL)
-    ahat = effective_matrix("ii", cells, mu=mu)
+    ahat = effective_matrix(cells)
     defect = np.abs(ahat.matrix - np.eye(1)).max()
     growth = 0.0
     for per_dir in cells.levels["bound"]:
@@ -240,8 +239,7 @@ def test_criterion_04_cross_regime_consistency():
     # the dragless one, 2/3 for A = I
     mesh = build_cell_mesh(GEOM2, 2, 64)
     cells_hi = solve_cell_regime_i(IDENT2, MU, 1e3, mesh, tol=SOLVER_TOL)
-    a_hi = effective_matrix("i", cells_hi, IDENT2, mu=MU,
-                            K=1e3).matrix[0, 0]
+    a_hi = effective_matrix(cells_hi).matrix[0, 0]
     rel_hi = abs(a_hi - 2 / 3) / (2 / 3)
     results = [("K=1e3 within 1% of 2/3", rel_hi <= 0.01,
                 f"rel dev {rel_hi:.4%}")]
@@ -252,16 +250,15 @@ def test_criterion_04_cross_regime_consistency():
     # tanh(L)/L = sqrt(K/mu) tanh(sqrt(mu/K)), 3.16% at K = 1e-3.  The
     # deviation must follow this law to 1% of itself.
     ahat_ii = effective_matrix(
-        "ii", solve_cell_regime_ii(MU, build_cell_mesh(GEOM2, 2, 8),
-                                   tol=SOLVER_TOL), mu=MU).matrix[0, 0]
+        solve_cell_regime_ii(MU, build_cell_mesh(GEOM2, 2, 8),
+                             tol=SOLVER_TOL)).matrix[0, 0]
     k_list = (1e-2, 1e-3, 1e-4)
     devs = []
     for K, nz in zip(k_list, (128, 256, 512)):
         cells = solve_cell_regime_i(IDENT2, MU, K,
                                     build_cell_mesh(GEOM2, 2, nz),
                                     tol=SOLVER_TOL)
-        a_lo = effective_matrix("i", cells, IDENT2, mu=MU,
-                                K=K).matrix[0, 0]
+        a_lo = effective_matrix(cells).matrix[0, 0]
         dev = abs(a_lo - K * ahat_ii) / (K * ahat_ii)
         law = np.sqrt(K / MU) * np.tanh(np.sqrt(MU / K))
         devs.append(dev)

@@ -88,7 +88,7 @@ def test_regime_ii_constant_solution():
     w = cells.velocity_field(0)
     pts = np.column_stack([np.linspace(0, 1, 7), np.linspace(-1, 1, 7)])
     assert np.abs(w.evaluate(pts)[:, 0] - 1 / mu).max() <= 1e-10
-    ahat = effective_matrix("ii", cells, mu=mu)
+    ahat = effective_matrix(cells)
     assert ahat.matrix[0, 0] == pytest.approx(2 / mu, abs=1e-10)
 
 
@@ -175,15 +175,13 @@ def test_cross_regime_limits():
     mesh = build_cell_mesh(GEOM, 2, 32)
     # large permeability: approaches the dragless channel value 2/3
     cells_hi = solve_cell_regime_i(identity_field(), 1.0, 1e3, mesh)
-    a_hi = effective_matrix("i", cells_hi, identity_field(), mu=1.0,
-                            K=1e3).matrix[0, 0]
+    a_hi = effective_matrix(cells_hi).matrix[0, 0]
     assert abs(a_hi - 2.0 / 3.0) <= 0.01 * (2.0 / 3.0)
     # small permeability: exact closed form approaches K * 2/mu at rate
     # sqrt(K); at K = 1e-3 the deviation is ~3.2 percent
     cells_lo = solve_cell_regime_i(identity_field(), 1.0, 1e-3,
                                    build_cell_mesh(GEOM, 2, 256))
-    a_lo = effective_matrix("i", cells_lo, identity_field(), mu=1.0,
-                            K=1e-3).matrix[0, 0]
+    a_lo = effective_matrix(cells_lo).matrix[0, 0]
     lam = np.sqrt(1.0 / 1e-3)
     exact = 2e-3 * (1 - np.tanh(lam) / lam)
     assert abs(a_lo - exact) <= 1e-3 * exact

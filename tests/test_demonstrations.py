@@ -12,7 +12,9 @@ import pytest
 
 from thinflow.coefficients import FluidParams, constant_field
 from thinflow.meshing import Geometry, build_thin_mesh
-from thinflow.microscale import energy_balance, solve_dlb
+from thinflow.microscale import solve_dlb
+
+from test_microscale import energy_balance
 
 PS = 2 * np.pi   # the horizontal box is (0, 1/2)^2
 

@@ -215,8 +215,32 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert (tmp_path / "out" / "sweep.csv").exists()
     assert code in (0, 1)
 
+    # sweep runs the same pipeline and writes its sweep table only
+    sweep_dir = tmp_path / "sweep_only"
+    assert cli_main(["sweep", path, "--output", str(sweep_dir)]) == code
+    assert sorted(p.name for p in sweep_dir.iterdir()) == ["sweep.csv"]
+    assert ((sweep_dir / "sweep.csv").read_bytes()
+            == (tmp_path / "out" / "sweep.csv").read_bytes())
+
     # invalid regime: structured abort with nonzero status
     raw_bad = copy.deepcopy(BASE_CONFIG)
     raw_bad["regime"]["alpha"] = -2.0
     bad = write_config(tmp_path, raw_bad)
     assert cli_main(["run", bad]) == 2
+
+
+def test_cli_malformed_config_aborts(tmp_path, capsys):
+    # a config error is an abort (2), never a failed verdict (1)
+    raw = copy.deepcopy(BASE_CONFIG)
+    raw["sweep"]["turbulence"] = 1.0
+    bad_key = write_config(tmp_path, raw)
+    bad_json = tmp_path / "truncated.json"
+    bad_json.write_text(json.dumps(BASE_CONFIG)[:-1])
+    missing = str(tmp_path / "missing.json")
+    out = tmp_path / "out"
+    for path in (bad_key, str(bad_json), missing):
+        for argv in (["run", path], ["sweep", path],
+                     ["cell", path, "--regime", "i"], ["diag", path]):
+            assert cli_main(argv + ["--output", str(out)]) == 2
+            assert capsys.readouterr().err.startswith("[ABORT] ")
+    assert not out.exists()

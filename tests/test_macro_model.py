@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from thinflow.errors import InvalidEffectiveMatrixError
-from thinflow.macro_model import (boundary_flux_residual, solve_macro,
-                                  vertical_mean_check)
+from thinflow.macro_model import boundary_flux_residual, solve_macro
 from thinflow.meshing import Geometry, build_macro_mesh
 
 GEOM2 = Geometry(2, (1.0,), 0.125)
@@ -90,20 +89,3 @@ def test_determinism():
     a = solve_macro(Ahat, f1, build_macro_mesh(GEOM3, 8), "i")
     b = solve_macro(Ahat, f1, build_macro_mesh(GEOM3, 8), "i")
     assert np.array_equal(a.p0, b.p0)
-
-
-def test_vertical_mean_check_dispatch():
-    mesh = build_macro_mesh(GEOM2, 8)
-    sol = solve_macro(np.array([[1.0]]),
-                      lambda xb: np.ones((xb.shape[0], 1)), mesh, "i")
-    vmax, flux = vertical_mean_check(sol)
-    assert vmax == 0.0 and flux <= 1e-12
-
-    class FakeTwoScale:
-        def vertical_mean(self, xb):
-            return np.full(xb.shape[0], 2 * 0.3)   # injected constant c=0.3
-
-    vmax, flux = vertical_mean_check(FakeTwoScale(),
-                                     xbar_samples=np.zeros((4, 1)))
-    assert vmax == pytest.approx(0.6)
-    assert flux is None

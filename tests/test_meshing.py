@@ -70,37 +70,6 @@ def test_refinement_quadruples(geom2):
     assert fine == 4 * base
 
 
-def test_periodic_identification_bit_identical(geom2):
-    mesh = build_cell_mesh(geom2, 4, 4)
-
-    def g(y):
-        return np.sin(2 * np.pi * y[:, 0]) + 2.0
-
-    # assign nodal values on the identified lattice, expand to the full
-    # geometric vertex set: slaves copy their master bit for bit
-    verts = mesh.vertices()
-    nx = mesh.n_elements[0]
-    vals_lattice = g(np.column_stack([mesh.axes[0][:-1],
-                                      np.zeros(nx)]))
-    for slave, master in mesh.periodic_pairs():
-        iv = int(np.round((verts[slave, 0] - 0.0) / mesh.spacings[0]))
-        im = int(np.round((verts[master, 0] - 0.0) / mesh.spacings[0]))
-        assert vals_lattice[im % nx] == vals_lattice[iv % nx]
-
-
-def test_boundary_normal_closure(geom2):
-    mesh = build_cell_mesh(geom2, 3, 4)
-    facets = mesh.boundary_facets()
-    total = sum(normal * area for normal, area in facets)
-    scale = sum(area for _, area in facets)
-    assert np.linalg.norm(total) <= 1e-10 * scale
-
-
-def test_jacobians_positive(geom2):
-    mesh = build_thin_mesh(Geometry(2, (1.0,), 0.25), 2, 2)
-    assert np.all(mesh.element_jacobians() > 0)
-
-
 def test_geometry_validation():
     with pytest.raises(InvalidResolutionError):
         Geometry(4, (1.0, 1.0, 1.0), 0.1)

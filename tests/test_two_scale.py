@@ -285,7 +285,7 @@ def d3_layer():
                     K_eps=D3_EPS ** 2)
     cells = solve_cell_regime_i(field, 1.0, 1.0,
                                 build_cell_mesh(D3_GEOM, 2, 8))
-    ahat = effective_matrix("i", cells, field, mu=1.0, K=1.0)
+    ahat = effective_matrix(cells)
     macro = solve_macro(ahat, d3_forcing, build_macro_mesh(D3_GEOM, 8))
     recon = reconstruct_two_scale_velocity(cells, macro, d3_forcing)
     probe = OscillatingTestFunction(

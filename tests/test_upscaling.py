@@ -4,7 +4,6 @@ import pytest
 from thinflow import coefficients as coefs
 from thinflow.cell_problems import (solve_cell_regime_i, solve_cell_regime_ii,
                                     solve_cell_regime_iii)
-from thinflow.errors import RegimeMismatchError
 from thinflow.macro_model import solve_macro
 from thinflow.meshing import Geometry, build_cell_mesh, build_macro_mesh
 from thinflow.upscaling import effective_matrix, reconstruct_two_scale_velocity
@@ -15,7 +14,7 @@ IDENT = coefs.constant_field(2)
 
 def test_balanced_oracle():
     cells = solve_cell_regime_i(IDENT, 1.0, 1.0, build_cell_mesh(GEOM, 8, 32))
-    ahat = effective_matrix("i", cells, IDENT, mu=1.0, K=1.0)
+    ahat = effective_matrix(cells)
     exact = 2 * (1 - np.tanh(1.0))
     assert ahat.matrix[0, 0] == pytest.approx(exact, abs=1e-3)
     assert ahat.min_eigenvalue > 0
@@ -26,21 +25,15 @@ def test_balanced_oracle():
 
 def test_drag_limit_oracle():
     cells = solve_cell_regime_ii(2.0, build_cell_mesh(GEOM, 2, 4))
-    ahat = effective_matrix("ii", cells, mu=2.0)
+    ahat = effective_matrix(cells)
     assert np.allclose(ahat.matrix, np.eye(1), atol=1e-10)
 
 
 def test_dragless_oracle_and_dual_forms():
     cells = solve_cell_regime_iii(IDENT, build_cell_mesh(GEOM, 2, 16))
-    ahat = effective_matrix("iii", cells, IDENT)
+    ahat = effective_matrix(cells)
     assert ahat.matrix[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-4)
     assert ahat.dual_defect <= 1e-8
-
-
-def test_regime_mismatch():
-    cells = solve_cell_regime_iii(IDENT, build_cell_mesh(GEOM, 2, 8))
-    with pytest.raises(RegimeMismatchError):
-        effective_matrix("i", cells, IDENT, mu=1.0, K=1.0)
 
 
 def test_refinement_cauchy_order():
@@ -48,8 +41,7 @@ def test_refinement_cauchy_order():
     for nz in (8, 16, 32):
         cells = solve_cell_regime_i(IDENT, 1.0, 1.0,
                                     build_cell_mesh(GEOM, 2, nz))
-        vals.append(effective_matrix("i", cells, IDENT, mu=1.0,
-                                     K=1.0).matrix[0, 0])
+        vals.append(effective_matrix(cells).matrix[0, 0])
     exact = 2 * (1 - np.tanh(1.0))
     errs = np.abs(np.array(vals) - exact)
     orders = np.log2(errs[:-1] / errs[1:])
@@ -66,7 +58,7 @@ def test_solver_tolerance_backward_stability():
     vals = []
     for tol in (1e-8, 1e-9):
         cells = solve_cell_regime_i(field, 1.0, 1.0, mesh, tol=tol)
-        vals.append(effective_matrix("i", cells, field, mu=1.0, K=1.0).matrix)
+        vals.append(effective_matrix(cells).matrix)
     rel = np.abs(vals[0] - vals[1]).max() / np.abs(vals[1]).max()
     assert rel <= 10 * 1e-8
 
@@ -76,7 +68,7 @@ def test_oscillatory_coefficient_spd():
         2, 2 * np.eye(2), [coefs.Wave((1,), "sin", 0.8 * np.eye(2))],
         alpha_ell=1.2, beta_ell=2.8)
     cells = solve_cell_regime_i(field, 1.0, 1.0, build_cell_mesh(GEOM, 8, 16))
-    ahat = effective_matrix("i", cells, field, mu=1.0, K=1.0)
+    ahat = effective_matrix(cells)
     assert ahat.min_eigenvalue > 0
     assert ahat.extended_tail_max <= 1e-9
 
@@ -87,7 +79,7 @@ def make_macro(ahat, f1, regime="i", n=64):
 
 def test_reconstruction_zero_driving():
     cells = solve_cell_regime_iii(IDENT, build_cell_mesh(GEOM, 2, 16))
-    ahat = effective_matrix("iii", cells, IDENT)
+    ahat = effective_matrix(cells)
     f1 = lambda xb: np.ones((xb.shape[0], 1))   # no-flux: driving becomes 0
     macro = make_macro(ahat, f1, "iii")
     recon = reconstruct_two_scale_velocity(cells, macro, f1)
@@ -112,7 +104,7 @@ def test_reconstruction_poiseuille_profile():
 
 def test_reconstruction_vertical_mean_zero():
     cells = solve_cell_regime_i(IDENT, 1.0, 1.0, build_cell_mesh(GEOM, 4, 16))
-    ahat = effective_matrix("i", cells, IDENT, mu=1.0, K=1.0)
+    ahat = effective_matrix(cells)
     f1 = lambda xb: np.column_stack([np.sin(2 * np.pi * xb[:, 0])])
     macro = make_macro(ahat, f1)
     recon = reconstruct_two_scale_velocity(cells, macro, f1)
@@ -122,7 +114,7 @@ def test_reconstruction_vertical_mean_zero():
 
 def test_reconstruction_mean_matches_macro_velocity():
     cells = solve_cell_regime_i(IDENT, 1.0, 1.0, build_cell_mesh(GEOM, 4, 16))
-    ahat = effective_matrix("i", cells, IDENT, mu=1.0, K=1.0)
+    ahat = effective_matrix(cells)
     f1 = lambda xb: np.column_stack([np.sin(2 * np.pi * xb[:, 0])])
     macro = make_macro(ahat, f1)
     recon = reconstruct_two_scale_velocity(cells, macro, f1)
