@@ -116,30 +116,11 @@ class FunctionSpace:
         grids = np.meshgrid(*self.lattice_axes, indexing="ij")
         return np.column_stack([g.ravel() for g in grids])
 
-    def free_vector_indices(self):
-        return self.free_vector
-
-    def restrict(self, full):
-        """Drop eliminated entries of a full-lattice coefficient array."""
-        full = np.asarray(full, dtype=float)
-        return full.reshape(self.n_scalar * self.ncomp)[self.free_vector].copy()
-
     def expand(self, coeffs):
         """Full-lattice array (n_scalar, ncomp) with zeros on walls."""
         full = np.zeros(self.n_scalar * self.ncomp)
         full[self.free_vector] = np.asarray(coeffs, dtype=float)
         return full.reshape(self.n_scalar, self.ncomp)
-
-    def interpolate(self, fn):
-        """Nodal interpolation of a callable; constrained values dropped."""
-        pts = self.scalar_coords()
-        vals = _eval_callable(fn, pts, self.ncomp)
-        if self.ncomp == 1:
-            return self.restrict(vals.reshape(-1))
-        return self.restrict(vals)
-
-    def zeros(self):
-        return np.zeros(self.ndof)
 
     # -- reference quadrature ----------------------------------------------
 
@@ -357,7 +338,7 @@ def assemble_divergence(space_v, space_p, nquad=3):
             (vals.ravel(), (rows, cols)),
             shape=(space_p.n_scalar, space_v.n_scalar * ncomp)))
     mat = sum(blocks[1:], blocks[0]).tocsr()
-    return mat[:, space_v.free_vector_indices()].tocsr()
+    return mat[:, space_v.free_vector].tocsr()
 
 
 def assemble_convection(space_v, u_coeffs, factor=1.0, nquad=3):
@@ -518,14 +499,6 @@ class DiscreteField:
         _, w, vals = self.quadrature_sample(nquad)
         out = vals.T @ w
         return float(out[0]) if self.space.ncomp == 1 else out
-
-    def integrate_against(self, g, nquad=4):
-        """int u . g over the mesh for a callable or constant g."""
-        pts, w, vals = self.quadrature_sample(nquad)
-        gv = _eval_callable(g, pts, self.space.ncomp)
-        if self.space.ncomp == 1:
-            return float(np.sum(w * vals[:, 0] * gv))
-        return float(np.sum(w * np.sum(vals * gv, axis=1)))
 
     def integrate_scaled(self, scalar_fn, nquad=4):
         """Componentwise integral int u_c s(x) dx for a scalar weight s."""

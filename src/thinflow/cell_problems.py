@@ -64,16 +64,6 @@ class CellSolution:
         return np.array([self.velocity_field(i).integrate()
                          for i in range(self.d)])
 
-    def export_vtk(self, path):
-        """Write all cell velocities/pressures as vertex data."""
-        from .meshing import write_vtk
-        verts = self.mesh.vertices()
-        data = {}
-        for i in range(self.d):
-            data[f"velocity_{i}"] = self.velocity_field(i).evaluate(verts)
-            data[f"pressure_{i}"] = self.pressure_field(i).evaluate(verts)
-        write_vtk(self.mesh, path, point_data=data)
-
 
 def _cell_spaces(mesh):
     space_v = FunctionSpace(mesh, "velocity")
@@ -212,8 +202,7 @@ def solve_cell_regime_ii(mu, cell_mesh, n_list=(4, 8, 16, 32), tol=1e-10,
     worst = max(misfits) / scale
     residuals = _div_residuals(B, velocities)
     levels = {"n": list(n_list),
-              "bound": [list(map(float, b)) for b in bounds],
-              "velocities": per_level_v}
+              "bound": [list(map(float, b)) for b in bounds]}
     return CellSolution("ii", cell_mesh, space_v, space_p, velocities,
                         pressures, residuals, drag, levels=levels,
                         extrapolation_residual=worst,

@@ -7,7 +7,6 @@ terms (asymptotic-periodic).  Constant and profile-only matrices are the
 degenerate periodic cases.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -122,35 +121,6 @@ class CoefficientField:
         def evaluator(pts):
             return self.evaluate(np.asarray(pts, dtype=float) / eps)
         return evaluator
-
-    def translated(self, shift):
-        """Field translated horizontally: y' -> A(y' + shift, z)."""
-        shift = np.asarray(shift, dtype=float)
-
-        def wrap_wave(w):
-            delta = 2 * np.pi * float(np.dot(w.wavevector, shift))
-            # trig(x + delta) expanded back into the cos/sin representation
-            if w.trig == "cos":
-                new = [Wave(w.wavevector, "cos",
-                            math.cos(delta) * w.amplitude, w.zeta_profile),
-                       Wave(w.wavevector, "sin",
-                            -math.sin(delta) * w.amplitude, w.zeta_profile)]
-            else:
-                new = [Wave(w.wavevector, "sin",
-                            math.cos(delta) * w.amplitude, w.zeta_profile),
-                       Wave(w.wavevector, "cos",
-                            math.sin(delta) * w.amplitude, w.zeta_profile)]
-            return new
-
-        waves = [nw for w in self.waves for nw in wrap_wave(w)]
-        gaussians = [GaussianBump(g.amplitude, g.sigma,
-                                  tuple(np.asarray(g.center or
-                                                   np.zeros(self.d - 1)) - shift))
-                     for g in self.gaussians]
-        field = CoefficientField(self.d, self.klass, self.base_matrix,
-                                 self.zeta_profile, waves, gaussians,
-                                 self.alpha_ell, self.beta_ell)
-        return field
 
 
 def constant_field(d, matrix=None, alpha_ell=None, beta_ell=None):

@@ -19,7 +19,7 @@ from .cell_problems import solve_cell_problems
 from .errors import ConfigError, InvalidDataError, PipelineError, ThinflowError
 from .macro_model import solve_macro, boundary_flux_residual
 from .meshing import (Geometry, build_cell_mesh, build_macro_mesh,
-                      build_thin_mesh, write_vtk)
+                      build_thin_mesh, vtk_text)
 from .microscale import solve_dlb
 from .two_scale import (OscillatingTestFunction, limit_pairing,
                         poincare_wirtinger_ratio, two_scale_distance,
@@ -44,6 +44,20 @@ _SCHEMA = {
 _WAVE_KEYS = {"k", "trig", "amplitude", "zeta_expr"}
 _GAUSS_KEYS = {"amplitude", "sigma", "center"}
 _SLOPE_KEYS = {"u_l2", "grad_u_l2", "p_l2"}
+# the type of each scalar and list value outside the coefficient block
+_TYPES = {
+    "geometry": {"d": "integer"},
+    "fluid": {"mu": "number", "rho": "number", "phi": "number"},
+    "regime": {"kappa": "number", "alpha": "number"},
+    "numerics": {"cell_nx": "integer", "cell_nz": "integer",
+                 "macro_n": "integer", "dns_elements_per_period": "integer",
+                 "dns_nz": "integer", "solver_tol": "number",
+                 "picard_tol": "number", "picard_max_iters": "integer",
+                 "n_list": "list of integers"},
+    "sweep": {"eps_list": "list of numbers", "slope_tol": "number"},
+    "output": {"directory": "string"},
+}
+_OUTPUT_FORMATS = ("csv", "vtk")
 
 _NUMERIC_DEFAULTS = {"cell_nx": 8, "cell_nz": 32, "macro_n": 64,
                      "dns_elements_per_period": 4, "dns_nz": 4,
@@ -125,6 +139,38 @@ def _check_keys(block, allowed, where):
         raise ConfigError(f"unknown keys {sorted(unknown)} in '{where}'")
 
 
+def _has_type(value, kind):
+    """Whether value is of a kind named in _TYPES; a bool is no number."""
+    if kind.startswith("list of "):
+        return isinstance(value, list) and all(
+            _has_type(v, kind[len("list of "):-1]) for v in value)
+    types = {"integer": int, "number": (int, float), "string": str}[kind]
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _check_types(raw):
+    """Reject values of the wrong type, unknown expected slopes and unknown
+    output formats."""
+    for name, types in _TYPES.items():
+        block = raw.get(name, {})
+        for key, kind in types.items():
+            if key in block and not _has_type(block[key], kind):
+                article = "an" if kind == "integer" else "a"
+                raise ConfigError(f"'{name}.{key}' must be {article} {kind}, "
+                                  f"got {block[key]!r}")
+    slopes = raw["sweep"].get("expected_slopes") or {}
+    _check_keys(slopes, _SLOPE_KEYS, "sweep.expected_slopes")
+    for key, value in slopes.items():
+        if value is not None and not _has_type(value, "number"):
+            raise ConfigError(f"'sweep.expected_slopes.{key}' must be a "
+                              f"number or null, got {value!r}")
+    formats = raw.get("output", {}).get("formats", [])
+    if not isinstance(formats, list) or any(f not in _OUTPUT_FORMATS
+                                            for f in formats):
+        raise ConfigError(f"'output.formats' must be a list of values from "
+                          f"{list(_OUTPUT_FORMATS)}, got {formats!r}")
+
+
 @dataclass
 class ExperimentConfig:
     """Validated experiment description."""
@@ -148,8 +194,7 @@ class ExperimentConfig:
             _check_keys(wave, _WAVE_KEYS, "coefficient.waves")
         for g in raw.get("coefficient", {}).get("gaussians", []) or []:
             _check_keys(g, _GAUSS_KEYS, "coefficient.gaussians")
-        slopes = (raw.get("sweep", {}).get("expected_slopes") or {})
-        _check_keys(slopes, _SLOPE_KEYS, "sweep.expected_slopes")
+        _check_types(raw)
         eps_list = self.eps_list
         if len(eps_list) < 1 or any(b >= a for a, b in
                                     zip(eps_list, eps_list[1:])):
@@ -168,6 +213,9 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
         except SyntaxError as exc:
             raise ConfigError(f"invalid expression: {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed fluid or coefficient block: "
+                              f"{exc}") from exc
 
     @classmethod
     def from_file(cls, path):
@@ -318,9 +366,6 @@ class ConvergenceReport:
     @property
     def passed(self):
         return all(c.passed is not False for c in self.checks)
-
-    def failed_checks(self):
-        return [c.name for c in self.checks if c.passed is False]
 
 
 _SWEEP_KEYS = ["eps", "K_eps", "picard_iterations", "u_l2", "grad_u_l2",
@@ -576,6 +621,56 @@ def effective_csv(report):
     return "\n".join(lines) + "\n"
 
 
+def macro_csv(report):
+    """Nodal coordinates and pressure beside the per-element velocity; the
+    shorter of the two column blocks is padded with empty fields."""
+    macro = report.extras["macro"]
+    nodal = np.column_stack([macro.space.scalar_coords(),
+                             macro.p0_field().full_values()[:, 0]])
+    d1 = macro.mesh.ndim
+    table = np.full((max(len(nodal), len(macro.u_prime)), 2 * d1 + 1), None)
+    table[:len(nodal), :d1 + 1] = nodal
+    table[:len(macro.u_prime), d1 + 1:] = macro.u_prime
+    header = ([f"x{i}" for i in range(d1)] + ["p0"]
+              + [f"u{i}" for i in range(d1)])
+    lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in table]
+    return "\n".join(lines) + "\n"
+
+
+def _sampled_vtk(mesh, fields):
+    """VTK text of named callables sampled at every vertex of mesh."""
+    verts = mesh.vertices()
+    return vtk_text(mesh, {name: fn(verts) for name, fn in fields.items()})
+
+
+def _report_texts(report, formats):
+    """(file name, text) of every file save_report writes, in order."""
+    extras = report.extras
+    if "csv" in formats:
+        yield "report.csv", report_csv(report)
+        yield "sweep.csv", sweep_csv(report)
+        if report.effective is not None:
+            yield "effective_matrix.csv", effective_csv(report)
+        if "macro" in extras:
+            yield "macro.csv", macro_csv(report)
+    if "vtk" in formats:
+        for sol in extras.get("micro_solutions", []):
+            yield f"fields_{_fmt(sol.eps)}.vtk", _sampled_vtk(sol.mesh, {
+                "velocity": sol.velocity_field().evaluate,
+                "pressure": sol.pressure_field().evaluate})
+        if "macro" in extras:
+            macro = extras["macro"]
+            yield "macro.vtk", _sampled_vtk(macro.mesh, {
+                "p0": macro.p0_field().evaluate, "u_prime": macro.velocity})
+        if "cells" in extras:
+            cells = extras["cells"]
+            fields = {}
+            for i in range(cells.d):
+                fields[f"velocity_{i}"] = cells.velocity_field(i).evaluate
+                fields[f"pressure_{i}"] = cells.pressure_field(i).evaluate
+            yield "cells.vtk", _sampled_vtk(cells.mesh, fields)
+
+
 def write_text(directory, name, text):
     """Write text with UNIX line endings to directory/name; return its path."""
     os.makedirs(directory, exist_ok=True)
@@ -586,35 +681,8 @@ def write_text(directory, name, text):
 
 
 def save_report(report, directory, formats=("csv",)):
-    """Write report.csv, sweep.csv, effective_matrix.csv and optional VTK."""
-    os.makedirs(directory, exist_ok=True)
-    written = []
-    if "csv" in formats:
-        written.append(write_text(directory, "report.csv", report_csv(report)))
-        written.append(write_text(directory, "sweep.csv", sweep_csv(report)))
-        if report.effective is not None:
-            written.append(write_text(directory, "effective_matrix.csv",
-                                      effective_csv(report)))
-        if "macro" in report.extras:
-            from .macro_model import export_macro_csv
-            path = os.path.join(directory, "macro.csv")
-            export_macro_csv(report.extras["macro"], path)
-            written.append(path)
-    if "vtk" in formats:
-        for sol in report.extras.get("micro_solutions", []):
-            verts = sol.mesh.vertices()
-            data = {"velocity": sol.velocity_field().evaluate(verts),
-                    "pressure": sol.pressure_field().evaluate(verts)}
-            path = os.path.join(directory, f"fields_{_fmt(sol.eps)}.vtk")
-            write_vtk(sol.mesh, path, point_data=data)
-            written.append(path)
-        if "macro" in report.extras:
-            from .macro_model import export_macro_vtk
-            path = os.path.join(directory, "macro.vtk")
-            export_macro_vtk(report.extras["macro"], path)
-            written.append(path)
-        if "cells" in report.extras:
-            path = os.path.join(directory, "cells.vtk")
-            report.extras["cells"].export_vtk(path)
-            written.append(path)
-    return written
+    """Write report.csv, sweep.csv, effective_matrix.csv, macro.csv and,
+    with "vtk" in formats, the VTK files of the DNS, macro and cell fields;
+    return the written paths."""
+    return [write_text(directory, name, text)
+            for name, text in _report_texts(report, formats)]

@@ -17,10 +17,12 @@ pressure to gauge^T p = 0 and checks the unpinned residual against the
 tolerance.  A solve that misses it is repeated with a partially pivoted
 factorization of the same pinned matrix before the solver gives up.
 
-solve_sparse factors a system once and solves it, all loads at once when
-its rhs has one column per load.  SaddleSolver keeps the factorization, to
+There is one direct path.  solve_sparse factors a system once and solves
+it, all loads at once when its rhs has one column per load, and
+solve_gauged_spd applies the same path to pure Neumann problems.  The one
+Krylov method reuses a direct factorization: SaddleSolver keeps it, to
 precondition GMRES on nearby operators such as the Oseen steps of a Picard
-loop.  solve_gauged_spd applies the same path to pure Neumann problems.
+loop.
 """
 
 from dataclasses import dataclass, field, replace
@@ -33,7 +35,6 @@ import scipy.sparse.linalg as spla
 from .errors import ConvergenceFailureError, SingularSystemError
 
 DEFAULT_TOL_DIRECT = 1e-10
-DEFAULT_TOL_ITERATIVE = 1e-8
 KRYLOV_MAX_ITERATIONS = 20
 
 
@@ -279,38 +280,16 @@ class SaddleSolver:
         return sol
 
 
-def solve_sparse(system, tol=DEFAULT_TOL_DIRECT, method="direct",
-                 max_iterations=None, counts=None):
+def solve_sparse(system, tol=DEFAULT_TOL_DIRECT, counts=None):
     """Solve the gauged block system to a relative residual <= tol.
 
     Returns (velocity, pressure); pressure is None for pure velocity
     systems and otherwise satisfies gauge^T p = 0.  A 2-D rhs_u gives one
     column of u and p per load, all from one factorization.  The residual
-    is checked independently of the solver.  The work of the direct path
-    is added to counts (a SolveCounts), if given.
+    is checked independently of the solver.  The work done is added to
+    counts (a SolveCounts), if given.
     """
-    _check_tol(tol)
-    if method == "direct":
-        return SaddleSolver(system, counts).solve(tol)
-    if method != "minres":
-        raise ValueError(f"unknown method '{method}'")
-    if system.N is not None:
-        raise ValueError("minres path requires a symmetric system")
-    pinning = _Pinning(system)
-    mat = pinning.matrix(system)
-    target = pinning.target(system)
-    diag = mat.diagonal()
-    scale = np.where(np.abs(diag) > 1e-14, np.abs(diag), 1.0)
-    maxiter = max_iterations or 20 * mat.shape[0]
-    x, info = spla.minres(mat, pinning.rhs(target), M=sp.diags(1.0 / scale),
-                          rtol=tol * 1e-2, maxiter=maxiter)
-    sol = pinning.unpin(x)
-    rel = residual(target, sol)
-    if info != 0 or rel > tol:
-        raise ConvergenceFailureError(
-            f"minres stopped with info={info}, residual {rel:.3e}",
-            residual=rel)
-    return sol
+    return SaddleSolver(system, counts).solve(tol)
 
 
 def solve_gauged_spd(K, rhs, gauge, tol=DEFAULT_TOL_DIRECT):

@@ -134,39 +134,3 @@ def boundary_flux_residual(macro):
                     node = idx[0] * space.lattice_sizes[1] + idx[1]
                     fb[node] += float(np.sum(w * un * vals1[:, loc]))
     return float(np.abs(fb).max())
-
-
-def export_macro_csv(macro, path):
-    """Nodal pressure and per-element velocity as one CSV table."""
-    space = macro.space
-    coords = space.scalar_coords()
-    p_full = macro.p0_field().full_values()[:, 0]
-    d1 = macro.mesh.ndim
-    lines = [",".join([f"x{i}" for i in range(d1)] + ["p0"]
-                      + [f"u{i}" for i in range(d1)])]
-    centroids = _element_centroids(macro.mesh)
-    n = max(coords.shape[0], centroids.shape[0])
-    for k in range(n):
-        cols = []
-        if k < coords.shape[0]:
-            cols += [format(v, ".17g") for v in coords[k]]
-            cols.append(format(p_full[k], ".17g"))
-        else:
-            cols += [""] * (d1 + 1)
-        if k < centroids.shape[0]:
-            cols += [format(v, ".17g") for v in macro.u_prime[k]]
-        else:
-            cols += [""] * d1
-        lines.append(",".join(cols))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def export_macro_vtk(macro, path):
-    """Pressure and velocity sampled at the macro mesh vertices."""
-    from .meshing import write_vtk
-    verts = macro.mesh.vertices()
-    write_vtk(macro.mesh, path, point_data={
-        "p0": macro.p0_field().evaluate(verts),
-        "u_prime": macro.velocity(verts)})
-

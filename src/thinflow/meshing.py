@@ -45,10 +45,6 @@ class Geometry:
     def d1(self):
         return self.d - 1
 
-    @property
-    def d2(self):
-        return 1
-
     def with_eps(self, eps):
         return Geometry(self.d, self.omega_extent, eps)
 
@@ -91,26 +87,7 @@ class TensorMesh:
     def spacings(self):
         return tuple(float(a[1] - a[0]) for a in self.axes)
 
-    @property
-    def origin(self):
-        return tuple(float(a[0]) for a in self.axes)
-
-    @property
-    def extents(self):
-        return tuple(float(a[-1] - a[0]) for a in self.axes)
-
-    def volume(self):
-        return float(np.prod(self.extents))
-
     # -- vertex-level (bilinear/trilinear) views ---------------------------
-
-    def vertex_counts(self, identified=True):
-        """Distinct vertex count per direction after periodic identification."""
-        return tuple(n if (identified and per) else n + 1
-                     for n, per in zip(self.n_elements, self.periodic))
-
-    def vertex_count(self, identified=True):
-        return int(np.prod(self.vertex_counts(identified)))
 
     def vertices(self):
         """All geometric vertices (slaves included), lexicographic order."""
@@ -200,8 +177,8 @@ def build_macro_mesh(geometry, n):
 _VTK_CELL = {1: (3, 2), 2: (9, 4), 3: (12, 8)}
 
 
-def write_vtk(mesh, path, point_data=None):
-    """Write the mesh and vertex data as a legacy ASCII VTK unstructured grid.
+def vtk_text(mesh, point_data=None):
+    """The mesh and vertex data as a legacy ASCII VTK unstructured grid.
 
     point_data maps names to arrays over the full geometric vertex set
     (slaves included); vector data has one column per component.
@@ -232,5 +209,4 @@ def write_vtk(mesh, path, point_data=None):
                 vec3[:, :data.shape[1]] = data
                 lines.append(f"VECTORS {name} double")
                 lines.extend(" ".join(f"{v:.17g}" for v in row) for row in vec3)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"

@@ -190,8 +190,7 @@ def limit_pairing(u0, f, geometry, nq=5, macro_panels=8, vertical_panels=6):
         out = x_weights @ cell_ints
         return float(out[0]) if out.size == 1 else out
 
-    y_panels = max(4, 2 * f.y_factor.max_wavenumber + 2,
-                   getattr(u0, "y_resolution", 4))
+    y_panels = max(4, 2 * f.y_factor.max_wavenumber + 2)
     rules_y = [_panel_rule(0.0, 1.0, y_panels, nq) for _ in range(d1)]
     rule_z = _panel_rule(-1.0, 1.0, vertical_panels, nq)
     pts_y, w_y = _tensor_rule(rules_y + [rule_z])

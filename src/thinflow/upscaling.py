@@ -91,10 +91,6 @@ class TwoScaleVelocity:
         self.cell_integrals = np.array([w.integrate()
                                         for w in self.cell_fields])
 
-    @property
-    def y_resolution(self):
-        return max(self.cell_fields[0].space.mesh.n_elements[:-1])
-
     def evaluate(self, xbar, y):
         """Values at paired points: xbar (N, d1), y (N, d) -> (N, d)."""
         g = np.atleast_2d(self.driving(np.atleast_2d(xbar)))

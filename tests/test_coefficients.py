@@ -5,6 +5,8 @@ from thinflow import coefficients as coefs
 from thinflow.errors import (InvalidRegimeError, NonEllipticCoefficientError,
                              OutOfDomainError, UnsupportedFieldError)
 
+from helpers import translated
+
 
 def eval_A(field, y):
     return field.evaluate(np.asarray(y, dtype=float).reshape(1, -1))[0]
@@ -177,6 +179,6 @@ def test_fluid_params_validation():
 
 def test_translated_periodic_field_full_period():
     field = sin_field()
-    shifted = field.translated((1.0,))
+    shifted = translated(field, (1.0,))
     pts = np.array([[0.13, 0.4], [0.88, -0.2]])
     assert np.abs(field.evaluate(pts) - shifted.evaluate(pts)).max() <= 1e-12

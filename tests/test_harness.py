@@ -1,5 +1,6 @@
 import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +57,14 @@ def test_missing_block_rejected():
 def test_eps_list_must_decrease():
     with pytest.raises(ConfigError):
         config(sweep={"eps_list": [0.0625, 0.125], "expected_slopes": None})
+
+
+def test_output_formats():
+    assert config(output={"formats": ["vtk"]}).output_formats == ["vtk"]
+    assert config(output={"formats": []}).output_formats == []
+    raw = copy.deepcopy(BASE_CONFIG)
+    del raw["output"]
+    assert load_config(raw).output_formats == ["csv"]
 
 
 def test_bad_expression_rejected():
@@ -147,11 +156,14 @@ def test_reports_byte_identical(tmp_path):
     rep2 = run_pipeline(cfg)
     assert report_csv(rep1) == report_csv(rep2)
     assert sweep_csv(rep1) == sweep_csv(rep2)
-    d1, d2 = tmp_path / "a", tmp_path / "b"
-    save_report(rep1, d1)
-    save_report(rep2, d2)
-    for name in ("report.csv", "sweep.csv", "effective_matrix.csv"):
-        assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+    formats = ("csv", "vtk")
+    paths1 = [Path(p) for p in save_report(rep1, tmp_path / "a", formats)]
+    paths2 = [Path(p) for p in save_report(rep2, tmp_path / "b", formats)]
+    names = [p.name for p in paths1]
+    assert names == [p.name for p in paths2]
+    assert {"macro.csv", "macro.vtk", "cells.vtk"} <= set(names)
+    for p1, p2 in zip(paths1, paths2):
+        assert p1.read_bytes() == p2.read_bytes(), p1.name
 
 
 def test_csv_schema(small_report):
@@ -229,18 +241,36 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert cli_main(["run", bad]) == 2
 
 
+# values of the wrong type: (block, key, value)
+MISTYPED = [("fluid", "mu", "abc"), ("numerics", "cell_nx", "8"),
+            ("numerics", "cell_nx", 8.0), ("numerics", "solver_tol", "1e-10"),
+            ("numerics", "n_list", [4, 8.5]), ("geometry", "d", "x"),
+            ("sweep", "eps_list", 0.1), ("sweep", "eps_list", ["a", "b"]),
+            ("sweep", "expected_slopes", {"p_l2": "0.5"}),
+            ("output", "formats", "vtk"), ("output", "formats", ["vtu"]),
+            ("output", "directory", 5)]
+
+
 def test_cli_malformed_config_aborts(tmp_path, capsys):
     # a config error is an abort (2), never a failed verdict (1)
     raw = copy.deepcopy(BASE_CONFIG)
     raw["sweep"]["turbulence"] = 1.0
-    bad_key = write_config(tmp_path, raw)
+    cases = [(write_config(tmp_path, raw), "turbulence")]
     bad_json = tmp_path / "truncated.json"
     bad_json.write_text(json.dumps(BASE_CONFIG)[:-1])
-    missing = str(tmp_path / "missing.json")
+    cases += [(str(bad_json), "cannot read"),
+              (str(tmp_path / "missing.json"), "cannot read")]
+    for i, (block, key, value) in enumerate(MISTYPED):
+        raw = copy.deepcopy(BASE_CONFIG)
+        raw[block][key] = value
+        path = tmp_path / f"mistyped_{i}.json"
+        path.write_text(json.dumps(raw))
+        cases.append((str(path), f"'{block}.{key}"))
     out = tmp_path / "out"
-    for path in (bad_key, str(bad_json), missing):
+    for path, reason in cases:
         for argv in (["run", path], ["sweep", path],
                      ["cell", path, "--regime", "i"], ["diag", path]):
             assert cli_main(argv + ["--output", str(out)]) == 2
-            assert capsys.readouterr().err.startswith("[ABORT] ")
+            err = capsys.readouterr().err
+            assert err.startswith("[ABORT] ") and reason in err, err
     assert not out.exists()

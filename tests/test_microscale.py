@@ -10,6 +10,8 @@ from thinflow.errors import InvalidResolutionError
 from thinflow.meshing import Geometry, build_thin_mesh
 from thinflow.microscale import apriori_norms, solve_dlb
 
+from helpers import interpolate, translated
+
 IDENT = coefs.constant_field(2)
 
 
@@ -168,7 +170,7 @@ def test_synthetic_norm_quadrature():
     eps = 0.25
     mesh = thin_mesh(eps=eps, epp=4, nz=4)
     V = FunctionSpace(mesh, "velocity")
-    u = V.interpolate(lambda p: np.column_stack(
+    u = interpolate(V, lambda p: np.column_stack(
         [np.sin(np.pi * p[:, 0]) * (eps ** 2 - p[:, 1] ** 2),
          np.zeros(p.shape[0])]))
     field = DiscreteField(V, u)
@@ -179,7 +181,7 @@ def test_synthetic_norm_quadrature():
     for nz, epp in ((4, 4), (8, 8)):
         m = thin_mesh(eps=eps, epp=epp, nz=nz)
         Vm = FunctionSpace(m, "velocity")
-        um = Vm.interpolate(lambda p: np.column_stack(
+        um = interpolate(Vm, lambda p: np.column_stack(
             [np.sin(np.pi * p[:, 0]) * (eps ** 2 - p[:, 1] ** 2),
              np.zeros(p.shape[0])]))
         val = DiscreteField(Vm, um).lp_norm(2, nquad=4) ** 2
@@ -218,6 +220,6 @@ def test_translation_by_full_period_invariant():
         mu=1.0, f1=lambda xb: np.column_stack([np.sin(2 * np.pi * xb[:, 0])]))
     mesh = thin_mesh(eps=0.25, epp=4, nz=2)
     sol_a = solve_dlb(mesh, field, params, K_eps=0.0625)
-    sol_b = solve_dlb(mesh, field.translated((1.0,)), params, K_eps=0.0625)
+    sol_b = solve_dlb(mesh, translated(field, (1.0,)), params, K_eps=0.0625)
     scale = max(np.abs(sol_a.u).max(), 1e-30)
     assert np.abs(sol_a.u - sol_b.u).max() <= 1e-10 * max(scale, 1.0)

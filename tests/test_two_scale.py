@@ -22,6 +22,8 @@ from thinflow.two_scale import (OscillatingTestFunction,
 from thinflow.upscaling import (TwoScaleVelocity, effective_matrix,
                                 reconstruct_two_scale_velocity)
 
+from helpers import interpolate
+
 
 @dataclass
 class SimpleTwoScale:
@@ -30,7 +32,6 @@ class SimpleTwoScale:
     fn: Callable
     d1: int = 1
     ncomp: int = 1
-    y_resolution: int = 4
 
     def evaluate(self, xbar, y):
         xbar = np.atleast_2d(xbar)
@@ -131,7 +132,7 @@ def test_pairing_honours_nq():
     eps = 0.25
     mesh = TensorMesh([[0.0, 1.0], [-eps, eps]], (False, False), set())
     space = FunctionSpace(mesh, "pressure")
-    u = DiscreteField(space, space.interpolate(lambda p: np.ones(len(p))))
+    u = DiscreteField(space, interpolate(space, lambda p: np.ones(len(p))))
     f = osc(const=1.0, macro=lambda xb: xb[:, 0] ** 12)
     exact = 2.0 / 13.0
     assert abs(two_scale_pairing(u, f, eps, nq=7) - exact) <= 1e-14
