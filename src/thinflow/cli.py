@@ -57,10 +57,9 @@ def _cmd_cell(args, config):
 
 
 def _cmd_diag(args, config):
-    geometry = config.geometry()
+    geometry = config.geometry
     report = ConvergenceReport("diag")
     probe = _probe_function(geometry.d1)
-    probe.p = 2.0
     rows = oscillation_limit_table(probe, config.eps_list, geometry)
     for row in rows:
         report.add_upper(f"oscillation_bound_eps_{_fmt(row['eps'])}",

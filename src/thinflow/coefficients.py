@@ -84,6 +84,9 @@ class CoefficientField:
         if klass != ASYMPTOTIC_PERIODIC and self.gaussians:
             raise InvalidDataError("decaying terms require the "
                                    "asymptotic-periodic class")
+        if any(np.shape(t.amplitude) != (d, d)
+               for t in self.waves + self.gaussians):
+            raise InvalidDataError(f"amplitude matrices must be {d}x{d}")
 
     @property
     def max_wavenumber(self):

@@ -1,9 +1,13 @@
 """Config-driven batch pipeline: cells -> upscaling -> macro -> sweep -> report.
 
-The experiment description is a single JSON document with fixed block names;
-unknown keys anywhere are rejected.  A pipeline run produces a convergence
-report whose CSV serializations are byte-identical across reruns of the same
-configuration (17 significant digits, UNIX line endings, no timestamps).
+The experiment description is a single JSON document, read once against
+_SCHEMA, which gives every key its kind and either its default or marks it
+required.  An unknown key, a missing required key or a value of the wrong
+kind raises a ConfigError that names 'block.key'; load_config then builds the
+geometry, coefficient field, fluid parameters and regime once, as attributes
+of ExperimentConfig.  A pipeline run produces a convergence report whose CSV
+serializations are byte-identical across reruns of the same configuration
+(17 significant digits, UNIX line endings, no timestamps).
 """
 
 import contextlib
@@ -17,7 +21,7 @@ import numpy as np
 from . import coefficients as coefs
 from .cell_problems import solve_cell_problems
 from .errors import ConfigError, InvalidDataError, PipelineError, ThinflowError
-from .macro_model import solve_macro, boundary_flux_residual
+from .macro_model import solve_macro
 from .meshing import (Geometry, build_cell_mesh, build_macro_mesh,
                       build_thin_mesh, vtk_text)
 from .microscale import solve_dlb
@@ -29,40 +33,48 @@ from .upscaling import effective_matrix, reconstruct_two_scale_velocity
 _EXPR_GLOBALS = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
                  "sqrt": np.sqrt, "abs": np.abs, "tanh": np.tanh, "pi": np.pi}
 
-_SCHEMA = {
-    "geometry": {"d", "omega_extent"},
-    "coefficient": {"class", "matrix", "alpha", "beta", "zeta_expr",
-                    "waves", "gaussians"},
-    "fluid": {"mu", "rho", "phi", "f1"},
-    "regime": {"kappa", "alpha"},
-    "numerics": {"cell_nx", "cell_nz", "macro_n", "dns_elements_per_period",
-                 "dns_nz", "solver_tol", "picard_tol", "picard_max_iters",
-                 "n_list"},
-    "sweep": {"eps_list", "slope_tol", "expected_slopes"},
-    "output": {"directory", "formats"},
-}
-_WAVE_KEYS = {"k", "trig", "amplitude", "zeta_expr"}
-_GAUSS_KEYS = {"amplitude", "sigma", "center"}
-_SLOPE_KEYS = {"u_l2", "grad_u_l2", "p_l2"}
-# the type of each scalar and list value outside the coefficient block
-_TYPES = {
-    "geometry": {"d": "integer"},
-    "fluid": {"mu": "number", "rho": "number", "phi": "number"},
-    "regime": {"kappa": "number", "alpha": "number"},
-    "numerics": {"cell_nx": "integer", "cell_nz": "integer",
-                 "macro_n": "integer", "dns_elements_per_period": "integer",
-                 "dns_nz": "integer", "solver_tol": "number",
-                 "picard_tol": "number", "picard_max_iters": "integer",
-                 "n_list": "list of integers"},
-    "sweep": {"eps_list": "list of numbers", "slope_tol": "number"},
-    "output": {"directory": "string"},
-}
-_OUTPUT_FORMATS = ("csv", "vtk")
+_REQUIRED = object()    # the default of a key that the config must give
+_BY_REGIME = object()   # the default of an expected slope: _default_slopes
 
-_NUMERIC_DEFAULTS = {"cell_nx": 8, "cell_nz": 32, "macro_n": 64,
-                     "dns_elements_per_period": 4, "dns_nz": 4,
-                     "solver_tol": 1e-10, "picard_tol": 1e-10,
-                     "picard_max_iters": 50, "n_list": [4, 8, 16, 32]}
+_MATRIX = [[float]]
+_EXPRESSION = (str, float)
+
+# Every key of the experiment description: block -> key -> (kind, default).
+# A kind is int, float (which admits integers), str, a tuple of those, a set
+# of admitted strings, [kind] for a list of that kind, or a table of keys.  A
+# block defaults to {}, and a key whose default is None or _BY_REGIME also
+# admits null.
+_SCHEMA = {
+    "geometry": {"d": (int, _REQUIRED), "omega_extent": ([float], _REQUIRED)},
+    "coefficient": {
+        "class": ({coefs.CONSTANT, coefs.ZETA_PROFILE, coefs.PERIODIC,
+                   coefs.ASYMPTOTIC_PERIODIC}, coefs.CONSTANT),
+        "matrix": (_MATRIX, None),          # None: the identity
+        "alpha": (float, 1.0),
+        "beta": (float, None),              # None: alpha
+        "zeta_expr": (_EXPRESSION, None),
+        "waves": ([{"k": ([int], _REQUIRED),
+                    "trig": ({"cos", "sin"}, "cos"),
+                    "amplitude": (_MATRIX, _REQUIRED),
+                    "zeta_expr": (_EXPRESSION, None)}], []),
+        "gaussians": ([{"amplitude": (_MATRIX, _REQUIRED),
+                        "sigma": (float, 1.0),
+                        "center": ([float], None)}], []),
+    },
+    "fluid": {"mu": (float, _REQUIRED), "rho": (float, 1.0),
+              "phi": (float, 1.0), "f1": ([_EXPRESSION], None)},
+    "regime": {"kappa": (float, _REQUIRED), "alpha": (float, _REQUIRED)},
+    "numerics": {"cell_nx": (int, 8), "cell_nz": (int, 32),
+                 "macro_n": (int, 64), "dns_elements_per_period": (int, 4),
+                 "dns_nz": (int, 4), "solver_tol": (float, 1e-10),
+                 "picard_tol": (float, 1e-10), "picard_max_iters": (int, 50),
+                 "n_list": ([int], [4, 8, 16, 32])},
+    "sweep": {"eps_list": ([float], _REQUIRED), "slope_tol": (float, 0.2),
+              "expected_slopes": ({key: (float, _BY_REGIME) for key in
+                                   ("u_l2", "grad_u_l2", "p_l2")}, None)},
+    "output": {"directory": (str, "out"),
+               "formats": ([{"csv", "vtk"}], ["csv"])},
+}
 
 _DEFAULT_SLOPES = {
     "i": {"u_l2": 2.5, "grad_u_l2": 1.5, "p_l2": 0.5},
@@ -101,7 +113,9 @@ def _compile_expr(expr, variables):
 
 
 def _expr_fn(exprs, d1):
-    """Callable (N, d1) -> (N, len(exprs)) from expression strings."""
+    """Callable (N, d1) -> (N, d1) from d1 expression strings."""
+    if len(exprs) != d1:
+        raise ConfigError(f"f1 needs {d1} expressions, got {len(exprs)}")
     variables = tuple(f"x{i}" for i in range(d1))
     codes = [_compile_expr(e, variables) if isinstance(e, str) else float(e)
              for e in exprs]
@@ -133,193 +147,137 @@ def _zeta_fn(expr):
     return fn
 
 
-def _check_keys(block, allowed, where):
-    unknown = set(block) - allowed
+def _kind_name(kind):
+    if isinstance(kind, dict):
+        return "an object"
+    if isinstance(kind, list):
+        return "a list"
+    if isinstance(kind, set):
+        return f"one of {sorted(kind)}"
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    return " or ".join({int: "an integer", float: "a number",
+                        str: "a string"}[k] for k in kinds)
+
+
+def _read(value, kind, name):
+    """value of the config entry name, checked against kind: a table rejects
+    unknown and missing required keys and fills in the defaults, and a
+    float kind gives a float."""
+    if isinstance(kind, dict):
+        ok = isinstance(value, dict)
+    elif isinstance(kind, list):
+        ok = isinstance(value, list)
+    elif isinstance(kind, set):
+        ok = isinstance(value, str) and value in kind
+    else:
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        types = tuple((int, float) if k is float else k for k in kinds)
+        ok = isinstance(value, types) and not isinstance(value, bool)
+    if not ok:
+        raise ConfigError(f"'{name or 'config'}' must be {_kind_name(kind)}, "
+                          f"got {value!r}")
+    if isinstance(kind, list):
+        return [_read(v, kind[0], f"{name}[{i}]") for i, v in enumerate(value)]
+    if not isinstance(kind, dict):
+        return float(value) if kind is float else value
+    unknown = set(value) - set(kind)
     if unknown:
-        raise ConfigError(f"unknown keys {sorted(unknown)} in '{where}'")
+        raise ConfigError(f"unknown keys {sorted(unknown)} in "
+                          f"'{name or 'config'}'")
+    table = {}
+    for key, spec in kind.items():
+        sub, default = spec if isinstance(spec, tuple) else (spec, {})
+        where = f"{name}.{key}" if name else key
+        entry = value.get(key, default)
+        if entry is _REQUIRED:
+            raise ConfigError(f"missing required key '{where}'")
+        if entry is None and default in (None, _BY_REGIME):
+            table[key] = None
+        elif entry is not _BY_REGIME:
+            table[key] = _read(entry, sub, where)
+    return table
 
 
-def _has_type(value, kind):
-    """Whether value is of a kind named in _TYPES; a bool is no number."""
-    if kind.startswith("list of "):
-        return isinstance(value, list) and all(
-            _has_type(v, kind[len("list of "):-1]) for v in value)
-    types = {"integer": int, "number": (int, float), "string": str}[kind]
-    return isinstance(value, types) and not isinstance(value, bool)
+def _coefficient_field(block, d):
+    """Field of the coefficient block.  A constant field takes no profile,
+    only the periodic classes take waves, and only asymptotic_periodic
+    takes Gaussian bumps."""
+    klass = block["class"]
+    zprof = _zeta_fn(block["zeta_expr"])
+    waves = [coefs.Wave(tuple(w["k"]), w["trig"],
+                        np.asarray(w["amplitude"], dtype=float),
+                        _zeta_fn(w["zeta_expr"])) for w in block["waves"]]
+    gaussians = [coefs.GaussianBump(np.asarray(g["amplitude"], dtype=float),
+                                    g["sigma"], tuple(g["center"])
+                                    if g["center"] else None)
+                 for g in block["gaussians"]]
+    return coefs.CoefficientField(
+        d, klass, block["matrix"],
+        zeta_profile=None if klass == coefs.CONSTANT else zprof,
+        waves=waves if klass in (coefs.PERIODIC, coefs.ASYMPTOTIC_PERIODIC)
+        else (),
+        gaussians=gaussians if klass == coefs.ASYMPTOTIC_PERIODIC else (),
+        alpha_ell=block["alpha"], beta_ell=block["beta"])
 
 
-def _check_types(raw):
-    """Reject values of the wrong type, unknown expected slopes and unknown
-    output formats."""
-    for name, types in _TYPES.items():
-        block = raw.get(name, {})
-        for key, kind in types.items():
-            if key in block and not _has_type(block[key], kind):
-                article = "an" if kind == "integer" else "a"
-                raise ConfigError(f"'{name}.{key}' must be {article} {kind}, "
-                                  f"got {block[key]!r}")
-    slopes = raw["sweep"].get("expected_slopes") or {}
-    _check_keys(slopes, _SLOPE_KEYS, "sweep.expected_slopes")
-    for key, value in slopes.items():
-        if value is not None and not _has_type(value, "number"):
-            raise ConfigError(f"'sweep.expected_slopes.{key}' must be a "
-                              f"number or null, got {value!r}")
-    formats = raw.get("output", {}).get("formats", [])
-    if not isinstance(formats, list) or any(f not in _OUTPUT_FORMATS
-                                            for f in formats):
-        raise ConfigError(f"'output.formats' must be a list of values from "
-                          f"{list(_OUTPUT_FORMATS)}, got {formats!r}")
+def _built(block, make):
+    """make(), with its failure re-raised as a ConfigError naming block."""
+    try:
+        return make()
+    except (ThinflowError, SyntaxError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid '{block}' block: {exc}") from exc
 
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description."""
+    """Experiment description with its domain objects, built once."""
 
-    raw: dict
-
-    def __post_init__(self):
-        raw = self.raw
-        if not isinstance(raw, dict):
-            raise ConfigError("configuration must be a JSON object")
-        _check_keys(raw, set(_SCHEMA), "config")
-        missing = {"geometry", "fluid", "regime", "sweep"} - set(raw)
-        if missing:
-            raise ConfigError(f"missing blocks {sorted(missing)}")
-        for name, allowed in _SCHEMA.items():
-            if name in raw:
-                if not isinstance(raw[name], dict):
-                    raise ConfigError(f"block '{name}' must be an object")
-                _check_keys(raw[name], allowed, name)
-        for wave in raw.get("coefficient", {}).get("waves", []) or []:
-            _check_keys(wave, _WAVE_KEYS, "coefficient.waves")
-        for g in raw.get("coefficient", {}).get("gaussians", []) or []:
-            _check_keys(g, _GAUSS_KEYS, "coefficient.gaussians")
-        _check_types(raw)
-        eps_list = self.eps_list
-        if len(eps_list) < 1 or any(b >= a for a, b in
-                                    zip(eps_list, eps_list[1:])):
-            raise ConfigError("eps_list must be strictly decreasing")
-        for key in ("solver_tol", "picard_tol"):
-            tol = self.numerics[key]
-            if not 0 < tol < 1:
-                raise ConfigError(f"{key} must lie in (0, 1)")
-        # fail fast on malformed expressions and coefficient blocks
-        try:
-            self.fluid_params()
-            self.coefficient_field()
-        except ConfigError:
-            raise
-        except ThinflowError as exc:
-            raise ConfigError(str(exc)) from exc
-        except SyntaxError as exc:
-            raise ConfigError(f"invalid expression: {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed fluid or coefficient block: "
-                              f"{exc}") from exc
-
-    @classmethod
-    def from_file(cls, path):
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read config '{path}': {exc}") from exc
-        return cls(raw)
-
-    # -- cooked accessors ---------------------------------------------------
-
-    @property
-    def d(self):
-        return int(self.raw["geometry"]["d"])
-
-    @property
-    def eps_list(self):
-        return [float(e) for e in self.raw["sweep"]["eps_list"]]
-
-    @property
-    def numerics(self):
-        merged = dict(_NUMERIC_DEFAULTS)
-        merged.update(self.raw.get("numerics", {}))
-        return merged
-
-    @property
-    def slope_tol(self):
-        return float(self.raw["sweep"].get("slope_tol", 0.2))
-
-    def geometry(self, eps=None):
-        g = self.raw["geometry"]
-        return Geometry(self.d, g["omega_extent"],
-                        eps if eps is not None else self.eps_list[0])
-
-    def coefficient_field(self):
-        block = self.raw.get("coefficient", {"class": "constant"})
-        klass = block.get("class", "constant")
-        d = self.d
-        matrix = np.asarray(block.get("matrix", np.eye(d)), dtype=float)
-        alpha = float(block.get("alpha", 1.0))
-        beta = float(block.get("beta", alpha))
-        zprof = _zeta_fn(block.get("zeta_expr"))
-        waves = []
-        for wave in block.get("waves", []) or []:
-            waves.append(coefs.Wave(tuple(int(k) for k in wave["k"]),
-                                    wave.get("trig", "cos"),
-                                    np.asarray(wave["amplitude"], dtype=float),
-                                    _zeta_fn(wave.get("zeta_expr"))))
-        gaussians = []
-        for g in block.get("gaussians", []) or []:
-            gaussians.append(coefs.GaussianBump(
-                np.asarray(g["amplitude"], dtype=float),
-                float(g.get("sigma", 1.0)),
-                tuple(g["center"]) if g.get("center") else None))
-        if klass == "constant":
-            return coefs.constant_field(d, matrix, alpha, beta)
-        if klass == "zeta_profile":
-            return coefs.zeta_profile_field(d, matrix, zprof, alpha, beta)
-        if klass == "periodic":
-            field = coefs.periodic_field(d, matrix, waves, alpha, beta)
-        elif klass == "asymptotic_periodic":
-            field = coefs.asymptotic_periodic_field(d, matrix, waves,
-                                                    gaussians, alpha, beta)
-        else:
-            raise ConfigError(f"unknown coefficient class '{klass}'")
-        if zprof is not None:
-            field.zeta_profile = zprof
-        return field
-
-    def fluid_params(self):
-        block = self.raw["fluid"]
-        f1 = block.get("f1")
-        fn = _expr_fn(f1, self.d - 1) if f1 is not None else None
-        return coefs.FluidParams(mu=float(block["mu"]),
-                                 rho=float(block.get("rho", 1.0)),
-                                 phi=float(block.get("phi", 1.0)), f1=fn)
-
-    def regime_spec(self):
-        block = self.raw["regime"]
-        return coefs.classify_regime(float(block["kappa"]),
-                                     float(block["alpha"]))
-
-    def expected_slopes(self, regime_spec):
-        slopes = _default_slopes(regime_spec, self.d)
-        declared = self.raw["sweep"].get("expected_slopes")
-        if declared is not None:
-            slopes.update({k: (None if v is None else float(v))
-                           for k, v in declared.items()})
-        return slopes
-
-    @property
-    def output_directory(self):
-        return self.raw.get("output", {}).get("directory", "out")
-
-    @property
-    def output_formats(self):
-        return list(self.raw.get("output", {}).get("formats", ["csv"]))
+    geometry: Geometry               # at the widest layer, eps_list[0]
+    field: coefs.CoefficientField
+    params: coefs.FluidParams
+    regime: coefs.RegimeSpec
+    numerics: dict
+    eps_list: list
+    slope_tol: float
+    expected_slopes: dict
+    output_directory: str
+    output_formats: list
 
 
 def load_config(source):
-    if isinstance(source, dict):
-        return ExperimentConfig(source)
-    return ExperimentConfig.from_file(source)
+    """ExperimentConfig of a config dict or of a JSON file path; a malformed
+    config raises a ConfigError."""
+    if not isinstance(source, dict):
+        try:
+            with open(source) as fh:
+                source = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config '{source}': {exc}") \
+                from exc
+    raw = _read(source, _SCHEMA, "")
+    numerics, sweep, output = raw["numerics"], raw["sweep"], raw["output"]
+    eps_list = sweep["eps_list"]
+    if not eps_list or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+        raise ConfigError("'sweep.eps_list' must be non-empty and strictly "
+                          "decreasing")
+    for key in ("solver_tol", "picard_tol"):
+        if not 0 < numerics[key] < 1:
+            raise ConfigError(f"'numerics.{key}' must lie in (0, 1)")
+    g, f, r = raw["geometry"], raw["fluid"], raw["regime"]
+    geometry = _built("geometry", lambda: Geometry(g["d"], g["omega_extent"],
+                                                   eps_list[0]))
+    field = _built("coefficient", lambda: _coefficient_field(
+        raw["coefficient"], geometry.d))
+    params = _built("fluid", lambda: coefs.FluidParams(
+        mu=f["mu"], rho=f["rho"], phi=f["phi"],
+        f1=None if f["f1"] is None else _expr_fn(f["f1"], geometry.d1)))
+    regime = _built("regime", lambda: coefs.classify_regime(r["kappa"],
+                                                            r["alpha"]))
+    slopes = _default_slopes(regime, geometry.d)
+    slopes.update(sweep["expected_slopes"] or {})
+    return ExperimentConfig(geometry, field, params, regime, numerics,
+                            eps_list, sweep["slope_tol"], slopes,
+                            output["directory"], output["formats"])
 
 
 def estimate_rate(values, eps_list):
@@ -398,12 +356,10 @@ def pipeline_stage(name):
 def solve_cells(config, regime):
     """Cell mesh and cell problems of a regime tag, with K = kappa."""
     numerics = config.numerics
-    cell_mesh = build_cell_mesh(config.geometry(), numerics["cell_nx"],
+    cell_mesh = build_cell_mesh(config.geometry, numerics["cell_nx"],
                                 numerics["cell_nz"])
-    return solve_cell_problems(regime, cell_mesh,
-                               field=config.coefficient_field(),
-                               mu=config.fluid_params().mu,
-                               K=config.regime_spec().kappa,
+    return solve_cell_problems(regime, cell_mesh, field=config.field,
+                               mu=config.params.mu, K=config.regime.kappa,
                                n_list=numerics["n_list"],
                                tol=numerics["solver_tol"])
 
@@ -422,13 +378,8 @@ def add_upscaling_checks(report, cells, tol):
 
 def run_pipeline(config):
     """Execute the full regime pipeline and collect the convergence report."""
-    with pipeline_stage("validate"):
-        geometry = config.geometry()
-        field = config.coefficient_field()
-        params = config.fluid_params()
-        regime = config.regime_spec()
-        numerics = config.numerics
-
+    geometry, params, regime = config.geometry, config.params, config.regime
+    numerics = config.numerics
     report = ConvergenceReport(regime.regime)
     tol = numerics["solver_tol"]
 
@@ -461,7 +412,6 @@ def run_pipeline(config):
         energy, work = macro.meta["energy"], macro.meta["work"]
         report.add_upper("macro_energy_defect",
                          abs(energy - work) / max(abs(energy), 1e-300), 1e-10)
-        report.extras["macro_flux_residual"] = boundary_flux_residual(macro)
         report.extras["macro"] = macro
         report.extras["cells"] = cells
 
@@ -486,7 +436,7 @@ def run_pipeline(config):
             thin = build_thin_mesh(geom_e,
                                    numerics["dns_elements_per_period"],
                                    numerics["dns_nz"])
-            sol = solve_dlb(thin, field, params, regime.K_eps(eps),
+            sol = solve_dlb(thin, config.field, params, regime.K_eps(eps),
                             picard_tol=numerics["picard_tol"],
                             max_iters=numerics["picard_max_iters"], tol=tol)
             scale = eps ** 2 if regime.regime in ("i", "ii") \
@@ -514,7 +464,7 @@ def run_pipeline(config):
                 _sample_grid(geometry, n=9))).max()))
         degenerate = (geometry.d1 == 1
                       or float(np.abs(macro.u_prime).max()) <= 1e-10 * fscale)
-        _sweep_checks(report, config, regime, rows, degenerate=degenerate)
+        _sweep_checks(report, config, rows, degenerate=degenerate)
 
     return report
 
@@ -526,10 +476,10 @@ def _sample_grid(geometry, n=17):
     return np.column_stack([g.ravel() for g in grids])
 
 
-def _sweep_checks(report, config, regime, rows, degenerate=False):
+def _sweep_checks(report, config, rows, degenerate=False):
     eps = [r["eps"] for r in rows]
     slope_tol = config.slope_tol
-    expected = config.expected_slopes(regime)
+    expected = config.expected_slopes
     for key in ("u_l2", "grad_u_l2", "p_l2"):
         target = expected.get(key)
         values = [r[key] for r in rows]

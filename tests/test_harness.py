@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from thinflow.cli import main as cli_main
-from thinflow.errors import ConfigError, InvalidDataError, PipelineError
+from thinflow.errors import ConfigError, InvalidDataError
 from thinflow.harness import (estimate_rate, load_config, report_csv,
                               run_pipeline, save_report, sweep_csv)
 
@@ -73,17 +73,15 @@ def test_bad_expression_rejected():
 
 
 def test_invalid_regime_fails_before_solve():
-    cfg = config(regime={"kappa": 1.0, "alpha": -1.0})
-    with pytest.raises(PipelineError) as err:
-        run_pipeline(cfg)
-    assert err.value.stage == "validate"
+    with pytest.raises(ConfigError):
+        config(regime={"kappa": 1.0, "alpha": -1.0})
 
 
 def test_default_slopes():
     def slopes(alpha, declared=None):
         cfg = config(regime={"kappa": 1.0, "alpha": alpha},
                      sweep={"expected_slopes": declared})
-        return cfg.expected_slopes(cfg.regime_spec())
+        return cfg.expected_slopes
 
     balanced = {"u_l2": 2.5, "grad_u_l2": 1.5, "p_l2": 0.5}
     assert slopes(2.0) == balanced
@@ -104,7 +102,7 @@ def test_default_slopes():
     for alpha, u_rate, grad_rate in ((2.0, 2.5, 1.5), (3.0, 3.5, None)):
         cfg = config(regime={"kappa": 1.0, "alpha": alpha},
                      sweep={"expected_slopes": None}, **d3)
-        assert cfg.expected_slopes(cfg.regime_spec()) == \
+        assert cfg.expected_slopes == \
             {"u_l2": u_rate, "grad_u_l2": grad_rate, "p_l2": None}
 
 
@@ -248,24 +246,42 @@ MISTYPED = [("fluid", "mu", "abc"), ("numerics", "cell_nx", "8"),
             ("sweep", "eps_list", 0.1), ("sweep", "eps_list", ["a", "b"]),
             ("sweep", "expected_slopes", {"p_l2": "0.5"}),
             ("output", "formats", "vtk"), ("output", "formats", ["vtu"]),
-            ("output", "directory", 5)]
+            ("output", "directory", 5), ("geometry", "omega_extent", "x"),
+            ("geometry", "omega_extent", ["x"])]
+# keys without a default: (block, key)
+REQUIRED = [("geometry", "d"), ("geometry", "omega_extent"), ("fluid", "mu"),
+            ("regime", "kappa"), ("regime", "alpha"), ("sweep", "eps_list")]
 
 
 def test_cli_malformed_config_aborts(tmp_path, capsys):
     # a config error is an abort (2), never a failed verdict (1)
-    raw = copy.deepcopy(BASE_CONFIG)
-    raw["sweep"]["turbulence"] = 1.0
-    cases = [(write_config(tmp_path, raw), "turbulence")]
     bad_json = tmp_path / "truncated.json"
     bad_json.write_text(json.dumps(BASE_CONFIG)[:-1])
-    cases += [(str(bad_json), "cannot read"),
-              (str(tmp_path / "missing.json"), "cannot read")]
-    for i, (block, key, value) in enumerate(MISTYPED):
+    cases = [(str(bad_json), "cannot read"),
+             (str(tmp_path / "missing.json"), "cannot read")]
+
+    def case(edit, reason):
         raw = copy.deepcopy(BASE_CONFIG)
-        raw[block][key] = value
-        path = tmp_path / f"mistyped_{i}.json"
+        edit(raw)
+        path = tmp_path / f"case_{len(cases)}.json"
         path.write_text(json.dumps(raw))
-        cases.append((str(path), f"'{block}.{key}"))
+        cases.append((str(path), reason))
+
+    def periodic(wave):
+        return lambda raw: raw["coefficient"].update(
+            {"class": "periodic", "waves": [wave]})
+
+    case(lambda raw: raw["sweep"].update(turbulence=1.0), "turbulence")
+    for block, key, value in MISTYPED:
+        case(lambda raw: raw[block].update({key: value}), f"'{block}.{key}")
+    for block, key in REQUIRED:
+        case(lambda raw: raw[block].pop(key),
+             f"missing required key '{block}.{key}'")
+    case(lambda raw: raw["regime"].update(kappa=-1), "kappa must be positive")
+    case(lambda raw: raw["fluid"].update(f1=["1", "1"]), "f1 needs 1 expr")
+    case(periodic({"k": [1], "trig": "tan", "amplitude": np.eye(2).tolist()}),
+         "'coefficient.waves[0].trig'")
+    case(periodic({"k": [1], "amplitude": [[1.0]]}), "must be 2x2")
     out = tmp_path / "out"
     for path, reason in cases:
         for argv in (["run", path], ["sweep", path],
@@ -274,3 +290,15 @@ def test_cli_malformed_config_aborts(tmp_path, capsys):
             err = capsys.readouterr().err
             assert err.startswith("[ABORT] ") and reason in err, err
     assert not out.exists()
+
+
+# the regime tag of each shipped config
+SHIPPED_REGIMES = {"regime_i": "i", "regime_ii": "ii", "regime_iii": "iii",
+                   "homogenization_d3": "i"}
+
+
+@pytest.mark.parametrize("path", sorted(
+    (Path(__file__).parent.parent / "configs").glob("*.json")),
+    ids=lambda p: p.stem)
+def test_shipped_configs_load(path):
+    assert load_config(str(path)).regime.regime == SHIPPED_REGIMES[path.stem]
