@@ -62,7 +62,7 @@ class InvalidEffectiveMatrixError(ThinflowError):
 
 
 class PicardDivergenceError(ThinflowError):
-    """Fixed-point iteration exceeded its iteration budget."""
+    """Fixed-point iteration diverged or exceeded its iteration budget."""
 
     def __init__(self, message, history=None):
         super().__init__(message)

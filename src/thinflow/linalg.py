@@ -1,9 +1,9 @@
-"""Direct and Krylov solution of the assembled saddle-point systems.
+"""Direct solution of the assembled saddle-point systems.
 
 The sign convention is
 
-    [K + N,  B^T] [u]   [f]
-    [B,      0  ] [q] = [r]
+    [K,  B^T] [u]   [f]
+    [B,  0  ] [q] = [r]
 
 with (B u)_q = int q div u; the physical pressure is p = -q, so solvers
 return p directly.  B^T annihilates the constant pressures, so the matrix is
@@ -19,10 +19,9 @@ factorization of the same pinned matrix before the solver gives up.
 
 There is one direct path.  solve_sparse factors a system once and solves
 it, all loads at once when its rhs has one column per load, and
-solve_gauged_spd applies the same path to pure Neumann problems.  The one
-Krylov method reuses a direct factorization: SaddleSolver keeps it, to
-precondition GMRES on nearby operators such as the Oseen steps of a Picard
-loop.
+solve_gauged_spd applies the same path to pure Neumann problems.
+SaddleSolver keeps the factorization, so that later velocity loads, such as
+the steps of a Picard loop, are solved without factoring again.
 """
 
 from dataclasses import dataclass, field, replace
@@ -35,12 +34,11 @@ import scipy.sparse.linalg as spla
 from .errors import ConvergenceFailureError, SingularSystemError
 
 DEFAULT_TOL_DIRECT = 1e-10
-KRYLOV_MAX_ITERATIONS = 20
 
 
 @dataclass
 class SaddleSystem:
-    """Velocity block, optional coupling/convection blocks and gauge.
+    """Velocity block, optional coupling block and gauge.
 
     rhs_u may hold one load per column; rhs_p then defaults to zeros of the
     matching shape.
@@ -48,7 +46,6 @@ class SaddleSystem:
 
     K: sp.spmatrix
     B: Optional[sp.spmatrix] = None
-    N: Optional[sp.spmatrix] = None
     gauge: Optional[np.ndarray] = None
     rhs_u: np.ndarray = field(default=None)
     rhs_p: Optional[np.ndarray] = None
@@ -68,16 +65,12 @@ class SaddleSystem:
     def n_p(self):
         return 0 if self.B is None else self.B.shape[0]
 
-    def velocity_operator(self):
-        return self.K if self.N is None else (self.K + self.N).tocsr()
-
 
 @dataclass
 class SolveCounts:
     """Work of the saddle solves behind one computation."""
 
     factorizations: int = 0
-    krylov_iterations: int = 0
     pivoted_fallbacks: int = 0
 
 
@@ -89,7 +82,7 @@ def residual(system, solution):
     largest column value.
     """
     u, p = solution
-    res_u = system.velocity_operator() @ u - system.rhs_u
+    res_u = system.K @ u - system.rhs_u
     parts = [res_u]
     rhs_parts = [system.rhs_u]
     if system.B is not None:
@@ -185,11 +178,10 @@ class _Pinning:
             self.keep = np.delete(np.arange(system.n_p), self.pin)
 
     def matrix(self, system):
-        A = system.velocity_operator()
         if self.pin is None:
-            return A.tocsc()
+            return system.K.tocsc()
         B = sp.csr_matrix(system.B)[self.keep]
-        return sp.bmat([[A, B.T], [B, None]], format="csc")
+        return sp.bmat([[system.K, B.T], [B, None]], format="csc")
 
     def target(self, system):
         """The system with its pressure rhs made compatible."""
@@ -212,22 +204,13 @@ class _Pinning:
         q = np.insert(x[self.n_u:], self.pin, 0.0, axis=0)
         return u, _project_gauge(self.gauge, -q)
 
-    def pinned(self, solution):
-        u, p = solution
-        if self.pin is None:
-            return np.asarray(u, dtype=float)
-        q = -np.asarray(p, dtype=float)
-        return np.concatenate([u, (q - q[self.pin])[self.keep]])
-
 
 class SaddleSolver:
     """A saddle system factored once, with one pressure dof pinned.
 
-    solve() returns the solution of the factored system, several loads at
-    once when its rhs_u has one column per load.  solve_nearby() solves a
-    system with another velocity operator (another convection block) by
-    GMRES, preconditioned with this factorization.  The work done is added
-    to counts.
+    solve() returns the solution of the factored operator for the system's
+    load or for another velocity load, several loads at once when the load
+    has one column per load.  The work done is added to counts.
     """
 
     def __init__(self, system, counts=None):
@@ -236,48 +219,19 @@ class SaddleSolver:
         self._target = self._pinning.target(system)
         self._lu = _PinnedLU(self._pinning.matrix(system), self.counts)
 
-    def solve(self, tol=DEFAULT_TOL_DIRECT):
-        """(u, p) of the factored system, residual <= tol."""
+    def solve(self, tol=DEFAULT_TOL_DIRECT, rhs_u=None):
+        """(u, p) of the factored operator, residual <= tol.
+
+        rhs_u, if given, replaces the system's velocity load and must have
+        its shape; the pressure load stays the system's.
+        """
         _check_tol(tol)
         pinning, target = self._pinning, self._target
+        if rhs_u is not None:
+            target = replace(target, rhs_u=rhs_u)
         x = self._lu.solve(pinning.rhs(target),
                            lambda x: residual(target, pinning.unpin(x)), tol)
         return pinning.unpin(x)
-
-    def solve_nearby(self, system, guess, tol=DEFAULT_TOL_DIRECT):
-        """(u, p) of a system with another velocity operator, by GMRES.
-
-        GMRES solves for the correction to guess, a (u, p) pair,
-        right-preconditioned with this factorization so that the residual
-        it minimizes is the system's own.  It runs to relative residual
-        tol/100 within KRYLOV_MAX_ITERATIONS iterations; a guess that is
-        already that close comes back unchanged.  Returns None when GMRES
-        does not get there or the unpinned residual misses tol.
-        """
-        _check_tol(tol)
-        pinning, lu = self._pinning, self._lu
-        mat = pinning.matrix(system)
-        target = pinning.target(system)
-        rhs = pinning.rhs(target)
-        x0 = pinning.pinned(guess)
-        op = spla.LinearOperator(mat.shape,
-                                 matvec=lambda v: mat @ lu.lu.solve(v))
-        iterations = []
-        y, info = spla.gmres(
-            op, rhs - mat @ x0, rtol=0.0,
-            atol=tol / 100 * float(np.linalg.norm(rhs)),
-            restart=KRYLOV_MAX_ITERATIONS, maxiter=1,
-            callback=iterations.append, callback_type="pr_norm")
-        self.counts.krylov_iterations += len(iterations)
-        if info != 0:
-            return None
-        x = x0 + lu.lu.solve(y) if iterations else x0
-        if not np.all(np.isfinite(x)):
-            return None
-        sol = pinning.unpin(x)
-        if residual(target, sol) > tol:
-            return None
-        return sol
 
 
 def solve_sparse(system, tol=DEFAULT_TOL_DIRECT, counts=None):

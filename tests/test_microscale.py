@@ -6,7 +6,8 @@ from thinflow.assembly import (DiscreteField, FunctionSpace,
                                assemble_convection, assemble_diffusion,
                                assemble_divergence, assemble_load,
                                assemble_mass, pressure_gauge)
-from thinflow.errors import InvalidResolutionError
+from thinflow.errors import InvalidResolutionError, PicardDivergenceError
+from thinflow.linalg import SaddleSystem, residual
 from thinflow.meshing import Geometry, build_thin_mesh
 from thinflow.microscale import apriori_norms, solve_dlb
 
@@ -53,7 +54,6 @@ def test_stop_reason_zero_field():
     assert sol.stop_reason == "zero_branch"
     assert sol.picard_iterations == 1
     assert sol.solver_counts == {"factorizations": 1,
-                                 "krylov_iterations": 0,
                                  "pivoted_fallbacks": 0}
 
 
@@ -65,25 +65,60 @@ def d3_forcing(xb):
                             -4 * np.pi * s0 * c0 * s1 * s1])
 
 
-def test_stop_reason_d3_flow():
-    eps = 0.125
+def d3_flow(rho, eps=0.125):
+    """The d = 3 layer driven by d3_forcing, and its DNS at density rho."""
     mesh = build_thin_mesh(Geometry(3, (0.5, 0.5), eps), 2, 2)
     field = coefs.constant_field(3)
-    params = coefs.FluidParams(mu=1.0, rho=1.0, f1=d3_forcing)
-    sol = solve_dlb(mesh, field, params, K_eps=eps ** 2)
+    params = coefs.FluidParams(mu=1.0, rho=rho, f1=d3_forcing)
+    return mesh, field, params, solve_dlb(mesh, field, params,
+                                          K_eps=eps ** 2)
+
+
+def nonlinear_residual(sol, field, params):
+    """Relative residual of (u, p) in the full system with convection."""
+    space_v = sol.space_v
+    K = (assemble_diffusion(space_v, field.scaled(sol.eps))
+         + (params.mu / sol.K_eps) * assemble_mass(space_v))
+    N = assemble_convection(space_v, sol.u, params.rho / params.phi ** 2)
+    system = SaddleSystem(
+        K=(K + N).tocsr(), B=assemble_divergence(space_v, sol.space_p),
+        gauge=pressure_gauge(sol.space_p),
+        rhs_u=assemble_load(space_v, params.forcing(sol.mesh.ndim - 1)))
+    return residual(system, (sol.u, sol.p))
+
+
+def test_stop_reason_d3_flow():
+    mesh, field, params, sol = d3_flow(rho=1.0)
     assert sol.norms["u_l2"] > 1e-3
     assert sol.stop_reason == "converged"
     assert sol.final_update <= 1e-10
-    # one factorization; every Oseen step after it is a GMRES solve
-    counts = sol.solver_counts
-    assert counts["factorizations"] == 1
-    assert counts["pivoted_fallbacks"] == 0
-    assert 1 <= counts["krylov_iterations"] <= 20 * (sol.picard_iterations - 1)
+    # one factorization serves every Picard step, and the converged
+    # iterate solves the system with its own convection
+    assert sol.solver_counts == {"factorizations": 1,
+                                 "pivoted_fallbacks": 0}
+    assert nonlinear_residual(sol, field, params) <= 1e-9
     # without convection one step is exact
     stokes = solve_dlb(mesh, field, coefs.FluidParams(
-        mu=1.0, rho=0.0, f1=d3_forcing), K_eps=eps ** 2)
+        mu=1.0, rho=0.0, f1=d3_forcing), K_eps=sol.K_eps)
     assert stokes.stop_reason == "linear"
     assert stokes.picard_iterations == 1
+
+
+def test_stop_rule_strong_convection_converges():
+    # inside the contraction range the loop runs to the fixed point
+    _, field, params, sol = d3_flow(rho=2e3)
+    assert sol.stop_reason == "converged"
+    assert sol.final_update <= 1e-10
+    assert nonlinear_residual(sol, field, params) <= 1e-9
+
+
+def test_stop_rule_growing_update_diverges():
+    # outside the contraction range the updates grow far above the
+    # arithmetic floor: that is divergence, not stagnation
+    with pytest.raises(PicardDivergenceError) as info:
+        d3_flow(rho=1e4)
+    history = info.value.history
+    assert len(history) >= 2 and history[-1] >= history[-2] > 1e-5
 
 
 def test_conservative_forcing_hydrostatic():
