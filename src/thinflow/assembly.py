@@ -8,6 +8,12 @@ systems only ever contain free unknowns.
 
 The diffusion form applies the coefficient matrix to the gradient index of
 each velocity component: (u, v) -> sum_c int (grad v_c)^T A (grad u_c).
+
+Free dofs are numbered component by component: the free lattice nodes of
+component 0, then those of component 1, and so on (FunctionSpace.free).  So
+every velocity operator is a block matrix with one block per component, each
+assembled on the scalar lattice; the diffusion, mass and convection forms are
+block diagonal, and only the divergence couples the components.
 """
 
 import itertools
@@ -46,6 +52,11 @@ class FunctionSpace:
     eliminated on Dirichlet-tagged walls; wall_components restricts the
     elimination to selected components (e.g. the wall-normal one, giving a
     no-penetration wall with natural tangential traces).
+
+    free holds one array of lattice node indices per component: the nodes
+    where that component is a free dof.  Coefficient vectors list the free
+    dofs component by component in that order, so component c occupies the
+    slice of length free[c].size after the components before it.
     """
 
     def __init__(self, mesh, kind, wall_components=None):
@@ -75,22 +86,19 @@ class FunctionSpace:
 
         self._dofmap = self._build_dofmap()
 
-        comp_mask = np.zeros(self.lattice_shape + (ncomp,), dtype=bool)
-        if constrained:
-            comps = range(ncomp) if wall_components is None \
-                else tuple(wall_components)
-            for ax, side in mesh.dirichlet:
-                if mesh.periodic[ax]:
-                    continue
+        wall = np.zeros(self.lattice_shape, dtype=bool)
+        for ax, side in mesh.dirichlet:
+            if not mesh.periodic[ax]:
                 sl = [slice(None)] * mesh.ndim
-                sl[ax] = 0 if side == 0 else self.lattice_shape[ax] - 1
-                for c in comps:
-                    comp_mask[tuple(sl) + (c,)] = True
-        self.component_mask = comp_mask.reshape(self.n_scalar, ncomp)
-        self.dirichlet_mask = self.component_mask.all(axis=1)
-        self.free_scalar = np.flatnonzero(~self.dirichlet_mask)
-        self.free_vector = np.flatnonzero(~self.component_mask.ravel())
-        self.ndof = self.free_vector.size
+                sl[ax] = 0 if side == 0 else -1
+                wall[tuple(sl)] = True
+        walled = range(ncomp) if wall_components is None else wall_components
+        if not constrained:
+            walled = ()
+        nodes = np.arange(self.n_scalar)
+        off_wall = np.flatnonzero(~wall.ravel())
+        self.free = [off_wall if c in walled else nodes for c in range(ncomp)]
+        self.ndof = sum(f.size for f in self.free)
 
     def _build_dofmap(self):
         mesh, p = self.mesh, self.order
@@ -118,9 +126,13 @@ class FunctionSpace:
 
     def expand(self, coeffs):
         """Full-lattice array (n_scalar, ncomp) with zeros on walls."""
-        full = np.zeros(self.n_scalar * self.ncomp)
-        full[self.free_vector] = np.asarray(coeffs, dtype=float)
-        return full.reshape(self.n_scalar, self.ncomp)
+        full = np.zeros((self.n_scalar, self.ncomp))
+        coeffs = np.asarray(coeffs, dtype=float)
+        start = 0
+        for c, f in enumerate(self.free):
+            full[f, c] = coeffs[start:start + f.size]
+            start += f.size
+        return full
 
     # -- reference quadrature ----------------------------------------------
 
@@ -220,8 +232,6 @@ def _axis_basis(space, a, x, deriv=False):
 def _eval_callable(fn, pts, ncomp):
     """Evaluate a coefficient given as callable, constant or array."""
     n = pts.shape[0]
-    if fn is None:
-        return np.ones((n, ncomp)) if ncomp > 1 else np.ones(n)
     if callable(fn):
         vals = np.asarray(fn(pts), dtype=float)
     else:
@@ -235,28 +245,27 @@ def _eval_callable(fn, pts, ncomp):
     return vals.reshape(n, ncomp)
 
 
-def _scatter(space, local):
-    """Sum element-local matrices into a CSR matrix on the full lattice."""
-    dof = space._dofmap
-    ne, nloc = dof.shape
-    if local.ndim == 2:
-        vals = np.broadcast_to(local, (ne, nloc, nloc))
-    else:
-        vals = local
-    rows = np.repeat(dof, nloc, axis=1).ravel()
-    cols = np.tile(dof, (1, nloc)).ravel()
-    return sp.coo_matrix((vals.ravel(), (rows, cols)),
-                         shape=(space.n_scalar, space.n_scalar)).tocsr()
+def _scatter(space, local, cols=None):
+    """Sum element-local matrices into a CSR matrix on the scalar lattice.
+
+    Rows follow the lattice of space and columns that of cols (default
+    space); a single local matrix is used on every element.
+    """
+    cols = space if cols is None else cols
+    dof_r, dof_c = space._dofmap, cols._dofmap
+    ne, nr = dof_r.shape
+    nc = dof_c.shape[1]
+    vals = np.broadcast_to(local, (ne, nr, nc))
+    rows = np.repeat(dof_r, nc, axis=1).ravel()
+    cidx = np.tile(dof_c, (1, nr)).ravel()
+    return sp.coo_matrix((vals.ravel(), (rows, cidx)),
+                         shape=(space.n_scalar, cols.n_scalar)).tocsr()
 
 
 def _vectorize(space, mat_scalar):
-    """Expand a scalar-lattice operator blockwise and drop eliminated dofs."""
-    if space.ncomp == 1:
-        mat = mat_scalar.tocsr()
-    else:
-        mat = sp.kron(mat_scalar, sp.identity(space.ncomp, format="csr"),
-                      format="csr")
-    return mat[space.free_vector][:, space.free_vector].tocsr()
+    """Block diagonal: per component, the scalar operator on its free nodes."""
+    return sp.block_diag([mat_scalar[f][:, f] for f in space.free],
+                         format="csr")
 
 
 def _check_symmetric(mat):
@@ -270,8 +279,17 @@ def _check_symmetric(mat):
                 f"{_SYM_CHECK_REL:.0e} of the largest entry {scale:.3e}")
 
 
-def assemble_diffusion(space, a_eval=None, scaling=1.0, nquad=3):
-    """Matrix of (u, v) -> scaling * int A grad u : grad v.
+def _load_vector(space, locals_):
+    """Free-dof vector of element-local loads locals_ (ne, nloc, ncomp)."""
+    nodes = space._dofmap.ravel()
+    return np.concatenate([
+        np.bincount(nodes, weights=locals_[:, :, c].ravel(),
+                    minlength=space.n_scalar)[f]
+        for c, f in enumerate(space.free)])
+
+
+def assemble_diffusion(space, a_eval=None, nquad=3):
+    """Matrix of (u, v) -> int A grad u : grad v.
 
     a_eval maps points (N, ndim) to (N, ndim, ndim) symmetric matrices (or
     to scalars, interpreted as multiples of the identity); None means the
@@ -295,27 +313,16 @@ def assemble_diffusion(space, a_eval=None, scaling=1.0, nquad=3):
             ga = avals[:, q] @ grad[q].T           # (ne, ndim, nloc)
             locals_ += wq[q] * (grad[q] @ ga)      # (ne, nloc, nloc)
         mat = _scatter(space, locals_)
-    mat = _vectorize(space, mat)
     _check_symmetric(mat)
-    return (mat * scaling).tocsr() if scaling != 1.0 else mat
+    return _vectorize(space, mat)
 
 
-def assemble_mass(space, weight=None, nquad=3):
-    """Matrix of (u, v) -> int weight u . v (weight a scalar field)."""
+def assemble_mass(space, nquad=3):
+    """Matrix of (u, v) -> int u . v."""
     phi, _, wq = space.reference_data(nquad)
-    if weight is None:
-        local = np.einsum("qi,qj,q->ij", phi, phi, wq)
-        mat = _scatter(space, local)
-    else:
-        pts = space.quadrature_points(nquad)
-        ne, nq = pts.shape[0], pts.shape[1]
-        wv = _eval_callable(weight, pts.reshape(-1, space.mesh.ndim), 1)
-        wv = wv.reshape(ne, nq) * wq[None, :]
-        locals_ = np.einsum("eq,qi,qj->eij", wv, phi, phi)
-        mat = _scatter(space, locals_)
-    mat = _vectorize(space, mat)
+    mat = _scatter(space, np.einsum("qi,qj,q->ij", phi, phi, wq))
     _check_symmetric(mat)
-    return mat
+    return _vectorize(space, mat)
 
 
 def assemble_divergence(space_v, space_p, nquad=3):
@@ -324,32 +331,18 @@ def assemble_divergence(space_v, space_p, nquad=3):
         raise SpaceMismatchError("velocity and pressure spaces share no mesh")
     phi_p, _, wq = space_p.reference_data(nquad)
     _, grad_v, _ = space_v.reference_data(nquad)
-    dof_p, dof_v = space_p._dofmap, space_v._dofmap
-    ne = dof_p.shape[0]
-    nloc_p, nloc_v = dof_p.shape[1], dof_v.shape[1]
-    ncomp = space_v.ncomp
-    rows = np.repeat(dof_p, nloc_v, axis=1).ravel()
-    blocks = []
-    for c in range(ncomp):
-        local = np.einsum("qi,qj,q->ij", phi_p, grad_v[:, :, c], wq)
-        vals = np.broadcast_to(local, (ne, nloc_p, nloc_v))
-        cols = np.tile(dof_v * ncomp + c, (1, nloc_p)).ravel()
-        blocks.append(sp.coo_matrix(
-            (vals.ravel(), (rows, cols)),
-            shape=(space_p.n_scalar, space_v.n_scalar * ncomp)))
-    mat = sum(blocks[1:], blocks[0]).tocsr()
-    return mat[:, space_v.free_vector].tocsr()
+    return sp.hstack([
+        _scatter(space_p, np.einsum("qi,qj,q->ij", phi_p, grad_v[:, :, c], wq),
+                 cols=space_v)[:, f]
+        for c, f in enumerate(space_v.free)], format="csr")
 
 
 def assemble_convection(space_v, u_coeffs, factor=1.0, nquad=3):
     """Oseen matrix of (u, v) -> factor * int (u_current . grad u) . v."""
     field = DiscreteField(space_v, u_coeffs)
     phi, grad, wq = space_v.reference_data(nquad)
-    dof = space_v._dofmap
-    ne, nloc = dof.shape
-    nq = phi.shape[0]
     full = field.full_values()                        # (n_scalar, ncomp)
-    uloc = full[dof]                                  # (ne, nloc, ncomp)
+    uloc = full[space_v._dofmap]                      # (ne, nloc, ncomp)
     uq = np.einsum("qi,eic->eqc", phi, uloc)          # (ne, nq, ncomp)
     adv = np.einsum("eqa,qja->eqj", uq, grad)         # u . grad phi_j
     locals_ = np.einsum("q,qi,eqj->eij", wq, phi, adv)
@@ -363,19 +356,9 @@ def assemble_load(space, f_eval, nquad=3):
     pts = space.quadrature_points(nquad)
     ne, nq = pts.shape[0], pts.shape[1]
     fv = _eval_callable(f_eval, pts.reshape(-1, space.mesh.ndim), space.ncomp)
-    if space.ncomp == 1:
-        locals_ = np.einsum("eq,qi,q->ei", fv.reshape(ne, nq), phi, wq)
-        full = np.zeros(space.n_scalar)
-        np.add.at(full, space._dofmap.ravel(), locals_.ravel())
-        return full[space.free_scalar]
-    fv = fv.reshape(ne, nq, space.ncomp)
-    locals_ = np.einsum("eqc,qi,q->eic", fv, phi, wq)
-    full = np.zeros(space.n_scalar * space.ncomp)
-    np.add.at(full,
-              (space._dofmap[:, :, None] * space.ncomp
-               + np.arange(space.ncomp)[None, None, :]).ravel(),
-              locals_.ravel())
-    return full[space.free_vector]
+    locals_ = np.einsum("eqc,qi,q->eic", fv.reshape(ne, nq, space.ncomp),
+                        phi, wq)
+    return _load_vector(space, locals_)
 
 
 def assemble_flux_load(space, vec_eval, nquad=3):
@@ -389,9 +372,7 @@ def assemble_flux_load(space, vec_eval, nquad=3):
     fv = _eval_callable(vec_eval, pts.reshape(-1, ndim), ndim)
     fv = fv.reshape(ne, nq, ndim)
     locals_ = np.einsum("eqa,qia,q->ei", fv, grad, wq)
-    full = np.zeros(space.n_scalar)
-    np.add.at(full, space._dofmap.ravel(), locals_.ravel())
-    return full[space.free_scalar]
+    return _load_vector(space, locals_[:, :, None])
 
 
 def pressure_gauge(space_p, nquad=3):

@@ -65,8 +65,8 @@ class CellSolution:
                          for i in range(self.d)])
 
 
-def _cell_spaces(mesh):
-    space_v = FunctionSpace(mesh, "velocity")
+def _cell_spaces(mesh, wall_components=None):
+    space_v = FunctionSpace(mesh, "velocity", wall_components=wall_components)
     space_p = FunctionSpace(mesh, "pressure")
     B = assemble_divergence(space_v, space_p)
     gauge = pressure_gauge(space_p)
@@ -143,41 +143,28 @@ def _extrapolate(level_arrays, n_values):
     return coef[0], misfit
 
 
-def solve_cell_regime_ii(mu, cell_mesh, n_list=(4, 8, 16, 32), tol=1e-10,
-                         boundary="normal"):
+def solve_cell_regime_ii(mu, cell_mesh, n_list=(4, 8, 16, 32), tol=1e-10):
     """Drag-limit cell problems via vanishing-viscosity regularization.
 
     Solves -(1/n^2) lap w + mu w + grad q = e_i for each level n, then
     extrapolates the coefficient vectors with the v + c/n^2 model.  The
     limit problem has no velocity trace, but the no-penetration constraint
     survives the limit of the clamped regularized family (divergence-free
-    fields keep their normal trace in the L^2 closure), so the default wall
-    treatment clamps the wall-normal component only and leaves tangential
-    traces natural; this reproduces the limit family exactly at every
-    level.  With boundary "clamped" all components are pinned and the
-    O(1/n)-wide tangential layers are left to the extrapolation (markedly
-    less accurate, kept for layer diagnostics).
+    fields keep their normal trace in the L^2 closure), so the walls clamp
+    the wall-normal component only and leave tangential traces natural;
+    this reproduces the limit family exactly at every level.
     """
     n_list = list(n_list)
     if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise InvalidParameterError(
             "n_list must be strictly increasing with at least 3 levels")
-    if boundary == "normal":
-        wall_components = (cell_mesh.ndim - 1,)
-    elif boundary == "clamped":
-        wall_components = None
-    else:
-        raise InvalidParameterError(f"unknown boundary treatment '{boundary}'")
-    mesh = cell_mesh
-    space_v = FunctionSpace(mesh, "velocity", wall_components=wall_components)
-    space_p = FunctionSpace(mesh, "pressure")
-    B = assemble_divergence(space_v, space_p)
-    gauge = pressure_gauge(space_p)
+    d = cell_mesh.ndim
+    space_v, space_p, B, gauge = _cell_spaces(cell_mesh,
+                                              wall_components=(d - 1,))
     K_lap = assemble_diffusion(space_v)
     M = assemble_mass(space_v)
     drag = mu * M
     loads = _unit_loads(space_v)
-    d = mesh.ndim
     per_level_v = [[] for _ in range(d)]
     per_level_p = [[] for _ in range(d)]
     bounds = [[] for _ in range(d)]
@@ -206,8 +193,7 @@ def solve_cell_regime_ii(mu, cell_mesh, n_list=(4, 8, 16, 32), tol=1e-10,
     return CellSolution("ii", cell_mesh, space_v, space_p, velocities,
                         pressures, residuals, drag, levels=levels,
                         extrapolation_residual=worst,
-                        meta={"mu": mu, "boundary": boundary,
-                              "solver_counts": asdict(counts)})
+                        meta={"mu": mu, "solver_counts": asdict(counts)})
 
 
 def solve_cell_problems(regime, cell_mesh, field=None, mu=1.0, K=None,

@@ -10,7 +10,8 @@ from thinflow import coefficients as coefs
 def interpolate(space, fn):
     """Nodal interpolation of a callable onto the free dofs of space."""
     vals = np.asarray(fn(space.scalar_coords()), dtype=float)
-    return vals.reshape(space.n_scalar * space.ncomp)[space.free_vector]
+    vals = vals.reshape(space.n_scalar, space.ncomp)
+    return np.concatenate([vals[f, c] for c, f in enumerate(space.free)])
 
 
 def mesh_volume(mesh):

@@ -8,6 +8,7 @@ import pytest
 
 import thinflow
 
+from thinflow import coefficients as coefs
 from thinflow.assembly import (DiscreteField, FunctionSpace,
                                assemble_convection, assemble_diffusion,
                                assemble_divergence, assemble_flux_load,
@@ -104,13 +105,6 @@ def test_symmetry_check_survives_optimize():
     assert out.stdout.split() == ["raised", "False"]
 
 
-def test_diffusion_scaling_linearity():
-    Q = FunctionSpace(cell_mesh(), "pressure")
-    K1 = assemble_diffusion(Q, scaling=1.0)
-    K3 = assemble_diffusion(Q, scaling=3.0)
-    assert np.allclose(3 * K1.toarray(), K3.toarray(), rtol=0, atol=1e-14)
-
-
 # -- mass --------------------------------------------------------------------
 
 def test_mass_partition_of_unity():
@@ -119,21 +113,6 @@ def test_mass_partition_of_unity():
         M = assemble_mass(Q)
         one = np.ones(Q.ndof)
         assert one @ (M @ one) == pytest.approx(mesh_volume(mesh), rel=1e-12)
-
-
-def test_mass_weight_doubles():
-    Q = FunctionSpace(cell_mesh(), "pressure")
-    M1 = assemble_mass(Q)
-    M2 = assemble_mass(Q, weight=2.0)
-    assert np.allclose(2 * M1.toarray(), M2.toarray(), rtol=0, atol=1e-14)
-
-
-def test_mass_oscillatory_weight():
-    mesh = cell_mesh(nx=32, nz=4)
-    Q = FunctionSpace(mesh, "pressure")
-    M = assemble_mass(Q, weight=lambda p: np.sin(2 * np.pi * p[:, 0]) ** 2)
-    one = np.ones(Q.ndof)
-    assert one @ (M @ one) == pytest.approx(0.5 * mesh_volume(mesh), abs=1e-10)
 
 
 # -- divergence --------------------------------------------------------------
@@ -217,7 +196,7 @@ def test_load_constant_partition():
     mesh = unit_square_mesh(3)
     V = FunctionSpace(mesh, "velocity")
     f = assemble_load(V, np.array([1.0, 0.0]))
-    comp0 = f.reshape(-1, 2)[:, 0]
+    comp0 = V.expand(f)[:, 0]
     assert comp0.sum() == pytest.approx(mesh_volume(mesh), rel=1e-12)
 
 
@@ -257,10 +236,51 @@ def test_superposition_linearity():
     rng = np.random.default_rng(3)
     w1 = lambda p: 2 + np.sin(2 * np.pi * p[:, 0])
     w2 = lambda p: 1 + 0.5 * p[:, 1] ** 2
-    Ka = assemble_mass(Q, weight=w1).toarray()
-    Kb = assemble_mass(Q, weight=w2).toarray()
-    Kab = assemble_mass(Q, weight=lambda p: w1(p) + w2(p)).toarray()
+    Ka = assemble_diffusion(Q, w1).toarray()
+    Kb = assemble_diffusion(Q, w2).toarray()
+    Kab = assemble_diffusion(Q, lambda p: w1(p) + w2(p)).toarray()
     assert np.abs(Ka + Kb - Kab).max() <= 1e-12 * np.abs(Kab).max()
+
+
+def test_component_blocks_of_thin_operator():
+    # free dofs are numbered component by component, so the DNS operator is
+    # block diagonal with d identical scalar blocks (the layout a
+    # component-block solver factors once)
+    eps = 0.25
+    mesh = build_thin_mesh(Geometry(3, (0.5, 0.75), eps), 2, 2)
+    V = FunctionSpace(mesh, "velocity")
+    amp = np.array([[0.5, 0.2, 0.1], [0.2, 0.3, 0.0], [0.1, 0.0, 0.4]])
+    field = coefs.periodic_field(3, 2 * np.eye(3),
+                                 [coefs.Wave((1, 0), "sin", amp)], 1.0, 3.0)
+    K = (assemble_diffusion(V, field.scaled(eps))
+         + 7.0 * assemble_mass(V)).tocsr()
+    bounds = np.cumsum([0] + [f.size for f in V.free])
+    blocks = [[K[bounds[r]:bounds[r + 1], bounds[c]:bounds[c + 1]]
+               for c in range(3)] for r in range(3)]
+    for r in range(3):
+        for c in range(3):
+            if r != c:
+                assert blocks[r][c].nnz == 0
+    first = blocks[0][0]
+    for b in (blocks[1][1], blocks[2][2]):
+        assert np.array_equal(b.indptr, first.indptr)
+        assert np.array_equal(b.indices, first.indices)
+        assert np.array_equal(b.data, first.data)
+
+
+def test_component_layout_with_normal_walls():
+    # regime-ii cells clamp only the wall-normal component
+    mesh = build_cell_mesh(Geometry(3, (1.0, 1.0), 0.125), 3, 2)
+    V = FunctionSpace(mesh, "velocity", wall_components=(2,))
+    sizes = [f.size for f in V.free]
+    assert sizes[0] == sizes[1] == V.n_scalar
+    assert sizes[2] < V.n_scalar
+    assert V.ndof == sum(sizes)
+    u = np.random.default_rng(11).standard_normal(V.ndof)
+    full = V.expand(u)
+    assert np.array_equal(interpolate(V, lambda p: full), u)
+    walled = np.setdiff1d(np.arange(V.n_scalar), V.free[2])
+    assert np.all(full[walled, 2] == 0.0)
 
 
 def test_interpolate_evaluate_roundtrip():
