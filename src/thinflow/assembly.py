@@ -16,18 +16,26 @@ assembled on the scalar lattice; the diffusion, mass and convection forms are
 block diagonal, and only the divergence couples the components.
 """
 
+import functools
 import itertools
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import AsymmetricOperatorError, SpaceMismatchError
+from .errors import (AsymmetricOperatorError, ComponentLayoutError,
+                     SpaceMismatchError)
 
 _SYM_CHECK_REL = 1e-13
 
 
+@functools.lru_cache(maxsize=None)
 def gauss_rule(n):
-    return np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre points and weights on [-1, 1], computed once per n
+    (every assembly asks for them per axis) and read-only."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def _shape1d(order, x):
@@ -266,6 +274,22 @@ def _vectorize(space, mat_scalar):
     """Block diagonal: per component, the scalar operator on its free nodes."""
     return sp.block_diag([mat_scalar[f][:, f] for f in space.free],
                          format="csr")
+
+
+def component_block(space, mat):
+    """The diagonal block that every component of a velocity operator shares.
+
+    mat is a block-diagonal operator on space (diffusion, mass or their
+    sum).  When all components have the same free nodes, as when every wall
+    is tagged for every component, mat is block_diag of ncomp copies of the
+    returned block by construction; otherwise ComponentLayoutError.
+    """
+    first = space.free[0]
+    if any(not np.array_equal(f, first) for f in space.free[1:]):
+        raise ComponentLayoutError(
+            "velocity components have different free dofs, so the "
+            "operator has no common component block")
+    return mat[:first.size, :first.size]
 
 
 def _check_symmetric(mat):

@@ -37,6 +37,10 @@ class SingularSystemError(ThinflowError):
     """Linear system is structurally singular (e.g. missing gauge)."""
 
 
+class ComponentLayoutError(ThinflowError):
+    """Velocity components do not share one block (their free dofs differ)."""
+
+
 class AsymmetricOperatorError(ThinflowError):
     """An assembled operator that must be symmetric is not."""
 

@@ -1,4 +1,4 @@
-"""Direct solution of the assembled saddle-point systems.
+"""Solution of the assembled saddle-point systems.
 
 The sign convention is
 
@@ -20,8 +20,20 @@ factorization of the same pinned matrix before the solver gives up.
 There is one direct path.  solve_sparse factors a system once and solves
 it, all loads at once when its rhs has one column per load, and
 solve_gauged_spd applies the same path to pure Neumann problems.
-SaddleSolver keeps the factorization, so that later velocity loads, such as
-the steps of a Picard loop, are solved without factoring again.
+SaddleSolver keeps the factorization, so that later velocity loads are
+solved without factoring again.
+
+BlockSaddleSolver is the block path, for systems whose velocity operator is
+d copies of one scalar block A_s (the thin-layer DNS, every wall tagged for
+every component).  It factors A_s alone, with the same SuperLU options, and
+solves each load by CG on the pinned pressure Schur complement with the
+Cahouet-Chabard preconditioner nu M_p^{-1} + sigma L_p^{-1} (pressure mass
+matrix and pinned Neumann Laplacian, each factored once).  Every solve
+refines the previous one, so the steps of a Picard loop start warm, and
+runs until the backward error is at roundoff.  Its result is checked
+against the same unpinned residual as the direct path; a solve that misses
+the tolerance moves that system to a SaddleSolver for good, and SolveCounts
+records the CG iterations and the fallbacks.
 """
 
 from dataclasses import dataclass, field, replace
@@ -31,9 +43,18 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ConvergenceFailureError, SingularSystemError
+from .errors import (ComponentLayoutError, ConvergenceFailureError,
+                     SingularSystemError)
 
 DEFAULT_TOL_DIRECT = 1e-10
+# the block path refines until the backward error is at most
+# _BACKWARD_GOAL, each CG solve reducing its residual by at most
+# _SWEEP_REDUCTION (well above the rounding floor of one correction, which
+# the next sweep starts below), with at most _SCHUR_MAX_ITERS CG
+# iterations per solve
+_BACKWARD_GOAL = float(np.finfo(float).eps)
+_SWEEP_REDUCTION = 1e-10
+_SCHUR_MAX_ITERS = 200
 
 
 @dataclass
@@ -68,10 +89,20 @@ class SaddleSystem:
 
 @dataclass
 class SolveCounts:
-    """Work of the saddle solves behind one computation."""
+    """Work of the saddle solves behind one computation.
+
+    factorizations counts the LU factorizations of velocity operators: of
+    the pinned saddle matrix on the direct path, of the scalar block on the
+    block path (the pressure matrices of its preconditioner are not
+    counted).  schur_iterations sums the CG iterations of the block path,
+    and direct_fallbacks counts the block solvers that missed their
+    tolerance and went over to the direct path.
+    """
 
     factorizations: int = 0
     pivoted_fallbacks: int = 0
+    schur_iterations: int = 0
+    direct_fallbacks: int = 0
 
 
 def residual(system, solution):
@@ -93,6 +124,11 @@ def residual(system, solution):
     num = np.sqrt(sum(np.sum(r * r, axis=0) for r in parts))
     den = np.sqrt(sum(np.sum(r * r, axis=0) for r in rhs_parts))
     return float(np.max(num / np.where(den > 0, den, 1.0)))
+
+
+def _ratio(num, den):
+    """num / den, with 0 / 0 = 0."""
+    return num / den if den > 0 else (0.0 if num == 0 else np.inf)
 
 
 def _check_tol(tol):
@@ -124,6 +160,14 @@ def _gauge_and_pin(gauge):
     return gauge, int(np.argmax(np.abs(gauge)))
 
 
+def _splu(mat, pivot=False):
+    """SuperLU under a minimum-degree ordering of A^T + A, without pivoting
+    unless asked for; RuntimeError if a pivot is exactly zero."""
+    options = {} if pivot else {"diag_pivot_thresh": 0.0}
+    return spla.splu(sp.csc_matrix(mat), permc_spec="MMD_AT_PLUS_A",
+                     **options)
+
+
 class _PinnedLU:
     """SuperLU of a pinned matrix: no pivoting first, partial pivoting as
     the fallback when a checked solve misses its tolerance."""
@@ -139,8 +183,7 @@ class _PinnedLU:
 
     def _factor(self, pivot):
         self.counts.factorizations += 1
-        options = {} if pivot else {"diag_pivot_thresh": 0.0}
-        return spla.splu(self.mat, permc_spec="MMD_AT_PLUS_A", **options)
+        return _splu(self.mat, pivot)
 
     def _fall_back(self):
         self.counts.pivoted_fallbacks += 1
@@ -232,6 +275,164 @@ class SaddleSolver:
         x = self._lu.solve(pinning.rhs(target),
                            lambda x: residual(target, pinning.unpin(x)), tol)
         return pinning.unpin(x)
+
+
+class BlockSaddleSolver:
+    """A saddle system whose velocity operator is I_d (x) A_s, solved
+    through its scalar block A_s.
+
+    block is A_s, the diagonal block that every velocity component shares;
+    system.K must be block_diag of d copies of it, the velocity dofs
+    numbered component by component.  A_s is factored once, so K^{-1} is
+    one triangular solve with a column per component.
+
+    A solve refines the solution of the previous solve (zero at first).
+    Each sweep computes the residual (R_u, R_p) of the pinned system and
+    adds the correction
+
+        B K^{-1} B^T dq = B K^{-1} R_u - R_p,   du = K^{-1} (R_u - B^T dq),
+
+    with dq from CG on the pressure Schur complement, preconditioned with
+    the Cahouet-Chabard operator nu M_p^{-1} + sigma L_p^{-1} of velocity
+    operators like -nu Laplacian + sigma mass: M_p is the pressure mass
+    matrix and L_p the Neumann Laplacian of the pressure space, both pinned
+    like the saddle system and factored once.  Sweeps end when the backward
+    error of both equations, |R_u| against |K| |u| + |B| |q| + |f| and
+    |R_p| against |B| |u| + |r| (Frobenius norms for the matrices), is at
+    most the machine epsilon, as for the direct LU, or stops falling.  On a
+    thin layer the pressure Schur complement is ill-conditioned, so a
+    looser goal would leave errors far above it in p.  Solving for
+    corrections puts the rounding of f - B^T q, which cancels almost
+    entirely when the forcing is nearly a gradient, into the velocity
+    equation rather than into B u: a hydrostatic velocity residue stays
+    discretely divergence free, as on the direct path.  A load that changes
+    little, as from one Picard step to the next, takes few iterations, and
+    an unchanged one none.  The pressure is p = -q, shifted to
+    gauge^T p = 0.
+
+    A solve returns only if its unpinned residual is at most tol, as on the
+    direct path.  Otherwise the solver counts a direct fallback and solves
+    this load and every later one with a SaddleSolver of the system.
+    Loads are single vectors.  The work done is added to counts.
+    """
+
+    def __init__(self, system, block, pressure_mass, pressure_laplacian,
+                 nu, sigma, counts=None):
+        self.counts = SolveCounts() if counts is None else counts
+        self._system = system
+        self._pinning = _Pinning(system)
+        self._target = self._pinning.target(system)
+        n_s = block.shape[0]
+        if system.n_u % n_s:
+            raise ComponentLayoutError(
+                f"{system.n_u} velocity dofs are no whole number of "
+                f"{n_s}-dof component blocks")
+        self._ncomp = system.n_u // n_s
+        keep = self._pinning.keep
+        self._K = sp.csr_matrix(system.K)
+        self._B = sp.csr_matrix(system.B)[keep]
+        self._BT = self._B.T.tocsr()
+        self._norms = (np.linalg.norm(self._K.data),
+                       np.linalg.norm(self._B.data))
+        self._weights = (nu, sigma)
+        self._u = np.zeros(system.n_u)
+        self._q = np.zeros(keep.size)
+        self._direct = None
+        try:
+            self.counts.factorizations += 1
+            self._lu = _splu(block)
+            self._pressure = [_splu(sp.csr_matrix(mat)[keep][:, keep])
+                              for mat in (pressure_mass, pressure_laplacian)]
+        except RuntimeError:
+            self._lu = None
+
+    def _velocity(self, load):
+        """K^{-1} load: one solve with A_s, a column per component."""
+        return self._lu.solve(load.reshape(self._ncomp, -1).T).T.ravel()
+
+    def _precondition(self, res):
+        (nu, sigma), (mass, laplacian) = self._weights, self._pressure
+        return nu * mass.solve(res) + sigma * laplacian.solve(res)
+
+    def _backward_error(self, u, q, f, r):
+        """Backward error of (u, q) in both equations, and the residual."""
+        norm_k, norm_b = self._norms
+        res_u = f - self._K @ u - self._BT @ q
+        res_p = r - self._B @ u
+        size_u, size_p = np.linalg.norm(u), np.linalg.norm(r)
+        error = max(_ratio(np.linalg.norm(res_u), norm_k * size_u + norm_b
+                           * np.linalg.norm(q) + np.linalg.norm(f)),
+                    _ratio(np.linalg.norm(res_p), norm_b * size_u + size_p))
+        return error, res_u, res_p
+
+    def _correction(self, u, res_u, res_p, r, budget):
+        """CG for the correction (du, dq) of u; returns it and the
+        iterations taken.  CG stops when the pressure residual it leaves
+        meets the backward-error goal, or is _SWEEP_REDUCTION of the first
+        one: the next sweep goes on from a fresh residual."""
+        norm_b, size_p = self._norms[1], np.linalg.norm(r)
+        dq = np.zeros(res_p.size)
+        du = self._velocity(res_u)
+        res = self._B @ du - res_p     # the pressure residual left, negated
+        floor = _SWEEP_REDUCTION * np.linalg.norm(res)
+        direction, rz = None, 1.0
+        for iterations in range(budget + 1):
+            goal = _BACKWARD_GOAL * (norm_b * np.linalg.norm(u + du) + size_p)
+            if np.linalg.norm(res) <= max(goal, floor) or iterations == budget:
+                break
+            z = self._precondition(res)
+            rz, rz_old = res @ z, rz
+            direction = z if direction is None \
+                else z + (rz / rz_old) * direction
+            w = self._velocity(self._BT @ direction)
+            s = self._B @ w
+            curvature = direction @ s
+            if not curvature > 0:      # breakdown, or not finite
+                break
+            alpha = rz / curvature
+            dq += alpha * direction
+            du -= alpha * w
+            res -= alpha * s
+        return du, dq, iterations
+
+    def _schur_solve(self, target, tol):
+        """(u, p) with residual <= tol, or None where CG cannot get there."""
+        f = np.asarray(target.rhs_u, dtype=float)
+        r = target.rhs_p[self._pinning.keep]
+        u, q = self._u.copy(), self._q.copy()
+        best, iterations = np.inf, 0
+        while iterations < _SCHUR_MAX_ITERS:
+            error, res_u, res_p = self._backward_error(u, q, f, r)
+            if not error < best or error <= _BACKWARD_GOAL:
+                break
+            best = error
+            du, dq, taken = self._correction(
+                u, res_u, res_p, r, _SCHUR_MAX_ITERS - iterations)
+            iterations += taken
+            u += du
+            q += dq
+        self.counts.schur_iterations += iterations
+        solution = self._pinning.unpin(np.concatenate([u, q]))
+        if not residual(target, solution) <= tol:
+            return None
+        self._u, self._q = u, q
+        return solution
+
+    def solve(self, tol=DEFAULT_TOL_DIRECT, rhs_u=None):
+        """(u, p) for the system's load or for rhs_u, residual <= tol."""
+        _check_tol(tol)
+        if np.ndim(self._target.rhs_u if rhs_u is None else rhs_u) != 1:
+            raise ValueError("the block path solves one load at a time")
+        if self._direct is None:
+            target = self._target if rhs_u is None \
+                else replace(self._target, rhs_u=rhs_u)
+            solution = self._schur_solve(target, tol) \
+                if self._lu is not None else None
+            if solution is not None:
+                return solution
+            self.counts.direct_fallbacks += 1
+            self._direct = SaddleSolver(self._system, self.counts)
+        return self._direct.solve(tol, rhs_u=rhs_u)
 
 
 def solve_sparse(system, tol=DEFAULT_TOL_DIRECT, counts=None):

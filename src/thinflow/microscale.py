@@ -6,12 +6,16 @@ the right-hand side,
     u_{k+1} = S^{-1} (f - N(u_k) u_k),
 
 started from the zero field, which selects a reproducible branch.  S is the
-Stokes-Brinkmann saddle operator, factored once per layer, and every step is
-a solve with that factorization at the solver tolerance.  The iteration
-stops when the relative velocity update falls below the fixed-point
-tolerance.  It converges where the map contracts, that is where the
-convection is small against S: ||S^{-1} N(u)|| < 1 near the fixed point
-(the small-data condition of the steady Navier-Stokes theory).  The thin
+Stokes-Brinkmann saddle operator, whose velocity block is d copies of one
+scalar block because every wall is tagged for every component.  Each layer
+solves with linalg.BlockSaddleSolver: the scalar block is factored once,
+and every step is a preconditioned CG solve on the pressure Schur
+complement that starts from the previous step's solution, checked at the
+solver tolerance (a layer whose solve misses it goes over to the pinned LU
+of S).  The iteration stops when the relative velocity update falls below
+the fixed-point tolerance.  It converges where the map contracts, that is
+where the convection is small against S: ||S^{-1} N(u)|| < 1 near the fixed
+point (the small-data condition of the steady Navier-Stokes theory).  The thin
 layer velocity is O(eps^2), so the shipped configurations lie far inside
 it.  Outside it the updates stop shrinking: an update that is not smaller
 than the one before ends the loop, as stagnation at the arithmetic floor
@@ -26,10 +30,10 @@ import numpy as np
 
 from .assembly import (DiscreteField, FunctionSpace, assemble_convection,
                        assemble_divergence, assemble_load, assemble_mass,
-                       assemble_diffusion, pressure_gauge)
+                       assemble_diffusion, component_block, pressure_gauge)
 from .errors import (InvalidParameterError, InvalidResolutionError,
                      PicardDivergenceError)
-from .linalg import SaddleSolver, SaddleSystem, SolveCounts
+from .linalg import BlockSaddleSolver, SaddleSystem, SolveCounts
 
 
 @dataclass
@@ -40,8 +44,9 @@ class MicroSolution:
     the fixed-point tolerance), "zero_branch" (the forcing is balanced by
     the pressure alone), "stalled" (updates stagnate at the arithmetic
     floor) or "linear" (no convection, one step is exact).  solver_counts
-    holds the factorizations and pivoted fallbacks of the loop's saddle
-    solves.
+    is the loop's linalg.SolveCounts: the scalar-block factorization, the
+    CG iterations of all steps, and the fallbacks to the direct path and
+    to pivoting, if any.
     """
 
     mesh: object
@@ -88,8 +93,9 @@ def solve_dlb(thin_mesh, field, params, K_eps, picard_tol=1e-10,
                 f"period {eps / kmax:.3g} with >= 4 elements")
     space_v = FunctionSpace(thin_mesh, "velocity")
     space_p = FunctionSpace(thin_mesh, "pressure")
+    sigma = params.mu / K_eps
     K = (assemble_diffusion(space_v, field.scaled(eps))
-         + (params.mu / K_eps) * assemble_mass(space_v)).tocsr()
+         + sigma * assemble_mass(space_v)).tocsr()
     B = assemble_divergence(space_v, space_p)
     gauge = pressure_gauge(space_p)
     load = assemble_load(space_v, params.forcing(thin_mesh.ndim - 1))
@@ -102,8 +108,17 @@ def solve_dlb(thin_mesh, field, params, K_eps, picard_tol=1e-10,
     update = 0.0
     stall_gate = np.sqrt(picard_tol)
     counts = SolveCounts()
-    solver = SaddleSolver(SaddleSystem(K=K, B=B, gauge=gauge, rhs_u=load),
-                          counts)
+    # preconditioner weights: the viscosity is the geometric mean of the
+    # coefficient's ellipticity bounds alpha <= A <= beta; the drag adds to
+    # sigma the Hele-Shaw friction 3 nu / eps^2 that the walls exert on the
+    # layer-averaged flow, without which the CG count grows like 1/eps
+    # where the drag is weak
+    nu = float(np.sqrt(field.alpha_ell * field.beta_ell))
+    solver = BlockSaddleSolver(
+        SaddleSystem(K=K, B=B, gauge=gauge, rhs_u=load),
+        component_block(space_v, K), assemble_mass(space_p),
+        assemble_diffusion(space_p), nu=nu, sigma=sigma + 3.0 * nu / eps ** 2,
+        counts=counts)
     for iterations in range(1, max_iters + 1):
         rhs = load - assemble_convection(space_v, u, factor) @ u \
             if factor != 0.0 and np.any(u) else load

@@ -1,13 +1,21 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+
+import thinflow
 
 from thinflow.assembly import (FunctionSpace, assemble_convection,
                                assemble_diffusion, assemble_divergence,
                                assemble_load, assemble_mass, pressure_gauge)
 from thinflow.errors import SingularSystemError
-from thinflow.linalg import (SaddleSolver, SaddleSystem, SolveCounts,
-                             residual, solve_gauged_spd, solve_sparse)
+from thinflow.linalg import (BlockSaddleSolver, SaddleSolver, SaddleSystem,
+                             SolveCounts, residual, solve_gauged_spd,
+                             solve_sparse)
 from thinflow.meshing import Geometry, build_cell_mesh
 
 from helpers import interpolate
@@ -124,17 +132,23 @@ def test_pinned_solve_matches_bordered_reference():
     assert np.abs(p - p_ref).max() <= 1e-10 * scale
 
 
+def near_zero_diagonal_block(n=6):
+    """A symmetric block whose diagonal is zero up to 1e-30."""
+    shift = sp.csr_matrix((np.ones(n), (np.arange(n), (np.arange(n) + 1) % n)))
+    K = (shift + shift.T + sp.diags(np.full(n, 1e-30))).tolil()
+    K[0, 2] = K[2, 0] = 0.5
+    return K.tocsr()
+
+
 def test_pivoted_fallback_meets_tolerance():
     # a velocity block whose diagonal is zero up to 1e-30: eliminating on
     # the diagonal multiplies by 1e30, beyond what one refinement step
     # repairs, so the solver must refactor with partial pivoting
     n = 6
-    shift = sp.csr_matrix((np.ones(n), (np.arange(n), (np.arange(n) + 1) % n)))
-    K = (shift + shift.T + sp.diags(np.full(n, 1e-30))).tolil()
-    K[0, 2] = K[2, 0] = 0.5
+    K = near_zero_diagonal_block(n)
     B = sp.csr_matrix(np.array([[1.0, -1.0, 0, 0, 0, 0],
                                 [-1.0, 1.0, 0, 0, 0, 0]]))
-    system = SaddleSystem(K=K.tocsr(), B=B, gauge=np.ones(2),
+    system = SaddleSystem(K=K, B=B, gauge=np.ones(2),
                           rhs_u=np.arange(1.0, n + 1))
     counts = SolveCounts()
     u, p = solve_sparse(system, tol=1e-10, counts=counts)
@@ -205,3 +219,64 @@ def test_solver_reuses_factorization_for_new_load():
     assert np.abs(u - u_ref).max() <= 1e-14 * scale
     assert np.abs(p - p_ref).max() <= 1e-14 * scale
     assert residual(fresh, (u, p)) <= 1e-10
+
+
+def test_block_solver_falls_back_to_direct_path():
+    # two components sharing the near-zero-diagonal block: its LU without
+    # pivoting cannot give a solution within tolerance, so the layer goes
+    # over to the pinned LU of the whole system, for good
+    block = near_zero_diagonal_block()
+    K = sp.block_diag([block, block], format="csr")
+    B = sp.csr_matrix(np.array([[1.0, -1.0, 0, 0, 0, 0, 0.5, 0, 0, 0, 0, 0],
+                                [-1.0, 1.0, 0, 0, 0, 0, -0.5, 0, 0, 0, 0, 0]]))
+    system = SaddleSystem(K=K, B=B, gauge=np.ones(2),
+                          rhs_u=np.arange(1.0, 13.0))
+    counts = SolveCounts()
+    solver = BlockSaddleSolver(system, block, sp.identity(2),
+                               sp.csr_matrix([[1.0, -1.0], [-1.0, 1.0]]),
+                               nu=1.0, sigma=1.0, counts=counts)
+    u, p = solver.solve(tol=1e-10)
+    assert residual(system, (u, p)) <= 1e-10
+    assert counts.direct_fallbacks == 1
+    load = system.rhs_u[::-1].copy()
+    u, p = solver.solve(tol=1e-10, rhs_u=load)
+    assert counts.direct_fallbacks == 1
+    assert residual(SaddleSystem(K=K, B=B, gauge=np.ones(2), rhs_u=load),
+                    (u, p)) <= 1e-10
+
+
+_LAYOUT_SCRIPT = textwrap.dedent("""
+    import numpy as np
+    import scipy.sparse as sp
+    from thinflow.assembly import FunctionSpace, assemble_mass, component_block
+    from thinflow.errors import ComponentLayoutError
+    from thinflow.linalg import BlockSaddleSolver, SaddleSystem
+    from thinflow.meshing import Geometry, build_cell_mesh
+
+    # a regime-ii cell clamps only the wall-normal component
+    mesh = build_cell_mesh(Geometry(3, (1.0, 1.0), 0.125), 2, 2)
+    V = FunctionSpace(mesh, "velocity", wall_components=(2,))
+    try:
+        component_block(V, assemble_mass(V))
+    except ComponentLayoutError:
+        print("raised", __debug__)
+    # a block that does not tile the velocity operator
+    system = SaddleSystem(K=sp.identity(5, format="csr"),
+                          B=sp.csr_matrix(np.ones((2, 5))), gauge=np.ones(2))
+    try:
+        BlockSaddleSolver(system, sp.identity(2, format="csr"),
+                          sp.identity(2), sp.identity(2), nu=1.0, sigma=1.0)
+    except ComponentLayoutError:
+        print("raised", __debug__)
+""")
+
+
+def test_layout_errors_survive_optimize():
+    # the block path must refuse an operator that is not d copies of one
+    # block even when python -O strips assert statements
+    src = os.path.dirname(os.path.dirname(os.path.abspath(thinflow.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", _LAYOUT_SCRIPT],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["raised", "False", "raised", "False"]

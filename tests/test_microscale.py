@@ -5,9 +5,11 @@ from thinflow import coefficients as coefs
 from thinflow.assembly import (DiscreteField, FunctionSpace,
                                assemble_convection, assemble_diffusion,
                                assemble_divergence, assemble_load,
-                               assemble_mass, pressure_gauge)
+                               assemble_mass, component_block,
+                               pressure_gauge)
 from thinflow.errors import InvalidResolutionError, PicardDivergenceError
-from thinflow.linalg import SaddleSystem, residual
+from thinflow.linalg import (BlockSaddleSolver, SaddleSystem, SolveCounts,
+                             residual, solve_sparse)
 from thinflow.meshing import Geometry, build_thin_mesh
 from thinflow.microscale import apriori_norms, solve_dlb
 
@@ -54,7 +56,9 @@ def test_stop_reason_zero_field():
     assert sol.stop_reason == "zero_branch"
     assert sol.picard_iterations == 1
     assert sol.solver_counts == {"factorizations": 1,
-                                 "pivoted_fallbacks": 0}
+                                 "pivoted_fallbacks": 0,
+                                 "schur_iterations": 0,
+                                 "direct_fallbacks": 0}
 
 
 def d3_forcing(xb):
@@ -95,7 +99,9 @@ def test_stop_reason_d3_flow():
     # one factorization serves every Picard step, and the converged
     # iterate solves the system with its own convection
     assert sol.solver_counts == {"factorizations": 1,
-                                 "pivoted_fallbacks": 0}
+                                 "pivoted_fallbacks": 0,
+                                 "schur_iterations": 59,
+                                 "direct_fallbacks": 0}
     assert nonlinear_residual(sol, field, params) <= 1e-9
     # without convection one step is exact
     stokes = solve_dlb(mesh, field, coefs.FluidParams(
@@ -258,3 +264,127 @@ def test_translation_by_full_period_invariant():
     sol_b = solve_dlb(mesh, translated(field, (1.0,)), params, K_eps=0.0625)
     scale = max(np.abs(sol_a.u).max(), 1e-30)
     assert np.abs(sol_a.u - sol_b.u).max() <= 1e-10 * max(scale, 1.0)
+
+
+# -- the block solver of the DNS ---------------------------------------------
+
+def dns_system(mesh, field, params, K_eps):
+    """The Stokes-Brinkmann system that solve_dlb solves, its velocity
+    space and a factory of block solvers for it (plain Cahouet-Chabard
+    weights: they change the iteration count, not the answer)."""
+    eps = float(mesh.axes[-1][-1])
+    V = FunctionSpace(mesh, "velocity")
+    Q = FunctionSpace(mesh, "pressure")
+    K = (assemble_diffusion(V, field.scaled(eps))
+         + (params.mu / K_eps) * assemble_mass(V)).tocsr()
+    system = SaddleSystem(
+        K=K, B=assemble_divergence(V, Q), gauge=pressure_gauge(Q),
+        rhs_u=assemble_load(V, params.forcing(mesh.ndim - 1)))
+
+    def block_solver(counts):
+        return BlockSaddleSolver(system, component_block(V, K),
+                                 assemble_mass(Q), assemble_diffusion(Q),
+                                 nu=1.0, sigma=params.mu / K_eps,
+                                 counts=counts)
+
+    return V, system, block_solver
+
+
+def assert_matches_pinned_lu(V, system, block_solver, params):
+    """Block and pinned-LU solutions agree to 1e-10 of each field's size,
+    for the load and for the Picard load f - N(u) u of the solution u."""
+    counts = SolveCounts()
+    solver = block_solver(counts)
+    u, p = solver.solve(tol=1e-10)
+    picard = system.rhs_u - assemble_convection(
+        V, u, params.rho / params.phi ** 2) @ u
+    for got, load in ((u, p), system.rhs_u), \
+            (solver.solve(tol=1e-10, rhs_u=picard), picard):
+        reference = SaddleSystem(K=system.K, B=system.B, gauge=system.gauge,
+                                 rhs_u=load)
+        for x, x_ref in zip(got, solve_sparse(reference, tol=1e-10)):
+            assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
+        assert residual(reference, got) <= 1e-10
+    assert counts.direct_fallbacks == 0 and counts.factorizations == 1
+    assert counts.schur_iterations > 0
+
+
+def test_block_solve_matches_pinned_lu_d3():
+    mesh = build_thin_mesh(Geometry(3, (0.5, 0.5), 0.125), 2, 2)
+    params = coefs.FluidParams(mu=1.0, rho=1.0, f1=d3_forcing)
+    V, system, block_solver = dns_system(mesh, coefs.constant_field(3),
+                                         params, K_eps=0.125 ** 2)
+    assert_matches_pinned_lu(V, system, block_solver, params)
+
+
+def test_block_solve_matches_pinned_lu_drag_dominated_d2():
+    # the velocity is a hydrostatic residue, so its agreement tests the
+    # solver's accuracy
+    field, mu, K_eps = regime_ii_layer(0.125)
+    params = coefs.FluidParams(mu=mu, f1=sine_forcing)
+    V, system, block_solver = dns_system(thin_mesh(eps=0.125), field, params,
+                                         K_eps)
+    assert_matches_pinned_lu(V, system, block_solver, params)
+
+
+def test_block_solve_warm_start_takes_no_iterations():
+    mesh = build_thin_mesh(Geometry(3, (0.5, 0.5), 0.125), 2, 2)
+    params = coefs.FluidParams(mu=1.0, f1=d3_forcing)
+    _, system, block_solver = dns_system(mesh, coefs.constant_field(3),
+                                         params, K_eps=0.125 ** 2)
+    counts = SolveCounts()
+    solver = block_solver(counts)
+    first = solver.solve(tol=1e-10)
+    cold = counts.schur_iterations
+    assert cold > 0
+    second = solver.solve(tol=1e-10, rhs_u=system.rhs_u.copy())
+    assert counts.schur_iterations == cold
+    for x, y in zip(first, second):
+        assert np.array_equal(x, y)
+
+
+def test_schur_iterations_flat_in_eps_d3():
+    # the homogenization_d3 layers at eps = 1/8 and 1/16, one cold solve
+    # each (no convection): the preconditioned CG count stays flat
+    params = coefs.FluidParams(mu=1.0, rho=0.0, f1=d3_forcing)
+    for eps in (0.125, 0.0625):
+        mesh = build_thin_mesh(Geometry(3, (0.5, 0.5), eps), 2, 2)
+        sol = solve_dlb(mesh, coefs.constant_field(3), params,
+                        K_eps=eps ** 2)
+        assert sol.picard_iterations == 1
+        assert sol.solver_counts["direct_fallbacks"] == 0
+        assert 0 < sol.solver_counts["schur_iterations"] <= 40
+
+
+def sine_forcing(xb):
+    return np.column_stack([np.sin(2 * np.pi * xb[:, 0])])
+
+
+def regime_ii_layer(eps):
+    """Drag-dominated: the regime_ii config's coefficient, K_eps = eps^3."""
+    field = coefs.periodic_field(
+        2, 2 * np.eye(2), [coefs.Wave((1,), "sin", np.eye(2))],
+        alpha_ell=1.0, beta_ell=3.0)
+    return field, 2.0, eps ** 3
+
+
+def regime_iii_layer(eps):
+    """Weak drag: the regime_iii config's coefficient, K_eps = eps."""
+    field = coefs.zeta_profile_field(2, np.eye(2), lambda z: 1 + z * z,
+                                     alpha_ell=1.0, beta_ell=2.0)
+    return field, 1.0, eps
+
+
+@pytest.mark.parametrize("layer", [regime_ii_layer, regime_iii_layer])
+def test_schur_iterations_flat_in_eps_d2(layer):
+    # one cold solve of a hydrostatic d = 2 layer resolves its velocity
+    # residue over some 26 decades (36 to 54 iterations); the drag weight
+    # of the preconditioner (sigma plus the walls' Hele-Shaw friction)
+    # keeps the count flat where sigma alone or no pressure Laplacian lets
+    # it grow with 1/eps
+    for eps in (0.125, 0.0625, 0.03125):
+        field, mu, K_eps = layer(eps)
+        params = coefs.FluidParams(mu=mu, rho=0.0, f1=sine_forcing)
+        sol = solve_dlb(thin_mesh(eps=eps), field, params, K_eps=K_eps)
+        assert sol.solver_counts["direct_fallbacks"] == 0
+        assert 0 < sol.solver_counts["schur_iterations"] <= 70
