@@ -12,8 +12,12 @@ each velocity component: (u, v) -> sum_c int (grad v_c)^T A (grad u_c).
 Free dofs are numbered component by component: the free lattice nodes of
 component 0, then those of component 1, and so on (FunctionSpace.free).  So
 every velocity operator is a block matrix with one block per component, each
-assembled on the scalar lattice; the diffusion, mass and convection forms are
-block diagonal, and only the divergence couples the components.
+assembled on the scalar lattice; the diffusion and mass forms are block
+diagonal, and only the divergence couples the components.
+
+Discrete fields are sampled at Gauss points by sum factorization (Orszag,
+J. Comput. Phys. 37, 1980), one sparse 1D interpolation matrix per axis; the
+norms, the integrals and the convective load all use that one sample.
 """
 
 import functools
@@ -148,53 +152,31 @@ class FunctionSpace:
         """Tensor basis values/gradients at Gauss points of one element.
 
         Valid for uniform meshes (all elements congruent).  Returns
-        (phi (nq, nloc), grad (nq, nloc, ndim), wq (nq,)).
+        (phi (nq, nloc), grad (nq, nloc, ndim), wq (nq,)), each the
+        Kronecker product of its 1D factors (last axis fastest).
         """
-        mesh = self.mesh
-        axis_vals, axis_ders, pts1, wts1 = [], [], [], []
-        for a in range(mesh.ndim):
-            gp, gw = gauss_rule(nquad)
-            vals, ders = _shape1d(self.order, gp)
-            h = mesh.spacings[a]
-            axis_vals.append(vals)
-            axis_ders.append(ders * (2.0 / h))
-            pts1.append(gp)
-            wts1.append(gw * (h / 2.0))
-        nq = nquad ** mesh.ndim
-        nloc = (self.order + 1) ** mesh.ndim
-        phi = np.ones((nq, nloc))
-        grad = np.ones((nq, nloc, mesh.ndim))
-        qgrid = np.meshgrid(*[np.arange(nquad)] * mesh.ndim, indexing="ij")
-        lgrid = np.meshgrid(*[np.arange(self.order + 1)] * mesh.ndim,
-                            indexing="ij")
-        qidx = [g.ravel() for g in qgrid]
-        lidx = [g.ravel() for g in lgrid]
-        for a in range(mesh.ndim):
-            va = axis_vals[a][qidx[a]][:, lidx[a]]
-            da = axis_ders[a][qidx[a]][:, lidx[a]]
-            phi *= va
-            for b in range(mesh.ndim):
-                grad[:, :, b] *= da if b == a else va
-        wq = np.ones(nq)
-        for a in range(mesh.ndim):
-            wq *= wts1[a][qidx[a]]
-        return phi, grad, wq
+        ndim, h = self.mesh.ndim, self.mesh.spacings
+        gp, gw = gauss_rule(nquad)
+        vals, ders = _shape1d(self.order, gp)
+
+        def tensor(factors):
+            return functools.reduce(np.kron, factors)
+
+        grad = np.stack([tensor([ders * (2.0 / h[a]) if a == b else vals
+                                 for a in range(ndim)])
+                         for b in range(ndim)], axis=-1)
+        return (tensor([vals] * ndim), grad,
+                tensor([gw * (h[a] / 2.0) for a in range(ndim)]))
 
     def quadrature_points(self, nquad):
         """Global Gauss points per element: (ne, nq, ndim)."""
-        mesh = self.mesh
-        per_axis = [coords.reshape(n, nquad) for (coords, _), n in
-                    zip(element_gauss_axes(mesh, nquad), mesh.n_elements)]
-        qgrid = np.meshgrid(*[np.arange(nquad)] * mesh.ndim, indexing="ij")
-        qidx = [g.ravel() for g in qgrid]
-        egrid = np.meshgrid(*[np.arange(n) for n in mesh.n_elements],
-                            indexing="ij")
-        eidx = [g.ravel() for g in egrid]
-        ne, nq = len(eidx[0]), len(qidx[0])
-        pts = np.empty((ne, nq, mesh.ndim))
-        for a in range(mesh.ndim):
-            pts[:, :, a] = per_axis[a][np.ix_(eidx[a], qidx[a])]
-        return pts
+        mesh, d = self.mesh, self.mesh.ndim
+        pts = grid_points([x for x, _ in element_gauss_axes(mesh, nquad)])
+        # grid order (e_0, q_0, e_1, q_1, ...) -> (e_0, e_1, ..., q_0, ...)
+        split = [n for ne in mesh.n_elements for n in (ne, nquad)]
+        return pts.reshape(split + [d]).transpose(
+            [*range(0, 2 * d, 2), *range(1, 2 * d, 2), 2 * d]).reshape(
+            -1, nquad ** d, d)
 
 
 def element_gauss_axes(mesh, nquad):
@@ -202,7 +184,7 @@ def element_gauss_axes(mesh, nquad):
 
     Each axis carries nquad points in every element, element by element.
     The tensor product of the axes holds the points and weights of
-    quadrature_points / DiscreteField.quadrature_sample in grid order.
+    quadrature_points in grid order; DiscreteField.gauss_grid samples there.
     """
     gp, gw = gauss_rule(nquad)
     rules = []
@@ -235,6 +217,30 @@ def _axis_basis(space, a, x, deriv=False):
     if mesh.periodic[a]:
         nodes = np.mod(nodes, space.lattice_sizes[a])
     return nodes, (ders * (2.0 / h) if deriv else vals)
+
+
+def _interpolation(space, a, x, deriv=False):
+    """Sparse 1D interpolation matrix (len(x), lattice size) along axis a:
+    order + 1 entries per row, periodic wrap included."""
+    nodes, weights = _axis_basis(space, a, x, deriv=deriv)
+    rows = np.repeat(np.arange(nodes.shape[0]), space.order + 1)
+    return sp.csr_matrix((weights.ravel(), (rows, nodes.ravel())),
+                         shape=(nodes.shape[0], space.lattice_sizes[a]))
+
+
+def _per_axis(arr, mats):
+    """Apply mats[a] along axis a of arr, for every matrix in mats."""
+    for a, mat in enumerate(mats):
+        moved = np.moveaxis(arr, a, 0)
+        arr = np.moveaxis((mat @ moved.reshape(moved.shape[0], -1))
+                          .reshape((mat.shape[0],) + moved.shape[1:]), 0, a)
+    return arr
+
+
+def grid_points(coords):
+    """Points (N, d) of the tensor grid of per-axis coordinates, grid order."""
+    grids = np.meshgrid(*coords, indexing="ij")
+    return np.column_stack([g.ravel() for g in grids])
 
 
 def _eval_callable(fn, pts, ncomp):
@@ -362,16 +368,19 @@ def assemble_divergence(space_v, space_p, nquad=3):
 
 
 def assemble_convection(space_v, u_coeffs, factor=1.0, nquad=3):
-    """Oseen matrix of (u, v) -> factor * int (u_current . grad u) . v."""
-    field = DiscreteField(space_v, u_coeffs)
-    phi, grad, wq = space_v.reference_data(nquad)
-    full = field.full_values()                        # (n_scalar, ncomp)
-    uloc = full[space_v._dofmap]                      # (ne, nloc, ncomp)
-    uq = np.einsum("qi,eic->eqc", phi, uloc)          # (ne, nq, ncomp)
-    adv = np.einsum("eqa,qja->eqj", uq, grad)         # u . grad phi_j
-    locals_ = np.einsum("q,qi,eqj->eij", wq, phi, adv)
-    mat = _vectorize(space_v, _scatter(space_v, locals_))
-    return (mat * factor).tocsr() if factor != 1.0 else mat
+    """Picard load N(u) u: int factor (u . grad u) . v for every free v.
+
+    The integrand is formed on the Gauss grid of DiscreteField.gauss_grid
+    and carried back to the lattice by the transposed per-axis matrices.
+    """
+    coords, w, u, grads = DiscreteField(space_v, u_coeffs).gauss_grid(
+        nquad, gradients=True)
+    integrand = np.einsum("...a,...ca->...c", u, grads) \
+        * (factor * w)[..., None]
+    full = _per_axis(integrand, [_interpolation(space_v, a, x).T
+                                 for a, x in enumerate(coords)])
+    full = full.reshape(space_v.n_scalar, space_v.ncomp)
+    return np.concatenate([full[f, c] for c, f in enumerate(space_v.free)])
 
 
 def assemble_load(space, f_eval, nquad=3):
@@ -444,19 +453,28 @@ class DiscreteField:
         axis to the lattice array of coefficients.
         """
         space = self.space
-        out = self.full_values().reshape(space.lattice_shape
-                                         + (space.ncomp,))
-        for a, x in enumerate(coords):
-            nodes, weights = _axis_basis(space, a, x, deriv=deriv_axis == a)
-            m = nodes.shape[0]
-            rows = np.repeat(np.arange(m), space.order + 1)
-            interp = sp.csr_matrix(
-                (weights.ravel(), (rows, nodes.ravel())),
-                shape=(m, space.lattice_sizes[a]))
-            moved = np.moveaxis(out, a, 0)
-            out = np.moveaxis((interp @ moved.reshape(moved.shape[0], -1))
-                              .reshape((m,) + moved.shape[1:]), 0, a)
-        return out
+        return _per_axis(
+            self.full_values().reshape(space.lattice_shape + (space.ncomp,)),
+            [_interpolation(space, a, x, deriv=deriv_axis == a)
+             for a, x in enumerate(coords)])
+
+    def gauss_grid(self, nquad, gradients=False):
+        """Element-aligned Gauss sample on the tensor grid.
+
+        Returns (coords, w, vals[, grads]): the per-axis points of
+        element_gauss_axes, the tensor weights (m_0, ..., m_{d-1}), the
+        field there (m_0, ..., m_{d-1}, ncomp) and, when gradients is set,
+        its gradient (m_0, ..., m_{d-1}, ncomp, ndim).
+        """
+        rules = element_gauss_axes(self.space.mesh, nquad)
+        coords = [x for x, _ in rules]
+        w = functools.reduce(np.multiply.outer, [wt for _, wt in rules])
+        vals = self.evaluate_grid(coords)
+        if not gradients:
+            return coords, w, vals
+        return coords, w, vals, np.stack(
+            [self.evaluate_grid(coords, deriv_axis=a)
+             for a in range(len(coords))], axis=-1)
 
     def evaluate(self, pts):
         """Field values at arbitrary points: (N, ncomp) or (N,) if scalar."""
@@ -472,42 +490,25 @@ class DiscreteField:
             out[:, :, a] = self._tensor_eval(pts, deriv_axis=a)
         return out
 
-    def quadrature_sample(self, nquad=3, gradients=False):
-        """Element-aligned Gauss sample: points, weights, values[, grads]."""
-        space = self.space
-        phi, grad, wq = space.reference_data(nquad)
-        pts = space.quadrature_points(nquad)
-        ne, nq = pts.shape[0], pts.shape[1]
-        full = self.full_values()
-        uloc = full[space._dofmap]                    # (ne, nloc, ncomp)
-        vals = np.einsum("qi,eic->eqc", phi, uloc)
-        weights = np.tile(wq, ne)
-        flat_pts = pts.reshape(-1, space.mesh.ndim)
-        flat_vals = vals.reshape(-1, space.ncomp)
-        if not gradients:
-            return flat_pts, weights, flat_vals
-        gvals = np.einsum("qia,eic->eqca", grad, uloc)
-        return flat_pts, weights, flat_vals, gvals.reshape(
-            -1, space.ncomp, space.mesh.ndim)
-
     def lp_norm(self, p=2, nquad=4):
-        _, w, vals = self.quadrature_sample(nquad)
-        mag = np.sqrt(np.sum(vals * vals, axis=1))
+        _, w, vals = self.gauss_grid(nquad)
+        mag = np.sqrt(np.sum(vals * vals, axis=-1))
         return float(np.sum(w * mag ** p) ** (1.0 / p))
 
     def grad_l2_norm(self, nquad=3):
-        _, w, _, grads = self.quadrature_sample(nquad, gradients=True)
-        return float(np.sqrt(np.sum(w * np.sum(grads * grads, axis=(1, 2)))))
+        _, w, _, grads = self.gauss_grid(nquad, gradients=True)
+        return float(np.sqrt(np.sum(w * np.sum(grads * grads,
+                                               axis=(-2, -1)))))
 
     def integrate(self, nquad=3):
         """Componentwise integral over the mesh."""
-        _, w, vals = self.quadrature_sample(nquad)
-        out = vals.T @ w
+        _, w, vals = self.gauss_grid(nquad)
+        out = np.tensordot(w, vals, axes=w.ndim)
         return float(out[0]) if self.space.ncomp == 1 else out
 
     def integrate_scaled(self, scalar_fn, nquad=4):
         """Componentwise integral int u_c s(x) dx for a scalar weight s."""
-        pts, w, vals = self.quadrature_sample(nquad)
-        sv = _eval_callable(scalar_fn, pts, 1)
-        out = vals.T @ (w * sv)
+        coords, w, vals = self.gauss_grid(nquad)
+        sv = _eval_callable(scalar_fn, grid_points(coords), 1)
+        out = np.tensordot(w * sv.reshape(w.shape), vals, axes=w.ndim)
         return float(out[0]) if self.space.ncomp == 1 else out

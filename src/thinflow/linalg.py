@@ -375,9 +375,10 @@ class BlockSaddleSolver:
         du = self._velocity(res_u)
         res = self._B @ du - res_p     # the pressure residual left, negated
         floor = _SWEEP_REDUCTION * np.linalg.norm(res)
-        direction, rz = None, 1.0
+        direction, rz, new_u = None, 1.0, np.empty_like(u)
         for iterations in range(budget + 1):
-            goal = _BACKWARD_GOAL * (norm_b * np.linalg.norm(u + du) + size_p)
+            np.add(u, du, out=new_u)
+            goal = _BACKWARD_GOAL * (norm_b * np.linalg.norm(new_u) + size_p)
             if np.linalg.norm(res) <= max(goal, floor) or iterations == budget:
                 break
             z = self._precondition(res)

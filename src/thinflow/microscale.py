@@ -5,23 +5,25 @@ the right-hand side,
 
     u_{k+1} = S^{-1} (f - N(u_k) u_k),
 
-started from the zero field, which selects a reproducible branch.  S is the
-Stokes-Brinkmann saddle operator, whose velocity block is d copies of one
-scalar block because every wall is tagged for every component.  Each layer
-solves with linalg.BlockSaddleSolver: the scalar block is factored once,
-and every step is a preconditioned CG solve on the pressure Schur
-complement that starts from the previous step's solution, checked at the
-solver tolerance (a layer whose solve misses it goes over to the pinned LU
-of S).  The iteration stops when the relative velocity update falls below
-the fixed-point tolerance.  It converges where the map contracts, that is
-where the convection is small against S: ||S^{-1} N(u)|| < 1 near the fixed
-point (the small-data condition of the steady Navier-Stokes theory).  The thin
+started from the zero field, which selects a reproducible branch.  The
+convective load N(u_k) u_k is assembled as a vector (assemble_convection);
+the operator N itself is never formed.  S is the Stokes-Brinkmann saddle
+operator, whose velocity block is d copies of one scalar block because
+every wall is tagged for every component.  Each layer solves with
+linalg.BlockSaddleSolver: the scalar block is factored once, and every step
+is a preconditioned CG solve on the pressure Schur complement that starts
+from the previous step's solution, checked at the solver tolerance (a layer
+whose solve misses it goes over to the pinned LU of S).  The iteration
+stops when the relative velocity update falls below the fixed-point
+tolerance.  It converges where the map contracts, that is where the
+convection is small against S: ||S^{-1} N(u)|| < 1 near the fixed point
+(the small-data condition of the steady Navier-Stokes theory).  The thin
 layer velocity is O(eps^2), so the shipped configurations lie far inside
 it.  Outside it the updates stop shrinking: an update that is not smaller
 than the one before ends the loop, as stagnation at the arithmetic floor
-when it is at most sqrt(picard_tol), otherwise with a PicardDivergenceError.
-The oscillating coefficient is evaluated pointwise at quadrature nodes, so
-the mesh must resolve its period geometrically.
+when it is at most sqrt(picard_tol), otherwise with a
+PicardDivergenceError.  The oscillating coefficient is evaluated pointwise
+at quadrature nodes, so the mesh must resolve its period geometrically.
 """
 
 from dataclasses import asdict, dataclass, field as dfield
@@ -120,7 +122,7 @@ def solve_dlb(thin_mesh, field, params, K_eps, picard_tol=1e-10,
         assemble_diffusion(space_p), nu=nu, sigma=sigma + 3.0 * nu / eps ** 2,
         counts=counts)
     for iterations in range(1, max_iters + 1):
-        rhs = load - assemble_convection(space_v, u, factor) @ u \
+        rhs = load - assemble_convection(space_v, u, factor) \
             if factor != 0.0 and np.any(u) else load
         u_new, p = solver.solve(tol, rhs_u=rhs)
         diff = float(np.linalg.norm(u_new - u))

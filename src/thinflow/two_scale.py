@@ -14,12 +14,13 @@ of a separated two-scale limit and the vertical average of the fluctuation
 ratio.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .assembly import DiscreteField, element_gauss_axes
+from .assembly import DiscreteField, gauss_rule, grid_points
 from .coefficients import ScalarField, mean_value
 from .errors import InvalidDataError, InvalidParameterError, SpaceMismatchError
 
@@ -90,7 +91,7 @@ class OscillatingTestFunction:
 
 
 def _panel_rule(a, b, panels, nq):
-    gp, gw = np.polynomial.legendre.leggauss(nq)
+    gp, gw = gauss_rule(nq)
     edges = np.linspace(a, b, panels + 1)
     h = edges[1] - edges[0]
     pts = (edges[:-1, None] + (gp[None, :] + 1) * h / 2).ravel()
@@ -98,18 +99,9 @@ def _panel_rule(a, b, panels, nq):
     return pts, wts
 
 
-def _grid_points(axes):
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([g.ravel() for g in grids])
-
-
 def _tensor_rule(rules):
-    pts = _grid_points([r[0] for r in rules])
-    wgrids = np.meshgrid(*[r[1] for r in rules], indexing="ij")
-    w = np.ones(pts.shape[0])
-    for g in wgrids:
-        w = w * g.ravel()
-    return pts, w
+    return (grid_points([r[0] for r in rules]),
+            functools.reduce(np.multiply.outer, [r[1] for r in rules]).ravel())
 
 
 def _layer_rules(geometry, eps, panels_per_period, nq, vertical_panels=4):
@@ -137,17 +129,17 @@ def _field_sample(u_eps, eps, geometry, panels_per_period, nq):
     its own elements, a callable with the composite layer rule.
     """
     if isinstance(u_eps, DiscreteField):
-        rules = element_gauss_axes(u_eps.space.mesh, nq)
-        pts, w = _tensor_rule(rules)
-        vals = u_eps.evaluate_grid([r[0] for r in rules])
+        coords, w, vals = u_eps.gauss_grid(nq)
+        pts, w = grid_points(coords), w.ravel()
     else:
         if geometry is None:
             raise InvalidParameterError(
                 "geometry required for closed-form fields")
         rules = _layer_rules(geometry, eps, panels_per_period, nq)
+        coords = [r[0] for r in rules]
         pts, w = _tensor_rule(rules)
         vals = np.asarray(u_eps(pts), dtype=float)
-    return [r[0] for r in rules], pts, w, vals.reshape(pts.shape[0], -1)
+    return coords, pts, w, vals.reshape(pts.shape[0], -1)
 
 
 def two_scale_pairing(u_eps, f, eps, geometry=None, panels_per_period=4, nq=5):
@@ -224,7 +216,7 @@ def _limit_sample(u0, coords, pts, eps):
         u0v = np.asarray(u0.evaluate(pts[:, :d1], pts / eps), dtype=float)
         return u0v.reshape(pts.shape[0], -1)
     driving, cell_fields = factors()
-    g = np.atleast_2d(driving(_grid_points(coords[:d1])))
+    g = np.atleast_2d(driving(grid_points(coords[:d1])))
     bcast = tuple(c.size for c in coords[:d1]) + (1, 1)
     y_axes = [c / eps for c in coords]
     out = 0.0
@@ -248,7 +240,7 @@ def two_scale_distance(u_eps, u0, eps, geometry=None, p=2,
 
 def _vertical_average_rule(eps, nq):
     """Heights and weights of the Gauss average over (-eps, eps)."""
-    gp, gw = np.polynomial.legendre.leggauss(nq)
+    gp, gw = gauss_rule(nq)
     return gp * eps, gw / 2.0          # average, not integral
 
 
@@ -286,18 +278,15 @@ def poincare_wirtinger_ratio(u_eps, eps, geometry=None, p=2, grad=None,
     the extra eps^{-1/p} of the one-sided normalization.
     """
     if isinstance(u_eps, DiscreteField):
-        rules = element_gauss_axes(u_eps.space.mesh, max(nq, 4))
-        coords = [r[0] for r in rules]
-        _, w = _tensor_rule(rules)
-        vals = u_eps.evaluate_grid(coords)
-        gsq = sum(np.sum(u_eps.evaluate_grid(coords, deriv_axis=a) ** 2,
-                         axis=-1) for a in range(len(coords)))
-        gmag = np.sqrt(gsq).ravel()
+        coords, w, vals, grads = u_eps.gauss_grid(max(nq, 4),
+                                                  gradients=True)
+        gmag = np.sqrt(np.sum(grads * grads, axis=(-2, -1))).ravel()
         # the points and weights of thin_average, at every horizontal node
         zq, wq = _vertical_average_rule(eps, max(nq, 6))
         means = np.tensordot(u_eps.evaluate_grid(coords[:-1] + [zq]), wq,
                              axes=([-2], [0]))[..., None, :]
         diff = (vals - means).reshape(w.size, -1)
+        w = w.ravel()
     else:
         if geometry is None or grad is None:
             raise InvalidParameterError(

@@ -1,10 +1,14 @@
-"""Helpers shared by several test modules; the library itself needs none."""
+"""Helpers shared by several test modules; the library itself needs none.
+
+quadrature_sample and oseen_matrix are element-by-element references that
+the tests compare the library's sum-factorized forms against."""
 
 import math
 
 import numpy as np
 
 from thinflow import coefficients as coefs
+from thinflow.assembly import DiscreteField, _scatter, _vectorize
 
 
 def interpolate(space, fn):
@@ -45,3 +49,39 @@ def translated(field, shift):
     return coefs.CoefficientField(field.d, field.klass, field.base_matrix,
                                   field.zeta_profile, waves, gaussians,
                                   field.alpha_ell, field.beta_ell)
+
+
+def quadrature_sample(field, nquad=3, gradients=False):
+    """Element-aligned Gauss sample of a DiscreteField, element by element:
+    points, weights, values[, grads].  The dofmap-gather reference for the
+    library's tensor-grid sample (DiscreteField.gauss_grid)."""
+    space = field.space
+    phi, grad, wq = space.reference_data(nquad)
+    pts = space.quadrature_points(nquad)
+    ne, nq = pts.shape[0], pts.shape[1]
+    full = field.full_values()
+    uloc = full[space._dofmap]                    # (ne, nloc, ncomp)
+    vals = np.einsum("qi,eic->eqc", phi, uloc)
+    weights = np.tile(wq, ne)
+    flat_pts = pts.reshape(-1, space.mesh.ndim)
+    flat_vals = vals.reshape(-1, space.ncomp)
+    if not gradients:
+        return flat_pts, weights, flat_vals
+    gvals = np.einsum("qia,eic->eqca", grad, uloc)
+    return flat_pts, weights, flat_vals, gvals.reshape(
+        -1, space.ncomp, space.mesh.ndim)
+
+
+def oseen_matrix(space_v, u_coeffs, factor=1.0, nquad=3):
+    """Oseen matrix of (u, v) -> factor * int (u_current . grad u) . v; the
+    library assembles only its product with u_current (assemble_convection).
+    """
+    field = DiscreteField(space_v, u_coeffs)
+    phi, grad, wq = space_v.reference_data(nquad)
+    full = field.full_values()                        # (n_scalar, ncomp)
+    uloc = full[space_v._dofmap]                      # (ne, nloc, ncomp)
+    uq = np.einsum("qi,eic->eqc", phi, uloc)          # (ne, nq, ncomp)
+    adv = np.einsum("eqa,qja->eqj", uq, grad)         # u . grad phi_j
+    locals_ = np.einsum("q,qi,eqj->eij", wq, phi, adv)
+    mat = _vectorize(space_v, _scatter(space_v, locals_))
+    return (mat * factor).tocsr() if factor != 1.0 else mat

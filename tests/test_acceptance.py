@@ -24,6 +24,8 @@ from thinflow.two_scale import (OscillatingTestFunction,
                                 poincare_wirtinger_ratio, two_scale_pairing)
 from thinflow.upscaling import effective_matrix
 
+from helpers import quadrature_sample
+
 GEOM2 = Geometry(2, (1.0,), 0.125)
 IDENT2 = coefs.constant_field(2)
 SOLVER_TOL = 1e-10
@@ -67,7 +69,7 @@ def run_dns_sweep(field, regime_alpha):
 
 def forcing_l2(sol):
     """||(f1, 0)||_{L2} over the layer of a DNS solution."""
-    pts, w, _ = sol.pressure_field().quadrature_sample(nquad=4)
+    pts, w, _ = quadrature_sample(sol.pressure_field(), nquad=4)
     return float(np.sqrt(np.sum(w * sine_forcing(pts[:, :-1])[:, 0] ** 2)))
 
 
@@ -444,7 +446,7 @@ def test_criterion_10_macro_manufactured():
     for n in (8, 16, 32):
         sol = solve_macro(Ahat, f1, build_macro_mesh(geom3, n), "i",
                           tol=SOLVER_TOL)
-        pts, w, vals = sol.p0_field().quadrature_sample(nquad=4)
+        pts, w, vals = quadrature_sample(sol.p0_field(), nquad=4)
         errs.append(float(np.sqrt(np.sum(w * (vals[:, 0]
                                               - p_star(pts)) ** 2))))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))

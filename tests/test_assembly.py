@@ -18,7 +18,7 @@ from thinflow.errors import AsymmetricOperatorError, SpaceMismatchError
 from thinflow.meshing import Geometry, build_cell_mesh, build_macro_mesh, \
     build_thin_mesh
 
-from helpers import interpolate, mesh_volume
+from helpers import interpolate, mesh_volume, oseen_matrix, quadrature_sample
 
 
 def unit_square_mesh(n):
@@ -160,12 +160,22 @@ def test_divergence_space_mismatch():
 def test_convection_zero_cases():
     mesh = cell_mesh()
     V = FunctionSpace(mesh, "velocity")
-    N0 = assemble_convection(V, np.zeros(V.ndof))
-    assert N0.nnz == 0 or np.abs(N0.data).max() == 0.0
     u = interpolate(V, lambda p: np.column_stack(
         [np.sin(np.pi * p[:, 1]), np.zeros(p.shape[0])]))
-    Nf = assemble_convection(V, u, factor=0.0)
-    assert Nf.nnz == 0 or np.abs(Nf.data).max() == 0.0
+    for load in (assemble_convection(V, np.zeros(V.ndof)),
+                 assemble_convection(V, u, factor=0.0)):
+        assert load.shape == (V.ndof,) and np.all(load == 0.0)
+
+
+@pytest.mark.parametrize("nquad", [3, 4])
+@pytest.mark.parametrize("mesh_name", ["cell_d2", "cell_d3", "thin_d3"])
+def test_convection_load_is_oseen_matrix_times_field(mesh_name, nquad):
+    # periodic wrap and walls, d = 2 and 3: the vector is N(u) u
+    field = random_field(GRID_MESHES[mesh_name](), "velocity")
+    V, u = field.space, field.coeffs
+    want = oseen_matrix(V, u, 0.7, nquad) @ u
+    got = assemble_convection(V, u, 0.7, nquad)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_convection_skew_symmetry_probes():
@@ -175,7 +185,7 @@ def test_convection_skew_symmetry_probes():
     adv = interpolate(V, lambda p: np.column_stack(
         [np.cos(np.pi * p[:, 1] / 2) ** 2 * np.sin(2 * np.pi * p[:, 0]) * 0
          + (1 - p[:, 1] ** 2), np.zeros(p.shape[0])]))
-    N = assemble_convection(V, adv, nquad=4)
+    N = oseen_matrix(V, adv, nquad=4)
     rng = np.random.default_rng(7)
     for _ in range(5):
         v = rng.standard_normal(V.ndof)
@@ -368,31 +378,38 @@ def test_evaluate_grid_matches_pointwise(mesh_name, kind):
 
 @pytest.mark.parametrize("mesh_name", sorted(GRID_MESHES))
 def test_element_gauss_axes_reorder_to_quadrature_sample(mesh_name):
+    # every rule apriori_norms uses, values and gradients, both spaces
     mesh = GRID_MESHES[mesh_name]()
-    field = random_field(mesh, "velocity")
-    nquad = 3
-    rules = element_gauss_axes(mesh, nquad)
-    coords = [r[0] for r in rules]
-    grid_pts = np.stack(np.meshgrid(*coords, indexing="ij"), axis=-1)
-    grid_w = np.prod(np.stack(np.meshgrid(*[r[1] for r in rules],
-                                          indexing="ij")), axis=0)
-    grid_vals = field.evaluate_grid(coords)
+    ndim = mesh.ndim
+    for kind in ("velocity", "pressure"):
+        field = random_field(mesh, kind)
+        for nquad in (3, 5):
+            rules = element_gauss_axes(mesh, nquad)
+            coords, grid_w, grid_vals, grid_grads = field.gauss_grid(
+                nquad, gradients=True)
+            assert all(np.array_equal(c, r[0]) for c, r in zip(coords, rules))
+            grid_pts = np.stack(np.meshgrid(*coords, indexing="ij"), axis=-1)
 
-    # grid order (e_0, q_0, e_1, q_1, ...) -> (e_0, e_1, ..., q_0, q_1, ...)
-    split = [n for ne in mesh.n_elements for n in (ne, nquad)]
-    order = list(range(0, 2 * mesh.ndim, 2)) + list(range(1, 2 * mesh.ndim, 2))
+            # grid order (e_0, q_0, e_1, q_1, ...)
+            #   -> (e_0, e_1, ..., q_0, q_1, ...)
+            split = [n for ne in mesh.n_elements for n in (ne, nquad)]
+            order = list(range(0, 2 * ndim, 2)) + list(range(1, 2 * ndim, 2))
 
-    def element_major(arr):
-        tail = arr.shape[mesh.ndim:]
-        return arr.reshape(split + list(tail)).transpose(
-            order + [2 * mesh.ndim + i for i in range(len(tail))]
-        ).reshape((-1,) + tail)
+            def element_major(arr):
+                tail = arr.shape[ndim:]
+                return arr.reshape(split + list(tail)).transpose(
+                    order + [2 * ndim + i for i in range(len(tail))]
+                ).reshape((-1,) + tail)
 
-    pts, w, vals = field.quadrature_sample(nquad)
-    assert np.abs(element_major(grid_pts) - pts).max() <= 1e-15
-    assert np.abs(element_major(grid_w) - w).max() <= 1e-15 * w.max()
-    assert np.abs(element_major(grid_vals) - vals).max() \
-        <= 1e-13 * np.abs(vals).max()
+            pts, w, vals, grads = quadrature_sample(field, nquad,
+                                                    gradients=True)
+            assert np.abs(element_major(grid_pts) - pts).max() <= 1e-15
+            assert np.abs(element_major(grid_w) - w).max() \
+                <= 1e-15 * w.max()
+            assert np.abs(element_major(grid_vals) - vals).max() \
+                <= 1e-13 * np.abs(vals).max()
+            assert np.abs(element_major(grid_grads) - grads).max() \
+                <= 1e-13 * np.abs(grads).max()
 
 
 def test_pressure_gauge_is_volume():

@@ -9,16 +9,16 @@ import scipy.sparse as sp
 
 import thinflow
 
-from thinflow.assembly import (FunctionSpace, assemble_convection,
-                               assemble_diffusion, assemble_divergence,
-                               assemble_load, assemble_mass, pressure_gauge)
+from thinflow.assembly import (FunctionSpace, assemble_diffusion,
+                               assemble_divergence, assemble_load,
+                               assemble_mass, pressure_gauge)
 from thinflow.errors import SingularSystemError
 from thinflow.linalg import (BlockSaddleSolver, SaddleSolver, SaddleSystem,
                              SolveCounts, residual, solve_gauged_spd,
                              solve_sparse)
 from thinflow.meshing import Geometry, build_cell_mesh
 
-from helpers import interpolate
+from helpers import interpolate, oseen_matrix
 
 
 def stokes_system(nx=4, nz=4, drag=1.0, space=False):
@@ -206,7 +206,7 @@ def test_solver_reuses_factorization_for_new_load():
     stokes, V = stokes_system(space=True)
     swirl = interpolate(V, lambda x: np.column_stack(
         [np.cos(2 * np.pi * x[:, 0]), np.sin(2 * np.pi * x[:, 0])]))
-    load = stokes.rhs_u - assemble_convection(V, swirl, 1.0) @ swirl
+    load = stokes.rhs_u - oseen_matrix(V, swirl, 1.0) @ swirl
     counts = SolveCounts()
     solver = SaddleSolver(stokes, counts)
     solver.solve(tol=1e-10)

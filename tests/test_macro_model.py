@@ -5,6 +5,8 @@ from thinflow.errors import InvalidEffectiveMatrixError
 from thinflow.macro_model import boundary_flux_residual, solve_macro
 from thinflow.meshing import Geometry, build_macro_mesh
 
+from helpers import quadrature_sample
+
 GEOM2 = Geometry(2, (1.0,), 0.125)
 GEOM3 = Geometry(3, (1.0, 1.0), 0.125)
 
@@ -65,7 +67,7 @@ def test_manufactured_solution_second_order():
     errs = []
     for n in (8, 16, 32):
         sol = solve_macro(Ahat, f1, build_macro_mesh(GEOM3, n), "i")
-        pts, w, vals = sol.p0_field().quadrature_sample(nquad=4)
+        pts, w, vals = quadrature_sample(sol.p0_field(), nquad=4)
         errs.append(np.sqrt(np.sum(w * (vals[:, 0] - p_star(pts)) ** 2)))
     orders = np.log2(np.array(errs[:-1]) / errs[1:])
     assert np.all(orders >= 1.9)

@@ -13,7 +13,7 @@ from thinflow.linalg import (BlockSaddleSolver, SaddleSystem, SolveCounts,
 from thinflow.meshing import Geometry, build_thin_mesh
 from thinflow.microscale import apriori_norms, solve_dlb
 
-from helpers import interpolate, translated
+from helpers import interpolate, oseen_matrix, translated
 
 IDENT = coefs.constant_field(2)
 
@@ -34,7 +34,7 @@ def energy_balance(sol, field, params):
     work = float(load @ sol.u)
     convective = 0.0
     if params.rho != 0.0 and np.any(sol.u):
-        N = assemble_convection(space_v, sol.u, params.rho / params.phi ** 2)
+        N = oseen_matrix(space_v, sol.u, params.rho / params.phi ** 2)
         convective = float(sol.u @ (N @ sol.u))
     return dissipation, work, convective
 
@@ -83,7 +83,7 @@ def nonlinear_residual(sol, field, params):
     space_v = sol.space_v
     K = (assemble_diffusion(space_v, field.scaled(sol.eps))
          + (params.mu / sol.K_eps) * assemble_mass(space_v))
-    N = assemble_convection(space_v, sol.u, params.rho / params.phi ** 2)
+    N = oseen_matrix(space_v, sol.u, params.rho / params.phi ** 2)
     system = SaddleSystem(
         K=(K + N).tocsr(), B=assemble_divergence(space_v, sol.space_p),
         gauge=pressure_gauge(sol.space_p),
@@ -151,7 +151,7 @@ def dense_oracle(mesh, field, params, K_eps, picard_tol=1e-10, iters=50):
     n_u, n_p = K.shape[0], B.shape[0]
     u = np.zeros(n_u)
     for _ in range(iters):
-        N = assemble_convection(V, u, params.rho / params.phi ** 2).toarray() \
+        N = oseen_matrix(V, u, params.rho / params.phi ** 2).toarray() \
             if np.any(u) else 0.0
         mat = np.zeros((n_u + n_p + 1, n_u + n_p + 1))
         mat[:n_u, :n_u] = K + N
@@ -297,7 +297,7 @@ def assert_matches_pinned_lu(V, system, block_solver, params):
     solver = block_solver(counts)
     u, p = solver.solve(tol=1e-10)
     picard = system.rhs_u - assemble_convection(
-        V, u, params.rho / params.phi ** 2) @ u
+        V, u, params.rho / params.phi ** 2)
     for got, load in ((u, p), system.rhs_u), \
             (solver.solve(tol=1e-10, rhs_u=picard), picard):
         reference = SaddleSystem(K=system.K, B=system.B, gauge=system.gauge,

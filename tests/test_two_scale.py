@@ -22,7 +22,7 @@ from thinflow.two_scale import (OscillatingTestFunction,
 from thinflow.upscaling import (TwoScaleVelocity, effective_matrix,
                                 reconstruct_two_scale_velocity)
 
-from helpers import interpolate
+from helpers import interpolate, quadrature_sample
 
 
 @dataclass
@@ -302,21 +302,21 @@ def d3_layer():
 # before they sampled discrete fields on tensor grids.
 
 def reference_pairing(u, f, eps, nq=5):
-    pts, w, vals = u.quadrature_sample(nquad=nq)
+    pts, w, vals = quadrature_sample(u, nquad=nq)
     fv = f.evaluate_physical(pts, eps)
     return (vals * (w * fv)[:, None]).sum(axis=0) / eps
 
 
 def reference_distance(u, u0, eps, nq=5):
-    pts, w, vals = u.quadrature_sample(nquad=nq)
+    pts, w, vals = quadrature_sample(u, nquad=nq)
     d1 = pts.shape[1] - 1
     diff = vals - u0.evaluate(pts[:, :d1], pts / eps)
     return float(np.sqrt(np.sum(w * np.sum(diff * diff, axis=1)) / eps))
 
 
 def reference_pw_ratio(u, eps, nq=5):
-    pts, w, vals, grads = u.quadrature_sample(nquad=max(nq, 4),
-                                              gradients=True)
+    pts, w, vals, grads = quadrature_sample(u, nquad=max(nq, 4),
+                                            gradients=True)
     gnorm = np.sqrt(np.sum(w * np.sum(grads * grads, axis=(1, 2))))
     means = thin_average(u.evaluate, eps, nq=max(nq, 6))(pts[:, :-1])
     diff = vals - means
