@@ -13,7 +13,9 @@ Free dofs are numbered component by component: the free lattice nodes of
 component 0, then those of component 1, and so on (FunctionSpace.free).  So
 every velocity operator is a block matrix with one block per component, each
 assembled on the scalar lattice; the diffusion and mass forms are block
-diagonal, and only the divergence couples the components.
+diagonal, and only the divergence couples the components.  Where every wall
+clamps every component, all diagonal blocks are one block, which the
+"component" space (that scalar lattice, walls clamped) assembles alone.
 
 Discrete fields are sampled at Gauss points by sum factorization (Orszag,
 J. Comput. Phys. 37, 1980), one sparse 1D interpolation matrix per axis; the
@@ -26,8 +28,7 @@ import itertools
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (AsymmetricOperatorError, ComponentLayoutError,
-                     SpaceMismatchError)
+from .errors import AsymmetricOperatorError, SpaceMismatchError
 
 _SYM_CHECK_REL = 1e-13
 
@@ -59,11 +60,12 @@ def _shape1d(order, x):
 class FunctionSpace:
     """Scalar or vector Lagrange space on a TensorMesh.
 
-    kind is "velocity" (quadratic, one component per mesh direction) or
-    "pressure" (linear scalar, never constrained).  Velocity components are
-    eliminated on Dirichlet-tagged walls; wall_components restricts the
-    elimination to selected components (e.g. the wall-normal one, giving a
-    no-penetration wall with natural tangential traces).
+    kind is "velocity" (quadratic, one component per mesh direction),
+    "component" (quadratic scalar, constrained like a velocity component)
+    or "pressure" (linear scalar, never constrained).  Constrained
+    components are eliminated on Dirichlet-tagged walls; wall_components
+    restricts the elimination to selected components (e.g. the wall-normal
+    one, giving a no-penetration wall with natural tangential traces).
 
     free holds one array of lattice node indices per component: the nodes
     where that component is a free dof.  Coefficient vectors list the free
@@ -74,6 +76,8 @@ class FunctionSpace:
     def __init__(self, mesh, kind, wall_components=None):
         if kind == "velocity":
             order, ncomp, constrained = 2, mesh.ndim, True
+        elif kind == "component":
+            order, ncomp, constrained = 2, 1, True
         elif kind == "pressure":
             order, ncomp, constrained = 1, 1, False
         else:
@@ -282,22 +286,6 @@ def _vectorize(space, mat_scalar):
                          format="csr")
 
 
-def component_block(space, mat):
-    """The diagonal block that every component of a velocity operator shares.
-
-    mat is a block-diagonal operator on space (diffusion, mass or their
-    sum).  When all components have the same free nodes, as when every wall
-    is tagged for every component, mat is block_diag of ncomp copies of the
-    returned block by construction; otherwise ComponentLayoutError.
-    """
-    first = space.free[0]
-    if any(not np.array_equal(f, first) for f in space.free[1:]):
-        raise ComponentLayoutError(
-            "velocity components have different free dofs, so the "
-            "operator has no common component block")
-    return mat[:first.size, :first.size]
-
-
 def _check_symmetric(mat):
     scale = np.abs(mat.data).max() if mat.nnz else 0.0
     if scale:
@@ -337,12 +325,9 @@ def assemble_diffusion(space, a_eval=None, nquad=3):
         avals = np.asarray(a_eval(pts), dtype=float)
         if avals.ndim == 1:
             avals = avals[:, None, None] * np.eye(ndim)
-        avals = avals.reshape(ne, nq, ndim, ndim)
-        locals_ = np.zeros((ne, nloc, nloc))
-        for q in range(nq):
-            ga = avals[:, q] @ grad[q].T           # (ne, ndim, nloc)
-            locals_ += wq[q] * (grad[q] @ ga)      # (ne, nloc, nloc)
-        mat = _scatter(space, locals_)
+        ga = avals.reshape(ne, nq, ndim, ndim) @ grad.transpose(0, 2, 1)
+        w = (wq[:, None, None] * grad).transpose(1, 0, 2).reshape(nloc, -1)
+        mat = _scatter(space, w @ ga.reshape(ne, nq * ndim, nloc))
     _check_symmetric(mat)
     return _vectorize(space, mat)
 

@@ -25,17 +25,19 @@ solved without factoring again.
 
 BlockSaddleSolver is the block path, for systems whose velocity operator is
 d copies of one scalar block A_s (the thin-layer DNS, every wall tagged for
-every component).  It factors A_s alone, with the same SuperLU options, and
-solves each load by CG on the pinned pressure Schur complement with the
-Cahouet-Chabard preconditioner nu M_p^{-1} + sigma L_p^{-1} (pressure mass
-matrix and pinned Neumann Laplacian, each factored once).  Every solve
-refines the previous one, so the steps of a Picard loop start warm, and
-runs until the backward error is at roundoff.  Its result is checked
-against the same unpinned residual as the direct path; a solve that misses
-the tolerance moves that system to a SaddleSolver for good, and SolveCounts
-records the CG iterations and the fallbacks.
+every component).  It takes and factors A_s alone, with the same SuperLU
+options, and solves each load by CG on the pinned pressure Schur complement
+with the Cahouet-Chabard preconditioner nu M_p^{-1} + sigma L_p^{-1}
+(pressure mass matrix and pinned Neumann Laplacian, each factored once).
+Every solve refines the previous one, so the steps of a Picard loop start
+warm, and runs until the backward error is at roundoff.  Its result is
+checked against the same unpinned residual as the direct path; a solve that
+misses the tolerance builds the vector operator and moves that system to a
+SaddleSolver for good, and SolveCounts records the CG iterations and the
+fallbacks.
 """
 
+import functools
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -62,7 +64,7 @@ class SaddleSystem:
     """Velocity block, optional coupling block and gauge.
 
     rhs_u may hold one load per column; rhs_p then defaults to zeros of the
-    matching shape.
+    matching shape.  residual() needs only K @ u: K may be a LinearOperator.
     """
 
     K: sp.spmatrix
@@ -277,14 +279,20 @@ class SaddleSolver:
         return pinning.unpin(x)
 
 
+def _apply_blocks(block, ncomp, u):
+    """(I_ncomp (x) block) u for u listed component by component."""
+    return (block @ u.reshape(ncomp, -1).T).T.ravel()
+
+
 class BlockSaddleSolver:
-    """A saddle system whose velocity operator is I_d (x) A_s, solved
+    """A saddle system whose velocity operator is K = I_d (x) A_s, solved
     through its scalar block A_s.
 
-    block is A_s, the diagonal block that every velocity component shares;
-    system.K must be block_diag of d copies of it, the velocity dofs
-    numbered component by component.  A_s is factored once, so K^{-1} is
-    one triangular solve with a column per component.
+    block is A_s, the diagonal block that every velocity component shares,
+    and B, gauge and rhs_u complete the system, the velocity dofs numbered
+    component by component.  K is not formed: A_s is factored once, so
+    K^{-1} is one triangular solve with a column per component, and K u is
+    A_s applied to the (d, n_s) reshape of u.
 
     A solve refines the solution of the previous solve (zero at first).
     Each sweep computes the residual (R_u, R_p) of the pinned system and
@@ -298,9 +306,9 @@ class BlockSaddleSolver:
     matrix and L_p the Neumann Laplacian of the pressure space, both pinned
     like the saddle system and factored once.  Sweeps end when the backward
     error of both equations, |R_u| against |K| |u| + |B| |q| + |f| and
-    |R_p| against |B| |u| + |r| (Frobenius norms for the matrices), is at
-    most the machine epsilon, as for the direct LU, or stops falling.  On a
-    thin layer the pressure Schur complement is ill-conditioned, so a
+    |R_p| against |B| |u| + |r| (Frobenius norms, |K| = sqrt(d) |A_s|), is
+    at most the machine epsilon, as for the direct LU, or stops falling.  On
+    a thin layer the pressure Schur complement is ill-conditioned, so a
     looser goal would leave errors far above it in p.  Solving for
     corrections puts the rounding of f - B^T q, which cancels almost
     entirely when the forcing is nearly a gradient, into the velocity
@@ -311,31 +319,35 @@ class BlockSaddleSolver:
     gauge^T p = 0.
 
     A solve returns only if its unpinned residual is at most tol, as on the
-    direct path.  Otherwise the solver counts a direct fallback and solves
-    this load and every later one with a SaddleSolver of the system.
-    Loads are single vectors.  The work done is added to counts.
+    direct path.  Otherwise the solver counts a direct fallback, builds
+    K = block_diag(A_s, ..., A_s) and solves this load and every later one
+    with a SaddleSolver of it.  Loads are single vectors.  The work done is
+    added to counts.
     """
 
-    def __init__(self, system, block, pressure_mass, pressure_laplacian,
-                 nu, sigma, counts=None):
+    def __init__(self, block, B, gauge, rhs_u, pressure_mass,
+                 pressure_laplacian, nu, sigma, counts=None):
         self.counts = SolveCounts() if counts is None else counts
-        self._system = system
-        self._pinning = _Pinning(system)
-        self._target = self._pinning.target(system)
-        n_s = block.shape[0]
-        if system.n_u % n_s:
+        n_s, n_u = block.shape[0], B.shape[1]
+        if n_u % n_s:
             raise ComponentLayoutError(
-                f"{system.n_u} velocity dofs are no whole number of "
+                f"{n_u} velocity dofs are no whole number of "
                 f"{n_s}-dof component blocks")
-        self._ncomp = system.n_u // n_s
+        self._block, self._ncomp = block, n_u // n_s
+        # no bound method: a cycle would keep the LUs until gc next runs
+        self._apply = functools.partial(_apply_blocks, block, self._ncomp)
+        self._system = SaddleSystem(K=spla.LinearOperator(
+            (n_u, n_u), matvec=self._apply, dtype=float), B=B, gauge=gauge,
+            rhs_u=rhs_u)
+        self._pinning = _Pinning(self._system)
+        self._target = self._pinning.target(self._system)
         keep = self._pinning.keep
-        self._K = sp.csr_matrix(system.K)
-        self._B = sp.csr_matrix(system.B)[keep]
+        self._B = sp.csr_matrix(B)[keep]
         self._BT = self._B.T.tocsr()
-        self._norms = (np.linalg.norm(self._K.data),
+        self._norms = (np.sqrt(self._ncomp) * np.linalg.norm(block.data),
                        np.linalg.norm(self._B.data))
         self._weights = (nu, sigma)
-        self._u = np.zeros(system.n_u)
+        self._u = np.zeros(n_u)
         self._q = np.zeros(keep.size)
         self._direct = None
         try:
@@ -357,7 +369,7 @@ class BlockSaddleSolver:
     def _backward_error(self, u, q, f, r):
         """Backward error of (u, q) in both equations, and the residual."""
         norm_k, norm_b = self._norms
-        res_u = f - self._K @ u - self._BT @ q
+        res_u = f - self._apply(u) - self._BT @ q
         res_p = r - self._B @ u
         size_u, size_p = np.linalg.norm(u), np.linalg.norm(r)
         error = max(_ratio(np.linalg.norm(res_u), norm_k * size_u + norm_b
@@ -432,7 +444,9 @@ class BlockSaddleSolver:
             if solution is not None:
                 return solution
             self.counts.direct_fallbacks += 1
-            self._direct = SaddleSolver(self._system, self.counts)
+            self._direct = SaddleSolver(replace(
+                self._system, K=sp.block_diag([self._block] * self._ncomp,
+                                              format="csr")), self.counts)
         return self._direct.solve(tol, rhs_u=rhs_u)
 
 

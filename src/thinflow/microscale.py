@@ -9,21 +9,22 @@ started from the zero field, which selects a reproducible branch.  The
 convective load N(u_k) u_k is assembled as a vector (assemble_convection);
 the operator N itself is never formed.  S is the Stokes-Brinkmann saddle
 operator, whose velocity block is d copies of one scalar block because
-every wall is tagged for every component.  Each layer solves with
-linalg.BlockSaddleSolver: the scalar block is factored once, and every step
-is a preconditioned CG solve on the pressure Schur complement that starts
-from the previous step's solution, checked at the solver tolerance (a layer
-whose solve misses it goes over to the pinned LU of S).  The iteration
-stops when the relative velocity update falls below the fixed-point
-tolerance.  It converges where the map contracts, that is where the
-convection is small against S: ||S^{-1} N(u)|| < 1 near the fixed point
-(the small-data condition of the steady Navier-Stokes theory).  The thin
-layer velocity is O(eps^2), so the shipped configurations lie far inside
-it.  Outside it the updates stop shrinking: an update that is not smaller
-than the one before ends the loop, as stagnation at the arithmetic floor
-when it is at most sqrt(picard_tol), otherwise with a
-PicardDivergenceError.  The oscillating coefficient is evaluated pointwise
-at quadrature nodes, so the mesh must resolve its period geometrically.
+every wall is tagged for every component.  Each layer assembles that block
+once, on the "component" space, and factors it once in
+linalg.BlockSaddleSolver; every step is a preconditioned CG solve on the
+pressure Schur complement that starts from the previous step's solution,
+checked at the solver tolerance (a layer whose solve misses it goes over to
+the pinned LU of S).  The iteration stops when the relative velocity update
+falls below the fixed-point tolerance.  It converges where the map
+contracts, that is where the convection is small against S:
+||S^{-1} N(u)|| < 1 near the fixed point (the small-data condition of the
+steady Navier-Stokes theory).  The thin layer velocity is O(eps^2), so the
+shipped configurations lie far inside it.  Outside it the updates stop
+shrinking: an update that is not smaller than the one before ends the loop,
+as stagnation at the arithmetic floor when it is at most sqrt(picard_tol),
+otherwise with a PicardDivergenceError.  The oscillating coefficient is
+evaluated pointwise at quadrature nodes, so the mesh must resolve its
+period geometrically.
 """
 
 from dataclasses import asdict, dataclass, field as dfield
@@ -32,10 +33,10 @@ import numpy as np
 
 from .assembly import (DiscreteField, FunctionSpace, assemble_convection,
                        assemble_divergence, assemble_load, assemble_mass,
-                       assemble_diffusion, component_block, pressure_gauge)
+                       assemble_diffusion, pressure_gauge)
 from .errors import (InvalidParameterError, InvalidResolutionError,
                      PicardDivergenceError)
-from .linalg import BlockSaddleSolver, SaddleSystem, SolveCounts
+from .linalg import BlockSaddleSolver, SolveCounts
 
 
 @dataclass
@@ -94,10 +95,11 @@ def solve_dlb(thin_mesh, field, params, K_eps, picard_tol=1e-10,
                 f"horizontal spacing {h:.3g} does not resolve the coefficient "
                 f"period {eps / kmax:.3g} with >= 4 elements")
     space_v = FunctionSpace(thin_mesh, "velocity")
+    space_s = FunctionSpace(thin_mesh, "component")
     space_p = FunctionSpace(thin_mesh, "pressure")
     sigma = params.mu / K_eps
-    K = (assemble_diffusion(space_v, field.scaled(eps))
-         + sigma * assemble_mass(space_v)).tocsr()
+    block = (assemble_diffusion(space_s, field.scaled(eps))
+             + sigma * assemble_mass(space_s)).tocsr()
     B = assemble_divergence(space_v, space_p)
     gauge = pressure_gauge(space_p)
     load = assemble_load(space_v, params.forcing(thin_mesh.ndim - 1))
@@ -117,8 +119,7 @@ def solve_dlb(thin_mesh, field, params, K_eps, picard_tol=1e-10,
     # where the drag is weak
     nu = float(np.sqrt(field.alpha_ell * field.beta_ell))
     solver = BlockSaddleSolver(
-        SaddleSystem(K=K, B=B, gauge=gauge, rhs_u=load),
-        component_block(space_v, K), assemble_mass(space_p),
+        block, B, gauge, load, assemble_mass(space_p),
         assemble_diffusion(space_p), nu=nu, sigma=sigma + 3.0 * nu / eps ** 2,
         counts=counts)
     for iterations in range(1, max_iters + 1):

@@ -1,7 +1,8 @@
 """Helpers shared by several test modules; the library itself needs none.
 
-quadrature_sample and oseen_matrix are element-by-element references that
-the tests compare the library's sum-factorized forms against."""
+quadrature_sample, oseen_matrix and diffusion_reference are element-by-element
+references that the tests compare the library's sum-factorized or batched
+forms against."""
 
 import math
 
@@ -85,3 +86,20 @@ def oseen_matrix(space_v, u_coeffs, factor=1.0, nquad=3):
     locals_ = np.einsum("q,qi,eqj->eij", wq, phi, adv)
     mat = _vectorize(space_v, _scatter(space_v, locals_))
     return (mat * factor).tocsr() if factor != 1.0 else mat
+
+
+def diffusion_reference(space, a_eval, nquad=3):
+    """Diffusion matrix with its element matrices summed Gauss point by
+    Gauss point; the library forms them in one batched product
+    (assemble_diffusion)."""
+    _, grad, wq = space.reference_data(nquad)
+    ndim = space.mesh.ndim
+    ne = space.mesh.element_count
+    nq, nloc = grad.shape[0], grad.shape[1]
+    pts = space.quadrature_points(nquad).reshape(-1, ndim)
+    avals = np.asarray(a_eval(pts), dtype=float).reshape(ne, nq, ndim, ndim)
+    locals_ = np.zeros((ne, nloc, nloc))
+    for q in range(nq):
+        ga = avals[:, q] @ grad[q].T           # (ne, ndim, nloc)
+        locals_ += wq[q] * (grad[q] @ ga)      # (ne, nloc, nloc)
+    return _vectorize(space, _scatter(space, locals_))

@@ -18,7 +18,8 @@ from thinflow.errors import AsymmetricOperatorError, SpaceMismatchError
 from thinflow.meshing import Geometry, build_cell_mesh, build_macro_mesh, \
     build_thin_mesh
 
-from helpers import interpolate, mesh_volume, oseen_matrix, quadrature_sample
+from helpers import (diffusion_reference, interpolate, mesh_volume,
+                     oseen_matrix, quadrature_sample)
 
 
 def unit_square_mesh(n):
@@ -271,11 +272,31 @@ def test_component_blocks_of_thin_operator():
         for c in range(3):
             if r != c:
                 assert blocks[r][c].nnz == 0
-    first = blocks[0][0]
-    for b in (blocks[1][1], blocks[2][2]):
-        assert np.array_equal(b.indptr, first.indptr)
-        assert np.array_equal(b.indices, first.indices)
-        assert np.array_equal(b.data, first.data)
+    # the scalar "component" space assembles that block alone, exactly
+    S = FunctionSpace(mesh, "component")
+    block = (assemble_diffusion(S, field.scaled(eps))
+             + 7.0 * assemble_mass(S)).tocsr()
+    for b in (blocks[0][0], blocks[1][1], blocks[2][2]):
+        assert np.array_equal(b.indptr, block.indptr)
+        assert np.array_equal(b.indices, block.indices)
+        assert np.array_equal(b.data, block.data)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_diffusion_matches_gauss_point_loop(d):
+    # a varying, anisotropic coefficient with off-diagonal entries: the
+    # batched element matrices agree with the Gauss-point loop
+    amp = np.array([[0.5, 0.2, 0.1], [0.2, 0.3, 0.0], [0.1, 0.0, 0.4]])
+    amp = amp[:d, :d]
+    field = coefs.periodic_field(d, 2 * np.eye(d), [coefs.Wave(
+        (1,) + (0,) * (d - 2), "sin", amp)], 1.0, 3.0)
+    eps = 0.25
+    mesh = build_thin_mesh(Geometry(d, (0.5, 0.75)[:d - 1], eps), 2, 2)
+    for kind in ("velocity", "pressure"):
+        V = FunctionSpace(mesh, kind)
+        K = assemble_diffusion(V, field.scaled(eps))
+        ref = diffusion_reference(V, field.scaled(eps))
+        assert np.abs(K - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_component_layout_with_normal_walls():

@@ -1,3 +1,6 @@
+import gc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,9 +8,9 @@ from thinflow import coefficients as coefs
 from thinflow.assembly import (DiscreteField, FunctionSpace,
                                assemble_convection, assemble_diffusion,
                                assemble_divergence, assemble_load,
-                               assemble_mass, component_block,
-                               pressure_gauge)
+                               assemble_mass, pressure_gauge)
 from thinflow.errors import InvalidResolutionError, PicardDivergenceError
+from thinflow.harness import load_config
 from thinflow.linalg import (BlockSaddleSolver, SaddleSystem, SolveCounts,
                              residual, solve_sparse)
 from thinflow.meshing import Geometry, build_thin_mesh
@@ -16,6 +19,7 @@ from thinflow.microscale import apriori_norms, solve_dlb
 from helpers import interpolate, oseen_matrix, translated
 
 IDENT = coefs.constant_field(2)
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 
 def energy_balance(sol, field, params):
@@ -274,15 +278,18 @@ def dns_system(mesh, field, params, K_eps):
     weights: they change the iteration count, not the answer)."""
     eps = float(mesh.axes[-1][-1])
     V = FunctionSpace(mesh, "velocity")
+    S = FunctionSpace(mesh, "component")
     Q = FunctionSpace(mesh, "pressure")
     K = (assemble_diffusion(V, field.scaled(eps))
          + (params.mu / K_eps) * assemble_mass(V)).tocsr()
+    block = (assemble_diffusion(S, field.scaled(eps))
+             + (params.mu / K_eps) * assemble_mass(S)).tocsr()
     system = SaddleSystem(
         K=K, B=assemble_divergence(V, Q), gauge=pressure_gauge(Q),
         rhs_u=assemble_load(V, params.forcing(mesh.ndim - 1)))
 
     def block_solver(counts):
-        return BlockSaddleSolver(system, component_block(V, K),
+        return BlockSaddleSolver(block, system.B, system.gauge, system.rhs_u,
                                  assemble_mass(Q), assemble_diffusion(Q),
                                  nu=1.0, sigma=params.mu / K_eps,
                                  counts=counts)
@@ -388,3 +395,50 @@ def test_schur_iterations_flat_in_eps_d2(layer):
         sol = solve_dlb(thin_mesh(eps=eps), field, params, K_eps=K_eps)
         assert sol.solver_counts["direct_fallbacks"] == 0
         assert 0 < sol.solver_counts["schur_iterations"] <= 70
+
+
+def homogenization_d3_layer(eps, elements_per_period=None, nz=None):
+    """The homogenization_d3 config's DNS layer at eps, its mesh refined
+    where asked."""
+    config = load_config(CONFIGS / "homogenization_d3.json")
+    numerics = config.numerics
+    mesh = build_thin_mesh(
+        config.geometry.with_eps(eps),
+        elements_per_period or numerics["dns_elements_per_period"],
+        nz or numerics["dns_nz"])
+    return solve_dlb(mesh, config.field, config.params,
+                     config.regime.K_eps(eps),
+                     picard_tol=numerics["picard_tol"],
+                     max_iters=numerics["picard_max_iters"],
+                     tol=numerics["solver_tol"])
+
+
+def test_dns_leaves_no_reference_cycle():
+    # a cycle through the block solver would keep each layer's LUs alive
+    # until the next cyclic collection
+    gc.collect()
+    gc.disable()
+    try:
+        homogenization_d3_layer(0.125)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.slow
+def test_dns_sweep_slopes_resolved():
+    # the homogenization_d3 sweep at its two widest layers: doubling the
+    # vertical elements, or the elements per period, moves the values by up
+    # to 2% (p_l2) but each incremental slope by at most 0.0091 (p_l2 under
+    # the vertical refinement), against a slope_tol of 0.2
+    eps = (0.125, 0.0625)
+    keys = ("u_l2", "grad_u_l2", "p_l2")
+
+    def slopes(**refine):
+        sols = [homogenization_d3_layer(e, **refine) for e in eps]
+        return np.array([np.log(sols[0].norms[k] / sols[1].norms[k])
+                         / np.log(eps[0] / eps[1]) for k in keys])
+
+    base = slopes()
+    for refine in ({"nz": 4}, {"elements_per_period": 4}):
+        assert np.abs(slopes(**refine) - base).max() < 0.02, refine
