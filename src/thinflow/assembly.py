@@ -19,7 +19,9 @@ clamps every component, all diagonal blocks are one block, which the
 
 Discrete fields are sampled at Gauss points by sum factorization (Orszag,
 J. Comput. Phys. 37, 1980), one sparse 1D interpolation matrix per axis; the
-norms, the integrals and the convective load all use that one sample.
+norms, the integrals and the convective load all use that one sample.  The
+Gauss rules and tensor grids are those of meshing (composite_gauss,
+tensor_rule, grid_points).
 """
 
 import functools
@@ -29,18 +31,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import AsymmetricOperatorError, SpaceMismatchError
+from .meshing import composite_gauss, gauss_rule, grid_points, tensor_rule
 
 _SYM_CHECK_REL = 1e-13
-
-
-@functools.lru_cache(maxsize=None)
-def gauss_rule(n):
-    """Gauss-Legendre points and weights on [-1, 1], computed once per n
-    (every assembly asks for them per axis) and read-only."""
-    rule = np.polynomial.legendre.leggauss(n)
-    for a in rule:
-        a.flags.writeable = False
-    return rule
 
 
 def _shape1d(order, x):
@@ -124,10 +117,10 @@ class FunctionSpace:
             base = np.arange(nel[a])[:, None] * p + np.arange(p + 1)[None, :]
             per_axis.append(np.mod(base, self.lattice_sizes[a])
                             if mesh.periodic[a] else base)
-        grids = np.meshgrid(*[np.arange(n) for n in nel], indexing="ij")
+        elements = grid_points([np.arange(n) for n in nel])
         flat = None
         for a in range(mesh.ndim):
-            loc = per_axis[a][grids[a].ravel()]           # (ne, p+1)
+            loc = per_axis[a][elements[:, a]]             # (ne, p+1)
             expand = [1] * mesh.ndim
             expand[a] = p + 1
             loc = loc.reshape((-1,) + tuple(expand))
@@ -137,8 +130,7 @@ class FunctionSpace:
     # -- coordinates and free-dof bookkeeping ------------------------------
 
     def scalar_coords(self):
-        grids = np.meshgrid(*self.lattice_axes, indexing="ij")
-        return np.column_stack([g.ravel() for g in grids])
+        return grid_points(self.lattice_axes)
 
     def expand(self, coeffs):
         """Full-lattice array (n_scalar, ncomp) with zeros on walls."""
@@ -190,14 +182,7 @@ def element_gauss_axes(mesh, nquad):
     The tensor product of the axes holds the points and weights of
     quadrature_points in grid order; DiscreteField.gauss_grid samples there.
     """
-    gp, gw = gauss_rule(nquad)
-    rules = []
-    for axis in mesh.axes:
-        left = axis[:-1]
-        h = np.diff(axis)
-        rules.append(((left[:, None] + (gp[None, :] + 1) * h[:, None] / 2)
-                      .ravel(), (gw[None, :] * h[:, None] / 2).ravel()))
-    return rules
+    return [composite_gauss(axis, nquad) for axis in mesh.axes]
 
 
 def _axis_basis(space, a, x, deriv=False):
@@ -239,12 +224,6 @@ def _per_axis(arr, mats):
         arr = np.moveaxis((mat @ moved.reshape(moved.shape[0], -1))
                           .reshape((mat.shape[0],) + moved.shape[1:]), 0, a)
     return arr
-
-
-def grid_points(coords):
-    """Points (N, d) of the tensor grid of per-axis coordinates, grid order."""
-    grids = np.meshgrid(*coords, indexing="ij")
-    return np.column_stack([g.ravel() for g in grids])
 
 
 def _eval_callable(fn, pts, ncomp):
@@ -451,9 +430,7 @@ class DiscreteField:
         field there (m_0, ..., m_{d-1}, ncomp) and, when gradients is set,
         its gradient (m_0, ..., m_{d-1}, ncomp, ndim).
         """
-        rules = element_gauss_axes(self.space.mesh, nquad)
-        coords = [x for x, _ in rules]
-        w = functools.reduce(np.multiply.outer, [wt for _, wt in rules])
+        coords, w = tensor_rule(element_gauss_axes(self.space.mesh, nquad))
         vals = self.evaluate_grid(coords)
         if not gradients:
             return coords, w, vals

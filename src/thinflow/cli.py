@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ThinflowError
 from .harness import (ConvergenceReport, add_upscaling_checks, effective_csv,
                       load_config, pipeline_stage, run_pipeline, save_report,
-                      solve_cells, sweep_csv, write_text, _fmt,
+                      solve_cells, sweep_csv, write_text, _csv, _fmt,
                       _probe_function)
 from .two_scale import (oscillation_limit_table, poincare_wirtinger_ratio)
 
@@ -80,13 +80,10 @@ def _cmd_diag(args, config):
         report.add("pw_ratio_linear_profile", pw.ratio,
                    target=1.0 / np.sqrt(3.0), tol=1e-6,
                    passed=bool(abs(pw.ratio - 1.0 / np.sqrt(3.0)) <= 1e-6))
-    lines = ["eps,value,limit,abs_error,est_rate"]
-    for row in rows:
-        lines.append(",".join(_fmt(row[k]) for k in
-                              ("eps", "value", "limit", "abs_error",
-                               "est_rate")))
+    keys = ("eps", "value", "limit", "abs_error", "est_rate")
     outdir = args.output or config.output_directory
-    path = write_text(outdir, "diag.csv", "\n".join(lines) + "\n")
+    path = write_text(outdir, "diag.csv",
+                      _csv(keys, [[row[k] for k in keys] for row in rows]))
     return _finish(report, [path])
 
 

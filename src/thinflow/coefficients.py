@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (InvalidDataError, InvalidRegimeError,
                      NonEllipticCoefficientError, OutOfDomainError,
                      UnsupportedFieldError)
+from .meshing import composite_gauss, grid_points, tensor_rule
 
 _GOLDEN = 0.6180339887498949
 _ZETA_TOL = 1e-9
@@ -225,17 +226,10 @@ class ScalarField:
 
 def cell_average(fn, d1, panels, npts=6):
     """Composite Gauss average of a callable over the unit cell [0,1]^d1."""
-    gp, gw = np.polynomial.legendre.leggauss(npts)
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    pts1 = (edges[:-1, None] + (gp[None, :] + 1) * (1.0 / panels) / 2).ravel()
-    wts1 = np.tile(gw * (1.0 / panels) / 2, panels)
-    grids = np.meshgrid(*[pts1] * d1, indexing="ij")
-    pts = np.column_stack([g.ravel() for g in grids])
-    wgrids = np.meshgrid(*[wts1] * d1, indexing="ij")
-    w = np.ones(pts.shape[0])
-    for g in wgrids:
-        w = w * g.ravel()
-    return float(np.sum(w * np.asarray(fn(pts), dtype=float)))
+    coords, w = tensor_rule(
+        [composite_gauss(np.linspace(0.0, 1.0, panels + 1), npts)] * d1)
+    return float(np.sum(w.ravel()
+                        * np.asarray(fn(grid_points(coords)), dtype=float)))
 
 
 def mean_value(g, transform=None):
@@ -278,21 +272,15 @@ def ball_average(g, radius, npts=8):
     d1 = g.d1
     if d1 == 1:
         panels = int(np.ceil(2 * radius)) * max(2, 2 * kmax)
-        gp, gw = np.polynomial.legendre.leggauss(npts)
-        edges = np.linspace(-radius, radius, panels + 1)
-        h = edges[1] - edges[0]
-        pts = (edges[:-1, None] + (gp[None, :] + 1) * h / 2).ravel()
-        w = np.tile(gw * h / 2, panels)
+        pts, w = composite_gauss(np.linspace(-radius, radius, panels + 1),
+                                 npts)
         vals = np.asarray(fn(pts[:, None]), dtype=float)
         return float(np.sum(w * vals) / (2 * radius))
     if d1 == 2:
         n_theta = max(128, int(8 * radius * max(1, kmax)))
         n_r_panels = int(np.ceil(radius)) * max(2, kmax)
-        gp, gw = np.polynomial.legendre.leggauss(4)
-        edges = np.linspace(0.0, radius, n_r_panels + 1)
-        hr = edges[1] - edges[0]
-        r = (edges[:-1, None] + (gp[None, :] + 1) * hr / 2).ravel()
-        wr = np.tile(gw * hr / 2, n_r_panels) * r
+        r, wr = composite_gauss(np.linspace(0.0, radius, n_r_panels + 1), 4)
+        wr = wr * r
         theta = np.arange(n_theta) * (2 * np.pi / n_theta)
         wt = np.full(n_theta, 2 * np.pi / n_theta)
         pts = np.column_stack([

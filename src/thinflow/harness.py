@@ -23,7 +23,7 @@ from .cell_problems import solve_cell_problems
 from .errors import ConfigError, InvalidDataError, PipelineError, ThinflowError
 from .macro_model import solve_macro
 from .meshing import (Geometry, build_cell_mesh, build_macro_mesh,
-                      build_thin_mesh, vtk_text)
+                      build_thin_mesh, grid_points, vtk_text)
 from .microscale import solve_dlb
 from .two_scale import (OscillatingTestFunction, limit_pairing,
                         poincare_wirtinger_ratio, two_scale_distance,
@@ -470,10 +470,8 @@ def run_pipeline(config):
 
 
 def _sample_grid(geometry, n=17):
-    axes = [np.linspace(0.05 * ext, 0.95 * ext, n)
-            for ext in geometry.omega_extent]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([g.ravel() for g in grids])
+    return grid_points([np.linspace(0.05 * ext, 0.95 * ext, n)
+                        for ext in geometry.omega_extent])
 
 
 def _sweep_checks(report, config, rows, degenerate=False):
@@ -539,6 +537,8 @@ def _sweep_checks(report, config, rows, degenerate=False):
 def _fmt(x):
     if x is None:
         return ""
+    if isinstance(x, str):
+        return x
     if isinstance(x, (bool, np.bool_)):
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
@@ -546,29 +546,27 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
+def _csv(header, rows):
+    """CSV text: the header line, then one line of _fmt fields per row."""
+    return "\n".join(",".join(map(_fmt, row))
+                     for row in [header, *rows]) + "\n"
+
+
 def report_csv(report):
-    lines = ["check,value,target,tol,passed"]
-    for c in report.checks:
-        passed = "" if c.passed is None else ("1" if c.passed else "0")
-        lines.append(",".join([c.name, _fmt(c.value), _fmt(c.target),
-                               _fmt(c.tol), passed]))
-    return "\n".join(lines) + "\n"
+    return _csv(("check", "value", "target", "tol", "passed"),
+                [(c.name, c.value, c.target, c.tol, c.passed)
+                 for c in report.checks])
 
 
 def sweep_csv(report):
-    lines = [",".join(_SWEEP_KEYS)]
-    for row in report.sweep_rows:
-        lines.append(",".join(_fmt(row[k]) for k in _SWEEP_KEYS))
-    return "\n".join(lines) + "\n"
+    return _csv(_SWEEP_KEYS, [[row[k] for k in _SWEEP_KEYS]
+                              for row in report.sweep_rows])
 
 
 def effective_csv(report):
-    lines = ["i,j,value"]
     ext = report.effective.extended
-    for i in range(ext.shape[0]):
-        for j in range(ext.shape[1]):
-            lines.append(f"{i},{j},{_fmt(ext[i, j])}")
-    return "\n".join(lines) + "\n"
+    return _csv(("i", "j", "value"),
+                [(i, j, ext[i, j]) for i, j in np.ndindex(ext.shape)])
 
 
 def macro_csv(report):
@@ -583,8 +581,7 @@ def macro_csv(report):
     table[:len(macro.u_prime), d1 + 1:] = macro.u_prime
     header = ([f"x{i}" for i in range(d1)] + ["p0"]
               + [f"u{i}" for i in range(d1)])
-    lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in table]
-    return "\n".join(lines) + "\n"
+    return _csv(header, table)
 
 
 def _sampled_vtk(mesh, fields):

@@ -14,10 +14,11 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from .assembly import (DiscreteField, FunctionSpace, assemble_diffusion,
-                       assemble_flux_load, pressure_gauge, gauss_rule,
-                       _shape1d)
+                       assemble_flux_load, pressure_gauge, _interpolation,
+                       _per_axis)
 from .errors import InvalidEffectiveMatrixError
-from .linalg import solve_gauged_spd
+from .linalg import _compatible, solve_gauged_spd
+from .meshing import composite_gauss, grid_points, tensor_rule
 
 
 @dataclass
@@ -57,9 +58,17 @@ class MacroSolution:
 
 
 def _element_centroids(mesh):
-    mids = [(a[:-1] + a[1:]) / 2 for a in mesh.axes]
-    grids = np.meshgrid(*mids, indexing="ij")
-    return np.column_stack([g.ravel() for g in grids])
+    return grid_points([(a[:-1] + a[1:]) / 2 for a in mesh.axes])
+
+
+def _conservation_residual(K, p0, rhs, gauge):
+    """||K p0 - b|| / ||b|| for the load b that the gauged solve answers:
+    rhs less its gauge component.  The sum of rhs vanishes in exact
+    arithmetic, so that component is rounding and must not set the value."""
+    load = _compatible(rhs, gauge)
+    residual = float(np.linalg.norm(K @ p0 - load))
+    scale = float(np.linalg.norm(load))
+    return residual / scale if scale > 0 else residual
 
 
 def solve_macro(Ahat, f1, macro_mesh, regime="i", tol=1e-10):
@@ -84,12 +93,8 @@ def solve_macro(Ahat, f1, macro_mesh, regime="i", tol=1e-10):
                 pts.shape[0], -1) @ A.T)
     gauge = pressure_gauge(space)
     p0 = solve_gauged_spd(K, rhs, gauge, tol=tol)
-    conservation = float(np.linalg.norm(K @ p0 - rhs))
-    nrhs = float(np.linalg.norm(rhs))
-    if nrhs > 0:
-        conservation /= nrhs
     sol = MacroSolution(macro_mesh, space, p0, None, A, regime,
-                        conservation,
+                        _conservation_residual(K, p0, rhs, gauge),
                         meta={"f1": f1, "rhs": rhs,
                               "energy": float(p0 @ (K @ p0)),
                               "work": float(p0 @ rhs)})
@@ -99,38 +104,21 @@ def solve_macro(Ahat, f1, macro_mesh, regime="i", tol=1e-10):
 
 
 def boundary_flux_residual(macro):
-    """max_q | boundary integral of (u' . nu) q | over pressure basis q."""
-    mesh = macro.mesh
-    space = macro.space
-    fb = np.zeros(space.n_scalar)
-    if mesh.ndim == 1:
-        for side, sign in ((0, -1.0), (1, 1.0)):
-            x = mesh.axes[0][0 if side == 0 else -1]
-            un = sign * macro.velocity(np.array([[x]]))[0, 0]
-            node = 0 if side == 0 else space.lattice_sizes[0] - 1
-            fb[node] += un
-        return float(np.abs(fb).max())
-    # ndim == 2: integrate along each edge with 1D Gauss x Q1 traces
-    gp, gw = gauss_rule(3)
-    vals1, _ = _shape1d(1, gp)
-    for axis in range(2):
-        tang = 1 - axis
-        h = mesh.spacings[tang]
-        for side, sign in ((0, -1.0), (1, 1.0)):
-            xw = mesh.axes[axis][0 if side == 0 else -1]
-            wall_node = 0 if side == 0 else space.lattice_sizes[axis] - 1
-            for e in range(mesh.n_elements[tang]):
-                left = mesh.axes[tang][e]
-                pts_t = left + (gp + 1) * h / 2
-                pts = np.empty((gp.size, 2))
-                pts[:, axis] = xw
-                pts[:, tang] = pts_t
-                un = sign * macro.velocity(pts)[:, axis]
-                w = gw * h / 2
-                for loc in range(2):
-                    idx = [0, 0]
-                    idx[axis] = wall_node
-                    idx[tang] = e + loc
-                    node = idx[0] * space.lattice_sizes[1] + idx[1]
-                    fb[node] += float(np.sum(w * un * vals1[:, loc]))
+    """max_q | boundary integral of (u' . nu) q | over pressure basis q.
+
+    Each wall is the tensor Gauss grid of the other axes (a point in 1D),
+    weighted by the outward normal sign; the traces of the pressure basis
+    there are the per-axis interpolation matrices.
+    """
+    mesh, space = macro.mesh, macro.space
+    fb = np.zeros(space.lattice_shape)
+    for a, axis in enumerate(mesh.axes):
+        for wall, sign in ((axis[:1], -1.0), (axis[-1:], 1.0)):
+            coords, w = tensor_rule([
+                (wall, np.array([sign])) if b == a
+                else composite_gauss(mesh.axes[b], 3)
+                for b in range(mesh.ndim)])
+            un = macro.velocity(grid_points(coords))[:, a].reshape(w.shape)
+            fb += _per_axis(w * un, [_interpolation(space, b, x).T
+                                     for b, x in enumerate(coords)])
     return float(np.abs(fb).max())

@@ -4,13 +4,51 @@ All three domains used by the toolkit are boxes, so a mesh is stored as one
 coordinate array per direction together with periodicity flags and wall tags.
 Periodicity is realized by node identification (one unknown per equivalence
 class), which keeps every assembled operator symmetric.
+
+Every integral of the toolkit is a composite Gauss rule on a tensor grid, and
+this module owns both: gauss_rule, composite_gauss over given panel edges,
+tensor_rule and grid_points.  No other module builds a rule or a grid.
 """
 
+import functools
 import warnings
 
 import numpy as np
 
 from .errors import InvalidResolutionError, ThinDomainError
+
+
+@functools.lru_cache(maxsize=None)
+def gauss_rule(n):
+    """Gauss-Legendre points and weights on [-1, 1], computed once per n
+    (every assembly asks for them per axis) and read-only."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+def composite_gauss(edges, n):
+    """The n-point Gauss rule on every panel between consecutive edges:
+    (points, weights), panel by panel."""
+    gp, gw = gauss_rule(n)
+    edges = np.asarray(edges, dtype=float)
+    h = np.diff(edges)
+    return ((edges[:-1, None] + (gp[None, :] + 1) * h[:, None] / 2).ravel(),
+            (gw[None, :] * h[:, None] / 2).ravel())
+
+
+def tensor_rule(rules):
+    """Per-axis points and tensor weights (m_0, ..., m_{d-1}) of the
+    product of per-axis rules [(points, weights), ...]."""
+    return ([x for x, _ in rules],
+            functools.reduce(np.multiply.outer, [w for _, w in rules]))
+
+
+def grid_points(coords):
+    """Points (N, d) of the tensor grid of per-axis coordinates, grid order."""
+    grids = np.meshgrid(*coords, indexing="ij")
+    return np.column_stack([g.ravel() for g in grids])
 
 
 class Geometry:
@@ -91,8 +129,7 @@ class TensorMesh:
 
     def vertices(self):
         """All geometric vertices (slaves included), lexicographic order."""
-        grids = np.meshgrid(*self.axes, indexing="ij")
-        return np.column_stack([g.ravel() for g in grids])
+        return grid_points(self.axes)
 
     def element_connectivity(self):
         """Vertex indices of each element (2**ndim corners, VTK ordering)."""
@@ -107,10 +144,9 @@ class TensorMesh:
         else:
             offs = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
                     (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)]
-        grids = np.meshgrid(*[np.arange(n) for n in nel], indexing="ij")
-        base = [g.ravel() for g in grids]
+        base = grid_points([np.arange(n) for n in nel])
         for off in offs:
-            loc = tuple(base[a] + off[a] for a in range(self.ndim))
+            loc = tuple(base[:, a] + off[a] for a in range(self.ndim))
             corners.append(idx[loc])
         return np.column_stack(corners)
 

@@ -11,18 +11,18 @@ controlled independently of any finite-element mesh.  Fields that carry a
 mesh are integrated with the element-aligned Gauss rule of that mesh instead,
 sampled on its tensor grid by sum factorization, and so are the cell profiles
 of a separated two-scale limit and the vertical average of the fluctuation
-ratio.
+ratio.  Every rule is a composite Gauss rule of meshing on a tensor grid.
 """
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .assembly import DiscreteField, gauss_rule, grid_points
+from .assembly import DiscreteField
 from .coefficients import ScalarField, mean_value
 from .errors import InvalidDataError, InvalidParameterError, SpaceMismatchError
+from .meshing import composite_gauss, gauss_rule, grid_points, tensor_rule
 
 _SUP_GRID = 4096
 
@@ -78,30 +78,23 @@ class OscillatingTestFunction:
         g = self.y_factor
         axes = [np.linspace(0.0, 1.0, _SUP_GRID // max(1, 4 ** (g.d1 - 1)),
                             endpoint=False)] * g.d1
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.column_stack([a.ravel() for a in grids])
-        vals = np.abs(g(pts))
-        best = float(vals.max())
+        pts = grid_points(axes)
+        best = float(np.abs(g(pts)).max())
         if g.gaussians:
             spread = max(s for _, s, _ in g.gaussians) * 4
-            pts2 = np.column_stack([(a.ravel() - 0.5) * 2 * spread
-                                    for a in grids])
+            pts2 = (pts - 0.5) * 2 * spread
             best = max(best, float(np.abs(g(pts2)).max()))
         return best
 
 
 def _panel_rule(a, b, panels, nq):
-    gp, gw = gauss_rule(nq)
-    edges = np.linspace(a, b, panels + 1)
-    h = edges[1] - edges[0]
-    pts = (edges[:-1, None] + (gp[None, :] + 1) * h / 2).ravel()
-    wts = np.tile(gw * h / 2, panels)
-    return pts, wts
+    return composite_gauss(np.linspace(a, b, panels + 1), nq)
 
 
 def _tensor_rule(rules):
-    return (grid_points([r[0] for r in rules]),
-            functools.reduce(np.multiply.outer, [r[1] for r in rules]).ravel())
+    """Points (N, d) and weights (N,) of the tensor rule, grid order."""
+    coords, w = tensor_rule(rules)
+    return grid_points(coords), w.ravel()
 
 
 def _layer_rules(geometry, eps, panels_per_period, nq, vertical_panels=4):
@@ -135,9 +128,9 @@ def _field_sample(u_eps, eps, geometry, panels_per_period, nq):
         if geometry is None:
             raise InvalidParameterError(
                 "geometry required for closed-form fields")
-        rules = _layer_rules(geometry, eps, panels_per_period, nq)
-        coords = [r[0] for r in rules]
-        pts, w = _tensor_rule(rules)
+        coords, w = tensor_rule(_layer_rules(geometry, eps,
+                                             panels_per_period, nq))
+        pts, w = grid_points(coords), w.ravel()
         vals = np.asarray(u_eps(pts), dtype=float)
     return coords, pts, w, vals.reshape(pts.shape[0], -1)
 
@@ -162,9 +155,8 @@ def limit_pairing(u0, f, geometry, nq=5, macro_panels=8, vertical_panels=6):
     fields fall back to a chunked tensor rule.
     """
     d1 = geometry.d1
-    rules_x = [_panel_rule(0.0, extent, macro_panels, nq)
-               for extent in geometry.omega_extent]
-    pts_x, w_x = _tensor_rule(rules_x)
+    pts_x, w_x = _tensor_rule([_panel_rule(0.0, extent, macro_panels, nq)
+                               for extent in geometry.omega_extent])
 
     factors = getattr(u0, "pairing_factors", None)
     if callable(factors):
@@ -183,9 +175,8 @@ def limit_pairing(u0, f, geometry, nq=5, macro_panels=8, vertical_panels=6):
         return float(out[0]) if out.size == 1 else out
 
     y_panels = max(4, 2 * f.y_factor.max_wavenumber + 2)
-    rules_y = [_panel_rule(0.0, 1.0, y_panels, nq) for _ in range(d1)]
-    rule_z = _panel_rule(-1.0, 1.0, vertical_panels, nq)
-    pts_y, w_y = _tensor_rule(rules_y + [rule_z])
+    pts_y, w_y = _tensor_rule([_panel_rule(0.0, 1.0, y_panels, nq)] * d1
+                              + [_panel_rule(-1.0, 1.0, vertical_panels, nq)])
     out = None
     chunk = max(1, 200_000 // max(1, pts_y.shape[0]))
     for start in range(0, pts_x.shape[0], chunk):
@@ -324,11 +315,8 @@ def oscillation_limit_table(f, eps_list, geometry, p=None,
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise InvalidParameterError("eps_list must be strictly decreasing")
     p = float(p if p is not None else f.p)
-    d1 = geometry.d1
-
-    rules_x = [_panel_rule(0.0, extent, 8, nq)
-               for extent in geometry.omega_extent]
-    pts_x, w_x = _tensor_rule(rules_x)
+    pts_x, w_x = _tensor_rule([_panel_rule(0.0, extent, 8, nq)
+                               for extent in geometry.omega_extent])
     macro_mass = float(np.sum(w_x * np.abs(f._macro_vals(pts_x)) ** p))
     z_pts, z_w = _panel_rule(-1.0, 1.0, 6, nq)
     zeta_mass = float(np.sum(z_w * np.abs(f._zeta_vals(z_pts)) ** p))

@@ -1,15 +1,16 @@
 """Helpers shared by several test modules; the library itself needs none.
 
-quadrature_sample, oseen_matrix and diffusion_reference are element-by-element
-references that the tests compare the library's sum-factorized or batched
-forms against."""
+quadrature_sample, oseen_matrix, diffusion_reference and
+boundary_flux_reference are element-by-element references that the tests
+compare the library's sum-factorized or batched forms against."""
 
 import math
 
 import numpy as np
 
 from thinflow import coefficients as coefs
-from thinflow.assembly import DiscreteField, _scatter, _vectorize
+from thinflow.assembly import DiscreteField, _scatter, _shape1d, _vectorize
+from thinflow.meshing import gauss_rule
 
 
 def interpolate(space, fn):
@@ -103,3 +104,42 @@ def diffusion_reference(space, a_eval, nquad=3):
         ga = avals[:, q] @ grad[q].T           # (ne, ndim, nloc)
         locals_ += wq[q] * (grad[q] @ ga)      # (ne, nloc, nloc)
     return _vectorize(space, _scatter(space, locals_))
+
+
+def boundary_flux_reference(macro):
+    """max_q | boundary integral of (u' . nu) q | summed wall by wall and
+    element by element with 1D Gauss x Q1 traces; the library integrates
+    each wall on its tensor Gauss grid (boundary_flux_residual)."""
+    mesh = macro.mesh
+    space = macro.space
+    fb = np.zeros(space.n_scalar)
+    if mesh.ndim == 1:
+        for side, sign in ((0, -1.0), (1, 1.0)):
+            x = mesh.axes[0][0 if side == 0 else -1]
+            un = sign * macro.velocity(np.array([[x]]))[0, 0]
+            node = 0 if side == 0 else space.lattice_sizes[0] - 1
+            fb[node] += un
+        return float(np.abs(fb).max())
+    gp, gw = gauss_rule(3)
+    vals1, _ = _shape1d(1, gp)
+    for axis in range(2):
+        tang = 1 - axis
+        h = mesh.spacings[tang]
+        for side, sign in ((0, -1.0), (1, 1.0)):
+            xw = mesh.axes[axis][0 if side == 0 else -1]
+            wall_node = 0 if side == 0 else space.lattice_sizes[axis] - 1
+            for e in range(mesh.n_elements[tang]):
+                left = mesh.axes[tang][e]
+                pts_t = left + (gp + 1) * h / 2
+                pts = np.empty((gp.size, 2))
+                pts[:, axis] = xw
+                pts[:, tang] = pts_t
+                un = sign * macro.velocity(pts)[:, axis]
+                w = gw * h / 2
+                for loc in range(2):
+                    idx = [0, 0]
+                    idx[axis] = wall_node
+                    idx[tang] = e + loc
+                    node = idx[0] * space.lattice_sizes[1] + idx[1]
+                    fb[node] += float(np.sum(w * un * vals1[:, loc]))
+    return float(np.abs(fb).max())

@@ -1,14 +1,20 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from thinflow.assembly import assemble_diffusion, pressure_gauge
 from thinflow.errors import InvalidEffectiveMatrixError
-from thinflow.macro_model import boundary_flux_residual, solve_macro
+from thinflow.harness import load_config
+from thinflow.macro_model import (_conservation_residual,
+                                  boundary_flux_residual, solve_macro)
 from thinflow.meshing import Geometry, build_macro_mesh
 
-from helpers import quadrature_sample
+from helpers import boundary_flux_reference, quadrature_sample
 
 GEOM2 = Geometry(2, (1.0,), 0.125)
 GEOM3 = Geometry(3, (1.0, 1.0), 0.125)
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 
 def test_1d_constant_forcing_no_flux():
@@ -91,3 +97,41 @@ def test_determinism():
     a = solve_macro(Ahat, f1, build_macro_mesh(GEOM3, 8), "i")
     b = solve_macro(Ahat, f1, build_macro_mesh(GEOM3, 8), "i")
     assert np.array_equal(a.p0, b.p0)
+
+
+@pytest.mark.parametrize("geometry, n", [(GEOM2, 16), (GEOM3, 6)],
+                         ids=["d1=1", "d1=2"])
+def test_boundary_flux_matches_element_loop(geometry, n):
+    # the solved pressure leaves only a discretization flux; a second forcing
+    # swapped in afterwards gives the velocity an O(1) flux through the walls
+    d1 = geometry.d1
+    A = np.array([[2.0, 0.5], [0.5, 1.0]])[:d1, :d1]
+    sol = solve_macro(A, lambda xb: np.sin(3 * xb + 0.2), build_macro_mesh(
+        geometry, n), "i")
+    for f1 in (sol.meta["f1"], lambda xb: np.cos(2 * xb) + xb ** 2):
+        sol.meta["f1"] = f1
+        ref = boundary_flux_reference(sol)
+        assert ref > 1e-6
+        assert abs(boundary_flux_residual(sol) - ref) <= 1e-14 * max(ref, 1.0)
+
+
+@pytest.mark.parametrize("name", ["regime_i", "homogenization_d3"])
+def test_conservation_flags_perturbed_pressure(name):
+    # the d = 3 forcing is divergence-free with no normal trace, so its load
+    # is a quadrature residue: the compatible load keeps the solved residual
+    # at rounding, and a pressure off by 1e-8 of its norm still fails
+    config = load_config(CONFIGS / f"{name}.json")
+    bound = 100 * config.numerics["solver_tol"]
+    A = np.eye(config.geometry.d1)
+    sol = solve_macro(A, config.params.f1, build_macro_mesh(
+        config.geometry, config.numerics["macro_n"]), "i",
+        tol=config.numerics["solver_tol"])
+    K = assemble_diffusion(sol.space, lambda pts: np.broadcast_to(
+        A, (pts.shape[0],) + A.shape))
+    gauge, rhs = pressure_gauge(sol.space), sol.meta["rhs"]
+    assert sol.conservation_residual == _conservation_residual(
+        K, sol.p0, rhs, gauge)
+    assert sol.conservation_residual <= 1e-4 * bound
+    step = np.random.default_rng(0).standard_normal(sol.p0.size)
+    step *= 1e-8 * np.linalg.norm(sol.p0) / np.linalg.norm(step)
+    assert _conservation_residual(K, sol.p0 + step, rhs, gauge) > bound

@@ -1,11 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from thinflow.errors import InvalidResolutionError, ThinDomainError
-from thinflow.meshing import (Geometry, build_cell_mesh,
-                              build_macro_mesh, build_thin_mesh, vtk_text)
+from thinflow.meshing import (Geometry, build_cell_mesh, build_macro_mesh,
+                              build_thin_mesh, composite_gauss, grid_points,
+                              tensor_rule, vtk_text)
 
 from helpers import mesh_volume
+
+SRC = Path(__file__).parent.parent / "src" / "thinflow"
 
 
 def vertex_count(mesh, identified=True):
@@ -109,3 +114,43 @@ def test_vtk_roundtrip(geom2):
     height = [float(v) for v in lines[start:start + n]]
     assert np.array_equal(height, verts[:, 1])
     assert "VECTORS flow double" in lines
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_composite_gauss_exact_to_degree_2n_minus_1(n):
+    edges = np.array([-0.3, 0.1, 0.25, 0.9, 1.7])      # unequal panels
+    x, w = composite_gauss(edges, n)
+    assert x.shape == w.shape == (n * (edges.size - 1),)
+
+    def exact(k):
+        return (edges[-1] ** (k + 1) - edges[0] ** (k + 1)) / (k + 1)
+
+    for k in range(2 * n):
+        assert np.sum(w * x ** k) == pytest.approx(exact(k), rel=1e-13,
+                                                   abs=1e-14)
+    # and no further: degree 2n is not integrated exactly
+    assert abs(np.sum(w * x ** (2 * n)) - exact(2 * n)) > 1e-9
+
+
+def test_tensor_rule_on_grid_points():
+    coords, w = tensor_rule([composite_gauss([0.0, 0.5, 1.5], 2),
+                             composite_gauss([-1.0, 1.0], 3)])
+    assert w.shape == (4, 3)
+    pts = grid_points(coords)
+    assert pts.shape == (12, 2)
+    assert np.array_equal(pts.reshape(4, 3, 2)[:, 0, 0], coords[0])
+    assert np.array_equal(pts.reshape(4, 3, 2)[0, :, 1], coords[1])
+    # int_0^1.5 x^3 dx * int_{-1}^1 y^4 dy
+    assert np.sum(w.ravel() * pts[:, 0] ** 3 * pts[:, 1] ** 4) == \
+        pytest.approx(1.5 ** 4 / 4 * 0.4, rel=1e-13)
+
+
+def test_quadrature_and_grids_live_in_meshing():
+    # meshing is the one home of the Gauss rules and tensor grids; a module
+    # that builds its own fails here
+    sources = sorted(SRC.glob("*.py"))
+    assert "meshing.py" in [p.name for p in sources]
+    offenders = [f"{p.name}: {word}" for p in sources
+                 if p.name != "meshing.py"
+                 for word in ("leggauss", "meshgrid") if word in p.read_text()]
+    assert offenders == []

@@ -397,10 +397,10 @@ def test_schur_iterations_flat_in_eps_d2(layer):
         assert 0 < sol.solver_counts["schur_iterations"] <= 70
 
 
-def homogenization_d3_layer(eps, elements_per_period=None, nz=None):
-    """The homogenization_d3 config's DNS layer at eps, its mesh refined
+def config_layer(name, eps, elements_per_period=None, nz=None):
+    """The DNS layer at eps of the shipped config name, its mesh refined
     where asked."""
-    config = load_config(CONFIGS / "homogenization_d3.json")
+    config = load_config(CONFIGS / f"{name}.json")
     numerics = config.numerics
     mesh = build_thin_mesh(
         config.geometry.with_eps(eps),
@@ -419,26 +419,37 @@ def test_dns_leaves_no_reference_cycle():
     gc.collect()
     gc.disable()
     try:
-        homogenization_d3_layer(0.125)
+        config_layer("homogenization_d3", 0.125)
         assert gc.collect() == 0
     finally:
         gc.enable()
 
 
-@pytest.mark.slow
-def test_dns_sweep_slopes_resolved():
-    # the homogenization_d3 sweep at its two widest layers: doubling the
-    # vertical elements, or the elements per period, moves the values by up
-    # to 2% (p_l2) but each incremental slope by at most 0.0091 (p_l2 under
-    # the vertical refinement), against a slope_tol of 0.2
+@pytest.mark.parametrize("name", [
+    "regime_i", "regime_ii", "regime_iii",
+    pytest.param("homogenization_d3", marks=pytest.mark.slow)])
+def test_dns_sweep_slopes_resolved(name):
+    # each config's sweep at its two widest layers, under doubled vertical
+    # elements and doubled elements per period.  homogenization_d3: the
+    # values move by up to 2% (p_l2) but each incremental slope by at most
+    # 0.0091 (p_l2 under the vertical refinement), against a slope_tol of
+    # 0.2.  d = 2: only p_l2 carries a slope (0.5), and it moves by at most
+    # 1.5e-6 (regime_i and regime_iii under the horizontal refinement)
+    config = load_config(CONFIGS / f"{name}.json")
+    if config.geometry.d == 3:
+        keys, bound = ("u_l2", "grad_u_l2", "p_l2"), 0.02
+    else:
+        keys, bound = ("p_l2",), 1e-5
     eps = (0.125, 0.0625)
-    keys = ("u_l2", "grad_u_l2", "p_l2")
 
     def slopes(**refine):
-        sols = [homogenization_d3_layer(e, **refine) for e in eps]
+        sols = [config_layer(name, e, **refine) for e in eps]
         return np.array([np.log(sols[0].norms[k] / sols[1].norms[k])
                          / np.log(eps[0] / eps[1]) for k in keys])
 
     base = slopes()
-    for refine in ({"nz": 4}, {"elements_per_period": 4}):
-        assert np.abs(slopes(**refine) - base).max() < 0.02, refine
+    numerics = config.numerics
+    for refine in ({"nz": 2 * numerics["dns_nz"]},
+                   {"elements_per_period":
+                    2 * numerics["dns_elements_per_period"]}):
+        assert np.abs(slopes(**refine) - base).max() < bound, refine
