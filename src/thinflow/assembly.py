@@ -18,10 +18,10 @@ clamps every component, all diagonal blocks are one block, which the
 "component" space (that scalar lattice, walls clamped) assembles alone.
 
 Discrete fields are sampled at Gauss points by sum factorization (Orszag,
-J. Comput. Phys. 37, 1980), one sparse 1D interpolation matrix per axis; the
-norms, the integrals and the convective load all use that one sample.  The
-Gauss rules and tensor grids are those of meshing (composite_gauss,
-tensor_rule, grid_points).
+J. Comput. Phys. 37, 1980), one sparse 1D interpolation matrix per axis, which
+the space builds once and keeps; the norms, the integrals and the convective
+load all use that one sample.  The Gauss rules and tensor grids are those of
+meshing (composite_gauss, tensor_rule, grid_points).
 """
 
 import functools
@@ -108,6 +108,7 @@ class FunctionSpace:
         off_wall = np.flatnonzero(~wall.ravel())
         self.free = [off_wall if c in walled else nodes for c in range(ncomp)]
         self.ndof = sum(f.size for f in self.free)
+        self._interpolations = {}   # see _interpolation
 
     def _build_dofmap(self):
         mesh, p = self.mesh, self.order
@@ -210,11 +211,18 @@ def _axis_basis(space, a, x, deriv=False):
 
 def _interpolation(space, a, x, deriv=False):
     """Sparse 1D interpolation matrix (len(x), lattice size) along axis a:
-    order + 1 entries per row, periodic wrap included."""
-    nodes, weights = _axis_basis(space, a, x, deriv=deriv)
-    rows = np.repeat(np.arange(nodes.shape[0]), space.order + 1)
-    return sp.csr_matrix((weights.ravel(), (rows, nodes.ravel())),
-                         shape=(nodes.shape[0], space.lattice_sizes[a]))
+    order + 1 entries per row, periodic wrap included.  Each matrix is
+    built once per space and kept on it; callers must not modify it."""
+    x = np.asarray(x, dtype=float)
+    key = (a, bool(deriv), x.tobytes())
+    mat = space._interpolations.get(key)
+    if mat is None:
+        nodes, weights = _axis_basis(space, a, x, deriv=deriv)
+        rows = np.repeat(np.arange(nodes.shape[0]), space.order + 1)
+        mat = space._interpolations[key] = sp.csr_matrix(
+            (weights.ravel(), (rows, nodes.ravel())),
+            shape=(nodes.shape[0], space.lattice_sizes[a]))
+    return mat
 
 
 def _per_axis(arr, mats):

@@ -24,7 +24,7 @@ SaddleSolver keeps the factorization, so that later velocity loads are
 solved without factoring again.
 
 BlockSaddleSolver is the block path, for systems whose velocity operator is
-d copies of one scalar block A_s (the thin-layer DNS, every wall tagged for
+d copies of one scalar block A_s (the d = 3 DNS, every wall tagged for
 every component).  It takes and factors A_s alone, with the same SuperLU
 options, and solves each load by CG on the pinned pressure Schur complement
 with the Cahouet-Chabard preconditioner nu M_p^{-1} + sigma L_p^{-1}
@@ -94,11 +94,11 @@ class SolveCounts:
     """Work of the saddle solves behind one computation.
 
     factorizations counts the LU factorizations of velocity operators: of
-    the pinned saddle matrix on the direct path, of the scalar block on the
-    block path (the pressure matrices of its preconditioner are not
-    counted).  schur_iterations sums the CG iterations of the block path,
-    and direct_fallbacks counts the block solvers that missed their
-    tolerance and went over to the direct path.
+    the pinned saddle matrix on the direct path (cells, d = 2 DNS), of the
+    scalar block on the block path (d = 3 DNS; its preconditioner's
+    pressure matrices are not counted).  schur_iterations sums the CG
+    iterations of the block path, and direct_fallbacks counts the block
+    solvers that missed their tolerance and went over to the direct path.
     """
 
     factorizations: int = 0

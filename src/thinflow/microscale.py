@@ -10,33 +10,38 @@ convective load N(u_k) u_k is assembled as a vector (assemble_convection);
 the operator N itself is never formed.  S is the Stokes-Brinkmann saddle
 operator, whose velocity block is d copies of one scalar block because
 every wall is tagged for every component.  Each layer assembles that block
-once, on the "component" space, and factors it once in
-linalg.BlockSaddleSolver; every step is a preconditioned CG solve on the
-pressure Schur complement that starts from the previous step's solution,
-checked at the solver tolerance (a layer whose solve misses it goes over to
-the pinned LU of S).  The iteration stops when the relative velocity update
-falls below the fixed-point tolerance.  It converges where the map
-contracts, that is where the convection is small against S:
-||S^{-1} N(u)|| < 1 near the fixed point (the small-data condition of the
-steady Navier-Stokes theory).  The thin layer velocity is O(eps^2), so the
-shipped configurations lie far inside it.  Outside it the updates stop
-shrinking: an update that is not smaller than the one before ends the loop,
-as stagnation at the arithmetic floor when it is at most sqrt(picard_tol),
-otherwise with a PicardDivergenceError.  The oscillating coefficient is
-evaluated pointwise at quadrature nodes, so the mesh must resolve its
-period geometrically.
+once, on the "component" space, and factors one matrix once.  A d = 3 layer
+factors the block in linalg.BlockSaddleSolver; every step is a
+preconditioned CG solve on the pressure Schur complement that starts from
+the previous step's solution, checked at the solver tolerance (a layer
+whose solve misses it goes over to the pinned LU of S).  A d = 2 layer is
+sealed and hydrostatic, its velocity a discretization residue, and its 2-D
+saddle system is small: it factors the pinned LU of S in
+linalg.SaddleSolver and solves every step with it.  The iteration stops
+when the relative velocity update falls below the fixed-point tolerance.
+It converges where the map contracts, that is where the convection is small
+against S: ||S^{-1} N(u)|| < 1 near the fixed point (the small-data
+condition of the steady Navier-Stokes theory).  The thin layer velocity is
+O(eps^2), so the shipped configurations lie far inside it.  Outside it the
+updates stop shrinking: an update that is not smaller than the one before
+ends the loop, as stagnation at the arithmetic floor when it is at most
+sqrt(picard_tol), otherwise with a PicardDivergenceError.  The oscillating
+coefficient is evaluated pointwise at quadrature nodes, so the mesh must
+resolve its period geometrically.
 """
 
 from dataclasses import asdict, dataclass, field as dfield
 
 import numpy as np
+import scipy.sparse as sp
 
 from .assembly import (DiscreteField, FunctionSpace, assemble_convection,
                        assemble_divergence, assemble_load, assemble_mass,
                        assemble_diffusion, pressure_gauge)
 from .errors import (InvalidParameterError, InvalidResolutionError,
                      PicardDivergenceError)
-from .linalg import BlockSaddleSolver, SolveCounts
+from .linalg import (BlockSaddleSolver, SaddleSolver, SaddleSystem,
+                     SolveCounts)
 
 
 @dataclass
@@ -47,9 +52,10 @@ class MicroSolution:
     the fixed-point tolerance), "zero_branch" (the forcing is balanced by
     the pressure alone), "stalled" (updates stagnate at the arithmetic
     floor) or "linear" (no convection, one step is exact).  solver_counts
-    is the loop's linalg.SolveCounts: the scalar-block factorization, the
-    CG iterations of all steps, and the fallbacks to the direct path and
-    to pivoting, if any.
+    is the loop's linalg.SolveCounts: its one factorization (of the scalar
+    block in d = 3, of the pinned saddle matrix in d = 2), the CG
+    iterations of all steps (none in d = 2), and the fallbacks to the
+    direct path and to pivoting, if any.
     """
 
     mesh: object
@@ -112,16 +118,25 @@ def solve_dlb(thin_mesh, field, params, K_eps, picard_tol=1e-10,
     update = 0.0
     stall_gate = np.sqrt(picard_tol)
     counts = SolveCounts()
-    # preconditioner weights: the viscosity is the geometric mean of the
-    # coefficient's ellipticity bounds alpha <= A <= beta; the drag adds to
-    # sigma the Hele-Shaw friction 3 nu / eps^2 that the walls exert on the
-    # layer-averaged flow, without which the CG count grows like 1/eps
-    # where the drag is weak
-    nu = float(np.sqrt(field.alpha_ell * field.beta_ell))
-    solver = BlockSaddleSolver(
-        block, B, gauge, load, assemble_mass(space_p),
-        assemble_diffusion(space_p), nu=nu, sigma=sigma + 3.0 * nu / eps ** 2,
-        counts=counts)
+    if thin_mesh.ndim == 2:
+        # a sealed layer over a 1-D box is hydrostatic (the force (f1(x0), 0)
+        # is a gradient), so its velocity is a discretization residue that
+        # CG would resolve over some 26 decades; the small 2-D saddle LU
+        # gets it to roundoff with one factorization
+        solver = SaddleSolver(SaddleSystem(
+            K=sp.block_diag([block] * 2, format="csr"), B=B, gauge=gauge,
+            rhs_u=load), counts)
+    else:
+        # preconditioner weights: the viscosity is the geometric mean of the
+        # coefficient's ellipticity bounds alpha <= A <= beta; the drag adds
+        # to sigma the Hele-Shaw friction 3 nu / eps^2 that the walls exert
+        # on the layer-averaged flow, without which the CG count grows like
+        # 1/eps where the drag is weak
+        nu = float(np.sqrt(field.alpha_ell * field.beta_ell))
+        solver = BlockSaddleSolver(
+            block, B, gauge, load, assemble_mass(space_p),
+            assemble_diffusion(space_p), nu=nu,
+            sigma=sigma + 3.0 * nu / eps ** 2, counts=counts)
     for iterations in range(1, max_iters + 1):
         rhs = load - assemble_convection(space_v, u, factor) \
             if factor != 0.0 and np.any(u) else load

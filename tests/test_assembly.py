@@ -8,7 +8,7 @@ import pytest
 
 import thinflow
 
-from thinflow import coefficients as coefs
+from thinflow import assembly, coefficients as coefs
 from thinflow.assembly import (DiscreteField, FunctionSpace,
                                assemble_convection, assemble_diffusion,
                                assemble_divergence, assemble_flux_load,
@@ -431,6 +431,27 @@ def test_element_gauss_axes_reorder_to_quadrature_sample(mesh_name):
                 <= 1e-13 * np.abs(vals).max()
             assert np.abs(element_major(grid_grads) - grads).max() \
                 <= 1e-13 * np.abs(grads).max()
+
+
+@pytest.mark.parametrize("mesh_name", sorted(GRID_MESHES))
+def test_gauss_grid_builds_each_interpolation_once(mesh_name, monkeypatch):
+    # the space keeps the per-axis matrices: a second sample builds none,
+    # and the memoized matrices sample exactly as freshly built ones
+    mesh = GRID_MESHES[mesh_name]()
+    field = random_field(mesh, "velocity")
+    builds = []
+    build = assembly._axis_basis
+    monkeypatch.setattr(assembly, "_axis_basis",
+                        lambda *args, **kw: builds.append(1)
+                        or build(*args, **kw))
+    field.gauss_grid(3, gradients=True)
+    assert len(builds) == 2 * mesh.ndim      # values and derivative per axis
+    second = DiscreteField(field.space, field.coeffs).gauss_grid(
+        3, gradients=True)
+    assert len(builds) == 2 * mesh.ndim
+    fresh = random_field(mesh, "velocity").gauss_grid(3, gradients=True)
+    for x, y in zip(second[2:], fresh[2:]):     # values and gradients
+        assert np.array_equal(x, y)
 
 
 def test_pressure_gauge_is_volume():

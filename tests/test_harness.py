@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from thinflow import assembly
 from thinflow.cli import main as cli_main
 from thinflow.errors import ConfigError, InvalidDataError
 from thinflow.harness import (estimate_rate, load_config, report_csv,
@@ -251,6 +252,25 @@ MISTYPED = [("fluid", "mu", "abc"), ("numerics", "cell_nx", "8"),
 # keys without a default: (block, key)
 REQUIRED = [("geometry", "d"), ("geometry", "omega_extent"), ("fluid", "mu"),
             ("regime", "kappa"), ("regime", "alpha"), ("sweep", "eps_list")]
+
+
+def test_cli_runs_share_no_state(tmp_path, monkeypatch, capsys):
+    # two runs of one config in one process build the same interpolation
+    # matrices: what one run keeps lives on its own spaces, so a second run
+    # (or a repeated benchmark operation) is no faster than the first
+    builds = []
+    build = assembly._axis_basis
+    monkeypatch.setattr(assembly, "_axis_basis",
+                        lambda *args, **kw: builds.append(1)
+                        or build(*args, **kw))
+    config = str(Path(__file__).parent.parent / "configs" / "regime_ii.json")
+    counts = []
+    for run in range(2):
+        before = len(builds)
+        assert cli_main(["run", config, "--output",
+                         str(tmp_path / f"run{run}")]) == 0
+        counts.append(len(builds) - before)
+    assert counts[0] == counts[1] > 0
 
 
 def test_cli_malformed_config_aborts(tmp_path, capsys):

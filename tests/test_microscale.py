@@ -375,26 +375,37 @@ def regime_ii_layer(eps):
     return field, 2.0, eps ** 3
 
 
-def regime_iii_layer(eps):
-    """Weak drag: the regime_iii config's coefficient, K_eps = eps."""
-    field = coefs.zeta_profile_field(2, np.eye(2), lambda z: 1 + z * z,
+@pytest.mark.parametrize("eps", [0.125, 0.0625])
+def test_schur_iterations_flat_in_eps_weak_drag_d3(eps):
+    # weak drag (K_eps = eps, the regime_iii balance) on a d = 3 layer: the
+    # drag weight of the preconditioner, sigma plus the walls' Hele-Shaw
+    # friction 3 nu / eps^2, keeps one cold solve at 52 and 54 iterations;
+    # sigma alone lets the count grow with 1/eps (72 and 88)
+    field = coefs.zeta_profile_field(3, np.eye(3), lambda z: 1 + z * z,
                                      alpha_ell=1.0, beta_ell=2.0)
-    return field, 1.0, eps
+    params = coefs.FluidParams(mu=1.0, rho=0.0, f1=lambda xb: np.column_stack(
+        [np.sin(2 * np.pi * xb[:, 0]), np.zeros(len(xb))]))
+    mesh = build_thin_mesh(Geometry(3, (0.5, 0.5), eps), 2, 2)
+    sol = solve_dlb(mesh, field, params, K_eps=eps)
+    assert sol.solver_counts["direct_fallbacks"] == 0
+    assert 0 < sol.solver_counts["schur_iterations"] <= 60
 
 
-@pytest.mark.parametrize("layer", [regime_ii_layer, regime_iii_layer])
-def test_schur_iterations_flat_in_eps_d2(layer):
-    # one cold solve of a hydrostatic d = 2 layer resolves its velocity
-    # residue over some 26 decades (36 to 54 iterations); the drag weight
-    # of the preconditioner (sigma plus the walls' Hele-Shaw friction)
-    # keeps the count flat where sigma alone or no pressure Laplacian lets
-    # it grow with 1/eps
-    for eps in (0.125, 0.0625, 0.03125):
-        field, mu, K_eps = layer(eps)
-        params = coefs.FluidParams(mu=mu, rho=0.0, f1=sine_forcing)
-        sol = solve_dlb(thin_mesh(eps=eps), field, params, K_eps=K_eps)
-        assert sol.solver_counts["direct_fallbacks"] == 0
-        assert 0 < sol.solver_counts["schur_iterations"] <= 70
+def test_d2_layer_solved_on_pinned_lu():
+    # a d = 2 layer is hydrostatic: one saddle LU and no CG, with the
+    # block path's answer
+    field, mu, K_eps = regime_ii_layer(0.125)
+    params = coefs.FluidParams(mu=mu, rho=0.0, f1=sine_forcing)
+    mesh = thin_mesh(eps=0.125)
+    sol = solve_dlb(mesh, field, params, K_eps=K_eps)
+    assert sol.solver_counts == {"factorizations": 1,
+                                 "pivoted_fallbacks": 0,
+                                 "schur_iterations": 0,
+                                 "direct_fallbacks": 0}
+    _, _, block_solver = dns_system(mesh, field, params, K_eps)
+    for x, x_ref in zip((sol.u, sol.p),
+                        block_solver(SolveCounts()).solve(tol=1e-10)):
+        assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
 
 
 def config_layer(name, eps, elements_per_period=None, nz=None):
@@ -413,13 +424,15 @@ def config_layer(name, eps, elements_per_period=None, nz=None):
                      tol=numerics["solver_tol"])
 
 
-def test_dns_leaves_no_reference_cycle():
-    # a cycle through the block solver would keep each layer's LUs alive
-    # until the next cyclic collection
+@pytest.mark.parametrize("name", ["regime_ii", "homogenization_d3"])
+def test_dns_leaves_no_reference_cycle(name):
+    # a cycle through the solver of either path, or through the matrices
+    # the spaces keep, would hold each layer's LUs until the next cyclic
+    # collection
     gc.collect()
     gc.disable()
     try:
-        config_layer("homogenization_d3", 0.125)
+        config_layer(name, 0.125)
         assert gc.collect() == 0
     finally:
         gc.enable()
