@@ -11,11 +11,17 @@ each velocity component: (u, v) -> sum_c int (grad v_c)^T A (grad u_c).
 
 Free dofs are numbered component by component: the free lattice nodes of
 component 0, then those of component 1, and so on (FunctionSpace.free).  So
-every velocity operator is a block matrix with one block per component, each
-assembled on the scalar lattice; the diffusion and mass forms are block
-diagonal, and only the divergence couples the components.  Where every wall
-clamps every component, all diagonal blocks are one block, which the
-"component" space (that scalar lattice, walls clamped) assembles alone.
+every velocity operator is a block matrix with one block per component; the
+diffusion and mass forms are block diagonal, and only the divergence couples
+the components.  Where every wall clamps every component, all diagonal
+blocks are one block, which the "component" space (that scalar lattice,
+walls clamped) assembles alone.
+
+Each block is summed in one pass into a fixed CSR pattern.  The free nodes
+of a component are a tensor product of per-axis sets, so the pattern is the
+Kronecker product of 1-D patterns, and a slot map built from those, axis by
+axis and with no sort, places every element-local entry (_slot_map).  A
+drag term is folded into the diffusion element matrices.
 
 Discrete fields are sampled at Gauss points by sum factorization (Orszag,
 J. Comput. Phys. 37, 1980), one sparse 1D interpolation matrix per axis, which
@@ -64,6 +70,8 @@ class FunctionSpace:
     where that component is a free dof.  Coefficient vectors list the free
     dofs component by component in that order, so component c occupies the
     slice of length free[c].size after the components before it.
+    axis_free[c] holds the same set per axis, one mask per lattice axis;
+    free[c] is their tensor product.
     """
 
     def __init__(self, mesh, kind, wall_components=None):
@@ -95,38 +103,31 @@ class FunctionSpace:
 
         self._dofmap = self._build_dofmap()
 
-        wall = np.zeros(self.lattice_shape, dtype=bool)
+        # a wall clamps one end of its axis, so the nodes off the walls are
+        # the tensor product of the per-axis nodes off the clamped ends
+        off_wall = [np.ones(n, dtype=bool) for n in self.lattice_sizes]
         for ax, side in mesh.dirichlet:
             if not mesh.periodic[ax]:
-                sl = [slice(None)] * mesh.ndim
-                sl[ax] = 0 if side == 0 else -1
-                wall[tuple(sl)] = True
+                off_wall[ax][0 if side == 0 else -1] = False
         walled = range(ncomp) if wall_components is None else wall_components
         if not constrained:
             walled = ()
-        nodes = np.arange(self.n_scalar)
-        off_wall = np.flatnonzero(~wall.ravel())
-        self.free = [off_wall if c in walled else nodes for c in range(ncomp)]
+        everywhere = [np.ones(n, dtype=bool) for n in self.lattice_sizes]
+        self.axis_free = [off_wall if c in walled else everywhere
+                          for c in range(ncomp)]
+        self.free = [np.flatnonzero(functools.reduce(np.logical_and.outer, m))
+                     for m in self.axis_free]
         self.ndof = sum(f.size for f in self.free)
         self._interpolations = {}   # see _interpolation
 
     def _build_dofmap(self):
-        mesh, p = self.mesh, self.order
-        nel = mesh.n_elements
-        per_axis = []
-        for a in range(mesh.ndim):
-            base = np.arange(nel[a])[:, None] * p + np.arange(p + 1)[None, :]
-            per_axis.append(np.mod(base, self.lattice_sizes[a])
-                            if mesh.periodic[a] else base)
-        elements = grid_points([np.arange(n) for n in nel])
-        flat = None
-        for a in range(mesh.ndim):
-            loc = per_axis[a][elements[:, a]]             # (ne, p+1)
-            expand = [1] * mesh.ndim
-            expand[a] = p + 1
-            loc = loc.reshape((-1,) + tuple(expand))
-            flat = loc if flat is None else flat * self.lattice_sizes[a] + loc
-        return flat.reshape(flat.shape[0], -1)            # (ne, (p+1)^ndim)
+        """Lattice node of every element-local node: (ne, (order+1)^ndim)."""
+        flat = 0
+        for a, n in enumerate(self.mesh.n_elements):
+            flat = flat * self.lattice_sizes[a] + _on_grid(
+                _element_nodes(self, a, np.arange(n)), a, (0, 1),
+                self.mesh.ndim)
+        return flat.reshape(self.mesh.element_count, -1)
 
     # -- coordinates and free-dof bookkeeping ------------------------------
 
@@ -186,6 +187,25 @@ def element_gauss_axes(mesh, nquad):
     return [composite_gauss(axis, nquad) for axis in mesh.axes]
 
 
+def _on_grid(arr, a, dims, d):
+    """A per-axis array of axis a on the grid (elements, row locals, column
+    locals) of a d-dimensional mesh: its k-th axis goes to axis a of the
+    group dims[k]."""
+    shape = [1] * (3 * d)
+    for k, n in zip(dims, arr.shape):
+        shape[k * d + a] = n
+    return arr.reshape(shape)
+
+
+def _element_nodes(space, a, e):
+    """Lattice nodes (len(e), order + 1) of the elements e along axis a,
+    with the periodic wrap applied."""
+    nodes = e[:, None] * space.order + np.arange(space.order + 1)
+    if space.mesh.periodic[a]:
+        nodes = np.mod(nodes, space.lattice_sizes[a])
+    return nodes
+
+
 def _axis_basis(space, a, x, deriv=False):
     """Lattice nodes and 1D basis weights at coordinates x along axis a.
 
@@ -203,10 +223,7 @@ def _axis_basis(space, a, x, deriv=False):
     e = np.clip(((x - axis[0]) / h).astype(np.int64), 0,
                 mesh.n_elements[a] - 1)
     vals, ders = _shape1d(p, 2 * (x - axis[e]) / h - 1)
-    nodes = e[:, None] * p + np.arange(p + 1)
-    if mesh.periodic[a]:
-        nodes = np.mod(nodes, space.lattice_sizes[a])
-    return nodes, (ders * (2.0 / h) if deriv else vals)
+    return _element_nodes(space, a, e), (ders * (2.0 / h) if deriv else vals)
 
 
 def _interpolation(space, a, x, deriv=False):
@@ -250,27 +267,103 @@ def _eval_callable(fn, pts, ncomp):
     return vals.reshape(n, ncomp)
 
 
-def _scatter(space, local, cols=None):
-    """Sum element-local matrices into a CSR matrix on the scalar lattice.
+def _axis_pattern(rows, cols, a, free_r, free_c):
+    """1-D pattern along axis a between the free nodes (masks free_r and
+    free_c) of two spaces.  Returns (r, c, lens, pos): the free index of
+    each element-local row node (n_a, rows.order + 1) and column node
+    (n_a, cols.order + 1), -1 on a clamped end; the length of each free
+    row; and the place of each local pair's column in its row."""
+    def free_index(space, free):
+        nodes = _element_nodes(space, a, np.arange(space.mesh.n_elements[a]))
+        return np.where(free, np.cumsum(free) - 1, -1)[nodes]
 
-    Rows follow the lattice of space and columns that of cols (default
-    space); a single local matrix is used on every element.
+    r, c = free_index(rows, free_r), free_index(cols, free_c)
+    key = r[:, :, None] * free_c.size + c[:, None, :]
+    pattern = np.unique(key[(r[:, :, None] >= 0) & (c[:, None, :] >= 0)])
+    lens = np.bincount(pattern // free_c.size, minlength=int(free_r.sum()))
+    pos = np.searchsorted(pattern, key) \
+        - (np.cumsum(lens) - lens)[r][:, :, None]
+    return r, c, lens.astype(np.int32), pos.astype(np.int32)
+
+
+def _slot_map(rows, cols, free_r, free_c):
+    """CSR pattern between the free row and column nodes (per-axis masks
+    free_r, free_c) and the slot in it of every element-local entry.
+
+    On a tensor mesh the pattern is the Kronecker product of the 1-D
+    patterns (Lynch, Rice & Thomas, Numer. Math. 6, 1964): free row
+    (i_0, ..., i_{d-1}) holds prod_a len_a[i_a] columns, and entry (k, l)
+    of an element lies at indptr[row] + sum_a pos_a prod_{b>a} len_b[i_b].
+    Entries on a clamped row or column go to the discard slot nnz.  Returns
+    (indptr, indices, shape, slot), slot an int32 array (ne, nloc_r, nloc_c).
     """
-    cols = space if cols is None else cols
-    dof_r, dof_c = space._dofmap, cols._dofmap
-    ne, nr = dof_r.shape
-    nc = dof_c.shape[1]
-    vals = np.broadcast_to(local, (ne, nr, nc))
-    rows = np.repeat(dof_r, nc, axis=1).ravel()
-    cidx = np.tile(dof_c, (1, nr)).ravel()
-    return sp.coo_matrix((vals.ravel(), (rows, cidx)),
-                         shape=(space.n_scalar, cols.n_scalar)).tocsr()
+    d = rows.mesh.ndim
+    axes = [_axis_pattern(rows, cols, a, free_r[a], free_c[a])
+            for a in range(d)]
+
+    shape = tuple(int(np.prod([f.sum() for f in free]))
+                  for free in (free_r, free_c))
+    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
+    indptr[1:] = np.cumsum(functools.reduce(np.multiply.outer,
+                                            [lens for _, _, lens, _ in axes]))
+    nnz = int(indptr[-1])
+    row = col = 0
+    for a, (r, c, lens, _) in enumerate(axes):
+        row = row * lens.size + _on_grid(np.maximum(r, 0), a, (0, 1), d)
+        col = col * int(free_c[a].sum()) \
+            + _on_grid(np.maximum(c, 0), a, (0, 2), d)
+    slot = np.empty(rows.mesh.n_elements + (rows.order + 1,) * d
+                    + (cols.order + 1,) * d, dtype=np.int32)
+    slot[...] = indptr[row]
+    stride = 1
+    for a in reversed(range(d)):
+        r, _, lens, pos = axes[a]
+        slot += _on_grid(pos, a, (0, 1, 2), d) * stride
+        stride = stride * _on_grid(lens[np.maximum(r, 0)], a, (0, 1), d)
+    for a, (r, c, _, _) in enumerate(axes):
+        for k, clamped in ((1, r < 0), (2, c < 0)):
+            for e, j in zip(*np.nonzero(clamped)):
+                at = [slice(None)] * (3 * d)
+                at[a], at[k * d + a] = e, j
+                slot[tuple(at)] = nnz
+    indices = np.empty(nnz + 1, dtype=np.int32)
+    indices[slot] = col
+    return indptr, indices[:nnz], shape, slot.reshape(
+        rows.mesh.element_count, -1, (cols.order + 1) ** d)
 
 
-def _vectorize(space, mat_scalar):
-    """Block diagonal: per component, the scalar operator on its free nodes."""
-    return sp.block_diag([mat_scalar[f][:, f] for f in space.free],
-                         format="csr")
+def _fill(slot_map, local):
+    """CSR matrix of element-local matrices (one per element, or one for
+    all) summed into the pattern of a slot map."""
+    indptr, indices, shape, slot = slot_map
+    data = np.zeros(indices.size + 1)
+    # unlike bincount, add.at takes the int32 slots without an int64 copy;
+    # flat operands keep it on its fast path
+    np.add.at(data, slot.ravel(), np.ascontiguousarray(
+        np.broadcast_to(local, slot.shape)).ravel())
+    return sp.csr_matrix((data[:-1], indices, indptr), shape=shape)
+
+
+def _per_free_set(space, build):
+    """build(axis_free[c]) for every component c, once per distinct set."""
+    built = {id(free): free for free in space.axis_free}
+    built = {key: build(free) for key, free in built.items()}
+    return [built[id(free)] for free in space.axis_free]
+
+
+def _square(space, local):
+    """Block diagonal operator of element-local matrices on the free dofs,
+    one symmetric scalar block per component."""
+    def block(free):
+        mat = _fill(_slot_map(space, space, free, free), local)
+        _check_symmetric(mat)
+        return mat
+
+    mats = _per_free_set(space, block)
+    return mats[0] if len(mats) == 1 else sp.bmat(
+        [[m if i == j else sp.csr_matrix((m.shape[0], n.shape[1]))
+          for j, n in enumerate(mats)] for i, m in enumerate(mats)],
+        format="csr")
 
 
 def _check_symmetric(mat):
@@ -293,38 +386,38 @@ def _load_vector(space, locals_):
         for c, f in enumerate(space.free)])
 
 
-def assemble_diffusion(space, a_eval=None, nquad=3):
-    """Matrix of (u, v) -> int A grad u : grad v.
+def assemble_diffusion(space, a_eval=None, nquad=3, drag=0.0):
+    """Matrix of (u, v) -> int A grad u : grad v + drag int u . v.
 
     a_eval maps points (N, ndim) to (N, ndim, ndim) symmetric matrices (or
     to scalars, interpreted as multiples of the identity); None means the
-    identity coefficient.
+    identity coefficient.  The drag is added to the element matrices.
     """
-    _, grad, wq = space.reference_data(nquad)
+    phi, grad, wq = space.reference_data(nquad)
     ndim = space.mesh.ndim
-    ne = space.mesh.element_count
     nq, nloc = grad.shape[0], grad.shape[1]
     if a_eval is None:
         local = np.einsum("qia,qja,q->ij", grad, grad, wq)
-        mat = _scatter(space, local)
     else:
         pts = space.quadrature_points(nquad).reshape(-1, ndim)
         avals = np.asarray(a_eval(pts), dtype=float)
         if avals.ndim == 1:
             avals = avals[:, None, None] * np.eye(ndim)
-        ga = avals.reshape(ne, nq, ndim, ndim) @ grad.transpose(0, 2, 1)
-        w = (wq[:, None, None] * grad).transpose(1, 0, 2).reshape(nloc, -1)
-        mat = _scatter(space, w @ ga.reshape(ne, nq * ndim, nloc))
-    _check_symmetric(mat)
-    return _vectorize(space, mat)
+        # sum over q, a, b of w_q A_ab grad_i[a] grad_j[b]: one product of
+        # the coefficient samples with a fixed table
+        table = np.einsum("q,qia,qjb->qabij", wq, grad, grad)
+        local = (avals.reshape(-1, nq * ndim * ndim)
+                 @ table.reshape(nq * ndim * ndim, nloc * nloc)).reshape(
+                     -1, nloc, nloc)
+    if drag:
+        local += drag * np.einsum("qi,qj,q->ij", phi, phi, wq)
+    return _square(space, local)
 
 
 def assemble_mass(space, nquad=3):
     """Matrix of (u, v) -> int u . v."""
     phi, _, wq = space.reference_data(nquad)
-    mat = _scatter(space, np.einsum("qi,qj,q->ij", phi, phi, wq))
-    _check_symmetric(mat)
-    return _vectorize(space, mat)
+    return _square(space, np.einsum("qi,qj,q->ij", phi, phi, wq))
 
 
 def assemble_divergence(space_v, space_p, nquad=3):
@@ -333,10 +426,11 @@ def assemble_divergence(space_v, space_p, nquad=3):
         raise SpaceMismatchError("velocity and pressure spaces share no mesh")
     phi_p, _, wq = space_p.reference_data(nquad)
     _, grad_v, _ = space_v.reference_data(nquad)
+    maps = _per_free_set(space_v, lambda free: _slot_map(
+        space_p, space_v, space_p.axis_free[0], free))
     return sp.hstack([
-        _scatter(space_p, np.einsum("qi,qj,q->ij", phi_p, grad_v[:, :, c], wq),
-                 cols=space_v)[:, f]
-        for c, f in enumerate(space_v.free)], format="csr")
+        _fill(m, np.einsum("qi,qj,q->ij", phi_p, grad_v[:, :, c], wq))
+        for c, m in enumerate(maps)], format="csr")
 
 
 def assemble_convection(space_v, u_coeffs, factor=1.0, nquad=3):

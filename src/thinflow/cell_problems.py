@@ -98,13 +98,11 @@ def _div_residuals(B, velocities):
     return [float(np.linalg.norm(B @ w)) / scale for w in velocities]
 
 
-def _solve_clamped(regime, field, cell_mesh, tol, drag=None, **meta):
-    """-div(A grad w) [+ drag w] + grad q = e_i with the walls clamped."""
+def _solve_clamped(regime, field, cell_mesh, tol, drag=0.0, **meta):
+    """-div(A grad w) + drag w + grad q = e_i with the walls clamped."""
     coefs.check_ellipticity(field, n_samples=256)
     space_v, space_p, B, gauge = _cell_spaces(cell_mesh)
-    S = assemble_diffusion(space_v, field.evaluate)
-    if drag is not None:
-        S = (S + drag * assemble_mass(space_v)).tocsr()
+    S = assemble_diffusion(space_v, field.evaluate, drag=drag)
     counts = SolveCounts()
     velocities, pressures = _solve_loads(S, B, gauge, _unit_loads(space_v),
                                          tol, counts)

@@ -59,11 +59,20 @@ def _cmd_cell(args, config):
 def _cmd_diag(args, config):
     geometry = config.geometry
     report = ConvergenceReport("diag")
-    probe = _probe_function(geometry.d1)
+    # a constant macro factor over whole periods makes the scaled mass
+    # equal its limit; with 1 + x0 the error is eps^2 k(0) (g'(1) - g'(0)),
+    # g the macro mass density and k the second periodic antiderivative of
+    # the fluctuation, so the table measures the rate 2
+    probe = _probe_function(geometry.d1, lambda xb: 1.0 + xb[:, 0])
     rows = oscillation_limit_table(probe, config.eps_list, geometry)
     for row in rows:
         report.add_upper(f"oscillation_bound_eps_{_fmt(row['eps'])}",
                          row["value"], row["bound"] * (1 + 1e-10) + 1e-10)
+    for row in rows:
+        if np.isfinite(row["est_rate"]):
+            report.add(f"oscillation_rate_eps_{_fmt(row['eps'])}",
+                       row["est_rate"], target=2.0, tol=0.05,
+                       passed=bool(abs(row["est_rate"] - 2.0) <= 0.05))
 
     def u_profile(pts):
         return pts[:, -1]

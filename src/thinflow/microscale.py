@@ -10,8 +10,9 @@ convective load N(u_k) u_k is assembled as a vector (assemble_convection);
 the operator N itself is never formed.  S is the Stokes-Brinkmann saddle
 operator, whose velocity block is d copies of one scalar block because
 every wall is tagged for every component.  Each layer assembles that block
-once, on the "component" space, and factors one matrix once.  A d = 3 layer
-factors the block in linalg.BlockSaddleSolver; every step is a
+once, on the "component" space with the drag mu/K folded into its element
+matrices, and factors one matrix once.  A d = 3 layer factors the block in
+linalg.BlockSaddleSolver; every step is a
 preconditioned CG solve on the pressure Schur complement that starts from
 the previous step's solution, checked at the solver tolerance (a layer
 whose solve misses it goes over to the pinned LU of S).  A d = 2 layer is
@@ -104,8 +105,7 @@ def solve_dlb(thin_mesh, field, params, K_eps, picard_tol=1e-10,
     space_s = FunctionSpace(thin_mesh, "component")
     space_p = FunctionSpace(thin_mesh, "pressure")
     sigma = params.mu / K_eps
-    block = (assemble_diffusion(space_s, field.scaled(eps))
-             + sigma * assemble_mass(space_s)).tocsr()
+    block = assemble_diffusion(space_s, field.scaled(eps), drag=sigma)
     B = assemble_divergence(space_v, space_p)
     gauge = pressure_gauge(space_p)
     load = assemble_load(space_v, params.forcing(thin_mesh.ndim - 1))

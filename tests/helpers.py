@@ -2,14 +2,16 @@
 
 quadrature_sample, oseen_matrix, diffusion_reference and
 boundary_flux_reference are element-by-element references that the tests
-compare the library's sum-factorized or batched forms against."""
+compare the library's sum-factorized or batched forms against; scatter and
+vectorize are the COO assembly the library's slot map is checked against."""
 
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from thinflow import coefficients as coefs
-from thinflow.assembly import DiscreteField, _scatter, _shape1d, _vectorize
+from thinflow.assembly import DiscreteField, _shape1d
 from thinflow.meshing import gauss_rule
 
 
@@ -53,6 +55,29 @@ def translated(field, shift):
                                   field.alpha_ell, field.beta_ell)
 
 
+def scatter(space, local, cols=None):
+    """Sum element-local matrices into a CSR matrix on the scalar lattice
+    through COO triplets.  Rows follow the lattice of space and columns
+    that of cols (default space); a single local matrix is used on every
+    element."""
+    cols = space if cols is None else cols
+    dof_r, dof_c = space._dofmap, cols._dofmap
+    ne, nr = dof_r.shape
+    nc = dof_c.shape[1]
+    vals = np.broadcast_to(local, (ne, nr, nc))
+    rows = np.repeat(dof_r, nc, axis=1).ravel()
+    cidx = np.tile(dof_c, (1, nr)).ravel()
+    return sp.coo_matrix((vals.ravel(), (rows, cidx)),
+                         shape=(space.n_scalar, cols.n_scalar)).tocsr()
+
+
+def vectorize(space, mat_scalar):
+    """Block diagonal: per component, the scalar operator on its free
+    nodes."""
+    return sp.block_diag([mat_scalar[f][:, f] for f in space.free],
+                         format="csr")
+
+
 def quadrature_sample(field, nquad=3, gradients=False):
     """Element-aligned Gauss sample of a DiscreteField, element by element:
     points, weights, values[, grads].  The dofmap-gather reference for the
@@ -85,7 +110,7 @@ def oseen_matrix(space_v, u_coeffs, factor=1.0, nquad=3):
     uq = np.einsum("qi,eic->eqc", phi, uloc)          # (ne, nq, ncomp)
     adv = np.einsum("eqa,qja->eqj", uq, grad)         # u . grad phi_j
     locals_ = np.einsum("q,qi,eqj->eij", wq, phi, adv)
-    mat = _vectorize(space_v, _scatter(space_v, locals_))
+    mat = vectorize(space_v, scatter(space_v, locals_))
     return (mat * factor).tocsr() if factor != 1.0 else mat
 
 
@@ -103,7 +128,7 @@ def diffusion_reference(space, a_eval, nquad=3):
     for q in range(nq):
         ga = avals[:, q] @ grad[q].T           # (ne, ndim, nloc)
         locals_ += wq[q] * (grad[q] @ ga)      # (ne, nloc, nloc)
-    return _vectorize(space, _scatter(space, locals_))
+    return vectorize(space, scatter(space, locals_))
 
 
 def boundary_flux_reference(macro):

@@ -5,6 +5,7 @@ import textwrap
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import thinflow
 
@@ -19,7 +20,7 @@ from thinflow.meshing import Geometry, build_cell_mesh, build_macro_mesh, \
     build_thin_mesh
 
 from helpers import (diffusion_reference, interpolate, mesh_volume,
-                     oseen_matrix, quadrature_sample)
+                     oseen_matrix, quadrature_sample, scatter, vectorize)
 
 
 def unit_square_mesh(n):
@@ -297,6 +298,91 @@ def test_diffusion_matches_gauss_point_loop(d):
         K = assemble_diffusion(V, field.scaled(eps))
         ref = diffusion_reference(V, field.scaled(eps))
         assert np.abs(K - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+# -- slot map against the COO reference --------------------------------------
+
+def _wavy(mesh):
+    # a varying, anisotropic coefficient at x / eps, eps the half-height
+    d = mesh.ndim
+    amp = np.array([[0.5, 0.2, 0.1], [0.2, 0.3, 0.0], [0.1, 0.0, 0.4]])
+    return coefs.periodic_field(d, 2 * np.eye(d), [coefs.Wave(
+        (1,) + (0,) * (d - 2), "sin", amp[:d, :d])], 1.0, 3.0).scaled(
+            mesh.axes[-1][-1])
+
+
+SLOT_MAP_SPACES = {
+    "cell_d2": lambda: FunctionSpace(cell_mesh(), "velocity"),
+    "cell_d3": lambda: FunctionSpace(
+        build_cell_mesh(Geometry(3, (1.0, 1.0), 0.125), 3, 2), "velocity"),
+    "cell_d2_one_element": lambda: FunctionSpace(cell_mesh(nx=1, nz=2),
+                                                 "velocity"),
+    "regime_ii_normal_walls": lambda: FunctionSpace(
+        build_cell_mesh(Geometry(3, (1.0, 1.0), 0.125), 3, 2), "velocity",
+        wall_components=(2,)),
+    "thin_d3": lambda: FunctionSpace(
+        build_thin_mesh(Geometry(3, (0.5, 0.75), 0.25), 2, 2), "velocity"),
+    "thin_d3_component": lambda: FunctionSpace(
+        build_thin_mesh(Geometry(3, (0.5, 0.75), 0.25), 2, 2), "component"),
+    "pressure_d3": lambda: FunctionSpace(
+        build_thin_mesh(Geometry(3, (0.5, 0.75), 0.25), 2, 2), "pressure"),
+    "pressure_cell_d2": lambda: FunctionSpace(cell_mesh(), "pressure"),
+}
+
+
+def assert_same_csr(mat, ref):
+    # the same pattern, and data equal up to the order of summation
+    assert mat.shape == ref.shape
+    assert np.array_equal(mat.indptr, ref.indptr)
+    assert np.array_equal(mat.indices, ref.indices)
+    assert np.abs(mat.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
+
+
+@pytest.mark.parametrize("name", sorted(SLOT_MAP_SPACES))
+def test_slot_map_matches_coo_reference(name):
+    S = SLOT_MAP_SPACES[name]()
+    phi, grad, wq = S.reference_data(3)
+    assert_same_csr(assemble_mass(S), vectorize(
+        S, scatter(S, np.einsum("qi,qj,q->ij", phi, phi, wq))))
+    assert_same_csr(assemble_diffusion(S), vectorize(
+        S, scatter(S, np.einsum("qia,qja,q->ij", grad, grad, wq))))
+    a_eval = _wavy(S.mesh)
+    assert_same_csr(assemble_diffusion(S, a_eval),
+                    diffusion_reference(S, a_eval))
+    if S.kind == "velocity":
+        Q = FunctionSpace(S.mesh, "pressure")
+        phi_p, _, _ = Q.reference_data(3)
+        ref = sp.hstack([
+            scatter(Q, np.einsum("qi,qj,q->ij", phi_p, grad[:, :, c], wq),
+                    cols=S)[:, f]
+            for c, f in enumerate(S.free)], format="csr")
+        assert_same_csr(assemble_divergence(S, Q), ref)
+
+
+@pytest.mark.parametrize("name", ["thin_d3_component", "cell_d2"])
+def test_drag_folded_into_element_matrices(name):
+    S = SLOT_MAP_SPACES[name]()
+    a_eval = _wavy(S.mesh)
+    folded = assemble_diffusion(S, a_eval, drag=7.0)
+    summed = (assemble_diffusion(S, a_eval) + 7.0 * assemble_mass(S)).tocsr()
+    assert np.abs(folded - summed).max() <= 1e-15 * np.abs(summed).max()
+
+
+def test_assembly_builds_no_coo(monkeypatch):
+    # every operator is summed straight into its CSR pattern: no COO
+    # triplets, no sort
+    def refuse(*args, **kwargs):
+        raise AssertionError("COO assembly")
+
+    monkeypatch.setattr(assembly.sp, "coo_matrix", refuse)
+    monkeypatch.setattr(assembly.sp, "coo_array", refuse)
+    for mesh in (cell_mesh(), build_thin_mesh(
+            Geometry(3, (0.5, 0.75), 0.25), 2, 2)):
+        V = FunctionSpace(mesh, "velocity")
+        Q = FunctionSpace(mesh, "pressure")
+        assert assemble_mass(V).nnz and assemble_mass(Q).nnz
+        assert assemble_divergence(V, Q).nnz
+        assert assemble_diffusion(V, _wavy(mesh), drag=2.0).nnz
 
 
 def test_component_layout_with_normal_walls():

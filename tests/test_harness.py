@@ -215,6 +215,33 @@ def test_cli_diag(tmp_path, capsys):
     assert (tmp_path / "out" / "diag.csv").exists()
 
 
+def test_cli_diag_measures_second_order_rate(tmp_path, capsys):
+    # the probe's macro factor 1 + x0 leaves an eps^2 term, so abs_error
+    # is a measurement (not rounding) and each finite rate is a verdict
+    for d, extent in ((2, [1.0]), (3, [0.5, 0.5])):
+        raw = copy.deepcopy(BASE_CONFIG)
+        raw["geometry"] = {"d": d, "omega_extent": extent}
+        raw["coefficient"]["matrix"] = np.eye(d).tolist()
+        raw["fluid"]["f1"] = ["sin(2*pi*x0)"] * (d - 1)
+        out = tmp_path / f"d{d}"
+        assert cli_main(["diag", write_config(tmp_path, raw),
+                         "--output", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rates = [line for line in lines if "oscillation_rate_eps_" in line]
+        assert [line.split(" = ")[0] for line in rates] == [
+            "[PASS] oscillation_rate_eps_0.0625",
+            "[PASS] oscillation_rate_eps_0.03125"]
+        assert all(line.endswith("target=2") for line in rates)
+        rows = [line.split(",") for line in
+                (out / "diag.csv").read_text().splitlines()]
+        assert rows[0] == ["eps", "value", "limit", "abs_error", "est_rate"]
+        errors = [float(r[3]) for r in rows[1:]]
+        assert errors[0] > 1e-4 and errors[-1] > 1e-6
+        assert np.isnan(float(rows[1][4]))
+        for r in rows[2:]:
+            assert abs(float(r[4]) - 2.0) <= 1e-6
+
+
 def test_cli_run_and_exit_codes(tmp_path, capsys):
     raw = copy.deepcopy(BASE_CONFIG)
     raw["numerics"]["cell_nz"] = 8
