@@ -25,9 +25,12 @@ drag term is folded into the diffusion element matrices.
 
 Discrete fields are sampled at Gauss points by sum factorization (Orszag,
 J. Comput. Phys. 37, 1980), one sparse 1D interpolation matrix per axis, which
-the space builds once and keeps; the norms, the integrals and the convective
-load all use that one sample.  The Gauss rules and tensor grids are those of
-meshing (composite_gauss, tensor_rule, grid_points).
+the space builds once and keeps; the norms and the integrals use that one
+sample.  Every load (the forcing, the cell unit loads, the pressure gauge,
+the flux and Picard convection loads, the macro no-flux diagnostic) is its
+transpose, integrate_grid, so no per-element dof map is kept.  The Gauss
+rules and tensor grids are those of meshing (composite_gauss, tensor_rule,
+grid_points).
 """
 
 import functools
@@ -101,8 +104,6 @@ class FunctionSpace:
         self.lattice_shape = tuple(self.lattice_sizes)
         self.n_scalar = int(np.prod(self.lattice_shape))
 
-        self._dofmap = self._build_dofmap()
-
         # a wall clamps one end of its axis, so the nodes off the walls are
         # the tensor product of the per-axis nodes off the clamped ends
         off_wall = [np.ones(n, dtype=bool) for n in self.lattice_sizes]
@@ -119,15 +120,6 @@ class FunctionSpace:
                      for m in self.axis_free]
         self.ndof = sum(f.size for f in self.free)
         self._interpolations = {}   # see _interpolation
-
-    def _build_dofmap(self):
-        """Lattice node of every element-local node: (ne, (order+1)^ndim)."""
-        flat = 0
-        for a, n in enumerate(self.mesh.n_elements):
-            flat = flat * self.lattice_sizes[a] + _on_grid(
-                _element_nodes(self, a, np.arange(n)), a, (0, 1),
-                self.mesh.ndim)
-        return flat.reshape(self.mesh.element_count, -1)
 
     # -- coordinates and free-dof bookkeeping ------------------------------
 
@@ -182,7 +174,8 @@ def element_gauss_axes(mesh, nquad):
 
     Each axis carries nquad points in every element, element by element.
     The tensor product of the axes holds the points and weights of
-    quadrature_points in grid order; DiscreteField.gauss_grid samples there.
+    quadrature_points in grid order; DiscreteField.gauss_grid samples there
+    and the loads integrate there.
     """
     return [composite_gauss(axis, nquad) for axis in mesh.axes]
 
@@ -377,15 +370,6 @@ def _check_symmetric(mat):
                 f"{_SYM_CHECK_REL:.0e} of the largest entry {scale:.3e}")
 
 
-def _load_vector(space, locals_):
-    """Free-dof vector of element-local loads locals_ (ne, nloc, ncomp)."""
-    nodes = space._dofmap.ravel()
-    return np.concatenate([
-        np.bincount(nodes, weights=locals_[:, :, c].ravel(),
-                    minlength=space.n_scalar)[f]
-        for c, f in enumerate(space.free)])
-
-
 def assemble_diffusion(space, a_eval=None, nquad=3, drag=0.0):
     """Matrix of (u, v) -> int A grad u : grad v + drag int u . v.
 
@@ -433,45 +417,49 @@ def assemble_divergence(space_v, space_p, nquad=3):
         for c, m in enumerate(maps)], format="csr")
 
 
-def assemble_convection(space_v, u_coeffs, factor=1.0, nquad=3):
-    """Picard load N(u) u: int factor (u . grad u) . v for every free v.
+def integrate_grid(space, coords, integrand, deriv_axis=None):
+    """Free-dof vector of the weighted samples integrand against the basis.
 
-    The integrand is formed on the Gauss grid of DiscreteField.gauss_grid
-    and carried back to the lattice by the transposed per-axis matrices.
+    integrand (m_0, ..., m_{d-1}, ncomp) holds quadrature weight times
+    integrand on the tensor grid of per-axis coordinates coords; entry i of
+    the result is their sum against basis function i, or against its
+    derivative along deriv_axis.  This is the transpose of
+    DiscreteField.evaluate_grid: the same per-axis matrices, transposed,
+    carry the samples back to the lattice.
     """
+    full = _per_axis(integrand, [
+        _interpolation(space, a, x, deriv=deriv_axis == a).T
+        for a, x in enumerate(coords)]).reshape(space.n_scalar, space.ncomp)
+    return np.concatenate([full[f, c] for c, f in enumerate(space.free)])
+
+
+def assemble_convection(space_v, u_coeffs, factor=1.0, nquad=3):
+    """Picard load N(u) u: int factor (u . grad u) . v for every free v,
+    formed on the Gauss grid of DiscreteField.gauss_grid."""
     coords, w, u, grads = DiscreteField(space_v, u_coeffs).gauss_grid(
         nquad, gradients=True)
-    integrand = np.einsum("...a,...ca->...c", u, grads) \
-        * (factor * w)[..., None]
-    full = _per_axis(integrand, [_interpolation(space_v, a, x).T
-                                 for a, x in enumerate(coords)])
-    full = full.reshape(space_v.n_scalar, space_v.ncomp)
-    return np.concatenate([full[f, c] for c, f in enumerate(space_v.free)])
+    return integrate_grid(space_v, coords, np.einsum(
+        "...a,...ca->...c", u, grads) * (factor * w)[..., None])
 
 
 def assemble_load(space, f_eval, nquad=3):
     """Load vector int f . v on the free dofs."""
-    phi, _, wq = space.reference_data(nquad)
-    pts = space.quadrature_points(nquad)
-    ne, nq = pts.shape[0], pts.shape[1]
-    fv = _eval_callable(f_eval, pts.reshape(-1, space.mesh.ndim), space.ncomp)
-    locals_ = np.einsum("eqc,qi,q->eic", fv.reshape(ne, nq, space.ncomp),
-                        phi, wq)
-    return _load_vector(space, locals_)
+    coords, w = tensor_rule(element_gauss_axes(space.mesh, nquad))
+    fv = _eval_callable(f_eval, grid_points(coords), space.ncomp)
+    return integrate_grid(space, coords, fv.reshape(w.shape + (-1,))
+                          * w[..., None])
 
 
 def assemble_flux_load(space, vec_eval, nquad=3):
     """Vector of int F . grad q for a scalar space (Neumann-form source)."""
     if space.ncomp != 1:
         raise SpaceMismatchError("flux load is defined for scalar spaces")
-    _, grad, wq = space.reference_data(nquad)
-    pts = space.quadrature_points(nquad)
-    ne, nq = pts.shape[0], pts.shape[1]
     ndim = space.mesh.ndim
-    fv = _eval_callable(vec_eval, pts.reshape(-1, ndim), ndim)
-    fv = fv.reshape(ne, nq, ndim)
-    locals_ = np.einsum("eqa,qia,q->ei", fv, grad, wq)
-    return _load_vector(space, locals_[:, :, None])
+    coords, w = tensor_rule(element_gauss_axes(space.mesh, nquad))
+    fv = _eval_callable(vec_eval, grid_points(coords), ndim).reshape(
+        w.shape + (ndim,)) * w[..., None]
+    return sum(integrate_grid(space, coords, fv[..., a:a + 1], deriv_axis=a)
+               for a in range(ndim))
 
 
 def pressure_gauge(space_p, nquad=3):

@@ -8,14 +8,16 @@ The sign convention is
 with (B u)_q = int q div u; the physical pressure is p = -q, so solvers
 return p directly.  B^T annihilates the constant pressures, so the matrix is
 singular.  Every direct solve removes that kernel by pinning one pressure
-dof, the one with the largest gauge weight, whose row and column are
-dropped; the rhs is first made compatible along the gauge direction.  The
-pinned matrix is factored by SuperLU without pivoting under a minimum-degree
-ordering of A^T + A, which keeps the fill close to that of the velocity
-block.  Each solve applies one step of iterative refinement, shifts the
-pressure to gauge^T p = 0 and checks the unpinned residual against the
-tolerance.  A solve that misses it is repeated with a partially pivoted
-factorization of the same pinned matrix before the solver gives up.
+dof, whose row and column are dropped: the first whose gauge weight is
+within a relative 1e-12 of the largest, so that weights tied to rounding
+pin the same dof in any summation order.  The rhs is first made compatible
+along the gauge direction.  The pinned matrix is factored by SuperLU
+without pivoting under a minimum-degree ordering of A^T + A, which keeps
+the fill close to that of the velocity block.  Each solve applies one step
+of iterative refinement, shifts the pressure to gauge^T p = 0 and checks
+the unpinned residual against the tolerance.  A solve that misses it is
+repeated with a partially pivoted factorization of the same pinned matrix
+before the solver gives up.
 
 There is one direct path.  solve_sparse factors a system once and solves
 it, all loads at once when its rhs has one column per load, and
@@ -57,6 +59,8 @@ DEFAULT_TOL_DIRECT = 1e-10
 _BACKWARD_GOAL = float(np.finfo(float).eps)
 _SWEEP_REDUCTION = 1e-10
 _SCHUR_MAX_ITERS = 200
+# gauge weights within this relative distance of the largest tie for the pin
+_PIN_TIE_REL = 1e-12
 
 
 @dataclass
@@ -155,11 +159,14 @@ def _project_gauge(gauge, p):
 
 
 def _gauge_and_pin(gauge):
-    """Index of the dof to pin: the one with the largest gauge weight."""
+    """Index of the dof to pin: the first whose gauge weight lies within
+    _PIN_TIE_REL of the largest, so weights tied to rounding (as on a
+    uniform mesh) pin the same dof whatever order summed them."""
     gauge = np.asarray(gauge, dtype=float) if gauge is not None else None
     if gauge is None or not np.any(gauge):
         raise SingularSystemError("gauge vector missing or zero")
-    return gauge, int(np.argmax(np.abs(gauge)))
+    weight = np.abs(gauge)
+    return gauge, int(np.argmax(weight >= (1 - _PIN_TIE_REL) * weight.max()))
 
 
 def _splu(mat, pivot=False):

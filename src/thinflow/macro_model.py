@@ -14,8 +14,7 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from .assembly import (DiscreteField, FunctionSpace, assemble_diffusion,
-                       assemble_flux_load, pressure_gauge, _interpolation,
-                       _per_axis)
+                       assemble_flux_load, integrate_grid, pressure_gauge)
 from .errors import InvalidEffectiveMatrixError
 from .linalg import _compatible, solve_gauged_spd
 from .meshing import composite_gauss, grid_points, tensor_rule
@@ -107,11 +106,11 @@ def boundary_flux_residual(macro):
     """max_q | boundary integral of (u' . nu) q | over pressure basis q.
 
     Each wall is the tensor Gauss grid of the other axes (a point in 1D),
-    weighted by the outward normal sign; the traces of the pressure basis
-    there are the per-axis interpolation matrices.
+    weighted by the outward normal sign, and integrate_grid sums it against
+    the traces of the pressure basis there.
     """
     mesh, space = macro.mesh, macro.space
-    fb = np.zeros(space.lattice_shape)
+    fb = np.zeros(space.ndof)
     for a, axis in enumerate(mesh.axes):
         for wall, sign in ((axis[:1], -1.0), (axis[-1:], 1.0)):
             coords, w = tensor_rule([
@@ -119,6 +118,5 @@ def boundary_flux_residual(macro):
                 else composite_gauss(mesh.axes[b], 3)
                 for b in range(mesh.ndim)])
             un = macro.velocity(grid_points(coords))[:, a].reshape(w.shape)
-            fb += _per_axis(w * un, [_interpolation(space, b, x).T
-                                     for b, x in enumerate(coords)])
+            fb += integrate_grid(space, coords, (w * un)[..., None])
     return float(np.abs(fb).max())

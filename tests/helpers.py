@@ -1,9 +1,12 @@
 """Helpers shared by several test modules; the library itself needs none.
 
-quadrature_sample, oseen_matrix, diffusion_reference and
-boundary_flux_reference are element-by-element references that the tests
-compare the library's sum-factorized or batched forms against; scatter and
-vectorize are the COO assembly the library's slot map is checked against."""
+quadrature_sample, oseen_matrix, diffusion_reference, load_reference,
+flux_load_reference and boundary_flux_reference are element-by-element
+references that the tests compare the library's sum-factorized or batched
+forms against; they gather through dofmap, the lattice node of every
+element-local node, where the library maps between Gauss grids and the
+lattice axis by axis.  scatter and vectorize are the COO assembly the
+library's slot map is checked against."""
 
 import math
 
@@ -11,7 +14,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from thinflow import coefficients as coefs
-from thinflow.assembly import DiscreteField, _shape1d
+from thinflow.assembly import (DiscreteField, _element_nodes, _eval_callable,
+                               _on_grid, _shape1d)
 from thinflow.meshing import gauss_rule
 
 
@@ -55,13 +59,58 @@ def translated(field, shift):
                                   field.alpha_ell, field.beta_ell)
 
 
+def dofmap(space):
+    """Lattice node of every element-local node: (ne, (order+1)^ndim)."""
+    flat = 0
+    for a, n in enumerate(space.mesh.n_elements):
+        flat = flat * space.lattice_sizes[a] + _on_grid(
+            _element_nodes(space, a, np.arange(n)), a, (0, 1),
+            space.mesh.ndim)
+    return flat.reshape(space.mesh.element_count, -1)
+
+
+def gather(space, locals_):
+    """Free-dof vector of element-local loads locals_ (ne, nloc, ncomp),
+    summed onto the lattice node by node."""
+    nodes = dofmap(space).ravel()
+    return np.concatenate([
+        np.bincount(nodes, weights=locals_[:, :, c].ravel(),
+                    minlength=space.n_scalar)[f]
+        for c, f in enumerate(space.free)])
+
+
+def _element_samples(space, fn, ncomp, nquad):
+    """fn at the Gauss points of every element: (ne, nq, ncomp)."""
+    pts = space.quadrature_points(nquad)
+    return _eval_callable(fn, pts.reshape(-1, space.mesh.ndim),
+                          ncomp).reshape(pts.shape[:2] + (ncomp,))
+
+
+def load_reference(space, f, nquad=3):
+    """int f . v for every free v, element by element; the library
+    integrates on the tensor Gauss grid (assemble_load)."""
+    phi, _, wq = space.reference_data(nquad)
+    return gather(space, np.einsum(
+        "eqc,qi,q->eic", _element_samples(space, f, space.ncomp, nquad),
+        phi, wq))
+
+
+def flux_load_reference(space, vec, nquad=3):
+    """int F . grad q for every q of a scalar space, element by element;
+    the library takes one derivative pass per axis (assemble_flux_load)."""
+    _, grad, wq = space.reference_data(nquad)
+    return gather(space, np.einsum(
+        "eqa,qia,q->ei", _element_samples(space, vec, space.mesh.ndim, nquad),
+        grad, wq)[:, :, None])
+
+
 def scatter(space, local, cols=None):
     """Sum element-local matrices into a CSR matrix on the scalar lattice
     through COO triplets.  Rows follow the lattice of space and columns
     that of cols (default space); a single local matrix is used on every
     element."""
     cols = space if cols is None else cols
-    dof_r, dof_c = space._dofmap, cols._dofmap
+    dof_r, dof_c = dofmap(space), dofmap(cols)
     ne, nr = dof_r.shape
     nc = dof_c.shape[1]
     vals = np.broadcast_to(local, (ne, nr, nc))
@@ -87,7 +136,7 @@ def quadrature_sample(field, nquad=3, gradients=False):
     pts = space.quadrature_points(nquad)
     ne, nq = pts.shape[0], pts.shape[1]
     full = field.full_values()
-    uloc = full[space._dofmap]                    # (ne, nloc, ncomp)
+    uloc = full[dofmap(space)]                    # (ne, nloc, ncomp)
     vals = np.einsum("qi,eic->eqc", phi, uloc)
     weights = np.tile(wq, ne)
     flat_pts = pts.reshape(-1, space.mesh.ndim)
@@ -106,7 +155,7 @@ def oseen_matrix(space_v, u_coeffs, factor=1.0, nquad=3):
     field = DiscreteField(space_v, u_coeffs)
     phi, grad, wq = space_v.reference_data(nquad)
     full = field.full_values()                        # (n_scalar, ncomp)
-    uloc = full[space_v._dofmap]                      # (ne, nloc, ncomp)
+    uloc = full[dofmap(space_v)]                      # (ne, nloc, ncomp)
     uq = np.einsum("qi,eic->eqc", phi, uloc)          # (ne, nq, ncomp)
     adv = np.einsum("eqa,qja->eqj", uq, grad)         # u . grad phi_j
     locals_ = np.einsum("q,qi,eqj->eij", wq, phi, adv)

@@ -19,8 +19,9 @@ from thinflow.errors import AsymmetricOperatorError, SpaceMismatchError
 from thinflow.meshing import Geometry, build_cell_mesh, build_macro_mesh, \
     build_thin_mesh
 
-from helpers import (diffusion_reference, interpolate, mesh_volume,
-                     oseen_matrix, quadrature_sample, scatter, vectorize)
+from helpers import (diffusion_reference, flux_load_reference, interpolate,
+                     load_reference, mesh_volume, oseen_matrix,
+                     quadrature_sample, scatter, vectorize)
 
 
 def unit_square_mesh(n):
@@ -225,6 +226,56 @@ def test_flux_load_constant_vector_is_zero():
     Q = FunctionSpace(unit_square_mesh(3), "pressure")
     g = assemble_flux_load(Q, np.array([1.0, 1.0]))
     assert abs(g.sum()) <= 1e-13
+
+
+LOAD_SPACES = {
+    "cell_d2_normal_walls": lambda: FunctionSpace(
+        cell_mesh(), "velocity", wall_components=(1,)),
+    "cell_d3_normal_walls": lambda: FunctionSpace(
+        build_cell_mesh(Geometry(3, (1.0, 1.0), 0.125), 3, 2), "velocity",
+        wall_components=(2,)),
+    "thin_d2": lambda: FunctionSpace(
+        build_thin_mesh(Geometry(2, (1.0,), 0.25), 2, 2), "velocity"),
+    "thin_d2_component": lambda: FunctionSpace(
+        build_thin_mesh(Geometry(2, (1.0,), 0.25), 2, 2), "component"),
+    "thin_d3": lambda: FunctionSpace(
+        build_thin_mesh(Geometry(3, (0.5, 0.75), 0.25), 2, 2), "velocity"),
+    "thin_d3_component": lambda: FunctionSpace(
+        build_thin_mesh(Geometry(3, (0.5, 0.75), 0.25), 2, 2), "component"),
+    "macro_1d": lambda: FunctionSpace(
+        build_macro_mesh(Geometry(2, (1.0,), 0.125), 5), "pressure"),
+    "macro_2d": lambda: FunctionSpace(
+        build_macro_mesh(Geometry(3, (1.0, 0.75), 0.125), 4), "pressure"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOAD_SPACES))
+def test_loads_match_element_gather(name):
+    # the tensor-grid loads against the element-by-element gather, in
+    # free-dof order
+    S = LOAD_SPACES[name]()
+    d = S.mesh.ndim
+
+    def wavy(pts):
+        return np.column_stack([np.sin(3 * pts[:, 0] + c) + pts[:, -1] ** 2
+                                for c in range(S.ncomp)])
+
+    def flux(pts):
+        return np.column_stack([np.cos(2 * pts[:, 0] - a) + pts[:, -1]
+                                for a in range(d)])
+
+    def assert_close(space, vec, ref):
+        assert vec.shape == ref.shape == (space.ndof,)
+        assert np.abs(vec - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    sources = [wavy, np.eye(S.ncomp)[-1]] + ([2.5] if S.ncomp == 1 else [])
+    for f in sources:
+        assert_close(S, assemble_load(S, f), load_reference(S, f))
+    Q = FunctionSpace(S.mesh, "pressure")
+    assert_close(Q, pressure_gauge(Q), load_reference(Q, 1.0))
+    for scalar in (S, Q) if S.ncomp == 1 else (Q,):
+        assert_close(scalar, assemble_flux_load(scalar, flux),
+                     flux_load_reference(scalar, flux))
 
 
 # -- structural properties ---------------------------------------------------

@@ -15,8 +15,8 @@ from thinflow.assembly import (FunctionSpace, assemble_diffusion,
                                assemble_mass, pressure_gauge)
 from thinflow.errors import SingularSystemError
 from thinflow.linalg import (BlockSaddleSolver, SaddleSolver, SaddleSystem,
-                             SolveCounts, residual, solve_gauged_spd,
-                             solve_sparse)
+                             SolveCounts, _gauge_and_pin, residual,
+                             solve_gauged_spd, solve_sparse)
 from thinflow.meshing import Geometry, build_cell_mesh
 
 from helpers import interpolate, oseen_matrix
@@ -122,6 +122,47 @@ def test_gauged_spd_neumann():
     assert abs(gauge @ x) <= 1e-12 * max(np.abs(x).max(), 1.0)
     with pytest.raises(SingularSystemError):
         solve_gauged_spd(K, rhs, np.zeros(n))
+
+
+def test_pin_takes_first_of_tied_gauge_weights():
+    # weights tied to rounding pin the first of them, where argmax takes
+    # whichever the summation order left an ulp ahead
+    gauge = np.array([1.0, 1.0 + 2e-16, 1.0, 0.5])
+    assert np.argmax(gauge) == 1
+    assert _gauge_and_pin(gauge)[1] == 0
+    assert _gauge_and_pin(np.array([1.0, 1.0 + 1e-9]))[1] == 1
+
+
+def ulp_perturbed(gauge):
+    """The gauge with every weight moved by at most 3 ulps, the last of
+    the largest weights moved up."""
+    steps = np.random.default_rng(5).integers(-3, 4, gauge.size)
+    steps[np.flatnonzero(gauge == gauge.max())[-1]] = 3
+    return gauge + steps * np.spacing(gauge)
+
+
+def test_pin_and_solution_unmoved_by_gauge_rounding():
+    # a uniform cell ties its interior gauge weights; a few ulps of
+    # rounding in them keep the pin, so the velocity is the same to the
+    # bit and the pressure moves only by its re-centering
+    system = stokes_system()
+    perturbed = copy(system)
+    perturbed.gauge = ulp_perturbed(system.gauge)
+    assert np.argmax(perturbed.gauge) != np.argmax(system.gauge)
+    assert _gauge_and_pin(perturbed.gauge)[1] \
+        == _gauge_and_pin(system.gauge)[1]
+    u, p = SaddleSolver(system).solve(tol=1e-10)
+    u_ulp, p_ulp = SaddleSolver(perturbed).solve(tol=1e-10)
+    assert np.array_equal(u, u_ulp)
+    assert np.abs(p - p_ulp).max() <= 1e-14 * np.abs(p).max()
+    # a pure Neumann problem on the same cell's pressure space
+    Q = FunctionSpace(build_cell_mesh(Geometry(2, (1.0,), 0.125), 4, 4),
+                      "pressure")
+    K = assemble_diffusion(Q)
+    rhs = assemble_load(Q, lambda x: np.cos(2 * np.pi * x[:, 0]) + x[:, 1])
+    x = solve_gauged_spd(K, rhs, system.gauge, tol=1e-12)
+    x_ulp = solve_gauged_spd(K, rhs, perturbed.gauge, tol=1e-12)
+    assert np.abs(x - x_ulp).max() <= 1e-14 * np.abs(x).max()
 
 
 def test_pinned_solve_matches_bordered_reference():

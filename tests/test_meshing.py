@@ -154,3 +154,16 @@ def test_quadrature_and_grids_live_in_meshing():
                  if p.name != "meshing.py"
                  for word in ("leggauss", "meshgrid") if word in p.read_text()]
     assert offenders == []
+
+
+def test_grid_to_lattice_maps_live_in_assembly():
+    # assembly is the one home of the maps between Gauss grids and the dof
+    # lattice (integrate_grid and DiscreteField.evaluate_grid are their
+    # public faces); a module that applies them itself fails here
+    sources = sorted(SRC.glob("*.py"))
+    assert "assembly.py" in [p.name for p in sources]
+    offenders = [f"{p.name}: {word}" for p in sources
+                 if p.name != "assembly.py"
+                 for word in ("_interpolation", "_per_axis", "_dofmap")
+                 if word in p.read_text()]
+    assert offenders == []
