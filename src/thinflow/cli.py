@@ -86,7 +86,7 @@ def _cmd_diag(args, config):
         pw = poincare_wirtinger_ratio(u_profile, eps,
                                       geometry=geometry.with_eps(eps),
                                       grad=grad_profile)
-        report.add("pw_ratio_linear_profile", pw.ratio,
+        report.add(f"pw_ratio_linear_profile_eps_{_fmt(eps)}", pw.ratio,
                    target=1.0 / np.sqrt(3.0), tol=1e-6,
                    passed=bool(abs(pw.ratio - 1.0 / np.sqrt(3.0)) <= 1e-6))
     keys = ("eps", "value", "limit", "abs_error", "est_rate")

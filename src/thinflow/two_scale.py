@@ -6,12 +6,16 @@ oscillating test function f(xbar, x/eps),
     eps^{-1} int_layer u(x) f(xbar, x/eps) dx,
 
 whose limit is the macro/cell double integral of the two-scale representative.
+That representative is the separated limit of the upscaling,
+u0(xbar, y) = sum_j w_j(y) g_j(xbar): cell velocities w_j times the macro
+driving g (upscaling.TwoScaleVelocity), integrated factor by factor.
 Quadrature subdivides every oscillation period into panels so the accuracy is
 controlled independently of any finite-element mesh.  Fields that carry a
 mesh are integrated with the element-aligned Gauss rule of that mesh instead,
-sampled on its tensor grid by sum factorization, and so are the cell profiles
-of a separated two-scale limit and the vertical average of the fluctuation
-ratio.  Every rule is a composite Gauss rule of meshing on a tensor grid.
+sampled on its tensor grid by sum factorization, and so are the cell fields
+of the limit and the vertical average of the fluctuation ratio.  Every rule
+is a composite Gauss rule of meshing on a tensor grid, sized by the module
+constants below.
 """
 
 from dataclasses import dataclass
@@ -25,6 +29,15 @@ from .errors import InvalidDataError, InvalidParameterError, SpaceMismatchError
 from .meshing import composite_gauss, gauss_rule, grid_points, tensor_rule
 
 _SUP_GRID = 4096
+# the composite rules: Gauss points per panel, panels per oscillation
+# period and across the layer, panels of the macro box and of the unit
+# thickness, and the Gauss points of the vertical average
+_NQ = 5
+_PANELS_PER_PERIOD = 4
+_LAYER_PANELS = 4
+_MACRO_PANELS = 8
+_ZETA_PANELS = 6
+_AVERAGE_NQ = 6
 
 
 @dataclass
@@ -97,23 +110,27 @@ def _tensor_rule(rules):
     return grid_points(coords), w.ravel()
 
 
-def _layer_rules(geometry, eps, panels_per_period, nq, vertical_panels=4):
+def _macro_rule(geometry):
+    """Composite rule on the horizontal box of the limits."""
+    return _tensor_rule([_panel_rule(0.0, extent, _MACRO_PANELS, _NQ)
+                         for extent in geometry.omega_extent])
+
+
+def _layer_rules(geometry, eps, nq):
     rules = []
     for extent in geometry.omega_extent:
-        panels = max(1, round(extent / eps)) * panels_per_period
+        panels = max(1, round(extent / eps)) * _PANELS_PER_PERIOD
         rules.append(_panel_rule(0.0, extent, panels, nq))
-    rules.append(_panel_rule(-eps, eps, vertical_panels, nq))
+    rules.append(_panel_rule(-eps, eps, _LAYER_PANELS, nq))
     return rules
 
 
-def layer_quadrature(geometry, eps, panels_per_period=4, nq=5,
-                     vertical_panels=4):
+def layer_quadrature(geometry, eps):
     """Composite rule on the thin layer resolving the eps-oscillation."""
-    return _tensor_rule(_layer_rules(geometry, eps, panels_per_period, nq,
-                                     vertical_panels))
+    return _tensor_rule(_layer_rules(geometry, eps, _NQ))
 
 
-def _field_sample(u_eps, eps, geometry, panels_per_period, nq):
+def _field_sample(u_eps, eps, geometry, nq):
     """Tensor-grid quadrature sample of a discrete field or callable.
 
     Returns (coords, pts, w, vals): the per-axis coordinates of the rule,
@@ -123,108 +140,75 @@ def _field_sample(u_eps, eps, geometry, panels_per_period, nq):
     """
     if isinstance(u_eps, DiscreteField):
         coords, w, vals = u_eps.gauss_grid(nq)
-        pts, w = grid_points(coords), w.ravel()
+        pts = grid_points(coords)
     else:
         if geometry is None:
             raise InvalidParameterError(
                 "geometry required for closed-form fields")
-        coords, w = tensor_rule(_layer_rules(geometry, eps,
-                                             panels_per_period, nq))
-        pts, w = grid_points(coords), w.ravel()
+        coords, w = tensor_rule(_layer_rules(geometry, eps, nq))
+        pts = grid_points(coords)
         vals = np.asarray(u_eps(pts), dtype=float)
-    return coords, pts, w, vals.reshape(pts.shape[0], -1)
+    return coords, pts, w.ravel(), vals.reshape(pts.shape[0], -1)
 
 
-def two_scale_pairing(u_eps, f, eps, geometry=None, panels_per_period=4, nq=5):
+def two_scale_pairing(u_eps, f, eps, geometry=None, nq=_NQ):
     """Scaled pairing eps^{-1} int u f(xbar, x/eps) over the thin layer.
 
     Returns a scalar for scalar fields, otherwise one pairing per component.
     """
-    _, pts, w, vals = _field_sample(u_eps, eps, geometry, panels_per_period,
-                                    nq)
+    _, pts, w, vals = _field_sample(u_eps, eps, geometry, nq)
     fv = f.evaluate_physical(pts, eps)
     out = (vals * (w * fv)[:, None]).sum(axis=0) / eps
     return float(out[0]) if out.size == 1 else out
 
 
-def limit_pairing(u0, f, geometry, nq=5, macro_panels=8, vertical_panels=6):
+def limit_pairing(u0, f, geometry):
     """Limit of the scaled pairing: macro x cell-mean x thickness integral.
 
-    Separated two-scale fields (macro factors times cell profiles) are
-    integrated factor by factor, with the cell part element-aligned; generic
-    fields fall back to a chunked tensor rule.
+    The limit is separated, u0(xbar, y) = sum_j w_j(y) g_j(xbar), so it is
+    integrated factor by factor: the driving g on the composite macro rule,
+    each cell field w_j against the periodic and thickness factors of f on
+    the element-aligned Gauss rule of its cell mesh.
     """
     d1 = geometry.d1
-    pts_x, w_x = _tensor_rule([_panel_rule(0.0, extent, macro_panels, nq)
-                               for extent in geometry.omega_extent])
+    pts_x, w_x = _macro_rule(geometry)
+    g = np.atleast_2d(u0.driving(pts_x))             # (Nx, n_terms)
+    mv = f._macro_vals(pts_x)
+    x_weights = (g * (w_x * mv)[:, None]).sum(axis=0)
 
-    factors = getattr(u0, "pairing_factors", None)
-    if callable(factors):
-        macro_fns, cell_fields = factors()
-        g = np.atleast_2d(macro_fns(pts_x))          # (Nx, n_terms)
-        mv = f._macro_vals(pts_x)
-        x_weights = (g * (w_x * mv)[:, None]).sum(axis=0)
+    def micro(ypts):
+        return f.y_factor(ypts[:, :d1]) * f._zeta_vals(ypts[:, -1])
 
-        def micro(ypts):
-            return f.y_factor(ypts[:, :d1]) * f._zeta_vals(ypts[:, -1])
-
-        cell_ints = np.atleast_2d(
-            [np.atleast_1d(wf.integrate_scaled(micro, nquad=5))
-             for wf in cell_fields])
-        out = x_weights @ cell_ints
-        return float(out[0]) if out.size == 1 else out
-
-    y_panels = max(4, 2 * f.y_factor.max_wavenumber + 2)
-    pts_y, w_y = _tensor_rule([_panel_rule(0.0, 1.0, y_panels, nq)] * d1
-                              + [_panel_rule(-1.0, 1.0, vertical_panels, nq)])
-    out = None
-    chunk = max(1, 200_000 // max(1, pts_y.shape[0]))
-    for start in range(0, pts_x.shape[0], chunk):
-        xs = pts_x[start:start + chunk]
-        ws = w_x[start:start + chunk]
-        nx, ny = xs.shape[0], pts_y.shape[0]
-        xbar = np.repeat(xs, ny, axis=0)
-        y = np.tile(pts_y, (nx, 1))
-        wgt = (ws[:, None] * w_y[None, :]).ravel()
-        uv = np.asarray(u0.evaluate(xbar, y), dtype=float)
-        if uv.ndim == 1:
-            uv = uv[:, None]
-        fv = f.evaluate(xbar, y[:, :d1], y[:, -1])
-        part = (uv * (wgt * fv)[:, None]).sum(axis=0)
-        out = part if out is None else out + part
+    cell_ints = np.atleast_2d(
+        [np.atleast_1d(wf.integrate_scaled(micro, nquad=_NQ))
+         for wf in u0.cell_fields])
+    out = x_weights @ cell_ints
     return float(out[0]) if out.size == 1 else out
 
 
-def _limit_sample(u0, coords, pts, eps):
-    """u0(xbar, x/eps) on a tensor-grid sample: (N, ncomp).
+def _limit_sample(u0, coords, eps):
+    """u0(xbar, x/eps) on the tensor grid of coords: (N, ncomp).
 
-    A separated limit (driving x cell fields) takes its driving at the
-    distinct horizontal points and its cell fields on the grid.
+    The driving is taken at the distinct horizontal points and the cell
+    fields on the grid.
     """
     d1 = len(coords) - 1
-    factors = getattr(u0, "pairing_factors", None)
-    if not callable(factors):
-        u0v = np.asarray(u0.evaluate(pts[:, :d1], pts / eps), dtype=float)
-        return u0v.reshape(pts.shape[0], -1)
-    driving, cell_fields = factors()
-    g = np.atleast_2d(driving(grid_points(coords[:d1])))
+    g = np.atleast_2d(u0.driving(grid_points(coords[:d1])))
     bcast = tuple(c.size for c in coords[:d1]) + (1, 1)
     y_axes = [c / eps for c in coords]
     out = 0.0
-    for j, wf in enumerate(cell_fields):
+    for j, wf in enumerate(u0.cell_fields):
         out = out + g[:, j].reshape(bcast) * wf.evaluate_grid(y_axes)
-    return out.reshape(pts.shape[0], -1)
+    return out.reshape(-1, out.shape[-1])
 
 
-def two_scale_distance(u_eps, u0, eps, geometry=None, p=2,
-                       panels_per_period=4, nq=5):
+def two_scale_distance(u_eps, u0, eps, geometry=None, p=2):
     """Scaled L^p distance between u_eps and its two-scale representative,
 
     eps^{-1/p} || u_eps - u0(xbar, x/eps) ||_{L^p(layer)}.
     """
-    coords, pts, w, vals = _field_sample(u_eps, eps, geometry,
-                                         panels_per_period, nq)
-    diff = vals - _limit_sample(u0, coords, pts, eps)
+    coords, _, w, vals = _field_sample(u_eps, eps, geometry, _NQ)
+    diff = vals - _limit_sample(u0, coords, eps)
     mag = np.sqrt(np.sum(diff * diff, axis=1))
     return float(np.sum(w * mag ** p) ** (1.0 / p) * eps ** (-1.0 / p))
 
@@ -260,8 +244,7 @@ class PoincareWirtingerReport:
     gradient_norm: float
 
 
-def poincare_wirtinger_ratio(u_eps, eps, geometry=None, p=2, grad=None,
-                             panels_per_period=4, nq=5):
+def poincare_wirtinger_ratio(u_eps, eps, geometry=None, p=2, grad=None):
     """Fluctuation-to-gradient ratio ||u - M u|| / (eps ||grad u||).
 
     Both norms are taken over the thin layer without scaling factors, so
@@ -269,11 +252,10 @@ def poincare_wirtinger_ratio(u_eps, eps, geometry=None, p=2, grad=None,
     the extra eps^{-1/p} of the one-sided normalization.
     """
     if isinstance(u_eps, DiscreteField):
-        coords, w, vals, grads = u_eps.gauss_grid(max(nq, 4),
-                                                  gradients=True)
+        coords, w, vals, grads = u_eps.gauss_grid(_NQ, gradients=True)
         gmag = np.sqrt(np.sum(grads * grads, axis=(-2, -1))).ravel()
         # the points and weights of thin_average, at every horizontal node
-        zq, wq = _vertical_average_rule(eps, max(nq, 6))
+        zq, wq = _vertical_average_rule(eps, _AVERAGE_NQ)
         means = np.tensordot(u_eps.evaluate_grid(coords[:-1] + [zq]), wq,
                              axes=([-2], [0]))[..., None, :]
         diff = (vals - means).reshape(w.size, -1)
@@ -282,14 +264,14 @@ def poincare_wirtinger_ratio(u_eps, eps, geometry=None, p=2, grad=None,
         if geometry is None or grad is None:
             raise InvalidParameterError(
                 "closed-form fields need geometry and a gradient callable")
-        pts, w = layer_quadrature(geometry, eps, panels_per_period, nq)
+        pts, w = layer_quadrature(geometry, eps)
         vals = np.asarray(u_eps(pts), dtype=float)
         if vals.ndim == 1:
             vals = vals[:, None]
         gv = np.asarray(grad(pts), dtype=float)
         gmag = np.sqrt(np.sum(gv.reshape(pts.shape[0], -1) ** 2, axis=1))
         d1 = pts.shape[1] - 1
-        means = thin_average(u_eps, eps, nq=max(nq, 6))(pts[:, :d1])
+        means = thin_average(u_eps, eps, nq=_AVERAGE_NQ)(pts[:, :d1])
         if np.asarray(means).ndim == 1:
             means = np.asarray(means)[:, None]
         diff = vals - means
@@ -304,8 +286,7 @@ def poincare_wirtinger_ratio(u_eps, eps, geometry=None, p=2, grad=None,
                                    fluct, gnorm)
 
 
-def oscillation_limit_table(f, eps_list, geometry, p=None,
-                            panels_per_period=4, nq=5):
+def oscillation_limit_table(f, eps_list, geometry, p=None):
     """Per-eps scaled L^p mass of f(xbar, x/eps), its bound and its limit.
 
     Returns rows with keys (eps, value, bound, limit, abs_error, est_rate);
@@ -315,10 +296,9 @@ def oscillation_limit_table(f, eps_list, geometry, p=None,
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise InvalidParameterError("eps_list must be strictly decreasing")
     p = float(p if p is not None else f.p)
-    pts_x, w_x = _tensor_rule([_panel_rule(0.0, extent, 8, nq)
-                               for extent in geometry.omega_extent])
+    pts_x, w_x = _macro_rule(geometry)
     macro_mass = float(np.sum(w_x * np.abs(f._macro_vals(pts_x)) ** p))
-    z_pts, z_w = _panel_rule(-1.0, 1.0, 6, nq)
+    z_pts, z_w = _panel_rule(-1.0, 1.0, _ZETA_PANELS, _NQ)
     zeta_mass = float(np.sum(z_w * np.abs(f._zeta_vals(z_pts)) ** p))
     y_mean = mean_value(f.y_factor, transform=lambda v: np.abs(v) ** p)
     bound = macro_mass * f.y_sup_abs() ** p * zeta_mass
@@ -326,7 +306,7 @@ def oscillation_limit_table(f, eps_list, geometry, p=None,
 
     rows = []
     for eps in eps_list:
-        pts, w = layer_quadrature(geometry, eps, panels_per_period, nq)
+        pts, w = layer_quadrature(geometry, eps)
         fv = f.evaluate_physical(pts, eps)
         value = float(np.sum(w * np.abs(fv) ** p) / eps)
         if value > bound * (1 + 1e-10) + 1e-10:

@@ -80,28 +80,18 @@ class TwoScaleVelocity:
     """Separated two-scale field u0(xbar, y) = sum_j w_j(y) g_j(xbar).
 
     g is the driving force (horizontal forcing minus the limit pressure
-    gradient); the sum runs over the horizontal directions only.
+    gradient), a callable (N, d1) -> (N, d1); w_j are the cell velocities
+    (DiscreteFields with d components); the sum runs over the horizontal
+    directions only.  two_scale samples and integrates the limit through
+    these two factors.
     """
 
     def __init__(self, cell_fields, driving, d1):
-        self.cell_fields = list(cell_fields)      # DiscreteFields, d comps
-        self.driving = driving                    # (N, d1) callable
+        self.cell_fields = list(cell_fields)
+        self.driving = driving
         self.d1 = d1
-        self.ncomp = cell_fields[0].space.ncomp
         self.cell_integrals = np.array([w.integrate()
                                         for w in self.cell_fields])
-
-    def evaluate(self, xbar, y):
-        """Values at paired points: xbar (N, d1), y (N, d) -> (N, d)."""
-        g = np.atleast_2d(self.driving(np.atleast_2d(xbar)))
-        out = np.zeros((g.shape[0], self.ncomp))
-        for j, w in enumerate(self.cell_fields):
-            out += g[:, j][:, None] * w.evaluate(y)
-        return out
-
-    def pairing_factors(self):
-        """Separated representation used by fast limit-pairing quadrature."""
-        return self.driving, self.cell_fields
 
     def vertical_mean(self, xbar):
         """int_I M(u0 . e_d) dzeta at each xbar (vanishes in the limit)."""

@@ -6,7 +6,14 @@ references that the tests compare the library's sum-factorized or batched
 forms against; they gather through dofmap, the lattice node of every
 element-local node, where the library maps between Gauss grids and the
 lattice axis by axis.  scatter and vectorize are the COO assembly the
-library's slot map is checked against."""
+library's slot map is checked against.
+
+two_scale_values evaluates a separated two-scale limit point by point;
+limit_pairing_reference and distance_reference integrate any callable
+u0_values(xbar, y) on plain tensor rules.  They are the references for the
+library, which integrates the separated limit factor by factor
+(two_scale.limit_pairing) and samples its cell fields on tensor grids
+(two_scale.two_scale_distance)."""
 
 import math
 
@@ -16,7 +23,9 @@ import scipy.sparse as sp
 from thinflow import coefficients as coefs
 from thinflow.assembly import (DiscreteField, _element_nodes, _eval_callable,
                                _on_grid, _shape1d)
-from thinflow.meshing import gauss_rule
+from thinflow.meshing import (composite_gauss, gauss_rule, grid_points,
+                              tensor_rule)
+from thinflow.two_scale import layer_quadrature
 
 
 def interpolate(space, fn):
@@ -217,3 +226,63 @@ def boundary_flux_reference(macro):
                     node = idx[0] * space.lattice_sizes[1] + idx[1]
                     fb[node] += float(np.sum(w * un * vals1[:, loc]))
     return float(np.abs(fb).max())
+
+
+def two_scale_values(u0, xbar, y):
+    """A separated limit u0(xbar, y) = sum_j w_j(y) g_j(xbar) at paired
+    points, xbar (N, d1) and y (N, d) -> (N, d), each cell field evaluated
+    point by point."""
+    g = np.atleast_2d(u0.driving(np.atleast_2d(xbar)))
+    out = np.zeros((g.shape[0], u0.cell_fields[0].space.ncomp))
+    for j, w in enumerate(u0.cell_fields):
+        out += g[:, j][:, None] * w.evaluate(y)
+    return out
+
+
+def _panel_tensor_rule(boxes):
+    """Points (N, d) and weights (N,) of the 5-point composite Gauss rule
+    on the tensor product of (a, b, panels) boxes."""
+    coords, w = tensor_rule([composite_gauss(np.linspace(a, b, n + 1), 5)
+                             for a, b, n in boxes])
+    return grid_points(coords), w.ravel()
+
+
+def limit_pairing_reference(u0_values, f, geometry):
+    """Limit pairing of a closed-form two-scale field u0_values(xbar, y) with
+    f: one tensor rule over macro box x unit cell x thickness (8, max(4,
+    2k + 2) and 6 panels of 5 Gauss points, k the largest wavenumber of f),
+    taken in chunks of macro points."""
+    d1 = geometry.d1
+    pts_x, w_x = _panel_tensor_rule([(0.0, extent, 8)
+                                     for extent in geometry.omega_extent])
+    y_panels = max(4, 2 * f.y_factor.max_wavenumber + 2)
+    pts_y, w_y = _panel_tensor_rule([(0.0, 1.0, y_panels)] * d1
+                                    + [(-1.0, 1.0, 6)])
+    out = None
+    chunk = max(1, 200_000 // max(1, pts_y.shape[0]))
+    for start in range(0, pts_x.shape[0], chunk):
+        xs = pts_x[start:start + chunk]
+        ws = w_x[start:start + chunk]
+        nx, ny = xs.shape[0], pts_y.shape[0]
+        xbar = np.repeat(xs, ny, axis=0)
+        y = np.tile(pts_y, (nx, 1))
+        wgt = (ws[:, None] * w_y[None, :]).ravel()
+        uv = np.asarray(u0_values(xbar, y), dtype=float)
+        if uv.ndim == 1:
+            uv = uv[:, None]
+        fv = f.evaluate(xbar, y[:, :d1], y[:, -1])
+        part = (uv * (wgt * fv)[:, None]).sum(axis=0)
+        out = part if out is None else out + part
+    return float(out[0]) if out.size == 1 else out
+
+
+def distance_reference(u, u0_values, eps, geometry):
+    """Scaled L^2 distance eps^{-1/2} ||u - u0_values(xbar, x/eps)|| of a
+    closed-form field u, point by point on layer_quadrature."""
+    pts, w = layer_quadrature(geometry, eps)
+    n, d1 = pts.shape[0], pts.shape[1] - 1
+    vals = np.asarray(u(pts), dtype=float).reshape(n, -1)
+    u0v = np.asarray(u0_values(pts[:, :d1], pts / eps), dtype=float)
+    diff = vals - u0v.reshape(n, -1)
+    mag = np.sqrt(np.sum(diff * diff, axis=1))
+    return float(np.sum(w * mag ** 2) ** 0.5 * eps ** -0.5)

@@ -232,6 +232,11 @@ def test_cli_diag_measures_second_order_rate(tmp_path, capsys):
             "[PASS] oscillation_rate_eps_0.0625",
             "[PASS] oscillation_rate_eps_0.03125"]
         assert all(line.endswith("target=2") for line in rates)
+        # one linear-profile ratio per eps, each under its own name
+        ratios = [line.split(" = ")[0] for line in lines
+                  if "pw_ratio_linear_profile" in line]
+        assert ratios == [f"[PASS] pw_ratio_linear_profile_eps_{eps}"
+                          for eps in ("0.125", "0.0625", "0.03125")]
         rows = [line.split(",") for line in
                 (out / "diag.csv").read_text().splitlines()]
         assert rows[0] == ["eps", "value", "limit", "abs_error", "est_rate"]

@@ -167,3 +167,10 @@ def test_grid_to_lattice_maps_live_in_assembly():
                  for word in ("_interpolation", "_per_axis", "_dofmap")
                  if word in p.read_text()]
     assert offenders == []
+
+
+def test_two_scale_limit_is_not_probed():
+    # two_scale reads the separated limit (driving and cell fields) directly;
+    # probing the limit for its form would bring back a second, generic path
+    source = (SRC / "two_scale.py").read_text()
+    assert [word for word in ("getattr(", "hasattr(") if word in source] == []

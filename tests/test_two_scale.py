@@ -22,18 +22,19 @@ from thinflow.two_scale import (OscillatingTestFunction,
 from thinflow.upscaling import (TwoScaleVelocity, effective_matrix,
                                 reconstruct_two_scale_velocity)
 
-from helpers import interpolate, quadrature_sample
+from helpers import (distance_reference, interpolate, limit_pairing_reference,
+                     quadrature_sample, two_scale_values)
 
 
 @dataclass
 class SimpleTwoScale:
-    """Closed-form two-scale field: fn(xbar, ybar, zeta)."""
+    """Closed-form two-scale field fn(xbar, ybar, zeta), called at paired
+    points (xbar, y)."""
 
     fn: Callable
     d1: int = 1
-    ncomp: int = 1
 
-    def evaluate(self, xbar, y):
+    def __call__(self, xbar, y):
         xbar = np.atleast_2d(xbar)
         y = np.atleast_2d(y)
         return np.asarray(self.fn(xbar, y[:, :self.d1], y[:, -1]), dtype=float)
@@ -114,16 +115,18 @@ def test_limit_pairing_examples():
     g = geom(0.125)
     f1 = osc(const=1.0)
     u1 = SimpleTwoScale(lambda xb, yb, z: np.ones(len(xb)))
-    assert limit_pairing(u1, f1, g) == pytest.approx(2.0, abs=1e-12)
+    assert limit_pairing_reference(u1, f1, g) == pytest.approx(2.0,
+                                                               abs=1e-12)
 
     fcos = osc(y_waves=[((1,), "cos", 1.0)])
     ucos = SimpleTwoScale(lambda xb, yb, z: np.cos(2 * np.pi * yb[:, 0]))
-    assert limit_pairing(ucos, fcos, g) == pytest.approx(1.0, abs=1e-12)
+    assert limit_pairing_reference(ucos, fcos, g) == pytest.approx(
+        1.0, abs=1e-12)
 
     # y'-independent representative against a zero-mean oscillation
     uplain = SimpleTwoScale(lambda xb, yb, z: 1 + xb[:, 0])
     fosc = osc(y_waves=[((2,), "sin", 1.0)])
-    assert abs(limit_pairing(uplain, fosc, g)) <= 1e-12
+    assert abs(limit_pairing_reference(uplain, fosc, g)) <= 1e-12
 
 
 def test_pairing_honours_nq():
@@ -145,7 +148,7 @@ def test_distance_self_comparison():
     eps = 1 / 16
     u0 = SimpleTwoScale(lambda xb, yb, z: np.cos(2 * np.pi * yb[:, 0]) * z)
     u = lambda p: np.cos(2 * np.pi * p[:, 0] / eps) * (p[:, 1] / eps)
-    assert two_scale_distance(u, u0, eps, geometry=geom(eps)) <= 1e-12
+    assert distance_reference(u, u0, eps, geom(eps)) <= 1e-12
 
 
 def test_distance_perturbation_slope_one():
@@ -155,9 +158,67 @@ def test_distance_perturbation_slope_one():
     for eps in eps_list:
         u = lambda p: np.cos(2 * np.pi * p[:, 0] / eps) \
             + eps * np.sin(3 * p[:, 0])
-        vals.append(two_scale_distance(u, u0, eps, geometry=geom(eps)))
+        vals.append(distance_reference(u, u0, eps, geom(eps)))
     slopes = np.log2(np.array(vals[:-1]) / np.array(vals[1:]))
     assert np.all(np.abs(slopes - 1.0) <= 0.05)
+
+
+# -- the separated limit against its pointwise reference ------------------------
+
+def _tent(t):
+    return np.abs(t - np.floor(t) - 0.5)
+
+
+def _bump(t):
+    s = 4 * t - np.floor(4 * t)
+    return s * (1 - s)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_separated_limit_matches_pointwise_reference(d):
+    # the cell velocities are piecewise quadratic on a cell mesh whose
+    # elements coincide with the panels of the reference rule (4 per
+    # horizontal axis for a wavenumber-1 probe, 6 across the thickness), so
+    # their interpolants are exact; the macro rule integrates the
+    # polynomial driving exactly, so the factor-by-factor limit and the
+    # pointwise tensor rule differ by rounding only
+    d1, eps = d - 1, 0.25
+    g = Geometry(d, (1.0,) if d == 2 else (0.5, 0.5), eps)
+    space = FunctionSpace(build_cell_mesh(g, 4, 6), "velocity")
+
+    def cell_velocity(j, y):
+        out = np.zeros((len(y), d))
+        out[:, j] = 1 + _bump(y[:, j]) + _tent(y[:, 0])
+        out[:, -1] = 0.3 * _tent(y[:, j])
+        return out * (1 - y[:, -1:] ** 2)
+
+    def driving(xb):
+        return np.column_stack([1 + xb[:, 0] + (j + 1) * xb[:, -1] ** 2
+                                for j in range(d1)])
+
+    def values(xbar, y):
+        gv = driving(xbar)
+        return sum(gv[:, j:j + 1] * cell_velocity(j, y) for j in range(d1))
+
+    limit = TwoScaleVelocity(
+        [DiscreteField(space, interpolate(space,
+                                          lambda y, j=j: cell_velocity(j, y)))
+         for j in range(d1)], driving, d1)
+    probe = OscillatingTestFunction(
+        d1=d1, macro=lambda xb: 1 + xb[:, 0], zeta_factor=lambda z: 1 - z * z,
+        y_factor=ScalarField(d1, const=0.5,
+                             waves=[((1,) + (0,) * (d1 - 1), "cos", 1.0)]))
+    got = limit_pairing(limit, probe, g)
+    want = limit_pairing_reference(values, probe, g)
+    assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+
+    def u(x):
+        wave = np.cos(2 * np.pi * x[:, 0] / eps) * (1 - (x[:, -1] / eps) ** 2)
+        return np.column_stack([(1 + x[:, 0]) * wave] * d)
+
+    got = two_scale_distance(u, limit, eps, geometry=g)
+    want = distance_reference(u, values, eps, g)
+    assert got == pytest.approx(want, rel=1e-11)
 
 
 # -- thin average / fluctuation ratio -------------------------------------------
@@ -310,7 +371,7 @@ def reference_pairing(u, f, eps, nq=5):
 def reference_distance(u, u0, eps, nq=5):
     pts, w, vals = quadrature_sample(u, nquad=nq)
     d1 = pts.shape[1] - 1
-    diff = vals - u0.evaluate(pts[:, :d1], pts / eps)
+    diff = vals - two_scale_values(u0, pts[:, :d1], pts / eps)
     return float(np.sqrt(np.sum(w * np.sum(diff * diff, axis=1)) / eps))
 
 

@@ -8,6 +8,8 @@ from thinflow.macro_model import solve_macro
 from thinflow.meshing import Geometry, build_cell_mesh, build_macro_mesh
 from thinflow.upscaling import effective_matrix, reconstruct_two_scale_velocity
 
+from helpers import two_scale_values
+
 GEOM = Geometry(2, (1.0,), 0.125)
 IDENT = coefs.constant_field(2)
 
@@ -85,7 +87,7 @@ def test_reconstruction_zero_driving():
     recon = reconstruct_two_scale_velocity(cells, macro, f1)
     xb = np.linspace(0.05, 0.95, 13)[:, None]
     y = np.column_stack([np.linspace(0, 1, 13), np.linspace(-0.9, 0.9, 13)])
-    assert np.abs(recon.evaluate(xb, y)).max() <= 1e-9
+    assert np.abs(two_scale_values(recon, xb, y)).max() <= 1e-9
 
 
 def test_reconstruction_poiseuille_profile():
@@ -97,7 +99,7 @@ def test_reconstruction_poiseuille_profile():
     recon = TwoScaleVelocity(fields, lambda xb: np.ones((xb.shape[0], 1)), 1)
     zeta = np.linspace(-1, 1, 21)
     y = np.column_stack([np.full(zeta.size, 0.3), zeta])
-    vals = recon.evaluate(np.full((zeta.size, 1), 0.5), y)
+    vals = two_scale_values(recon, np.full((zeta.size, 1), 0.5), y)
     assert np.abs(vals[:, 0] - (1 - zeta ** 2) / 2).max() <= 1e-10
     assert np.abs(vals[:, 1]).max() <= 1e-10
 
