@@ -40,7 +40,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import AsymmetricOperatorError, SpaceMismatchError
-from .meshing import composite_gauss, gauss_rule, grid_points, tensor_rule
+from .meshing import (TensorMesh, composite_gauss, gauss_rule, grid_points,
+                      tensor_rule)
 
 _SYM_CHECK_REL = 1e-13
 
@@ -402,6 +403,27 @@ def assemble_mass(space, nquad=3):
     """Matrix of (u, v) -> int u . v."""
     phi, _, wq = space.reference_data(nquad)
     return _square(space, np.einsum("qi,qj,q->ij", phi, phi, wq))
+
+
+def axis_pencils(space):
+    """Per-axis 1-D mass and stiffness matrices [(M_a, K_a), ...] of a
+    scalar space.
+
+    On a tensor mesh the mass matrix of the space is the Kronecker product
+    of the M_a, and its identity-coefficient diffusion matrix the Kronecker
+    sum of the K_a against those masses (free nodes in lattice order, the
+    last axis fastest).  Each pencil is assembled on the 1-D mesh of its
+    axis, with that axis's periodicity and walls.
+    """
+    if space.ncomp != 1:
+        raise SpaceMismatchError("axis pencils are defined for scalar spaces")
+    mesh, pencils = space.mesh, []
+    for a, axis in enumerate(mesh.axes):
+        line = FunctionSpace(TensorMesh(
+            [axis], mesh.periodic[a:a + 1],
+            {(0, side) for ax, side in mesh.dirichlet if ax == a}), space.kind)
+        pencils.append((assemble_mass(line), assemble_diffusion(line)))
+    return pencils
 
 
 def assemble_divergence(space_v, space_p, nquad=3):

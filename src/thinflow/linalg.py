@@ -30,11 +30,15 @@ d copies of one scalar block A_s (the d = 3 DNS, every wall tagged for
 every component).  It takes and factors A_s alone, with the same SuperLU
 options, and solves each load by CG on the pinned pressure Schur complement
 with the Cahouet-Chabard preconditioner nu M_p^{-1} + sigma L_p^{-1}
-(pressure mass matrix and pinned Neumann Laplacian, each factored once).
-Every solve refines the previous one, so the steps of a Picard loop start
-warm, and runs until the backward error is at roundoff.  Its result is
-checked against the same unpinned residual as the direct path; a solve that
-misses the tolerance builds the vector operator and moves that system to a
+(pressure mass matrix and Neumann Laplacian, both pinned).  On a tensor
+mesh both are built from 1-D matrices by Kronecker products, so the
+preconditioner is applied exactly in the eigenbasis of the per-axis pencils
+and neither pressure matrix is assembled or factored: the block path
+factors exactly one matrix, A_s, and keeps one copy of B.  Every solve
+refines the previous one, so the steps of a Picard loop start warm, and
+runs until the backward error is at roundoff.  Its result is checked
+against the same unpinned residual as the direct path; a solve that misses
+the tolerance builds the vector operator and moves that system to a
 SaddleSolver for good, and SolveCounts records the CG iterations and the
 fallbacks.
 """
@@ -44,6 +48,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -97,12 +102,12 @@ class SaddleSystem:
 class SolveCounts:
     """Work of the saddle solves behind one computation.
 
-    factorizations counts the LU factorizations of velocity operators: of
-    the pinned saddle matrix on the direct path (cells, d = 2 DNS), of the
-    scalar block on the block path (d = 3 DNS; its preconditioner's
-    pressure matrices are not counted).  schur_iterations sums the CG
-    iterations of the block path, and direct_fallbacks counts the block
-    solvers that missed their tolerance and went over to the direct path.
+    factorizations counts the LU factorizations: of the pinned saddle
+    matrix on the direct path (cells, d = 2 DNS), of the scalar block on
+    the block path (d = 3 DNS), which factors nothing else.
+    schur_iterations sums the CG iterations of the block path, and
+    direct_fallbacks counts the block solvers that missed their tolerance
+    and went over to the direct path.
     """
 
     factorizations: int = 0
@@ -291,6 +296,68 @@ def _apply_blocks(block, ncomp, u):
     return (block @ u.reshape(ncomp, -1).T).T.ravel()
 
 
+class _CahouetChabard:
+    """The pinned Cahouet-Chabard preconditioner nu M_keep^{-1} +
+    sigma L_keep^{-1} of a pressure space on a tensor mesh, applied in the
+    eigenbasis of its per-axis pencils (fast diagonalization: Lynch, Rice
+    & Thomas, Numer. Math. 6, 1964).
+
+    pencils holds per axis the 1-D mass and Neumann stiffness (M_a, K_a),
+    as assembly.axis_pencils gives them: the pressure mass M_p is the
+    Kronecker product of the M_a and the Neumann Laplacian L_p the
+    Kronecker sum of the K_a against them, pressure dofs in lattice order.
+    With K_a V_a = M_a V_a Lambda_a and V_a^T M_a V_a = I, the Kronecker
+    product V of the V_a gives M_p^{-1} = V V^T and L_p^+ = V lam^+ V^T,
+    where lam is the Kronecker sum of the Lambda_a and lam^+ inverts it off
+    the constant mode (the first eigenvector of every axis).  With Q the
+    insertion of a zero at the pin p, t = V^T Q r and t_e = V^T e_p,
+
+        M_keep^{-1} r = Q^T V (t - (t_e.t / t_e.t_e) t_e),
+        L_keep^{-1} r = Q^T (V s - (t_e.s) 1),  s = lam^+ (t - sum(r) t_e),
+
+    so one application is one forward and one backward transform, a dense
+    1-D matrix per axis, and no pressure matrix is assembled or factored.
+    """
+
+    def __init__(self, pencils, pin, n_p, nu, sigma):
+        pencils = [[sp.csr_matrix(mat).toarray() for mat in pencil]
+                   for pencil in pencils]
+        sizes = tuple(mass.shape[0] for mass, _ in pencils)
+        if int(np.prod(sizes)) != n_p:
+            raise ComponentLayoutError(
+                f"pencils of sizes {sizes} do not tile {n_p} pressure dofs")
+        bases, values = [], []
+        for mass, stiffness in pencils:
+            lam, vec = scipy.linalg.eigh(stiffness, mass)
+            lam[0] = 0.0            # the constant mode of the Neumann pencil
+            bases.append(vec)
+            values.append(lam)
+        lam = functools.reduce(np.add.outer, values).ravel()
+        self._lam_plus = np.zeros_like(lam)
+        self._lam_plus[1:] = 1.0 / lam[1:]
+        self._t_e = functools.reduce(np.multiply.outer, [
+            vec[i] for vec, i in zip(bases, np.unravel_index(pin, sizes))
+        ]).ravel()
+        self._sizes, self._bases, self._pin = sizes, bases, pin
+        self._weights = (nu, sigma)
+
+    def _transform(self, x, transpose):
+        """V^T x if transpose, else V x, one axis at a time."""
+        arr = x.reshape(self._sizes)
+        for a, vec in enumerate(self._bases):
+            arr = np.moveaxis(np.tensordot(vec.T if transpose else vec, arr,
+                                           axes=(1, a)), 0, a)
+        return arr.ravel()
+
+    def __call__(self, res):
+        (nu, sigma), t_e = self._weights, self._t_e
+        t = self._transform(np.insert(res, self._pin, 0.0), transpose=True)
+        s = self._lam_plus * (t - res.sum() * t_e)
+        coef = nu * (t - (t_e @ t / (t_e @ t_e)) * t_e) + sigma * s
+        return np.delete(self._transform(coef, transpose=False), self._pin) \
+            - sigma * (t_e @ s)
+
+
 class BlockSaddleSolver:
     """A saddle system whose velocity operator is K = I_d (x) A_s, solved
     through its scalar block A_s.
@@ -311,18 +378,22 @@ class BlockSaddleSolver:
     the Cahouet-Chabard operator nu M_p^{-1} + sigma L_p^{-1} of velocity
     operators like -nu Laplacian + sigma mass: M_p is the pressure mass
     matrix and L_p the Neumann Laplacian of the pressure space, both pinned
-    like the saddle system and factored once.  Sweeps end when the backward
-    error of both equations, |R_u| against |K| |u| + |B| |q| + |f| and
-    |R_p| against |B| |u| + |r| (Frobenius norms, |K| = sqrt(d) |A_s|), is
-    at most the machine epsilon, as for the direct LU, or stops falling.  On
-    a thin layer the pressure Schur complement is ill-conditioned, so a
-    looser goal would leave errors far above it in p.  Solving for
-    corrections puts the rounding of f - B^T q, which cancels almost
-    entirely when the forcing is nearly a gradient, into the velocity
-    equation rather than into B u: a hydrostatic velocity residue stays
-    discretely divergence free, as on the direct path.  A load that changes
-    little, as from one Picard step to the next, takes few iterations, and
-    an unchanged one none.  The pressure is p = -q, shifted to
+    like the saddle system.  pencils gives them per mesh axis, as the 1-D
+    mass and stiffness matrices [(M_a, K_a), ...] of assembly.axis_pencils,
+    and the exact pinned inverses are applied in the tensor eigenbasis
+    (_CahouetChabard), so the solver factors exactly one matrix, A_s.  The
+    pinned B u and B^T q go through the system's one B and its transpose
+    view.  Sweeps end when the backward error of both equations, |R_u|
+    against |K| |u| + |B| |q| + |f| and |R_p| against |B| |u| + |r|
+    (Frobenius norms, |K| = sqrt(d) |A_s|), is at most the machine epsilon,
+    as for the direct LU, or stops falling.  On a thin layer the pressure
+    Schur complement is ill-conditioned, so a looser goal would leave errors
+    far above it in p.  Solving for corrections puts the rounding of f - B^T
+    q, which cancels almost entirely when the forcing is nearly a gradient,
+    into the velocity equation rather than into B u: a hydrostatic velocity
+    residue stays discretely divergence free, as on the direct path.  A load
+    that changes little, as from one Picard step to the next, takes few
+    iterations, and an unchanged one none.  The pressure is p = -q, shifted to
     gauge^T p = 0.
 
     A solve returns only if its unpinned residual is at most tol, as on the
@@ -332,8 +403,8 @@ class BlockSaddleSolver:
     added to counts.
     """
 
-    def __init__(self, block, B, gauge, rhs_u, pressure_mass,
-                 pressure_laplacian, nu, sigma, counts=None):
+    def __init__(self, block, B, gauge, rhs_u, pencils, nu, sigma,
+                 counts=None):
         self.counts = SolveCounts() if counts is None else counts
         n_s, n_u = block.shape[0], B.shape[1]
         if n_u % n_s:
@@ -341,43 +412,46 @@ class BlockSaddleSolver:
                 f"{n_u} velocity dofs are no whole number of "
                 f"{n_s}-dof component blocks")
         self._block, self._ncomp = block, n_u // n_s
-        # no bound method: a cycle would keep the LUs until gc next runs
+        # no bound method: a cycle would keep the LU until gc next runs
         self._apply = functools.partial(_apply_blocks, block, self._ncomp)
         self._system = SaddleSystem(K=spla.LinearOperator(
             (n_u, n_u), matvec=self._apply, dtype=float), B=B, gauge=gauge,
             rhs_u=rhs_u)
         self._pinning = _Pinning(self._system)
         self._target = self._pinning.target(self._system)
-        keep = self._pinning.keep
-        self._B = sp.csr_matrix(B)[keep]
-        self._BT = self._B.T.tocsr()
+        # the one copy of B is the system's: the pinned products drop the
+        # pin's row of B u and put a zero at the pin into q for B^T q
+        self._B = sp.csr_matrix(B)
         self._norms = (np.sqrt(self._ncomp) * np.linalg.norm(block.data),
-                       np.linalg.norm(self._B.data))
-        self._weights = (nu, sigma)
+                       np.linalg.norm(self._B[self._pinning.keep].data))
+        self._precondition = _CahouetChabard(
+            pencils, self._pinning.pin, B.shape[0], nu, sigma)
         self._u = np.zeros(n_u)
-        self._q = np.zeros(keep.size)
+        self._q = np.zeros(B.shape[0] - 1)
         self._direct = None
         try:
             self.counts.factorizations += 1
             self._lu = _splu(block)
-            self._pressure = [_splu(sp.csr_matrix(mat)[keep][:, keep])
-                              for mat in (pressure_mass, pressure_laplacian)]
         except RuntimeError:
             self._lu = None
+
+    def _div(self, u):
+        """B u without the pin's row."""
+        return np.delete(self._B @ u, self._pinning.pin)
+
+    def _grad(self, q):
+        """B^T q of a pinned pressure q, through the transpose view."""
+        return self._B.T @ np.insert(q, self._pinning.pin, 0.0)
 
     def _velocity(self, load):
         """K^{-1} load: one solve with A_s, a column per component."""
         return self._lu.solve(load.reshape(self._ncomp, -1).T).T.ravel()
 
-    def _precondition(self, res):
-        (nu, sigma), (mass, laplacian) = self._weights, self._pressure
-        return nu * mass.solve(res) + sigma * laplacian.solve(res)
-
     def _backward_error(self, u, q, f, r):
         """Backward error of (u, q) in both equations, and the residual."""
         norm_k, norm_b = self._norms
-        res_u = f - self._apply(u) - self._BT @ q
-        res_p = r - self._B @ u
+        res_u = f - self._apply(u) - self._grad(q)
+        res_p = r - self._div(u)
         size_u, size_p = np.linalg.norm(u), np.linalg.norm(r)
         error = max(_ratio(np.linalg.norm(res_u), norm_k * size_u + norm_b
                            * np.linalg.norm(q) + np.linalg.norm(f)),
@@ -392,7 +466,7 @@ class BlockSaddleSolver:
         norm_b, size_p = self._norms[1], np.linalg.norm(r)
         dq = np.zeros(res_p.size)
         du = self._velocity(res_u)
-        res = self._B @ du - res_p     # the pressure residual left, negated
+        res = self._div(du) - res_p     # the pressure residual left, negated
         floor = _SWEEP_REDUCTION * np.linalg.norm(res)
         direction, rz, new_u = None, 1.0, np.empty_like(u)
         for iterations in range(budget + 1):
@@ -404,8 +478,8 @@ class BlockSaddleSolver:
             rz, rz_old = res @ z, rz
             direction = z if direction is None \
                 else z + (rz / rz_old) * direction
-            w = self._velocity(self._BT @ direction)
-            s = self._B @ w
+            w = self._velocity(self._grad(direction))
+            s = self._div(w)
             curvature = direction @ s
             if not curvature > 0:      # breakdown, or not finite
                 break

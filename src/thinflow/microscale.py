@@ -11,24 +11,27 @@ the operator N itself is never formed.  S is the Stokes-Brinkmann saddle
 operator, whose velocity block is d copies of one scalar block because
 every wall is tagged for every component.  Each layer assembles that block
 once, on the "component" space with the drag mu/K folded into its element
-matrices, and factors one matrix once.  A d = 3 layer factors the block in
-linalg.BlockSaddleSolver; every step is a
-preconditioned CG solve on the pressure Schur complement that starts from
-the previous step's solution, checked at the solver tolerance (a layer
-whose solve misses it goes over to the pinned LU of S).  A d = 2 layer is
+matrices, and factors exactly one matrix once.  A d = 3 layer factors the
+block in linalg.BlockSaddleSolver; every step is a preconditioned CG solve
+on the pressure Schur complement that starts from the previous step's
+solution, checked at the solver tolerance (a layer whose solve misses it
+goes over to the pinned LU of S).  Its Cahouet-Chabard preconditioner
+takes the per-axis pencils of the pressure space (assembly.axis_pencils),
+so no pressure matrix is assembled or factored.  A d = 2 layer is
 sealed and hydrostatic, its velocity a discretization residue, and its 2-D
 saddle system is small: it factors the pinned LU of S in
-linalg.SaddleSolver and solves every step with it.  The iteration stops
-when the relative velocity update falls below the fixed-point tolerance.
-It converges where the map contracts, that is where the convection is small
-against S: ||S^{-1} N(u)|| < 1 near the fixed point (the small-data
-condition of the steady Navier-Stokes theory).  The thin layer velocity is
-O(eps^2), so the shipped configurations lie far inside it.  Outside it the
-updates stop shrinking: an update that is not smaller than the one before
-ends the loop, as stagnation at the arithmetic floor when it is at most
-sqrt(picard_tol), otherwise with a PicardDivergenceError.  The oscillating
-coefficient is evaluated pointwise at quadrature nodes, so the mesh must
-resolve its period geometrically.
+linalg.SaddleSolver and solves every step with it.  The solver, and with it
+the LU, is dropped before the a priori norms sample the fields.  The
+iteration stops when the relative velocity update falls below the
+fixed-point tolerance.  It converges where the map contracts, that is where
+the convection is small against S: ||S^{-1} N(u)|| < 1 near the fixed point
+(the small-data condition of the steady Navier-Stokes theory).  The thin
+layer velocity is O(eps^2), so the shipped configurations lie far inside it.
+Outside it the updates stop shrinking: an update that is not smaller than
+the one before ends the loop, as stagnation at the arithmetic floor when it
+is at most sqrt(picard_tol), otherwise with a PicardDivergenceError.  The
+oscillating coefficient is evaluated pointwise at quadrature nodes, so the
+mesh must resolve its period geometrically.
 """
 
 from dataclasses import asdict, dataclass, field as dfield
@@ -37,8 +40,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import (DiscreteField, FunctionSpace, assemble_convection,
-                       assemble_divergence, assemble_load, assemble_mass,
-                       assemble_diffusion, pressure_gauge)
+                       assemble_diffusion, assemble_divergence, assemble_load,
+                       axis_pencils, pressure_gauge)
 from .errors import (InvalidParameterError, InvalidResolutionError,
                      PicardDivergenceError)
 from .linalg import (BlockSaddleSolver, SaddleSolver, SaddleSystem,
@@ -134,8 +137,7 @@ def solve_dlb(thin_mesh, field, params, K_eps, picard_tol=1e-10,
         # 1/eps where the drag is weak
         nu = float(np.sqrt(field.alpha_ell * field.beta_ell))
         solver = BlockSaddleSolver(
-            block, B, gauge, load, assemble_mass(space_p),
-            assemble_diffusion(space_p), nu=nu,
+            block, B, gauge, load, axis_pencils(space_p), nu=nu,
             sigma=sigma + 3.0 * nu / eps ** 2, counts=counts)
     for iterations in range(1, max_iters + 1):
         rhs = load - assemble_convection(space_v, u, factor) \
@@ -175,6 +177,8 @@ def solve_dlb(thin_mesh, field, params, K_eps, picard_tol=1e-10,
             f"no fixed point within {max_iters} iterations "
             f"(last update {update:.3e})", history=history)
 
+    # the LU goes before the norms' Gauss samples, so they do not stack
+    del solver
     sol = MicroSolution(thin_mesh, space_v, space_p, u, p, eps, K_eps,
                         iterations, update, update_history=history,
                         stop_reason=reason, solver_counts=asdict(counts))

@@ -13,16 +13,22 @@ limit_pairing_reference and distance_reference integrate any callable
 u0_values(xbar, y) on plain tensor rules.  They are the references for the
 library, which integrates the separated limit factor by factor
 (two_scale.limit_pairing) and samples its cell fields on tensor grids
-(two_scale.two_scale_distance)."""
+(two_scale.two_scale_distance).
+
+cahouet_chabard_reference is the block path's pressure preconditioner as
+pinned LUs of the assembled pressure mass and Neumann Laplacian, the
+reference for the library's tensor-eigenbasis form."""
 
 import math
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from thinflow import coefficients as coefs
 from thinflow.assembly import (DiscreteField, _element_nodes, _eval_callable,
-                               _on_grid, _shape1d)
+                               _on_grid, _shape1d, assemble_diffusion,
+                               assemble_mass)
 from thinflow.meshing import (composite_gauss, gauss_rule, grid_points,
                               tensor_rule)
 from thinflow.two_scale import layer_quadrature
@@ -286,3 +292,14 @@ def distance_reference(u, u0_values, eps, geometry):
     diff = vals - u0v.reshape(n, -1)
     mag = np.sqrt(np.sum(diff * diff, axis=1))
     return float(np.sum(w * mag ** 2) ** 0.5 * eps ** -0.5)
+
+
+def cahouet_chabard_reference(space_p, pin, nu, sigma):
+    """r -> nu M_keep^{-1} r + sigma L_keep^{-1} r, with M_p and L_p the
+    assembled pressure mass and Neumann Laplacian, the pin's row and column
+    dropped, each factored by SuperLU."""
+    keep = np.delete(np.arange(space_p.ndof), pin)
+    mass, laplacian = (spla.splu(sp.csc_matrix(mat[keep][:, keep]))
+                       for mat in (assemble_mass(space_p),
+                                   assemble_diffusion(space_p)))
+    return lambda res: nu * mass.solve(res) + sigma * laplacian.solve(res)

@@ -12,14 +12,14 @@ import thinflow
 
 from thinflow.assembly import (FunctionSpace, assemble_diffusion,
                                assemble_divergence, assemble_load,
-                               assemble_mass, pressure_gauge)
+                               assemble_mass, axis_pencils, pressure_gauge)
 from thinflow.errors import SingularSystemError
 from thinflow.linalg import (BlockSaddleSolver, SaddleSolver, SaddleSystem,
-                             SolveCounts, _gauge_and_pin, residual,
-                             solve_gauged_spd, solve_sparse)
-from thinflow.meshing import Geometry, build_cell_mesh
+                             SolveCounts, _CahouetChabard, _gauge_and_pin,
+                             residual, solve_gauged_spd, solve_sparse)
+from thinflow.meshing import Geometry, build_cell_mesh, build_thin_mesh
 
-from helpers import interpolate, oseen_matrix
+from helpers import cahouet_chabard_reference, interpolate, oseen_matrix
 
 
 def stokes_system(nx=4, nz=4, drag=1.0, space=False):
@@ -263,6 +263,31 @@ def test_solver_reuses_factorization_for_new_load():
     assert residual(fresh, (u, p)) <= 1e-10
 
 
+@pytest.mark.parametrize("geometry", [Geometry(3, (0.5, 0.5), 0.125),
+                                      Geometry(2, (1.0,), 0.125)],
+                         ids=["d3", "d2"])
+@pytest.mark.parametrize("where", ["corner", "interior"])
+def test_cahouet_chabard_matches_pinned_lu_reference(geometry, where):
+    # the tensor-eigenbasis preconditioner is the pinned-LU one to rounding,
+    # for each inverse alone and for the weighted sum
+    Q = FunctionSpace(build_thin_mesh(geometry, 2, 4), "pressure")
+    pin = 0 if where == "corner" else int(np.ravel_multi_index(
+        tuple(n // 2 for n in Q.lattice_shape), Q.lattice_shape))
+    res = np.random.default_rng(3).standard_normal((3, Q.ndof - 1))
+    for nu, sigma in ((1.0, 0.0), (0.0, 1.0), (1.0, 3.0 / 0.125 ** 2)):
+        apply = _CahouetChabard(axis_pencils(Q), pin, Q.ndof, nu, sigma)
+        reference = cahouet_chabard_reference(Q, pin, nu, sigma)
+        for r in res:
+            ref = reference(r)
+            assert np.linalg.norm(apply(r) - ref) \
+                <= 1e-12 * np.linalg.norm(ref)
+
+
+# the pressure pencil of a 2-dof toy system: one axis, unit mass and the
+# Neumann Laplacian of one element
+TOY_PENCILS = [(sp.identity(2), np.array([[1.0, -1.0], [-1.0, 1.0]]))]
+
+
 def test_block_solver_falls_back_to_direct_path():
     # two components sharing the near-zero-diagonal block: its LU without
     # pivoting cannot give a solution within tolerance, so the layer goes
@@ -273,8 +298,7 @@ def test_block_solver_falls_back_to_direct_path():
                                 [-1.0, 1.0, 0, 0, 0, 0, -0.5, 0, 0, 0, 0, 0]]))
     load = np.arange(1.0, 13.0)
     counts = SolveCounts()
-    solver = BlockSaddleSolver(block, B, np.ones(2), load, sp.identity(2),
-                               sp.csr_matrix([[1.0, -1.0], [-1.0, 1.0]]),
+    solver = BlockSaddleSolver(block, B, np.ones(2), load, TOY_PENCILS,
                                nu=1.0, sigma=1.0, counts=counts)
     u, p = solver.solve(tol=1e-10)
     assert residual(SaddleSystem(K=K, B=B, gauge=np.ones(2), rhs_u=load),
@@ -295,23 +319,32 @@ _LAYOUT_SCRIPT = textwrap.dedent("""
     from thinflow.errors import ComponentLayoutError
     from thinflow.linalg import BlockSaddleSolver
 
-    # a block that does not tile the 5 velocity dofs
-    try:
-        BlockSaddleSolver(sp.identity(2, format="csr"),
-                          sp.csr_matrix(np.ones((2, 5))), np.ones(2),
-                          np.ones(5), sp.identity(2), sp.identity(2),
-                          nu=1.0, sigma=1.0)
-    except ComponentLayoutError:
-        print("raised", __debug__)
+    toy = [(sp.identity(2), np.array([[1.0, -1.0], [-1.0, 1.0]]))]
+    cases = {
+        # a block that does not tile the 5 velocity dofs
+        "block": (sp.identity(2, format="csr"),
+                  sp.csr_matrix(np.ones((2, 5))), toy),
+        # pencils of 2 x 2 pressure dofs for a system with 2
+        "pencils": (sp.identity(2, format="csr"),
+                    sp.csr_matrix(np.ones((2, 4))), toy * 2),
+    }
+    for name, (block, B, pencils) in cases.items():
+        try:
+            BlockSaddleSolver(block, B, np.ones(2), np.ones(B.shape[1]),
+                              pencils, nu=1.0, sigma=1.0)
+        except ComponentLayoutError:
+            print(name, "raised", __debug__)
 """)
 
 
 def test_layout_errors_survive_optimize():
     # the block path must refuse velocity dofs that are not d copies of
-    # its block even when python -O strips assert statements
+    # its block, and pressure pencils that do not tile the pressure dofs,
+    # even when python -O strips assert statements
     src = os.path.dirname(os.path.dirname(os.path.abspath(thinflow.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-O", "-c", _LAYOUT_SCRIPT],
                          env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["raised", "False"]
+    assert out.stdout.split() == ["block", "raised", "False",
+                                  "pencils", "raised", "False"]

@@ -1,14 +1,16 @@
 import gc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from thinflow import coefficients as coefs
+from thinflow import linalg, microscale
 from thinflow.assembly import (DiscreteField, FunctionSpace,
                                assemble_convection, assemble_diffusion,
                                assemble_divergence, assemble_load,
-                               assemble_mass, pressure_gauge)
+                               assemble_mass, axis_pencils, pressure_gauge)
 from thinflow.errors import InvalidResolutionError, PicardDivergenceError
 from thinflow.harness import load_config
 from thinflow.linalg import (BlockSaddleSolver, SaddleSystem, SolveCounts,
@@ -112,6 +114,51 @@ def test_stop_reason_d3_flow():
         mu=1.0, rho=0.0, f1=d3_forcing), K_eps=sol.K_eps)
     assert stokes.stop_reason == "linear"
     assert stokes.picard_iterations == 1
+
+
+def test_d3_layer_factors_one_matrix(monkeypatch):
+    # the scalar velocity block is the only matrix a d = 3 layer factors:
+    # the preconditioner's pressure inverses need no LU
+    factored = []
+    splu = linalg.spla.splu
+
+    def spy(mat, *args, **kwargs):
+        factored.append(mat.shape[0])
+        return splu(mat, *args, **kwargs)
+
+    monkeypatch.setattr(linalg.spla, "splu", spy)
+    mesh, _, _, sol = d3_flow(rho=1.0)
+    assert factored == [FunctionSpace(mesh, "component").ndof]
+    assert sol.solver_counts["factorizations"] == 1
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_solver_freed_before_norms(monkeypatch, d):
+    # the layer's solver, and with it its LU, is gone when the a priori
+    # norms sample the fields, on either solver path
+    solvers = []
+    for name in ("SaddleSolver", "BlockSaddleSolver"):
+        class Spy(getattr(microscale, name)):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                solvers.append(weakref.ref(self))
+
+        monkeypatch.setattr(microscale, name, Spy)
+    alive = []
+    norms = microscale.apriori_norms
+
+    def spy_norms(sol):
+        alive.extend(ref() is not None for ref in solvers)
+        return norms(sol)
+
+    monkeypatch.setattr(microscale, "apriori_norms", spy_norms)
+    if d == 2:
+        field, mu, K_eps = regime_ii_layer(0.125)
+        solve_dlb(thin_mesh(eps=0.125), field,
+                  coefs.FluidParams(mu=mu, f1=sine_forcing), K_eps=K_eps)
+    else:
+        d3_flow(rho=1.0)
+    assert alive == [False]
 
 
 def test_stop_rule_strong_convection_converges():
@@ -290,9 +337,8 @@ def dns_system(mesh, field, params, K_eps):
 
     def block_solver(counts):
         return BlockSaddleSolver(block, system.B, system.gauge, system.rhs_u,
-                                 assemble_mass(Q), assemble_diffusion(Q),
-                                 nu=1.0, sigma=params.mu / K_eps,
-                                 counts=counts)
+                                 axis_pencils(Q), nu=1.0,
+                                 sigma=params.mu / K_eps, counts=counts)
 
     return V, system, block_solver
 
@@ -427,7 +473,7 @@ def config_layer(name, eps, elements_per_period=None, nz=None):
 @pytest.mark.parametrize("name", ["regime_ii", "homogenization_d3"])
 def test_dns_leaves_no_reference_cycle(name):
     # a cycle through the solver of either path, or through the matrices
-    # the spaces keep, would hold each layer's LUs until the next cyclic
+    # the spaces keep, would hold each layer's LU until the next cyclic
     # collection
     gc.collect()
     gc.disable()
