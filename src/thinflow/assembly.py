@@ -44,6 +44,8 @@ from .meshing import (TensorMesh, composite_gauss, gauss_rule, grid_points,
                       tensor_rule)
 
 _SYM_CHECK_REL = 1e-13
+# Gauss points per axis and element of the bilinear forms and the loads
+_NQUAD = 3
 
 
 def _shape1d(order, x):
@@ -371,20 +373,20 @@ def _check_symmetric(mat):
                 f"{_SYM_CHECK_REL:.0e} of the largest entry {scale:.3e}")
 
 
-def assemble_diffusion(space, a_eval=None, nquad=3, drag=0.0):
+def assemble_diffusion(space, a_eval=None, drag=0.0):
     """Matrix of (u, v) -> int A grad u : grad v + drag int u . v.
 
     a_eval maps points (N, ndim) to (N, ndim, ndim) symmetric matrices (or
     to scalars, interpreted as multiples of the identity); None means the
     identity coefficient.  The drag is added to the element matrices.
     """
-    phi, grad, wq = space.reference_data(nquad)
+    phi, grad, wq = space.reference_data(_NQUAD)
     ndim = space.mesh.ndim
     nq, nloc = grad.shape[0], grad.shape[1]
     if a_eval is None:
         local = np.einsum("qia,qja,q->ij", grad, grad, wq)
     else:
-        pts = space.quadrature_points(nquad).reshape(-1, ndim)
+        pts = space.quadrature_points(_NQUAD).reshape(-1, ndim)
         avals = np.asarray(a_eval(pts), dtype=float)
         if avals.ndim == 1:
             avals = avals[:, None, None] * np.eye(ndim)
@@ -399,9 +401,9 @@ def assemble_diffusion(space, a_eval=None, nquad=3, drag=0.0):
     return _square(space, local)
 
 
-def assemble_mass(space, nquad=3):
+def assemble_mass(space):
     """Matrix of (u, v) -> int u . v."""
-    phi, _, wq = space.reference_data(nquad)
+    phi, _, wq = space.reference_data(_NQUAD)
     return _square(space, np.einsum("qi,qj,q->ij", phi, phi, wq))
 
 
@@ -426,12 +428,12 @@ def axis_pencils(space):
     return pencils
 
 
-def assemble_divergence(space_v, space_p, nquad=3):
+def assemble_divergence(space_v, space_p):
     """Matrix B with (B u)_q = int q div u for every pressure basis q."""
     if space_v.mesh is not space_p.mesh:
         raise SpaceMismatchError("velocity and pressure spaces share no mesh")
-    phi_p, _, wq = space_p.reference_data(nquad)
-    _, grad_v, _ = space_v.reference_data(nquad)
+    phi_p, _, wq = space_p.reference_data(_NQUAD)
+    _, grad_v, _ = space_v.reference_data(_NQUAD)
     maps = _per_free_set(space_v, lambda free: _slot_map(
         space_p, space_v, space_p.axis_free[0], free))
     return sp.hstack([
@@ -455,7 +457,7 @@ def integrate_grid(space, coords, integrand, deriv_axis=None):
     return np.concatenate([full[f, c] for c, f in enumerate(space.free)])
 
 
-def assemble_convection(space_v, u_coeffs, factor=1.0, nquad=3):
+def assemble_convection(space_v, u_coeffs, factor=1.0, nquad=_NQUAD):
     """Picard load N(u) u: int factor (u . grad u) . v for every free v,
     formed on the Gauss grid of DiscreteField.gauss_grid."""
     coords, w, u, grads = DiscreteField(space_v, u_coeffs).gauss_grid(
@@ -464,29 +466,29 @@ def assemble_convection(space_v, u_coeffs, factor=1.0, nquad=3):
         "...a,...ca->...c", u, grads) * (factor * w)[..., None])
 
 
-def assemble_load(space, f_eval, nquad=3):
+def assemble_load(space, f_eval):
     """Load vector int f . v on the free dofs."""
-    coords, w = tensor_rule(element_gauss_axes(space.mesh, nquad))
+    coords, w = tensor_rule(element_gauss_axes(space.mesh, _NQUAD))
     fv = _eval_callable(f_eval, grid_points(coords), space.ncomp)
     return integrate_grid(space, coords, fv.reshape(w.shape + (-1,))
                           * w[..., None])
 
 
-def assemble_flux_load(space, vec_eval, nquad=3):
+def assemble_flux_load(space, vec_eval):
     """Vector of int F . grad q for a scalar space (Neumann-form source)."""
     if space.ncomp != 1:
         raise SpaceMismatchError("flux load is defined for scalar spaces")
     ndim = space.mesh.ndim
-    coords, w = tensor_rule(element_gauss_axes(space.mesh, nquad))
+    coords, w = tensor_rule(element_gauss_axes(space.mesh, _NQUAD))
     fv = _eval_callable(vec_eval, grid_points(coords), ndim).reshape(
         w.shape + (ndim,)) * w[..., None]
     return sum(integrate_grid(space, coords, fv[..., a:a + 1], deriv_axis=a)
                for a in range(ndim))
 
 
-def pressure_gauge(space_p, nquad=3):
+def pressure_gauge(space_p):
     """Vector g with g_q = int q; g^T p is the discrete mean of p."""
-    return assemble_load(space_p, 1.0, nquad=nquad)
+    return assemble_load(space_p, 1.0)
 
 
 class DiscreteField:

@@ -9,12 +9,18 @@ whose limit is the macro/cell double integral of the two-scale representative.
 That representative is the separated limit of the upscaling,
 u0(xbar, y) = sum_j w_j(y) g_j(xbar): cell velocities w_j times the macro
 driving g (upscaling.TwoScaleVelocity), integrated factor by factor.
-Quadrature subdivides every oscillation period into panels so the accuracy is
-controlled independently of any finite-element mesh.  Fields that carry a
-mesh are integrated with the element-aligned Gauss rule of that mesh instead,
-sampled on its tensor grid by sum factorization, and so are the cell fields
-of the limit and the vertical average of the fluctuation ratio.  Every rule
-is a composite Gauss rule of meshing on a tensor grid, sized by the module
+
+Every field, closed-form or discrete, is sampled on a tensor grid
+(_field_sample), so each functional has one path for both kinds.  A
+closed-form field is evaluated at the points of the composite layer rule,
+which subdivides every oscillation period into panels so the accuracy is
+controlled independently of any finite-element mesh.  A field that carries a
+mesh is sampled on the element-aligned Gauss grid of that mesh by sum
+factorization, and so are the cell fields of the limit.  The vertical
+average of the fluctuation ratio samples the horizontal axes of the same grid
+at the Gauss heights of the average, and the scaled mass of a separated test
+function is a horizontal sum times a vertical one.  Every rule is a
+composite Gauss rule of meshing on a tensor grid, sized by the module
 constants below.
 """
 
@@ -23,11 +29,12 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import DiscreteField
+from .assembly import DiscreteField, element_gauss_axes
 from .coefficients import ScalarField, mean_value
 from .errors import InvalidDataError, InvalidParameterError, SpaceMismatchError
 from .meshing import composite_gauss, gauss_rule, grid_points, tensor_rule
 
+# points of the envelope grid per axis in d1 = 1, and per sample of it
 _SUP_GRID = 4096
 # the composite rules: Gauss points per panel, panels per oscillation
 # period and across the layer, panels of the macro box and of the unit
@@ -87,16 +94,21 @@ class OscillatingTestFunction:
         return self.evaluate(pts[:, :self.d1], y[:, :self.d1], y[:, -1])
 
     def y_sup_abs(self):
-        """Upper envelope of |periodic factor| over the horizontal space."""
+        """Upper envelope of |periodic factor| over the horizontal space,
+        sampled _SUP_GRID points at a time."""
         g = self.y_factor
-        axes = [np.linspace(0.0, 1.0, _SUP_GRID // max(1, 4 ** (g.d1 - 1)),
-                            endpoint=False)] * g.d1
-        pts = grid_points(axes)
-        best = float(np.abs(g(pts)).max())
-        if g.gaussians:
-            spread = max(s for _, s, _ in g.gaussians) * 4
-            pts2 = (pts - 0.5) * 2 * spread
-            best = max(best, float(np.abs(g(pts2)).max()))
+        axis = np.linspace(0.0, 1.0, _SUP_GRID // 4 ** (g.d1 - 1),
+                           endpoint=False)
+        rows = max(1, _SUP_GRID // axis.size ** (g.d1 - 1))
+        spread = max((s for _, s, _ in g.gaussians), default=0.0) * 4
+        best = 0.0
+        for start in range(0, axis.size, rows):
+            pts = grid_points([axis[start:start + rows]]
+                              + [axis] * (g.d1 - 1))
+            best = max(best, float(np.abs(g(pts)).max()))
+            if g.gaussians:
+                pts2 = (pts - 0.5) * 2 * spread
+                best = max(best, float(np.abs(g(pts2)).max()))
         return best
 
 
@@ -104,19 +116,17 @@ def _panel_rule(a, b, panels, nq):
     return composite_gauss(np.linspace(a, b, panels + 1), nq)
 
 
-def _tensor_rule(rules):
-    """Points (N, d) and weights (N,) of the tensor rule, grid order."""
-    coords, w = tensor_rule(rules)
+def _macro_rule(geometry):
+    """Points (N, d1) and weights (N,) of the composite rule on the
+    horizontal box of the limits."""
+    coords, w = tensor_rule([_panel_rule(0.0, extent, _MACRO_PANELS, _NQ)
+                             for extent in geometry.omega_extent])
     return grid_points(coords), w.ravel()
 
 
-def _macro_rule(geometry):
-    """Composite rule on the horizontal box of the limits."""
-    return _tensor_rule([_panel_rule(0.0, extent, _MACRO_PANELS, _NQ)
-                         for extent in geometry.omega_extent])
-
-
 def _layer_rules(geometry, eps, nq):
+    """Per-axis composite rules on the thin layer resolving the
+    eps-oscillation: the horizontal axes, then the thickness."""
     rules = []
     for extent in geometry.omega_extent:
         panels = max(1, round(extent / eps)) * _PANELS_PER_PERIOD
@@ -125,30 +135,28 @@ def _layer_rules(geometry, eps, nq):
     return rules
 
 
-def layer_quadrature(geometry, eps):
-    """Composite rule on the thin layer resolving the eps-oscillation."""
-    return _tensor_rule(_layer_rules(geometry, eps, _NQ))
-
-
 def _field_sample(u_eps, eps, geometry, nq):
-    """Tensor-grid quadrature sample of a discrete field or callable.
+    """Tensor-grid quadrature of a discrete field or callable.
 
-    Returns (coords, pts, w, vals): the per-axis coordinates of the rule,
-    its points (N, d) and weights (N,) in grid order, and the values
-    (N, ncomp).  A discrete field is sampled with the nq-point Gauss rule of
-    its own elements, a callable with the composite layer rule.
+    Returns (coords, w, sample): the per-axis coordinates of the rule, its
+    tensor weights (m_0, ..., m_{d-1}), and a sampler that takes per-axis
+    coordinates to the field on their grid, (m_0, ..., m_{d-1}, ncomp).  A
+    discrete field is sampled on the nq-point Gauss grid of its own elements
+    by sum factorization, a callable at the points of the composite layer
+    rule.
     """
     if isinstance(u_eps, DiscreteField):
-        coords, w, vals = u_eps.gauss_grid(nq)
-        pts = grid_points(coords)
-    else:
-        if geometry is None:
-            raise InvalidParameterError(
-                "geometry required for closed-form fields")
-        coords, w = tensor_rule(_layer_rules(geometry, eps, nq))
-        pts = grid_points(coords)
-        vals = np.asarray(u_eps(pts), dtype=float)
-    return coords, pts, w.ravel(), vals.reshape(pts.shape[0], -1)
+        coords, w = tensor_rule(element_gauss_axes(u_eps.space.mesh, nq))
+        return coords, w, u_eps.evaluate_grid
+    if geometry is None:
+        raise InvalidParameterError(
+            "geometry required for closed-form fields")
+    coords, w = tensor_rule(_layer_rules(geometry, eps, nq))
+
+    def sample(axes):
+        shape = tuple(x.size for x in axes) + (-1,)
+        return np.asarray(u_eps(grid_points(axes)), dtype=float).reshape(shape)
+    return coords, w, sample
 
 
 def two_scale_pairing(u_eps, f, eps, geometry=None, nq=_NQ):
@@ -156,9 +164,10 @@ def two_scale_pairing(u_eps, f, eps, geometry=None, nq=_NQ):
 
     Returns a scalar for scalar fields, otherwise one pairing per component.
     """
-    _, pts, w, vals = _field_sample(u_eps, eps, geometry, nq)
-    fv = f.evaluate_physical(pts, eps)
-    out = (vals * (w * fv)[:, None]).sum(axis=0) / eps
+    coords, w, sample = _field_sample(u_eps, eps, geometry, nq)
+    vals = sample(coords).reshape(w.size, -1)
+    fv = f.evaluate_physical(grid_points(coords), eps)
+    out = (vals * (w.ravel() * fv)[:, None]).sum(axis=0) / eps
     return float(out[0]) if out.size == 1 else out
 
 
@@ -202,36 +211,15 @@ def _limit_sample(u0, coords, eps):
     return out.reshape(-1, out.shape[-1])
 
 
-def two_scale_distance(u_eps, u0, eps, geometry=None, p=2):
-    """Scaled L^p distance between u_eps and its two-scale representative,
+def two_scale_distance(u_eps, u0, eps, geometry=None):
+    """Scaled L^2 distance between u_eps and its two-scale representative,
 
-    eps^{-1/p} || u_eps - u0(xbar, x/eps) ||_{L^p(layer)}.
+    eps^{-1/2} || u_eps - u0(xbar, x/eps) ||_{L^2(layer)}.
     """
-    coords, _, w, vals = _field_sample(u_eps, eps, geometry, _NQ)
-    diff = vals - _limit_sample(u0, coords, eps)
+    coords, w, sample = _field_sample(u_eps, eps, geometry, _NQ)
+    diff = sample(coords).reshape(w.size, -1) - _limit_sample(u0, coords, eps)
     mag = np.sqrt(np.sum(diff * diff, axis=1))
-    return float(np.sum(w * mag ** p) ** (1.0 / p) * eps ** (-1.0 / p))
-
-
-def _vertical_average_rule(eps, nq):
-    """Heights and weights of the Gauss average over (-eps, eps)."""
-    gp, gw = gauss_rule(nq)
-    return gp * eps, gw / 2.0          # average, not integral
-
-
-def thin_average(u_eps, eps, nq=8):
-    """Vertical average of a callable field: returns a callable of xbar."""
-    zq, wq = _vertical_average_rule(eps, nq)
-
-    def averaged(xbar):
-        xbar = np.atleast_2d(xbar)
-        acc = None
-        for z, wz in zip(zq, wq):
-            pts = np.column_stack([xbar, np.full(xbar.shape[0], z)])
-            vals = np.asarray(u_eps(pts), dtype=float)
-            acc = wz * vals if acc is None else acc + wz * vals
-        return acc
-    return averaged
+    return float(np.sum(w.ravel() * mag ** 2) ** 0.5 * eps ** -0.5)
 
 
 @dataclass
@@ -244,46 +232,38 @@ class PoincareWirtingerReport:
     gradient_norm: float
 
 
-def poincare_wirtinger_ratio(u_eps, eps, geometry=None, p=2, grad=None):
+def poincare_wirtinger_ratio(u_eps, eps, geometry=None, grad=None):
     """Fluctuation-to-gradient ratio ||u - M u|| / (eps ||grad u||).
 
-    Both norms are taken over the thin layer without scaling factors, so
-    the ratio is eps-uniform for profile-type fields; printed_ratio carries
-    the extra eps^{-1/p} of the one-sided normalization.
+    M u is the vertical average over (-eps, eps).  Both L^2 norms are taken
+    over the thin layer without scaling factors, so the ratio is eps-uniform
+    for profile-type fields; printed_ratio carries the extra eps^{-1/2} of
+    the one-sided normalization.  A closed-form field needs geometry and its
+    gradient callable, (N, d) or (N, ncomp, d) at points (N, d).
     """
-    if isinstance(u_eps, DiscreteField):
-        coords, w, vals, grads = u_eps.gauss_grid(_NQ, gradients=True)
-        gmag = np.sqrt(np.sum(grads * grads, axis=(-2, -1))).ravel()
-        # the points and weights of thin_average, at every horizontal node
-        zq, wq = _vertical_average_rule(eps, _AVERAGE_NQ)
-        means = np.tensordot(u_eps.evaluate_grid(coords[:-1] + [zq]), wq,
-                             axes=([-2], [0]))[..., None, :]
-        diff = (vals - means).reshape(w.size, -1)
-        w = w.ravel()
+    discrete = isinstance(u_eps, DiscreteField)
+    if not discrete and grad is None:
+        raise InvalidParameterError(
+            "closed-form fields need a gradient callable")
+    coords, w, sample = _field_sample(u_eps, eps, geometry, _NQ)
+    # the mean over the Gauss heights of the average, at every horizontal
+    # node of the sample
+    gp, gw = gauss_rule(_AVERAGE_NQ)
+    means = np.tensordot(sample(coords[:-1] + [gp * eps]), gw / 2.0,
+                         axes=([-2], [0]))[..., None, :]
+    diff = (sample(coords) - means).reshape(w.size, -1)
+    w = w.ravel()
+    fluct = float(np.sum(w * np.sum(diff * diff, axis=1)) ** 0.5)
+    if discrete:
+        grads = np.stack([u_eps.evaluate_grid(coords, deriv_axis=a)
+                          for a in range(len(coords))], axis=-1)
     else:
-        if geometry is None or grad is None:
-            raise InvalidParameterError(
-                "closed-form fields need geometry and a gradient callable")
-        pts, w = layer_quadrature(geometry, eps)
-        vals = np.asarray(u_eps(pts), dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        gv = np.asarray(grad(pts), dtype=float)
-        gmag = np.sqrt(np.sum(gv.reshape(pts.shape[0], -1) ** 2, axis=1))
-        d1 = pts.shape[1] - 1
-        means = thin_average(u_eps, eps, nq=_AVERAGE_NQ)(pts[:, :d1])
-        if np.asarray(means).ndim == 1:
-            means = np.asarray(means)[:, None]
-        diff = vals - means
-    fluct = float(np.sum(w * np.sum(diff * diff, axis=1) ** (p / 2.0))
-                  ** (1.0 / p))
-    gnorm = float(np.sum(w * gmag ** p) ** (1.0 / p))
-    if gnorm <= 0:
-        ratio = 0.0
-    else:
-        ratio = fluct / (eps * gnorm)
-    return PoincareWirtingerReport(ratio, ratio * eps ** (-1.0 / p),
-                                   fluct, gnorm)
+        grads = np.asarray(grad(grid_points(coords)), dtype=float).reshape(
+            w.size, -1, len(coords))
+    gmag = np.sqrt(np.sum(grads * grads, axis=(-2, -1))).ravel()
+    gnorm = float(np.sum(w * gmag ** 2) ** 0.5)
+    ratio = fluct / (eps * gnorm) if gnorm > 0 else 0.0
+    return PoincareWirtingerReport(ratio, ratio * eps ** -0.5, fluct, gnorm)
 
 
 def oscillation_limit_table(f, eps_list, geometry, p=None):
@@ -306,9 +286,15 @@ def oscillation_limit_table(f, eps_list, geometry, p=None):
 
     rows = []
     for eps in eps_list:
-        pts, w = layer_quadrature(geometry, eps)
-        fv = f.evaluate_physical(pts, eps)
-        value = float(np.sum(w * np.abs(fv) ** p) / eps)
+        # f is separated, so its mass on the layer rule is a sum over the
+        # horizontal grid times one over the thickness
+        *horizontal, (z, w_z) = _layer_rules(geometry, eps, _NQ)
+        coords, w_x = tensor_rule(horizontal)
+        xbar = grid_points(coords)
+        x_sum = np.sum(w_x.ravel() * np.abs(
+            f._macro_vals(xbar) * f.y_factor(xbar / eps)) ** p)
+        z_sum = np.sum(w_z * np.abs(f._zeta_vals(z / eps)) ** p)
+        value = float(x_sum * z_sum / eps)
         if value > bound * (1 + 1e-10) + 1e-10:
             raise InvalidDataError(
                 f"scaled mass {value:.12g} exceeds the uniform bound "

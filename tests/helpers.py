@@ -15,6 +15,14 @@ library, which integrates the separated limit factor by factor
 (two_scale.limit_pairing) and samples its cell fields on tensor grids
 (two_scale.two_scale_distance).
 
+layer_quadrature builds every point of the composite layer rule of the
+closed-form functionals, and thin_average takes the vertical Gauss average
+of a callable height by height at given horizontal points.  They are the
+pointwise references for the library, which samples closed-form fields on
+the tensor grid of that rule (two_scale._field_sample) and sums the mass of
+a separated test function axis group by axis group
+(two_scale.oscillation_limit_table).
+
 cahouet_chabard_reference is the block path's pressure preconditioner as
 pinned LUs of the assembled pressure mass and Neumann Laplacian, the
 reference for the library's tensor-eigenbasis form."""
@@ -31,7 +39,7 @@ from thinflow.assembly import (DiscreteField, _element_nodes, _eval_callable,
                                assemble_mass)
 from thinflow.meshing import (composite_gauss, gauss_rule, grid_points,
                               tensor_rule)
-from thinflow.two_scale import layer_quadrature
+from thinflow.two_scale import _NQ, _layer_rules
 
 
 def interpolate(space, fn):
@@ -280,6 +288,29 @@ def limit_pairing_reference(u0_values, f, geometry):
         part = (uv * (wgt * fv)[:, None]).sum(axis=0)
         out = part if out is None else out + part
     return float(out[0]) if out.size == 1 else out
+
+
+def layer_quadrature(geometry, eps):
+    """Points (N, d) and weights (N,) of the composite layer rule, every
+    point built."""
+    coords, w = tensor_rule(_layer_rules(geometry, eps, _NQ))
+    return grid_points(coords), w.ravel()
+
+
+def thin_average(u, eps, nq=8):
+    """Vertical Gauss average over (-eps, eps) of a callable field, one
+    height at a time: returns a callable of xbar (N, d1)."""
+    gp, gw = gauss_rule(nq)
+
+    def averaged(xbar):
+        xbar = np.atleast_2d(xbar)
+        acc = None
+        for z, wz in zip(gp * eps, gw / 2.0):
+            pts = np.column_stack([xbar, np.full(xbar.shape[0], z)])
+            vals = np.asarray(u(pts), dtype=float)
+            acc = wz * vals if acc is None else acc + wz * vals
+        return acc
+    return averaged
 
 
 def distance_reference(u, u0_values, eps, geometry):

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from thinflow import coefficients as coefs
+from thinflow import two_scale
 from thinflow.assembly import DiscreteField, FunctionSpace
 from thinflow.cell_problems import solve_cell_regime_i
 from thinflow.coefficients import ScalarField
@@ -14,16 +15,17 @@ from thinflow.macro_model import solve_macro
 from thinflow.meshing import (Geometry, TensorMesh, build_cell_mesh,
                               build_macro_mesh, build_thin_mesh)
 from thinflow.microscale import solve_dlb
-from thinflow.two_scale import (OscillatingTestFunction,
-                                layer_quadrature, limit_pairing,
+from thinflow.two_scale import (OscillatingTestFunction, _NQ, _field_sample,
+                                _layer_rules, limit_pairing,
                                 oscillation_limit_table,
-                                poincare_wirtinger_ratio, thin_average,
-                                two_scale_distance, two_scale_pairing)
+                                poincare_wirtinger_ratio, two_scale_distance,
+                                two_scale_pairing)
 from thinflow.upscaling import (TwoScaleVelocity, effective_matrix,
                                 reconstruct_two_scale_velocity)
 
-from helpers import (distance_reference, interpolate, limit_pairing_reference,
-                     quadrature_sample, two_scale_values)
+from helpers import (distance_reference, interpolate, layer_quadrature,
+                     limit_pairing_reference, quadrature_sample, thin_average,
+                     two_scale_values)
 
 
 @dataclass
@@ -257,7 +259,114 @@ def test_pw_quadratic_profile_against_quadrature_oracle():
     assert report.ratio == pytest.approx(num / den, rel=1e-8)
 
 
+def _closed_form_pw_reference(u, grad, eps, geometry):
+    """(fluctuation, gradient norm) of a closed-form field, point by point
+    on every point of the layer rule, with the 6-point mean of
+    thin_average."""
+    pts, w = layer_quadrature(geometry, eps)
+    n = pts.shape[0]
+    vals = np.asarray(u(pts), dtype=float).reshape(n, -1)
+    means = np.asarray(thin_average(u, eps, nq=6)(pts[:, :-1])).reshape(n, -1)
+    grads = np.asarray(grad(pts), dtype=float).reshape(n, -1)
+    return (np.sqrt(np.sum(w * np.sum((vals - means) ** 2, axis=1))),
+            np.sqrt(np.sum(w * np.sum(grads ** 2, axis=1))))
+
+
+def _profile_field(d, eps):
+    """A two-component field with vertical profiles and its gradient
+    (N, 2, d)."""
+    def u(p):
+        x0, xl, z = p[:, 0], p[:, d - 2], p[:, -1] / eps
+        return np.column_stack([
+            (1 + x0) * np.sin(3 * z) + np.cos(2 * np.pi * x0 / eps) * z * z,
+            xl * z])
+
+    def grad(p):
+        x0, xl, z = p[:, 0], p[:, d - 2], p[:, -1] / eps
+        out = np.zeros((len(p), 2, d))
+        out[:, 0, 0] = (np.sin(3 * z) - 2 * np.pi / eps
+                        * np.sin(2 * np.pi * x0 / eps) * z * z)
+        out[:, 0, -1] = ((1 + x0) * 3 * np.cos(3 * z)
+                         + np.cos(2 * np.pi * x0 / eps) * 2 * z) / eps
+        out[:, 1, d - 2] = z
+        out[:, 1, -1] = xl / eps
+        return out
+    return u, grad
+
+
+def _flat_field(d):
+    """A scalar field constant across the layer and its gradient (N, d)."""
+    def u(p):
+        return np.sin(3 * p[:, 0]) + p[:, d - 2] ** 2
+
+    def grad(p):
+        out = np.zeros((len(p), d))
+        out[:, 0] = 3 * np.cos(3 * p[:, 0])
+        out[:, d - 2] += 2 * p[:, d - 2]
+        return out
+    return u, grad
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_closed_form_pw_matches_pointwise_reference(d):
+    eps = 0.125
+    g = Geometry(d, (1.0,) if d == 2 else (0.5, 0.75), eps)
+    u, grad = _profile_field(d, eps)
+    report = poincare_wirtinger_ratio(u, eps, geometry=g, grad=grad)
+    fluct, gnorm = _closed_form_pw_reference(u, grad, eps, g)
+    assert report.fluctuation_norm == pytest.approx(fluct, rel=1e-13)
+    assert report.gradient_norm == pytest.approx(gnorm, rel=1e-13)
+    assert report.ratio == pytest.approx(fluct / (eps * gnorm), rel=1e-13)
+
+    u, grad = _flat_field(d)
+    report = poincare_wirtinger_ratio(u, eps, geometry=g, grad=grad)
+    fluct, gnorm = _closed_form_pw_reference(u, grad, eps, g)
+    assert report.gradient_norm == pytest.approx(gnorm, rel=1e-13)
+    assert report.fluctuation_norm <= 1e-14 * report.gradient_norm
+    assert fluct <= 1e-14 * gnorm
+
+
 # -- oscillation table -----------------------------------------------------------
+
+def _layer_probe(d1):
+    return OscillatingTestFunction(
+        d1=d1, macro=lambda xb: 1 + xb[:, 0] * xb[:, -1],
+        zeta_factor=lambda z: 1 - z * z + 0.3 * z ** 3,
+        y_factor=ScalarField(d1, const=0.5,
+                             waves=[((1,) + (0,) * (d1 - 1), "cos", 1.0),
+                                    ((1,) * d1, "sin", 0.5)]))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_separated_mass_matches_full_layer_sum(d):
+    g = Geometry(d, (1.0,) if d == 2 else (0.5, 0.75), 0.125)
+    f = _layer_probe(d - 1)
+    eps_list = [1 / 8, 1 / 16]
+    for p in (2.0, 3.0):
+        rows = oscillation_limit_table(f, eps_list, g, p=p)
+        for eps, row in zip(eps_list, rows):
+            pts, w = layer_quadrature(g, eps)
+            want = np.sum(w * np.abs(f.evaluate_physical(pts, eps)) ** p) / eps
+            assert row["value"] == pytest.approx(want, rel=1e-13)
+
+
+def test_oscillation_table_builds_no_layer_grid(monkeypatch):
+    # the mass is a horizontal sum times a vertical one: no grid larger
+    # than the horizontal layer grid of the finest eps is ever built
+    eps_list = [1 / 8, 1 / 16]
+    built = []
+    real = two_scale.grid_points
+
+    def spy(coords):
+        built.append(int(np.prod([len(c) for c in coords])))
+        return real(coords)
+
+    monkeypatch.setattr(two_scale, "grid_points", spy)
+    oscillation_limit_table(_layer_probe(2), eps_list, D3_GEOM)
+    horizontal = int(np.prod([x.size for x, _ in
+                              _layer_rules(D3_GEOM, eps_list[-1], _NQ)[:-1]]))
+    assert built and max(built) <= horizontal
+
 
 def test_oscillation_table_constant_tight():
     g = geom(0.125)
@@ -318,10 +427,12 @@ def test_product_rule_three_instances():
 
 
 def test_layer_quadrature_volume():
-    g = geom(0.125)
-    pts, w = layer_quadrature(g, 0.125)
-    assert w.sum() == pytest.approx(2 * 0.125, rel=1e-12)
-    assert pts.shape[1] == 2
+    # the tensor weights of the closed-form sample cover the layer
+    g = Geometry(3, (0.5, 0.75), 0.125)
+    coords, w, sample = _field_sample(lambda p: p[:, 0], 0.125, g, _NQ)
+    assert w.shape == tuple(c.size for c in coords) and len(coords) == 3
+    assert w.sum() == pytest.approx(2 * 0.125 * 0.5 * 0.75, rel=1e-12)
+    assert sample(coords).shape == w.shape + (1,)
 
 
 # -- discrete fields on a d = 3 layer: tensor grid against pointwise ------------
