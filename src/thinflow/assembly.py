@@ -401,21 +401,29 @@ def assemble_diffusion(space, a_eval=None, drag=0.0):
     return _square(space, local)
 
 
-def assemble_mass(space):
-    """Matrix of (u, v) -> int u . v."""
+def assemble_mass(space, weight=None):
+    """Matrix of (u, v) -> int w u . v, with w = 1 or the weight given,
+    which maps points (N, ndim) to (N,) scalars."""
     phi, _, wq = space.reference_data(_NQUAD)
-    return _square(space, np.einsum("qi,qj,q->ij", phi, phi, wq))
+    if weight is None:
+        return _square(space, np.einsum("qi,qj,q->ij", phi, phi, wq))
+    w = np.asarray(weight(space.quadrature_points(_NQUAD).reshape(
+        -1, space.mesh.ndim)), dtype=float).reshape(-1, wq.size)
+    return _square(space, np.einsum("eq,qi,qj,q->eij", w, phi, phi, wq))
 
 
-def axis_pencils(space):
+def axis_pencils(space, weight=None):
     """Per-axis 1-D mass and stiffness matrices [(M_a, K_a), ...] of a
     scalar space.
 
     On a tensor mesh the mass matrix of the space is the Kronecker product
     of the M_a, and its identity-coefficient diffusion matrix the Kronecker
     sum of the K_a against those masses (free nodes in lattice order, the
-    last axis fastest).  Each pencil is assembled on the 1-D mesh of its
-    axis, with that axis's periodicity and walls.
+    last axis fastest).  weight, a function of the last coordinate, weights
+    both integrands of the last axis: the Kronecker sum is then the
+    diffusion matrix of the coefficient weight(z) I.  Each pencil is
+    assembled on the 1-D mesh of its axis, with that axis's periodicity and
+    walls.
     """
     if space.ncomp != 1:
         raise SpaceMismatchError("axis pencils are defined for scalar spaces")
@@ -424,7 +432,9 @@ def axis_pencils(space):
         line = FunctionSpace(TensorMesh(
             [axis], mesh.periodic[a:a + 1],
             {(0, side) for ax, side in mesh.dirichlet if ax == a}), space.kind)
-        pencils.append((assemble_mass(line), assemble_diffusion(line)))
+        w = None if weight is None or a < mesh.ndim - 1 \
+            else (lambda pts: weight(pts[:, 0]))
+        pencils.append((assemble_mass(line, w), assemble_diffusion(line, w)))
     return pencils
 
 

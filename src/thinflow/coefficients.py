@@ -96,6 +96,17 @@ class CoefficientField:
             k = max(k, int(max(abs(int(c)) for c in w.wavevector)))
         return k
 
+    @property
+    def separable(self):
+        """Whether A(y', z) = diag(a) zeta(z): no wave, no decaying term and
+        a diagonal base matrix.  Then A depends on no horizontal position
+        and couples no two axes, so on a tensor mesh its diffusion matrix
+        is a Kronecker sum of per-axis matrices.  The class label does not
+        decide this: a constant matrix may couple the axes."""
+        base = self.base_matrix
+        return not (self.waves or self.gaussians
+                    or np.any(base - np.diag(np.diag(base))))
+
     def evaluate(self, pts):
         """A at points (N, d); the last coordinate must lie in [-1, 1]."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))

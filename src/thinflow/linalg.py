@@ -27,14 +27,17 @@ solved without factoring again.
 
 BlockSaddleSolver is the block path, for systems whose velocity operator is
 d copies of one scalar block A_s (the d = 3 DNS, every wall tagged for
-every component).  It takes and factors A_s alone, with the same SuperLU
-options, and solves each load by CG on the pinned pressure Schur complement
-with the Cahouet-Chabard preconditioner nu M_p^{-1} + sigma L_p^{-1}
-(pressure mass matrix and Neumann Laplacian, both pinned).  On a tensor
-mesh both are built from 1-D matrices by Kronecker products, so the
-preconditioner is applied exactly in the eigenbasis of the per-axis pencils
-and neither pressure matrix is assembled or factored: the block path
-factors exactly one matrix, A_s, and keeps one copy of B.  Every solve
+every component).  It takes A_s alone and solves each load by CG on the
+pinned pressure Schur complement with the Cahouet-Chabard preconditioner
+nu M_p^{-1} + sigma L_p^{-1} (pressure mass matrix and Neumann Laplacian,
+both pinned).  On a tensor mesh both are built from 1-D matrices by
+Kronecker products, so the preconditioner is applied exactly in the
+eigenbasis of the per-axis pencils (fast diagonalization) and neither
+pressure matrix is assembled or factored.  Where A_s is a Kronecker sum of
+per-axis pencils too (a coefficient that is a diagonal matrix times a
+profile across the layer), its inverse is applied the same way and the
+block path factors no matrix; otherwise it factors A_s alone, with the
+direct path's SuperLU options.  It keeps one copy of B.  Every solve
 refines the previous one, so the steps of a Picard loop start warm, and
 runs until the backward error is at roundoff.  Its result is checked
 against the same unpinned residual as the direct path; a solve that misses
@@ -104,7 +107,8 @@ class SolveCounts:
 
     factorizations counts the LU factorizations: of the pinned saddle
     matrix on the direct path (cells, d = 2 DNS), of the scalar block on
-    the block path (d = 3 DNS), which factors nothing else.
+    the block path (d = 3 DNS), which factors nothing else, and nothing at
+    all where the block is inverted in the eigenbasis of its pencils.
     schur_iterations sums the CG iterations of the block path, and
     direct_fallbacks counts the block solvers that missed their tolerance
     and went over to the direct path.
@@ -296,6 +300,44 @@ def _apply_blocks(block, ncomp, u):
     return (block @ u.reshape(ncomp, -1).T).T.ravel()
 
 
+class _TensorEigenbasis:
+    """The eigenbasis of per-axis pencils [(M_a, K_a), ...] of a tensor
+    mesh: K_a V_a = M_a V_a Lambda_a with V_a^T M_a V_a = I
+    (scipy.linalg.eigh), V the Kronecker product of the V_a, dofs in
+    lattice order (the last axis fastest).  values holds the Lambda_a.
+    """
+
+    def __init__(self, pencils):
+        self.values, self.bases = [], []
+        for mass, stiffness in pencils:
+            lam, vec = scipy.linalg.eigh(sp.csr_matrix(stiffness).toarray(),
+                                         sp.csr_matrix(mass).toarray())
+            self.values.append(lam)
+            self.bases.append(vec)
+        self.sizes = tuple(vec.shape[0] for vec in self.bases)
+
+    def transform(self, x, transpose):
+        """V^T x if transpose, else V x, along the last axis of x: one
+        matmul per mesh axis."""
+        lead = x.shape[:-1]
+        arr = x.reshape(lead + self.sizes)
+        for a, vec in enumerate(self.bases):
+            mat = vec.T if transpose else vec
+            rows = arr.reshape(int(np.prod(arr.shape[:len(lead) + a])),
+                               self.sizes[a], -1)
+            # the last axis as one 2-D product: a stack of matrix-vector
+            # products is several times slower
+            arr = (mat @ rows if rows.shape[2] > 1
+                   else rows[..., 0] @ mat.T).reshape(arr.shape)
+        return arr.reshape(x.shape)
+
+
+def _check_tiling(sizes, n, what):
+    if int(np.prod(sizes)) != n:
+        raise ComponentLayoutError(
+            f"pencils of sizes {sizes} do not tile {n} {what} dofs")
+
+
 class _CahouetChabard:
     """The pinned Cahouet-Chabard preconditioner nu M_keep^{-1} +
     sigma L_keep^{-1} of a pressure space on a tensor mesh, applied in the
@@ -320,42 +362,52 @@ class _CahouetChabard:
     """
 
     def __init__(self, pencils, pin, n_p, nu, sigma):
-        pencils = [[sp.csr_matrix(mat).toarray() for mat in pencil]
-                   for pencil in pencils]
-        sizes = tuple(mass.shape[0] for mass, _ in pencils)
-        if int(np.prod(sizes)) != n_p:
-            raise ComponentLayoutError(
-                f"pencils of sizes {sizes} do not tile {n_p} pressure dofs")
-        bases, values = [], []
-        for mass, stiffness in pencils:
-            lam, vec = scipy.linalg.eigh(stiffness, mass)
-            lam[0] = 0.0            # the constant mode of the Neumann pencil
-            bases.append(vec)
-            values.append(lam)
-        lam = functools.reduce(np.add.outer, values).ravel()
+        self._basis = basis = _TensorEigenbasis(pencils)
+        _check_tiling(basis.sizes, n_p, "pressure")
+        # the first eigenvalue of every Neumann pencil is the constant mode
+        lam = functools.reduce(np.add.outer, [
+            np.concatenate([[0.0], values[1:]]) for values in basis.values
+        ]).ravel()
         self._lam_plus = np.zeros_like(lam)
         self._lam_plus[1:] = 1.0 / lam[1:]
         self._t_e = functools.reduce(np.multiply.outer, [
-            vec[i] for vec, i in zip(bases, np.unravel_index(pin, sizes))
+            vec[i] for vec, i in zip(basis.bases,
+                                     np.unravel_index(pin, basis.sizes))
         ]).ravel()
-        self._sizes, self._bases, self._pin = sizes, bases, pin
+        self._pin = pin
         self._weights = (nu, sigma)
-
-    def _transform(self, x, transpose):
-        """V^T x if transpose, else V x, one axis at a time."""
-        arr = x.reshape(self._sizes)
-        for a, vec in enumerate(self._bases):
-            arr = np.moveaxis(np.tensordot(vec.T if transpose else vec, arr,
-                                           axes=(1, a)), 0, a)
-        return arr.ravel()
 
     def __call__(self, res):
         (nu, sigma), t_e = self._weights, self._t_e
-        t = self._transform(np.insert(res, self._pin, 0.0), transpose=True)
+        t = self._basis.transform(np.insert(res, self._pin, 0.0),
+                                  transpose=True)
         s = self._lam_plus * (t - res.sum() * t_e)
         coef = nu * (t - (t_e @ t / (t_e @ t_e)) * t_e) + sigma * s
-        return np.delete(self._transform(coef, transpose=False), self._pin) \
-            - sigma * (t_e @ s)
+        return np.delete(self._basis.transform(coef, transpose=False),
+                         self._pin) - sigma * (t_e @ s)
+
+
+class _KroneckerSumInverse:
+    """The exact inverse of a Kronecker sum of per-axis pencils, applied in
+    their eigenbasis (fast diagonalization).
+
+    pencils [(M_a, K_a), ...] of a tensor mesh give the matrix
+    sum_a M_0 (x) ... (x) K_a (x) ... (x) M_{d-1}, dofs in lattice order.
+    With V and lam as in _TensorEigenbasis, its inverse is V lam^{-1} V^T:
+    two transforms and a division, nothing factored.  solve() takes and
+    returns one column per load, as a SuperLU object does.
+    """
+
+    def __init__(self, pencils, n):
+        self._basis = basis = _TensorEigenbasis(pencils)
+        _check_tiling(basis.sizes, n, "velocity block")
+        self._inverse = 1.0 / functools.reduce(np.add.outer,
+                                               basis.values).ravel()
+
+    def solve(self, rhs):
+        coef = self._basis.transform(rhs.T, transpose=True)
+        return self._basis.transform(self._inverse * coef,
+                                     transpose=False).T
 
 
 class BlockSaddleSolver:
@@ -364,9 +416,13 @@ class BlockSaddleSolver:
 
     block is A_s, the diagonal block that every velocity component shares,
     and B, gauge and rhs_u complete the system, the velocity dofs numbered
-    component by component.  K is not formed: A_s is factored once, so
-    K^{-1} is one triangular solve with a column per component, and K u is
-    A_s applied to the (d, n_s) reshape of u.
+    component by component.  K is not formed: K u is A_s applied to the
+    (d, n_s) reshape of u, and K^{-1} is one application of A_s^{-1} with a
+    column per component.  block_pencils, if given, are per-axis pencils
+    [(M_a, K_a), ...] whose Kronecker sum is A_s; A_s^{-1} is then applied
+    exactly in their eigenbasis (_KroneckerSumInverse) and nothing is
+    factored.  Without them A_s is factored once, and A_s^{-1} is one
+    triangular solve.
 
     A solve refines the solution of the previous solve (zero at first).
     Each sweep computes the residual (R_u, R_p) of the pinned system and
@@ -381,9 +437,9 @@ class BlockSaddleSolver:
     like the saddle system.  pencils gives them per mesh axis, as the 1-D
     mass and stiffness matrices [(M_a, K_a), ...] of assembly.axis_pencils,
     and the exact pinned inverses are applied in the tensor eigenbasis
-    (_CahouetChabard), so the solver factors exactly one matrix, A_s.  The
-    pinned B u and B^T q go through the system's one B and its transpose
-    view.  Sweeps end when the backward error of both equations, |R_u|
+    (_CahouetChabard), so no pressure matrix is factored.  The pinned B u
+    and B^T q go through the system's one B and its transpose view.  Sweeps
+    end when the backward error of both equations, |R_u|
     against |K| |u| + |B| |q| + |f| and |R_p| against |B| |u| + |r|
     (Frobenius norms, |K| = sqrt(d) |A_s|), is at most the machine epsilon,
     as for the direct LU, or stops falling.  On a thin layer the pressure
@@ -397,14 +453,15 @@ class BlockSaddleSolver:
     gauge^T p = 0.
 
     A solve returns only if its unpinned residual is at most tol, as on the
-    direct path.  Otherwise the solver counts a direct fallback, builds
-    K = block_diag(A_s, ..., A_s) and solves this load and every later one
-    with a SaddleSolver of it.  Loads are single vectors.  The work done is
-    added to counts.
+    direct path, whichever inverse of A_s it applied.  Otherwise, or where
+    there is no inverse (an LU that meets a zero pivot, pencils that eigh
+    rejects), the solver counts a direct fallback, builds K = block_diag(A_s,
+    ..., A_s) and solves this load and every later one with a SaddleSolver
+    of it.  Loads are single vectors.  The work done is added to counts.
     """
 
     def __init__(self, block, B, gauge, rhs_u, pencils, nu, sigma,
-                 counts=None):
+                 counts=None, block_pencils=None):
         self.counts = SolveCounts() if counts is None else counts
         n_s, n_u = block.shape[0], B.shape[1]
         if n_u % n_s:
@@ -429,11 +486,16 @@ class BlockSaddleSolver:
         self._u = np.zeros(n_u)
         self._q = np.zeros(B.shape[0] - 1)
         self._direct = None
+        # A_s^{-1}: exact in the eigenbasis of block_pencils if given, else
+        # the LU of A_s; without one the first solve takes the direct path
         try:
-            self.counts.factorizations += 1
-            self._lu = _splu(block)
-        except RuntimeError:
-            self._lu = None
+            if block_pencils is not None:
+                self._inverse = _KroneckerSumInverse(block_pencils, n_s)
+            else:
+                self.counts.factorizations += 1
+                self._inverse = _splu(block)
+        except (RuntimeError, np.linalg.LinAlgError):
+            self._inverse = None
 
     def _div(self, u):
         """B u without the pin's row."""
@@ -445,7 +507,7 @@ class BlockSaddleSolver:
 
     def _velocity(self, load):
         """K^{-1} load: one solve with A_s, a column per component."""
-        return self._lu.solve(load.reshape(self._ncomp, -1).T).T.ravel()
+        return self._inverse.solve(load.reshape(self._ncomp, -1).T).T.ravel()
 
     def _backward_error(self, u, q, f, r):
         """Backward error of (u, q) in both equations, and the residual."""
@@ -521,7 +583,7 @@ class BlockSaddleSolver:
             target = self._target if rhs_u is None \
                 else replace(self._target, rhs_u=rhs_u)
             solution = self._schur_solve(target, tol) \
-                if self._lu is not None else None
+                if self._inverse is not None else None
             if solution is not None:
                 return solution
             self.counts.direct_fallbacks += 1

@@ -11,21 +11,25 @@ the operator N itself is never formed.  S is the Stokes-Brinkmann saddle
 operator, whose velocity block is d copies of one scalar block because
 every wall is tagged for every component.  Each layer assembles that block
 once, on the "component" space with the drag mu/K folded into its element
-matrices, and factors exactly one matrix once.  A d = 3 layer factors the
-block in linalg.BlockSaddleSolver; every step is a preconditioned CG solve
-on the pressure Schur complement that starts from the previous step's
-solution, checked at the solver tolerance (a layer whose solve misses it
-goes over to the pinned LU of S).  Its Cahouet-Chabard preconditioner
-takes the per-axis pencils of the pressure space (assembly.axis_pencils),
-so no pressure matrix is assembled or factored.  A d = 2 layer is
-sealed and hydrostatic, its velocity a discretization residue, and its 2-D
-saddle system is small: it factors the pinned LU of S in
-linalg.SaddleSolver and solves every step with it.  The solver, and with it
-the LU, is dropped before the a priori norms sample the fields.  The
-iteration stops when the relative velocity update falls below the
-fixed-point tolerance.  It converges where the map contracts, that is where
-the convection is small against S: ||S^{-1} N(u)|| < 1 near the fixed point
-(the small-data condition of the steady Navier-Stokes theory).  The thin
+matrices, and factors at most one matrix, once.  A d = 3 layer is solved
+in linalg.BlockSaddleSolver; every step is a preconditioned CG solve on the
+pressure Schur complement that starts from the previous step's solution,
+checked at the solver tolerance (a layer whose solve misses it goes over
+to the pinned LU of S).  Its Cahouet-Chabard preconditioner takes the
+per-axis pencils of the pressure space (assembly.axis_pencils), so no
+pressure matrix is assembled or factored.  Where the coefficient is
+separable (a diagonal matrix times a profile across the layer), the block
+is the Kronecker sum of per-axis pencils too (_block_pencils): its inverse
+is applied in their eigenbasis, and the layer factors no matrix.  Any
+other d = 3 layer factors the block.  A d = 2 layer is sealed and
+hydrostatic, its velocity a discretization residue, and its 2-D saddle
+system is small: it factors the pinned LU of S in linalg.SaddleSolver and
+solves every step with it.  The solver, and with it any LU, is dropped
+before the a priori norms sample the fields.  The iteration stops when the
+relative velocity update falls below the fixed-point tolerance.  It
+converges where the map contracts, that is where the convection is small
+against S: ||S^{-1} N(u)|| < 1 near the fixed point (the small-data
+condition of the steady Navier-Stokes theory).  The thin
 layer velocity is O(eps^2), so the shipped configurations lie far inside it.
 Outside it the updates stop shrinking: an update that is not smaller than
 the one before ends the loop, as stagnation at the arithmetic floor when it
@@ -56,10 +60,11 @@ class MicroSolution:
     the fixed-point tolerance), "zero_branch" (the forcing is balanced by
     the pressure alone), "stalled" (updates stagnate at the arithmetic
     floor) or "linear" (no convection, one step is exact).  solver_counts
-    is the loop's linalg.SolveCounts: its one factorization (of the scalar
-    block in d = 3, of the pinned saddle matrix in d = 2), the CG
-    iterations of all steps (none in d = 2), and the fallbacks to the
-    direct path and to pivoting, if any.
+    is the loop's linalg.SolveCounts: its factorizations (in d = 2 one, of
+    the pinned saddle matrix; in d = 3 none for a separable coefficient,
+    otherwise one, of the scalar block), the CG iterations of all steps
+    (none in d = 2), and the fallbacks to the direct path and to pivoting,
+    if any.
     """
 
     mesh: object
@@ -138,7 +143,9 @@ def solve_dlb(thin_mesh, field, params, K_eps, picard_tol=1e-10,
         nu = float(np.sqrt(field.alpha_ell * field.beta_ell))
         solver = BlockSaddleSolver(
             block, B, gauge, load, axis_pencils(space_p), nu=nu,
-            sigma=sigma + 3.0 * nu / eps ** 2, counts=counts)
+            sigma=sigma + 3.0 * nu / eps ** 2, counts=counts,
+            block_pencils=_block_pencils(space_s, field, eps, sigma)
+            if field.separable else None)
     for iterations in range(1, max_iters + 1):
         rhs = load - assemble_convection(space_v, u, factor) \
             if factor != 0.0 and np.any(u) else load
@@ -177,13 +184,28 @@ def solve_dlb(thin_mesh, field, params, K_eps, picard_tol=1e-10,
             f"no fixed point within {max_iters} iterations "
             f"(last update {update:.3e})", history=history)
 
-    # the LU goes before the norms' Gauss samples, so they do not stack
+    # any LU goes before the norms' Gauss samples, so they do not stack
     del solver
     sol = MicroSolution(thin_mesh, space_v, space_p, u, p, eps, K_eps,
                         iterations, update, update_history=history,
                         stop_reason=reason, solver_counts=asdict(counts))
     sol.norms = apriori_norms(sol)
     return sol
+
+
+def _block_pencils(space_s, field, eps, sigma):
+    """Per-axis pencils whose Kronecker sum is the scalar block of a
+    separable coefficient diag(a) zeta(z/eps) with drag sigma: each axis's
+    stiffness times its a, the last axis's pair weighted by the profile
+    zeta, and the drag sigma M_z (unweighted) added to its stiffness."""
+    profile = field.zeta_profile
+    weight = None if profile is None else (lambda z: profile(z / eps))
+    pencils = [(mass, a * stiffness) for (mass, stiffness), a in zip(
+        axis_pencils(space_s, weight), np.diag(field.base_matrix))]
+    drag = pencils[-1][0] if weight is None else axis_pencils(space_s)[-1][0]
+    mass, stiffness = pencils[-1]
+    pencils[-1] = (mass, stiffness + sigma * drag)
+    return pencils
 
 
 def apriori_norms(sol):

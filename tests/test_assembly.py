@@ -13,7 +13,7 @@ from thinflow import assembly, coefficients as coefs
 from thinflow.assembly import (DiscreteField, FunctionSpace,
                                assemble_convection, assemble_diffusion,
                                assemble_divergence, assemble_flux_load,
-                               assemble_load, assemble_mass,
+                               assemble_load, assemble_mass, axis_pencils,
                                element_gauss_axes, pressure_gauge)
 from thinflow.errors import AsymmetricOperatorError, SpaceMismatchError
 from thinflow.meshing import Geometry, build_cell_mesh, build_macro_mesh, \
@@ -417,6 +417,25 @@ def test_drag_folded_into_element_matrices(name):
     folded = assemble_diffusion(S, a_eval, drag=7.0)
     summed = (assemble_diffusion(S, a_eval) + 7.0 * assemble_mass(S)).tocsr()
     assert np.abs(folded - summed).max() <= 1e-15 * np.abs(summed).max()
+
+
+@pytest.mark.parametrize("kind", ["component", "pressure"])
+@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+def test_axis_pencils_kronecker_forms(kind, weighted):
+    # the mass is the Kronecker product of the axis masses and the
+    # diffusion of the coefficient w(z) I their Kronecker sum, the weight
+    # carried by the z pencils alone
+    space = FunctionSpace(build_thin_mesh(Geometry(3, (0.5, 0.75), 0.25),
+                                          2, 2), kind)
+    weight = (lambda z: 1.0 + 16.0 * z * z) if weighted else None
+    (m0, k0), (m1, k1), (mz, kz) = axis_pencils(space, weight)
+    at_z = None if weight is None else (lambda pts: weight(pts[:, -1]))
+    mass = sp.kron(sp.kron(m0, m1), mz)
+    stiffness = sp.kron(sp.kron(k0, m1), mz) + sp.kron(sp.kron(m0, k1), mz) \
+        + sp.kron(sp.kron(m0, m1), kz)
+    for got, ref in ((mass, assemble_mass(space, at_z)),
+                     (stiffness, assemble_diffusion(space, at_z))):
+        assert abs(got - ref).max() <= 1e-15 * abs(ref).max()
 
 
 def test_assembly_builds_no_coo(monkeypatch):

@@ -52,6 +52,19 @@ def test_eval_pure_and_symmetric():
     assert np.allclose(a1, np.transpose(a1, (0, 2, 1)), atol=0)
 
 
+def test_separable_follows_structure_not_class():
+    wave = coefs.Wave((1, 0), "cos", 0.5 * np.eye(3))
+    assert coefs.constant_field(3, np.diag([1.0, 2.0, 3.0])).separable
+    assert coefs.zeta_profile_field(3, np.eye(3), lambda z: 1 + z * z,
+                                    alpha_ell=1.0, beta_ell=2.0).separable
+    # a periodic field without waves is a constant one
+    assert coefs.periodic_field(3, np.eye(3), [], 1.0, 1.0).separable
+    assert not coefs.periodic_field(3, np.eye(3), [wave], 0.5, 1.5).separable
+    # a constant matrix that couples two axes
+    assert not coefs.constant_field(3, [[1.0, 0.3, 0.0], [0.3, 1.0, 0.0],
+                                        [0.0, 0.0, 1.0]]).separable
+
+
 def test_check_ellipticity_identity():
     alpha, beta = coefs.check_ellipticity(coefs.constant_field(2))
     assert alpha == pytest.approx(1.0, abs=1e-12)

@@ -323,15 +323,19 @@ _LAYOUT_SCRIPT = textwrap.dedent("""
     cases = {
         # a block that does not tile the 5 velocity dofs
         "block": (sp.identity(2, format="csr"),
-                  sp.csr_matrix(np.ones((2, 5))), toy),
+                  sp.csr_matrix(np.ones((2, 5))), toy, None),
         # pencils of 2 x 2 pressure dofs for a system with 2
         "pencils": (sp.identity(2, format="csr"),
-                    sp.csr_matrix(np.ones((2, 4))), toy * 2),
+                    sp.csr_matrix(np.ones((2, 4))), toy * 2, None),
+        # block pencils of 2 x 2 dofs for a block of 2
+        "block_pencils": (sp.identity(2, format="csr"),
+                          sp.csr_matrix(np.ones((2, 4))), toy, toy * 2),
     }
-    for name, (block, B, pencils) in cases.items():
+    for name, (block, B, pencils, block_pencils) in cases.items():
         try:
             BlockSaddleSolver(block, B, np.ones(2), np.ones(B.shape[1]),
-                              pencils, nu=1.0, sigma=1.0)
+                              pencils, nu=1.0, sigma=1.0,
+                              block_pencils=block_pencils)
         except ComponentLayoutError:
             print(name, "raised", __debug__)
 """)
@@ -339,12 +343,13 @@ _LAYOUT_SCRIPT = textwrap.dedent("""
 
 def test_layout_errors_survive_optimize():
     # the block path must refuse velocity dofs that are not d copies of
-    # its block, and pressure pencils that do not tile the pressure dofs,
-    # even when python -O strips assert statements
+    # its block, and pencils that do not tile the pressure dofs or the
+    # block, even when python -O strips assert statements
     src = os.path.dirname(os.path.dirname(os.path.abspath(thinflow.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-O", "-c", _LAYOUT_SCRIPT],
                          env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["block", "raised", "False",
-                                  "pencils", "raised", "False"]
+                                  "pencils", "raised", "False",
+                                  "block_pencils", "raised", "False"]

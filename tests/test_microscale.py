@@ -102,9 +102,10 @@ def test_stop_reason_d3_flow():
     assert sol.norms["u_l2"] > 1e-3
     assert sol.stop_reason == "converged"
     assert sol.final_update <= 1e-10
-    # one factorization serves every Picard step, and the converged
-    # iterate solves the system with its own convection
-    assert sol.solver_counts == {"factorizations": 1,
+    # the separable layer factors nothing: every Picard step applies the
+    # block's inverse in its eigenbasis, and the converged iterate solves
+    # the system with its own convection
+    assert sol.solver_counts == {"factorizations": 0,
                                  "pivoted_fallbacks": 0,
                                  "schur_iterations": 59,
                                  "direct_fallbacks": 0}
@@ -116,9 +117,8 @@ def test_stop_reason_d3_flow():
     assert stokes.picard_iterations == 1
 
 
-def test_d3_layer_factors_one_matrix(monkeypatch):
-    # the scalar velocity block is the only matrix a d = 3 layer factors:
-    # the preconditioner's pressure inverses need no LU
+def spy_on_splu(monkeypatch):
+    """The sizes of the matrices SuperLU factors from now on."""
     factored = []
     splu = linalg.spla.splu
 
@@ -127,9 +127,38 @@ def test_d3_layer_factors_one_matrix(monkeypatch):
         return splu(mat, *args, **kwargs)
 
     monkeypatch.setattr(linalg.spla, "splu", spy)
-    mesh, _, _, sol = d3_flow(rho=1.0)
+    return factored
+
+
+def test_d3_layer_factors_no_matrix(monkeypatch):
+    # a constant coefficient is separable: the scalar velocity block is
+    # inverted in the eigenbasis of its axis pencils and the
+    # preconditioner's pressure inverses in that of theirs, so a d = 3 layer
+    # calls no LU
+    factored = spy_on_splu(monkeypatch)
+    _, _, _, sol = d3_flow(rho=1.0)
+    assert factored == []
+    assert sol.solver_counts["factorizations"] == 0
+    assert sol.solver_counts["direct_fallbacks"] == 0
+
+
+@pytest.mark.parametrize("field", [
+    coefs.periodic_field(3, np.eye(3), [coefs.Wave((1, 0), "cos",
+                                                   0.5 * np.eye(3))],
+                         alpha_ell=0.5, beta_ell=1.5),
+    coefs.constant_field(3, [[1.0, 0.3, 0.0], [0.3, 1.0, 0.0],
+                             [0.0, 0.0, 1.0]])], ids=["periodic", "coupled"])
+def test_d3_non_separable_layer_factors_its_block(monkeypatch, field):
+    # a coefficient that varies horizontally or couples two axes makes no
+    # Kronecker sum: the layer factors its scalar block, once
+    assert not field.separable
+    factored = spy_on_splu(monkeypatch)
+    mesh = build_thin_mesh(Geometry(3, (0.5, 0.5), 0.125), 4, 2)
+    sol = solve_dlb(mesh, field, coefs.FluidParams(mu=1.0, f1=d3_forcing),
+                    K_eps=0.125 ** 2)
     assert factored == [FunctionSpace(mesh, "component").ndof]
     assert sol.solver_counts["factorizations"] == 1
+    assert sol.solver_counts["direct_fallbacks"] == 0
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -322,7 +351,9 @@ def test_translation_by_full_period_invariant():
 def dns_system(mesh, field, params, K_eps):
     """The Stokes-Brinkmann system that solve_dlb solves, its velocity
     space and a factory of block solvers for it (plain Cahouet-Chabard
-    weights: they change the iteration count, not the answer)."""
+    weights: they change the iteration count, not the answer), which invert
+    the scalar block in its eigenbasis where solve_dlb does: on a d = 3
+    layer with a separable coefficient."""
     eps = float(mesh.axes[-1][-1])
     V = FunctionSpace(mesh, "velocity")
     S = FunctionSpace(mesh, "component")
@@ -335,17 +366,24 @@ def dns_system(mesh, field, params, K_eps):
         K=K, B=assemble_divergence(V, Q), gauge=pressure_gauge(Q),
         rhs_u=assemble_load(V, params.forcing(mesh.ndim - 1)))
 
+    block_pencils = None
+    if mesh.ndim == 3 and field.separable:
+        block_pencils = microscale._block_pencils(S, field, eps,
+                                                  params.mu / K_eps)
+
     def block_solver(counts):
         return BlockSaddleSolver(block, system.B, system.gauge, system.rhs_u,
                                  axis_pencils(Q), nu=1.0,
-                                 sigma=params.mu / K_eps, counts=counts)
+                                 sigma=params.mu / K_eps, counts=counts,
+                                 block_pencils=block_pencils)
 
     return V, system, block_solver
 
 
-def assert_matches_pinned_lu(V, system, block_solver, params):
+def assert_matches_pinned_lu(V, system, block_solver, params, factorizations):
     """Block and pinned-LU solutions agree to 1e-10 of each field's size,
-    for the load and for the Picard load f - N(u) u of the solution u."""
+    for the load and for the Picard load f - N(u) u of the solution u; the
+    block solver factors as often as given."""
     counts = SolveCounts()
     solver = block_solver(counts)
     u, p = solver.solve(tol=1e-10)
@@ -358,16 +396,19 @@ def assert_matches_pinned_lu(V, system, block_solver, params):
         for x, x_ref in zip(got, solve_sparse(reference, tol=1e-10)):
             assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
         assert residual(reference, got) <= 1e-10
-    assert counts.direct_fallbacks == 0 and counts.factorizations == 1
+    assert counts.direct_fallbacks == 0
+    assert counts.factorizations == factorizations
     assert counts.schur_iterations > 0
 
 
 def test_block_solve_matches_pinned_lu_d3():
+    # a separable layer: the block's inverse needs no factorization
     mesh = build_thin_mesh(Geometry(3, (0.5, 0.5), 0.125), 2, 2)
     params = coefs.FluidParams(mu=1.0, rho=1.0, f1=d3_forcing)
     V, system, block_solver = dns_system(mesh, coefs.constant_field(3),
                                          params, K_eps=0.125 ** 2)
-    assert_matches_pinned_lu(V, system, block_solver, params)
+    assert_matches_pinned_lu(V, system, block_solver, params,
+                             factorizations=0)
 
 
 def test_block_solve_matches_pinned_lu_drag_dominated_d2():
@@ -377,7 +418,8 @@ def test_block_solve_matches_pinned_lu_drag_dominated_d2():
     params = coefs.FluidParams(mu=mu, f1=sine_forcing)
     V, system, block_solver = dns_system(thin_mesh(eps=0.125), field, params,
                                          K_eps)
-    assert_matches_pinned_lu(V, system, block_solver, params)
+    assert_matches_pinned_lu(V, system, block_solver, params,
+                             factorizations=1)
 
 
 def test_block_solve_warm_start_takes_no_iterations():
@@ -396,6 +438,53 @@ def test_block_solve_warm_start_takes_no_iterations():
         assert np.array_equal(x, y)
 
 
+SEPARABLE_D3 = {
+    "constant": coefs.constant_field(3, np.diag([1.0, 2.0, 0.5])),
+    "zeta_profile": coefs.zeta_profile_field(
+        3, np.eye(3), lambda z: 1 + z * z, alpha_ell=1.0, beta_ell=2.0)}
+
+
+@pytest.mark.parametrize("name", SEPARABLE_D3)
+def test_block_inverse_matches_lu(name):
+    # the eigenbasis inverse of the scalar block is its LU solve to
+    # rounding: the pencils' Kronecker sum is the assembled block, with
+    # each axis's coefficient entry, the profile's weight on the z pencils
+    # and the drag on the unweighted z mass
+    field, eps, sigma = SEPARABLE_D3[name], 0.125, 1.0 / 0.125 ** 2
+    assert field.separable
+    mesh = build_thin_mesh(Geometry(3, (0.5, 0.5), eps), 2, 2)
+    S = FunctionSpace(mesh, "component")
+    block = assemble_diffusion(S, field.scaled(eps), drag=sigma)
+    inverse = linalg._KroneckerSumInverse(
+        microscale._block_pencils(S, field, eps, sigma), S.ndof)
+    rhs = np.random.default_rng(5).standard_normal((S.ndof, 3))
+    ref = linalg._splu(block).solve(rhs)
+    assert np.abs(inverse.solve(rhs) - ref).max() \
+        <= 1e-12 * np.abs(ref).max()
+
+
+def test_wrong_block_inverse_falls_back_to_direct_path():
+    # pencils whose Kronecker sum is -A_s give a wrong inverse: the block
+    # solve misses its checked residual, and the layer goes over to the
+    # pinned LU of the whole system, whose answer meets the tolerance
+    mesh = build_thin_mesh(Geometry(3, (0.5, 0.5), 0.125), 2, 2)
+    field, eps, sigma = coefs.constant_field(3), 0.125, 1.0 / 0.125 ** 2
+    params = coefs.FluidParams(mu=1.0, f1=d3_forcing)
+    _, system, _ = dns_system(mesh, field, params, K_eps=eps ** 2)
+    S, Q = FunctionSpace(mesh, "component"), FunctionSpace(mesh, "pressure")
+    wrong = [(mass, -stiffness) for mass, stiffness
+             in microscale._block_pencils(S, field, eps, sigma)]
+    counts = SolveCounts()
+    solver = BlockSaddleSolver(
+        assemble_diffusion(S, field.scaled(eps), drag=sigma), system.B,
+        system.gauge, system.rhs_u, axis_pencils(Q), nu=1.0, sigma=sigma,
+        counts=counts, block_pencils=wrong)
+    solution = solver.solve(tol=1e-10)
+    assert counts.direct_fallbacks == 1
+    assert counts.factorizations == 1
+    assert residual(system, solution) <= 1e-10
+
+
 def test_schur_iterations_flat_in_eps_d3():
     # the homogenization_d3 layers at eps = 1/8 and 1/16, one cold solve
     # each (no convection): the preconditioned CG count stays flat
@@ -406,6 +495,7 @@ def test_schur_iterations_flat_in_eps_d3():
                         K_eps=eps ** 2)
         assert sol.picard_iterations == 1
         assert sol.solver_counts["direct_fallbacks"] == 0
+        assert sol.solver_counts["factorizations"] == 0
         assert 0 < sol.solver_counts["schur_iterations"] <= 40
 
 
@@ -425,7 +515,7 @@ def regime_ii_layer(eps):
 def test_schur_iterations_flat_in_eps_weak_drag_d3(eps):
     # weak drag (K_eps = eps, the regime_iii balance) on a d = 3 layer: the
     # drag weight of the preconditioner, sigma plus the walls' Hele-Shaw
-    # friction 3 nu / eps^2, keeps one cold solve at 52 and 54 iterations;
+    # friction 3 nu / eps^2, keeps one cold solve at 49 and 52 iterations;
     # sigma alone lets the count grow with 1/eps (72 and 88)
     field = coefs.zeta_profile_field(3, np.eye(3), lambda z: 1 + z * z,
                                      alpha_ell=1.0, beta_ell=2.0)
@@ -434,6 +524,7 @@ def test_schur_iterations_flat_in_eps_weak_drag_d3(eps):
     mesh = build_thin_mesh(Geometry(3, (0.5, 0.5), eps), 2, 2)
     sol = solve_dlb(mesh, field, params, K_eps=eps)
     assert sol.solver_counts["direct_fallbacks"] == 0
+    assert sol.solver_counts["factorizations"] == 0
     assert 0 < sol.solver_counts["schur_iterations"] <= 60
 
 
