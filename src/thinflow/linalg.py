@@ -27,23 +27,26 @@ solved without factoring again.
 
 BlockSaddleSolver is the block path, for systems whose velocity operator is
 d copies of one scalar block A_s (the d = 3 DNS, every wall tagged for
-every component).  It takes A_s alone and solves each load by CG on the
-pinned pressure Schur complement with the Cahouet-Chabard preconditioner
-nu M_p^{-1} + sigma L_p^{-1} (pressure mass matrix and Neumann Laplacian,
-both pinned).  On a tensor mesh both are built from 1-D matrices by
-Kronecker products, so the preconditioner is applied exactly in the
-eigenbasis of the per-axis pencils (fast diagonalization) and neither
-pressure matrix is assembled or factored.  Where A_s is a Kronecker sum of
-per-axis pencils too (a coefficient that is a diagonal matrix times a
-profile across the layer), its inverse is applied the same way and the
-block path factors no matrix; otherwise it factors A_s alone, with the
-direct path's SuperLU options.  It keeps one copy of B.  Every solve
-refines the previous one, so the steps of a Picard loop start warm, and
-runs until the backward error is at roundoff.  Its result is checked
-against the same unpinned residual as the direct path; a solve that misses
-the tolerance builds the vector operator and moves that system to a
-SaddleSolver for good, and SolveCounts records the CG iterations and the
-fallbacks.
+every component).  It takes A_s alone and pins no dof: it makes the
+pressure rhs compatible, solves each load by CG on the pressure Schur
+complement over the whole pressure space, and shifts the answer to
+gauge^T p = 0.  The Cahouet-Chabard preconditioner nu M_p^{-1} +
+sigma L_p^+ (pressure mass matrix and Neumann Laplacian) acts on mean-zero
+pressures, as Cahouet & Chabard define it (Int. J. Numer. Meth. Fluids 8,
+1988).  On a tensor mesh both matrices are built from 1-D matrices by
+Kronecker products, so the preconditioner is a function of the Kronecker
+sum of the per-axis pencils, applied exactly in their eigenbasis (fast
+diagonalization), and neither pressure matrix is assembled or factored.
+Where A_s is a Kronecker sum of per-axis pencils too (a coefficient that is
+a diagonal matrix times a profile across the layer), its inverse is the
+same kind of function, the reciprocal, and the block path factors no
+matrix; otherwise it factors A_s alone, with the direct path's SuperLU
+options.  It keeps one copy of B.  Every solve refines the previous one, so
+the steps of a Picard loop start warm, and runs until the backward error
+is at roundoff.  Its result is checked against the same residual as the
+direct path; a solve that misses the tolerance builds the vector operator
+and moves that system to a SaddleSolver for good, and SolveCounts records
+the CG iterations and the fallbacks.
 """
 
 import functools
@@ -167,13 +170,18 @@ def _project_gauge(gauge, p):
     return p
 
 
+def _checked_gauge(gauge):
+    gauge = np.asarray(gauge, dtype=float) if gauge is not None else None
+    if gauge is None or not np.any(gauge):
+        raise SingularSystemError("gauge vector missing or zero")
+    return gauge
+
+
 def _gauge_and_pin(gauge):
     """Index of the dof to pin: the first whose gauge weight lies within
     _PIN_TIE_REL of the largest, so weights tied to rounding (as on a
     uniform mesh) pin the same dof whatever order summed them."""
-    gauge = np.asarray(gauge, dtype=float) if gauge is not None else None
-    if gauge is None or not np.any(gauge):
-        raise SingularSystemError("gauge vector missing or zero")
+    gauge = _checked_gauge(gauge)
     weight = np.abs(gauge)
     return gauge, int(np.argmax(weight >= (1 - _PIN_TIE_REL) * weight.max()))
 
@@ -227,58 +235,37 @@ class _PinnedLU:
             self._fall_back()
 
 
-class _Pinning:
-    """The pressure dof a saddle system pins, and the maps between the
-    system and its pinned form (u first, then q = -p without the pin)."""
-
-    def __init__(self, system):
-        self.n_u = system.n_u
-        self.pin = None
-        if system.B is not None:
-            self.gauge, self.pin = _gauge_and_pin(system.gauge)
-            self.keep = np.delete(np.arange(system.n_p), self.pin)
-
-    def matrix(self, system):
-        if self.pin is None:
-            return system.K.tocsc()
-        B = sp.csr_matrix(system.B)[self.keep]
-        return sp.bmat([[system.K, B.T], [B, None]], format="csc")
-
-    def target(self, system):
-        """The system with its pressure rhs made compatible."""
-        if self.pin is None:
-            return system
-        return replace(system, rhs_p=_compatible(
-            np.asarray(system.rhs_p, dtype=float), self.gauge))
-
-    def rhs(self, target):
-        """Pinned rhs of a system already made compatible by target()."""
-        if self.pin is None:
-            return np.asarray(target.rhs_u, dtype=float)
-        return np.concatenate([target.rhs_u, target.rhs_p[self.keep]])
-
-    def unpin(self, x):
-        """(u, p) from a pinned solution, p shifted to gauge^T p = 0."""
-        u = x[:self.n_u]
-        if self.pin is None:
-            return u, None
-        q = np.insert(x[self.n_u:], self.pin, 0.0, axis=0)
-        return u, _project_gauge(self.gauge, -q)
-
-
 class SaddleSolver:
     """A saddle system factored once, with one pressure dof pinned.
 
-    solve() returns the solution of the factored operator for the system's
-    load or for another velocity load, several loads at once when the load
-    has one column per load.  The work done is added to counts.
+    The pinned matrix has u first, then q = -p without the pin.  solve()
+    returns the solution of the factored operator for the system's load or
+    for another velocity load, several loads at once when the load has one
+    column per load.  The work done is added to counts.
     """
 
     def __init__(self, system, counts=None):
         self.counts = SolveCounts() if counts is None else counts
-        self._pinning = _Pinning(system)
-        self._target = self._pinning.target(system)
-        self._lu = _PinnedLU(self._pinning.matrix(system), self.counts)
+        self._n_u, self._pin = system.n_u, None
+        mat = system.K
+        if system.B is not None:
+            self._gauge, self._pin = _gauge_and_pin(system.gauge)
+            self._keep = np.delete(np.arange(system.n_p), self._pin)
+            system = replace(system, rhs_p=_compatible(
+                np.asarray(system.rhs_p, dtype=float), self._gauge))
+            B = sp.csr_matrix(system.B)[self._keep]
+            mat = sp.bmat([[system.K, B.T], [B, None]], format="csc")
+            del B       # not held while SuperLU factors
+        self._target = system
+        self._lu = _PinnedLU(mat, self.counts)
+
+    def _unpin(self, x):
+        """(u, p) from a pinned solution, p shifted to gauge^T p = 0."""
+        u = x[:self._n_u]
+        if self._pin is None:
+            return u, None
+        q = np.insert(x[self._n_u:], self._pin, 0.0, axis=0)
+        return u, _project_gauge(self._gauge, -q)
 
     def solve(self, tol=DEFAULT_TOL_DIRECT, rhs_u=None):
         """(u, p) of the factored operator, residual <= tol.
@@ -287,12 +274,14 @@ class SaddleSolver:
         its shape; the pressure load stays the system's.
         """
         _check_tol(tol)
-        pinning, target = self._pinning, self._target
-        if rhs_u is not None:
-            target = replace(target, rhs_u=rhs_u)
-        x = self._lu.solve(pinning.rhs(target),
-                           lambda x: residual(target, pinning.unpin(x)), tol)
-        return pinning.unpin(x)
+        target = self._target if rhs_u is None \
+            else replace(self._target, rhs_u=rhs_u)
+        rhs = np.asarray(target.rhs_u, dtype=float)
+        if self._pin is not None:
+            rhs = np.concatenate([rhs, target.rhs_p[self._keep]])
+        x = self._lu.solve(rhs, lambda x: residual(target, self._unpin(x)),
+                           tol)
+        return self._unpin(x)
 
 
 def _apply_blocks(block, ncomp, u):
@@ -300,119 +289,70 @@ def _apply_blocks(block, ncomp, u):
     return (block @ u.reshape(ncomp, -1).T).T.ravel()
 
 
-class _TensorEigenbasis:
-    """The eigenbasis of per-axis pencils [(M_a, K_a), ...] of a tensor
-    mesh: K_a V_a = M_a V_a Lambda_a with V_a^T M_a V_a = I
-    (scipy.linalg.eigh), V the Kronecker product of the V_a, dofs in
-    lattice order (the last axis fastest).  values holds the Lambda_a.
+class _KroneckerSumFunction:
+    """A function g of the Kronecker sum of per-axis pencils of a tensor
+    mesh, applied in their eigenbasis (fast diagonalization: Lynch, Rice &
+    Thomas, Numer. Math. 6, 1964).
+
+    pencils [(M_a, K_a), ...] give the mass M, the Kronecker product of the
+    M_a, and the Kronecker sum L = sum_a M_0 (x) ... (x) K_a (x) ... (x)
+    M_{d-1}, dofs in lattice order (the last axis fastest).  With
+    K_a V_a = M_a V_a Lambda_a and V_a^T M_a V_a = I (scipy.linalg.eigh),
+    the Kronecker product V of the V_a gives M^{-1} = V V^T and
+    L = M V lam V^T M, lam the Kronecker sum of the Lambda_a.  The operator
+    is V diag(g(lam)) V^T: g = 1 / lam makes it L^{-1}, and on Neumann
+    pencils, whose first eigenvector is the constant (its eigenvalue zeroed
+    against rounding), g = nu + sigma / lam with g = 0 on the constant mode
+    makes it nu M^{-1} + sigma L^+ on mean-zero vectors.  One application is
+    two transforms, a dense 1-D matrix per axis, and a product with g:
+    nothing is assembled or factored.  solve() takes and returns a vector,
+    or one column per load as a SuperLU object does.
     """
 
-    def __init__(self, pencils):
-        self.values, self.bases = [], []
+    def __init__(self, pencils, n, what, g, neumann=False):
+        self._sizes = tuple(mass.shape[0] for mass, _ in pencils)
+        if int(np.prod(self._sizes)) != n:
+            raise ComponentLayoutError(
+                f"pencils of sizes {self._sizes} do not tile {n} {what} dofs")
+        values, self._bases = [], []
         for mass, stiffness in pencils:
             lam, vec = scipy.linalg.eigh(sp.csr_matrix(stiffness).toarray(),
                                          sp.csr_matrix(mass).toarray())
-            self.values.append(lam)
-            self.bases.append(vec)
-        self.sizes = tuple(vec.shape[0] for vec in self.bases)
+            values.append(np.concatenate([[0.0], lam[1:]]) if neumann
+                          else lam)
+            self._bases.append(vec)
+        self._g = g(functools.reduce(np.add.outer, values).ravel())
 
-    def transform(self, x, transpose):
+    def _transform(self, x, transpose):
         """V^T x if transpose, else V x, along the last axis of x: one
         matmul per mesh axis."""
         lead = x.shape[:-1]
-        arr = x.reshape(lead + self.sizes)
-        for a, vec in enumerate(self.bases):
+        arr = x.reshape(lead + self._sizes)
+        for a, vec in enumerate(self._bases):
             mat = vec.T if transpose else vec
             rows = arr.reshape(int(np.prod(arr.shape[:len(lead) + a])),
-                               self.sizes[a], -1)
+                               self._sizes[a], -1)
             # the last axis as one 2-D product: a stack of matrix-vector
             # products is several times slower
             arr = (mat @ rows if rows.shape[2] > 1
                    else rows[..., 0] @ mat.T).reshape(arr.shape)
         return arr.reshape(x.shape)
 
-
-def _check_tiling(sizes, n, what):
-    if int(np.prod(sizes)) != n:
-        raise ComponentLayoutError(
-            f"pencils of sizes {sizes} do not tile {n} {what} dofs")
-
-
-class _CahouetChabard:
-    """The pinned Cahouet-Chabard preconditioner nu M_keep^{-1} +
-    sigma L_keep^{-1} of a pressure space on a tensor mesh, applied in the
-    eigenbasis of its per-axis pencils (fast diagonalization: Lynch, Rice
-    & Thomas, Numer. Math. 6, 1964).
-
-    pencils holds per axis the 1-D mass and Neumann stiffness (M_a, K_a),
-    as assembly.axis_pencils gives them: the pressure mass M_p is the
-    Kronecker product of the M_a and the Neumann Laplacian L_p the
-    Kronecker sum of the K_a against them, pressure dofs in lattice order.
-    With K_a V_a = M_a V_a Lambda_a and V_a^T M_a V_a = I, the Kronecker
-    product V of the V_a gives M_p^{-1} = V V^T and L_p^+ = V lam^+ V^T,
-    where lam is the Kronecker sum of the Lambda_a and lam^+ inverts it off
-    the constant mode (the first eigenvector of every axis).  With Q the
-    insertion of a zero at the pin p, t = V^T Q r and t_e = V^T e_p,
-
-        M_keep^{-1} r = Q^T V (t - (t_e.t / t_e.t_e) t_e),
-        L_keep^{-1} r = Q^T (V s - (t_e.s) 1),  s = lam^+ (t - sum(r) t_e),
-
-    so one application is one forward and one backward transform, a dense
-    1-D matrix per axis, and no pressure matrix is assembled or factored.
-    """
-
-    def __init__(self, pencils, pin, n_p, nu, sigma):
-        self._basis = basis = _TensorEigenbasis(pencils)
-        _check_tiling(basis.sizes, n_p, "pressure")
-        # the first eigenvalue of every Neumann pencil is the constant mode
-        lam = functools.reduce(np.add.outer, [
-            np.concatenate([[0.0], values[1:]]) for values in basis.values
-        ]).ravel()
-        self._lam_plus = np.zeros_like(lam)
-        self._lam_plus[1:] = 1.0 / lam[1:]
-        self._t_e = functools.reduce(np.multiply.outer, [
-            vec[i] for vec, i in zip(basis.bases,
-                                     np.unravel_index(pin, basis.sizes))
-        ]).ravel()
-        self._pin = pin
-        self._weights = (nu, sigma)
-
-    def __call__(self, res):
-        (nu, sigma), t_e = self._weights, self._t_e
-        t = self._basis.transform(np.insert(res, self._pin, 0.0),
-                                  transpose=True)
-        s = self._lam_plus * (t - res.sum() * t_e)
-        coef = nu * (t - (t_e @ t / (t_e @ t_e)) * t_e) + sigma * s
-        return np.delete(self._basis.transform(coef, transpose=False),
-                         self._pin) - sigma * (t_e @ s)
-
-
-class _KroneckerSumInverse:
-    """The exact inverse of a Kronecker sum of per-axis pencils, applied in
-    their eigenbasis (fast diagonalization).
-
-    pencils [(M_a, K_a), ...] of a tensor mesh give the matrix
-    sum_a M_0 (x) ... (x) K_a (x) ... (x) M_{d-1}, dofs in lattice order.
-    With V and lam as in _TensorEigenbasis, its inverse is V lam^{-1} V^T:
-    two transforms and a division, nothing factored.  solve() takes and
-    returns one column per load, as a SuperLU object does.
-    """
-
-    def __init__(self, pencils, n):
-        self._basis = basis = _TensorEigenbasis(pencils)
-        _check_tiling(basis.sizes, n, "velocity block")
-        self._inverse = 1.0 / functools.reduce(np.add.outer,
-                                               basis.values).ravel()
-
     def solve(self, rhs):
-        coef = self._basis.transform(rhs.T, transpose=True)
-        return self._basis.transform(self._inverse * coef,
-                                     transpose=False).T
+        coef = self._transform(rhs.T, transpose=True)
+        return self._transform(self._g * coef, transpose=False).T
+
+
+def _cahouet_chabard(nu, sigma, lam):
+    """g = nu + sigma / lam off the constant mode lam[0] = 0, where g = 0."""
+    g = np.zeros_like(lam)
+    g[1:] = nu + sigma / lam[1:]
+    return g
 
 
 class BlockSaddleSolver:
     """A saddle system whose velocity operator is K = I_d (x) A_s, solved
-    through its scalar block A_s.
+    through its scalar block A_s, on mean-zero pressures.
 
     block is A_s, the diagonal block that every velocity component shares,
     and B, gauge and rhs_u complete the system, the velocity dofs numbered
@@ -420,41 +360,46 @@ class BlockSaddleSolver:
     (d, n_s) reshape of u, and K^{-1} is one application of A_s^{-1} with a
     column per component.  block_pencils, if given, are per-axis pencils
     [(M_a, K_a), ...] whose Kronecker sum is A_s; A_s^{-1} is then applied
-    exactly in their eigenbasis (_KroneckerSumInverse) and nothing is
+    exactly in their eigenbasis (_KroneckerSumFunction) and nothing is
     factored.  Without them A_s is factored once, and A_s^{-1} is one
     triangular solve.
 
-    A solve refines the solution of the previous solve (zero at first).
-    Each sweep computes the residual (R_u, R_p) of the pinned system and
-    adds the correction
+    No pressure dof is pinned: the pressure rhs is made compatible along
+    the gauge, so that it sums to zero like every B u, and q runs over the
+    whole pressure space.  A solve refines the solution of the previous
+    solve (zero at first).  Each sweep computes the residual (R_u, R_p)
+    and adds the correction
 
         B K^{-1} B^T dq = B K^{-1} R_u - R_p,   du = K^{-1} (R_u - B^T dq),
 
-    with dq from CG on the pressure Schur complement, preconditioned with
-    the Cahouet-Chabard operator nu M_p^{-1} + sigma L_p^{-1} of velocity
-    operators like -nu Laplacian + sigma mass: M_p is the pressure mass
-    matrix and L_p the Neumann Laplacian of the pressure space, both pinned
-    like the saddle system.  pencils gives them per mesh axis, as the 1-D
-    mass and stiffness matrices [(M_a, K_a), ...] of assembly.axis_pencils,
-    and the exact pinned inverses are applied in the tensor eigenbasis
-    (_CahouetChabard), so no pressure matrix is factored.  The pinned B u
-    and B^T q go through the system's one B and its transpose view.  Sweeps
-    end when the backward error of both equations, |R_u|
-    against |K| |u| + |B| |q| + |f| and |R_p| against |B| |u| + |r|
-    (Frobenius norms, |K| = sqrt(d) |A_s|), is at most the machine epsilon,
-    as for the direct LU, or stops falling.  On a thin layer the pressure
-    Schur complement is ill-conditioned, so a looser goal would leave errors
-    far above it in p.  Solving for corrections puts the rounding of f - B^T
-    q, which cancels almost entirely when the forcing is nearly a gradient,
-    into the velocity equation rather than into B u: a hydrostatic velocity
-    residue stays discretely divergence free, as on the direct path.  A load
-    that changes little, as from one Picard step to the next, takes few
-    iterations, and an unchanged one none.  The pressure is p = -q, shifted to
+    with dq from CG on the pressure Schur complement, which is singular
+    along the constants only, preconditioned with the Cahouet-Chabard
+    operator nu M_p^{-1} + sigma L_p^+ of velocity operators like
+    -nu Laplacian + sigma mass on mean-zero pressures: M_p is the pressure
+    mass matrix and L_p the Neumann Laplacian of the pressure space.
+    pencils gives them per mesh axis, as the 1-D mass and stiffness
+    matrices [(M_a, K_a), ...] of assembly.axis_pencils, and the
+    preconditioner is applied exactly in the tensor eigenbasis
+    (_KroneckerSumFunction), so no pressure matrix is factored.  It maps
+    every residual to a vector of zero mean, so the CG iterates stay in the
+    space where the Schur complement is definite.  B u and B^T q go through
+    the system's one B and its transpose view.  Sweeps end when the
+    backward error of both equations, |R_u| against |K| |u| + |B| |q| + |f|
+    and |R_p| against |B| |u| + |r| (Frobenius norms, |K| = sqrt(d) |A_s|),
+    is at most the machine epsilon, as for the direct LU, or stops falling.
+    On a thin layer the pressure Schur complement is ill-conditioned, so a
+    looser goal would leave errors far above it in p.  Solving for
+    corrections puts the rounding of f - B^T q, which cancels almost
+    entirely when the forcing is nearly a gradient, into the velocity
+    equation rather than into B u: a hydrostatic velocity residue stays
+    discretely divergence free, as on the direct path.  A load that changes
+    little, as from one Picard step to the next, takes few iterations, and
+    an unchanged one none.  The pressure is p = -q, shifted to
     gauge^T p = 0.
 
-    A solve returns only if its unpinned residual is at most tol, as on the
-    direct path, whichever inverse of A_s it applied.  Otherwise, or where
-    there is no inverse (an LU that meets a zero pivot, pencils that eigh
+    A solve returns only if its residual is at most tol, as on the direct
+    path, whichever inverse of A_s it applied.  Otherwise, or where there
+    is no inverse (an LU that meets a zero pivot, pencils that eigh
     rejects), the solver counts a direct fallback, builds K = block_diag(A_s,
     ..., A_s) and solves this load and every later one with a SaddleSolver
     of it.  Loads are single vectors.  The work done is added to counts.
@@ -474,36 +419,30 @@ class BlockSaddleSolver:
         self._system = SaddleSystem(K=spla.LinearOperator(
             (n_u, n_u), matvec=self._apply, dtype=float), B=B, gauge=gauge,
             rhs_u=rhs_u)
-        self._pinning = _Pinning(self._system)
-        self._target = self._pinning.target(self._system)
-        # the one copy of B is the system's: the pinned products drop the
-        # pin's row of B u and put a zero at the pin into q for B^T q
+        self._gauge = _checked_gauge(gauge)
+        self._target = replace(self._system, rhs_p=_compatible(
+            np.asarray(self._system.rhs_p, dtype=float), self._gauge))
+        # the one copy of B is the system's
         self._B = sp.csr_matrix(B)
         self._norms = (np.sqrt(self._ncomp) * np.linalg.norm(block.data),
-                       np.linalg.norm(self._B[self._pinning.keep].data))
-        self._precondition = _CahouetChabard(
-            pencils, self._pinning.pin, B.shape[0], nu, sigma)
+                       np.linalg.norm(self._B.data))
+        self._precondition = _KroneckerSumFunction(
+            pencils, B.shape[0], "pressure",
+            functools.partial(_cahouet_chabard, nu, sigma), neumann=True)
         self._u = np.zeros(n_u)
-        self._q = np.zeros(B.shape[0] - 1)
+        self._q = np.zeros(B.shape[0])
         self._direct = None
         # A_s^{-1}: exact in the eigenbasis of block_pencils if given, else
         # the LU of A_s; without one the first solve takes the direct path
         try:
             if block_pencils is not None:
-                self._inverse = _KroneckerSumInverse(block_pencils, n_s)
+                self._inverse = _KroneckerSumFunction(
+                    block_pencils, n_s, "velocity block", np.reciprocal)
             else:
                 self.counts.factorizations += 1
                 self._inverse = _splu(block)
         except (RuntimeError, np.linalg.LinAlgError):
             self._inverse = None
-
-    def _div(self, u):
-        """B u without the pin's row."""
-        return np.delete(self._B @ u, self._pinning.pin)
-
-    def _grad(self, q):
-        """B^T q of a pinned pressure q, through the transpose view."""
-        return self._B.T @ np.insert(q, self._pinning.pin, 0.0)
 
     def _velocity(self, load):
         """K^{-1} load: one solve with A_s, a column per component."""
@@ -512,8 +451,8 @@ class BlockSaddleSolver:
     def _backward_error(self, u, q, f, r):
         """Backward error of (u, q) in both equations, and the residual."""
         norm_k, norm_b = self._norms
-        res_u = f - self._apply(u) - self._grad(q)
-        res_p = r - self._div(u)
+        res_u = f - self._apply(u) - self._B.T @ q
+        res_p = r - self._B @ u
         size_u, size_p = np.linalg.norm(u), np.linalg.norm(r)
         error = max(_ratio(np.linalg.norm(res_u), norm_k * size_u + norm_b
                            * np.linalg.norm(q) + np.linalg.norm(f)),
@@ -528,7 +467,7 @@ class BlockSaddleSolver:
         norm_b, size_p = self._norms[1], np.linalg.norm(r)
         dq = np.zeros(res_p.size)
         du = self._velocity(res_u)
-        res = self._div(du) - res_p     # the pressure residual left, negated
+        res = self._B @ du - res_p      # the pressure residual left, negated
         floor = _SWEEP_REDUCTION * np.linalg.norm(res)
         direction, rz, new_u = None, 1.0, np.empty_like(u)
         for iterations in range(budget + 1):
@@ -536,12 +475,12 @@ class BlockSaddleSolver:
             goal = _BACKWARD_GOAL * (norm_b * np.linalg.norm(new_u) + size_p)
             if np.linalg.norm(res) <= max(goal, floor) or iterations == budget:
                 break
-            z = self._precondition(res)
+            z = self._precondition.solve(res)
             rz, rz_old = res @ z, rz
             direction = z if direction is None \
                 else z + (rz / rz_old) * direction
-            w = self._velocity(self._grad(direction))
-            s = self._div(w)
+            w = self._velocity(self._B.T @ direction)
+            s = self._B @ w
             curvature = direction @ s
             if not curvature > 0:      # breakdown, or not finite
                 break
@@ -554,7 +493,7 @@ class BlockSaddleSolver:
     def _schur_solve(self, target, tol):
         """(u, p) with residual <= tol, or None where CG cannot get there."""
         f = np.asarray(target.rhs_u, dtype=float)
-        r = target.rhs_p[self._pinning.keep]
+        r = target.rhs_p
         u, q = self._u.copy(), self._q.copy()
         best, iterations = np.inf, 0
         while iterations < _SCHUR_MAX_ITERS:
@@ -568,7 +507,7 @@ class BlockSaddleSolver:
             u += du
             q += dq
         self.counts.schur_iterations += iterations
-        solution = self._pinning.unpin(np.concatenate([u, q]))
+        solution = u, _project_gauge(self._gauge, -q)
         if not residual(target, solution) <= tol:
             return None
         self._u, self._q = u, q

@@ -13,11 +13,12 @@ every wall is tagged for every component.  Each layer assembles that block
 once, on the "component" space with the drag mu/K folded into its element
 matrices, and factors at most one matrix, once.  A d = 3 layer is solved
 in linalg.BlockSaddleSolver; every step is a preconditioned CG solve on the
-pressure Schur complement that starts from the previous step's solution,
-checked at the solver tolerance (a layer whose solve misses it goes over
-to the pinned LU of S).  Its Cahouet-Chabard preconditioner takes the
-per-axis pencils of the pressure space (assembly.axis_pencils), so no
-pressure matrix is assembled or factored.  Where the coefficient is
+pressure Schur complement over mean-zero pressures, with no pinned dof,
+that starts from the previous step's solution, checked at the solver
+tolerance (a layer whose solve misses it goes over to the pinned LU of S).
+Its Cahouet-Chabard preconditioner takes the per-axis pencils of the
+pressure space (assembly.axis_pencils), so no pressure matrix is assembled
+or factored.  Where the coefficient is
 separable (a diagonal matrix times a profile across the layer), the block
 is the Kronecker sum of per-axis pencils too (_block_pencils): its inverse
 is applied in their eigenbasis, and the layer factors no matrix.  Any

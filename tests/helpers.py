@@ -23,9 +23,10 @@ the tensor grid of that rule (two_scale._field_sample) and sums the mass of
 a separated test function axis group by axis group
 (two_scale.oscillation_limit_table).
 
-cahouet_chabard_reference is the block path's pressure preconditioner as
-pinned LUs of the assembled pressure mass and Neumann Laplacian, the
-reference for the library's tensor-eigenbasis form."""
+cahouet_chabard_reference is the block path's pressure preconditioner on
+mean-zero pressures, from the assembled pressure mass and Neumann
+Laplacian (the latter gauged or pinned at a given dof), the reference for
+the library's tensor-eigenbasis form."""
 
 import math
 
@@ -36,7 +37,8 @@ import scipy.sparse.linalg as spla
 from thinflow import coefficients as coefs
 from thinflow.assembly import (DiscreteField, _element_nodes, _eval_callable,
                                _on_grid, _shape1d, assemble_diffusion,
-                               assemble_mass)
+                               assemble_mass, pressure_gauge)
+from thinflow.linalg import solve_gauged_spd
 from thinflow.meshing import (composite_gauss, gauss_rule, grid_points,
                               tensor_rule)
 from thinflow.two_scale import _NQ, _layer_rules
@@ -325,12 +327,31 @@ def distance_reference(u, u0_values, eps, geometry):
     return float(np.sum(w * mag ** 2) ** 0.5 * eps ** -0.5)
 
 
-def cahouet_chabard_reference(space_p, pin, nu, sigma):
-    """r -> nu M_keep^{-1} r + sigma L_keep^{-1} r, with M_p and L_p the
-    assembled pressure mass and Neumann Laplacian, the pin's row and column
-    dropped, each factored by SuperLU."""
-    keep = np.delete(np.arange(space_p.ndof), pin)
-    mass, laplacian = (spla.splu(sp.csc_matrix(mat[keep][:, keep]))
-                       for mat in (assemble_mass(space_p),
-                                   assemble_diffusion(space_p)))
-    return lambda res: nu * mass.solve(res) + sigma * laplacian.solve(res)
+def cahouet_chabard_reference(space_p, nu, sigma, pin=None):
+    """r -> nu M_p^{-1} r + sigma L_p^+ r on mean-zero pressures, with M_p
+    and L_p the assembled pressure mass and Neumann Laplacian: M_p^{-1} r
+    by SuperLU, shifted to gauge^T z = 0.  With pin=None, L_p^+ r comes from
+    solve_gauged_spd, which pins its own dof; with a pin it comes from
+    SuperLU of L_p with the pin's row and column dropped, shifted likewise,
+    which solves L_p z = r only for loads that sum to zero."""
+    gauge = pressure_gauge(space_p)
+    mass = spla.splu(sp.csc_matrix(assemble_mass(space_p)))
+    laplacian = assemble_diffusion(space_p)
+
+    def mean_zero(z):
+        return z - (gauge @ z) / gauge.sum()
+
+    if pin is None:
+        def laplacian_solve(res):
+            return solve_gauged_spd(laplacian, res, gauge)
+    else:
+        keep = np.delete(np.arange(space_p.ndof), pin)
+        pinned = spla.splu(sp.csc_matrix(laplacian[keep][:, keep]))
+
+        def laplacian_solve(res):
+            return mean_zero(np.insert(pinned.solve(res[keep]), pin, 0.0))
+
+    def apply(res):
+        return (nu * mean_zero(mass.solve(res))
+                + sigma * laplacian_solve(res))
+    return apply

@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -15,8 +16,9 @@ from thinflow.assembly import (FunctionSpace, assemble_diffusion,
                                assemble_mass, axis_pencils, pressure_gauge)
 from thinflow.errors import SingularSystemError
 from thinflow.linalg import (BlockSaddleSolver, SaddleSolver, SaddleSystem,
-                             SolveCounts, _CahouetChabard, _gauge_and_pin,
-                             residual, solve_gauged_spd, solve_sparse)
+                             SolveCounts, _cahouet_chabard, _gauge_and_pin,
+                             _KroneckerSumFunction, residual,
+                             solve_gauged_spd, solve_sparse)
 from thinflow.meshing import Geometry, build_cell_mesh, build_thin_mesh
 
 from helpers import cahouet_chabard_reference, interpolate, oseen_matrix
@@ -266,17 +268,50 @@ def test_solver_reuses_factorization_for_new_load():
 @pytest.mark.parametrize("geometry", [Geometry(3, (0.5, 0.5), 0.125),
                                       Geometry(2, (1.0,), 0.125)],
                          ids=["d3", "d2"])
+def test_cahouet_chabard_matches_unpinned_reference(geometry):
+    # the tensor-eigenbasis preconditioner is the one of the assembled
+    # pressure matrices on mean-zero pressures to rounding, for each inverse
+    # alone and for the weighted sum; it maps the load of a constant
+    # pressure (the gauge) to 0 and every load to a mean-zero pressure
+    Q = FunctionSpace(build_thin_mesh(geometry, 2, 4), "pressure")
+    gauge = pressure_gauge(Q)
+    res = np.random.default_rng(3).standard_normal((3, Q.ndof))
+    for nu, sigma in ((1.0, 0.0), (0.0, 1.0), (1.0, 3.0 / 0.125 ** 2)):
+        apply = _KroneckerSumFunction(
+            axis_pencils(Q), Q.ndof, "pressure",
+            functools.partial(_cahouet_chabard, nu, sigma),
+            neumann=True).solve
+        reference = cahouet_chabard_reference(Q, nu, sigma)
+        for r in res:
+            z, ref = apply(r), reference(r)
+            assert np.linalg.norm(z - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert abs(gauge @ z) \
+                <= 1e-12 * np.linalg.norm(gauge) * np.linalg.norm(z)
+        scale = max(np.linalg.norm(apply(r)) / np.linalg.norm(r) for r in res)
+        assert np.linalg.norm(apply(gauge)) \
+            <= 1e-12 * scale * np.linalg.norm(gauge)
+
+
+@pytest.mark.parametrize("geometry", [Geometry(3, (0.5, 0.5), 0.125),
+                                      Geometry(2, (1.0,), 0.125)],
+                         ids=["d3", "d2"])
 @pytest.mark.parametrize("where", ["corner", "interior"])
 def test_cahouet_chabard_matches_pinned_lu_reference(geometry, where):
-    # the tensor-eigenbasis preconditioner is the pinned-LU one to rounding,
-    # for each inverse alone and for the weighted sum
+    # on loads that sum to zero, like every B u, the tensor-eigenbasis
+    # preconditioner is the pinned-LU one shifted to mean zero to rounding,
+    # for each inverse alone and for the weighted sum, wherever the pin sits
     Q = FunctionSpace(build_thin_mesh(geometry, 2, 4), "pressure")
     pin = 0 if where == "corner" else int(np.ravel_multi_index(
         tuple(n // 2 for n in Q.lattice_shape), Q.lattice_shape))
-    res = np.random.default_rng(3).standard_normal((3, Q.ndof - 1))
+    gauge = pressure_gauge(Q)
+    res = np.random.default_rng(3).standard_normal((3, Q.ndof))
+    res -= np.multiply.outer(res.sum(axis=1), gauge) / gauge.sum()
     for nu, sigma in ((1.0, 0.0), (0.0, 1.0), (1.0, 3.0 / 0.125 ** 2)):
-        apply = _CahouetChabard(axis_pencils(Q), pin, Q.ndof, nu, sigma)
-        reference = cahouet_chabard_reference(Q, pin, nu, sigma)
+        apply = _KroneckerSumFunction(
+            axis_pencils(Q), Q.ndof, "pressure",
+            functools.partial(_cahouet_chabard, nu, sigma),
+            neumann=True).solve
+        reference = cahouet_chabard_reference(Q, nu, sigma, pin=pin)
         for r in res:
             ref = reference(r)
             assert np.linalg.norm(apply(r) - ref) \
