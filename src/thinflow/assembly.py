@@ -25,12 +25,12 @@ drag term is folded into the diffusion element matrices.
 
 Discrete fields are sampled at Gauss points by sum factorization (Orszag,
 J. Comput. Phys. 37, 1980), one sparse 1D interpolation matrix per axis, which
-the space builds once and keeps; the norms and the integrals use that one
-sample.  Every load (the forcing, the cell unit loads, the pressure gauge,
-the flux and Picard convection loads, the macro no-flux diagnostic) is its
-transpose, integrate_grid, so no per-element dof map is kept.  The Gauss
-rules and tensor grids are those of meshing (composite_gauss, tensor_rule,
-grid_points).
+the space builds once and keeps; each norm samples on the smallest Gauss
+rule exact for its integrand.  Every load (the forcing, the cell unit loads,
+the pressure gauge, the flux and Picard convection loads, the macro no-flux
+diagnostic) is the sample's transpose, integrate_grid, so no per-element
+dof map is kept.  The Gauss rules and tensor grids are those of meshing
+(composite_gauss, tensor_rule, grid_points).
 """
 
 import functools
@@ -467,11 +467,11 @@ def integrate_grid(space, coords, integrand, deriv_axis=None):
     return np.concatenate([full[f, c] for c, f in enumerate(space.free)])
 
 
-def assemble_convection(space_v, u_coeffs, factor=1.0, nquad=_NQUAD):
+def assemble_convection(space_v, u_coeffs, factor=1.0):
     """Picard load N(u) u: int factor (u . grad u) . v for every free v,
     formed on the Gauss grid of DiscreteField.gauss_grid."""
     coords, w, u, grads = DiscreteField(space_v, u_coeffs).gauss_grid(
-        nquad, gradients=True)
+        _NQUAD, gradients=True)
     return integrate_grid(space_v, coords, np.einsum(
         "...a,...ca->...c", u, grads) * (factor * w)[..., None])
 
@@ -502,7 +502,10 @@ def pressure_gauge(space_p):
 
 
 class DiscreteField:
-    """Finite-element coefficient vector with point evaluation and norms."""
+    """Finite-element coefficient vector with point evaluation and norms.
+
+    Each norm and the integral choose the fewest Gauss points per axis that
+    integrate their integrand exactly, degree // 2 + 1 (element degree k)."""
 
     def __init__(self, space, coeffs):
         self.space = space
@@ -576,25 +579,21 @@ class DiscreteField:
             out[:, :, a] = self._tensor_eval(pts, deriv_axis=a)
         return out
 
-    def lp_norm(self, p=2, nquad=4):
-        _, w, vals = self.gauss_grid(nquad)
+    def lp_norm(self, p=2):
+        """L^p norm of |u|, exact for even p: |u|^p has degree p k."""
+        _, w, vals = self.gauss_grid(int(p * self.space.order) // 2 + 1)
         mag = np.sqrt(np.sum(vals * vals, axis=-1))
         return float(np.sum(w * mag ** p) ** (1.0 / p))
 
-    def grad_l2_norm(self, nquad=3):
-        _, w, _, grads = self.gauss_grid(nquad, gradients=True)
+    def grad_l2_norm(self):
+        """L^2 norm of the gradient, exact: |grad u|^2 has degree 2 k."""
+        _, w, _, grads = self.gauss_grid(self.space.order + 1,
+                                         gradients=True)
         return float(np.sqrt(np.sum(w * np.sum(grads * grads,
                                                axis=(-2, -1)))))
 
-    def integrate(self, nquad=3):
-        """Componentwise integral over the mesh."""
-        _, w, vals = self.gauss_grid(nquad)
+    def integrate(self):
+        """Componentwise integral over the mesh, exact: degree k."""
+        _, w, vals = self.gauss_grid(self.space.order // 2 + 1)
         out = np.tensordot(w, vals, axes=w.ndim)
-        return float(out[0]) if self.space.ncomp == 1 else out
-
-    def integrate_scaled(self, scalar_fn, nquad=4):
-        """Componentwise integral int u_c s(x) dx for a scalar weight s."""
-        coords, w, vals = self.gauss_grid(nquad)
-        sv = _eval_callable(scalar_fn, grid_points(coords), 1)
-        out = np.tensordot(w * sv.reshape(w.shape), vals, axes=w.ndim)
         return float(out[0]) if self.space.ncomp == 1 else out

@@ -19,6 +19,11 @@ from .meshing import composite_gauss, grid_points, tensor_rule
 
 _GOLDEN = 0.6180339887498949
 _ZETA_TOL = 1e-9
+# Gauss points per panel of the cell average and of the ball average in
+# d1 = 1, and the radii of the extrapolated ball averages
+_CELL_NQ = 6
+_BALL_NQ = 8
+_BALL_RADII = np.array([10.0, 20.0, 40.0])
 
 CONSTANT = "constant"
 ZETA_PROFILE = "zeta_profile"
@@ -198,15 +203,13 @@ def check_ellipticity(field, n_samples=2000):
 class ScalarField:
     """Scalar field on the horizontal space with a computable mean value."""
 
-    def __init__(self, d1, const=0.0, waves=(), gaussians=(), klass=None):
+    def __init__(self, d1, const=0.0, waves=(), gaussians=()):
         self.d1 = d1
         self.const = float(const)
         self.waves = tuple(waves)          # (wavevector, trig, coefficient)
         self.gaussians = tuple(gaussians)  # (coefficient, sigma, center)
-        if klass is None:
-            klass = ASYMPTOTIC_PERIODIC if self.gaussians else \
-                (PERIODIC if self.waves else CONSTANT)
-        self.klass = klass
+        self.klass = ASYMPTOTIC_PERIODIC if self.gaussians else \
+            (PERIODIC if self.waves else CONSTANT)
 
     @property
     def max_wavenumber(self):
@@ -235,10 +238,10 @@ class ScalarField:
         return self.periodic_part(ybar) + self.decay_part(ybar)
 
 
-def cell_average(fn, d1, panels, npts=6):
+def cell_average(fn, d1, panels):
     """Composite Gauss average of a callable over the unit cell [0,1]^d1."""
     coords, w = tensor_rule(
-        [composite_gauss(np.linspace(0.0, 1.0, panels + 1), npts)] * d1)
+        [composite_gauss(np.linspace(0.0, 1.0, panels + 1), _CELL_NQ)] * d1)
     return float(np.sum(w.ravel()
                         * np.asarray(fn(grid_points(coords)), dtype=float)))
 
@@ -255,8 +258,6 @@ def mean_value(g, transform=None):
     if not isinstance(g, ScalarField):
         raise UnsupportedFieldError(
             "mean value requires a structured scalar field")
-    if g.klass not in (CONSTANT, PERIODIC, ASYMPTOTIC_PERIODIC):
-        raise UnsupportedFieldError(f"unsupported field class '{g.klass}'")
     fn = g.periodic_part if transform is None else \
         (lambda y: transform(g.periodic_part(y)))
     panels = max(4, 2 * g.max_wavenumber + 2)
@@ -274,7 +275,7 @@ def mean_value(g, transform=None):
     return mean
 
 
-def ball_average(g, radius, npts=8):
+def ball_average(g, radius):
     """Average of g over the centered ball of the given radius."""
     if not isinstance(g, ScalarField):
         raise UnsupportedFieldError("ball average requires a scalar field")
@@ -284,7 +285,7 @@ def ball_average(g, radius, npts=8):
     if d1 == 1:
         panels = int(np.ceil(2 * radius)) * max(2, 2 * kmax)
         pts, w = composite_gauss(np.linspace(-radius, radius, panels + 1),
-                                 npts)
+                                 _BALL_NQ)
         vals = np.asarray(fn(pts[:, None]), dtype=float)
         return float(np.sum(w * vals) / (2 * radius))
     if d1 == 2:
@@ -303,11 +304,11 @@ def ball_average(g, radius, npts=8):
     raise UnsupportedFieldError(f"ball average unsupported for d1={d1}")
 
 
-def richardson_ball_mean(g, radii=(10.0, 20.0, 40.0)):
-    """Extrapolated limit of ball averages using the v + c/R model."""
-    radii = np.asarray(radii, dtype=float)
-    vals = np.array([ball_average(g, r) for r in radii])
-    design = np.column_stack([np.ones_like(radii), 1.0 / radii])
+def richardson_ball_mean(g):
+    """Extrapolated limit of the ball averages at _BALL_RADII using the
+    v + c/R model."""
+    vals = np.array([ball_average(g, r) for r in _BALL_RADII])
+    design = np.column_stack([np.ones_like(_BALL_RADII), 1.0 / _BALL_RADII])
     coef, res, *_ = np.linalg.lstsq(design, vals, rcond=None)
     resid = float(np.sqrt(res[0])) if res.size else 0.0
     return float(coef[0]), resid

@@ -201,8 +201,14 @@ def _read(value, kind, name):
 def _coefficient_field(block, d):
     """Field of the coefficient block.  A constant field takes no profile,
     only the periodic classes take waves, and only asymptotic_periodic
-    takes Gaussian bumps."""
+    takes Gaussian bumps; any other term is a ConfigError."""
     klass = block["class"]
+    takes = {"zeta_expr": klass != coefs.CONSTANT,
+             "waves": klass in (coefs.PERIODIC, coefs.ASYMPTOTIC_PERIODIC),
+             "gaussians": klass == coefs.ASYMPTOTIC_PERIODIC}
+    for key, taken in takes.items():
+        if block[key] not in (None, []) and not taken:
+            raise ConfigError(f"class '{klass}' takes no 'coefficient.{key}'")
     zprof = _zeta_fn(block["zeta_expr"])
     waves = [coefs.Wave(tuple(w["k"]), w["trig"],
                         np.asarray(w["amplitude"], dtype=float),
@@ -212,12 +218,9 @@ def _coefficient_field(block, d):
                                     if g["center"] else None)
                  for g in block["gaussians"]]
     return coefs.CoefficientField(
-        d, klass, block["matrix"],
-        zeta_profile=None if klass == coefs.CONSTANT else zprof,
-        waves=waves if klass in (coefs.PERIODIC, coefs.ASYMPTOTIC_PERIODIC)
-        else (),
-        gaussians=gaussians if klass == coefs.ASYMPTOTIC_PERIODIC else (),
-        alpha_ell=block["alpha"], beta_ell=block["beta"])
+        d, klass, block["matrix"], zeta_profile=zprof, waves=waves,
+        gaussians=gaussians, alpha_ell=block["alpha"],
+        beta_ell=block["beta"])
 
 
 def _built(block, make):

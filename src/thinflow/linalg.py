@@ -3,15 +3,16 @@
 The sign convention is
 
     [K,  B^T] [u]   [f]
-    [B,  0  ] [q] = [r]
+    [B,  0  ] [q] = [0]
 
 with (B u)_q = int q div u; the physical pressure is p = -q, so solvers
-return p directly.  B^T annihilates the constant pressures, so the matrix is
-singular.  Every direct solve removes that kernel by pinning one pressure
-dof, whose row and column are dropped: the first whose gauge weight is
-within a relative 1e-12 of the largest, so that weights tied to rounding
-pin the same dof in any summation order.  The rhs is first made compatible
-along the gauge direction.  The pinned matrix is factored by SuperLU
+return p directly.  Every flow solved here is incompressible: the
+constraint is B u = 0, with no pressure load.  B^T annihilates the
+constant pressures, so the matrix is singular.  Every direct solve removes
+that kernel by pinning one pressure dof, whose row and column are dropped:
+the first whose gauge weight is within a relative 1e-12 of the largest, so
+that weights tied to rounding pin the same dof in any summation order.
+The pinned matrix is factored by SuperLU
 without pivoting under a minimum-degree ordering of A^T + A, which keeps
 the fill close to that of the velocity block.  Each solve applies one step
 of iterative refinement, shifts the pressure to gauge^T p = 0 and checks
@@ -23,17 +24,17 @@ There is one direct path.  solve_sparse factors a system once and solves
 it, all loads at once when its rhs has one column per load, and
 solve_gauged_spd applies the same path to pure Neumann problems.
 SaddleSolver keeps the factorization, so that later velocity loads are
-solved without factoring again.
+solved without factoring again.  Only solve_gauged_spd makes its load
+compatible along the gauge.
 
 BlockSaddleSolver is the block path, for systems whose velocity operator is
 d copies of one scalar block A_s (the d = 3 DNS, every wall tagged for
-every component).  It takes A_s alone and pins no dof: it makes the
-pressure rhs compatible, solves each load by CG on the pressure Schur
-complement over the whole pressure space, and shifts the answer to
-gauge^T p = 0.  The Cahouet-Chabard preconditioner nu M_p^{-1} +
-sigma L_p^+ (pressure mass matrix and Neumann Laplacian) acts on mean-zero
-pressures, as Cahouet & Chabard define it (Int. J. Numer. Meth. Fluids 8,
-1988).  On a tensor mesh both matrices are built from 1-D matrices by
+every component).  It takes A_s alone and pins no dof: it solves each
+load by CG on the pressure Schur complement over the whole pressure space,
+and shifts the answer to gauge^T p = 0.  The Cahouet-Chabard
+preconditioner nu M_p^{-1} + sigma L_p^+ (pressure mass matrix and Neumann
+Laplacian) acts on mean-zero pressures, as Cahouet & Chabard define it
+(Int. J. Numer. Meth. Fluids 8, 1988).  On a tensor mesh both matrices are built from 1-D matrices by
 Kronecker products, so the preconditioner is a function of the Kronecker
 sum of the per-axis pencils, applied exactly in their eigenbasis (fast
 diagonalization), and neither pressure matrix is assembled or factored.
@@ -78,22 +79,18 @@ _PIN_TIE_REL = 1e-12
 class SaddleSystem:
     """Velocity block, optional coupling block and gauge.
 
-    rhs_u may hold one load per column; rhs_p then defaults to zeros of the
-    matching shape.  residual() needs only K @ u: K may be a LinearOperator.
+    The constraint is B u = 0; rhs_u, the only load, may hold one load per
+    column.  residual() needs only K @ u: K may be a LinearOperator.
     """
 
     K: sp.spmatrix
     B: Optional[sp.spmatrix] = None
     gauge: Optional[np.ndarray] = None
     rhs_u: np.ndarray = field(default=None)
-    rhs_p: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.rhs_u is None:
             self.rhs_u = np.zeros(self.K.shape[0])
-        if self.B is not None and self.rhs_p is None:
-            self.rhs_p = np.zeros((self.B.shape[0],)
-                                  + np.shape(self.rhs_u)[1:])
 
     @property
     def n_u(self):
@@ -126,21 +123,19 @@ class SolveCounts:
 def residual(system, solution):
     """Relative block residual of a (velocity, pressure) pair.
 
-    Uses the Euclidean norm of the block residual divided by the rhs norm
-    (absolute norm when the rhs vanishes); for several rhs columns, the
-    largest column value.
+    Uses the Euclidean norm of the block residual, B u measured against
+    zero, divided by the norm of rhs_u (absolute norm when it vanishes); for
+    several rhs columns, the largest column value.
     """
     u, p = solution
     res_u = system.K @ u - system.rhs_u
     parts = [res_u]
-    rhs_parts = [system.rhs_u]
     if system.B is not None:
         # q = -p in the symmetric block convention
         res_u -= system.B.T @ p
-        parts = [res_u, system.B @ u - system.rhs_p]
-        rhs_parts.append(system.rhs_p)
+        parts.append(system.B @ u)
     num = np.sqrt(sum(np.sum(r * r, axis=0) for r in parts))
-    den = np.sqrt(sum(np.sum(r * r, axis=0) for r in rhs_parts))
+    den = np.sqrt(np.sum(system.rhs_u * system.rhs_u, axis=0))
     return float(np.max(num / np.where(den > 0, den, 1.0)))
 
 
@@ -238,10 +233,11 @@ class _PinnedLU:
 class SaddleSolver:
     """A saddle system factored once, with one pressure dof pinned.
 
-    The pinned matrix has u first, then q = -p without the pin.  solve()
-    returns the solution of the factored operator for the system's load or
-    for another velocity load, several loads at once when the load has one
-    column per load.  The work done is added to counts.
+    The pinned matrix has u first, then q = -p without the pin, and its rhs
+    is the velocity load padded with zeros for B u = 0.  solve() returns the
+    solution of the factored operator for the system's load or for another
+    velocity load, several loads at once when the load has one column per
+    load.  The work done is added to counts.
     """
 
     def __init__(self, system, counts=None):
@@ -250,13 +246,11 @@ class SaddleSolver:
         mat = system.K
         if system.B is not None:
             self._gauge, self._pin = _gauge_and_pin(system.gauge)
-            self._keep = np.delete(np.arange(system.n_p), self._pin)
-            system = replace(system, rhs_p=_compatible(
-                np.asarray(system.rhs_p, dtype=float), self._gauge))
-            B = sp.csr_matrix(system.B)[self._keep]
+            B = sp.csr_matrix(system.B)[
+                np.delete(np.arange(system.n_p), self._pin)]
             mat = sp.bmat([[system.K, B.T], [B, None]], format="csc")
             del B       # not held while SuperLU factors
-        self._target = system
+        self._system = system
         self._lu = _PinnedLU(mat, self.counts)
 
     def _unpin(self, x):
@@ -271,14 +265,15 @@ class SaddleSolver:
         """(u, p) of the factored operator, residual <= tol.
 
         rhs_u, if given, replaces the system's velocity load and must have
-        its shape; the pressure load stays the system's.
+        its shape.
         """
         _check_tol(tol)
-        target = self._target if rhs_u is None \
-            else replace(self._target, rhs_u=rhs_u)
+        target = self._system if rhs_u is None \
+            else replace(self._system, rhs_u=rhs_u)
         rhs = np.asarray(target.rhs_u, dtype=float)
         if self._pin is not None:
-            rhs = np.concatenate([rhs, target.rhs_p[self._keep]])
+            rhs = np.concatenate([rhs, np.zeros(
+                (target.n_p - 1,) + rhs.shape[1:])])
         x = self._lu.solve(rhs, lambda x: residual(target, self._unpin(x)),
                            tol)
         return self._unpin(x)
@@ -364,13 +359,13 @@ class BlockSaddleSolver:
     factored.  Without them A_s is factored once, and A_s^{-1} is one
     triangular solve.
 
-    No pressure dof is pinned: the pressure rhs is made compatible along
-    the gauge, so that it sums to zero like every B u, and q runs over the
-    whole pressure space.  A solve refines the solution of the previous
-    solve (zero at first).  Each sweep computes the residual (R_u, R_p)
-    and adds the correction
+    No pressure dof is pinned: q runs over the whole pressure space, and
+    the constraint is B u = 0, whose residual sums to zero.  A solve refines
+    the solution of the previous solve (zero at first).  Each sweep
+    computes the residual R_u = f - K u - B^T q and the divergence B u, and
+    adds the correction
 
-        B K^{-1} B^T dq = B K^{-1} R_u - R_p,   du = K^{-1} (R_u - B^T dq),
+        B K^{-1} B^T dq = B K^{-1} R_u + B u,   du = K^{-1} (R_u - B^T dq),
 
     with dq from CG on the pressure Schur complement, which is singular
     along the constants only, preconditioned with the Cahouet-Chabard
@@ -385,7 +380,7 @@ class BlockSaddleSolver:
     space where the Schur complement is definite.  B u and B^T q go through
     the system's one B and its transpose view.  Sweeps end when the
     backward error of both equations, |R_u| against |K| |u| + |B| |q| + |f|
-    and |R_p| against |B| |u| + |r| (Frobenius norms, |K| = sqrt(d) |A_s|),
+    and |B u| against |B| |u| (Frobenius norms, |K| = sqrt(d) |A_s|),
     is at most the machine epsilon, as for the direct LU, or stops falling.
     On a thin layer the pressure Schur complement is ill-conditioned, so a
     looser goal would leave errors far above it in p.  Solving for
@@ -420,8 +415,6 @@ class BlockSaddleSolver:
             (n_u, n_u), matvec=self._apply, dtype=float), B=B, gauge=gauge,
             rhs_u=rhs_u)
         self._gauge = _checked_gauge(gauge)
-        self._target = replace(self._system, rhs_p=_compatible(
-            np.asarray(self._system.rhs_p, dtype=float), self._gauge))
         # the one copy of B is the system's
         self._B = sp.csr_matrix(B)
         self._norms = (np.sqrt(self._ncomp) * np.linalg.norm(block.data),
@@ -448,31 +441,32 @@ class BlockSaddleSolver:
         """K^{-1} load: one solve with A_s, a column per component."""
         return self._inverse.solve(load.reshape(self._ncomp, -1).T).T.ravel()
 
-    def _backward_error(self, u, q, f, r):
-        """Backward error of (u, q) in both equations, and the residual."""
+    def _backward_error(self, u, q, f):
+        """Backward error of (u, q) in both equations, the velocity
+        residual and the divergence B u."""
         norm_k, norm_b = self._norms
         res_u = f - self._apply(u) - self._B.T @ q
-        res_p = r - self._B @ u
-        size_u, size_p = np.linalg.norm(u), np.linalg.norm(r)
+        div = self._B @ u
+        size_u = np.linalg.norm(u)
         error = max(_ratio(np.linalg.norm(res_u), norm_k * size_u + norm_b
                            * np.linalg.norm(q) + np.linalg.norm(f)),
-                    _ratio(np.linalg.norm(res_p), norm_b * size_u + size_p))
-        return error, res_u, res_p
+                    _ratio(np.linalg.norm(div), norm_b * size_u))
+        return error, res_u, div
 
-    def _correction(self, u, res_u, res_p, r, budget):
+    def _correction(self, u, res_u, div, budget):
         """CG for the correction (du, dq) of u; returns it and the
-        iterations taken.  CG stops when the pressure residual it leaves
-        meets the backward-error goal, or is _SWEEP_REDUCTION of the first
-        one: the next sweep goes on from a fresh residual."""
-        norm_b, size_p = self._norms[1], np.linalg.norm(r)
-        dq = np.zeros(res_p.size)
+        iterations taken.  CG stops when the divergence it leaves meets the
+        backward-error goal, or is _SWEEP_REDUCTION of the first one: the
+        next sweep goes on from a fresh residual."""
+        norm_b = self._norms[1]
+        dq = np.zeros(div.size)
         du = self._velocity(res_u)
-        res = self._B @ du - res_p      # the pressure residual left, negated
+        res = self._B @ du + div        # the divergence of u + du
         floor = _SWEEP_REDUCTION * np.linalg.norm(res)
         direction, rz, new_u = None, 1.0, np.empty_like(u)
         for iterations in range(budget + 1):
             np.add(u, du, out=new_u)
-            goal = _BACKWARD_GOAL * (norm_b * np.linalg.norm(new_u) + size_p)
+            goal = _BACKWARD_GOAL * (norm_b * np.linalg.norm(new_u))
             if np.linalg.norm(res) <= max(goal, floor) or iterations == budget:
                 break
             z = self._precondition.solve(res)
@@ -493,16 +487,15 @@ class BlockSaddleSolver:
     def _schur_solve(self, target, tol):
         """(u, p) with residual <= tol, or None where CG cannot get there."""
         f = np.asarray(target.rhs_u, dtype=float)
-        r = target.rhs_p
         u, q = self._u.copy(), self._q.copy()
         best, iterations = np.inf, 0
         while iterations < _SCHUR_MAX_ITERS:
-            error, res_u, res_p = self._backward_error(u, q, f, r)
+            error, res_u, div = self._backward_error(u, q, f)
             if not error < best or error <= _BACKWARD_GOAL:
                 break
             best = error
             du, dq, taken = self._correction(
-                u, res_u, res_p, r, _SCHUR_MAX_ITERS - iterations)
+                u, res_u, div, _SCHUR_MAX_ITERS - iterations)
             iterations += taken
             u += du
             q += dq
@@ -516,11 +509,11 @@ class BlockSaddleSolver:
     def solve(self, tol=DEFAULT_TOL_DIRECT, rhs_u=None):
         """(u, p) for the system's load or for rhs_u, residual <= tol."""
         _check_tol(tol)
-        if np.ndim(self._target.rhs_u if rhs_u is None else rhs_u) != 1:
+        if np.ndim(self._system.rhs_u if rhs_u is None else rhs_u) != 1:
             raise ValueError("the block path solves one load at a time")
         if self._direct is None:
-            target = self._target if rhs_u is None \
-                else replace(self._target, rhs_u=rhs_u)
+            target = self._system if rhs_u is None \
+                else replace(self._system, rhs_u=rhs_u)
             solution = self._schur_solve(target, tol) \
                 if self._inverse is not None else None
             if solution is not None:

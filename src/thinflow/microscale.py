@@ -216,10 +216,10 @@ def apriori_norms(sol):
     the thin-layer embedding inequalities; they are zero for the zero field.
     """
     uf = sol.velocity_field()
-    l2 = uf.lp_norm(2, nquad=3)
-    grad = uf.grad_l2_norm(nquad=3)
-    l4 = uf.lp_norm(4, nquad=5)
-    p_l2 = sol.pressure_field().lp_norm(2, nquad=3)
+    l2 = uf.lp_norm(2)
+    grad = uf.grad_l2_norm()
+    l4 = uf.lp_norm(4)
+    p_l2 = sol.pressure_field().lp_norm(2)
     r2 = l2 / (sol.eps * grad) if grad > 0 else 0.0
     r4 = l4 / (np.sqrt(sol.eps) * grad) if grad > 0 else 0.0
     return {"u_l2": l2, "grad_u_l2": grad, "u_l4": l4, "p_l2": p_l2,

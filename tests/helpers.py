@@ -41,7 +41,7 @@ from thinflow.assembly import (DiscreteField, _element_nodes, _eval_callable,
 from thinflow.linalg import solve_gauged_spd
 from thinflow.meshing import (composite_gauss, gauss_rule, grid_points,
                               tensor_rule)
-from thinflow.two_scale import _NQ, _layer_rules
+from thinflow.two_scale import _layer_rules
 
 
 def interpolate(space, fn):
@@ -295,7 +295,7 @@ def limit_pairing_reference(u0_values, f, geometry):
 def layer_quadrature(geometry, eps):
     """Points (N, d) and weights (N,) of the composite layer rule, every
     point built."""
-    coords, w = tensor_rule(_layer_rules(geometry, eps, _NQ))
+    coords, w = tensor_rule(_layer_rules(geometry, eps))
     return grid_points(coords), w.ravel()
 
 

@@ -170,14 +170,14 @@ def test_convection_zero_cases():
         assert load.shape == (V.ndof,) and np.all(load == 0.0)
 
 
-@pytest.mark.parametrize("nquad", [3, 4])
+@pytest.mark.parametrize("nquad", [assembly._NQUAD])    # the load's rule
 @pytest.mark.parametrize("mesh_name", ["cell_d2", "cell_d3", "thin_d3"])
 def test_convection_load_is_oseen_matrix_times_field(mesh_name, nquad):
     # periodic wrap and walls, d = 2 and 3: the vector is N(u) u
     field = random_field(GRID_MESHES[mesh_name](), "velocity")
     V, u = field.space, field.coeffs
     want = oseen_matrix(V, u, 0.7, nquad) @ u
-    got = assemble_convection(V, u, 0.7, nquad)
+    got = assemble_convection(V, u, 0.7)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -560,7 +560,7 @@ def test_element_gauss_axes_reorder_to_quadrature_sample(mesh_name):
     ndim = mesh.ndim
     for kind in ("velocity", "pressure"):
         field = random_field(mesh, kind)
-        for nquad in (3, 5):
+        for nquad in (2, 3, 5):
             rules = element_gauss_axes(mesh, nquad)
             coords, grid_w, grid_vals, grid_grads = field.gauss_grid(
                 nquad, gradients=True)
@@ -587,6 +587,40 @@ def test_element_gauss_axes_reorder_to_quadrature_sample(mesh_name):
                 <= 1e-13 * np.abs(vals).max()
             assert np.abs(element_major(grid_grads) - grads).max() \
                 <= 1e-13 * np.abs(grads).max()
+
+
+def _norm_integrals(w, vals, grads):
+    """The integrals behind DiscreteField's norms, on any weighted sample."""
+    sq = np.sum(vals * vals, axis=-1)
+    return {"lp_norm(2)": np.sum(w * sq) ** 0.5,
+            "lp_norm(4)": np.sum(w * sq * sq) ** 0.25,
+            "grad_l2_norm()": np.sum(w * np.sum(grads * grads,
+                                                axis=(-2, -1))) ** 0.5,
+            "integrate()": np.tensordot(w, vals, axes=w.ndim)}
+
+
+@pytest.mark.parametrize("kind", ["velocity", "pressure"])
+@pytest.mark.parametrize("mesh_name", sorted(GRID_MESHES))
+def test_norms_use_the_smallest_exact_rule(mesh_name, kind):
+    # each norm and the integral match a 6-point sample (exact for degree
+    # 11) to roundoff, and the same formula one Gauss point short does not
+    field = random_field(GRID_MESHES[mesh_name](), kind)
+    k = field.space.order
+    rules = {"lp_norm(2)": k + 1, "lp_norm(4)": 2 * k + 1,
+             "grad_l2_norm()": k + 1, "integrate()": k // 2 + 1}
+    got = {"lp_norm(2)": field.lp_norm(2), "lp_norm(4)": field.lp_norm(4),
+           "grad_l2_norm()": field.grad_l2_norm(),
+           "integrate()": field.integrate()}
+    _, w, vals, grads = quadrature_sample(field, 6, gradients=True)
+    want = _norm_integrals(w, vals, grads)
+    for name, n in rules.items():
+        scale = np.abs(want[name]).max()
+        assert np.abs(got[name] - want[name]).max() <= 1e-13 * scale, name
+        if n > 1:
+            short = _norm_integrals(*field.gauss_grid(n - 1,
+                                                      gradients=True)[1:])
+            assert np.abs(short[name] - want[name]).max() > 1e-8 * scale, \
+                name
 
 
 @pytest.mark.parametrize("mesh_name", sorted(GRID_MESHES))

@@ -10,6 +10,7 @@ from thinflow.cli import main as cli_main
 from thinflow.errors import ConfigError, InvalidDataError
 from thinflow.harness import (estimate_rate, load_config, report_csv,
                               run_pipeline, save_report, sweep_csv)
+from thinflow.two_scale import OscillatingTestFunction
 
 BASE_CONFIG = {
     "geometry": {"d": 2, "omega_extent": [1.0]},
@@ -215,6 +216,23 @@ def test_cli_diag(tmp_path, capsys):
     assert (tmp_path / "out" / "diag.csv").exists()
 
 
+def test_cli_diag_fails_a_violated_oscillation_bound(tmp_path, capsys,
+                                                    monkeypatch):
+    # the uniform bound is checked once, as a report row: an envelope too
+    # low for the probe fails every bound row (exit 1), it does not abort
+    envelope = OscillatingTestFunction.y_sup_abs
+    monkeypatch.setattr(OscillatingTestFunction, "y_sup_abs",
+                        lambda self: envelope(self) / 2)
+    path = write_config(tmp_path, copy.deepcopy(BASE_CONFIG))
+    code = cli_main(["diag", path, "--output", str(tmp_path / "out")])
+    bounds = [line for line in capsys.readouterr().out.splitlines()
+              if "oscillation_bound_eps_" in line]
+    assert code == 1
+    assert len(bounds) == len(BASE_CONFIG["sweep"]["eps_list"])
+    assert all(line.startswith("[FAIL] oscillation_bound_eps_")
+               for line in bounds)
+
+
 def test_cli_diag_measures_second_order_rate(tmp_path, capsys):
     # the probe's macro factor 1 + x0 leaves an eps^2 term, so abs_error
     # is a measurement (not rounding) and each finite rate is a verdict
@@ -323,6 +341,15 @@ def test_cli_malformed_config_aborts(tmp_path, capsys):
         return lambda raw: raw["coefficient"].update(
             {"class": "periodic", "waves": [wave]})
 
+    def unused(klass, key, value):
+        # a term the class does not take is rejected, never dropped
+        case(lambda raw: raw["coefficient"].update({"class": klass,
+                                                     key: value}),
+             f"class '{klass}' takes no 'coefficient.{key}'")
+
+    wave = {"k": [1], "amplitude": np.eye(2).tolist()}
+    bump = {"amplitude": np.eye(2).tolist()}
+
     case(lambda raw: raw["sweep"].update(turbulence=1.0), "turbulence")
     for block, key, value in MISTYPED:
         case(lambda raw: raw[block].update({key: value}), f"'{block}.{key}")
@@ -334,6 +361,11 @@ def test_cli_malformed_config_aborts(tmp_path, capsys):
     case(periodic({"k": [1], "trig": "tan", "amplitude": np.eye(2).tolist()}),
          "'coefficient.waves[0].trig'")
     case(periodic({"k": [1], "amplitude": [[1.0]]}), "must be 2x2")
+    unused("constant", "zeta_expr", "1 + z*z")
+    for klass in ("constant", "zeta_profile"):
+        unused(klass, "waves", [wave])
+    for klass in ("constant", "zeta_profile", "periodic"):
+        unused(klass, "gaussians", [bump])
     out = tmp_path / "out"
     for path, reason in cases:
         for argv in (["run", path], ["sweep", path],

@@ -43,7 +43,7 @@ def bordered_reference(system):
     mat[:n_u, n_u:-1] = system.B.T.toarray()
     mat[n_u:-1, :n_u] = system.B.toarray()
     mat[n_u:-1, -1] = mat[-1, n_u:-1] = system.gauge
-    x = np.linalg.solve(mat, np.concatenate([system.rhs_u, system.rhs_p,
+    x = np.linalg.solve(mat, np.concatenate([system.rhs_u, np.zeros(n_p),
                                              [0.0]]))
     return x[:n_u], -x[n_u:-1]
 

@@ -169,6 +169,15 @@ def test_grid_to_lattice_maps_live_in_assembly():
     assert offenders == []
 
 
+def test_norm_rules_are_chosen_in_assembly():
+    # DiscreteField picks the exact Gauss rule of each norm and integral;
+    # a module that passes nquad would be choosing norm rules again
+    sources = sorted(SRC.glob("*.py"))
+    assert "assembly.py" in [p.name for p in sources]
+    assert [p.name for p in sources
+            if p.name != "assembly.py" and "nquad" in p.read_text()] == []
+
+
 def test_two_scale_limit_is_not_probed():
     # two_scale reads the separated limit (driving and cell fields) directly;
     # probing the limit for its form would bring back a second, generic path

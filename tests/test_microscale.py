@@ -305,7 +305,7 @@ def test_synthetic_norm_quadrature():
         um = interpolate(Vm, lambda p: np.column_stack(
             [np.sin(np.pi * p[:, 0]) * (eps ** 2 - p[:, 1] ** 2),
              np.zeros(p.shape[0])]))
-        val = DiscreteField(Vm, um).lp_norm(2, nquad=4) ** 2
+        val = DiscreteField(Vm, um).lp_norm(2) ** 2
         errs.append(abs(val - exact_sq))
     assert errs[1] <= errs[0]
     assert errs[1] <= 1e-6 * exact_sq

@@ -12,10 +12,10 @@ from thinflow.cell_problems import solve_cell_regime_i
 from thinflow.coefficients import ScalarField
 from thinflow.errors import InvalidParameterError, SpaceMismatchError
 from thinflow.macro_model import solve_macro
-from thinflow.meshing import (Geometry, TensorMesh, build_cell_mesh,
-                              build_macro_mesh, build_thin_mesh)
+from thinflow.meshing import (Geometry, build_cell_mesh, build_macro_mesh,
+                              build_thin_mesh)
 from thinflow.microscale import solve_dlb
-from thinflow.two_scale import (OscillatingTestFunction, _NQ, _field_sample,
+from thinflow.two_scale import (OscillatingTestFunction, _field_sample,
                                 _layer_rules, limit_pairing,
                                 oscillation_limit_table,
                                 poincare_wirtinger_ratio, two_scale_distance,
@@ -129,19 +129,6 @@ def test_limit_pairing_examples():
     uplain = SimpleTwoScale(lambda xb, yb, z: 1 + xb[:, 0])
     fosc = osc(y_waves=[((2,), "sin", 1.0)])
     assert abs(limit_pairing_reference(uplain, fosc, g)) <= 1e-12
-
-
-def test_pairing_honours_nq():
-    # one element across the layer: a 7-point rule integrates the degree-12
-    # integrand x^12 exactly, the 5-point rule does not
-    eps = 0.25
-    mesh = TensorMesh([[0.0, 1.0], [-eps, eps]], (False, False), set())
-    space = FunctionSpace(mesh, "pressure")
-    u = DiscreteField(space, interpolate(space, lambda p: np.ones(len(p))))
-    f = osc(const=1.0, macro=lambda xb: xb[:, 0] ** 12)
-    exact = 2.0 / 13.0
-    assert abs(two_scale_pairing(u, f, eps, nq=7) - exact) <= 1e-14
-    assert abs(two_scale_pairing(u, f, eps, nq=5) - exact) > 1e-6
 
 
 # -- strong distance -----------------------------------------------------------
@@ -364,7 +351,7 @@ def test_oscillation_table_builds_no_layer_grid(monkeypatch):
     monkeypatch.setattr(two_scale, "grid_points", spy)
     oscillation_limit_table(_layer_probe(2), eps_list, D3_GEOM)
     horizontal = int(np.prod([x.size for x, _ in
-                              _layer_rules(D3_GEOM, eps_list[-1], _NQ)[:-1]]))
+                              _layer_rules(D3_GEOM, eps_list[-1])[:-1]]))
     assert built and max(built) <= horizontal
 
 
@@ -429,7 +416,7 @@ def test_product_rule_three_instances():
 def test_layer_quadrature_volume():
     # the tensor weights of the closed-form sample cover the layer
     g = Geometry(3, (0.5, 0.75), 0.125)
-    coords, w, sample = _field_sample(lambda p: p[:, 0], 0.125, g, _NQ)
+    coords, w, sample = _field_sample(lambda p: p[:, 0], 0.125, g)
     assert w.shape == tuple(c.size for c in coords) and len(coords) == 3
     assert w.sum() == pytest.approx(2 * 0.125 * 0.5 * 0.75, rel=1e-12)
     assert sample(coords).shape == w.shape + (1,)
