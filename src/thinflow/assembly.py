@@ -469,11 +469,13 @@ def integrate_grid(space, coords, integrand, deriv_axis=None):
 
 def assemble_convection(space_v, u_coeffs, factor=1.0):
     """Picard load N(u) u: int factor (u . grad u) . v for every free v,
-    formed on the Gauss grid of DiscreteField.gauss_grid."""
-    coords, w, u, grads = DiscreteField(space_v, u_coeffs).gauss_grid(
-        _NQUAD, gradients=True)
-    return integrate_grid(space_v, coords, np.einsum(
-        "...a,...ca->...c", u, grads) * (factor * w)[..., None])
+    formed on the Gauss grid of DiscreteField.gauss_grid, one derivative
+    axis a at a time: (u . grad) u = sum_a u_a d_a u."""
+    field = DiscreteField(space_v, u_coeffs)
+    coords, w, u = field.gauss_grid(_NQUAD)
+    conv = sum(u[..., a:a + 1] * field.evaluate_grid(coords, deriv_axis=a)
+               for a in range(len(coords)))
+    return integrate_grid(space_v, coords, conv * (factor * w)[..., None])
 
 
 def assemble_load(space, f_eval):
@@ -549,21 +551,16 @@ class DiscreteField:
             [_interpolation(space, a, x, deriv=deriv_axis == a)
              for a, x in enumerate(coords)])
 
-    def gauss_grid(self, nquad, gradients=False):
+    def gauss_grid(self, nquad):
         """Element-aligned Gauss sample on the tensor grid.
 
-        Returns (coords, w, vals[, grads]): the per-axis points of
-        element_gauss_axes, the tensor weights (m_0, ..., m_{d-1}), the
-        field there (m_0, ..., m_{d-1}, ncomp) and, when gradients is set,
-        its gradient (m_0, ..., m_{d-1}, ncomp, ndim).
+        Returns (coords, w, vals): the per-axis points of
+        element_gauss_axes, the tensor weights (m_0, ..., m_{d-1}) and the
+        field there (m_0, ..., m_{d-1}, ncomp).  Derivatives are sampled
+        one axis at a time, by evaluate_grid(coords, deriv_axis=a).
         """
         coords, w = tensor_rule(element_gauss_axes(self.space.mesh, nquad))
-        vals = self.evaluate_grid(coords)
-        if not gradients:
-            return coords, w, vals
-        return coords, w, vals, np.stack(
-            [self.evaluate_grid(coords, deriv_axis=a)
-             for a in range(len(coords))], axis=-1)
+        return coords, w, self.evaluate_grid(coords)
 
     def evaluate(self, pts):
         """Field values at arbitrary points: (N, ncomp) or (N,) if scalar."""
@@ -586,11 +583,14 @@ class DiscreteField:
         return float(np.sum(w * mag ** p) ** (1.0 / p))
 
     def grad_l2_norm(self):
-        """L^2 norm of the gradient, exact: |grad u|^2 has degree 2 k."""
-        _, w, _, grads = self.gauss_grid(self.space.order + 1,
-                                         gradients=True)
-        return float(np.sqrt(np.sum(w * np.sum(grads * grads,
-                                               axis=(-2, -1)))))
+        """L^2 norm of the gradient, exact: |grad u|^2 has degree 2 k.
+        Sums |d_a u|^2 one derivative axis a at a time, with no values."""
+        coords, w = tensor_rule(element_gauss_axes(self.space.mesh,
+                                                   self.space.order + 1))
+        w = w[..., None]
+        return float(np.sqrt(sum(
+            np.sum(w * self.evaluate_grid(coords, deriv_axis=a) ** 2)
+            for a in range(len(coords)))))
 
     def integrate(self):
         """Componentwise integral over the mesh, exact: degree k."""

@@ -431,7 +431,7 @@ def run_pipeline(config):
 
     with pipeline_stage("sweep"):
         probe = _probe_function(geometry.d1, params.f1)
-        limit_vec = np.atleast_1d(limit_pairing(recon, probe, geometry))
+        limit_vec = np.atleast_1d(limit_pairing(recon, probe))
         rows = []
         micro_fields = []
         for eps in config.eps_list:

@@ -11,17 +11,17 @@ u0(xbar, y) = sum_j w_j(y) g_j(xbar): cell velocities w_j times the macro
 driving g (upscaling.TwoScaleVelocity), integrated factor by factor.
 
 Every field, closed-form or discrete, is sampled on a tensor grid
-(_field_sample), so each functional has one path for both kinds.  A
-closed-form field is evaluated at the points of the composite layer rule,
-which subdivides every oscillation period into panels so the accuracy is
-controlled independently of any finite-element mesh.  A field that carries a
-mesh is sampled on the element-aligned Gauss grid of that mesh by sum
-factorization, and so are the cell fields of the limit.  The vertical
-average of the fluctuation ratio samples the horizontal axes of the same grid
-at the Gauss heights of the average, and the scaled mass of a separated test
-function is a horizontal sum times a vertical one.  Every rule is a
-composite Gauss rule of meshing on a tensor grid, sized by the module
-constants below; only a discrete gradient norm takes the field's own rule.
+(_field_sample), so each functional has one path for both kinds.  A field
+that carries a mesh is integrated on the element Gauss grid of its own mesh
+by sum factorization: a layer field on its thin mesh, the limit's cell
+fields on their cell mesh and its driving on the macro mesh.  A closed-form
+field is evaluated at the points of the composite layer rule, whose panels
+subdivide every oscillation period.  The vertical mean of the fluctuation
+ratio takes the thickness weights of the sample it averages, and a separated
+test function is evaluated factor by factor (macro and periodic factors on
+the horizontal grid, profile on the thickness axis).  The rule sizes are the
+module constants below; only a discrete gradient norm takes the field's own
+rule, and only the oscillation table, which has no mesh, the macro rule.
 """
 
 from dataclasses import dataclass
@@ -32,19 +32,18 @@ import numpy as np
 from .assembly import DiscreteField, element_gauss_axes
 from .coefficients import ScalarField, mean_value
 from .errors import InvalidParameterError, SpaceMismatchError
-from .meshing import composite_gauss, gauss_rule, grid_points, tensor_rule
+from .meshing import composite_gauss, grid_points, tensor_rule
 
 # points of the envelope grid per axis in d1 = 1, and per sample of it
 _SUP_GRID = 4096
 # the composite rules: Gauss points per panel, panels per oscillation
-# period and across the layer, panels of the macro box and of the unit
-# thickness, and the Gauss points of the vertical average
+# period and across the layer, and panels of the macro box and of the unit
+# thickness
 _NQ = 5
 _PANELS_PER_PERIOD = 4
 _LAYER_PANELS = 4
 _MACRO_PANELS = 8
 _ZETA_PANELS = 6
-_AVERAGE_NQ = 6
 
 
 @dataclass
@@ -84,15 +83,6 @@ class OscillatingTestFunction:
                 * self.y_factor(np.atleast_2d(ybar))
                 * self._zeta_vals(np.asarray(zeta, dtype=float)))
 
-    def evaluate_physical(self, pts, eps):
-        """f(xbar, x/eps) at physical points (N, d1+1)."""
-        pts = np.atleast_2d(pts)
-        if pts.shape[1] != self.d1 + 1:
-            raise SpaceMismatchError(
-                f"points have dimension {pts.shape[1]}, expected {self.d1 + 1}")
-        y = pts / eps
-        return self.evaluate(pts[:, :self.d1], y[:, :self.d1], y[:, -1])
-
     def y_sup_abs(self):
         """Upper envelope of |periodic factor| over the horizontal space,
         sampled _SUP_GRID points at a time."""
@@ -118,7 +108,7 @@ def _panel_rule(a, b, panels):
 
 def _macro_rule(geometry):
     """Points (N, d1) and weights (N,) of the composite rule on the
-    horizontal box of the limits."""
+    horizontal box of the oscillation table."""
     coords, w = tensor_rule([_panel_rule(0.0, extent, _MACRO_PANELS)
                              for extent in geometry.omega_extent])
     return grid_points(coords), w.ravel()
@@ -138,25 +128,22 @@ def _layer_rules(geometry, eps):
 def _field_sample(u_eps, eps, geometry):
     """Tensor-grid quadrature of a discrete field or callable.
 
-    Returns (coords, w, sample): the per-axis coordinates of the rule, its
-    tensor weights (m_0, ..., m_{d-1}), and a sampler that takes per-axis
-    coordinates to the field on their grid, (m_0, ..., m_{d-1}, ncomp).  A
-    discrete field is sampled on the _NQ-point Gauss grid of its elements
-    by sum factorization, a callable at the points of the composite layer
-    rule.
+    Returns (rules, sample): the per-axis rules [(coords, weights), ...] and
+    a sampler that takes per-axis coordinates to the field on their grid,
+    (m_0, ..., m_{d-1}, ncomp).  A discrete field is sampled on the
+    _NQ-point Gauss grid of its elements by sum factorization, a callable at
+    the points of the composite layer rule.
     """
     if isinstance(u_eps, DiscreteField):
-        coords, w = tensor_rule(element_gauss_axes(u_eps.space.mesh, _NQ))
-        return coords, w, u_eps.evaluate_grid
+        return element_gauss_axes(u_eps.space.mesh, _NQ), u_eps.evaluate_grid
     if geometry is None:
         raise InvalidParameterError(
             "geometry required for closed-form fields")
-    coords, w = tensor_rule(_layer_rules(geometry, eps))
 
     def sample(axes):
         shape = tuple(x.size for x in axes) + (-1,)
         return np.asarray(u_eps(grid_points(axes)), dtype=float).reshape(shape)
-    return coords, w, sample
+    return _layer_rules(geometry, eps), sample
 
 
 def two_scale_pairing(u_eps, f, eps, geometry=None):
@@ -164,34 +151,43 @@ def two_scale_pairing(u_eps, f, eps, geometry=None):
 
     Returns a scalar for scalar fields, otherwise one pairing per component.
     """
-    coords, w, sample = _field_sample(u_eps, eps, geometry)
+    rules, sample = _field_sample(u_eps, eps, geometry)
+    coords, w = tensor_rule(rules)
+    *horizontal, z = coords
+    if len(horizontal) != f.d1:
+        raise SpaceMismatchError(
+            f"the layer has dimension {len(coords)}, expected {f.d1 + 1}")
+    xbar = grid_points(horizontal)
+    fv = np.multiply.outer(f._macro_vals(xbar) * f.y_factor(xbar / eps),
+                           f._zeta_vals(z / eps))
     vals = sample(coords).reshape(w.size, -1)
-    fv = f.evaluate_physical(grid_points(coords), eps)
-    out = (vals * (w.ravel() * fv)[:, None]).sum(axis=0) / eps
+    out = (vals * (w.ravel() * fv.ravel())[:, None]).sum(axis=0) / eps
     return float(out[0]) if out.size == 1 else out
 
 
-def limit_pairing(u0, f, geometry):
+def limit_pairing(u0, f):
     """Limit of the scaled pairing: macro x cell-mean x thickness integral.
 
     The limit is separated, u0(xbar, y) = sum_j w_j(y) g_j(xbar), so it is
-    integrated factor by factor: the driving g on the composite macro rule,
-    each cell field w_j against the periodic and thickness factors of f on
-    the _NQ-point element-aligned Gauss rule of its cell mesh.
+    integrated factor by factor, each factor on the _NQ-point element Gauss
+    grid of its own mesh: the driving g against the macro factor of f on
+    the macro mesh of u0, each cell field w_j against the periodic factor
+    and the profile of f on its cell mesh.
     """
-    d1 = geometry.d1
-    pts_x, w_x = _macro_rule(geometry)
+    coords, w_x = tensor_rule(element_gauss_axes(u0.macro_mesh, _NQ))
+    pts_x = grid_points(coords)
     g = np.atleast_2d(u0.driving(pts_x))             # (Nx, n_terms)
     mv = f._macro_vals(pts_x)
-    x_weights = (g * (w_x * mv)[:, None]).sum(axis=0)
+    x_weights = (g * (w_x.ravel() * mv)[:, None]).sum(axis=0)
 
     cell_ints = []
     for wf in u0.cell_fields:
         coords, w, vals = wf.gauss_grid(_NQ)
-        ypts = grid_points(coords)
-        micro = f.y_factor(ypts[:, :d1]) * f._zeta_vals(ypts[:, -1])
-        cell_ints.append(np.tensordot(w * micro.reshape(w.shape), vals,
-                                      axes=w.ndim))
+        *horizontal, z = coords
+        micro = np.multiply.outer(
+            f.y_factor(grid_points(horizontal)).reshape(w.shape[:-1]),
+            f._zeta_vals(z))
+        cell_ints.append(np.tensordot(w * micro, vals, axes=w.ndim))
     out = x_weights @ np.array(cell_ints)
     return float(out[0]) if out.size == 1 else out
 
@@ -217,7 +213,8 @@ def two_scale_distance(u_eps, u0, eps, geometry=None):
 
     eps^{-1/2} || u_eps - u0(xbar, x/eps) ||_{L^2(layer)}.
     """
-    coords, w, sample = _field_sample(u_eps, eps, geometry)
+    rules, sample = _field_sample(u_eps, eps, geometry)
+    coords, w = tensor_rule(rules)
     diff = sample(coords).reshape(w.size, -1) - _limit_sample(u0, coords, eps)
     mag = np.sqrt(np.sum(diff * diff, axis=1))
     return float(np.sum(w.ravel() * mag ** 2) ** 0.5 * eps ** -0.5)
@@ -236,25 +233,26 @@ class PoincareWirtingerReport:
 def poincare_wirtinger_ratio(u_eps, eps, geometry=None, grad=None):
     """Fluctuation-to-gradient ratio ||u - M u|| / (eps ||grad u||).
 
-    M u is the vertical average over (-eps, eps).  Both L^2 norms are taken
-    over the thin layer without scaling factors, so the ratio is eps-uniform
-    for profile-type fields; printed_ratio carries the extra eps^{-1/2} of
-    the one-sided normalization.  A closed-form field needs geometry and its
-    gradient callable, (N, d) or (N, ncomp, d) at points (N, d).
+    M u is the vertical average over (-eps, eps), taken with the thickness
+    weights of the field's own sample (exact per element for a discrete
+    field).  Both L^2 norms are taken over the thin layer without scaling
+    factors, so the ratio is eps-uniform for profile-type fields;
+    printed_ratio carries the extra eps^{-1/2} of the one-sided
+    normalization.  A closed-form field needs geometry and its gradient
+    callable, (N, d) or (N, ncomp, d) at points (N, d).
     """
     discrete = isinstance(u_eps, DiscreteField)
     if not discrete and grad is None:
         raise InvalidParameterError(
             "closed-form fields need a gradient callable")
-    coords, w, sample = _field_sample(u_eps, eps, geometry)
-    # the mean over the Gauss heights of the average, at every horizontal
-    # node of the sample
-    gp, gw = gauss_rule(_AVERAGE_NQ)
-    means = np.tensordot(sample(coords[:-1] + [gp * eps]), gw / 2.0,
-                         axes=([-2], [0]))[..., None, :]
-    diff = (sample(coords) - means).reshape(w.size, -1)
+    rules, sample = _field_sample(u_eps, eps, geometry)
+    coords, w = tensor_rule(rules)
+    diff = sample(coords)
+    # u - M u, with M u from the thickness weights of the sample
+    diff = diff - np.tensordot(diff, rules[-1][1] / (2 * eps),
+                               axes=([-2], [0]))[..., None, :]
     w = w.ravel()
-    fluct = float(np.sum(w * np.sum(diff * diff, axis=1)) ** 0.5)
+    fluct = float(np.sum(w * np.sum(diff * diff, axis=-1).ravel()) ** 0.5)
     if discrete:
         gnorm = u_eps.grad_l2_norm()
     else:

@@ -80,16 +80,18 @@ class TwoScaleVelocity:
     """Separated two-scale field u0(xbar, y) = sum_j w_j(y) g_j(xbar).
 
     g is the driving force (horizontal forcing minus the limit pressure
-    gradient), a callable (N, d1) -> (N, d1); w_j are the cell velocities
-    (DiscreteFields with d components); the sum runs over the horizontal
-    directions only.  two_scale samples and integrates the limit through
-    these two factors.
+    gradient), a callable (N, d1) -> (N, d1) on the macro mesh; w_j are the
+    cell velocities (DiscreteFields with d components); the sum runs over
+    the horizontal directions only.  two_scale samples and integrates the
+    limit through these two factors, each on the Gauss grid of its own
+    mesh: g on macro_mesh, w_j on their cell mesh.
     """
 
-    def __init__(self, cell_fields, driving, d1):
+    def __init__(self, cell_fields, driving, macro_mesh):
         self.cell_fields = list(cell_fields)
         self.driving = driving
-        self.d1 = d1
+        self.macro_mesh = macro_mesh
+        self.d1 = macro_mesh.ndim
         self.cell_integrals = np.array([w.integrate()
                                         for w in self.cell_fields])
 
@@ -106,10 +108,8 @@ class TwoScaleVelocity:
 
 def reconstruct_two_scale_velocity(cells, macro, f1):
     """Two-scale limit velocity from cell solutions and the macro pressure."""
-    d1 = cells.d - 1
-
     def driving(xbar):
         return macro.driving_force(xbar, f1)
 
-    fields = [cells.velocity_field(j) for j in range(d1)]
-    return TwoScaleVelocity(fields, driving, d1)
+    fields = [cells.velocity_field(j) for j in range(cells.d - 1)]
+    return TwoScaleVelocity(fields, driving, macro.mesh)

@@ -553,6 +553,15 @@ def test_evaluate_grid_matches_pointwise(mesh_name, kind):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def gauss_grid_with_gradients(field, nquad):
+    """gauss_grid plus the gradient on its coords, (m_0, ..., ncomp, ndim),
+    stacked from one evaluate_grid(coords, deriv_axis=a) per axis."""
+    coords, w, vals = field.gauss_grid(nquad)
+    return coords, w, vals, np.stack(
+        [field.evaluate_grid(coords, deriv_axis=a)
+         for a in range(len(coords))], axis=-1)
+
+
 @pytest.mark.parametrize("mesh_name", sorted(GRID_MESHES))
 def test_element_gauss_axes_reorder_to_quadrature_sample(mesh_name):
     # every rule apriori_norms uses, values and gradients, both spaces
@@ -562,8 +571,8 @@ def test_element_gauss_axes_reorder_to_quadrature_sample(mesh_name):
         field = random_field(mesh, kind)
         for nquad in (2, 3, 5):
             rules = element_gauss_axes(mesh, nquad)
-            coords, grid_w, grid_vals, grid_grads = field.gauss_grid(
-                nquad, gradients=True)
+            coords, grid_w, grid_vals, grid_grads = \
+                gauss_grid_with_gradients(field, nquad)
             assert all(np.array_equal(c, r[0]) for c, r in zip(coords, rules))
             grid_pts = np.stack(np.meshgrid(*coords, indexing="ij"), axis=-1)
 
@@ -617,8 +626,8 @@ def test_norms_use_the_smallest_exact_rule(mesh_name, kind):
         scale = np.abs(want[name]).max()
         assert np.abs(got[name] - want[name]).max() <= 1e-13 * scale, name
         if n > 1:
-            short = _norm_integrals(*field.gauss_grid(n - 1,
-                                                      gradients=True)[1:])
+            short = _norm_integrals(
+                *gauss_grid_with_gradients(field, n - 1)[1:])
             assert np.abs(short[name] - want[name]).max() > 1e-8 * scale, \
                 name
 
@@ -634,12 +643,12 @@ def test_gauss_grid_builds_each_interpolation_once(mesh_name, monkeypatch):
     monkeypatch.setattr(assembly, "_axis_basis",
                         lambda *args, **kw: builds.append(1)
                         or build(*args, **kw))
-    field.gauss_grid(3, gradients=True)
+    gauss_grid_with_gradients(field, 3)
     assert len(builds) == 2 * mesh.ndim      # values and derivative per axis
-    second = DiscreteField(field.space, field.coeffs).gauss_grid(
-        3, gradients=True)
+    second = gauss_grid_with_gradients(
+        DiscreteField(field.space, field.coeffs), 3)
     assert len(builds) == 2 * mesh.ndim
-    fresh = random_field(mesh, "velocity").gauss_grid(3, gradients=True)
+    fresh = gauss_grid_with_gradients(random_field(mesh, "velocity"), 3)
     for x, y in zip(second[2:], fresh[2:]):     # values and gradients
         assert np.array_equal(x, y)
 

@@ -1,3 +1,4 @@
+import ast
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +177,23 @@ def test_norm_rules_are_chosen_in_assembly():
     assert "assembly.py" in [p.name for p in sources]
     assert [p.name for p in sources
             if p.name != "assembly.py" and "nquad" in p.read_text()] == []
+
+
+def test_two_scale_integrates_on_its_fields_grids():
+    # every two-scale integral runs on the element Gauss grid of its
+    # field's own mesh or on a composite rule of _panel_rule; a module that
+    # builds its own Gauss rule, or a limit integrated on the macro rule of
+    # the oscillation table, fails here
+    source = (SRC / "two_scale.py").read_text()
+    assert "gauss_rule" not in source
+    lines = source.splitlines()
+    allowed = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name in (
+                "_macro_rule", "oscillation_limit_table"):
+            allowed.update(range(node.lineno, node.end_lineno + 1))
+    uses = [n for n, line in enumerate(lines, 1) if "_macro_rule" in line]
+    assert uses and [n for n in uses if n not in allowed] == []
 
 
 def test_two_scale_limit_is_not_probed():

@@ -1,4 +1,5 @@
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -11,9 +12,10 @@ from thinflow.assembly import DiscreteField, FunctionSpace
 from thinflow.cell_problems import solve_cell_regime_i
 from thinflow.coefficients import ScalarField
 from thinflow.errors import InvalidParameterError, SpaceMismatchError
+from thinflow.harness import _probe_function, load_config, solve_cells
 from thinflow.macro_model import solve_macro
 from thinflow.meshing import (Geometry, build_cell_mesh, build_macro_mesh,
-                              build_thin_mesh)
+                              build_thin_mesh, composite_gauss, tensor_rule)
 from thinflow.microscale import solve_dlb
 from thinflow.two_scale import (OscillatingTestFunction, _field_sample,
                                 _layer_rules, limit_pairing,
@@ -26,6 +28,8 @@ from thinflow.upscaling import (TwoScaleVelocity, effective_matrix,
 from helpers import (distance_reference, interpolate, layer_quadrature,
                      limit_pairing_reference, quadrature_sample, thin_average,
                      two_scale_values)
+
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 
 @dataclass
@@ -50,6 +54,11 @@ def osc(y_waves=(), const=0.0, macro=1.0, zeta=1.0, p=2.0):
     return OscillatingTestFunction(
         d1=1, macro=macro, zeta_factor=zeta, p=p,
         y_factor=ScalarField(1, const=const, waves=list(y_waves)))
+
+
+def physical_probe(f, pts, eps):
+    """f(xbar, x/eps) at physical points (N, d1 + 1), point by point."""
+    return f.evaluate(pts[:, :-1], pts[:, :-1] / eps, pts[:, -1] / eps)
 
 
 # -- pairings ------------------------------------------------------------------
@@ -168,9 +177,9 @@ def test_separated_limit_matches_pointwise_reference(d):
     # the cell velocities are piecewise quadratic on a cell mesh whose
     # elements coincide with the panels of the reference rule (4 per
     # horizontal axis for a wavenumber-1 probe, 6 across the thickness), so
-    # their interpolants are exact; the macro rule integrates the
-    # polynomial driving exactly, so the factor-by-factor limit and the
-    # pointwise tensor rule differ by rounding only
+    # their interpolants are exact; the Gauss grid of the macro mesh
+    # integrates the polynomial driving exactly, so the factor-by-factor
+    # limit and the pointwise tensor rule differ by rounding only
     d1, eps = d - 1, 0.25
     g = Geometry(d, (1.0,) if d == 2 else (0.5, 0.5), eps)
     space = FunctionSpace(build_cell_mesh(g, 4, 6), "velocity")
@@ -192,12 +201,12 @@ def test_separated_limit_matches_pointwise_reference(d):
     limit = TwoScaleVelocity(
         [DiscreteField(space, interpolate(space,
                                           lambda y, j=j: cell_velocity(j, y)))
-         for j in range(d1)], driving, d1)
+         for j in range(d1)], driving, build_macro_mesh(g, 4))
     probe = OscillatingTestFunction(
         d1=d1, macro=lambda xb: 1 + xb[:, 0], zeta_factor=lambda z: 1 - z * z,
         y_factor=ScalarField(d1, const=0.5,
                              waves=[((1,) + (0,) * (d1 - 1), "cos", 1.0)]))
-    got = limit_pairing(limit, probe, g)
+    got = limit_pairing(limit, probe)
     want = limit_pairing_reference(values, probe, g)
     assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
 
@@ -333,7 +342,7 @@ def test_separated_mass_matches_full_layer_sum(d):
         rows = oscillation_limit_table(f, eps_list, g, p=p)
         for eps, row in zip(eps_list, rows):
             pts, w = layer_quadrature(g, eps)
-            want = np.sum(w * np.abs(f.evaluate_physical(pts, eps)) ** p) / eps
+            want = np.sum(w * np.abs(physical_probe(f, pts, eps)) ** p) / eps
             assert row["value"] == pytest.approx(want, rel=1e-13)
 
 
@@ -416,7 +425,8 @@ def test_product_rule_three_instances():
 def test_layer_quadrature_volume():
     # the tensor weights of the closed-form sample cover the layer
     g = Geometry(3, (0.5, 0.75), 0.125)
-    coords, w, sample = _field_sample(lambda p: p[:, 0], 0.125, g)
+    rules, sample = _field_sample(lambda p: p[:, 0], 0.125, g)
+    coords, w = tensor_rule(rules)
     assert w.shape == tuple(c.size for c in coords) and len(coords) == 3
     assert w.sum() == pytest.approx(2 * 0.125 * 0.5 * 0.75, rel=1e-12)
     assert sample(coords).shape == w.shape + (1,)
@@ -462,7 +472,7 @@ def d3_layer():
 
 def reference_pairing(u, f, eps, nq=5):
     pts, w, vals = quadrature_sample(u, nquad=nq)
-    fv = f.evaluate_physical(pts, eps)
+    fv = physical_probe(f, pts, eps)
     return (vals * (w * fv)[:, None]).sum(axis=0) / eps
 
 
@@ -473,22 +483,29 @@ def reference_distance(u, u0, eps, nq=5):
     return float(np.sqrt(np.sum(w * np.sum(diff * diff, axis=1)) / eps))
 
 
-def reference_pw_ratio(u, eps, nq=5):
+def reference_pw(u, eps, nq=5):
+    """(fluctuation, gradient norm) of a discrete field, with M u from the
+    3-point Gauss rule on every element across the thickness, exact for
+    its quadratic profile."""
     pts, w, vals, grads = quadrature_sample(u, nquad=max(nq, 4),
                                             gradients=True)
     gnorm = np.sqrt(np.sum(w * np.sum(grads * grads, axis=(1, 2))))
-    means = thin_average(u.evaluate, eps, nq=max(nq, 6))(pts[:, :-1])
+    means = 0.0
+    for z, wz in zip(*composite_gauss(u.space.mesh.axes[-1], 3)):
+        heights = np.column_stack([pts[:, :-1], np.full(len(pts), z)])
+        means = means + wz / (2 * eps) * u.evaluate(heights)
     diff = vals - means
     fluct = np.sqrt(np.sum(w * np.sum(diff * diff, axis=1)))
-    return float(fluct / (eps * gnorm))
+    return float(fluct), float(gnorm)
 
 
 def test_functionals_match_pointwise_reference(d3_layer):
     sol, recon, probe = d3_layer
     u = sol.velocity_field()
     scaled = sol.scaled_velocity(D3_EPS ** 2)
+    fluct, gnorm = reference_pw(u, D3_EPS)
     assert poincare_wirtinger_ratio(u, D3_EPS).ratio == pytest.approx(
-        reference_pw_ratio(u, D3_EPS), rel=1e-12)
+        fluct / (D3_EPS * gnorm), rel=1e-12)
     assert two_scale_distance(scaled, recon, D3_EPS) == pytest.approx(
         reference_distance(scaled, recon, D3_EPS), rel=1e-12)
     got = two_scale_pairing(scaled, probe, D3_EPS)
@@ -501,7 +518,7 @@ def test_functionals_never_evaluate_pointwise(d3_layer, monkeypatch):
     # the reconstructed driving force differentiates the macro pressure at
     # scattered points; a closed-form driving keeps this check to the
     # fields that are sampled on grids
-    limit = TwoScaleVelocity(recon.cell_fields, d3_forcing, 2)
+    limit = TwoScaleVelocity(recon.cell_fields, d3_forcing, recon.macro_mesh)
     u = sol.velocity_field()
     scaled = sol.scaled_velocity(D3_EPS ** 2)
 
@@ -513,3 +530,59 @@ def test_functionals_never_evaluate_pointwise(d3_layer, monkeypatch):
     assert poincare_wirtinger_ratio(u, D3_EPS).ratio > 0
     assert two_scale_distance(scaled, limit, D3_EPS) > 0
     assert np.abs(two_scale_pairing(scaled, probe, D3_EPS)).max() > 0
+    assert np.abs(limit_pairing(limit, probe)).max() > 0
+
+
+def test_pw_ratio_takes_the_exact_vertical_mean():
+    # regime_i's DNS velocity at eps = 1/8 is quadratic on each of its 4
+    # elements across the layer; one 6-point Gauss mean over the whole
+    # thickness missed its fluctuation norm by 1.7%
+    config = load_config(CONFIGS / "regime_i.json")
+    numerics, eps = config.numerics, 0.125
+    sol = solve_dlb(build_thin_mesh(config.geometry.with_eps(eps),
+                                    numerics["dns_elements_per_period"],
+                                    numerics["dns_nz"]),
+                    config.field, config.params, config.regime.K_eps(eps),
+                    picard_tol=numerics["picard_tol"],
+                    max_iters=numerics["picard_max_iters"],
+                    tol=numerics["solver_tol"])
+    u = sol.velocity_field()
+    report = poincare_wirtinger_ratio(u, eps)
+    fluct, gnorm = reference_pw(u, eps)
+    assert report.fluctuation_norm == pytest.approx(fluct, rel=1e-12)
+    assert report.ratio == pytest.approx(fluct / (eps * gnorm), rel=1e-12)
+
+
+def _magnitude_limit(u0, f):
+    """The limit pairing with the driving and the macro factor of f taken
+    by magnitude: the size of the terms whose sum the limit is, and so the
+    scale of its rounding."""
+    magnitude = OscillatingTestFunction(
+        d1=f.d1, macro=lambda xb: np.abs(f._macro_vals(xb)),
+        y_factor=f.y_factor, zeta_factor=f.zeta_factor)
+    return limit_pairing(TwoScaleVelocity(
+        u0.cell_fields, lambda xb: np.abs(u0.driving(xb)), u0.macro_mesh),
+        magnitude)
+
+
+@pytest.mark.parametrize("name", ["regime_i", "regime_iii"])
+def test_limit_pairing_is_aligned_with_the_macro_mesh(name):
+    # the driving f1 - grad p0 has kinks at the faces of the macro mesh, so
+    # only a rule aligned with them integrates it to rounding: the limit on
+    # the macro mesh's Gauss grid matches the one on the twice refined grid
+    # (the composite 8-panel rule missed it by 5.6e-5 and 5.0e-5, 29% of
+    # the limit)
+    config = load_config(CONFIGS / f"{name}.json")
+    regime, n = config.regime.regime, config.numerics["macro_n"]
+    cells = solve_cells(config, regime)
+    macro = solve_macro(effective_matrix(cells), config.params.f1,
+                        build_macro_mesh(config.geometry, n), regime,
+                        tol=config.numerics["solver_tol"])
+    recon = reconstruct_two_scale_velocity(cells, macro, config.params.f1)
+    probe = _probe_function(config.geometry.d1, config.params.f1)
+    refined = TwoScaleVelocity(recon.cell_fields, recon.driving,
+                               build_macro_mesh(config.geometry, 2 * n))
+    got, want = limit_pairing(recon, probe), limit_pairing(refined, probe)
+    assert np.abs(want).max() > 1e-4
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(
+        _magnitude_limit(recon, probe)).max()

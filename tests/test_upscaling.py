@@ -96,7 +96,8 @@ def test_reconstruction_poiseuille_profile():
     fields = [cells.velocity_field(0)]
 
     from thinflow.upscaling import TwoScaleVelocity
-    recon = TwoScaleVelocity(fields, lambda xb: np.ones((xb.shape[0], 1)), 1)
+    recon = TwoScaleVelocity(fields, lambda xb: np.ones((xb.shape[0], 1)),
+                             build_macro_mesh(GEOM, 8))
     zeta = np.linspace(-1, 1, 21)
     y = np.column_stack([np.full(zeta.size, 0.3), zeta])
     vals = two_scale_values(recon, np.full((zeta.size, 1), 0.5), y)
