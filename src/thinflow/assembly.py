@@ -17,16 +17,23 @@ the components.  Where every wall clamps every component, all diagonal
 blocks are one block, which the "component" space (that scalar lattice,
 walls clamped) assembles alone.
 
-Each block is summed in one pass into a fixed CSR pattern.  The free nodes
-of a component are a tensor product of per-axis sets, so the pattern is the
-Kronecker product of 1-D patterns, and a slot map built from those, axis by
-axis and with no sort, places every element-local entry (_slot_map).  A
-drag term is folded into the diffusion element matrices.
+Each operator is summed into a fixed CSR pattern, built once.  The free
+nodes of a component are a tensor product of per-axis sets, so the pattern
+is the Kronecker product of 1-D patterns (the divergence sets those of the
+velocity components side by side), and a slot map built from them, axis by
+axis and with no sort, places every element-local entry (_slot_map).  The
+slots, the element matrices and their quadrature points are formed one
+element slab at a time (_slabs: whole element rows along axis 0, at most
+_SLAB_ENTRIES local entries), so only the pattern spans the mesh; a mesh
+that fits one slab is assembled in one pass.  Symmetry is checked on the
+element matrices.  A drag term is folded into the diffusion element
+matrices.
 
 Discrete fields are sampled at Gauss points by sum factorization (Orszag,
 J. Comput. Phys. 37, 1980), one sparse 1D interpolation matrix per axis, which
 the space builds once and keeps; each norm samples on the smallest Gauss
-rule exact for its integrand.  Every load (the forcing, the cell unit loads,
+rule exact for its integrand, one slab of the grid at a time (_rule_slabs),
+and sums the slabs in order.  Every load (the forcing, the cell unit loads,
 the pressure gauge, the flux and Picard convection loads, the macro no-flux
 diagnostic) is the sample's transpose, integrate_grid, so no per-element
 dof map is kept.  The Gauss rules and tensor grids are those of meshing
@@ -46,6 +53,20 @@ from .meshing import (TensorMesh, composite_gauss, gauss_rule, grid_points,
 _SYM_CHECK_REL = 1e-13
 # Gauss points per axis and element of the bilinear forms and the loads
 _NQUAD = 3
+# the most entries (element-local matrix entries, or grid values) that one
+# slab of a pass over a tensor grid holds; see _slabs
+_SLAB_ENTRIES = 2 ** 17
+
+
+def _slabs(shape, per_point):
+    """Slabs of an array of the given shape along axis 0: consecutive
+    slices of whole rows, each of at most _SLAB_ENTRIES entries with
+    per_point entries per array point, and at least one row.  Every pass
+    over a mesh's elements or a tensor grid runs its slabs in order and
+    sums into its one output; an array that fits is one slab."""
+    step = max(1, _SLAB_ENTRIES // (per_point * int(np.prod(shape[1:]))))
+    return [slice(i, min(i + step, shape[0]))
+            for i in range(0, shape[0], step)]
 
 
 def _shape1d(order, x):
@@ -161,26 +182,40 @@ class FunctionSpace:
         return (tensor([vals] * ndim), grad,
                 tensor([gw * (h[a] / 2.0) for a in range(ndim)]))
 
-    def quadrature_points(self, nquad):
-        """Global Gauss points per element: (ne, nq, ndim)."""
-        mesh, d = self.mesh, self.mesh.ndim
-        pts = grid_points([x for x, _ in element_gauss_axes(mesh, nquad)])
-        # grid order (e_0, q_0, e_1, q_1, ...) -> (e_0, e_1, ..., q_0, ...)
-        split = [n for ne in mesh.n_elements for n in (ne, nquad)]
-        return pts.reshape(split + [d]).transpose(
-            [*range(0, 2 * d, 2), *range(1, 2 * d, 2), 2 * d]).reshape(
-            -1, nquad ** d, d)
-
 
 def element_gauss_axes(mesh, nquad):
     """Element-aligned Gauss rule per axis: [(coords, weights), ...].
 
     Each axis carries nquad points in every element, element by element.
     The tensor product of the axes holds the points and weights of
-    quadrature_points in grid order; DiscreteField.gauss_grid samples there
+    _element_points in grid order; DiscreteField.gauss_grid samples there
     and the loads integrate there.
     """
     return [composite_gauss(axis, nquad) for axis in mesh.axes]
+
+
+def _rule_slabs(rules, per_point):
+    """The tensor product of per-axis rules [(points, weights), ...], one
+    slab along axis 0 at a time (_slabs, per_point values per point): the
+    per-axis points and the tensor weights of each slab, as tensor_rule."""
+    (x, w), *rest = rules
+    for s in _slabs(tuple(p.size for p, _ in rules), per_point):
+        yield tensor_rule([(x[s], w[s]), *rest])
+
+
+def _element_points(mesh, nquad, s):
+    """Global Gauss points (n_s, nq, ndim) of the elements of the slab s
+    (element rows along axis 0), element by element."""
+    d = mesh.ndim
+    axes = [x for x, _ in element_gauss_axes(mesh, nquad)]
+    axes[0] = axes[0][s.start * nquad:s.stop * nquad]
+    pts = grid_points(axes)
+    # grid order (e_0, q_0, e_1, q_1, ...) -> (e_0, e_1, ..., q_0, ...)
+    split = [n for ne in (s.stop - s.start,) + mesh.n_elements[1:]
+             for n in (ne, nquad)]
+    return pts.reshape(split + [d]).transpose(
+        [*range(0, 2 * d, 2), *range(1, 2 * d, 2), 2 * d]).reshape(
+        -1, nquad ** d, d)
 
 
 def _on_grid(arr, a, dims, d):
@@ -282,62 +317,98 @@ def _axis_pattern(rows, cols, a, free_r, free_c):
     return r, c, lens.astype(np.int32), pos.astype(np.int32)
 
 
-def _slot_map(rows, cols, free_r, free_c):
-    """CSR pattern between the free row and column nodes (per-axis masks
-    free_r, free_c) and the slot in it of every element-local entry.
+def _slot_map(rows, cols, free_r, free_cs):
+    """CSR pattern between the free row nodes (per-axis masks free_r) and
+    the free column nodes of one or more column blocks (per-axis masks
+    free_cs[b]) set side by side, with the slots of the element-local
+    entries in it, one element slab at a time.
 
-    On a tensor mesh the pattern is the Kronecker product of the 1-D
-    patterns (Lynch, Rice & Thomas, Numer. Math. 6, 1964): free row
-    (i_0, ..., i_{d-1}) holds prod_a len_a[i_a] columns, and entry (k, l)
-    of an element lies at indptr[row] + sum_a pos_a prod_{b>a} len_b[i_b].
+    On a tensor mesh the pattern of a block is the Kronecker product of the
+    1-D patterns (Lynch, Rice & Thomas, Numer. Math. 6, 1964): free row
+    (i_0, ..., i_{d-1}) holds prod_a len_a[i_a] columns of it, and entry
+    (k, l) of an element lies at start[row] + sum_a pos_a prod_{b>a}
+    len_b[i_b], start the place of the block's first column in the row.
     Entries on a clamped row or column go to the discard slot nnz.  Returns
-    (indptr, indices, shape, slot), slot an int32 array (ne, nloc_r, nloc_c).
+    (indptr, shape, slabs, slab_slots): the element slabs along axis 0
+    (_slabs), and slab_slots(s), the slots and the columns of the
+    element-local entries of slab s, one int32 pair per block on the grid
+    of _on_grid.  Only the row-sized arrays span the whole mesh.
     """
-    d = rows.mesh.ndim
-    axes = [_axis_pattern(rows, cols, a, free_r[a], free_c[a])
-            for a in range(d)]
-
-    shape = tuple(int(np.prod([f.sum() for f in free]))
-                  for free in (free_r, free_c))
-    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
-    indptr[1:] = np.cumsum(functools.reduce(np.multiply.outer,
-                                            [lens for _, _, lens, _ in axes]))
+    mesh, d = rows.mesh, rows.mesh.ndim
+    blocks = [[_axis_pattern(rows, cols, a, free_r[a], free[a])
+               for a in range(d)] for free in free_cs]
+    lens = [functools.reduce(np.multiply.outer,
+                             [n for _, _, n, _ in axes]).ravel()
+            for axes in blocks]
+    indptr = np.zeros(lens[0].size + 1, dtype=np.int32)
+    indptr[1:] = np.cumsum(sum(lens))
     nnz = int(indptr[-1])
-    row = col = 0
-    for a, (r, c, lens, _) in enumerate(axes):
-        row = row * lens.size + _on_grid(np.maximum(r, 0), a, (0, 1), d)
-        col = col * int(free_c[a].sum()) \
-            + _on_grid(np.maximum(c, 0), a, (0, 2), d)
-    slot = np.empty(rows.mesh.n_elements + (rows.order + 1,) * d
-                    + (cols.order + 1,) * d, dtype=np.int32)
-    slot[...] = indptr[row]
-    stride = 1
-    for a in reversed(range(d)):
-        r, _, lens, pos = axes[a]
-        slot += _on_grid(pos, a, (0, 1, 2), d) * stride
-        stride = stride * _on_grid(lens[np.maximum(r, 0)], a, (0, 1), d)
-    for a, (r, c, _, _) in enumerate(axes):
-        for k, clamped in ((1, r < 0), (2, c < 0)):
-            for e, j in zip(*np.nonzero(clamped)):
-                at = [slice(None)] * (3 * d)
-                at[a], at[k * d + a] = e, j
-                slot[tuple(at)] = nnz
-    indices = np.empty(nnz + 1, dtype=np.int32)
-    indices[slot] = col
-    return indptr, indices[:nnz], shape, slot.reshape(
-        rows.mesh.element_count, -1, (cols.order + 1) ** d)
+    # where each block's run starts in each row, and its first column
+    starts = (indptr[:-1] + np.cumsum([np.zeros_like(lens[0])] + lens[:-1],
+                                      axis=0)).astype(np.int32)
+    firsts = np.cumsum([0] + [int(np.prod([f.sum() for f in free]))
+                              for free in free_cs])
+
+    def slab_slots(s):
+        places, out = {}, []
+        for b, (free, axes) in enumerate(zip(free_cs, blocks)):
+            axes = [(r[s], c[s], n, pos[s]) if a == 0 else (r, c, n, pos)
+                    for a, (r, c, n, pos) in enumerate(axes)]
+            row = col = 0
+            for a, (r, c, n, _) in enumerate(axes):
+                row = row * n.size + _on_grid(np.maximum(r, 0), a, (0, 1), d)
+                col = col * int(free[a].sum()) \
+                    + _on_grid(np.maximum(c, 0), a, (0, 2), d)
+            if id(free) not in places:
+                # the place of each entry in its run, shared by the blocks
+                # of one free set
+                place, stride = 0, 1
+                for a in reversed(range(d)):
+                    r, _, n, pos = axes[a]
+                    place = place + _on_grid(pos, a, (0, 1, 2), d) * stride
+                    stride = stride * _on_grid(n[np.maximum(r, 0)], a,
+                                               (0, 1), d)
+                places[id(free)] = place
+            slot = places[id(free)] + starts[b][row]
+            for a, (r, c, _, _) in enumerate(axes):
+                for k, clamped in ((1, r < 0), (2, c < 0)):
+                    for e, j in zip(*np.nonzero(clamped)):
+                        at = [slice(None)] * (3 * d)
+                        at[a], at[k * d + a] = e, j
+                        slot[tuple(at)] = nnz
+            out.append((slot, col + firsts[b]))
+        return out
+
+    slabs = _slabs(mesh.n_elements, len(blocks) * (rows.order + 1) ** d
+                   * (cols.order + 1) ** d)
+    return indptr, (lens[0].size, int(firsts[-1])), slabs, slab_slots
 
 
 def _fill(slot_map, local):
-    """CSR matrix of element-local matrices (one per element, or one for
-    all) summed into the pattern of a slot map."""
-    indptr, indices, shape, slot = slot_map
-    data = np.zeros(indices.size + 1)
-    # unlike bincount, add.at takes the int32 slots without an int64 copy;
-    # flat operands keep it on its fast path
-    np.add.at(data, slot.ravel(), np.ascontiguousarray(
-        np.broadcast_to(local, slot.shape)).ravel())
-    return sp.csr_matrix((data[:-1], indices, indptr), shape=shape)
+    """CSR matrix of element-local matrices summed into the pattern of a
+    slot map, one element slab at a time.
+
+    local(s) gives the matrices of the element slab s, (n_s, nloc_r,
+    nblocks * nloc_c), or one (nloc_r, nblocks * nloc_c) for all of them.
+    Each slab scatters its columns into the pattern's indices and adds its
+    entries into the data with np.add.at, so the entries of every slot are
+    added in element order whatever the slabs.
+    """
+    indptr, shape, slabs, slab_slots = slot_map
+    indices = np.empty(int(indptr[-1]) + 1, dtype=np.int32)
+    data = np.zeros(indices.size)
+    for s in slabs:
+        blocks, mats = slab_slots(s), local(s)
+        width = mats.shape[-1] // len(blocks)
+        for b, (slot, col) in enumerate(blocks):
+            indices[slot] = col
+            slot = slot.reshape(-1, mats.shape[-2], width)
+            # unlike bincount, add.at takes the int32 slots without an
+            # int64 copy; flat operands keep it on its fast path
+            np.add.at(data, slot.ravel(), np.ascontiguousarray(
+                np.broadcast_to(mats[..., b * width:(b + 1) * width],
+                                slot.shape)).ravel())
+    return sp.csr_matrix((data[:-1], indices[:-1], indptr), shape=shape)
 
 
 def _per_free_set(space, build):
@@ -348,29 +419,34 @@ def _per_free_set(space, build):
 
 
 def _square(space, local):
-    """Block diagonal operator of element-local matrices on the free dofs,
-    one symmetric scalar block per component."""
-    def block(free):
-        mat = _fill(_slot_map(space, space, free, free), local)
-        _check_symmetric(mat)
-        return mat
+    """Block diagonal operator of element-local matrices (local(s) for the
+    element slab s, see _fill) on the free dofs, one symmetric scalar block
+    per component."""
+    def checked(s):
+        mats = local(s)
+        _check_symmetric(mats)
+        return mats
 
-    mats = _per_free_set(space, block)
+    mats = _per_free_set(space, lambda free: _fill(
+        _slot_map(space, space, free, [free]), checked))
     return mats[0] if len(mats) == 1 else sp.bmat(
         [[m if i == j else sp.csr_matrix((m.shape[0], n.shape[1]))
           for j, n in enumerate(mats)] for i, m in enumerate(mats)],
         format="csr")
 
 
-def _check_symmetric(mat):
-    scale = np.abs(mat.data).max() if mat.nnz else 0.0
-    if scale:
-        diff = abs(mat - mat.T)
-        defect = diff.data.max() if diff.data.size else 0.0
-        if defect > _SYM_CHECK_REL * scale:
-            raise AsymmetricOperatorError(
-                f"symmetry defect {defect:.3e} above "
-                f"{_SYM_CHECK_REL:.0e} of the largest entry {scale:.3e}")
+def _check_symmetric(mats):
+    """Raise AsymmetricOperatorError unless the element-local matrices mats
+    of a square form are symmetric to _SYM_CHECK_REL of their largest
+    entry.  Rows and columns lie in one space, so an entry and its mirror
+    go to mirrored slots, and symmetric element matrices sum to a symmetric
+    operator."""
+    scale = np.abs(mats).max()
+    defect = np.abs(mats - np.swapaxes(mats, -1, -2)).max()
+    if defect > _SYM_CHECK_REL * scale:
+        raise AsymmetricOperatorError(
+            f"symmetry defect {defect:.3e} above "
+            f"{_SYM_CHECK_REL:.0e} of the largest entry {scale:.3e}")
 
 
 def assemble_diffusion(space, a_eval=None, drag=0.0):
@@ -378,38 +454,47 @@ def assemble_diffusion(space, a_eval=None, drag=0.0):
 
     a_eval maps points (N, ndim) to (N, ndim, ndim) symmetric matrices (or
     to scalars, interpreted as multiples of the identity); None means the
-    identity coefficient.  The drag is added to the element matrices.
+    identity coefficient.  The drag is added to the element matrices, and
+    the coefficient is sampled one element slab at a time.
     """
     phi, grad, wq = space.reference_data(_NQUAD)
     ndim = space.mesh.ndim
     nq, nloc = grad.shape[0], grad.shape[1]
+    drag_local = drag * np.einsum("qi,qj,q->ij", phi, phi, wq)
     if a_eval is None:
-        local = np.einsum("qia,qja,q->ij", grad, grad, wq)
-    else:
-        pts = space.quadrature_points(_NQUAD).reshape(-1, ndim)
+        local = np.einsum("qia,qja,q->ij", grad, grad, wq) + drag_local
+        return _square(space, lambda s: local)
+    # sum over q, a, b of w_q A_ab grad_i[a] grad_j[b]: one product of the
+    # coefficient samples with a fixed table
+    table = np.einsum("q,qia,qjb->qabij", wq, grad, grad).reshape(
+        nq * ndim * ndim, nloc * nloc)
+
+    def slab_local(s):
+        pts = _element_points(space.mesh, _NQUAD, s).reshape(-1, ndim)
         avals = np.asarray(a_eval(pts), dtype=float)
         if avals.ndim == 1:
             avals = avals[:, None, None] * np.eye(ndim)
-        # sum over q, a, b of w_q A_ab grad_i[a] grad_j[b]: one product of
-        # the coefficient samples with a fixed table
-        table = np.einsum("q,qia,qjb->qabij", wq, grad, grad)
-        local = (avals.reshape(-1, nq * ndim * ndim)
-                 @ table.reshape(nq * ndim * ndim, nloc * nloc)).reshape(
-                     -1, nloc, nloc)
-    if drag:
-        local += drag * np.einsum("qi,qj,q->ij", phi, phi, wq)
-    return _square(space, local)
+        local = (avals.reshape(-1, nq * ndim * ndim) @ table).reshape(
+            -1, nloc, nloc)
+        local += drag_local
+        return local
+    return _square(space, slab_local)
 
 
 def assemble_mass(space, weight=None):
     """Matrix of (u, v) -> int w u . v, with w = 1 or the weight given,
-    which maps points (N, ndim) to (N,) scalars."""
+    which maps points (N, ndim) to (N,) scalars, sampled one element slab
+    at a time."""
     phi, _, wq = space.reference_data(_NQUAD)
     if weight is None:
-        return _square(space, np.einsum("qi,qj,q->ij", phi, phi, wq))
-    w = np.asarray(weight(space.quadrature_points(_NQUAD).reshape(
-        -1, space.mesh.ndim)), dtype=float).reshape(-1, wq.size)
-    return _square(space, np.einsum("eq,qi,qj,q->eij", w, phi, phi, wq))
+        local = np.einsum("qi,qj,q->ij", phi, phi, wq)
+        return _square(space, lambda s: local)
+
+    def slab_local(s):
+        w = np.asarray(weight(_element_points(space.mesh, _NQUAD, s).reshape(
+            -1, space.mesh.ndim)), dtype=float).reshape(-1, wq.size)
+        return np.einsum("eq,qi,qj,q->eij", w, phi, phi, wq)
+    return _square(space, slab_local)
 
 
 def axis_pencils(space, weight=None):
@@ -444,11 +529,13 @@ def assemble_divergence(space_v, space_p):
         raise SpaceMismatchError("velocity and pressure spaces share no mesh")
     phi_p, _, wq = space_p.reference_data(_NQUAD)
     _, grad_v, _ = space_v.reference_data(_NQUAD)
-    maps = _per_free_set(space_v, lambda free: _slot_map(
-        space_p, space_v, space_p.axis_free[0], free))
-    return sp.hstack([
-        _fill(m, np.einsum("qi,qj,q->ij", phi_p, grad_v[:, :, c], wq))
-        for c, m in enumerate(maps)], format="csr")
+    # one pattern over the velocity components side by side, one column
+    # block per component
+    local = np.concatenate([np.einsum("qi,qj,q->ij", phi_p, grad_v[:, :, c],
+                                      wq) for c in range(space_v.ncomp)],
+                           axis=1)
+    return _fill(_slot_map(space_p, space_v, space_p.axis_free[0],
+                           space_v.axis_free), lambda s: local)
 
 
 def integrate_grid(space, coords, integrand, deriv_axis=None):
@@ -577,20 +664,28 @@ class DiscreteField:
         return out
 
     def lp_norm(self, p=2):
-        """L^p norm of |u|, exact for even p: |u|^p has degree p k."""
-        _, w, vals = self.gauss_grid(int(p * self.space.order) // 2 + 1)
-        mag = np.sqrt(np.sum(vals * vals, axis=-1))
-        return float(np.sum(w * mag ** p) ** (1.0 / p))
+        """L^p norm of |u|, exact for even p: |u|^p has degree p k.
+        Samples and sums one slab of the Gauss grid at a time (_slabs)."""
+        total = 0.0
+        for coords, w in _rule_slabs(element_gauss_axes(
+                self.space.mesh, int(p * self.space.order) // 2 + 1),
+                self.space.ncomp):
+            vals = self.evaluate_grid(coords)
+            mag = np.sqrt(np.sum(vals * vals, axis=-1))
+            total += np.sum(w * mag ** p)
+        return float(total ** (1.0 / p))
 
     def grad_l2_norm(self):
         """L^2 norm of the gradient, exact: |grad u|^2 has degree 2 k.
-        Sums |d_a u|^2 one derivative axis a at a time, with no values."""
-        coords, w = tensor_rule(element_gauss_axes(self.space.mesh,
-                                                   self.space.order + 1))
-        w = w[..., None]
-        return float(np.sqrt(sum(
-            np.sum(w * self.evaluate_grid(coords, deriv_axis=a) ** 2)
-            for a in range(len(coords)))))
+        Sums |d_a u|^2 one slab of the Gauss grid (_slabs) and one
+        derivative axis a at a time, with no values."""
+        total = 0.0
+        for coords, w in _rule_slabs(element_gauss_axes(
+                self.space.mesh, self.space.order + 1), self.space.ncomp):
+            w = w[..., None]
+            total += sum(np.sum(w * self.evaluate_grid(coords, deriv_axis=a)
+                                ** 2) for a in range(len(coords)))
+        return float(np.sqrt(total))
 
     def integrate(self):
         """Componentwise integral over the mesh, exact: degree k."""

@@ -19,7 +19,11 @@ field is evaluated at the points of the composite layer rule, whose panels
 subdivide every oscillation period.  The vertical mean of the fluctuation
 ratio takes the thickness weights of the sample it averages, and a separated
 test function is evaluated factor by factor (macro and periodic factors on
-the horizontal grid, profile on the thickness axis).  The rule sizes are the
+the horizontal grid, profile on the thickness axis).  Each functional
+samples and sums its grid one slab of whole vertical columns at a time
+(assembly._rule_slabs, counting 2 d values per point: a field of up to d
+components and its limit, probe product or fluctuation), so the vertical
+mean sees whole columns.  The rule sizes are the
 module constants below; only a discrete gradient norm takes the field's own
 rule, and only the oscillation table, which has no mesh, the macro rule.
 """
@@ -29,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import DiscreteField, element_gauss_axes
+from .assembly import DiscreteField, _rule_slabs, element_gauss_axes
 from .coefficients import ScalarField, mean_value
 from .errors import InvalidParameterError, SpaceMismatchError
 from .meshing import composite_gauss, grid_points, tensor_rule
@@ -77,11 +81,6 @@ class OscillatingTestFunction:
         if callable(self.zeta_factor):
             return np.asarray(self.zeta_factor(zeta), dtype=float)
         return np.full(zeta.shape[0], float(self.zeta_factor))
-
-    def evaluate(self, xbar, ybar, zeta):
-        return (self._macro_vals(np.atleast_2d(xbar))
-                * self.y_factor(np.atleast_2d(ybar))
-                * self._zeta_vals(np.asarray(zeta, dtype=float)))
 
     def y_sup_abs(self):
         """Upper envelope of |periodic factor| over the horizontal space,
@@ -152,16 +151,18 @@ def two_scale_pairing(u_eps, f, eps, geometry=None):
     Returns a scalar for scalar fields, otherwise one pairing per component.
     """
     rules, sample = _field_sample(u_eps, eps, geometry)
-    coords, w = tensor_rule(rules)
-    *horizontal, z = coords
-    if len(horizontal) != f.d1:
+    if len(rules) != f.d1 + 1:
         raise SpaceMismatchError(
-            f"the layer has dimension {len(coords)}, expected {f.d1 + 1}")
-    xbar = grid_points(horizontal)
-    fv = np.multiply.outer(f._macro_vals(xbar) * f.y_factor(xbar / eps),
-                           f._zeta_vals(z / eps))
-    vals = sample(coords).reshape(w.size, -1)
-    out = (vals * (w.ravel() * fv.ravel())[:, None]).sum(axis=0) / eps
+            f"the layer has dimension {len(rules)}, expected {f.d1 + 1}")
+    out = 0.0
+    for coords, w in _rule_slabs(rules, 2 * len(rules)):
+        *horizontal, z = coords
+        xbar = grid_points(horizontal)
+        fv = np.multiply.outer(f._macro_vals(xbar) * f.y_factor(xbar / eps),
+                               f._zeta_vals(z / eps))
+        vals = sample(coords).reshape(w.size, -1)
+        out += (vals * (w.ravel() * fv.ravel())[:, None]).sum(axis=0)
+    out = out / eps
     return float(out[0]) if out.size == 1 else out
 
 
@@ -214,10 +215,13 @@ def two_scale_distance(u_eps, u0, eps, geometry=None):
     eps^{-1/2} || u_eps - u0(xbar, x/eps) ||_{L^2(layer)}.
     """
     rules, sample = _field_sample(u_eps, eps, geometry)
-    coords, w = tensor_rule(rules)
-    diff = sample(coords).reshape(w.size, -1) - _limit_sample(u0, coords, eps)
-    mag = np.sqrt(np.sum(diff * diff, axis=1))
-    return float(np.sum(w.ravel() * mag ** 2) ** 0.5 * eps ** -0.5)
+    total = 0.0
+    for coords, w in _rule_slabs(rules, 2 * len(rules)):
+        diff = sample(coords).reshape(w.size, -1) \
+            - _limit_sample(u0, coords, eps)
+        mag = np.sqrt(np.sum(diff * diff, axis=1))
+        total += np.sum(w.ravel() * mag ** 2)
+    return float(total ** 0.5 * eps ** -0.5)
 
 
 @dataclass
@@ -246,20 +250,21 @@ def poincare_wirtinger_ratio(u_eps, eps, geometry=None, grad=None):
         raise InvalidParameterError(
             "closed-form fields need a gradient callable")
     rules, sample = _field_sample(u_eps, eps, geometry)
-    coords, w = tensor_rule(rules)
-    diff = sample(coords)
-    # u - M u, with M u from the thickness weights of the sample
-    diff = diff - np.tensordot(diff, rules[-1][1] / (2 * eps),
-                               axes=([-2], [0]))[..., None, :]
-    w = w.ravel()
-    fluct = float(np.sum(w * np.sum(diff * diff, axis=-1).ravel()) ** 0.5)
-    if discrete:
-        gnorm = u_eps.grad_l2_norm()
-    else:
-        grads = np.asarray(grad(grid_points(coords)), dtype=float).reshape(
-            w.size, -1, len(coords))
-        gmag = np.sqrt(np.sum(grads * grads, axis=(-2, -1)))
-        gnorm = float(np.sum(w * gmag ** 2) ** 0.5)
+    fluct = grad_sq = 0.0
+    for coords, w in _rule_slabs(rules, 2 * len(rules)):
+        diff = sample(coords)
+        # u - M u, with M u from the thickness weights of the sample
+        diff = diff - np.tensordot(diff, rules[-1][1] / (2 * eps),
+                                   axes=([-2], [0]))[..., None, :]
+        w = w.ravel()
+        fluct += np.sum(w * np.sum(diff * diff, axis=-1).ravel())
+        if not discrete:
+            grads = np.asarray(grad(grid_points(coords)),
+                               dtype=float).reshape(w.size, -1, len(coords))
+            gmag = np.sqrt(np.sum(grads * grads, axis=(-2, -1)))
+            grad_sq += np.sum(w * gmag ** 2)
+    fluct = float(fluct ** 0.5)
+    gnorm = u_eps.grad_l2_norm() if discrete else float(grad_sq ** 0.5)
     ratio = fluct / (eps * gnorm) if gnorm > 0 else 0.0
     return PoincareWirtingerReport(ratio, ratio * eps ** -0.5, fluct, gnorm)
 

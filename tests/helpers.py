@@ -8,7 +8,11 @@ element-local node, where the library maps between Gauss grids and the
 lattice axis by axis.  scatter and vectorize are the COO assembly the
 library's slot map is checked against.
 
-two_scale_values evaluates a separated two-scale limit point by point;
+quadrature_points lists the global Gauss points element by element, the
+whole-mesh form of the library's per-slab assembly._element_points.
+
+two_scale_values evaluates a separated two-scale limit point by point, and
+probe_values a separated test function factor by factor at paired points;
 limit_pairing_reference and distance_reference integrate any callable
 u0_values(xbar, y) on plain tensor rules.  They are the references for the
 library, which integrates the separated limit factor by factor
@@ -35,9 +39,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from thinflow import coefficients as coefs
-from thinflow.assembly import (DiscreteField, _element_nodes, _eval_callable,
-                               _on_grid, _shape1d, assemble_diffusion,
-                               assemble_mass, pressure_gauge)
+from thinflow.assembly import (DiscreteField, _element_nodes,
+                               _element_points, _eval_callable, _on_grid,
+                               _shape1d, assemble_diffusion, assemble_mass,
+                               pressure_gauge)
 from thinflow.linalg import solve_gauged_spd
 from thinflow.meshing import (composite_gauss, gauss_rule, grid_points,
                               tensor_rule)
@@ -104,9 +109,15 @@ def gather(space, locals_):
         for c, f in enumerate(space.free)])
 
 
+def quadrature_points(space, nquad):
+    """Global Gauss points of every element: (ne, nq, ndim)."""
+    return _element_points(space.mesh, nquad,
+                           slice(0, space.mesh.n_elements[0]))
+
+
 def _element_samples(space, fn, ncomp, nquad):
     """fn at the Gauss points of every element: (ne, nq, ncomp)."""
-    pts = space.quadrature_points(nquad)
+    pts = quadrature_points(space, nquad)
     return _eval_callable(fn, pts.reshape(-1, space.mesh.ndim),
                           ncomp).reshape(pts.shape[:2] + (ncomp,))
 
@@ -158,7 +169,7 @@ def quadrature_sample(field, nquad=3, gradients=False):
     library's tensor-grid sample (DiscreteField.gauss_grid)."""
     space = field.space
     phi, grad, wq = space.reference_data(nquad)
-    pts = space.quadrature_points(nquad)
+    pts = quadrature_points(space, nquad)
     ne, nq = pts.shape[0], pts.shape[1]
     full = field.full_values()
     uloc = full[dofmap(space)]                    # (ne, nloc, ncomp)
@@ -196,7 +207,7 @@ def diffusion_reference(space, a_eval, nquad=3):
     ndim = space.mesh.ndim
     ne = space.mesh.element_count
     nq, nloc = grad.shape[0], grad.shape[1]
-    pts = space.quadrature_points(nquad).reshape(-1, ndim)
+    pts = quadrature_points(space, nquad).reshape(-1, ndim)
     avals = np.asarray(a_eval(pts), dtype=float).reshape(ne, nq, ndim, ndim)
     locals_ = np.zeros((ne, nloc, nloc))
     for q in range(nq):
@@ -255,6 +266,14 @@ def two_scale_values(u0, xbar, y):
     return out
 
 
+def probe_values(f, xbar, ybar, zeta):
+    """A separated test function f at paired points: macro factor at xbar
+    (N, d1), periodic factor at ybar (N, d1), profile at zeta (N,)."""
+    return (f._macro_vals(np.atleast_2d(xbar))
+            * f.y_factor(np.atleast_2d(ybar))
+            * f._zeta_vals(np.asarray(zeta, dtype=float)))
+
+
 def _panel_tensor_rule(boxes):
     """Points (N, d) and weights (N,) of the 5-point composite Gauss rule
     on the tensor product of (a, b, panels) boxes."""
@@ -286,7 +305,7 @@ def limit_pairing_reference(u0_values, f, geometry):
         uv = np.asarray(u0_values(xbar, y), dtype=float)
         if uv.ndim == 1:
             uv = uv[:, None]
-        fv = f.evaluate(xbar, y[:, :d1], y[:, -1])
+        fv = probe_values(f, xbar, y[:, :d1], y[:, -1])
         part = (uv * (wgt * fv)[:, None]).sum(axis=0)
         out = part if out is None else out + part
     return float(out[0]) if out.size == 1 else out

@@ -2,6 +2,8 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +17,17 @@ from thinflow.assembly import (DiscreteField, FunctionSpace,
                                assemble_divergence, assemble_flux_load,
                                assemble_load, assemble_mass, axis_pencils,
                                element_gauss_axes, pressure_gauge)
+from thinflow.coefficients import ScalarField
 from thinflow.errors import AsymmetricOperatorError, SpaceMismatchError
+from thinflow.harness import _probe_function, load_config, solve_cells
+from thinflow.macro_model import solve_macro
 from thinflow.meshing import Geometry, build_cell_mesh, build_macro_mesh, \
     build_thin_mesh
+from thinflow.two_scale import (OscillatingTestFunction,
+                                poincare_wirtinger_ratio, two_scale_distance,
+                                two_scale_pairing)
+from thinflow.upscaling import (TwoScaleVelocity, effective_matrix,
+                                reconstruct_two_scale_velocity)
 
 from helpers import (diffusion_reference, flux_load_reference, interpolate,
                      load_reference, mesh_volume, oseen_matrix,
@@ -658,3 +668,189 @@ def test_pressure_gauge_is_volume():
     Q = FunctionSpace(mesh, "pressure")
     g = pressure_gauge(Q)
     assert g.sum() == pytest.approx(mesh_volume(mesh), rel=1e-12)
+
+
+# -- slabs ---------------------------------------------------------------------
+
+# element rows along axis 0: 32 in d = 2 and 12 in d = 3, so 7-row slabs
+# leave a shorter last slab on the elements and on every Gauss grid
+SLAB_GEOMETRY = Geometry(3, (0.75, 0.5), 0.125)
+SLAB_MESHES = {
+    2: lambda: build_thin_mesh(Geometry(2, (1.0,), 0.125), 4, 2),
+    3: lambda: build_thin_mesh(SLAB_GEOMETRY, 2, 2),
+}
+
+
+def one_slab_and_cut(monkeypatch, call, rows=7):
+    """call() with every pass in one slab, then with slabs of `rows` rows
+    of its first pass, checking that they cut that pass unevenly; returns
+    (one-slab result, sliced result)."""
+    passes = []
+    slabs = assembly._slabs
+
+    def spy(shape, per_point):
+        passes.append((shape, per_point, slabs(shape, per_point)))
+        return passes[-1][-1]
+
+    monkeypatch.setattr(assembly, "_slabs", spy)
+    monkeypatch.setattr(assembly, "_SLAB_ENTRIES", 2 ** 40)
+    whole = call()
+    assert passes and all(len(cut) == 1 for _, _, cut in passes)
+    shape, per_point, _ = passes[0]
+    monkeypatch.setattr(assembly, "_SLAB_ENTRIES",
+                        rows * per_point * int(np.prod(shape[1:])))
+    passes.clear()
+    sliced = call()
+    cut = passes[0][-1]
+    assert len(cut) > 1
+    assert cut[-1].stop - cut[-1].start < cut[0].stop - cut[0].start
+    return whole, sliced
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_slabs_change_operators_by_rounding_only(d, monkeypatch):
+    mesh = SLAB_MESHES[d]()
+    V = FunctionSpace(mesh, "velocity")
+    S = FunctionSpace(mesh, "component")
+    Q = FunctionSpace(mesh, "pressure")
+    a_eval = _wavy(mesh)
+
+    def weight(pts):
+        return 1.0 + np.sin(2 * np.pi * pts[:, 0] / 0.125) ** 2 \
+            + pts[:, -1] ** 2
+
+    for call in (lambda: assemble_diffusion(V, a_eval, drag=7.0),
+                 lambda: assemble_diffusion(S, a_eval, drag=7.0),
+                 lambda: assemble_mass(S, weight),
+                 lambda: assemble_divergence(V, Q)):
+        whole, sliced = one_slab_and_cut(monkeypatch, call)
+        assert_same_csr(sliced, whole)
+
+
+def slab_limit():
+    """A separated limit of random cell velocities and a smooth driving."""
+    cells = build_cell_mesh(SLAB_GEOMETRY, 2, 4)
+    fields = [random_field(cells, "velocity", seed) for seed in (4, 5)]
+    return TwoScaleVelocity(fields, lambda xb: np.column_stack(
+        [np.sin(2 * np.pi * xb[:, 0]), xb[:, 1] * xb[:, 0]]),
+        build_macro_mesh(SLAB_GEOMETRY, 4))
+
+
+def slab_probe():
+    return OscillatingTestFunction(
+        d1=2, macro=lambda xb: 1 + xb[:, 0] * xb[:, 1],
+        zeta_factor=lambda z: 1 - z * z,
+        y_factor=ScalarField(2, const=0.5, waves=[((1, 0), "cos", 1.0),
+                                                  ((1, 1), "sin", 0.5)]))
+
+
+def closed_form_layer(eps):
+    """A layer velocity (N, 3) -> (N, 3) and its gradient (N, 3, 3)."""
+    def u(p):
+        x0, x1, z = p[:, 0], p[:, 1], p[:, 2] / eps
+        return np.column_stack([(1 + x0) * np.sin(3 * z)
+                                + np.cos(2 * np.pi * x1 / eps) * z * z,
+                                x1 * z, x0 * x1 * (1 - z * z)])
+
+    def grad(p):
+        x0, x1, z = p[:, 0], p[:, 1], p[:, 2] / eps
+        out = np.zeros((len(p), 3, 3))
+        out[:, 0, 0] = np.sin(3 * z)
+        out[:, 0, 1] = -2 * np.pi / eps * np.sin(2 * np.pi * x1 / eps) * z * z
+        out[:, 0, 2] = ((1 + x0) * 3 * np.cos(3 * z)
+                        + np.cos(2 * np.pi * x1 / eps) * 2 * z) / eps
+        out[:, 1, 1] = z
+        out[:, 1, 2] = x1 / eps
+        out[:, 2, 0] = x1 * (1 - z * z)
+        out[:, 2, 1] = x0 * (1 - z * z)
+        out[:, 2, 2] = -2 * x0 * x1 * z / eps
+        return out
+    return u, grad
+
+
+def slab_functionals():
+    """name -> call of every norm and two-scale functional that samples a
+    d = 3 layer in slabs, on a discrete field and on a closed-form one."""
+    eps = SLAB_GEOMETRY.eps
+    field = random_field(SLAB_MESHES[3](), "velocity")
+    limit, probe = slab_limit(), slab_probe()
+    u, grad = closed_form_layer(eps)
+
+    def closed_form_pw():
+        report = poincare_wirtinger_ratio(u, eps, SLAB_GEOMETRY, grad)
+        return [report.fluctuation_norm, report.gradient_norm]
+    return {
+        "lp_norm(2)": lambda: field.lp_norm(2),
+        "lp_norm(4)": lambda: field.lp_norm(4),
+        "grad_l2_norm": field.grad_l2_norm,
+        "distance": lambda: two_scale_distance(field, limit, eps),
+        "pairing": lambda: two_scale_pairing(field, probe, eps),
+        "pw_ratio": lambda: poincare_wirtinger_ratio(field, eps).ratio,
+        "closed_form_distance": lambda: two_scale_distance(
+            u, limit, eps, SLAB_GEOMETRY),
+        "closed_form_pairing": lambda: two_scale_pairing(
+            u, probe, eps, SLAB_GEOMETRY),
+        "closed_form_pw": closed_form_pw,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(slab_functionals()))
+def test_slabs_change_functionals_by_rounding_only(name, monkeypatch):
+    whole, sliced = one_slab_and_cut(monkeypatch, slab_functionals()[name])
+    whole, sliced = np.atleast_1d(whole), np.atleast_1d(sliced)
+    assert np.abs(sliced - whole).max() <= 1e-13 * np.abs(whole).max()
+
+
+@pytest.fixture(scope="module")
+def d3_layer_calls():
+    """name -> call on the homogenization_d3 eps = 1/32 layer: its DNS
+    operators, and the norm and two-scale functionals of a seeded random
+    velocity against the config's two-scale limit and probe."""
+    config = load_config(str(Path(__file__).parent.parent / "configs"
+                             / "homogenization_d3.json"))
+    numerics, geometry, f1 = config.numerics, config.geometry, config.params.f1
+    cells = solve_cells(config, config.regime.regime)
+    macro = solve_macro(effective_matrix(cells), f1,
+                        build_macro_mesh(geometry, numerics["macro_n"]),
+                        config.regime.regime)
+    limit = reconstruct_two_scale_velocity(cells, macro, f1)
+    probe = _probe_function(geometry.d1, f1)
+    eps = 1 / 32
+    mesh = build_thin_mesh(geometry.with_eps(eps),
+                           numerics["dns_elements_per_period"],
+                           numerics["dns_nz"])
+    V, Q = FunctionSpace(mesh, "velocity"), FunctionSpace(mesh, "pressure")
+    S = FunctionSpace(mesh, "component")
+    u = random_field(mesh, "velocity")
+    sigma = config.params.mu / config.regime.K_eps(eps)
+    return {
+        "assemble_diffusion": lambda: assemble_diffusion(
+            S, config.field.scaled(eps), drag=sigma),
+        "assemble_divergence": lambda: assemble_divergence(V, Q),
+        "two_scale_distance": lambda: two_scale_distance(u, limit, eps),
+        "two_scale_pairing": lambda: two_scale_pairing(u, probe, eps),
+        "poincare_wirtinger_ratio": lambda: poincare_wirtinger_ratio(u, eps),
+        "lp_norm(4)": lambda: u.lp_norm(4),
+    }
+
+
+def transient_bytes(call):
+    """The most call() holds at once beyond what it still holds on return:
+    its result and what it keeps."""
+    tracemalloc.start()
+    try:
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result is not None
+    return peak - held
+
+
+@pytest.mark.parametrize("name", ["assemble_diffusion", "assemble_divergence",
+                                  "two_scale_distance", "two_scale_pairing",
+                                  "poincare_wirtinger_ratio", "lp_norm(4)"])
+def test_d3_layer_passes_hold_no_layer_array(d3_layer_calls, name):
+    # the layer has 2048 elements and a 160 x 160 x 10 five-point Gauss
+    # grid: a whole-layer element or grid array is 12 to 40 MB, a slab 1 MB
+    assert transient_bytes(d3_layer_calls[name]) <= 8e6

@@ -26,8 +26,8 @@ from thinflow.upscaling import (TwoScaleVelocity, effective_matrix,
                                 reconstruct_two_scale_velocity)
 
 from helpers import (distance_reference, interpolate, layer_quadrature,
-                     limit_pairing_reference, quadrature_sample, thin_average,
-                     two_scale_values)
+                     limit_pairing_reference, probe_values, quadrature_sample,
+                     thin_average, two_scale_values)
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 
@@ -58,7 +58,7 @@ def osc(y_waves=(), const=0.0, macro=1.0, zeta=1.0, p=2.0):
 
 def physical_probe(f, pts, eps):
     """f(xbar, x/eps) at physical points (N, d1 + 1), point by point."""
-    return f.evaluate(pts[:, :-1], pts[:, :-1] / eps, pts[:, -1] / eps)
+    return probe_values(f, pts[:, :-1], pts[:, :-1] / eps, pts[:, -1] / eps)
 
 
 # -- pairings ------------------------------------------------------------------
