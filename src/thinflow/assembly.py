@@ -523,6 +523,35 @@ def axis_pencils(space, weight=None):
     return pencils
 
 
+def axis_divergence(space_v, space_p):
+    """Per-axis 1-D mass and derivative matrices [(M_a, D_a), ...] of the
+    divergence between a velocity and a pressure space.
+
+    M_a and D_a hold int q v and int q v' on the 1-D mesh of axis a, rows
+    the pressure lattice and columns the free velocity nodes of that axis;
+    each is P^T W V at the element Gauss points, exact for the degree-3
+    integrand.  On a tensor mesh the block of assemble_divergence for
+    velocity component c is the Kronecker product over the axes a of D_a
+    for a = c and M_a otherwise.  Every component must have the same free
+    nodes.
+    """
+    if space_v.mesh is not space_p.mesh:
+        raise SpaceMismatchError("velocity and pressure spaces share no mesh")
+    free = space_v.axis_free[0]
+    if any(not np.array_equal(f, g) for other in space_v.axis_free
+           for f, g in zip(other, free)):
+        raise SpaceMismatchError(
+            "velocity components with different free nodes have no axis "
+            "divergence factors")
+    factors = []
+    for a, (x, w) in enumerate(element_gauss_axes(space_v.mesh, _NQUAD)):
+        weighted = _interpolation(space_p, a, x).T.multiply(w).tocsr()
+        factors.append(tuple(
+            (weighted @ _interpolation(space_v, a, x, deriv=deriv)[
+                :, free[a]]).tocsr() for deriv in (False, True)))
+    return factors
+
+
 def assemble_divergence(space_v, space_p):
     """Matrix B with (B u)_q = int q div u for every pressure basis q."""
     if space_v.mesh is not space_p.mesh:

@@ -34,20 +34,26 @@ load by CG on the pressure Schur complement over the whole pressure space,
 and shifts the answer to gauge^T p = 0.  The Cahouet-Chabard
 preconditioner nu M_p^{-1} + sigma L_p^+ (pressure mass matrix and Neumann
 Laplacian) acts on mean-zero pressures, as Cahouet & Chabard define it
-(Int. J. Numer. Meth. Fluids 8, 1988).  On a tensor mesh both matrices are built from 1-D matrices by
-Kronecker products, so the preconditioner is a function of the Kronecker
-sum of the per-axis pencils, applied exactly in their eigenbasis (fast
-diagonalization), and neither pressure matrix is assembled or factored.
-Where A_s is a Kronecker sum of per-axis pencils too (a coefficient that is
-a diagonal matrix times a profile across the layer), its inverse is the
-same kind of function, the reciprocal, and the block path factors no
-matrix; otherwise it factors A_s alone, with the direct path's SuperLU
-options.  It keeps one copy of B.  Every solve refines the previous one, so
-the steps of a Picard loop start warm, and runs until the backward error
-is at roundoff.  Its result is checked against the same residual as the
-direct path; a solve that misses the tolerance builds the vector operator
-and moves that system to a SaddleSolver for good, and SolveCounts records
-the CG iterations and the fallbacks.
+(Int. J. Numer. Meth. Fluids 8, 1988).  On a tensor mesh both matrices are
+built from 1-D matrices by Kronecker products, so the preconditioner is a
+function of the Kronecker sum of the per-axis pencils, applied exactly in
+their eigenbasis (fast diagonalization), and neither pressure matrix is
+assembled or factored.  A_s and B come in one of two forms.  Assembled,
+A_s is factored alone, with the direct path's SuperLU options.  In tensor
+form (a coefficient that is a diagonal matrix times a profile across the
+layer), A_s is the Kronecker sum of per-axis pencils and each velocity
+component's block of B a Kronecker product of 1-D mass and derivative
+matrices: neither is assembled, both are applied by per-axis products
+(sum factorization: Deville, Fischer & Mund, High-Order Methods for
+Incompressible Fluid Flow, 2002), the inverse of A_s is the reciprocal in
+the pencils' eigenbasis, and each CG product runs there with B fused into
+the basis, so nothing is factored.  One CG loop serves both forms.  Every
+solve refines the previous one, so the steps of a Picard loop start warm,
+and runs until the backward error is at roundoff.  Its result is checked
+against the same residual as the direct path; a solve that misses the
+tolerance builds the vector operator and B as sparse matrices and moves
+that system to a SaddleSolver for good, and SolveCounts records the CG
+iterations and the fallbacks.
 """
 
 import functools
@@ -71,6 +77,9 @@ DEFAULT_TOL_DIRECT = 1e-10
 _BACKWARD_GOAL = float(np.finfo(float).eps)
 _SWEEP_REDUCTION = 1e-10
 _SCHUR_MAX_ITERS = 200
+# relative margin on the upper bound of |u + du| that CG tests before it
+# forms du, far above the rounding of the norms
+_BOUND_SLACK = 1e-9
 # gauge weights within this relative distance of the largest tie for the pin
 _PIN_TIE_REL = 1e-12
 
@@ -80,7 +89,8 @@ class SaddleSystem:
     """Velocity block, optional coupling block and gauge.
 
     The constraint is B u = 0; rhs_u, the only load, may hold one load per
-    column.  residual() needs only K @ u: K may be a LinearOperator.
+    column.  residual() needs only K @ u, B @ u and B.T @ p: K and B may be
+    LinearOperators.
     """
 
     K: sp.spmatrix
@@ -284,6 +294,62 @@ def _apply_blocks(block, ncomp, u):
     return (block @ u.reshape(ncomp, -1).T).T.ravel()
 
 
+def _kron_apply(mats, x):
+    """(mats[0] (x) ... (x) mats[d-1]) x along the last axis of x, entries
+    in lattice order (the last axis fastest), each matrix dense or sparse
+    (sum factorization).  Each axis takes one 2-D product with the lattice
+    axis it acts on in front, and moves that axis to the back: after d
+    products the axes are in order again.  A stack of small products, one
+    per leading index, is several times slower."""
+    lead = x.shape[:-1]
+    arr = x.reshape(-1, x.shape[-1]).T
+    for mat in mats:
+        rows = arr.reshape(mat.shape[1], -1)
+        arr = (mat @ rows).T if sp.issparse(mat) else rows.T @ mat.T
+    return arr.reshape(lead + (-1,))
+
+
+def _term(pairs, a):
+    """The factors of term a of per-axis pairs [(X_c, Y_c), ...]: Y_a on
+    axis a and X_c on every other axis c."""
+    return [y if c == a else x for c, (x, y) in enumerate(pairs)]
+
+
+def _kron(mats):
+    """The Kronecker product of mats, as a CSR matrix."""
+    return functools.reduce(lambda x, y: sp.kron(x, y, format="csr"), mats)
+
+
+def _kronecker_norm(terms):
+    """Frobenius norm of sum_t (x)_c X_{t,c}, from 1-D inner products:
+    <(x)_c X_c, (x)_c Y_c>_F = prod_c <X_c, Y_c>_F."""
+    def inner(x, y):
+        return float(sp.csr_matrix(x).multiply(y).sum())
+
+    return float(np.sqrt(sum(np.prod([inner(x, y) for x, y in zip(s, t)])
+                             for s in terms for t in terms)))
+
+
+def _kronecker_sum(pencils, u):
+    """(I_d (x) A_s) u for u listed component by component, A_s the
+    Kronecker sum of the d per-axis pencils: per-axis sparse products."""
+    x = u.reshape(len(pencils), -1)
+    return sum(_kron_apply(_term(pencils, a), x)
+               for a in range(len(pencils))).ravel()
+
+
+def _tensor_divergence(factors, u):
+    """B u = sum_a B_a u_a, B_a = (x)_c F_{a,c}: per-axis sparse products."""
+    return sum(_kron_apply(_term(factors, a), x)
+               for a, x in enumerate(u.reshape(len(factors), -1)))
+
+
+def _tensor_gradient(factors, q):
+    """B^T q, component by component: per-axis sparse products."""
+    return np.concatenate([_kron_apply([f.T for f in _term(factors, a)], q)
+                           for a in range(len(factors))])
+
+
 class _KroneckerSumFunction:
     """A function g of the Kronecker sum of per-axis pencils of a tensor
     mesh, applied in their eigenbasis (fast diagonalization: Lynch, Rice &
@@ -305,10 +371,10 @@ class _KroneckerSumFunction:
     """
 
     def __init__(self, pencils, n, what, g, neumann=False):
-        self._sizes = tuple(mass.shape[0] for mass, _ in pencils)
-        if int(np.prod(self._sizes)) != n:
+        sizes = tuple(mass.shape[0] for mass, _ in pencils)
+        if int(np.prod(sizes)) != n:
             raise ComponentLayoutError(
-                f"pencils of sizes {self._sizes} do not tile {n} {what} dofs")
+                f"pencils of sizes {sizes} do not tile {n} {what} dofs")
         values, self._bases = [], []
         for mass, stiffness in pencils:
             lam, vec = scipy.linalg.eigh(sp.csr_matrix(stiffness).toarray(),
@@ -318,24 +384,9 @@ class _KroneckerSumFunction:
             self._bases.append(vec)
         self._g = g(functools.reduce(np.add.outer, values).ravel())
 
-    def _transform(self, x, transpose):
-        """V^T x if transpose, else V x, along the last axis of x: one
-        matmul per mesh axis."""
-        lead = x.shape[:-1]
-        arr = x.reshape(lead + self._sizes)
-        for a, vec in enumerate(self._bases):
-            mat = vec.T if transpose else vec
-            rows = arr.reshape(int(np.prod(arr.shape[:len(lead) + a])),
-                               self._sizes[a], -1)
-            # the last axis as one 2-D product: a stack of matrix-vector
-            # products is several times slower
-            arr = (mat @ rows if rows.shape[2] > 1
-                   else rows[..., 0] @ mat.T).reshape(arr.shape)
-        return arr.reshape(x.shape)
-
     def solve(self, rhs):
-        coef = self._transform(rhs.T, transpose=True)
-        return self._transform(self._g * coef, transpose=False).T
+        coef = _kron_apply([vec.T for vec in self._bases], rhs.T)
+        return _kron_apply(self._bases, self._g * coef).T
 
 
 def _cahouet_chabard(nu, sigma, lam):
@@ -345,19 +396,96 @@ def _cahouet_chabard(nu, sigma, lam):
     return g
 
 
+class _BlockLU:
+    """K^{-1} = I_d (x) A_s^{-1} by one LU of the assembled block A_s, with
+    the assembled B.  A velocity is its own coordinates."""
+
+    basis_norm = 1.0
+
+    def __init__(self, block, B, ncomp, counts):
+        counts.factorizations += 1
+        self._lu, self._B, self._ncomp = _splu(block), B, ncomp
+
+    def coordinates(self, load):
+        """K^{-1} load: one solve with A_s, a column per component."""
+        return self._lu.solve(load.reshape(self._ncomp, -1).T).T.ravel()
+
+    def velocity(self, hat):
+        return hat
+
+    def divergence(self, hat):
+        return self._B @ hat
+
+    def schur(self, direction):
+        """The coordinates of w = K^{-1} B^T direction, and B w."""
+        w = self.coordinates(self._B.T @ direction)
+        return w, self._B @ w
+
+
+class _FusedInverse(_KroneckerSumFunction):
+    """K^{-1} = I_d (x) A_s^{-1} in the eigenbasis V of the block pencils,
+    with the tensor divergence B_a = (x)_c F_{a,c} fused into it.
+
+    A velocity is held by its coordinates in V, one row per component:
+    u_a = V hat_a, and K^{-1} f has hat_a = diag(1 / lam) V^T f_a.  With
+    E_a = (x)_c E_{a,c}, E_{a,c} = F_{a,c} V_c a dense m_c x n_c matrix
+    built once, B u = sum_a E_a hat_a, and the Schur product B K^{-1} B^T d
+    = sum_a E_a diag(1 / lam) E_a^T d is 2 d dense per-axis products per
+    component: no sparse product and no basis transform.  basis_norm,
+    prod_c |V_c|_2, bounds |V hat| / |hat|.
+    """
+
+    def __init__(self, pencils, factors):
+        super().__init__(pencils, int(np.prod([m.shape[0] for m, _ in
+                                                pencils])),
+                         "velocity block", np.reciprocal)
+        self._fused = [[np.asarray(f @ vec) for f, vec in
+                        zip(_term(factors, a), self._bases)]
+                       for a in range(len(factors))]
+        self._fused_t = [[e.T for e in fused] for fused in self._fused]
+        self.basis_norm = float(np.prod([np.linalg.norm(vec, 2)
+                                         for vec in self._bases]))
+
+    def coordinates(self, load):
+        """The coordinates of K^{-1} load."""
+        return self._g * _kron_apply([vec.T for vec in self._bases],
+                                     load.reshape(len(self._bases), -1))
+
+    def velocity(self, hat):
+        return _kron_apply(self._bases, hat).ravel()
+
+    def divergence(self, hat):
+        return sum(_kron_apply(fused, h) for fused, h in zip(self._fused, hat))
+
+    def schur(self, direction):
+        """The coordinates of w = K^{-1} B^T direction, and B w."""
+        hat = self._g * np.stack([_kron_apply(fused_t, direction)
+                                  for fused_t in self._fused_t])
+        return hat, self.divergence(hat)
+
+
 class BlockSaddleSolver:
     """A saddle system whose velocity operator is K = I_d (x) A_s, solved
     through its scalar block A_s, on mean-zero pressures.
 
     block is A_s, the diagonal block that every velocity component shares,
     and B, gauge and rhs_u complete the system, the velocity dofs numbered
-    component by component.  K is not formed: K u is A_s applied to the
-    (d, n_s) reshape of u, and K^{-1} is one application of A_s^{-1} with a
-    column per component.  block_pencils, if given, are per-axis pencils
-    [(M_a, K_a), ...] whose Kronecker sum is A_s; A_s^{-1} is then applied
-    exactly in their eigenbasis (_KroneckerSumFunction) and nothing is
-    factored.  Without them A_s is factored once, and A_s^{-1} is one
-    triangular solve.
+    component by component.  K is not formed.  The operators come in one
+    of two forms:
+
+    - assembled: block and B are sparse matrices.  K u is A_s applied to
+      the (d, n_s) reshape of u, and A_s is factored once: K^{-1} is one
+      triangular solve with a column per component.
+    - tensor: block is the per-axis pencils [(M_a, K_a), ...] whose
+      Kronecker sum is A_s (a coefficient that is a diagonal matrix times a
+      profile across the layer), and B the per-axis divergence factors
+      [(M_c, D_c), ...] of assembly.axis_divergence, with B_a = (x)_c F_{a,c},
+      F_{a,c} = D_c for c = a and M_c otherwise.  Neither is assembled: K u,
+      B u and B^T q are per-axis sparse products, and both Frobenius norms
+      come from 1-D inner products.  K^{-1} is applied exactly in the
+      eigenbasis of the pencils with B fused into it (_FusedInverse), so
+      nothing is factored, and a CG iteration takes dense per-axis products
+      only.
 
     No pressure dof is pinned: q runs over the whole pressure space, and
     the constraint is B u = 0, whose residual sums to zero.  A solve refines
@@ -377,8 +505,9 @@ class BlockSaddleSolver:
     preconditioner is applied exactly in the tensor eigenbasis
     (_KroneckerSumFunction), so no pressure matrix is factored.  It maps
     every residual to a vector of zero mean, so the CG iterates stay in the
-    space where the Schur complement is definite.  B u and B^T q go through
-    the system's one B and its transpose view.  Sweeps end when the
+    space where the Schur complement is definite.  CG accumulates du in the
+    coordinates of the inverse (the eigenbasis, in tensor form) and
+    transforms it back once per sweep.  Sweeps end when the
     backward error of both equations, |R_u| against |K| |u| + |B| |q| + |f|
     and |B u| against |B| |u| (Frobenius norms, |K| = sqrt(d) |A_s|),
     is at most the machine epsilon, as for the direct LU, or stops falling.
@@ -395,58 +524,86 @@ class BlockSaddleSolver:
     A solve returns only if its residual is at most tol, as on the direct
     path, whichever inverse of A_s it applied.  Otherwise, or where there
     is no inverse (an LU that meets a zero pivot, pencils that eigh
-    rejects), the solver counts a direct fallback, builds K = block_diag(A_s,
-    ..., A_s) and solves this load and every later one with a SaddleSolver
-    of it.  Loads are single vectors.  The work done is added to counts.
+    rejects), the solver counts a direct fallback, builds K =
+    block_diag(A_s, ..., A_s) and B as sparse matrices (Kronecker products
+    in tensor form) and solves this load and every later one with a
+    SaddleSolver of them.  Loads are single vectors.  The work done is
+    added to counts.
     """
 
     def __init__(self, block, B, gauge, rhs_u, pencils, nu, sigma,
-                 counts=None, block_pencils=None):
+                 counts=None):
         self.counts = SolveCounts() if counts is None else counts
-        n_s, n_u = block.shape[0], B.shape[1]
-        if n_u % n_s:
-            raise ComponentLayoutError(
-                f"{n_u} velocity dofs are no whole number of "
-                f"{n_s}-dof component blocks")
-        self._block, self._ncomp = block, n_u // n_s
-        # no bound method: a cycle would keep the LU until gc next runs
-        self._apply = functools.partial(_apply_blocks, block, self._ncomp)
+        # no bound method is kept: a cycle would keep the inverse until gc
+        # next runs
+        if sp.issparse(block):
+            B = sp.csr_matrix(B)
+            n_s, n_u = block.shape[0], B.shape[1]
+            if n_u % n_s:
+                raise ComponentLayoutError(
+                    f"{n_u} velocity dofs are no whole number of "
+                    f"{n_s}-dof component blocks")
+            self._ncomp = n_u // n_s
+            apply = functools.partial(_apply_blocks, block, self._ncomp)
+            self._norms = (np.sqrt(self._ncomp) * np.linalg.norm(block.data),
+                           np.linalg.norm(B.data))
+            invert, B_op = functools.partial(_BlockLU, block, B,
+                                             self._ncomp, self.counts), B
+        else:
+            sizes = [mass.shape[0] for mass, _ in block]
+            shapes = [(mass.shape, der.shape) for mass, der in B]
+            if len(shapes) != len(sizes) or any(
+                    m[1] != n or d != m for (m, d), n in zip(shapes, sizes)):
+                raise ComponentLayoutError(
+                    f"divergence factors of shapes {shapes} do not tile "
+                    f"block pencils of sizes {sizes}")
+            self._ncomp = len(sizes)
+            n_u = self._ncomp * int(np.prod(sizes))
+            apply = functools.partial(_kronecker_sum, block)
+            terms = [_term(B, a) for a in range(self._ncomp)]
+            self._norms = (
+                np.sqrt(self._ncomp) * _kronecker_norm(
+                    [_term(block, a) for a in range(self._ncomp)]),
+                np.sqrt(sum(_kronecker_norm([t]) ** 2 for t in terms)))
+            invert = functools.partial(_FusedInverse, block, B)
+            B_op = spla.LinearOperator(
+                (int(np.prod([m[0] for m, _ in shapes])), n_u),
+                matvec=functools.partial(_tensor_divergence, B),
+                rmatvec=functools.partial(_tensor_gradient, B), dtype=float)
+        self._forms = block, B
         self._system = SaddleSystem(K=spla.LinearOperator(
-            (n_u, n_u), matvec=self._apply, dtype=float), B=B, gauge=gauge,
+            (n_u, n_u), matvec=apply, dtype=float), B=B_op, gauge=gauge,
             rhs_u=rhs_u)
         self._gauge = _checked_gauge(gauge)
-        # the one copy of B is the system's
-        self._B = sp.csr_matrix(B)
-        self._norms = (np.sqrt(self._ncomp) * np.linalg.norm(block.data),
-                       np.linalg.norm(self._B.data))
+        n_p = B_op.shape[0]
         self._precondition = _KroneckerSumFunction(
-            pencils, B.shape[0], "pressure",
+            pencils, n_p, "pressure",
             functools.partial(_cahouet_chabard, nu, sigma), neumann=True)
         self._u = np.zeros(n_u)
-        self._q = np.zeros(B.shape[0])
+        self._q = np.zeros(n_p)
         self._direct = None
-        # A_s^{-1}: exact in the eigenbasis of block_pencils if given, else
-        # the LU of A_s; without one the first solve takes the direct path
+        # K^{-1}: without one the first solve takes the direct path
         try:
-            if block_pencils is not None:
-                self._inverse = _KroneckerSumFunction(
-                    block_pencils, n_s, "velocity block", np.reciprocal)
-            else:
-                self.counts.factorizations += 1
-                self._inverse = _splu(block)
+            self._inverse = invert()
         except (RuntimeError, np.linalg.LinAlgError):
             self._inverse = None
 
-    def _velocity(self, load):
-        """K^{-1} load: one solve with A_s, a column per component."""
-        return self._inverse.solve(load.reshape(self._ncomp, -1).T).T.ravel()
+    def _assembled(self):
+        """K and B as sparse matrices, for the direct path."""
+        block, B = self._forms
+        if not sp.issparse(block):
+            block = sum(_kron(_term(block, a)) for a in range(self._ncomp))
+            B = sp.hstack([_kron(_term(B, a)) for a in range(self._ncomp)],
+                          format="csr")
+        return sp.block_diag([block] * self._ncomp, format="csr"), B
 
     def _backward_error(self, u, q, f):
         """Backward error of (u, q) in both equations, the velocity
         residual and the divergence B u."""
         norm_k, norm_b = self._norms
-        res_u = f - self._apply(u) - self._B.T @ q
-        div = self._B @ u
+        K, B = self._system.K, self._system.B
+        res_u = f - K @ u - B.T @ q
+        div = B @ u
         size_u = np.linalg.norm(u)
         error = max(_ratio(np.linalg.norm(res_u), norm_k * size_u + norm_b
                            * np.linalg.norm(q) + np.linalg.norm(f)),
@@ -457,24 +614,31 @@ class BlockSaddleSolver:
         """CG for the correction (du, dq) of u; returns it and the
         iterations taken.  CG stops when the divergence it leaves meets the
         backward-error goal, or is _SWEEP_REDUCTION of the first one: the
-        next sweep goes on from a fresh residual."""
-        norm_b = self._norms[1]
+        next sweep goes on from a fresh residual.  du is kept in the
+        coordinates of the inverse, and formed only where the bound
+        |u| + basis_norm |du_hat| of |u + du| says that the goal may be
+        met."""
+        inverse, norm_b = self._inverse, self._norms[1]
         dq = np.zeros(div.size)
-        du = self._velocity(res_u)
-        res = self._B @ du + div        # the divergence of u + du
+        du = inverse.coordinates(res_u)
+        res = inverse.divergence(du) + div      # the divergence of u + du
         floor = _SWEEP_REDUCTION * np.linalg.norm(res)
-        direction, rz, new_u = None, 1.0, np.empty_like(u)
+        size_u = np.linalg.norm(u)
+        direction, rz = None, 1.0
         for iterations in range(budget + 1):
-            np.add(u, du, out=new_u)
-            goal = _BACKWARD_GOAL * (norm_b * np.linalg.norm(new_u))
-            if np.linalg.norm(res) <= max(goal, floor) or iterations == budget:
+            size = np.linalg.norm(res)
+            bound = (size_u + inverse.basis_norm * np.linalg.norm(du)) \
+                * (1 + _BOUND_SLACK)
+            if iterations == budget or size <= floor or (
+                    size <= _BACKWARD_GOAL * (norm_b * bound)
+                    and size <= _BACKWARD_GOAL * (norm_b * np.linalg.norm(
+                        u + inverse.velocity(du)))):
                 break
             z = self._precondition.solve(res)
             rz, rz_old = res @ z, rz
             direction = z if direction is None \
                 else z + (rz / rz_old) * direction
-            w = self._velocity(self._B.T @ direction)
-            s = self._B @ w
+            w, s = inverse.schur(direction)
             curvature = direction @ s
             if not curvature > 0:      # breakdown, or not finite
                 break
@@ -482,7 +646,7 @@ class BlockSaddleSolver:
             dq += alpha * direction
             du -= alpha * w
             res -= alpha * s
-        return du, dq, iterations
+        return inverse.velocity(du), dq, iterations
 
     def _schur_solve(self, target, tol):
         """(u, p) with residual <= tol, or None where CG cannot get there."""
@@ -519,9 +683,9 @@ class BlockSaddleSolver:
             if solution is not None:
                 return solution
             self.counts.direct_fallbacks += 1
-            self._direct = SaddleSolver(replace(
-                self._system, K=sp.block_diag([self._block] * self._ncomp,
-                                              format="csr")), self.counts)
+            K, B = self._assembled()
+            self._direct = SaddleSolver(replace(self._system, K=K, B=B),
+                                        self.counts)
         return self._direct.solve(tol, rhs_u=rhs_u)
 
 

@@ -9,25 +9,28 @@ started from the zero field, which selects a reproducible branch.  The
 convective load N(u_k) u_k is assembled as a vector (assemble_convection);
 the operator N itself is never formed.  S is the Stokes-Brinkmann saddle
 operator, whose velocity block is d copies of one scalar block because
-every wall is tagged for every component.  Each layer assembles that block
-once, on the "component" space with the drag mu/K folded into its element
-matrices, and factors at most one matrix, once.  A d = 3 layer is solved
-in linalg.BlockSaddleSolver; every step is a preconditioned CG solve on the
-pressure Schur complement over mean-zero pressures, with no pinned dof,
-that starts from the previous step's solution, checked at the solver
-tolerance (a layer whose solve misses it goes over to the pinned LU of S).
-Its Cahouet-Chabard preconditioner takes the per-axis pencils of the
-pressure space (assembly.axis_pencils), so no pressure matrix is assembled
-or factored.  Where the coefficient is
-separable (a diagonal matrix times a profile across the layer), the block
-is the Kronecker sum of per-axis pencils too (_block_pencils): its inverse
-is applied in their eigenbasis, and the layer factors no matrix.  Any
-other d = 3 layer factors the block.  A d = 2 layer is sealed and
-hydrostatic, its velocity a discretization residue, and its 2-D saddle
-system is small: it factors the pinned LU of S in linalg.SaddleSolver and
-solves every step with it.  The solver, and with it any LU, is dropped
-before the a priori norms sample the fields.  The iteration stops when the
-relative velocity update falls below the fixed-point tolerance.  It
+every wall is tagged for every component, and each layer factors at most
+one matrix, once.  A d = 3 layer is solved in linalg.BlockSaddleSolver;
+every step is a preconditioned CG solve on the pressure Schur complement
+over mean-zero pressures, with no pinned dof, that starts from the previous
+step's solution, checked at the solver tolerance (a layer whose solve
+misses it goes over to the pinned LU of S).  Its Cahouet-Chabard
+preconditioner takes the per-axis pencils of the pressure space
+(assembly.axis_pencils), so no pressure matrix is assembled or factored.
+Where the coefficient is separable (a diagonal matrix times a profile
+across the layer), the layer runs matrix-free: the block is the Kronecker
+sum of per-axis pencils (_block_pencils) and the divergence a sum of
+Kronecker products of 1-D factors (assembly.axis_divergence), so neither
+is assembled, the block's inverse is applied in the pencils' eigenbasis,
+and the layer factors no matrix.  Any other layer assembles the block once,
+on the "component" space with the drag mu/K folded into its element
+matrices, and the divergence, and a d = 3 one factors the block.  A d = 2
+layer is sealed and hydrostatic, its velocity a discretization residue, and
+its 2-D saddle system is small: it factors the pinned LU of S in
+linalg.SaddleSolver and solves every step with it.  The solver, and with it
+any LU, is dropped before the a priori norms sample the fields.  The
+iteration stops when the relative velocity update falls below the
+fixed-point tolerance.  It
 converges where the map contracts, that is where the convection is small
 against S: ||S^{-1} N(u)|| < 1 near the fixed point (the small-data
 condition of the steady Navier-Stokes theory).  The thin
@@ -46,7 +49,7 @@ import scipy.sparse as sp
 
 from .assembly import (DiscreteField, FunctionSpace, assemble_convection,
                        assemble_diffusion, assemble_divergence, assemble_load,
-                       axis_pencils, pressure_gauge)
+                       axis_divergence, axis_pencils, pressure_gauge)
 from .errors import (InvalidParameterError, InvalidResolutionError,
                      PicardDivergenceError)
 from .linalg import (BlockSaddleSolver, SaddleSolver, SaddleSystem,
@@ -114,8 +117,13 @@ def solve_dlb(thin_mesh, field, params, K_eps, picard_tol=1e-10,
     space_s = FunctionSpace(thin_mesh, "component")
     space_p = FunctionSpace(thin_mesh, "pressure")
     sigma = params.mu / K_eps
-    block = assemble_diffusion(space_s, field.scaled(eps), drag=sigma)
-    B = assemble_divergence(space_v, space_p)
+    if thin_mesh.ndim == 3 and field.separable:
+        # the tensor form: nothing of the layer's size is assembled
+        block = _block_pencils(space_s, field, eps, sigma)
+        B = axis_divergence(space_v, space_p)
+    else:
+        block = assemble_diffusion(space_s, field.scaled(eps), drag=sigma)
+        B = assemble_divergence(space_v, space_p)
     gauge = pressure_gauge(space_p)
     load = assemble_load(space_v, params.forcing(thin_mesh.ndim - 1))
     factor = params.rho / params.phi ** 2
@@ -144,9 +152,7 @@ def solve_dlb(thin_mesh, field, params, K_eps, picard_tol=1e-10,
         nu = float(np.sqrt(field.alpha_ell * field.beta_ell))
         solver = BlockSaddleSolver(
             block, B, gauge, load, axis_pencils(space_p), nu=nu,
-            sigma=sigma + 3.0 * nu / eps ** 2, counts=counts,
-            block_pencils=_block_pencils(space_s, field, eps, sigma)
-            if field.separable else None)
+            sigma=sigma + 3.0 * nu / eps ** 2, counts=counts)
     for iterations in range(1, max_iters + 1):
         rhs = load - assemble_convection(space_v, u, factor) \
             if factor != 0.0 and np.any(u) else load

@@ -355,22 +355,26 @@ _LAYOUT_SCRIPT = textwrap.dedent("""
     from thinflow.linalg import BlockSaddleSolver
 
     toy = [(sp.identity(2), np.array([[1.0, -1.0], [-1.0, 1.0]]))]
+    pair = (sp.csr_matrix(np.ones((2, 2))),) * 2
     cases = {
         # a block that does not tile the 5 velocity dofs
         "block": (sp.identity(2, format="csr"),
-                  sp.csr_matrix(np.ones((2, 5))), toy, None),
+                  sp.csr_matrix(np.ones((2, 5))), toy, 5),
         # pencils of 2 x 2 pressure dofs for a system with 2
         "pencils": (sp.identity(2, format="csr"),
-                    sp.csr_matrix(np.ones((2, 4))), toy * 2, None),
-        # block pencils of 2 x 2 dofs for a block of 2
-        "block_pencils": (sp.identity(2, format="csr"),
-                          sp.csr_matrix(np.ones((2, 4))), toy, toy * 2),
+                    sp.csr_matrix(np.ones((2, 4))), toy * 2, 4),
+        # block pencils of 2 axes for divergence factors of one
+        "block_pencils": (toy * 2, [pair], toy, 4),
+        # divergence factors of 1 x 4 velocity dofs per axis for block
+        # pencils of 2 x 2: the products agree, the axes do not
+        "divergence": (toy * 2, [(sp.csr_matrix(np.ones((2, 1))),) * 2,
+                                 (sp.csr_matrix(np.ones((1, 4))),) * 2],
+                       toy, 8),
     }
-    for name, (block, B, pencils, block_pencils) in cases.items():
+    for name, (block, B, pencils, n_u) in cases.items():
         try:
-            BlockSaddleSolver(block, B, np.ones(2), np.ones(B.shape[1]),
-                              pencils, nu=1.0, sigma=1.0,
-                              block_pencils=block_pencils)
+            BlockSaddleSolver(block, B, np.ones(2), np.ones(n_u), pencils,
+                              nu=1.0, sigma=1.0)
         except ComponentLayoutError:
             print(name, "raised", __debug__)
 """)
@@ -378,8 +382,9 @@ _LAYOUT_SCRIPT = textwrap.dedent("""
 
 def test_layout_errors_survive_optimize():
     # the block path must refuse velocity dofs that are not d copies of
-    # its block, and pencils that do not tile the pressure dofs or the
-    # block, even when python -O strips assert statements
+    # its block, pencils that do not tile the pressure dofs, and divergence
+    # factors that do not tile the block pencils axis by axis, even when
+    # python -O strips assert statements
     src = os.path.dirname(os.path.dirname(os.path.abspath(thinflow.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-O", "-c", _LAYOUT_SCRIPT],
@@ -387,4 +392,5 @@ def test_layout_errors_survive_optimize():
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["block", "raised", "False",
                                   "pencils", "raised", "False",
-                                  "block_pencils", "raised", "False"]
+                                  "block_pencils", "raised", "False",
+                                  "divergence", "raised", "False"]

@@ -4,18 +4,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from thinflow import coefficients as coefs
 from thinflow import linalg, microscale
 from thinflow.assembly import (DiscreteField, FunctionSpace,
                                assemble_convection, assemble_diffusion,
                                assemble_divergence, assemble_load,
-                               assemble_mass, axis_pencils, pressure_gauge)
+                               assemble_mass, axis_divergence, axis_pencils,
+                               pressure_gauge)
 from thinflow.errors import InvalidResolutionError, PicardDivergenceError
 from thinflow.harness import load_config
 from thinflow.linalg import (BlockSaddleSolver, SaddleSystem, SolveCounts,
                              residual, solve_sparse)
-from thinflow.meshing import Geometry, build_thin_mesh
+from thinflow.meshing import Geometry, TensorMesh, build_thin_mesh
 from thinflow.microscale import apriori_norms, solve_dlb
 
 from helpers import interpolate, oseen_matrix, translated
@@ -351,9 +353,10 @@ def test_translation_by_full_period_invariant():
 def dns_system(mesh, field, params, K_eps):
     """The Stokes-Brinkmann system that solve_dlb solves, its velocity
     space and a factory of block solvers for it (plain Cahouet-Chabard
-    weights: they change the iteration count, not the answer), which invert
-    the scalar block in its eigenbasis where solve_dlb does: on a d = 3
-    layer with a separable coefficient."""
+    weights: they change the iteration count, not the answer), which take
+    the tensor form where solve_dlb does, on a d = 3 layer with a separable
+    coefficient (the block pencils and the axis divergence factors), and
+    the assembled block and divergence otherwise."""
     eps = float(mesh.axes[-1][-1])
     V = FunctionSpace(mesh, "velocity")
     S = FunctionSpace(mesh, "component")
@@ -366,16 +369,15 @@ def dns_system(mesh, field, params, K_eps):
         K=K, B=assemble_divergence(V, Q), gauge=pressure_gauge(Q),
         rhs_u=assemble_load(V, params.forcing(mesh.ndim - 1)))
 
-    block_pencils = None
+    forms = block, system.B
     if mesh.ndim == 3 and field.separable:
-        block_pencils = microscale._block_pencils(S, field, eps,
-                                                  params.mu / K_eps)
+        forms = (microscale._block_pencils(S, field, eps, params.mu / K_eps),
+                 axis_divergence(V, Q))
 
     def block_solver(counts):
-        return BlockSaddleSolver(block, system.B, system.gauge, system.rhs_u,
+        return BlockSaddleSolver(*forms, system.gauge, system.rhs_u,
                                  axis_pencils(Q), nu=1.0,
-                                 sigma=params.mu / K_eps, counts=counts,
-                                 block_pencils=block_pencils)
+                                 sigma=params.mu / K_eps, counts=counts)
 
     return V, system, block_solver
 
@@ -464,22 +466,82 @@ def test_block_inverse_matches_lu(name):
         <= 1e-12 * np.abs(ref).max()
 
 
+def layer_mesh(kind):
+    """A thin d = 3 mesh: walled at eps = 1/8 or 1/16, or one whose
+    horizontal axes are periodic, with unequal element counts per axis."""
+    if kind == "periodic":
+        eps = 0.125
+        return TensorMesh([np.linspace(0.0, 0.5, 9), np.linspace(0.0, 0.5, 7),
+                           np.linspace(-eps, eps, 3)], (True, True, False),
+                          {(2, 0), (2, 1)}), eps
+    eps = {"eps=1/8": 0.125, "eps=1/16": 0.0625}[kind]
+    return build_thin_mesh(Geometry(3, (0.5, 0.5), eps), 2, 2), eps
+
+
+def kron_all(mats):
+    out = mats[0]
+    for mat in mats[1:]:
+        out = sp.kron(out, mat, format="csr")
+    return out
+
+
+@pytest.mark.parametrize("name", SEPARABLE_D3)
+@pytest.mark.parametrize("kind", ["eps=1/8", "eps=1/16", "periodic"])
+def test_tensor_operators_match_assembled(kind, name):
+    # the tensor form of a separable layer is the assembled one to
+    # rounding: B from the Kronecker products of the axis divergence
+    # factors, and K u, B u and B^T q as the block solver applies them
+    mesh, eps = layer_mesh(kind)
+    field, sigma = SEPARABLE_D3[name], 1.0 / eps ** 2
+    V, S, Q = (FunctionSpace(mesh, space) for space in
+               ("velocity", "component", "pressure"))
+    factors = axis_divergence(V, Q)
+    B = assemble_divergence(V, Q)
+    tensor_B = sp.hstack([kron_all([der if c == a else mass for c, (
+        mass, der) in enumerate(factors)]) for a in range(3)], format="csr")
+    assert abs(tensor_B - B).max() <= 1e-13 * abs(B).max()
+    block = assemble_diffusion(S, field.scaled(eps), drag=sigma)
+    pencils = microscale._block_pencils(S, field, eps, sigma)
+    rng = np.random.default_rng(7)
+    u, q = rng.standard_normal(V.ndof), rng.standard_normal(Q.ndof)
+    for got, ref in (
+            (linalg._kronecker_sum(pencils, u),
+             (block @ u.reshape(3, -1).T).T.ravel()),
+            (linalg._tensor_divergence(factors, u), B @ u),
+            (linalg._tensor_gradient(factors, q), B.T @ q)):
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_separable_d3_layer_assembles_nothing(monkeypatch):
+    # a separable d = 3 layer keeps its velocity block and its divergence
+    # in tensor form: neither is assembled, and nothing is factored
+    called = []
+    for name in ("assemble_diffusion", "assemble_divergence"):
+        original = getattr(microscale, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            called.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(microscale, name, spy)
+    _, _, _, sol = d3_flow(rho=1.0)
+    assert called == []
+    assert sol.solver_counts["factorizations"] == 0
+    assert sol.solver_counts["direct_fallbacks"] == 0
+
+
 def test_wrong_block_inverse_falls_back_to_direct_path():
-    # pencils whose Kronecker sum is -A_s give a wrong inverse: the block
-    # solve misses its checked residual, and the layer goes over to the
-    # pinned LU of the whole system, whose answer meets the tolerance
+    # the tensor form's inverse, corrupted after construction to -A_s^{-1}:
+    # the block solve misses its checked residual, and the layer goes over
+    # to the pinned LU of the system built from the Kronecker products,
+    # whose answer meets the tolerance of the assembled system
     mesh = build_thin_mesh(Geometry(3, (0.5, 0.5), 0.125), 2, 2)
-    field, eps, sigma = coefs.constant_field(3), 0.125, 1.0 / 0.125 ** 2
+    field, eps = coefs.constant_field(3), 0.125
     params = coefs.FluidParams(mu=1.0, f1=d3_forcing)
-    _, system, _ = dns_system(mesh, field, params, K_eps=eps ** 2)
-    S, Q = FunctionSpace(mesh, "component"), FunctionSpace(mesh, "pressure")
-    wrong = [(mass, -stiffness) for mass, stiffness
-             in microscale._block_pencils(S, field, eps, sigma)]
+    _, system, block_solver = dns_system(mesh, field, params, K_eps=eps ** 2)
     counts = SolveCounts()
-    solver = BlockSaddleSolver(
-        assemble_diffusion(S, field.scaled(eps), drag=sigma), system.B,
-        system.gauge, system.rhs_u, axis_pencils(Q), nu=1.0, sigma=sigma,
-        counts=counts, block_pencils=wrong)
+    solver = block_solver(counts)
+    solver._inverse._g = -solver._inverse._g
     solution = solver.solve(tol=1e-10)
     assert counts.direct_fallbacks == 1
     assert counts.factorizations == 1
