@@ -29,8 +29,8 @@ that fits one slab is assembled in one pass.  Symmetry is checked on the
 element matrices.  A drag term is folded into the diffusion element
 matrices.
 
-Discrete fields are sampled at Gauss points by sum factorization (Orszag,
-J. Comput. Phys. 37, 1980), one sparse 1D interpolation matrix per axis, which
+Discrete fields are sampled at Gauss points by sum factorization
+(meshing._kron_apply), one sparse 1D interpolation matrix per axis, which
 the space builds once and keeps; each norm samples on the smallest Gauss
 rule exact for its integrand, one slab of the grid at a time (_rule_slabs),
 and sums the slabs in order.  Every load (the forcing, the cell unit loads,
@@ -47,8 +47,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import AsymmetricOperatorError, SpaceMismatchError
-from .meshing import (TensorMesh, composite_gauss, gauss_rule, grid_points,
-                      tensor_rule)
+from .meshing import (TensorMesh, _kron_apply, composite_gauss, gauss_rule,
+                      grid_points, tensor_rule)
 
 _SYM_CHECK_REL = 1e-13
 # Gauss points per axis and element of the bilinear forms and the loads
@@ -271,15 +271,6 @@ def _interpolation(space, a, x, deriv=False):
             (weights.ravel(), (rows, nodes.ravel())),
             shape=(nodes.shape[0], space.lattice_sizes[a]))
     return mat
-
-
-def _per_axis(arr, mats):
-    """Apply mats[a] along axis a of arr, for every matrix in mats."""
-    for a, mat in enumerate(mats):
-        moved = np.moveaxis(arr, a, 0)
-        arr = np.moveaxis((mat @ moved.reshape(moved.shape[0], -1))
-                          .reshape((mat.shape[0],) + moved.shape[1:]), 0, a)
-    return arr
 
 
 def _eval_callable(fn, pts, ncomp):
@@ -577,10 +568,10 @@ def integrate_grid(space, coords, integrand, deriv_axis=None):
     DiscreteField.evaluate_grid: the same per-axis matrices, transposed,
     carry the samples back to the lattice.
     """
-    full = _per_axis(integrand, [
+    full = _kron_apply([
         _interpolation(space, a, x, deriv=deriv_axis == a).T
-        for a, x in enumerate(coords)]).reshape(space.n_scalar, space.ncomp)
-    return np.concatenate([full[f, c] for c, f in enumerate(space.free)])
+        for a, x in enumerate(coords)], integrand.reshape(-1, space.ncomp).T)
+    return np.concatenate([full[c, f] for c, f in enumerate(space.free)])
 
 
 def assemble_convection(space_v, u_coeffs, factor=1.0):
@@ -662,10 +653,10 @@ class DiscreteField:
         axis to the lattice array of coefficients.
         """
         space = self.space
-        return _per_axis(
-            self.full_values().reshape(space.lattice_shape + (space.ncomp,)),
+        return _kron_apply(
             [_interpolation(space, a, x, deriv=deriv_axis == a)
-             for a, x in enumerate(coords)])
+             for a, x in enumerate(coords)], self.full_values().T).T.reshape(
+            tuple(len(x) for x in coords) + (space.ncomp,))
 
     def gauss_grid(self, nquad):
         """Element-aligned Gauss sample on the tensor grid.

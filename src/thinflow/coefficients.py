@@ -93,6 +93,15 @@ class CoefficientField:
         if any(np.shape(t.amplitude) != (d, d)
                for t in self.waves + self.gaussians):
             raise InvalidDataError(f"amplitude matrices must be {d}x{d}")
+        # the horizontal variable y' has d - 1 entries
+        if any(len(w.wavevector) != d - 1 for w in self.waves):
+            raise InvalidDataError(f"wave vectors must have {d - 1} entries")
+        if any(g.center is not None and len(g.center) != d - 1
+               for g in self.gaussians):
+            raise InvalidDataError(
+                f"Gaussian centers must have {d - 1} entries")
+        if any(not g.sigma > 0 for g in self.gaussians):
+            raise InvalidDataError("Gaussian widths sigma must be positive")
 
     @property
     def max_wavenumber(self):

@@ -260,15 +260,20 @@ def load_config(source):
     raw = _read(source, _SCHEMA, "")
     numerics, sweep, output = raw["numerics"], raw["sweep"], raw["output"]
     eps_list = sweep["eps_list"]
-    if not eps_list or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ConfigError("'sweep.eps_list' must be non-empty and strictly "
-                          "decreasing")
+    if not eps_list or eps_list[-1] <= 0 \
+            or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+        raise ConfigError("'sweep.eps_list' must be non-empty, strictly "
+                          "decreasing and positive")
     for key in ("solver_tol", "picard_tol"):
         if not 0 < numerics[key] < 1:
             raise ConfigError(f"'numerics.{key}' must lie in (0, 1)")
     g, f, r = raw["geometry"], raw["fluid"], raw["regime"]
     geometry = _built("geometry", lambda: Geometry(g["d"], g["omega_extent"],
                                                    eps_list[0]))
+    if eps_list[0] >= min(geometry.omega_extent):
+        # each width makes a thin mesh, which must be thinner than the box
+        raise ConfigError(f"'sweep.eps_list' widths must be below the "
+                          f"smallest extent {min(geometry.omega_extent):g}")
     field = _built("coefficient", lambda: _coefficient_field(
         raw["coefficient"], geometry.d))
     params = _built("fluid", lambda: coefs.FluidParams(

@@ -38,22 +38,22 @@ Laplacian) acts on mean-zero pressures, as Cahouet & Chabard define it
 built from 1-D matrices by Kronecker products, so the preconditioner is a
 function of the Kronecker sum of the per-axis pencils, applied exactly in
 their eigenbasis (fast diagonalization), and neither pressure matrix is
-assembled or factored.  A_s and B come in one of two forms.  Assembled,
-A_s is factored alone, with the direct path's SuperLU options.  In tensor
-form (a coefficient that is a diagonal matrix times a profile across the
-layer), A_s is the Kronecker sum of per-axis pencils and each velocity
-component's block of B a Kronecker product of 1-D mass and derivative
-matrices: neither is assembled, both are applied by per-axis products
-(sum factorization: Deville, Fischer & Mund, High-Order Methods for
-Incompressible Fluid Flow, 2002), the inverse of A_s is the reciprocal in
-the pencils' eigenbasis, and each CG product runs there with B fused into
-the basis, so nothing is factored.  One CG loop serves both forms.  Every
-solve refines the previous one, so the steps of a Picard loop start warm,
-and runs until the backward error is at roundoff.  Its result is checked
-against the same residual as the direct path; a solve that misses the
-tolerance builds the vector operator and B as sparse matrices and moves
-that system to a SaddleSolver for good, and SolveCounts records the CG
-iterations and the fallbacks.
+assembled or factored.  B has one form: each velocity component's block
+of B is a Kronecker product of 1-D mass and derivative matrices, never
+assembled and applied by per-axis products (sum factorization: Deville,
+Fischer & Mund, High-Order Methods for Incompressible Fluid Flow, 2002;
+meshing._kron_apply).  A_s has two.  Assembled, A_s is factored alone,
+with the direct path's SuperLU options.  In tensor form (a coefficient
+that is a diagonal matrix times a profile across the layer), A_s is the
+Kronecker sum of per-axis pencils: it is not assembled either, its inverse
+is the reciprocal in the pencils' eigenbasis, and each CG product runs
+there with B fused into the basis, so nothing is factored.  One CG loop
+serves both forms.  Every solve refines the previous one, so the steps of
+a Picard loop start warm, and runs until the backward error is at
+roundoff.  Its result is checked against the same residual as the direct
+path; a solve that misses the tolerance builds the vector operator and B
+as sparse matrices and moves that system to a SaddleSolver for good, and
+SolveCounts records the CG iterations and the fallbacks.
 """
 
 import functools
@@ -67,6 +67,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import (ComponentLayoutError, ConvergenceFailureError,
                      SingularSystemError)
+from .meshing import _kron, _kron_apply, _term
 
 DEFAULT_TOL_DIRECT = 1e-10
 # the block path refines until the backward error is at most
@@ -289,37 +290,6 @@ class SaddleSolver:
         return self._unpin(x)
 
 
-def _apply_blocks(block, ncomp, u):
-    """(I_ncomp (x) block) u for u listed component by component."""
-    return (block @ u.reshape(ncomp, -1).T).T.ravel()
-
-
-def _kron_apply(mats, x):
-    """(mats[0] (x) ... (x) mats[d-1]) x along the last axis of x, entries
-    in lattice order (the last axis fastest), each matrix dense or sparse
-    (sum factorization).  Each axis takes one 2-D product with the lattice
-    axis it acts on in front, and moves that axis to the back: after d
-    products the axes are in order again.  A stack of small products, one
-    per leading index, is several times slower."""
-    lead = x.shape[:-1]
-    arr = x.reshape(-1, x.shape[-1]).T
-    for mat in mats:
-        rows = arr.reshape(mat.shape[1], -1)
-        arr = (mat @ rows).T if sp.issparse(mat) else rows.T @ mat.T
-    return arr.reshape(lead + (-1,))
-
-
-def _term(pairs, a):
-    """The factors of term a of per-axis pairs [(X_c, Y_c), ...]: Y_a on
-    axis a and X_c on every other axis c."""
-    return [y if c == a else x for c, (x, y) in enumerate(pairs)]
-
-
-def _kron(mats):
-    """The Kronecker product of mats, as a CSR matrix."""
-    return functools.reduce(lambda x, y: sp.kron(x, y, format="csr"), mats)
-
-
 def _kronecker_norm(terms):
     """Frobenius norm of sum_t (x)_c X_{t,c}, from 1-D inner products:
     <(x)_c X_c, (x)_c Y_c>_F = prod_c <X_c, Y_c>_F."""
@@ -330,12 +300,13 @@ def _kronecker_norm(terms):
                              for s in terms for t in terms)))
 
 
-def _kronecker_sum(pencils, u):
-    """(I_d (x) A_s) u for u listed component by component, A_s the
-    Kronecker sum of the d per-axis pencils: per-axis sparse products."""
-    x = u.reshape(len(pencils), -1)
-    return sum(_kron_apply(_term(pencils, a), x)
-               for a in range(len(pencils))).ravel()
+def _block_apply(terms, u):
+    """(I_d (x) A_s) u for u listed component by component, A_s the sum
+    of the Kronecker products of the terms [[T_{t,0}, ...], ...]: the
+    assembled block as one term of one factor, or the d terms of the
+    Kronecker sum of per-axis pencils.  Per-axis sparse products."""
+    x = u.reshape(-1, int(np.prod([mat.shape[1] for mat in terms[0]])))
+    return sum(_kron_apply(term, x) for term in terms).ravel()
 
 
 def _tensor_divergence(factors, u):
@@ -398,28 +369,29 @@ def _cahouet_chabard(nu, sigma, lam):
 
 class _BlockLU:
     """K^{-1} = I_d (x) A_s^{-1} by one LU of the assembled block A_s, with
-    the assembled B.  A velocity is its own coordinates."""
+    B and B^T applied by per-axis products of the divergence factors.  A
+    velocity is its own coordinates."""
 
     basis_norm = 1.0
 
-    def __init__(self, block, B, ncomp, counts):
+    def __init__(self, block, factors, counts):
         counts.factorizations += 1
-        self._lu, self._B, self._ncomp = _splu(block), B, ncomp
+        self._lu, self._factors = _splu(block), factors
 
     def coordinates(self, load):
         """K^{-1} load: one solve with A_s, a column per component."""
-        return self._lu.solve(load.reshape(self._ncomp, -1).T).T.ravel()
+        return self._lu.solve(load.reshape(len(self._factors), -1).T).T.ravel()
 
     def velocity(self, hat):
         return hat
 
     def divergence(self, hat):
-        return self._B @ hat
+        return _tensor_divergence(self._factors, hat)
 
     def schur(self, direction):
         """The coordinates of w = K^{-1} B^T direction, and B w."""
-        w = self.coordinates(self._B.T @ direction)
-        return w, self._B @ w
+        w = self.coordinates(_tensor_gradient(self._factors, direction))
+        return w, self.divergence(w)
 
 
 class _FusedInverse(_KroneckerSumFunction):
@@ -470,22 +442,23 @@ class BlockSaddleSolver:
 
     block is A_s, the diagonal block that every velocity component shares,
     and B, gauge and rhs_u complete the system, the velocity dofs numbered
-    component by component.  K is not formed.  The operators come in one
+    component by component.  K is not formed.  B is the per-axis
+    divergence factors [(M_c, D_c), ...] of assembly.axis_divergence, with
+    B_a = (x)_c F_{a,c}, F_{a,c} = D_c for c = a and M_c otherwise: B is
+    not assembled, B u and B^T q are per-axis sparse products, and its
+    Frobenius norm comes from 1-D inner products.  The block comes in one
     of two forms:
 
-    - assembled: block and B are sparse matrices.  K u is A_s applied to
-      the (d, n_s) reshape of u, and A_s is factored once: K^{-1} is one
-      triangular solve with a column per component.
-    - tensor: block is the per-axis pencils [(M_a, K_a), ...] whose
-      Kronecker sum is A_s (a coefficient that is a diagonal matrix times a
-      profile across the layer), and B the per-axis divergence factors
-      [(M_c, D_c), ...] of assembly.axis_divergence, with B_a = (x)_c F_{a,c},
-      F_{a,c} = D_c for c = a and M_c otherwise.  Neither is assembled: K u,
-      B u and B^T q are per-axis sparse products, and both Frobenius norms
-      come from 1-D inner products.  K^{-1} is applied exactly in the
+    - assembled: a sparse matrix.  K u is A_s applied to the (d, n_s)
+      reshape of u, and A_s is factored once: K^{-1} is one triangular
+      solve with a column per component.
+    - tensor: the per-axis pencils [(M_a, K_a), ...] whose Kronecker sum
+      is A_s (a coefficient that is a diagonal matrix times a profile
+      across the layer).  K u is a sum of per-axis sparse products, |A_s|
+      comes from 1-D inner products, and K^{-1} is applied exactly in the
       eigenbasis of the pencils with B fused into it (_FusedInverse), so
-      nothing is factored, and a CG iteration takes dense per-axis products
-      only.
+      nothing is factored, and a CG iteration takes dense per-axis
+      products only.
 
     No pressure dof is pinned: q runs over the whole pressure space, and
     the constraint is B u = 0, whose residual sums to zero.  A solve refines
@@ -525,57 +498,46 @@ class BlockSaddleSolver:
     path, whichever inverse of A_s it applied.  Otherwise, or where there
     is no inverse (an LU that meets a zero pivot, pencils that eigh
     rejects), the solver counts a direct fallback, builds K =
-    block_diag(A_s, ..., A_s) and B as sparse matrices (Kronecker products
-    in tensor form) and solves this load and every later one with a
-    SaddleSolver of them.  Loads are single vectors.  The work done is
-    added to counts.
+    block_diag(A_s, ..., A_s) and B as sparse matrices (B, and A_s in
+    tensor form, from Kronecker products) and solves this load and every
+    later one with a SaddleSolver of them.  Loads are single vectors.  The
+    work done is added to counts.
     """
 
     def __init__(self, block, B, gauge, rhs_u, pencils, nu, sigma,
                  counts=None):
         self.counts = SolveCounts() if counts is None else counts
+        shapes = [(mass.shape, der.shape) for mass, der in B]
+        sizes = [m[1] for m, _ in shapes]
+        self._ncomp, n_s = len(sizes), int(np.prod(sizes))
         # no bound method is kept: a cycle would keep the inverse until gc
         # next runs
         if sp.issparse(block):
-            B = sp.csr_matrix(B)
-            n_s, n_u = block.shape[0], B.shape[1]
-            if n_u % n_s:
-                raise ComponentLayoutError(
-                    f"{n_u} velocity dofs are no whole number of "
-                    f"{n_s}-dof component blocks")
-            self._ncomp = n_u // n_s
-            apply = functools.partial(_apply_blocks, block, self._ncomp)
-            self._norms = (np.sqrt(self._ncomp) * np.linalg.norm(block.data),
-                           np.linalg.norm(B.data))
-            invert, B_op = functools.partial(_BlockLU, block, B,
-                                             self._ncomp, self.counts), B
+            what = f"a block of shape {block.shape}"
+            tiles = block.shape == (n_s, n_s)
+            self._terms, norm_k = [[block]], np.linalg.norm(block.data)
+            invert = functools.partial(_BlockLU, block, B, self.counts)
         else:
-            sizes = [mass.shape[0] for mass, _ in block]
-            shapes = [(mass.shape, der.shape) for mass, der in B]
-            if len(shapes) != len(sizes) or any(
-                    m[1] != n or d != m for (m, d), n in zip(shapes, sizes)):
-                raise ComponentLayoutError(
-                    f"divergence factors of shapes {shapes} do not tile "
-                    f"block pencils of sizes {sizes}")
-            self._ncomp = len(sizes)
-            n_u = self._ncomp * int(np.prod(sizes))
-            apply = functools.partial(_kronecker_sum, block)
-            terms = [_term(B, a) for a in range(self._ncomp)]
-            self._norms = (
-                np.sqrt(self._ncomp) * _kronecker_norm(
-                    [_term(block, a) for a in range(self._ncomp)]),
-                np.sqrt(sum(_kronecker_norm([t]) ** 2 for t in terms)))
+            lengths = [mass.shape[0] for mass, _ in block]
+            what, tiles = f"block pencils of sizes {lengths}", lengths == sizes
+            self._terms = [_term(block, a) for a in range(len(block))]
+            norm_k = _kronecker_norm(self._terms)
             invert = functools.partial(_FusedInverse, block, B)
-            B_op = spla.LinearOperator(
-                (int(np.prod([m[0] for m, _ in shapes])), n_u),
-                matvec=functools.partial(_tensor_divergence, B),
-                rmatvec=functools.partial(_tensor_gradient, B), dtype=float)
-        self._forms = block, B
-        self._system = SaddleSystem(K=spla.LinearOperator(
-            (n_u, n_u), matvec=apply, dtype=float), B=B_op, gauge=gauge,
-            rhs_u=rhs_u)
+        if not tiles or any(d != m for m, d in shapes):
+            raise ComponentLayoutError(
+                f"divergence factors of shapes {shapes} do not tile {what}")
+        self._factors = B
+        n_u, n_p = self._ncomp * n_s, int(np.prod([m[0] for m, _ in shapes]))
+        self._norms = (np.sqrt(self._ncomp) * norm_k, np.sqrt(sum(
+            _kronecker_norm([_term(B, a)]) ** 2 for a in range(self._ncomp))))
+        apply = functools.partial(_block_apply, self._terms)
+        self._system = SaddleSystem(
+            K=spla.LinearOperator((n_u, n_u), matvec=apply, dtype=float),
+            B=spla.LinearOperator(
+                (n_p, n_u), matvec=functools.partial(_tensor_divergence, B),
+                rmatvec=functools.partial(_tensor_gradient, B), dtype=float),
+            gauge=gauge, rhs_u=rhs_u)
         self._gauge = _checked_gauge(gauge)
-        n_p = B_op.shape[0]
         self._precondition = _KroneckerSumFunction(
             pencils, n_p, "pressure",
             functools.partial(_cahouet_chabard, nu, sigma), neumann=True)
@@ -590,11 +552,9 @@ class BlockSaddleSolver:
 
     def _assembled(self):
         """K and B as sparse matrices, for the direct path."""
-        block, B = self._forms
-        if not sp.issparse(block):
-            block = sum(_kron(_term(block, a)) for a in range(self._ncomp))
-            B = sp.hstack([_kron(_term(B, a)) for a in range(self._ncomp)],
-                          format="csr")
+        block = sum(_kron(term) for term in self._terms)
+        B = sp.hstack([_kron(_term(self._factors, a))
+                       for a in range(self._ncomp)], format="csr")
         return sp.block_diag([block] * self._ncomp, format="csr"), B
 
     def _backward_error(self, u, q, f):

@@ -7,13 +7,17 @@ class), which keeps every assembled operator symmetric.
 
 Every integral of the toolkit is a composite Gauss rule on a tensor grid, and
 this module owns both: gauss_rule, composite_gauss over given panel edges,
-tensor_rule and grid_points.  No other module builds a rule or a grid.
+tensor_rule and grid_points.  No other module builds a rule or a grid.  It
+also owns the one sum-factorization kernel, _kron_apply, which applies a
+Kronecker product of per-axis matrices to arrays in lattice order: the
+samples and loads of assembly and the tensor operators of linalg use it.
 """
 
 import functools
 import warnings
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import InvalidResolutionError, ThinDomainError
 
@@ -49,6 +53,33 @@ def grid_points(coords):
     """Points (N, d) of the tensor grid of per-axis coordinates, grid order."""
     grids = np.meshgrid(*coords, indexing="ij")
     return np.column_stack([g.ravel() for g in grids])
+
+
+def _kron_apply(mats, x):
+    """(mats[0] (x) ... (x) mats[d-1]) x along the last axis of x, entries
+    in lattice order (the last axis fastest), each matrix dense or sparse
+    (sum factorization: Orszag, J. Comput. Phys. 37, 1980).  Each axis
+    takes one 2-D product with the lattice axis it acts on in front, and
+    moves that axis to the back: after d products the axes are in order
+    again.  A stack of small products, one per leading index, is several
+    times slower."""
+    lead = x.shape[:-1]
+    arr = x.reshape(-1, x.shape[-1]).T
+    for mat in mats:
+        rows = arr.reshape(mat.shape[1], -1)
+        arr = (mat @ rows).T if sp.issparse(mat) else rows.T @ mat.T
+    return arr.reshape(lead + (-1,))
+
+
+def _term(pairs, a):
+    """The factors of term a of per-axis pairs [(X_c, Y_c), ...]: Y_a on
+    axis a and X_c on every other axis c."""
+    return [y if c == a else x for c, (x, y) in enumerate(pairs)]
+
+
+def _kron(mats):
+    """The Kronecker product of mats, as a CSR matrix."""
+    return functools.reduce(lambda x, y: sp.kron(x, y, format="csr"), mats)
 
 
 class Geometry:

@@ -17,29 +17,30 @@ step's solution, checked at the solver tolerance (a layer whose solve
 misses it goes over to the pinned LU of S).  Its Cahouet-Chabard
 preconditioner takes the per-axis pencils of the pressure space
 (assembly.axis_pencils), so no pressure matrix is assembled or factored.
+The layer's divergence B is a sum of Kronecker products of 1-D factors
+(assembly.axis_divergence), so B is not assembled either: the dimension
+alone chooses the form of B, and the coefficient that of the block.
 Where the coefficient is separable (a diagonal matrix times a profile
 across the layer), the layer runs matrix-free: the block is the Kronecker
-sum of per-axis pencils (_block_pencils) and the divergence a sum of
-Kronecker products of 1-D factors (assembly.axis_divergence), so neither
-is assembled, the block's inverse is applied in the pencils' eigenbasis,
-and the layer factors no matrix.  Any other layer assembles the block once,
-on the "component" space with the drag mu/K folded into its element
-matrices, and the divergence, and a d = 3 one factors the block.  A d = 2
+sum of per-axis pencils (_block_pencils), its inverse is applied in the
+pencils' eigenbasis, and the layer factors no matrix.  Any other layer
+assembles the block once, on the "component" space with the drag mu/K
+folded into its element matrices, and a d = 3 one factors it.  A d = 2
 layer is sealed and hydrostatic, its velocity a discretization residue, and
-its 2-D saddle system is small: it factors the pinned LU of S in
-linalg.SaddleSolver and solves every step with it.  The solver, and with it
-any LU, is dropped before the a priori norms sample the fields.  The
-iteration stops when the relative velocity update falls below the
-fixed-point tolerance.  It
-converges where the map contracts, that is where the convection is small
-against S: ||S^{-1} N(u)|| < 1 near the fixed point (the small-data
-condition of the steady Navier-Stokes theory).  The thin
-layer velocity is O(eps^2), so the shipped configurations lie far inside it.
-Outside it the updates stop shrinking: an update that is not smaller than
-the one before ends the loop, as stagnation at the arithmetic floor when it
-is at most sqrt(picard_tol), otherwise with a PicardDivergenceError.  The
-oscillating coefficient is evaluated pointwise at quadrature nodes, so the
-mesh must resolve its period geometrically.
+its 2-D saddle system is small: it assembles the divergence, factors the
+pinned LU of S in linalg.SaddleSolver and solves every step with it.  The
+solver, and with it any LU, is dropped before the a priori norms sample
+the fields.  The iteration stops when the relative velocity update falls
+below the fixed-point tolerance.  It converges where the map contracts,
+that is where the convection is small against S: ||S^{-1} N(u)|| < 1 near
+the fixed point (the small-data condition of the steady Navier-Stokes
+theory).  The thin layer velocity is O(eps^2), so the shipped
+configurations lie far inside it.  Outside it the updates stop
+shrinking: an update that is not smaller than the one before ends the
+loop, as stagnation at the arithmetic floor when it is at most
+sqrt(picard_tol), otherwise with a PicardDivergenceError.  The oscillating
+coefficient is evaluated pointwise at quadrature nodes, so the mesh must
+resolve its period geometrically.
 """
 
 from dataclasses import asdict, dataclass, field as dfield
@@ -66,9 +67,9 @@ class MicroSolution:
     floor) or "linear" (no convection, one step is exact).  solver_counts
     is the loop's linalg.SolveCounts: its factorizations (in d = 2 one, of
     the pinned saddle matrix; in d = 3 none for a separable coefficient,
-    otherwise one, of the scalar block), the CG iterations of all steps
-    (none in d = 2), and the fallbacks to the direct path and to pivoting,
-    if any.
+    otherwise one, of the scalar block, and never one of B), the CG
+    iterations of all steps (none in d = 2), and the fallbacks to the
+    direct path and to pivoting, if any.
     """
 
     mesh: object
@@ -120,10 +121,8 @@ def solve_dlb(thin_mesh, field, params, K_eps, picard_tol=1e-10,
     if thin_mesh.ndim == 3 and field.separable:
         # the tensor form: nothing of the layer's size is assembled
         block = _block_pencils(space_s, field, eps, sigma)
-        B = axis_divergence(space_v, space_p)
     else:
         block = assemble_diffusion(space_s, field.scaled(eps), drag=sigma)
-        B = assemble_divergence(space_v, space_p)
     gauge = pressure_gauge(space_p)
     load = assemble_load(space_v, params.forcing(thin_mesh.ndim - 1))
     factor = params.rho / params.phi ** 2
@@ -141,7 +140,8 @@ def solve_dlb(thin_mesh, field, params, K_eps, picard_tol=1e-10,
         # CG would resolve over some 26 decades; the small 2-D saddle LU
         # gets it to roundoff with one factorization
         solver = SaddleSolver(SaddleSystem(
-            K=sp.block_diag([block] * 2, format="csr"), B=B, gauge=gauge,
+            K=sp.block_diag([block] * 2, format="csr"),
+            B=assemble_divergence(space_v, space_p), gauge=gauge,
             rhs_u=load), counts)
     else:
         # preconditioner weights: the viscosity is the geometric mean of the
@@ -151,8 +151,9 @@ def solve_dlb(thin_mesh, field, params, K_eps, picard_tol=1e-10,
         # 1/eps where the drag is weak
         nu = float(np.sqrt(field.alpha_ell * field.beta_ell))
         solver = BlockSaddleSolver(
-            block, B, gauge, load, axis_pencils(space_p), nu=nu,
-            sigma=sigma + 3.0 * nu / eps ** 2, counts=counts)
+            block, axis_divergence(space_v, space_p), gauge, load,
+            axis_pencils(space_p), nu=nu, sigma=sigma + 3.0 * nu / eps ** 2,
+            counts=counts)
     for iterations in range(1, max_iters + 1):
         rhs = load - assemble_convection(space_v, u, factor) \
             if factor != 0.0 and np.any(u) else load

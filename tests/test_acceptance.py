@@ -369,6 +369,29 @@ def test_regime_iii_d3_homogenization_convergence(coefficient):
             convergence_checks(rows))
 
 
+@pytest.mark.slow
+def test_periodic_d3_homogenization_convergence():
+    # criterion 7's checks on the d = 3 pipeline with the periodic
+    # coefficient 2 I + sin(2 pi y0) I (ellipticity bounds 1 and 3), at 4
+    # elements per period, the least solve_dlb accepts: the upscaling of an
+    # oscillating coefficient against a DNS with flow.  Such a layer makes
+    # no Kronecker sum, so each layer factors its scalar block, once, and
+    # none goes over to the direct path
+    config = copy.deepcopy(D3_CONFIG)
+    config["coefficient"] = {
+        "class": "periodic", "matrix": (2 * np.eye(3)).tolist(),
+        "alpha": 1.0, "beta": 3.0,
+        "waves": [{"k": [1, 0], "trig": "sin",
+                   "amplitude": np.eye(3).tolist()}]}
+    config["numerics"]["dns_elements_per_period"] = 4
+    report = run_pipeline(load_config(config))
+    verdict(7, "homogenization convergence (periodic coefficient)",
+            convergence_checks(report.sweep_rows))
+    counts = [sol.solver_counts for sol in report.extras["micro_solutions"]]
+    assert [(c["factorizations"], c["direct_fallbacks"]) for c in counts] \
+        == [(1, 0)] * len(D3_CONFIG["sweep"]["eps_list"])
+
+
 def test_criterion_08_two_scale_functional_suite():
     results = []
     g = GEOM2

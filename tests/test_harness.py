@@ -361,6 +361,20 @@ def test_cli_malformed_config_aborts(tmp_path, capsys):
     case(periodic({"k": [1], "trig": "tan", "amplitude": np.eye(2).tolist()}),
          "'coefficient.waves[0].trig'")
     case(periodic({"k": [1], "amplitude": [[1.0]]}), "must be 2x2")
+    case(periodic({"k": [1, 0], "amplitude": np.eye(2).tolist()}),
+         "wave vectors must have 1 entries")
+    for gaussian, reason in (
+            ({"center": [0.5, 0.5]}, "centers must have 1 entries"),
+            ({"sigma": 0.0}, "sigma must be positive"),
+            ({"sigma": -1.0}, "sigma must be positive")):
+        case(lambda raw: raw["coefficient"].update(
+            {"class": "asymptotic_periodic",
+             "gaussians": [dict(bump, **gaussian)]}), reason)
+    # every width makes a thin mesh, so 0 < eps < the smallest extent (1):
+    # checked when the config loads, not after the cells and the macro solve
+    for eps_list in ([0.125, 0.0], [0.125, -0.0625], [1.0, 0.5]):
+        case(lambda raw: raw["sweep"].update(eps_list=eps_list),
+             "'sweep.eps_list'")
     unused("constant", "zeta_expr", "1 + z*z")
     for klass in ("constant", "zeta_profile"):
         unused(klass, "waves", [wave])

@@ -326,14 +326,21 @@ TOY_PENCILS = [(sp.identity(2), np.array([[1.0, -1.0], [-1.0, 1.0]]))]
 def test_block_solver_falls_back_to_direct_path():
     # two components sharing the near-zero-diagonal block: its LU without
     # pivoting cannot give a solution within tolerance, so the layer goes
-    # over to the pinned LU of the whole system, for good
+    # over to the pinned LU of the whole system, for good.  B comes as the
+    # divergence factors of a 6 x 1 velocity and a 2 x 1 pressure lattice,
+    # [(M_0, D_0), (M_1, D_1)]: B = [D_0 (x) M_1, M_0 (x) D_1]
     block = near_zero_diagonal_block()
     K = sp.block_diag([block, block], format="csr")
     B = sp.csr_matrix(np.array([[1.0, -1.0, 0, 0, 0, 0, 0.5, 0, 0, 0, 0, 0],
                                 [-1.0, 1.0, 0, 0, 0, 0, -0.5, 0, 0, 0, 0, 0]]))
+    factors = [(sp.csr_matrix(np.array([[1.0, 0, 0, 0, 0, 0],
+                                        [-1.0, 0, 0, 0, 0, 0]])),
+                sp.csr_matrix(np.array([[1.0, -1.0, 0, 0, 0, 0],
+                                        [-1.0, 1.0, 0, 0, 0, 0]]))),
+               (sp.csr_matrix([[1.0]]), sp.csr_matrix([[0.5]]))]
     load = np.arange(1.0, 13.0)
     counts = SolveCounts()
-    solver = BlockSaddleSolver(block, B, np.ones(2), load, TOY_PENCILS,
+    solver = BlockSaddleSolver(block, factors, np.ones(2), load, TOY_PENCILS,
                                nu=1.0, sigma=1.0, counts=counts)
     u, p = solver.solve(tol=1e-10)
     assert residual(SaddleSystem(K=K, B=B, gauge=np.ones(2), rhs_u=load),
@@ -357,12 +364,14 @@ _LAYOUT_SCRIPT = textwrap.dedent("""
     toy = [(sp.identity(2), np.array([[1.0, -1.0], [-1.0, 1.0]]))]
     pair = (sp.csr_matrix(np.ones((2, 2))),) * 2
     cases = {
-        # a block that does not tile the 5 velocity dofs
+        # a block of 2 dofs for divergence factors of 5 velocity dofs per
+        # component
         "block": (sp.identity(2, format="csr"),
-                  sp.csr_matrix(np.ones((2, 5))), toy, 5),
-        # pencils of 2 x 2 pressure dofs for a system with 2
+                  [(sp.csr_matrix(np.ones((2, 5))),) * 2], toy, 5),
+        # pencils of 2 x 2 pressure dofs for divergence factors of 2 x 1
         "pencils": (sp.identity(2, format="csr"),
-                    sp.csr_matrix(np.ones((2, 4))), toy * 2, 4),
+                    [pair, (sp.csr_matrix(np.ones((1, 1))),) * 2], toy * 2,
+                    4),
         # block pencils of 2 axes for divergence factors of one
         "block_pencils": (toy * 2, [pair], toy, 4),
         # divergence factors of 1 x 4 velocity dofs per axis for block
@@ -381,10 +390,10 @@ _LAYOUT_SCRIPT = textwrap.dedent("""
 
 
 def test_layout_errors_survive_optimize():
-    # the block path must refuse velocity dofs that are not d copies of
-    # its block, pencils that do not tile the pressure dofs, and divergence
-    # factors that do not tile the block pencils axis by axis, even when
-    # python -O strips assert statements
+    # the block path must refuse a block that does not tile the velocity
+    # lattice of its divergence factors, pencils that do not tile the
+    # pressure dofs, and divergence factors that do not tile the block
+    # pencils axis by axis, even when python -O strips assert statements
     src = os.path.dirname(os.path.dirname(os.path.abspath(thinflow.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-O", "-c", _LAYOUT_SCRIPT],

@@ -17,7 +17,7 @@ from thinflow.errors import InvalidResolutionError, PicardDivergenceError
 from thinflow.harness import load_config
 from thinflow.linalg import (BlockSaddleSolver, SaddleSystem, SolveCounts,
                              residual, solve_sparse)
-from thinflow.meshing import Geometry, TensorMesh, build_thin_mesh
+from thinflow.meshing import Geometry, TensorMesh, _term, build_thin_mesh
 from thinflow.microscale import apriori_norms, solve_dlb
 
 from helpers import interpolate, oseen_matrix, translated
@@ -144,20 +144,33 @@ def test_d3_layer_factors_no_matrix(monkeypatch):
     assert sol.solver_counts["direct_fallbacks"] == 0
 
 
+PERIODIC_D3 = coefs.periodic_field(
+    3, np.eye(3), [coefs.Wave((1, 0), "cos", 0.5 * np.eye(3))],
+    alpha_ell=0.5, beta_ell=1.5)
+
+
 @pytest.mark.parametrize("field", [
-    coefs.periodic_field(3, np.eye(3), [coefs.Wave((1, 0), "cos",
-                                                   0.5 * np.eye(3))],
-                         alpha_ell=0.5, beta_ell=1.5),
+    PERIODIC_D3,
     coefs.constant_field(3, [[1.0, 0.3, 0.0], [0.3, 1.0, 0.0],
                              [0.0, 0.0, 1.0]])], ids=["periodic", "coupled"])
 def test_d3_non_separable_layer_factors_its_block(monkeypatch, field):
     # a coefficient that varies horizontally or couples two axes makes no
-    # Kronecker sum: the layer factors its scalar block, once
+    # Kronecker sum: the layer factors its scalar block, once, and takes
+    # its divergence as axis factors, never assembled
     assert not field.separable
     factored = spy_on_splu(monkeypatch)
+    assembled = []
+    original = microscale.assemble_divergence
+
+    def spy(*args, **kwargs):
+        assembled.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(microscale, "assemble_divergence", spy)
     mesh = build_thin_mesh(Geometry(3, (0.5, 0.5), 0.125), 4, 2)
     sol = solve_dlb(mesh, field, coefs.FluidParams(mu=1.0, f1=d3_forcing),
                     K_eps=0.125 ** 2)
+    assert assembled == []
     assert factored == [FunctionSpace(mesh, "component").ndof]
     assert sol.solver_counts["factorizations"] == 1
     assert sol.solver_counts["direct_fallbacks"] == 0
@@ -353,10 +366,10 @@ def test_translation_by_full_period_invariant():
 def dns_system(mesh, field, params, K_eps):
     """The Stokes-Brinkmann system that solve_dlb solves, its velocity
     space and a factory of block solvers for it (plain Cahouet-Chabard
-    weights: they change the iteration count, not the answer), which take
-    the tensor form where solve_dlb does, on a d = 3 layer with a separable
-    coefficient (the block pencils and the axis divergence factors), and
-    the assembled block and divergence otherwise."""
+    weights: they change the iteration count, not the answer).  The system
+    holds the assembled divergence; the solvers take its axis factors, and
+    the block in the form solve_dlb gives it: the block pencils on a d = 3
+    layer with a separable coefficient, the assembled block otherwise."""
     eps = float(mesh.axes[-1][-1])
     V = FunctionSpace(mesh, "velocity")
     S = FunctionSpace(mesh, "component")
@@ -369,13 +382,12 @@ def dns_system(mesh, field, params, K_eps):
         K=K, B=assemble_divergence(V, Q), gauge=pressure_gauge(Q),
         rhs_u=assemble_load(V, params.forcing(mesh.ndim - 1)))
 
-    forms = block, system.B
     if mesh.ndim == 3 and field.separable:
-        forms = (microscale._block_pencils(S, field, eps, params.mu / K_eps),
-                 axis_divergence(V, Q))
+        block = microscale._block_pencils(S, field, eps, params.mu / K_eps)
+    factors = axis_divergence(V, Q)
 
     def block_solver(counts):
-        return BlockSaddleSolver(*forms, system.gauge, system.rhs_u,
+        return BlockSaddleSolver(block, factors, system.gauge, system.rhs_u,
                                  axis_pencils(Q), nu=1.0,
                                  sigma=params.mu / K_eps, counts=counts)
 
@@ -411,6 +423,17 @@ def test_block_solve_matches_pinned_lu_d3():
                                          params, K_eps=0.125 ** 2)
     assert_matches_pinned_lu(V, system, block_solver, params,
                              factorizations=0)
+
+
+def test_block_solve_matches_pinned_lu_d3_non_separable():
+    # a periodic layer factors its assembled block, once, and applies B by
+    # its axis factors, as the separable one does
+    mesh = build_thin_mesh(Geometry(3, (0.5, 0.5), 0.125), 4, 2)
+    params = coefs.FluidParams(mu=1.0, rho=1.0, f1=d3_forcing)
+    V, system, block_solver = dns_system(mesh, PERIODIC_D3, params,
+                                         K_eps=0.125 ** 2)
+    assert_matches_pinned_lu(V, system, block_solver, params,
+                             factorizations=1)
 
 
 def test_block_solve_matches_pinned_lu_drag_dominated_d2():
@@ -505,7 +528,7 @@ def test_tensor_operators_match_assembled(kind, name):
     rng = np.random.default_rng(7)
     u, q = rng.standard_normal(V.ndof), rng.standard_normal(Q.ndof)
     for got, ref in (
-            (linalg._kronecker_sum(pencils, u),
+            (linalg._block_apply([_term(pencils, a) for a in range(3)], u),
              (block @ u.reshape(3, -1).T).T.ravel()),
             (linalg._tensor_divergence(factors, u), B @ u),
             (linalg._tensor_gradient(factors, q), B.T @ q)):
