@@ -17,17 +17,20 @@ the components.  Where every wall clamps every component, all diagonal
 blocks are one block, which the "component" space (that scalar lattice,
 walls clamped) assembles alone.
 
-Each operator is summed into a fixed CSR pattern, built once.  The free
-nodes of a component are a tensor product of per-axis sets, so the pattern
-is the Kronecker product of 1-D patterns (the divergence sets those of the
-velocity components side by side), and a slot map built from them, axis by
-axis and with no sort, places every element-local entry (_slot_map).  The
+Each square operator is summed into a fixed CSR pattern, built once per
+distinct free set.  The free nodes of a component are a tensor product of
+per-axis sets, so the pattern is the Kronecker product of 1-D patterns, and
+a slot map built from them, axis by axis and with no sort, places every
+element-local entry (_slot_map).  The
 slots, the element matrices and their quadrature points are formed one
 element slab at a time (_slabs: whole element rows along axis 0, at most
 _SLAB_ENTRIES local entries), so only the pattern spans the mesh; a mesh
 that fits one slab is assembled in one pass.  Symmetry is checked on the
 element matrices.  A drag term is folded into the diffusion element
-matrices.
+matrices.  The divergence has one form: the block of each velocity
+component is a Kronecker product of 1-D mass and derivative matrices
+(_divergence_factors), applied axis by axis in d = 3 layers
+(axis_divergence) and assembled from them everywhere else.
 
 Discrete fields are sampled at Gauss points by sum factorization
 (meshing._kron_apply), one sparse 1D interpolation matrix per axis, which
@@ -47,12 +50,16 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import AsymmetricOperatorError, SpaceMismatchError
-from .meshing import (TensorMesh, _kron_apply, composite_gauss, gauss_rule,
-                      grid_points, tensor_rule)
+from .meshing import (TensorMesh, _kron_apply, _kron_row, composite_gauss,
+                      gauss_rule, grid_points, tensor_rule)
 
 _SYM_CHECK_REL = 1e-13
 # Gauss points per axis and element of the bilinear forms and the loads
 _NQUAD = 3
+# a 1-D divergence entry at most this fraction of its scale (the spacing,
+# or 1 for a derivative) is the rounding of an integral that vanishes; on a
+# uniform axis the others are at least 1/6 of it
+_VANISHING = 1e-8
 # the most entries (element-local matrix entries, or grid values) that one
 # slab of a pass over a tensor grid holds; see _slabs
 _SLAB_ENTRIES = 2 ** 17
@@ -289,117 +296,89 @@ def _eval_callable(fn, pts, ncomp):
     return vals.reshape(n, ncomp)
 
 
-def _axis_pattern(rows, cols, a, free_r, free_c):
-    """1-D pattern along axis a between the free nodes (masks free_r and
-    free_c) of two spaces.  Returns (r, c, lens, pos): the free index of
-    each element-local row node (n_a, rows.order + 1) and column node
-    (n_a, cols.order + 1), -1 on a clamped end; the length of each free
+def _axis_pattern(space, a, free):
+    """1-D pattern along axis a between the free nodes (mask free) of a
+    space.  Returns (r, lens, pos): the free index of each element-local
+    node (n_a, order + 1), -1 on a clamped end; the length of each free
     row; and the place of each local pair's column in its row."""
-    def free_index(space, free):
-        nodes = _element_nodes(space, a, np.arange(space.mesh.n_elements[a]))
-        return np.where(free, np.cumsum(free) - 1, -1)[nodes]
-
-    r, c = free_index(rows, free_r), free_index(cols, free_c)
-    key = r[:, :, None] * free_c.size + c[:, None, :]
-    pattern = np.unique(key[(r[:, :, None] >= 0) & (c[:, None, :] >= 0)])
-    lens = np.bincount(pattern // free_c.size, minlength=int(free_r.sum()))
+    nodes = _element_nodes(space, a, np.arange(space.mesh.n_elements[a]))
+    r = np.where(free, np.cumsum(free) - 1, -1)[nodes]
+    key = r[:, :, None] * free.size + r[:, None, :]
+    pattern = np.unique(key[(r[:, :, None] >= 0) & (r[:, None, :] >= 0)])
+    lens = np.bincount(pattern // free.size, minlength=int(free.sum()))
     pos = np.searchsorted(pattern, key) \
         - (np.cumsum(lens) - lens)[r][:, :, None]
-    return r, c, lens.astype(np.int32), pos.astype(np.int32)
+    return r, lens.astype(np.int32), pos.astype(np.int32)
 
 
-def _slot_map(rows, cols, free_r, free_cs):
-    """CSR pattern between the free row nodes (per-axis masks free_r) and
-    the free column nodes of one or more column blocks (per-axis masks
-    free_cs[b]) set side by side, with the slots of the element-local
-    entries in it, one element slab at a time.
+def _slot_map(space, free):
+    """CSR pattern of a square operator between the free nodes (per-axis
+    masks free) of a space, with the slots of the element-local entries in
+    it, one element slab at a time.
 
-    On a tensor mesh the pattern of a block is the Kronecker product of the
-    1-D patterns (Lynch, Rice & Thomas, Numer. Math. 6, 1964): free row
-    (i_0, ..., i_{d-1}) holds prod_a len_a[i_a] columns of it, and entry
-    (k, l) of an element lies at start[row] + sum_a pos_a prod_{b>a}
-    len_b[i_b], start the place of the block's first column in the row.
+    On a tensor mesh the pattern is the Kronecker product of the 1-D
+    patterns (Lynch, Rice & Thomas, Numer. Math. 6, 1964): free row
+    (i_0, ..., i_{d-1}) holds prod_a len_a[i_a] columns, and entry (k, l)
+    of an element lies at indptr[row] + sum_a pos_a prod_{b>a} len_b[i_b].
     Entries on a clamped row or column go to the discard slot nnz.  Returns
-    (indptr, shape, slabs, slab_slots): the element slabs along axis 0
-    (_slabs), and slab_slots(s), the slots and the columns of the
-    element-local entries of slab s, one int32 pair per block on the grid
-    of _on_grid.  Only the row-sized arrays span the whole mesh.
+    (indptr, slabs, slab_slots): the element slabs along axis 0 (_slabs),
+    and slab_slots(s), the int32 slots and columns of the element-local
+    entries of slab s on the grid of _on_grid.  Only the row-sized arrays
+    span the whole mesh.
     """
-    mesh, d = rows.mesh, rows.mesh.ndim
-    blocks = [[_axis_pattern(rows, cols, a, free_r[a], free[a])
-               for a in range(d)] for free in free_cs]
-    lens = [functools.reduce(np.multiply.outer,
-                             [n for _, _, n, _ in axes]).ravel()
-            for axes in blocks]
-    indptr = np.zeros(lens[0].size + 1, dtype=np.int32)
-    indptr[1:] = np.cumsum(sum(lens))
+    mesh, d = space.mesh, space.mesh.ndim
+    axes = [_axis_pattern(space, a, free[a]) for a in range(d)]
+    lens = functools.reduce(np.multiply.outer, [n for _, n, _ in axes])
+    indptr = np.zeros(lens.size + 1, dtype=np.int32)
+    indptr[1:] = np.cumsum(lens.ravel())
     nnz = int(indptr[-1])
-    # where each block's run starts in each row, and its first column
-    starts = (indptr[:-1] + np.cumsum([np.zeros_like(lens[0])] + lens[:-1],
-                                      axis=0)).astype(np.int32)
-    firsts = np.cumsum([0] + [int(np.prod([f.sum() for f in free]))
-                              for free in free_cs])
 
     def slab_slots(s):
-        places, out = {}, []
-        for b, (free, axes) in enumerate(zip(free_cs, blocks)):
-            axes = [(r[s], c[s], n, pos[s]) if a == 0 else (r, c, n, pos)
-                    for a, (r, c, n, pos) in enumerate(axes)]
-            row = col = 0
-            for a, (r, c, n, _) in enumerate(axes):
-                row = row * n.size + _on_grid(np.maximum(r, 0), a, (0, 1), d)
-                col = col * int(free[a].sum()) \
-                    + _on_grid(np.maximum(c, 0), a, (0, 2), d)
-            if id(free) not in places:
-                # the place of each entry in its run, shared by the blocks
-                # of one free set
-                place, stride = 0, 1
-                for a in reversed(range(d)):
-                    r, _, n, pos = axes[a]
-                    place = place + _on_grid(pos, a, (0, 1, 2), d) * stride
-                    stride = stride * _on_grid(n[np.maximum(r, 0)], a,
-                                               (0, 1), d)
-                places[id(free)] = place
-            slot = places[id(free)] + starts[b][row]
-            for a, (r, c, _, _) in enumerate(axes):
-                for k, clamped in ((1, r < 0), (2, c < 0)):
-                    for e, j in zip(*np.nonzero(clamped)):
-                        at = [slice(None)] * (3 * d)
-                        at[a], at[k * d + a] = e, j
-                        slot[tuple(at)] = nnz
-            out.append((slot, col + firsts[b]))
-        return out
+        axes_s = [(r[s], n, pos[s]) if a == 0 else (r, n, pos)
+                  for a, (r, n, pos) in enumerate(axes)]
+        row = col = place = 0
+        for a, (r, n, _) in enumerate(axes_s):
+            row = row * n.size + _on_grid(np.maximum(r, 0), a, (0, 1), d)
+            col = col * n.size + _on_grid(np.maximum(r, 0), a, (0, 2), d)
+        stride = 1
+        for a in reversed(range(d)):
+            r, n, pos = axes_s[a]
+            place = place + _on_grid(pos, a, (0, 1, 2), d) * stride
+            stride = stride * _on_grid(n[np.maximum(r, 0)], a, (0, 1), d)
+        slot = place + indptr[row]
+        for a, (r, _, _) in enumerate(axes_s):
+            slot[np.broadcast_to(_on_grid(r < 0, a, (0, 1), d)
+                                 | _on_grid(r < 0, a, (0, 2), d),
+                                 slot.shape)] = nnz
+        return slot, col
 
-    slabs = _slabs(mesh.n_elements, len(blocks) * (rows.order + 1) ** d
-                   * (cols.order + 1) ** d)
-    return indptr, (lens[0].size, int(firsts[-1])), slabs, slab_slots
+    return indptr, _slabs(mesh.n_elements, (space.order + 1) ** (2 * d)), \
+        slab_slots
 
 
 def _fill(slot_map, local):
     """CSR matrix of element-local matrices summed into the pattern of a
     slot map, one element slab at a time.
 
-    local(s) gives the matrices of the element slab s, (n_s, nloc_r,
-    nblocks * nloc_c), or one (nloc_r, nblocks * nloc_c) for all of them.
-    Each slab scatters its columns into the pattern's indices and adds its
-    entries into the data with np.add.at, so the entries of every slot are
-    added in element order whatever the slabs.
+    local(s) gives the matrices of the element slab s, (n_s, nloc, nloc),
+    or one (nloc, nloc) for all of them.  Each slab scatters its columns
+    into the pattern's indices and adds its entries into the data with
+    np.add.at, so the entries of every slot are added in element order
+    whatever the slabs.
     """
-    indptr, shape, slabs, slab_slots = slot_map
+    indptr, slabs, slab_slots = slot_map
     indices = np.empty(int(indptr[-1]) + 1, dtype=np.int32)
     data = np.zeros(indices.size)
     for s in slabs:
-        blocks, mats = slab_slots(s), local(s)
-        width = mats.shape[-1] // len(blocks)
-        for b, (slot, col) in enumerate(blocks):
-            indices[slot] = col
-            slot = slot.reshape(-1, mats.shape[-2], width)
-            # unlike bincount, add.at takes the int32 slots without an
-            # int64 copy; flat operands keep it on its fast path
-            np.add.at(data, slot.ravel(), np.ascontiguousarray(
-                np.broadcast_to(mats[..., b * width:(b + 1) * width],
-                                slot.shape)).ravel())
-    return sp.csr_matrix((data[:-1], indices[:-1], indptr), shape=shape)
+        (slot, col), mats = slab_slots(s), local(s)
+        indices[slot] = col
+        slot = slot.reshape((-1,) + mats.shape[-2:])
+        # unlike bincount, add.at takes the int32 slots without an int64
+        # copy; flat operands keep it on its fast path
+        np.add.at(data, slot.ravel(), np.ascontiguousarray(
+            np.broadcast_to(mats, slot.shape)).ravel())
+    return sp.csr_matrix((data[:-1], indices[:-1], indptr),
+                         shape=(indptr.size - 1,) * 2)
 
 
 def _per_free_set(space, build):
@@ -418,12 +397,9 @@ def _square(space, local):
         _check_symmetric(mats)
         return mats
 
-    mats = _per_free_set(space, lambda free: _fill(
-        _slot_map(space, space, free, [free]), checked))
-    return mats[0] if len(mats) == 1 else sp.bmat(
-        [[m if i == j else sp.csr_matrix((m.shape[0], n.shape[1]))
-          for j, n in enumerate(mats)] for i, m in enumerate(mats)],
-        format="csr")
+    mats = _per_free_set(space, lambda free: _fill(_slot_map(space, free),
+                                                   checked))
+    return mats[0] if len(mats) == 1 else sp.block_diag(mats, format="csr")
 
 
 def _check_symmetric(mats):
@@ -514,48 +490,57 @@ def axis_pencils(space, weight=None):
     return pencils
 
 
-def axis_divergence(space_v, space_p):
+def _divergence_factors(space_v, space_p, free):
     """Per-axis 1-D mass and derivative matrices [(M_a, D_a), ...] of the
-    divergence between a velocity and a pressure space.
-
-    M_a and D_a hold int q v and int q v' on the 1-D mesh of axis a, rows
-    the pressure lattice and columns the free velocity nodes of that axis;
-    each is P^T W V at the element Gauss points, exact for the degree-3
-    integrand.  On a tensor mesh the block of assemble_divergence for
-    velocity component c is the Kronecker product over the axes a of D_a
-    for a = c and M_a otherwise.  Every component must have the same free
-    nodes.
-    """
+    divergence: int q v and int q v' on the 1-D mesh of axis a, rows the
+    pressure lattice and columns the free nodes (per-axis masks free) of a
+    velocity component.  Each sums the reference element matrix, exact at
+    _NQUAD Gauss points, over the elements, and drops the integrals that
+    vanish."""
     if space_v.mesh is not space_p.mesh:
         raise SpaceMismatchError("velocity and pressure spaces share no mesh")
+    gp, gw = gauss_rule(_NQUAD)
+    phi_p = _shape1d(space_p.order, gp)[0]
+    phi_v, dphi_v = _shape1d(space_v.order, gp)
+    factors = []
+    for a, h in enumerate(space_v.mesh.spacings):
+        e = np.arange(space_v.mesh.n_elements[a])
+        rows, cols = (x.ravel() for x in np.broadcast_arrays(
+            _element_nodes(space_p, a, e)[:, :, None],
+            _element_nodes(space_v, a, e)[:, None, :]))
+        # the derivative's 2 / h cancels the Jacobian h / 2
+        for table, scale in ((phi_v * (h / 2), h), (dphi_v, 1.0)):
+            local = phi_p.T @ (gw[:, None] * table)
+            mat = sp.csr_matrix((np.tile(local.ravel(), e.size), (rows, cols)),
+                                shape=(space_p.lattice_sizes[a],
+                                       space_v.lattice_sizes[a]))[:, free[a]]
+            mat.data[np.abs(mat.data) <= _VANISHING * scale] = 0.0
+            mat.eliminate_zeros()
+            factors.append(mat)
+    return list(zip(factors[::2], factors[1::2]))
+
+
+def axis_divergence(space_v, space_p):
+    """The divergence factors [(M_a, D_a), ...] (_divergence_factors) that
+    every velocity component shares, which must have the same free nodes:
+    the block of B for component c is the Kronecker product over the axes a
+    of D_a for a = c and M_a otherwise."""
     free = space_v.axis_free[0]
     if any(not np.array_equal(f, g) for other in space_v.axis_free
            for f, g in zip(other, free)):
         raise SpaceMismatchError(
             "velocity components with different free nodes have no axis "
             "divergence factors")
-    factors = []
-    for a, (x, w) in enumerate(element_gauss_axes(space_v.mesh, _NQUAD)):
-        weighted = _interpolation(space_p, a, x).T.multiply(w).tocsr()
-        factors.append(tuple(
-            (weighted @ _interpolation(space_v, a, x, deriv=deriv)[
-                :, free[a]]).tocsr() for deriv in (False, True)))
-    return factors
+    return _divergence_factors(space_v, space_p, free)
 
 
 def assemble_divergence(space_v, space_p):
-    """Matrix B with (B u)_q = int q div u for every pressure basis q."""
-    if space_v.mesh is not space_p.mesh:
-        raise SpaceMismatchError("velocity and pressure spaces share no mesh")
-    phi_p, _, wq = space_p.reference_data(_NQUAD)
-    _, grad_v, _ = space_v.reference_data(_NQUAD)
-    # one pattern over the velocity components side by side, one column
-    # block per component
-    local = np.concatenate([np.einsum("qi,qj,q->ij", phi_p, grad_v[:, :, c],
-                                      wq) for c in range(space_v.ncomp)],
-                           axis=1)
-    return _fill(_slot_map(space_p, space_v, space_p.axis_free[0],
-                           space_v.axis_free), lambda s: local)
+    """Matrix B with (B u)_q = int q div u for every pressure basis q: the
+    block of component c is the Kronecker product of the divergence factors
+    of its free nodes, D_a on axis a = c and M_a on the others
+    (meshing._kron_row), so B stores no integral that vanishes."""
+    return _kron_row(_per_free_set(space_v, functools.partial(
+        _divergence_factors, space_v, space_p)))
 
 
 def integrate_grid(space, coords, integrand, deriv_axis=None):

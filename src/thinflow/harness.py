@@ -276,6 +276,13 @@ def load_config(source):
                           f"smallest extent {min(geometry.omega_extent):g}")
     field = _built("coefficient", lambda: _coefficient_field(
         raw["coefficient"], geometry.d))
+    # bounds that a stage would check only after the stages before it ran;
+    # the layers resolve each wavelength with >= 4 elements (solve_dlb)
+    least = {"dns_elements_per_period": max(2, 4 * field.max_wavenumber),
+             "dns_nz": 1, "macro_n": 1, "picard_max_iters": 1}
+    for key, bound in least.items():
+        if numerics[key] < bound:
+            raise ConfigError(f"'numerics.{key}' must be >= {bound}")
     params = _built("fluid", lambda: coefs.FluidParams(
         mu=f["mu"], rho=f["rho"], phi=f["phi"],
         f1=None if f["f1"] is None else _expr_fn(f["f1"], geometry.d1)))

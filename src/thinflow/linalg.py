@@ -67,7 +67,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import (ComponentLayoutError, ConvergenceFailureError,
                      SingularSystemError)
-from .meshing import _kron, _kron_apply, _term
+from .meshing import _kron, _kron_apply, _kron_row, _term
 
 DEFAULT_TOL_DIRECT = 1e-10
 # the block path refines until the backward error is at most
@@ -553,9 +553,8 @@ class BlockSaddleSolver:
     def _assembled(self):
         """K and B as sparse matrices, for the direct path."""
         block = sum(_kron(term) for term in self._terms)
-        B = sp.hstack([_kron(_term(self._factors, a))
-                       for a in range(self._ncomp)], format="csr")
-        return sp.block_diag([block] * self._ncomp, format="csr"), B
+        return sp.block_diag([block] * self._ncomp, format="csr"), \
+            _kron_row([self._factors] * self._ncomp)
 
     def _backward_error(self, u, q, f):
         """Backward error of (u, q) in both equations, the velocity

@@ -11,6 +11,7 @@ tensor_rule and grid_points.  No other module builds a rule or a grid.  It
 also owns the one sum-factorization kernel, _kron_apply, which applies a
 Kronecker product of per-axis matrices to arrays in lattice order: the
 samples and loads of assembly and the tensor operators of linalg use it.
+The sparse divergence of both is _kron_row.
 """
 
 import functools
@@ -80,6 +81,13 @@ def _term(pairs, a):
 def _kron(mats):
     """The Kronecker product of mats, as a CSR matrix."""
     return functools.reduce(lambda x, y: sp.kron(x, y, format="csr"), mats)
+
+
+def _kron_row(pair_lists):
+    """The CSR block row of the Kronecker products of term a of the pairs
+    pair_lists[a] (_term): the divergence, a block per velocity component."""
+    return sp.hstack([_kron(_term(pairs, a))
+                      for a, pairs in enumerate(pair_lists)], format="csr")
 
 
 class Geometry:

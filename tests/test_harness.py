@@ -375,6 +375,16 @@ def test_cli_malformed_config_aborts(tmp_path, capsys):
     for eps_list in ([0.125, 0.0], [0.125, -0.0625], [1.0, 0.5]):
         case(lambda raw: raw["sweep"].update(eps_list=eps_list),
              "'sweep.eps_list'")
+    # numerics that a stage would reject only after the stages before it
+    for key, value in (("dns_elements_per_period", 1), ("dns_nz", 0),
+                       ("macro_n", 0), ("picard_max_iters", 0)):
+        case(lambda raw: raw["numerics"].update({key: value}),
+             f"'numerics.{key}' must be >= ")
+    case(lambda raw: raw.update(
+        coefficient={"class": "periodic", "matrix": np.eye(2).tolist(),
+                     "waves": [dict(wave, k=[2])]},
+        numerics=dict(raw["numerics"], dns_elements_per_period=4)),
+        "'numerics.dns_elements_per_period' must be >= 8")
     unused("constant", "zeta_expr", "1 + z*z")
     for klass in ("constant", "zeta_profile"):
         unused(klass, "waves", [wave])

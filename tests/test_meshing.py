@@ -170,6 +170,17 @@ def test_grid_to_lattice_maps_live_in_assembly():
     assert offenders == []
 
 
+def test_library_has_no_assert_statement():
+    # python -O strips assert statements, so an invariant that one guards
+    # goes unchecked there; the library raises its own errors instead
+    sources = sorted(SRC.glob("*.py"))
+    assert "assembly.py" in [p.name for p in sources]
+    offenders = [f"{p.name}:{node.lineno}" for p in sources
+                 for node in ast.walk(ast.parse(p.read_text()))
+                 if isinstance(node, ast.Assert)]
+    assert offenders == []
+
+
 def test_norm_rules_are_chosen_in_assembly():
     # DiscreteField picks the exact Gauss rule of each norm and integral;
     # a module that passes nquad would be choosing norm rules again
