@@ -21,8 +21,9 @@ Each square operator is summed into a fixed CSR pattern, built once per
 distinct free set.  The free nodes of a component are a tensor product of
 per-axis sets, so the pattern is the Kronecker product of 1-D patterns, and
 a slot map built from them, axis by axis and with no sort, places every
-element-local entry (_slot_map).  The
-slots, the element matrices and their quadrature points are formed one
+element-local entry (_slot_map); the blocks of the components are joined
+array by array (_block_diagonal), so no square operator passes through COO.
+The slots, the element matrices and their quadrature points are formed one
 element slab at a time (_slabs: whole element rows along axis 0, at most
 _SLAB_ENTRIES local entries), so only the pattern spans the mesh; a mesh
 that fits one slab is assembled in one pass.  Symmetry is checked on the
@@ -36,10 +37,13 @@ Discrete fields are sampled at Gauss points by sum factorization
 (meshing._kron_apply), one sparse 1D interpolation matrix per axis, which
 the space builds once and keeps; each norm samples on the smallest Gauss
 rule exact for its integrand, one slab of the grid at a time (_rule_slabs),
-and sums the slabs in order.  Every load (the forcing, the cell unit loads,
-the pressure gauge, the flux and Picard convection loads, the macro no-flux
-diagnostic) is the sample's transpose, integrate_grid, so no per-element
-dof map is kept.  The Gauss rules and tensor grids are those of meshing
+and sums the slabs in order.  A field keeps a read-only copy of its
+coefficients, so it expands its lattice array and takes its gradient norm
+once.  Every load (the forcing, the cell unit loads, the pressure gauge,
+the flux and Picard convection loads, the macro no-flux diagnostic) is the
+sample's transpose, integrate_grid, so no per-element dof map is kept; the
+forcing, gauge and convection loads are sampled and integrated one slab at
+a time too.  The Gauss rules and tensor grids are those of meshing
 (composite_gauss, tensor_rule, grid_points).
 """
 
@@ -265,19 +269,23 @@ def _axis_basis(space, a, x, deriv=False):
 
 
 def _interpolation(space, a, x, deriv=False):
-    """Sparse 1D interpolation matrix (len(x), lattice size) along axis a:
-    order + 1 entries per row, periodic wrap included.  Each matrix is
-    built once per space and kept on it; callers must not modify it."""
+    """Sparse 1D interpolation matrix (len(x), lattice size) along axis a,
+    order + 1 entries per row, periodic wrap included, and its transpose.
+    Both are built once per space and kept on it; callers must not modify
+    them."""
     x = np.asarray(x, dtype=float)
     key = (a, bool(deriv), x.tobytes())
-    mat = space._interpolations.get(key)
-    if mat is None:
+    pair = space._interpolations.get(key)
+    if pair is None:
         nodes, weights = _axis_basis(space, a, x, deriv=deriv)
-        rows = np.repeat(np.arange(nodes.shape[0]), space.order + 1)
-        mat = space._interpolations[key] = sp.csr_matrix(
-            (weights.ravel(), (rows, nodes.ravel())),
+        mat = sp.csr_matrix((weights.ravel(), nodes.ravel(), np.arange(
+            0, nodes.size + 1, space.order + 1)),
             shape=(nodes.shape[0], space.lattice_sizes[a]))
-    return mat
+        # canonical form, as from triplets: a periodic wrap lists the
+        # nodes of a row out of order
+        mat.sum_duplicates()
+        pair = space._interpolations[key] = (mat, mat.T)
+    return pair
 
 
 def _eval_callable(fn, pts, ncomp):
@@ -397,9 +405,25 @@ def _square(space, local):
         _check_symmetric(mats)
         return mats
 
-    mats = _per_free_set(space, lambda free: _fill(_slot_map(space, free),
-                                                   checked))
-    return mats[0] if len(mats) == 1 else sp.block_diag(mats, format="csr")
+    return _block_diagonal(_per_free_set(
+        space, lambda free: _fill(_slot_map(space, free), checked)))
+
+
+def _block_diagonal(blocks):
+    """The block diagonal CSR matrix of CSR blocks, their arrays joined
+    with the row and column offsets added: no COO triplets, no sort."""
+    if len(blocks) == 1:
+        return blocks[0]
+    rows = cols = nnz = 0
+    indptr, indices = [blocks[0].indptr[:1]], []
+    for block in blocks:
+        indptr.append(block.indptr[1:] + nnz)
+        indices.append(block.indices + cols)
+        rows, cols = rows + block.shape[0], cols + block.shape[1]
+        nnz += block.nnz
+    return sp.csr_matrix((np.concatenate([b.data for b in blocks]),
+                          np.concatenate(indices), np.concatenate(indptr)),
+                         shape=(rows, cols))
 
 
 def _check_symmetric(mats):
@@ -554,28 +578,42 @@ def integrate_grid(space, coords, integrand, deriv_axis=None):
     carry the samples back to the lattice.
     """
     full = _kron_apply([
-        _interpolation(space, a, x, deriv=deriv_axis == a).T
+        _interpolation(space, a, x, deriv=deriv_axis == a)[1]
         for a, x in enumerate(coords)], integrand.reshape(-1, space.ncomp).T)
     return np.concatenate([full[c, f] for c, f in enumerate(space.free)])
 
 
+def _slab_integral(space, integrand):
+    """integrate_grid over the element-aligned Gauss grid (_NQUAD points)
+    of the space's mesh, one slab at a time (_rule_slabs, sized for two
+    values per component and point): integrand(coords, w) gives the
+    weighted samples of a slab, and the slabs' loads are summed in order."""
+    return sum(integrate_grid(space, coords, integrand(coords, w))
+               for coords, w in _rule_slabs(element_gauss_axes(
+                   space.mesh, _NQUAD), 2 * space.ncomp))
+
+
 def assemble_convection(space_v, u_coeffs, factor=1.0):
     """Picard load N(u) u: int factor (u . grad u) . v for every free v,
-    formed on the Gauss grid of DiscreteField.gauss_grid, one derivative
-    axis a at a time: (u . grad) u = sum_a u_a d_a u."""
+    formed on the Gauss grid of DiscreteField.gauss_grid one slab and one
+    derivative axis a at a time: (u . grad) u = sum_a u_a d_a u."""
     field = DiscreteField(space_v, u_coeffs)
-    coords, w, u = field.gauss_grid(_NQUAD)
-    conv = sum(u[..., a:a + 1] * field.evaluate_grid(coords, deriv_axis=a)
-               for a in range(len(coords)))
-    return integrate_grid(space_v, coords, conv * (factor * w)[..., None])
+
+    def integrand(coords, w):
+        u = field.evaluate_grid(coords)
+        conv = sum(u[..., a:a + 1] * field.evaluate_grid(coords, deriv_axis=a)
+                   for a in range(len(coords)))
+        return conv * (factor * w)[..., None]
+    return _slab_integral(space_v, integrand)
 
 
 def assemble_load(space, f_eval):
-    """Load vector int f . v on the free dofs."""
-    coords, w = tensor_rule(element_gauss_axes(space.mesh, _NQUAD))
-    fv = _eval_callable(f_eval, grid_points(coords), space.ncomp)
-    return integrate_grid(space, coords, fv.reshape(w.shape + (-1,))
-                          * w[..., None])
+    """Load vector int f . v on the free dofs, the forcing sampled one slab
+    of the Gauss grid at a time."""
+    def integrand(coords, w):
+        fv = _eval_callable(f_eval, grid_points(coords), space.ncomp)
+        return fv.reshape(w.shape + (-1,)) * w[..., None]
+    return _slab_integral(space, integrand)
 
 
 def assemble_flux_load(space, vec_eval):
@@ -603,13 +641,21 @@ class DiscreteField:
 
     def __init__(self, space, coeffs):
         self.space = space
-        self.coeffs = np.asarray(coeffs, dtype=float)
+        # a read-only copy, so that what is computed from it stays valid
+        self.coeffs = np.array(coeffs, dtype=float)
+        self.coeffs.flags.writeable = False
         if self.coeffs.size != space.ndof:
             raise SpaceMismatchError(
                 f"expected {space.ndof} coefficients, got {self.coeffs.size}")
+        self._full = self._grad_l2 = None
 
     def full_values(self):
-        return self.space.expand(self.coeffs)
+        """The lattice array (FunctionSpace.expand), expanded once and
+        read-only."""
+        if self._full is None:
+            self._full = self.space.expand(self.coeffs)
+            self._full.flags.writeable = False
+        return self._full
 
     def _tensor_eval(self, pts, deriv_axis=None):
         space = self.space
@@ -639,7 +685,7 @@ class DiscreteField:
         """
         space = self.space
         return _kron_apply(
-            [_interpolation(space, a, x, deriv=deriv_axis == a)
+            [_interpolation(space, a, x, deriv=deriv_axis == a)[0]
              for a, x in enumerate(coords)], self.full_values().T).T.reshape(
             tuple(len(x) for x in coords) + (space.ncomp,))
 
@@ -683,14 +729,16 @@ class DiscreteField:
     def grad_l2_norm(self):
         """L^2 norm of the gradient, exact: |grad u|^2 has degree 2 k.
         Sums |d_a u|^2 one slab of the Gauss grid (_slabs) and one
-        derivative axis a at a time, with no values."""
-        total = 0.0
-        for coords, w in _rule_slabs(element_gauss_axes(
-                self.space.mesh, self.space.order + 1), self.space.ncomp):
-            w = w[..., None]
-            total += sum(np.sum(w * self.evaluate_grid(coords, deriv_axis=a)
-                                ** 2) for a in range(len(coords)))
-        return float(np.sqrt(total))
+        derivative axis a at a time, with no values; computed once."""
+        if self._grad_l2 is None:
+            total = 0.0
+            for coords, w in _rule_slabs(element_gauss_axes(
+                    self.space.mesh, self.space.order + 1), self.space.ncomp):
+                w = w[..., None]
+                total += sum(np.sum(w * self.evaluate_grid(
+                    coords, deriv_axis=a) ** 2) for a in range(len(coords)))
+            self._grad_l2 = float(np.sqrt(total))
+        return self._grad_l2
 
     def integrate(self):
         """Componentwise integral over the mesh, exact: degree k."""

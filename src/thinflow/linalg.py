@@ -54,6 +54,15 @@ roundoff.  Its result is checked against the same residual as the direct
 path; a solve that misses the tolerance builds the vector operator and B
 as sparse matrices and moves that system to a SaddleSolver for good, and
 SolveCounts records the CG iterations and the fallbacks.
+
+A block solver builds once what its solves reuse: the transposes of the
+divergence factors that B^T q takes, the Frobenius norms of K and B (from
+dense 1-D inner products), and one eigendecomposition per distinct pencil
+(the horizontal axes of a square box share theirs), so a solve constructs
+no sparse matrix.  Its norms are summed by numpy (_norm), not taken with
+np.linalg.norm: that is a BLAS ddot, which OpenBLAS splits across its
+threads on a long vector, and on a layer waking them costs more than the
+sum.  The dense per-axis products still run on the BLAS threads.
 """
 
 import functools
@@ -290,11 +299,23 @@ class SaddleSolver:
         return self._unpin(x)
 
 
+def _norm(x):
+    """Euclidean norm of an array's entries, summed by numpy rather than by
+    a BLAS ddot (see the module docstring)."""
+    x = np.ravel(x)
+    return float(np.sqrt(np.einsum("i,i->", x, x)))
+
+
+def _dense(mat):
+    """A 1-D matrix, sparse or dense, as a dense array."""
+    return mat.toarray() if sp.issparse(mat) else np.asarray(mat)
+
+
 def _kronecker_norm(terms):
-    """Frobenius norm of sum_t (x)_c X_{t,c}, from 1-D inner products:
+    """Frobenius norm of sum_t (x)_c X_{t,c}, from dense 1-D inner products:
     <(x)_c X_c, (x)_c Y_c>_F = prod_c <X_c, Y_c>_F."""
     def inner(x, y):
-        return float(sp.csr_matrix(x).multiply(y).sum())
+        return float(np.einsum("ij,ij->", _dense(x), _dense(y)))
 
     return float(np.sqrt(sum(np.prod([inner(x, y) for x, y in zip(s, t)])
                              for s in terms for t in terms)))
@@ -315,10 +336,11 @@ def _tensor_divergence(factors, u):
                for a, x in enumerate(u.reshape(len(factors), -1)))
 
 
-def _tensor_gradient(factors, q):
-    """B^T q, component by component: per-axis sparse products."""
-    return np.concatenate([_kron_apply([f.T for f in _term(factors, a)], q)
-                           for a in range(len(factors))])
+def _tensor_gradient(transposed, q):
+    """B^T q, component by component: per-axis sparse products with the
+    transposes [(M_c^T, D_c^T), ...] of the divergence factors."""
+    return np.concatenate([_kron_apply(_term(transposed, a), q)
+                           for a in range(len(transposed))])
 
 
 class _KroneckerSumFunction:
@@ -346,10 +368,17 @@ class _KroneckerSumFunction:
         if int(np.prod(sizes)) != n:
             raise ComponentLayoutError(
                 f"pencils of sizes {sizes} do not tile {n} {what} dofs")
-        values, self._bases = [], []
+        values, self._bases, done = [], [], []
         for mass, stiffness in pencils:
-            lam, vec = scipy.linalg.eigh(sp.csr_matrix(stiffness).toarray(),
-                                         sp.csr_matrix(mass).toarray())
+            pencil = (_dense(stiffness), _dense(mass))
+            # axes with equal pencils (a square horizontal box) share one
+            # decomposition
+            for seen, (lam, vec) in done:
+                if all(np.array_equal(x, y) for x, y in zip(seen, pencil)):
+                    break
+            else:
+                lam, vec = scipy.linalg.eigh(*pencil)
+                done.append((pencil, (lam, vec)))
             values.append(np.concatenate([[0.0], lam[1:]]) if neumann
                           else lam)
             self._bases.append(vec)
@@ -374,9 +403,10 @@ class _BlockLU:
 
     basis_norm = 1.0
 
-    def __init__(self, block, factors, counts):
+    def __init__(self, block, factors, transposed, counts):
         counts.factorizations += 1
         self._lu, self._factors = _splu(block), factors
+        self._transposed = transposed
 
     def coordinates(self, load):
         """K^{-1} load: one solve with A_s, a column per component."""
@@ -390,7 +420,7 @@ class _BlockLU:
 
     def schur(self, direction):
         """The coordinates of w = K^{-1} B^T direction, and B w."""
-        w = self.coordinates(_tensor_gradient(self._factors, direction))
+        w = self.coordinates(_tensor_gradient(self._transposed, direction))
         return w, self.divergence(w)
 
 
@@ -445,9 +475,9 @@ class BlockSaddleSolver:
     component by component.  K is not formed.  B is the per-axis
     divergence factors [(M_c, D_c), ...] of assembly.axis_divergence, with
     B_a = (x)_c F_{a,c}, F_{a,c} = D_c for c = a and M_c otherwise: B is
-    not assembled, B u and B^T q are per-axis sparse products, and its
-    Frobenius norm comes from 1-D inner products.  The block comes in one
-    of two forms:
+    not assembled, B u and B^T q are per-axis sparse products (B^T q with
+    the factors' transposes, built once), and its Frobenius norm comes from
+    1-D inner products.  The block comes in one of two forms:
 
     - assembled: a sparse matrix.  K u is A_s applied to the (d, n_s)
       reshape of u, and A_s is factored once: K^{-1} is one triangular
@@ -508,6 +538,7 @@ class BlockSaddleSolver:
                  counts=None):
         self.counts = SolveCounts() if counts is None else counts
         shapes = [(mass.shape, der.shape) for mass, der in B]
+        transposed = [(mass.T, der.T) for mass, der in B]
         sizes = [m[1] for m, _ in shapes]
         self._ncomp, n_s = len(sizes), int(np.prod(sizes))
         # no bound method is kept: a cycle would keep the inverse until gc
@@ -515,8 +546,9 @@ class BlockSaddleSolver:
         if sp.issparse(block):
             what = f"a block of shape {block.shape}"
             tiles = block.shape == (n_s, n_s)
-            self._terms, norm_k = [[block]], np.linalg.norm(block.data)
-            invert = functools.partial(_BlockLU, block, B, self.counts)
+            self._terms, norm_k = [[block]], _norm(block.data)
+            invert = functools.partial(_BlockLU, block, B, transposed,
+                                       self.counts)
         else:
             lengths = [mass.shape[0] for mass, _ in block]
             what, tiles = f"block pencils of sizes {lengths}", lengths == sizes
@@ -535,7 +567,8 @@ class BlockSaddleSolver:
             K=spla.LinearOperator((n_u, n_u), matvec=apply, dtype=float),
             B=spla.LinearOperator(
                 (n_p, n_u), matvec=functools.partial(_tensor_divergence, B),
-                rmatvec=functools.partial(_tensor_gradient, B), dtype=float),
+                rmatvec=functools.partial(_tensor_gradient, transposed),
+                dtype=float),
             gauge=gauge, rhs_u=rhs_u)
         self._gauge = _checked_gauge(gauge)
         self._precondition = _KroneckerSumFunction(
@@ -563,10 +596,10 @@ class BlockSaddleSolver:
         K, B = self._system.K, self._system.B
         res_u = f - K @ u - B.T @ q
         div = B @ u
-        size_u = np.linalg.norm(u)
-        error = max(_ratio(np.linalg.norm(res_u), norm_k * size_u + norm_b
-                           * np.linalg.norm(q) + np.linalg.norm(f)),
-                    _ratio(np.linalg.norm(div), norm_b * size_u))
+        size_u = _norm(u)
+        error = max(_ratio(_norm(res_u), norm_k * size_u + norm_b
+                           * _norm(q) + _norm(f)),
+                    _ratio(_norm(div), norm_b * size_u))
         return error, res_u, div
 
     def _correction(self, u, res_u, div, budget):
@@ -581,16 +614,16 @@ class BlockSaddleSolver:
         dq = np.zeros(div.size)
         du = inverse.coordinates(res_u)
         res = inverse.divergence(du) + div      # the divergence of u + du
-        floor = _SWEEP_REDUCTION * np.linalg.norm(res)
-        size_u = np.linalg.norm(u)
+        floor = _SWEEP_REDUCTION * _norm(res)
+        size_u = _norm(u)
         direction, rz = None, 1.0
         for iterations in range(budget + 1):
-            size = np.linalg.norm(res)
-            bound = (size_u + inverse.basis_norm * np.linalg.norm(du)) \
+            size = _norm(res)
+            bound = (size_u + inverse.basis_norm * _norm(du)) \
                 * (1 + _BOUND_SLACK)
             if iterations == budget or size <= floor or (
                     size <= _BACKWARD_GOAL * (norm_b * bound)
-                    and size <= _BACKWARD_GOAL * (norm_b * np.linalg.norm(
+                    and size <= _BACKWARD_GOAL * (norm_b * _norm(
                         u + inverse.velocity(du)))):
                 break
             z = self._precondition.solve(res)

@@ -54,7 +54,7 @@ from .assembly import (DiscreteField, FunctionSpace, assemble_convection,
 from .errors import (InvalidParameterError, InvalidResolutionError,
                      PicardDivergenceError)
 from .linalg import (BlockSaddleSolver, SaddleSolver, SaddleSystem,
-                     SolveCounts)
+                     SolveCounts, _norm)
 
 
 @dataclass
@@ -85,9 +85,15 @@ class MicroSolution:
     update_history: list = dfield(default_factory=list)
     stop_reason: str = ""
     solver_counts: dict = dfield(default_factory=dict)
+    _velocity: DiscreteField = dfield(default=None, init=False, repr=False,
+                                      compare=False)
 
     def velocity_field(self):
-        return DiscreteField(self.space_v, self.u)
+        """The velocity as one DiscreteField per solution, so that its
+        lattice array and gradient norm are computed once per layer."""
+        if self._velocity is None:
+            self._velocity = DiscreteField(self.space_v, self.u)
+        return self._velocity
 
     def pressure_field(self):
         return DiscreteField(self.space_p, self.p)
@@ -126,7 +132,7 @@ def solve_dlb(thin_mesh, field, params, K_eps, picard_tol=1e-10,
     gauge = pressure_gauge(space_p)
     load = assemble_load(space_v, params.forcing(thin_mesh.ndim - 1))
     factor = params.rho / params.phi ** 2
-    load_scale = float(np.linalg.norm(load))
+    load_scale = _norm(load)
 
     u = np.zeros(space_v.ndof)
     history = []
@@ -158,8 +164,8 @@ def solve_dlb(thin_mesh, field, params, K_eps, picard_tol=1e-10,
         rhs = load - assemble_convection(space_v, u, factor) \
             if factor != 0.0 and np.any(u) else load
         u_new, p = solver.solve(tol, rhs_u=rhs)
-        diff = float(np.linalg.norm(u_new - u))
-        scale = float(np.linalg.norm(u_new))
+        diff = _norm(u_new - u)
+        scale = _norm(u_new)
         if scale <= 1e-13 * max(load_scale, 1.0):
             # zero branch: the forcing is balanced by the pressure alone
             u, update = u_new, 0.0

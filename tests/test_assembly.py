@@ -466,21 +466,23 @@ def test_axis_pencils_kronecker_forms(kind, weighted):
 
 
 def test_assembly_builds_no_coo(monkeypatch):
-    # the square operators are summed straight into their CSR patterns (no
-    # COO triplets, no sort), and the divergence takes Kronecker products
-    # of its 1-D factors
+    # the square operators are summed straight into their CSR patterns and
+    # their component blocks joined as CSR arrays (no COO triplets, no
+    # sort), checked at the COO class, which scipy's own conversions reach
+    # too.  The divergence takes Kronecker products of its 1-D factors,
+    # which scipy forms through COO, so it is only checked for entries.
     def refuse(*args, **kwargs):
         raise AssertionError("COO assembly")
 
-    monkeypatch.setattr(assembly.sp, "coo_matrix", refuse)
-    monkeypatch.setattr(assembly.sp, "coo_array", refuse)
     for mesh in (cell_mesh(), build_thin_mesh(
             Geometry(3, (0.5, 0.75), 0.25), 2, 2)):
         V = FunctionSpace(mesh, "velocity")
         Q = FunctionSpace(mesh, "pressure")
-        assert assemble_mass(V).nnz and assemble_mass(Q).nnz
         assert assemble_divergence(V, Q).nnz
-        assert assemble_diffusion(V, _wavy(mesh), drag=2.0).nnz
+        with monkeypatch.context() as patch:
+            patch.setattr(sp._coo._coo_base, "__init__", refuse)
+            assert assemble_mass(V).nnz and assemble_mass(Q).nnz
+            assert assemble_diffusion(V, _wavy(mesh), drag=2.0).nnz
 
 
 def test_component_layout_with_normal_walls():
@@ -542,6 +544,23 @@ def random_field(mesh, kind, seed=3):
     space = FunctionSpace(mesh, kind)
     return DiscreteField(space,
                          np.random.default_rng(seed).standard_normal(space.ndof))
+
+
+def test_discrete_field_is_read_only():
+    # a field keeps a read-only copy of its coefficients, so its lattice
+    # array and gradient norm, each computed once, stay valid
+    V = FunctionSpace(cell_mesh(), "velocity")
+    u = np.random.default_rng(2).standard_normal(V.ndof)
+    field = DiscreteField(V, u)
+    with pytest.raises(ValueError):
+        field.coeffs[0] = 1.0
+    with pytest.raises(ValueError):
+        field.full_values()[0, 0] = 1.0
+    assert field.full_values() is field.full_values()
+    norm = field.grad_l2_norm()
+    u *= 2.0
+    assert np.array_equal(field.coeffs, u / 2.0)
+    assert field.grad_l2_norm() == norm
 
 
 @pytest.mark.parametrize("kind", ["velocity", "pressure"])
@@ -795,13 +814,17 @@ def slab_functionals():
     def closed_form_pw():
         report = poincare_wirtinger_ratio(u, eps, SLAB_GEOMETRY, grad)
         return [report.fluctuation_norm, report.gradient_norm]
+
+    def fresh():
+        # a field takes its gradient norm once: each call samples anew
+        return DiscreteField(field.space, field.coeffs)
     return {
         "lp_norm(2)": lambda: field.lp_norm(2),
         "lp_norm(4)": lambda: field.lp_norm(4),
-        "grad_l2_norm": field.grad_l2_norm,
+        "grad_l2_norm": lambda: fresh().grad_l2_norm(),
         "distance": lambda: two_scale_distance(field, limit, eps),
         "pairing": lambda: two_scale_pairing(field, probe, eps),
-        "pw_ratio": lambda: poincare_wirtinger_ratio(field, eps).ratio,
+        "pw_ratio": lambda: poincare_wirtinger_ratio(fresh(), eps).ratio,
         "closed_form_distance": lambda: two_scale_distance(
             u, limit, eps, SLAB_GEOMETRY),
         "closed_form_pairing": lambda: two_scale_pairing(
@@ -815,6 +838,24 @@ def test_slabs_change_functionals_by_rounding_only(name, monkeypatch):
     whole, sliced = one_slab_and_cut(monkeypatch, slab_functionals()[name])
     whole, sliced = np.atleast_1d(whole), np.atleast_1d(sliced)
     assert np.abs(sliced - whole).max() <= 1e-13 * np.abs(whole).max()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_slabs_change_loads_by_rounding_only(d, monkeypatch):
+    # the forcing, gauge and convection loads integrate one slab of the
+    # Gauss grid at a time
+    mesh = SLAB_MESHES[d]()
+    V, Q = FunctionSpace(mesh, "velocity"), FunctionSpace(mesh, "pressure")
+    u = random_field(mesh, "velocity").coeffs
+
+    def forcing(pts):
+        return np.sin(2 * np.pi * pts[:, :d] / 0.125) + pts[:, -1:] ** 2
+
+    for call in (lambda: assemble_load(V, forcing),
+                 lambda: pressure_gauge(Q),
+                 lambda: assemble_convection(V, u, 3.0)):
+        whole, sliced = one_slab_and_cut(monkeypatch, call)
+        assert np.abs(sliced - whole).max() <= 1e-13 * np.abs(whole).max()
 
 
 @pytest.fixture(scope="module")
@@ -847,6 +888,9 @@ def d3_layer_calls():
         "two_scale_pairing": lambda: two_scale_pairing(u, probe, eps),
         "poincare_wirtinger_ratio": lambda: poincare_wirtinger_ratio(u, eps),
         "lp_norm(4)": lambda: u.lp_norm(4),
+        "assemble_convection": lambda: assemble_convection(V, u.coeffs),
+        "assemble_load": lambda: assemble_load(
+            V, config.params.forcing(geometry.d1)),
     }
 
 
@@ -870,3 +914,11 @@ def test_d3_layer_passes_hold_no_layer_array(d3_layer_calls, name):
     # the layer has 2048 elements and a 160 x 160 x 10 five-point Gauss
     # grid: a whole-layer element or grid array is 12 to 40 MB, a slab 1 MB
     assert transient_bytes(d3_layer_calls[name]) <= 8e6
+
+
+@pytest.mark.parametrize("name", ["assemble_convection", "assemble_load"])
+def test_d3_layer_loads_hold_no_layer_sample(d3_layer_calls, name):
+    # the loads integrate on the 96 x 96 x 6 three-point Gauss grid, where
+    # one whole-layer velocity sample is 1.3 MB; the convection holds about
+    # five of them at once in one pass (7.3 MB), a few slabs' worth in slabs
+    assert transient_bytes(d3_layer_calls[name]) <= 4.5e6

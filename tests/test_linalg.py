@@ -17,7 +17,7 @@ from thinflow.assembly import (FunctionSpace, assemble_diffusion,
 from thinflow.errors import SingularSystemError
 from thinflow.linalg import (BlockSaddleSolver, SaddleSolver, SaddleSystem,
                              SolveCounts, _cahouet_chabard, _gauge_and_pin,
-                             _KroneckerSumFunction, residual,
+                             _KroneckerSumFunction, _norm, residual,
                              solve_gauged_spd, solve_sparse)
 from thinflow.meshing import Geometry, build_cell_mesh, build_thin_mesh
 
@@ -403,3 +403,13 @@ def test_layout_errors_survive_optimize():
                                   "pencils", "raised", "False",
                                   "block_pencils", "raised", "False",
                                   "divergence", "raised", "False"]
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (10_007,), (3, 40_001)])
+def test_norm_matches_numpy(shape):
+    # the block path's norms are summed by numpy, not by BLAS
+    x = np.random.default_rng(int(np.prod(shape))).standard_normal(shape)
+    for scale in (1e-150, 1.0):
+        ref = np.linalg.norm(scale * x)
+        assert abs(_norm(scale * x) - ref) <= 1e-15 * ref
+    assert _norm(np.zeros(shape)) == 0.0

@@ -19,6 +19,7 @@ from thinflow.linalg import (BlockSaddleSolver, SaddleSystem, SolveCounts,
                              residual, solve_sparse)
 from thinflow.meshing import Geometry, TensorMesh, _term, build_thin_mesh
 from thinflow.microscale import apriori_norms, solve_dlb
+from thinflow.two_scale import poincare_wirtinger_ratio
 
 from helpers import interpolate, oseen_matrix, translated
 
@@ -463,6 +464,82 @@ def test_block_solve_warm_start_takes_no_iterations():
         assert np.array_equal(x, y)
 
 
+@pytest.mark.parametrize("separable", [True, False])
+def test_block_solve_builds_no_sparse_matrix(monkeypatch, separable):
+    # after set-up a block solve applies only what the solver built once:
+    # it constructs no scipy sparse matrix (the divergence's transposes are
+    # kept on the solver), and it takes every norm with linalg._norm, never
+    # with np.linalg.norm, whose BLAS ddot wakes the BLAS threads
+    mesh = build_thin_mesh(Geometry(3, (0.5, 0.5), 0.125), 2, 2)
+    field = coefs.constant_field(3) if separable else PERIODIC_D3
+    params = coefs.FluidParams(mu=1.0, f1=d3_forcing)
+    _, _, block_solver = dns_system(mesh, field, params, K_eps=0.125 ** 2)
+    counts = SolveCounts()
+    solver = block_solver(counts)
+    built, normed = [], []
+    spbase = sp._base._spbase
+    init, norm = spbase.__init__, np.linalg.norm
+
+    def spy_init(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    def spy_norm(*args, **kwargs):
+        normed.append(np.shape(args[0]))
+        return norm(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spbase, "__init__", spy_init)
+        patch.setattr(np.linalg, "norm", spy_norm)
+        solver.solve(tol=1e-10)
+    assert counts.schur_iterations > 0
+    assert counts.direct_fallbacks == 0
+    assert built == []
+    assert normed == []
+
+
+def test_layer_velocity_sampled_for_its_gradient_norm_once(monkeypatch):
+    # one velocity field per solution, whose gradient norm apriori_norms
+    # has already taken: the Poincare-Wirtinger ratio reuses it, and gives
+    # the ratio of a fresh field bit for bit
+    *_, sol = d3_flow(rho=1.0)
+    field = sol.velocity_field()
+    assert field is sol.velocity_field()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the gradient is sampled again")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(DiscreteField, "evaluate_grid", refuse)
+        assert field.grad_l2_norm() == sol.norms["grad_u_l2"]
+    fresh = DiscreteField(sol.space_v, sol.u)
+    assert poincare_wirtinger_ratio(field, sol.eps) \
+        == poincare_wirtinger_ratio(fresh, sol.eps)
+
+
+def test_equal_pencils_decomposed_once(monkeypatch):
+    # the horizontal axes of a square box share their pencils, so a block
+    # inverse on it decomposes two pencils for three axes; unequal element
+    # counts per axis give three
+    calls = []
+    eigh = linalg.scipy.linalg.eigh
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(linalg.scipy.linalg, "eigh", spy)
+    for kind, decompositions in (("eps=1/8", 2), ("periodic", 3)):
+        mesh, eps = layer_mesh(kind)
+        S = FunctionSpace(mesh, "component")
+        pencils = microscale._block_pencils(S, coefs.constant_field(3), eps,
+                                            1.0)
+        calls.clear()
+        linalg._KroneckerSumFunction(pencils, S.ndof, "velocity block",
+                                     np.reciprocal)
+        assert len(calls) == decompositions
+
+
 SEPARABLE_D3 = {
     "constant": coefs.constant_field(3, np.diag([1.0, 2.0, 0.5])),
     "zeta_profile": coefs.zeta_profile_field(
@@ -531,7 +608,8 @@ def test_tensor_operators_match_assembled(kind, name):
             (linalg._block_apply([_term(pencils, a) for a in range(3)], u),
              (block @ u.reshape(3, -1).T).T.ravel()),
             (linalg._tensor_divergence(factors, u), B @ u),
-            (linalg._tensor_gradient(factors, q), B.T @ q)):
+            (linalg._tensor_gradient([(m.T, d.T) for m, d in factors], q),
+             B.T @ q)):
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
