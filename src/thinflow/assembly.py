@@ -205,12 +205,16 @@ def element_gauss_axes(mesh, nquad):
     return [composite_gauss(axis, nquad) for axis in mesh.axes]
 
 
-def _rule_slabs(rules, per_point):
+def _rule_slabs(rules):
     """The tensor product of per-axis rules [(points, weights), ...], one
-    slab along axis 0 at a time (_slabs, per_point values per point): the
-    per-axis points and the tensor weights of each slab, as tensor_rule."""
+    slab along axis 0 at a time: the per-axis points and the tensor weights
+    of each slab, as tensor_rule.  Every pass over a grid cuts it alike,
+    with slabs (_slabs) sized for 2 d values per point in d dimensions (a
+    field's components and as many of a second array: a limit, a load or a
+    derivative), so the passes over one grid share the interpolation
+    matrices of its slabs."""
     (x, w), *rest = rules
-    for s in _slabs(tuple(p.size for p, _ in rules), per_point):
+    for s in _slabs(tuple(p.size for p, _ in rules), 2 * len(rules)):
         yield tensor_rule([(x[s], w[s]), *rest])
 
 
@@ -585,12 +589,12 @@ def integrate_grid(space, coords, integrand, deriv_axis=None):
 
 def _slab_integral(space, integrand):
     """integrate_grid over the element-aligned Gauss grid (_NQUAD points)
-    of the space's mesh, one slab at a time (_rule_slabs, sized for two
-    values per component and point): integrand(coords, w) gives the
-    weighted samples of a slab, and the slabs' loads are summed in order."""
+    of the space's mesh, one slab at a time (_rule_slabs): integrand(coords,
+    w) gives the weighted samples of a slab, and the slabs' loads are
+    summed in order."""
     return sum(integrate_grid(space, coords, integrand(coords, w))
                for coords, w in _rule_slabs(element_gauss_axes(
-                   space.mesh, _NQUAD), 2 * space.ncomp))
+                   space.mesh, _NQUAD)))
 
 
 def assemble_convection(space_v, u_coeffs, factor=1.0):
@@ -705,22 +709,12 @@ class DiscreteField:
         out = self._tensor_eval(pts)
         return out[:, 0] if self.space.ncomp == 1 else out
 
-    def gradient(self, pts):
-        """Gradients at arbitrary points: (N, ncomp, ndim)."""
-        mesh = self.space.mesh
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = np.empty((pts.shape[0], self.space.ncomp, mesh.ndim))
-        for a in range(mesh.ndim):
-            out[:, :, a] = self._tensor_eval(pts, deriv_axis=a)
-        return out
-
     def lp_norm(self, p=2):
         """L^p norm of |u|, exact for even p: |u|^p has degree p k.
         Samples and sums one slab of the Gauss grid at a time (_slabs)."""
         total = 0.0
         for coords, w in _rule_slabs(element_gauss_axes(
-                self.space.mesh, int(p * self.space.order) // 2 + 1),
-                self.space.ncomp):
+                self.space.mesh, int(p * self.space.order) // 2 + 1)):
             vals = self.evaluate_grid(coords)
             mag = np.sqrt(np.sum(vals * vals, axis=-1))
             total += np.sum(w * mag ** p)
@@ -733,7 +727,7 @@ class DiscreteField:
         if self._grad_l2 is None:
             total = 0.0
             for coords, w in _rule_slabs(element_gauss_axes(
-                    self.space.mesh, self.space.order + 1), self.space.ncomp):
+                    self.space.mesh, self.space.order + 1)):
                 w = w[..., None]
                 total += sum(np.sum(w * self.evaluate_grid(
                     coords, deriv_axis=a) ** 2) for a in range(len(coords)))

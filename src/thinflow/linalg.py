@@ -609,7 +609,7 @@ class BlockSaddleSolver:
         next sweep goes on from a fresh residual.  du is kept in the
         coordinates of the inverse, and formed only where the bound
         |u| + basis_norm |du_hat| of |u + du| says that the goal may be
-        met."""
+        met; the du formed for the last test is the one returned."""
         inverse, norm_b = self._inverse, self._norms[1]
         dq = np.zeros(div.size)
         du = inverse.coordinates(res_u)
@@ -618,14 +618,16 @@ class BlockSaddleSolver:
         size_u = _norm(u)
         direction, rz = None, 1.0
         for iterations in range(budget + 1):
+            formed = None
             size = _norm(res)
             bound = (size_u + inverse.basis_norm * _norm(du)) \
                 * (1 + _BOUND_SLACK)
-            if iterations == budget or size <= floor or (
-                    size <= _BACKWARD_GOAL * (norm_b * bound)
-                    and size <= _BACKWARD_GOAL * (norm_b * _norm(
-                        u + inverse.velocity(du)))):
+            if iterations == budget or size <= floor:
                 break
+            if size <= _BACKWARD_GOAL * (norm_b * bound):
+                formed = inverse.velocity(du)
+                if size <= _BACKWARD_GOAL * (norm_b * _norm(u + formed)):
+                    break
             z = self._precondition.solve(res)
             rz, rz_old = res @ z, rz
             direction = z if direction is None \
@@ -638,7 +640,9 @@ class BlockSaddleSolver:
             dq += alpha * direction
             du -= alpha * w
             res -= alpha * s
-        return inverse.velocity(du), dq, iterations
+        if formed is None:
+            formed = inverse.velocity(du)
+        return formed, dq, iterations
 
     def _schur_solve(self, target, tol):
         """(u, p) with residual <= tol, or None where CG cannot get there."""

@@ -5,8 +5,11 @@ The pressure solves the pure Neumann problem
     div( Ahat (f1 - grad p) ) = 0,   Ahat (f1 - grad p) . nu = 0 on the edge
 
 in primal form with a mean-zero gauge (in the low-permeability regime the
-forcing drops out and the velocity is -Ahat grad p).  The effective velocity
-is reconstructed per element at the centroid.
+forcing drops out and the velocity is -Ahat grad p).  The driving force and
+the velocity are sampled on tensor grids: per-axis coordinates in, values
+at their grid points out, the pressure gradient one derivative axis at a
+time by sum factorization (DiscreteField.evaluate_grid).  The effective
+velocity is reconstructed per element at the centroid.
 """
 
 from dataclasses import dataclass, field as dfield
@@ -22,7 +25,12 @@ from .meshing import composite_gauss, grid_points, tensor_rule
 
 @dataclass
 class MacroSolution:
-    """Mean-zero limit pressure and per-element effective velocity."""
+    """Mean-zero limit pressure and per-element effective velocity.
+
+    driving_force and velocity take the per-axis coordinates of a tensor
+    grid and return their values at its points, (N, d-1) in grid_points
+    order: the form in which TwoScaleVelocity takes the driving.
+    """
 
     mesh: object
     space: FunctionSpace
@@ -36,28 +44,25 @@ class MacroSolution:
     def p0_field(self):
         return DiscreteField(self.space, self.p0)
 
-    def grad_p0(self, xbar):
-        grads = self.p0_field().gradient(np.atleast_2d(xbar))
-        return grads[:, 0, :]
-
-    def driving_force(self, xbar, f1):
-        """f1 - grad p0 pointwise (zero forcing in the drag-limit regime)."""
-        xbar = np.atleast_2d(xbar)
-        g = -self.grad_p0(xbar)
+    def driving_force(self, axes, f1):
+        """f1 - grad p0 on the tensor grid of the per-axis coordinates axes:
+        (N, d-1) at grid_points(axes), in that order (zero forcing in the
+        drag-limit regime)."""
+        p0 = self.p0_field()
+        g = -np.column_stack([p0.evaluate_grid(axes, deriv_axis=a).ravel()
+                              for a in range(len(axes))])
         if self.regime != "ii" and f1 is not None:
-            g = g + np.asarray(f1(xbar), dtype=float).reshape(xbar.shape[0], -1)
+            g = g + np.asarray(f1(grid_points(axes)),
+                               dtype=float).reshape(g.shape[0], -1)
         return g
 
-    def velocity(self, xbar):
-        return self.driving_force(xbar, self.meta.get("f1")) @ self.Ahat.T
+    def velocity(self, axes):
+        """Ahat (f1 - grad p0) on the tensor grid of axes, as driving_force."""
+        return self.driving_force(axes, self.meta.get("f1")) @ self.Ahat.T
 
     def mean_pressure(self):
         gauge = pressure_gauge(self.space)
         return float(gauge @ self.p0)
-
-
-def _element_centroids(mesh):
-    return grid_points([(a[:-1] + a[1:]) / 2 for a in mesh.axes])
 
 
 def _conservation_residual(K, p0, rhs, gauge):
@@ -97,8 +102,8 @@ def solve_macro(Ahat, f1, macro_mesh, regime="i", tol=1e-10):
                         meta={"f1": f1, "rhs": rhs,
                               "energy": float(p0 @ (K @ p0)),
                               "work": float(p0 @ rhs)})
-    centroids = _element_centroids(macro_mesh)
-    sol.u_prime = sol.velocity(centroids)
+    sol.u_prime = sol.velocity([(a[:-1] + a[1:]) / 2
+                                for a in macro_mesh.axes])
     return sol
 
 
@@ -117,6 +122,6 @@ def boundary_flux_residual(macro):
                 (wall, np.array([sign])) if b == a
                 else composite_gauss(mesh.axes[b], 3)
                 for b in range(mesh.ndim)])
-            un = macro.velocity(grid_points(coords))[:, a].reshape(w.shape)
+            un = macro.velocity(coords)[:, a].reshape(w.shape)
             fb += integrate_grid(space, coords, (w * un)[..., None])
     return float(np.abs(fb).max())

@@ -98,9 +98,6 @@ class MicroSolution:
     def pressure_field(self):
         return DiscreteField(self.space_p, self.p)
 
-    def scaled_velocity(self, scale):
-        return DiscreteField(self.space_v, self.u / scale)
-
 
 def solve_dlb(thin_mesh, field, params, K_eps, picard_tol=1e-10,
               max_iters=50, tol=1e-10):

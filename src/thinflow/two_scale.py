@@ -19,13 +19,22 @@ field is evaluated at the points of the composite layer rule, whose panels
 subdivide every oscillation period.  The vertical mean of the fluctuation
 ratio takes the thickness weights of the sample it averages, and a separated
 test function is evaluated factor by factor (macro and periodic factors on
-the horizontal grid, profile on the thickness axis).  Each functional
-samples and sums its grid one slab of whole vertical columns at a time
-(assembly._rule_slabs, counting 2 d values per point: a field of up to d
-components and its limit, probe product or fluctuation), so the vertical
-mean sees whole columns.  The rule sizes are the
-module constants below; only a discrete gradient norm takes the field's own
-rule, and only the oscillation table, which has no mesh, the macro rule.
+the horizontal grid, profile on the thickness axis).
+
+The functionals on a layer share one pass (_layer_sums): it samples the
+field once per slab of whole vertical columns (assembly._rule_slabs, the
+slabs that every pass over that grid cuts), so the vertical mean sees whole
+columns, and feeds the sample to one small term per functional: the
+distance, the pairing, the fluctuation.  two_scale_distance,
+two_scale_pairing and poincare_wirtinger_ratio run that pass with their one
+term, and layer_checks with all three.  The limit u0(xbar, x/eps) of the
+distance is sampled per layer, not per slab (_period_limit): the driving
+once on the layer's horizontal grid, and each cell field once on one
+period, since the cell fields are periodic and the layer's horizontal
+Gauss axes repeat every period; the slabs gather from those samples.
+The rule sizes are the module constants below; only a discrete gradient
+norm takes the field's own rule, and only the oscillation table, which has
+no mesh, the macro rule.
 """
 
 from dataclasses import dataclass
@@ -48,6 +57,9 @@ _PANELS_PER_PERIOD = 4
 _LAYER_PANELS = 4
 _MACRO_PANELS = 8
 _ZETA_PANELS = 6
+# wrapped cell coordinates that agree to this fraction of the period are
+# one point of the limit's sample on one period (_distinct_cell_points)
+_WRAP_TOL = 1e-12
 
 
 @dataclass
@@ -145,25 +157,108 @@ def _field_sample(u_eps, eps, geometry):
     return _layer_rules(geometry, eps), sample
 
 
+def _layer_sums(u_eps, eps, geometry, terms):
+    """One pass over the layer's tensor grid: the sum of each term.
+
+    The field is sampled once per slab of the grid (_rule_slabs) and every
+    term takes that sample.  terms are makers, make(rules) -> part, called
+    once with the per-axis rules; part(s, coords, w, vals) returns the
+    slab's contribution, where s is the slab's slice of the axis-0 rule,
+    coords its per-axis points, w its tensor weights and vals the field
+    there, (m_0, ..., m_{d-1}, ncomp).  The slabs' sums are added in order.
+    """
+    rules, sample = _field_sample(u_eps, eps, geometry)
+    parts = [make(rules) for make in terms]
+    sums = [0.0] * len(parts)
+    stop = 0
+    for coords, w in _rule_slabs(rules):
+        s = slice(stop, stop + coords[0].size)
+        stop = s.stop
+        vals = sample(coords)
+        sums = [total + part(s, coords, w, vals)
+                for total, part in zip(sums, parts)]
+    return sums
+
+
+def _squared(w, vals):
+    """The sum of w |vals|^2 over the grid of w."""
+    vals = vals.reshape(w.size, -1)
+    return np.einsum("i,ic,ic->", w.ravel(), vals, vals)
+
+
+def _pairing_term(f, eps):
+    """int u f(xbar, x/eps), one entry per component of u."""
+    def make(rules):
+        if len(rules) != f.d1 + 1:
+            raise SpaceMismatchError(
+                f"the layer has dimension {len(rules)}, expected {f.d1 + 1}")
+
+        def part(s, coords, w, vals):
+            *horizontal, z = coords
+            xbar = grid_points(horizontal)
+            fv = np.multiply.outer(
+                f._macro_vals(xbar) * f.y_factor(xbar / eps),
+                f._zeta_vals(z / eps))
+            return np.einsum("i,ic->c", w.ravel() * fv.ravel(),
+                             vals.reshape(w.size, -1))
+        return part
+    return make
+
+
+def _distance_term(u0, eps, scale):
+    """int |u - scale u0(xbar, x/eps)|^2, the limit from _period_limit."""
+    def make(rules):
+        limit = _period_limit(u0, rules, eps, scale)
+
+        def part(s, coords, w, vals):
+            diff = limit(s)
+            np.subtract(vals, diff, out=diff)
+            return _squared(w, diff)
+        return part
+    return make
+
+
+def _fluctuation_term(eps):
+    """int |u - M u|^2, M u the vertical mean over (-eps, eps) with the
+    thickness weights of the sample (exact per element for a discrete
+    field)."""
+    def make(rules):
+        mean = rules[-1][1] / (2 * eps)
+
+        def part(s, coords, w, vals):
+            diff = vals - np.tensordot(vals, mean, axes=([-2], [0]))[
+                ..., None, :]
+            return _squared(w, diff)
+        return part
+    return make
+
+
+def _gradient_term(grad):
+    """int |grad u|^2 of a closed-form field from its gradient callable."""
+    def make(rules):
+        def part(s, coords, w, vals):
+            grads = np.asarray(grad(grid_points(coords)), dtype=float)
+            return _squared(w, grads.reshape(w.shape + (-1,)))
+        return part
+    return make
+
+
+def _pairing(total, eps, scale=1.0):
+    out = total / (eps * scale)
+    return float(out[0]) if out.size == 1 else out
+
+
+def _distance(total, eps, scale=1.0):
+    return float(total ** 0.5 / scale * eps ** -0.5)
+
+
 def two_scale_pairing(u_eps, f, eps, geometry=None):
     """Scaled pairing eps^{-1} int u f(xbar, x/eps) over the thin layer.
 
     Returns a scalar for scalar fields, otherwise one pairing per component.
     """
-    rules, sample = _field_sample(u_eps, eps, geometry)
-    if len(rules) != f.d1 + 1:
-        raise SpaceMismatchError(
-            f"the layer has dimension {len(rules)}, expected {f.d1 + 1}")
-    out = 0.0
-    for coords, w in _rule_slabs(rules, 2 * len(rules)):
-        *horizontal, z = coords
-        xbar = grid_points(horizontal)
-        fv = np.multiply.outer(f._macro_vals(xbar) * f.y_factor(xbar / eps),
-                               f._zeta_vals(z / eps))
-        vals = sample(coords).reshape(w.size, -1)
-        out += (vals * (w.ravel() * fv.ravel())[:, None]).sum(axis=0)
-    out = out / eps
-    return float(out[0]) if out.size == 1 else out
+    (total,) = _layer_sums(u_eps, eps, geometry, [_pairing_term(f, eps)])
+    return _pairing(total, eps)
 
 
 def limit_pairing(u0, f):
@@ -176,9 +271,8 @@ def limit_pairing(u0, f):
     and the profile of f on its cell mesh.
     """
     coords, w_x = tensor_rule(element_gauss_axes(u0.macro_mesh, _NQ))
-    pts_x = grid_points(coords)
-    g = np.atleast_2d(u0.driving(pts_x))             # (Nx, n_terms)
-    mv = f._macro_vals(pts_x)
+    g = u0.driving(coords)                           # (Nx, n_terms)
+    mv = f._macro_vals(grid_points(coords))
     x_weights = (g * (w_x.ravel() * mv)[:, None]).sum(axis=0)
 
     cell_ints = []
@@ -193,20 +287,61 @@ def limit_pairing(u0, f):
     return float(out[0]) if out.size == 1 else out
 
 
-def _limit_sample(u0, coords, eps):
-    """u0(xbar, x/eps) on the tensor grid of coords: (N, ncomp).
+def _distinct_cell_points(y, axis, periodic):
+    """The distinct points of the cell coordinates y along one cell axis,
+    and the index of each y among them.
 
-    The driving is taken at the distinct horizontal points and the cell
-    fields on the grid.
+    On a periodic axis y is wrapped into the period, as the interpolation
+    does, and wrapped points that agree to _WRAP_TOL of the period are
+    merged: each group is sampled at its smallest point and spans at most
+    that much.  Where a group would span more, and on an axis that is not
+    periodic, nothing is merged.
     """
-    d1 = len(coords) - 1
-    g = np.atleast_2d(u0.driving(grid_points(coords[:d1])))
-    bcast = tuple(c.size for c in coords[:d1]) + (1, 1)
-    y_axes = [c / eps for c in coords]
-    out = 0.0
-    for j, wf in enumerate(u0.cell_fields):
-        out = out + g[:, j].reshape(bcast) * wf.evaluate_grid(y_axes)
-    return out.reshape(-1, out.shape[-1])
+    if periodic:
+        period = axis[-1] - axis[0]
+        wrapped = axis[0] + np.mod(y - axis[0], period)
+        order = np.argsort(wrapped, kind="stable")
+        ordered = wrapped[order]
+        first = np.concatenate(([True],
+                                np.diff(ordered) > _WRAP_TOL * period))
+        group = np.cumsum(first) - 1
+        distinct = ordered[first]
+        if np.all(ordered - distinct[group] <= _WRAP_TOL * period):
+            index = np.empty(y.size, dtype=np.int64)
+            index[order] = group
+            return distinct, index
+    return y, np.arange(y.size)
+
+
+def _period_limit(u0, rules, eps, scale):
+    """scale u0(xbar, x/eps) on the tensor grid of rules, by slab.
+
+    Returns limit(s): the values (rows, m_1, ..., m_{d-1}, ncomp) on the
+    rows s of the axis-0 rule.  The driving is taken once, on the whole
+    horizontal grid, and scaled there.  The cell fields are periodic in the
+    horizontal directions, and a layer's horizontal axes repeat every
+    period, so each w_j is sampled once per layer: on the distinct cell
+    points of each horizontal axis (_distinct_cell_points) times the whole
+    thickness axis.  Every slab gathers its values from that sample.
+    """
+    *horizontal, z = [x for x, _ in rules]
+    g = (scale * u0.driving(horizontal)).reshape(
+        tuple(x.size for x in horizontal) + (-1,))
+    mesh = u0.cell_fields[0].space.mesh
+    points, index = zip(*(
+        _distinct_cell_points(x / eps, axis, periodic)
+        for x, axis, periodic in zip(horizontal, mesh.axes, mesh.periodic)))
+    cells = [wf.evaluate_grid([*points, z / eps]) for wf in u0.cell_fields]
+
+    def limit(s):
+        out = None
+        for g_j, w_j in zip(np.moveaxis(g[s], -1, 0), cells):
+            for a, i in enumerate(index):
+                w_j = w_j.take(i[s] if a == 0 else i, axis=a)
+            np.multiply(w_j, g_j[..., None, None], out=w_j)
+            out = w_j if out is None else np.add(out, w_j, out=out)
+        return out
+    return limit
 
 
 def two_scale_distance(u_eps, u0, eps, geometry=None):
@@ -214,14 +349,9 @@ def two_scale_distance(u_eps, u0, eps, geometry=None):
 
     eps^{-1/2} || u_eps - u0(xbar, x/eps) ||_{L^2(layer)}.
     """
-    rules, sample = _field_sample(u_eps, eps, geometry)
-    total = 0.0
-    for coords, w in _rule_slabs(rules, 2 * len(rules)):
-        diff = sample(coords).reshape(w.size, -1) \
-            - _limit_sample(u0, coords, eps)
-        mag = np.sqrt(np.sum(diff * diff, axis=1))
-        total += np.sum(w.ravel() * mag ** 2)
-    return float(total ** 0.5 * eps ** -0.5)
+    (total,) = _layer_sums(u_eps, eps, geometry,
+                           [_distance_term(u0, eps, 1.0)])
+    return _distance(total, eps)
 
 
 @dataclass
@@ -232,6 +362,26 @@ class PoincareWirtingerReport:
     printed_ratio: float
     fluctuation_norm: float
     gradient_norm: float
+
+
+def _pw_report(fluct_sq, gnorm, eps):
+    fluct = float(fluct_sq ** 0.5)
+    ratio = fluct / (eps * gnorm) if gnorm > 0 else 0.0
+    return PoincareWirtingerReport(ratio, ratio * eps ** -0.5, fluct, gnorm)
+
+
+def _pw_terms(u_eps, eps, grad):
+    """The terms of the fluctuation ratio, and its report from their sums:
+    a discrete field takes its own gradient norm, a closed-form one the
+    integral of its gradient callable."""
+    if isinstance(u_eps, DiscreteField):
+        return [_fluctuation_term(eps)], lambda fluct: _pw_report(
+            fluct, u_eps.grad_l2_norm(), eps)
+    if grad is None:
+        raise InvalidParameterError(
+            "closed-form fields need a gradient callable")
+    return [_fluctuation_term(eps), _gradient_term(grad)], \
+        lambda fluct, grad_sq: _pw_report(fluct, float(grad_sq ** 0.5), eps)
 
 
 def poincare_wirtinger_ratio(u_eps, eps, geometry=None, grad=None):
@@ -245,28 +395,25 @@ def poincare_wirtinger_ratio(u_eps, eps, geometry=None, grad=None):
     normalization.  A closed-form field needs geometry and its gradient
     callable, (N, d) or (N, ncomp, d) at points (N, d).
     """
-    discrete = isinstance(u_eps, DiscreteField)
-    if not discrete and grad is None:
-        raise InvalidParameterError(
-            "closed-form fields need a gradient callable")
-    rules, sample = _field_sample(u_eps, eps, geometry)
-    fluct = grad_sq = 0.0
-    for coords, w in _rule_slabs(rules, 2 * len(rules)):
-        diff = sample(coords)
-        # u - M u, with M u from the thickness weights of the sample
-        diff = diff - np.tensordot(diff, rules[-1][1] / (2 * eps),
-                                   axes=([-2], [0]))[..., None, :]
-        w = w.ravel()
-        fluct += np.sum(w * np.sum(diff * diff, axis=-1).ravel())
-        if not discrete:
-            grads = np.asarray(grad(grid_points(coords)),
-                               dtype=float).reshape(w.size, -1, len(coords))
-            gmag = np.sqrt(np.sum(grads * grads, axis=(-2, -1)))
-            grad_sq += np.sum(w * gmag ** 2)
-    fluct = float(fluct ** 0.5)
-    gnorm = u_eps.grad_l2_norm() if discrete else float(grad_sq ** 0.5)
-    ratio = fluct / (eps * gnorm) if gnorm > 0 else 0.0
-    return PoincareWirtingerReport(ratio, ratio * eps ** -0.5, fluct, gnorm)
+    terms, report = _pw_terms(u_eps, eps, grad)
+    return report(*_layer_sums(u_eps, eps, geometry, terms))
+
+
+def layer_checks(u_eps, u0, f, eps, scale=1.0, geometry=None, grad=None):
+    """The two-scale checks of a layer velocity, in one pass.
+
+    Returns (distance, pairing, pw): two_scale_distance(u_eps / scale, u0,
+    eps), two_scale_pairing(u_eps / scale, f, eps) and
+    poincare_wirtinger_ratio(u_eps, eps), each with geometry (and grad)
+    for a closed-form field.  The field is sampled once per slab, and the
+    scale is folded into the limit: |u - scale u0| / scale.
+    """
+    pw_terms, report = _pw_terms(u_eps, eps, grad)
+    total, pairing, *pw = _layer_sums(
+        u_eps, eps, geometry,
+        [_distance_term(u0, eps, scale), _pairing_term(f, eps), *pw_terms])
+    return (_distance(total, eps, scale), _pairing(pairing, eps, scale),
+            report(*pw))
 
 
 def oscillation_limit_table(f, eps_list, geometry, p=None):

@@ -13,6 +13,7 @@ is computed as well; for the dragless regime the two must agree to the
 discrete Galerkin identity.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,11 +81,14 @@ class TwoScaleVelocity:
     """Separated two-scale field u0(xbar, y) = sum_j w_j(y) g_j(xbar).
 
     g is the driving force (horizontal forcing minus the limit pressure
-    gradient), a callable (N, d1) -> (N, d1) on the macro mesh; w_j are the
-    cell velocities (DiscreteFields with d components); the sum runs over
-    the horizontal directions only.  two_scale samples and integrates the
-    limit through these two factors, each on the Gauss grid of its own
-    mesh: g on macro_mesh, w_j on their cell mesh.
+    gradient) on tensor grids: a callable that takes the per-axis
+    coordinates [x_0, ..., x_{d1-1}] to g at grid_points of them, (N, d1)
+    in that order, as MacroSolution.driving_force does.  w_j are the cell
+    velocities (DiscreteFields with d components); the sum runs over the
+    horizontal directions only.  two_scale samples and integrates the limit
+    through these two factors, each on a tensor grid: g on the Gauss grid
+    of macro_mesh or on a layer's horizontal grid, w_j on the Gauss grid of
+    their cell mesh or on one period of a layer's grid.
     """
 
     def __init__(self, cell_fields, driving, macro_mesh):
@@ -95,21 +99,19 @@ class TwoScaleVelocity:
         self.cell_integrals = np.array([w.integrate()
                                         for w in self.cell_fields])
 
-    def vertical_mean(self, xbar):
-        """int_I M(u0 . e_d) dzeta at each xbar (vanishes in the limit)."""
-        g = np.atleast_2d(self.driving(np.atleast_2d(xbar)))
-        return g @ self.cell_integrals[:, -1]
+    def vertical_mean(self, axes):
+        """int_I M(u0 . e_d) dzeta on the tensor grid of the per-axis
+        coordinates axes (vanishes in the limit)."""
+        return self.driving(axes) @ self.cell_integrals[:, -1]
 
-    def horizontal_mean(self, xbar):
-        """int_I M(u0') dzeta at each xbar; reproduces the macro velocity."""
-        g = np.atleast_2d(self.driving(np.atleast_2d(xbar)))
-        return g @ self.cell_integrals[:, :self.d1]
+    def horizontal_mean(self, axes):
+        """int_I M(u0') dzeta on the tensor grid of axes; reproduces the
+        macro velocity."""
+        return self.driving(axes) @ self.cell_integrals[:, :self.d1]
 
 
 def reconstruct_two_scale_velocity(cells, macro, f1):
     """Two-scale limit velocity from cell solutions and the macro pressure."""
-    def driving(xbar):
-        return macro.driving_force(xbar, f1)
-
     fields = [cells.velocity_field(j) for j in range(cells.d - 1)]
-    return TwoScaleVelocity(fields, driving, macro.mesh)
+    return TwoScaleVelocity(fields, functools.partial(macro.driving_force,
+                                                      f1=f1), macro.mesh)

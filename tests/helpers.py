@@ -11,13 +11,20 @@ library's slot map is checked against.
 quadrature_points lists the global Gauss points element by element, the
 whole-mesh form of the library's per-slab assembly._element_points.
 
+gradient differentiates a discrete field at scattered points, and
+driving_reference takes the macro driving f1 - grad p0 that way: the
+pointwise references for the library, which differentiates on tensor grids
+(DiscreteField.evaluate_grid, MacroSolution.driving_force).  on_grid turns
+a closed-form driving of points into the grid form that TwoScaleVelocity
+takes.
+
 two_scale_values evaluates a separated two-scale limit point by point, and
 probe_values a separated test function factor by factor at paired points;
 limit_pairing_reference and distance_reference integrate any callable
 u0_values(xbar, y) on plain tensor rules.  They are the references for the
 library, which integrates the separated limit factor by factor
-(two_scale.limit_pairing) and samples its cell fields on tensor grids
-(two_scale.two_scale_distance).
+(two_scale.limit_pairing) and samples its cell fields on one period of the
+layer's tensor grid (two_scale._period_limit).
 
 layer_quadrature builds every point of the composite layer rule of the
 closed-form functionals, and thin_average takes the vertical Gauss average
@@ -226,7 +233,7 @@ def boundary_flux_reference(macro):
     if mesh.ndim == 1:
         for side, sign in ((0, -1.0), (1, 1.0)):
             x = mesh.axes[0][0 if side == 0 else -1]
-            un = sign * macro.velocity(np.array([[x]]))[0, 0]
+            un = sign * macro.velocity([np.array([x])])[0, 0]
             node = 0 if side == 0 else space.lattice_sizes[0] - 1
             fb[node] += un
         return float(np.abs(fb).max())
@@ -241,10 +248,10 @@ def boundary_flux_reference(macro):
             for e in range(mesh.n_elements[tang]):
                 left = mesh.axes[tang][e]
                 pts_t = left + (gp + 1) * h / 2
-                pts = np.empty((gp.size, 2))
-                pts[:, axis] = xw
-                pts[:, tang] = pts_t
-                un = sign * macro.velocity(pts)[:, axis]
+                axes = [None, None]
+                axes[axis] = np.array([xw])
+                axes[tang] = pts_t
+                un = sign * macro.velocity(axes)[:, axis]
                 w = gw * h / 2
                 for loc in range(2):
                     idx = [0, 0]
@@ -255,11 +262,41 @@ def boundary_flux_reference(macro):
     return float(np.abs(fb).max())
 
 
+def gradient(field, pts):
+    """Gradients of a DiscreteField at arbitrary points: (N, ncomp, ndim)."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    return np.stack([field._tensor_eval(pts, deriv_axis=a)
+                     for a in range(field.space.mesh.ndim)], axis=-1)
+
+
+def driving_reference(macro, xbar, f1):
+    """f1 - grad p0 of a MacroSolution at points xbar (N, d1), p0
+    differentiated point by point (zero forcing in regime ii)."""
+    xbar = np.atleast_2d(xbar)
+    g = -gradient(macro.p0_field(), xbar)[:, 0, :]
+    if macro.regime != "ii" and f1 is not None:
+        g = g + np.asarray(f1(xbar), dtype=float).reshape(xbar.shape[0], -1)
+    return g
+
+
+def on_grid(driving):
+    """A driving of points (N, d1) -> (N, d1) as a driving of per-axis
+    coordinates, sampled at their grid points."""
+    return lambda axes: driving(grid_points(axes))
+
+
 def two_scale_values(u0, xbar, y):
     """A separated limit u0(xbar, y) = sum_j w_j(y) g_j(xbar) at paired
     points, xbar (N, d1) and y (N, d) -> (N, d), each cell field evaluated
-    point by point."""
-    g = np.atleast_2d(u0.driving(np.atleast_2d(xbar)))
+    point by point.  The driving takes per-axis coordinates: it is sampled
+    on the grid of the distinct coordinates of xbar along each axis, and
+    each point takes its own entry."""
+    xbar = np.atleast_2d(xbar)
+    distinct, index = zip(*(np.unique(x, return_inverse=True)
+                            for x in xbar.T))
+    g = u0.driving(list(distinct)).reshape(
+        tuple(x.size for x in distinct) + (-1,))[
+        tuple(i.ravel() for i in index)]
     out = np.zeros((g.shape[0], u0.cell_fields[0].space.ncomp))
     for j, w in enumerate(u0.cell_fields):
         out += g[:, j][:, None] * w.evaluate(y)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thinflow import assembly
+from thinflow import assembly, harness
 from thinflow.cli import main as cli_main
 from thinflow.errors import ConfigError, InvalidDataError
 from thinflow.harness import (estimate_rate, load_config, report_csv,
@@ -137,6 +137,30 @@ def test_estimate_rate_rejects_bad_data():
 @pytest.fixture(scope="module")
 def small_report():
     return run_pipeline(config())
+
+
+def test_pipeline_marks_each_traced_stage_once(monkeypatch):
+    # perfbench/tracing.py starts the reconstruction stage at
+    # reconstruct_two_scale_velocity and the sweep stage at limit_pairing,
+    # so each is called once and the sweep starts before the first DNS
+    calls = []
+
+    def spy(name):
+        original = getattr(harness, name)
+
+        def recorded(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(harness, name, recorded)
+
+    for name in ("reconstruct_two_scale_velocity", "limit_pairing",
+                 "solve_dlb"):
+        spy(name)
+    run_pipeline(config())
+    assert calls.count("reconstruct_two_scale_velocity") == 1
+    assert calls.count("limit_pairing") == 1
+    assert calls.index("reconstruct_two_scale_velocity") \
+        < calls.index("limit_pairing") < calls.index("solve_dlb")
 
 
 def test_pipeline_structure_checks(small_report):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,9 +9,10 @@ from thinflow.errors import InvalidEffectiveMatrixError
 from thinflow.harness import load_config
 from thinflow.macro_model import (_conservation_residual,
                                   boundary_flux_residual, solve_macro)
-from thinflow.meshing import Geometry, build_macro_mesh
+from thinflow.meshing import Geometry, build_macro_mesh, grid_points
 
-from helpers import boundary_flux_reference, quadrature_sample
+from helpers import (boundary_flux_reference, driving_reference,
+                     quadrature_sample)
 
 GEOM2 = Geometry(2, (1.0,), 0.125)
 GEOM3 = Geometry(3, (1.0, 1.0), 0.125)
@@ -35,6 +37,29 @@ def test_drag_limit_trivial():
     sol = solve_macro(np.array([[2.0]]), None, mesh, "ii")
     assert np.abs(sol.p0).max() == 0.0
     assert np.abs(sol.u_prime).max() == 0.0
+
+
+@pytest.mark.parametrize("regime", ["i", "ii"])
+def test_grid_driving_matches_pointwise_reference(regime):
+    # f1 - grad p0 on a tensor grid, p0 differentiated one axis at a time
+    # by sum factorization, against p0 differentiated point by point; the
+    # grid holds mesh nodes, where both take the element on the right.  In
+    # regime ii the driving drops the forcing: -grad p0 of the same p0
+    mesh = build_macro_mesh(Geometry(3, (0.5, 0.75), 0.125), 8)
+
+    def f1(xb):
+        return np.column_stack([np.sin(2 * np.pi * xb[:, 0]) * xb[:, 1],
+                                np.cos(np.pi * xb[:, 1]) + xb[:, 0]])
+
+    macro = replace(solve_macro(np.array([[2.0, 0.3], [0.3, 1.0]]), f1,
+                                mesh, "i"), regime=regime)
+    axes = [np.linspace(0.0, 0.5, 17), np.linspace(0.01, 0.74, 13)]
+    got = macro.driving_force(axes, f1)
+    want = driving_reference(macro, grid_points(axes), f1)
+    assert np.abs(want).max() > 0.1
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    if regime == "ii":
+        assert np.array_equal(got, macro.driving_force(axes, None))
 
 
 def test_non_spd_rejected():

@@ -498,6 +498,31 @@ def test_block_solve_builds_no_sparse_matrix(monkeypatch, separable):
     assert normed == []
 
 
+def test_correction_forms_each_velocity_once(monkeypatch):
+    # a CG correction forms u + du to test the backward-error goal; where
+    # the test ends the loop, that du is the one returned, not formed again
+    forms, transformed = [], []
+    correction = BlockSaddleSolver._correction
+    velocity = linalg._FusedInverse.velocity
+
+    def spy_correction(self, *args, **kwargs):
+        transformed.append([])
+        return correction(self, *args, **kwargs)
+
+    def spy_velocity(self, hat):
+        transformed[-1].append(hat.tobytes())
+        forms.append(hat.tobytes())
+        return velocity(self, hat)
+
+    monkeypatch.setattr(BlockSaddleSolver, "_correction", spy_correction)
+    monkeypatch.setattr(linalg._FusedInverse, "velocity", spy_velocity)
+    *_, sol = d3_flow(rho=1.0)
+    assert sol.solver_counts["direct_fallbacks"] == 0
+    assert len(transformed) > 1 and len(forms) >= len(transformed)
+    for hats in transformed:
+        assert len(set(hats)) == len(hats)
+
+
 def test_layer_velocity_sampled_for_its_gradient_norm_once(monkeypatch):
     # one velocity field per solution, whose gradient norm apriori_norms
     # has already taken: the Poincare-Wirtinger ratio reuses it, and gives

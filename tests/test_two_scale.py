@@ -1,4 +1,4 @@
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -7,8 +7,8 @@ import pytest
 from scipy.integrate import quad
 
 from thinflow import coefficients as coefs
-from thinflow import two_scale
-from thinflow.assembly import DiscreteField, FunctionSpace
+from thinflow import assembly, two_scale
+from thinflow.assembly import DiscreteField, FunctionSpace, element_gauss_axes
 from thinflow.cell_problems import solve_cell_regime_i
 from thinflow.coefficients import ScalarField
 from thinflow.errors import InvalidParameterError, SpaceMismatchError
@@ -18,7 +18,7 @@ from thinflow.meshing import (Geometry, build_cell_mesh, build_macro_mesh,
                               build_thin_mesh, composite_gauss, tensor_rule)
 from thinflow.microscale import solve_dlb
 from thinflow.two_scale import (OscillatingTestFunction, _field_sample,
-                                _layer_rules, limit_pairing,
+                                _layer_rules, layer_checks, limit_pairing,
                                 oscillation_limit_table,
                                 poincare_wirtinger_ratio, two_scale_distance,
                                 two_scale_pairing)
@@ -26,8 +26,8 @@ from thinflow.upscaling import (TwoScaleVelocity, effective_matrix,
                                 reconstruct_two_scale_velocity)
 
 from helpers import (distance_reference, interpolate, layer_quadrature,
-                     limit_pairing_reference, probe_values, quadrature_sample,
-                     thin_average, two_scale_values)
+                     limit_pairing_reference, on_grid, probe_values,
+                     quadrature_sample, thin_average, two_scale_values)
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 
@@ -201,7 +201,7 @@ def test_separated_limit_matches_pointwise_reference(d):
     limit = TwoScaleVelocity(
         [DiscreteField(space, interpolate(space,
                                           lambda y, j=j: cell_velocity(j, y)))
-         for j in range(d1)], driving, build_macro_mesh(g, 4))
+         for j in range(d1)], on_grid(driving), build_macro_mesh(g, 4))
     probe = OscillatingTestFunction(
         d1=d1, macro=lambda xb: 1 + xb[:, 0], zeta_factor=lambda z: 1 - z * z,
         y_factor=ScalarField(d1, const=0.5,
@@ -502,7 +502,7 @@ def reference_pw(u, eps, nq=5):
 def test_functionals_match_pointwise_reference(d3_layer):
     sol, recon, probe = d3_layer
     u = sol.velocity_field()
-    scaled = sol.scaled_velocity(D3_EPS ** 2)
+    scaled = DiscreteField(u.space, u.coeffs / D3_EPS ** 2)
     fluct, gnorm = reference_pw(u, D3_EPS)
     assert poincare_wirtinger_ratio(u, D3_EPS).ratio == pytest.approx(
         fluct / (D3_EPS * gnorm), rel=1e-12)
@@ -515,22 +515,131 @@ def test_functionals_match_pointwise_reference(d3_layer):
 
 def test_functionals_never_evaluate_pointwise(d3_layer, monkeypatch):
     sol, recon, probe = d3_layer
-    # the reconstructed driving force differentiates the macro pressure at
-    # scattered points; a closed-form driving keeps this check to the
-    # fields that are sampled on grids
-    limit = TwoScaleVelocity(recon.cell_fields, d3_forcing, recon.macro_mesh)
+    # the reconstructed driving force differentiates the macro pressure on
+    # tensor grids too, so the reconstructed limit itself is checked
     u = sol.velocity_field()
-    scaled = sol.scaled_velocity(D3_EPS ** 2)
+    scaled = DiscreteField(u.space, u.coeffs / D3_EPS ** 2)
 
     def pointwise(*args, **kwargs):
         raise AssertionError("pointwise evaluation of a discrete field")
 
     monkeypatch.setattr(DiscreteField, "evaluate", pointwise)
-    monkeypatch.setattr(DiscreteField, "gradient", pointwise)
+    monkeypatch.setattr(DiscreteField, "_tensor_eval", pointwise)
     assert poincare_wirtinger_ratio(u, D3_EPS).ratio > 0
-    assert two_scale_distance(scaled, limit, D3_EPS) > 0
+    assert two_scale_distance(scaled, recon, D3_EPS) > 0
     assert np.abs(two_scale_pairing(scaled, probe, D3_EPS)).max() > 0
-    assert np.abs(limit_pairing(limit, probe)).max() > 0
+    assert np.abs(limit_pairing(recon, probe)).max() > 0
+    strong, pairing, pw = layer_checks(u, recon, probe, D3_EPS, D3_EPS ** 2)
+    assert strong > 0 and pw.ratio > 0 and np.abs(pairing).max() > 0
+
+
+def _layer_field(eps):
+    """A three-component closed-form layer field and its gradient
+    (N, 3, 3)."""
+    u2, grad2 = _profile_field(3, eps)
+
+    def u(p):
+        return np.column_stack([u2(p), p[:, 0] * (1 - (p[:, -1] / eps) ** 2)])
+
+    def grad(p):
+        out = np.zeros((len(p), 3, 3))
+        out[:, :2] = grad2(p)
+        out[:, 2, 0] = 1 - (p[:, -1] / eps) ** 2
+        out[:, 2, 2] = -2 * p[:, 0] * p[:, -1] / eps ** 2
+        return out
+    return u, grad
+
+
+@pytest.mark.parametrize("kind", ["discrete", "closed_form"])
+def test_one_pass_matches_single_functionals(d3_layer, kind):
+    # layer_checks samples the layer once for the three functionals, the
+    # scale folded into the limit; each single functional samples the
+    # scaled field (distance, pairing) or the field (fluctuation ratio)
+    sol, recon, probe = d3_layer
+    scale = D3_EPS ** 2
+    if kind == "discrete":
+        u, grad, geometry = sol.velocity_field(), None, None
+        scaled = DiscreteField(u.space, u.coeffs / scale)
+    else:
+        (u, grad), geometry = _layer_field(D3_EPS), D3_GEOM
+
+        def scaled(p):
+            return u(p) / scale
+    strong, pairing, pw = layer_checks(u, recon, probe, D3_EPS, scale,
+                                       geometry, grad)
+    assert strong == pytest.approx(
+        two_scale_distance(scaled, recon, D3_EPS, geometry), rel=1e-13)
+    want = two_scale_pairing(scaled, probe, D3_EPS, geometry)
+    assert np.abs(pairing - want).max() <= 1e-13 * np.abs(want).max()
+    single = poincare_wirtinger_ratio(u, D3_EPS, geometry, grad)
+    for got, want in zip(astuple(pw), astuple(single)):
+        assert got == pytest.approx(want, rel=1e-13)
+
+
+def test_period_sample_matches_direct_limit(d3_layer, monkeypatch):
+    # the cell fields of the limit are sampled on one period of the layer's
+    # Gauss axes, 2 elements x 5 points per horizontal axis, and gathered:
+    # the same values as sampling them at x/eps on the whole grid
+    sol, recon, _ = d3_layer
+    rules = element_gauss_axes(sol.mesh, 5)
+    axes = [x for x, _ in rules]
+    sampled = []
+    evaluate_grid = DiscreteField.evaluate_grid
+
+    def spy(field, coords, deriv_axis=None):
+        if field in recon.cell_fields:
+            sampled.append([len(x) for x in coords])
+        return evaluate_grid(field, coords, deriv_axis)
+
+    monkeypatch.setattr(DiscreteField, "evaluate_grid", spy)
+    got = two_scale._period_limit(recon, rules, D3_EPS, 1.0)(
+        slice(0, axes[0].size))
+    assert sampled and all(n <= 2 * 5 for sizes in sampled
+                           for n in sizes[:-1])
+    assert axes[0].size == 40
+    monkeypatch.undo()
+    g = recon.driving(axes[:-1]).reshape(axes[0].size, axes[1].size, -1)
+    direct = sum(g[..., j, None, None] * w.evaluate_grid(
+        [x / D3_EPS for x in axes]) for j, w in enumerate(recon.cell_fields))
+    assert np.abs(got - direct).max() <= 1e-13 * np.abs(direct).max()
+
+
+def test_cell_points_merge_only_repeats():
+    axis = np.linspace(0.0, 1.0, 5)
+    # points that do not repeat are all kept, each wrapped into the period
+    y = np.random.default_rng(3).uniform(-3.0, 3.0, 50)
+    points, index = two_scale._distinct_cell_points(y, axis, True)
+    assert points.size == y.size
+    assert np.abs(points[index] - np.mod(y, 1.0)).max() <= 1e-15
+    # whole periods apart is one point; 1e-10 of a period apart is two
+    y = np.array([0.3, 2.3, -1.7, 0.3 + 1e-10])
+    points, index = two_scale._distinct_cell_points(y, axis, True)
+    assert points.size == 2
+    assert index[0] == index[1] == index[2] != index[3]
+    # a chain of near points that spans more than the tolerance is kept
+    y = 0.5 + np.array([0.0, 0.6e-12, 1.2e-12])
+    assert two_scale._distinct_cell_points(y, axis, True)[0].size == 3
+    # an axis that is not periodic merges nothing
+    y = np.array([0.2, 0.2, 1.2])
+    assert two_scale._distinct_cell_points(y, axis, False)[0].size == 3
+
+
+def test_five_point_passes_share_their_slabs(d3_layer, monkeypatch):
+    # every pass over the layer's 5-point Gauss grid cuts it into the same
+    # slabs, so after the first one the interpolation matrices of each
+    # slab are built: lp_norm(4) and the two-scale pass build none (the
+    # gradient norm, on the 3-point grid, is taken first, as apriori_norms
+    # does)
+    sol, recon, probe = d3_layer
+    monkeypatch.setattr(assembly, "_SLAB_ENTRIES", 2 ** 13)
+    space = FunctionSpace(sol.mesh, "velocity")
+    u = DiscreteField(space, sol.u)
+    u.grad_l2_norm()
+    u.lp_norm(4)
+    built = len(space._interpolations)
+    u.lp_norm(4)
+    layer_checks(u, recon, probe, D3_EPS, D3_EPS ** 2)
+    assert len(space._interpolations) == built
 
 
 def test_pw_ratio_takes_the_exact_vertical_mean():

@@ -8,7 +8,7 @@ from thinflow.macro_model import solve_macro
 from thinflow.meshing import Geometry, build_cell_mesh, build_macro_mesh
 from thinflow.upscaling import effective_matrix, reconstruct_two_scale_velocity
 
-from helpers import two_scale_values
+from helpers import on_grid, two_scale_values
 
 GEOM = Geometry(2, (1.0,), 0.125)
 IDENT = coefs.constant_field(2)
@@ -96,8 +96,8 @@ def test_reconstruction_poiseuille_profile():
     fields = [cells.velocity_field(0)]
 
     from thinflow.upscaling import TwoScaleVelocity
-    recon = TwoScaleVelocity(fields, lambda xb: np.ones((xb.shape[0], 1)),
-                             build_macro_mesh(GEOM, 8))
+    recon = TwoScaleVelocity(fields, on_grid(
+        lambda xb: np.ones((xb.shape[0], 1))), build_macro_mesh(GEOM, 8))
     zeta = np.linspace(-1, 1, 21)
     y = np.column_stack([np.full(zeta.size, 0.3), zeta])
     vals = two_scale_values(recon, np.full((zeta.size, 1), 0.5), y)
@@ -111,8 +111,8 @@ def test_reconstruction_vertical_mean_zero():
     f1 = lambda xb: np.column_stack([np.sin(2 * np.pi * xb[:, 0])])
     macro = make_macro(ahat, f1)
     recon = reconstruct_two_scale_velocity(cells, macro, f1)
-    xb = np.linspace(0.02, 0.98, 31)[:, None]
-    assert np.abs(recon.vertical_mean(xb)).max() <= 1e-8
+    axes = [np.linspace(0.02, 0.98, 31)]
+    assert np.abs(recon.vertical_mean(axes)).max() <= 1e-8
 
 
 def test_reconstruction_mean_matches_macro_velocity():
@@ -121,7 +121,7 @@ def test_reconstruction_mean_matches_macro_velocity():
     f1 = lambda xb: np.column_stack([np.sin(2 * np.pi * xb[:, 0])])
     macro = make_macro(ahat, f1)
     recon = reconstruct_two_scale_velocity(cells, macro, f1)
-    xb = np.linspace(0.02, 0.98, 31)[:, None]
-    got = recon.horizontal_mean(xb)
-    want = macro.velocity(xb)
+    axes = [np.linspace(0.02, 0.98, 31)]
+    got = recon.horizontal_mean(axes)
+    want = macro.velocity(axes)
     assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
