@@ -300,7 +300,7 @@ def _distinct_cell_points(y, axis, periodic):
     if periodic:
         period = axis[-1] - axis[0]
         wrapped = axis[0] + np.mod(y - axis[0], period)
-        order = np.argsort(wrapped, kind="stable")
+        order = np.argsort(wrapped)
         ordered = wrapped[order]
         first = np.concatenate(([True],
                                 np.diff(ordered) > _WRAP_TOL * period))
