@@ -35,6 +35,8 @@ class CellSolution:
     ``form`` is the sparse energy form of the regime's local problem: the
     cell operator for regimes i and iii, the drag term mu M for regime ii.
     The upscaled matrix is its Gram table over the velocities.
+    solver_counts are the SolveCounts of the solves, as a dict like
+    MicroSolution.solver_counts.
     """
 
     regime: str
@@ -47,7 +49,7 @@ class CellSolution:
     form: object
     levels: Optional[dict] = None
     extrapolation_residual: Optional[float] = None
-    meta: dict = dfield(default_factory=dict)
+    solver_counts: dict = dfield(default_factory=dict)
 
     @property
     def d(self):
@@ -98,7 +100,7 @@ def _div_residuals(B, velocities):
     return [float(np.linalg.norm(B @ w)) / scale for w in velocities]
 
 
-def _solve_clamped(regime, field, cell_mesh, tol, drag=0.0, **meta):
+def _solve_clamped(regime, field, cell_mesh, tol, drag=0.0):
     """-div(A grad w) + drag w + grad q = e_i with the walls clamped."""
     coefs.check_ellipticity(field, n_samples=256)
     space_v, space_p, B, gauge = _cell_spaces(cell_mesh)
@@ -108,13 +110,12 @@ def _solve_clamped(regime, field, cell_mesh, tol, drag=0.0, **meta):
                                          tol, counts)
     return CellSolution(regime, cell_mesh, space_v, space_p, velocities,
                         pressures, _div_residuals(B, velocities), S,
-                        meta={**meta, "solver_counts": asdict(counts)})
+                        solver_counts=asdict(counts))
 
 
 def solve_cell_regime_i(field, mu, K, cell_mesh, tol=1e-10):
     """Brinkmann cell problems with drag mu/K; velocity clamped at the walls."""
-    return _solve_clamped("i", field, cell_mesh, tol, drag=mu / K, mu=mu,
-                          K=K)
+    return _solve_clamped("i", field, cell_mesh, tol, drag=mu / K)
 
 
 def solve_cell_regime_iii(field, cell_mesh, tol=1e-10):
@@ -191,7 +192,7 @@ def solve_cell_regime_ii(mu, cell_mesh, n_list=(4, 8, 16, 32), tol=1e-10):
     return CellSolution("ii", cell_mesh, space_v, space_p, velocities,
                         pressures, residuals, drag, levels=levels,
                         extrapolation_residual=worst,
-                        meta={"mu": mu, "solver_counts": asdict(counts)})
+                        solver_counts=asdict(counts))
 
 
 def solve_cell_problems(regime, cell_mesh, field=None, mu=1.0, K=None,

@@ -370,7 +370,6 @@ class RegimeSpec:
     kappa: float
     alpha_exp: float
     regime: str
-    K: Optional[float] = None
 
     def K_eps(self, eps):
         return self.kappa * eps ** self.alpha_exp
@@ -383,7 +382,7 @@ def classify_regime(kappa, alpha_exp):
         raise InvalidRegimeError(
             "alpha must be positive (the permeability must vanish)")
     if abs(alpha_exp - 2.0) <= _ALPHA_TOL:
-        return RegimeSpec(kappa, 2.0, REGIME_BALANCED, K=float(kappa))
+        return RegimeSpec(kappa, 2.0, REGIME_BALANCED)
     if alpha_exp > 2.0:
         return RegimeSpec(kappa, float(alpha_exp), REGIME_LOW_PERM)
     return RegimeSpec(kappa, float(alpha_exp), REGIME_HIGH_PERM)

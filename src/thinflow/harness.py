@@ -320,11 +320,16 @@ class CheckRow:
 
 @dataclass
 class ConvergenceReport:
+    """Check and sweep rows of a run, beside the cell and macro solutions
+    and one MicroSolution per eps (layers) that save_report writes."""
+
     regime: str
     checks: list = dfield(default_factory=list)
     sweep_rows: list = dfield(default_factory=list)
     effective: object = None
-    extras: dict = dfield(default_factory=dict)
+    cells: object = None
+    macro: object = None
+    layers: list = dfield(default_factory=list)
 
     def add(self, name, value, target=np.nan, tol=np.nan, passed=None):
         self.checks.append(CheckRow(name, float(value), float(target),
@@ -419,17 +424,16 @@ def run_pipeline(config):
                             tol=tol)
         scale = max(float(np.abs(macro.p0).max()), 1e-300)
         report.add_upper("macro_mean_pressure",
-                         abs(macro.mean_pressure()) / scale, 1e-12)
+                         abs(macro.mean_pressure) / scale, 1e-12)
         report.add_upper("macro_conservation", macro.conservation_residual,
                          100 * tol)
-        energy, work = macro.meta["energy"], macro.meta["work"]
         report.add_upper("macro_energy_defect",
-                         abs(energy - work) / max(abs(energy), 1e-300), 1e-10)
-        report.extras["macro"] = macro
-        report.extras["cells"] = cells
+                         abs(macro.energy - macro.work)
+                         / max(abs(macro.energy), 1e-300), 1e-10)
+        report.cells, report.macro = cells, macro
 
     with pipeline_stage("reconstruction"):
-        recon = reconstruct_two_scale_velocity(cells, macro, params.f1)
+        recon = reconstruct_two_scale_velocity(cells, macro)
         axes = _sample_axes(geometry)
         vmax = float(np.abs(recon.vertical_mean(axes)).max())
         report.add_upper("recon_vertical_mean", vmax, 1e-8)
@@ -443,7 +447,6 @@ def run_pipeline(config):
         probe = _probe_function(geometry.d1, params.f1)
         limit_vec = np.atleast_1d(limit_pairing(recon, probe))
         rows = []
-        micro_fields = []
         for eps in config.eps_list:
             geom_e = geometry.with_eps(eps)
             thin = build_thin_mesh(geom_e,
@@ -466,9 +469,8 @@ def run_pipeline(config):
                         "pw_ratio": pw.ratio, "strong_error": strong,
                         "pairing_gap": gap})
             rows.append(row)
-            micro_fields.append(sol)
+            report.layers.append(sol)
         report.sweep_rows = [{k: r[k] for k in _SWEEP_KEYS} for r in rows]
-        report.extras["micro_solutions"] = micro_fields
         # a 1D horizontal box is sealed: incompressibility plus no-flux force
         # the limit velocity to vanish identically, so the two-scale error
         # rows carry no content there and are recorded as informational
@@ -587,7 +589,7 @@ def effective_csv(report):
 def macro_csv(report):
     """Nodal coordinates and pressure beside the per-element velocity; the
     shorter of the two column blocks is padded with empty fields."""
-    macro = report.extras["macro"]
+    macro = report.macro
     nodal = np.column_stack([macro.space.scalar_coords(),
                              macro.p0_field().full_values()[:, 0]])
     d1 = macro.mesh.ndim
@@ -607,27 +609,25 @@ def _sampled_vtk(mesh, fields):
 
 def _report_texts(report, formats):
     """(file name, text) of every file save_report writes, in order."""
-    extras = report.extras
+    macro, cells = report.macro, report.cells
     if "csv" in formats:
         yield "report.csv", report_csv(report)
         yield "sweep.csv", sweep_csv(report)
         if report.effective is not None:
             yield "effective_matrix.csv", effective_csv(report)
-        if "macro" in extras:
+        if macro is not None:
             yield "macro.csv", macro_csv(report)
     if "vtk" in formats:
-        for sol in extras.get("micro_solutions", []):
+        for sol in report.layers:
             yield f"fields_{_fmt(sol.eps)}.vtk", _sampled_vtk(sol.mesh, {
                 "velocity": sol.velocity_field().evaluate,
                 "pressure": sol.pressure_field().evaluate})
-        if "macro" in extras:
-            macro = extras["macro"]
+        if macro is not None:
             # the vertices are the tensor grid of the mesh axes
             yield "macro.vtk", vtk_text(macro.mesh, {
                 "p0": macro.p0_field().evaluate(macro.mesh.vertices()),
                 "u_prime": macro.velocity(macro.mesh.axes)})
-        if "cells" in extras:
-            cells = extras["cells"]
+        if cells is not None:
             fields = {}
             for i in range(cells.d):
                 fields[f"velocity_{i}"] = cells.velocity_field(i).evaluate

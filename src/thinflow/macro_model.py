@@ -12,7 +12,8 @@ time by sum factorization (DiscreteField.evaluate_grid).  The effective
 velocity is reconstructed per element at the centroid.
 """
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -27,9 +28,12 @@ from .meshing import composite_gauss, grid_points, tensor_rule
 class MacroSolution:
     """Mean-zero limit pressure and per-element effective velocity.
 
-    driving_force and velocity take the per-axis coordinates of a tensor
-    grid and return their values at its points, (N, d-1) in grid_points
-    order: the form in which TwoScaleVelocity takes the driving.
+    forcing is the f1 that drives the limit (None in the drag-limit regime,
+    as solve_macro decides); mean_pressure, energy and work are gauge . p0,
+    p0 . K p0 and p0 . b of the solve.  driving_force and velocity take
+    the per-axis coordinates of a tensor grid and return their values at
+    its points, (N, d-1) in grid_points order: the form in which
+    TwoScaleVelocity takes the driving.
     """
 
     mesh: object
@@ -39,30 +43,28 @@ class MacroSolution:
     Ahat: np.ndarray
     regime: str
     conservation_residual: float
-    meta: dict = dfield(default_factory=dict)
+    forcing: Optional[Callable]
+    mean_pressure: float
+    energy: float
+    work: float
 
     def p0_field(self):
         return DiscreteField(self.space, self.p0)
 
-    def driving_force(self, axes, f1):
-        """f1 - grad p0 on the tensor grid of the per-axis coordinates axes:
-        (N, d-1) at grid_points(axes), in that order (zero forcing in the
-        drag-limit regime)."""
+    def driving_force(self, axes):
+        """forcing - grad p0 on the tensor grid of the per-axis coordinates
+        axes: (N, d-1) at grid_points(axes), in that order."""
         p0 = self.p0_field()
         g = -np.column_stack([p0.evaluate_grid(axes, deriv_axis=a).ravel()
                               for a in range(len(axes))])
-        if self.regime != "ii" and f1 is not None:
-            g = g + np.asarray(f1(grid_points(axes)),
+        if self.forcing is not None:
+            g = g + np.asarray(self.forcing(grid_points(axes)),
                                dtype=float).reshape(g.shape[0], -1)
         return g
 
     def velocity(self, axes):
-        """Ahat (f1 - grad p0) on the tensor grid of axes, as driving_force."""
-        return self.driving_force(axes, self.meta.get("f1")) @ self.Ahat.T
-
-    def mean_pressure(self):
-        gauge = pressure_gauge(self.space)
-        return float(gauge @ self.p0)
+        """Ahat driving_force(axes), on the same grid and in the same order."""
+        return self.driving_force(axes) @ self.Ahat.T
 
 
 def _conservation_residual(K, p0, rhs, gauge):
@@ -79,7 +81,8 @@ def solve_macro(Ahat, f1, macro_mesh, regime="i", tol=1e-10):
     """Solve the limit Darcy problem for the mean-zero pressure.
 
     Ahat may be an EffectiveMatrix or a plain SPD array.  f1 maps points
-    (N, d-1) to (N, d-1) and is ignored in the low-permeability regime.
+    (N, d-1) to (N, d-1); the low-permeability regime drops it, and the
+    solution's forcing is then None.
     """
     A = np.asarray(getattr(Ahat, "matrix", Ahat), dtype=float)
     eigs = np.linalg.eigvalsh((A + A.T) / 2)
@@ -89,19 +92,19 @@ def solve_macro(Ahat, f1, macro_mesh, regime="i", tol=1e-10):
     space = FunctionSpace(macro_mesh, "pressure")
     K = assemble_diffusion(space, lambda pts: np.broadcast_to(
         A, (pts.shape[0],) + A.shape))
-    if regime == "ii" or f1 is None:
+    forcing = None if regime == "ii" else f1
+    if forcing is None:
         rhs = np.zeros(space.ndof)
     else:
         rhs = assemble_flux_load(
-            space, lambda pts: np.asarray(f1(pts), dtype=float).reshape(
+            space, lambda pts: np.asarray(forcing(pts), dtype=float).reshape(
                 pts.shape[0], -1) @ A.T)
     gauge = pressure_gauge(space)
     p0 = solve_gauged_spd(K, rhs, gauge, tol=tol)
     sol = MacroSolution(macro_mesh, space, p0, None, A, regime,
-                        _conservation_residual(K, p0, rhs, gauge),
-                        meta={"f1": f1, "rhs": rhs,
-                              "energy": float(p0 @ (K @ p0)),
-                              "work": float(p0 @ rhs)})
+                        _conservation_residual(K, p0, rhs, gauge), forcing,
+                        float(gauge @ p0), float(p0 @ (K @ p0)),
+                        float(p0 @ rhs))
     sol.u_prime = sol.velocity([(a[:-1] + a[1:]) / 2
                                 for a in macro_mesh.axes])
     return sol

@@ -73,7 +73,6 @@ class OscillatingTestFunction:
     macro: object = 1.0
     y_factor: Optional[ScalarField] = None
     zeta_factor: object = 1.0
-    p: float = 2.0
     d1: int = 1
 
     def __post_init__(self):
@@ -416,7 +415,7 @@ def layer_checks(u_eps, u0, f, eps, scale=1.0, geometry=None, grad=None):
             report(*pw))
 
 
-def oscillation_limit_table(f, eps_list, geometry, p=None):
+def oscillation_limit_table(f, eps_list, geometry, p=2.0):
     """Per-eps scaled L^p mass of f(xbar, x/eps), its bound and its limit.
 
     Returns rows with keys (eps, value, bound, limit, abs_error, est_rate);
@@ -425,7 +424,6 @@ def oscillation_limit_table(f, eps_list, geometry, p=None):
     eps_list = list(eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise InvalidParameterError("eps_list must be strictly decreasing")
-    p = float(p if p is not None else f.p)
     pts_x, w_x = _macro_rule(geometry)
     macro_mass = float(np.sum(w_x * np.abs(f._macro_vals(pts_x)) ** p))
     z_pts, z_w = _panel_rule(-1.0, 1.0, _ZETA_PANELS)

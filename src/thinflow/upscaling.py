@@ -13,7 +13,6 @@ is computed as well; for the dragless regime the two must agree to the
 discrete Galerkin identity.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,8 +79,8 @@ def _relative_defect(table, dual):
 class TwoScaleVelocity:
     """Separated two-scale field u0(xbar, y) = sum_j w_j(y) g_j(xbar).
 
-    g is the driving force (horizontal forcing minus the limit pressure
-    gradient) on tensor grids: a callable that takes the per-axis
+    g is the macro driving force (its forcing, if any, minus the limit
+    pressure gradient) on tensor grids: a callable that takes the per-axis
     coordinates [x_0, ..., x_{d1-1}] to g at grid_points of them, (N, d1)
     in that order, as MacroSolution.driving_force does.  w_j are the cell
     velocities (DiscreteFields with d components); the sum runs over the
@@ -110,8 +109,7 @@ class TwoScaleVelocity:
         return self.driving(axes) @ self.cell_integrals[:, :self.d1]
 
 
-def reconstruct_two_scale_velocity(cells, macro, f1):
-    """Two-scale limit velocity from cell solutions and the macro pressure."""
+def reconstruct_two_scale_velocity(cells, macro):
+    """Two-scale limit of the cell velocities and macro.driving_force."""
     fields = [cells.velocity_field(j) for j in range(cells.d - 1)]
-    return TwoScaleVelocity(fields, functools.partial(macro.driving_force,
-                                                      f1=f1), macro.mesh)
+    return TwoScaleVelocity(fields, macro.driving_force, macro.mesh)

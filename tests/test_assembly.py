@@ -870,7 +870,7 @@ def d3_layer_calls():
     macro = solve_macro(effective_matrix(cells), f1,
                         build_macro_mesh(geometry, numerics["macro_n"]),
                         config.regime.regime)
-    limit = reconstruct_two_scale_velocity(cells, macro, f1)
+    limit = reconstruct_two_scale_velocity(cells, macro)
     probe = _probe_function(geometry.d1, f1)
     eps = 1 / 32
     mesh = build_thin_mesh(geometry.with_eps(eps),

@@ -176,6 +176,22 @@ def test_cross_regime_limits():
     assert abs(a_lo - 2e-3) / 2e-3 == pytest.approx(np.sqrt(1e-3), rel=0.05)
 
 
+@pytest.mark.parametrize("regime, n_list", [("i", (4, 8, 16)),
+                                             ("ii", (4, 8, 16)),
+                                             ("ii", (4, 8, 16, 32)),
+                                             ("iii", (4, 8, 16))])
+def test_solver_counts(regime, n_list):
+    # one LU serves all d loads of a clamped cell problem; the regime-ii
+    # ladder factors one regularized operator per level
+    cells = solve_cell_problems(regime, build_cell_mesh(GEOM, 2, 4),
+                                field=identity_field(), K=1.0, n_list=n_list)
+    factorizations = len(n_list) if regime == "ii" else 1
+    assert cells.solver_counts == {"factorizations": factorizations,
+                                   "pivoted_fallbacks": 0,
+                                   "schur_iterations": 0,
+                                   "direct_fallbacks": 0}
+
+
 def test_dispatcher():
     cells = solve_cell_problems("iii", build_cell_mesh(GEOM, 2, 8),
                                 field=identity_field())

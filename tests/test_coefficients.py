@@ -161,7 +161,7 @@ def test_ball_average_disc():
 
 def test_classify_balanced():
     spec = coefs.classify_regime(1.0, 2.0)
-    assert spec.regime == "i" and spec.K == pytest.approx(1.0)
+    assert spec.regime == "i" and spec.kappa == pytest.approx(1.0)
     assert spec.K_eps(0.1) == pytest.approx(0.01)
 
 

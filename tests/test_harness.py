@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from thinflow import assembly, harness
+from thinflow.cell_problems import CellSolution
 from thinflow.cli import main as cli_main
 from thinflow.errors import ConfigError, InvalidDataError
 from thinflow.harness import (estimate_rate, load_config, report_csv,
                               run_pipeline, save_report, sweep_csv)
+from thinflow.macro_model import MacroSolution
+from thinflow.microscale import MicroSolution
 from thinflow.two_scale import OscillatingTestFunction
 
 BASE_CONFIG = {
@@ -172,6 +175,17 @@ def test_pipeline_structure_checks(small_report):
     assert by_name["ahat_min_eigenvalue"].passed
     assert by_name["slope_p_l2"].passed
     assert len(small_report.sweep_rows) == 3
+
+
+def test_report_keeps_the_solutions_it_wrote(small_report):
+    # one DNS layer per eps, in sweep order, beside the cells and the macro
+    # solution that macro.csv and the VTK files are written from
+    eps_list = BASE_CONFIG["sweep"]["eps_list"]
+    assert [sol.eps for sol in small_report.layers] == eps_list
+    assert all(isinstance(sol, MicroSolution) for sol in small_report.layers)
+    assert isinstance(small_report.cells, CellSolution)
+    assert isinstance(small_report.macro, MacroSolution)
+    assert small_report.cells.regime == small_report.macro.regime == "i"
 
 
 def test_reports_byte_identical(tmp_path):

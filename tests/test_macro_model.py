@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thinflow.assembly import assemble_diffusion, pressure_gauge
+from thinflow.assembly import (assemble_diffusion, assemble_flux_load,
+                               pressure_gauge)
 from thinflow.errors import InvalidEffectiveMatrixError
 from thinflow.harness import load_config
 from thinflow.macro_model import (_conservation_residual,
@@ -28,7 +29,7 @@ def test_1d_constant_forcing_no_flux():
     x = np.array([[0.25], [0.75]])
     assert np.allclose(sol.p0_field().evaluate(x), c * (x[:, 0] - 0.5),
                        atol=1e-12)
-    assert abs(sol.mean_pressure()) <= 1e-12 * np.abs(sol.p0).max()
+    assert abs(sol.mean_pressure) <= 1e-12 * np.abs(sol.p0).max()
     assert boundary_flux_residual(sol) <= 1e-12
 
 
@@ -39,27 +40,52 @@ def test_drag_limit_trivial():
     assert np.abs(sol.u_prime).max() == 0.0
 
 
+def skew_forcing(xb):
+    return np.column_stack([np.sin(2 * np.pi * xb[:, 0]) * xb[:, 1],
+                            np.cos(np.pi * xb[:, 1]) + xb[:, 0]])
+
+
 @pytest.mark.parametrize("regime", ["i", "ii"])
 def test_grid_driving_matches_pointwise_reference(regime):
-    # f1 - grad p0 on a tensor grid, p0 differentiated one axis at a time
-    # by sum factorization, against p0 differentiated point by point; the
-    # grid holds mesh nodes, where both take the element on the right.  In
-    # regime ii the driving drops the forcing: -grad p0 of the same p0
+    # forcing - grad p0 on a tensor grid, p0 differentiated one axis at a
+    # time by sum factorization, against p0 differentiated point by point;
+    # the grid holds mesh nodes, where both take the element on the right.
+    # The regime-ii copy of the regime-i solution carries no forcing, so its
+    # driving is -grad p0 of the same p0, as the reference's regime says
     mesh = build_macro_mesh(Geometry(3, (0.5, 0.75), 0.125), 8)
-
-    def f1(xb):
-        return np.column_stack([np.sin(2 * np.pi * xb[:, 0]) * xb[:, 1],
-                                np.cos(np.pi * xb[:, 1]) + xb[:, 0]])
-
-    macro = replace(solve_macro(np.array([[2.0, 0.3], [0.3, 1.0]]), f1,
-                                mesh, "i"), regime=regime)
+    macro = solve_macro(np.array([[2.0, 0.3], [0.3, 1.0]]), skew_forcing,
+                        mesh, "i")
+    if regime == "ii":
+        macro = replace(macro, regime="ii", forcing=None)
     axes = [np.linspace(0.0, 0.5, 17), np.linspace(0.01, 0.74, 13)]
-    got = macro.driving_force(axes, f1)
-    want = driving_reference(macro, grid_points(axes), f1)
+    got = macro.driving_force(axes)
+    want = driving_reference(macro, grid_points(axes), skew_forcing)
     assert np.abs(want).max() > 0.1
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-    if regime == "ii":
-        assert np.array_equal(got, macro.driving_force(axes, None))
+
+
+@pytest.mark.parametrize("f1", [None, skew_forcing,
+                                lambda xb: np.full((xb.shape[0], 2), 3.0)],
+                         ids=["none", "skew", "constant"])
+def test_solve_macro_decides_the_forcing(f1):
+    # the drag-limit law drops whatever forcing was passed: the solution
+    # carries none, and its driving is -grad p0 (here zero: the load
+    # vanishes); regime i keeps the forcing it was solved for
+    mesh = build_macro_mesh(Geometry(3, (0.5, 0.75), 0.125), 6)
+    A = np.array([[2.0, 0.3], [0.3, 1.0]])
+    axes = [np.linspace(0.0, 0.5, 7), np.linspace(0.01, 0.74, 5)]
+    drag = solve_macro(A, f1, mesh, "ii")
+    assert drag.forcing is None
+    got = drag.driving_force(axes)
+    assert np.array_equal(got, driving_reference(drag, grid_points(axes), f1))
+    assert np.abs(got).max() == 0.0 and np.abs(drag.u_prime).max() == 0.0
+    balanced = solve_macro(A, f1, mesh, "i")
+    assert balanced.forcing is f1
+    want = driving_reference(balanced, grid_points(axes), f1)
+    got = balanced.driving_force(axes)
+    assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
+    if f1 is skew_forcing:
+        assert np.abs(got).max() > 0.1
 
 
 def test_non_spd_rejected():
@@ -107,8 +133,7 @@ def test_manufactured_solution_second_order():
 def test_energy_identity():
     Ahat, f1, _ = manufactured_case()
     sol = solve_macro(Ahat, f1, build_macro_mesh(GEOM3, 12), "i")
-    energy, work = sol.meta["energy"], sol.meta["work"]
-    assert abs(energy - work) <= 1e-10 * abs(energy)
+    assert abs(sol.energy - sol.work) <= 1e-10 * abs(sol.energy)
 
 
 def test_conservation_residual():
@@ -131,10 +156,10 @@ def test_boundary_flux_matches_element_loop(geometry, n):
     # swapped in afterwards gives the velocity an O(1) flux through the walls
     d1 = geometry.d1
     A = np.array([[2.0, 0.5], [0.5, 1.0]])[:d1, :d1]
-    sol = solve_macro(A, lambda xb: np.sin(3 * xb + 0.2), build_macro_mesh(
-        geometry, n), "i")
-    for f1 in (sol.meta["f1"], lambda xb: np.cos(2 * xb) + xb ** 2):
-        sol.meta["f1"] = f1
+    solved = solve_macro(A, lambda xb: np.sin(3 * xb + 0.2),
+                         build_macro_mesh(geometry, n), "i")
+    for f1 in (solved.forcing, lambda xb: np.cos(2 * xb) + xb ** 2):
+        sol = replace(solved, forcing=f1)
         ref = boundary_flux_reference(sol)
         assert ref > 1e-6
         assert abs(boundary_flux_residual(sol) - ref) <= 1e-14 * max(ref, 1.0)
@@ -153,7 +178,10 @@ def test_conservation_flags_perturbed_pressure(name):
         tol=config.numerics["solver_tol"])
     K = assemble_diffusion(sol.space, lambda pts: np.broadcast_to(
         A, (pts.shape[0],) + A.shape))
-    gauge, rhs = pressure_gauge(sol.space), sol.meta["rhs"]
+    rhs = assemble_flux_load(sol.space, lambda pts: np.asarray(
+        config.params.f1(pts), dtype=float).reshape(pts.shape[0], -1) @ A.T)
+    gauge = pressure_gauge(sol.space)
+    assert sol.mean_pressure == float(gauge @ sol.p0)
     assert sol.conservation_residual == _conservation_residual(
         K, sol.p0, rhs, gauge)
     assert sol.conservation_residual <= 1e-4 * bound

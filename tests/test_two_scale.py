@@ -50,9 +50,9 @@ def geom(eps):
     return Geometry(2, (1.0,), eps)
 
 
-def osc(y_waves=(), const=0.0, macro=1.0, zeta=1.0, p=2.0):
+def osc(y_waves=(), const=0.0, macro=1.0, zeta=1.0):
     return OscillatingTestFunction(
-        d1=1, macro=macro, zeta_factor=zeta, p=p,
+        d1=1, macro=macro, zeta_factor=zeta,
         y_factor=ScalarField(1, const=const, waves=list(y_waves)))
 
 
@@ -367,7 +367,7 @@ def test_oscillation_table_builds_no_layer_grid(monkeypatch):
 def test_oscillation_table_constant_tight():
     g = geom(0.125)
     c = 1.7
-    f = osc(const=c, p=2.0)
+    f = osc(const=c)
     rows = oscillation_limit_table(f, [1 / 8, 1 / 16], g)
     for row in rows:
         assert row["value"] == pytest.approx(2 * c ** 2, rel=1e-12)
@@ -377,7 +377,7 @@ def test_oscillation_table_constant_tight():
 
 def test_oscillation_table_sine():
     g = geom(0.125)
-    f = osc(y_waves=[((1,), "sin", 1.0)], p=2.0)
+    f = osc(y_waves=[((1,), "sin", 1.0)])
     rows = oscillation_limit_table(f, [1 / 8, 1 / 16, 1 / 32], g)
     for row in rows:
         assert row["limit"] == pytest.approx(1.0, abs=1e-10)
@@ -457,7 +457,7 @@ def d3_layer():
                                 build_cell_mesh(D3_GEOM, 2, 8))
     ahat = effective_matrix(cells)
     macro = solve_macro(ahat, d3_forcing, build_macro_mesh(D3_GEOM, 8))
-    recon = reconstruct_two_scale_velocity(cells, macro, d3_forcing)
+    recon = reconstruct_two_scale_velocity(cells, macro)
     probe = OscillatingTestFunction(
         d1=2, macro=lambda xb: 1 + xb[:, 0] * xb[:, 1],
         zeta_factor=lambda z: 1 - z * z,
@@ -687,7 +687,7 @@ def test_limit_pairing_is_aligned_with_the_macro_mesh(name):
     macro = solve_macro(effective_matrix(cells), config.params.f1,
                         build_macro_mesh(config.geometry, n), regime,
                         tol=config.numerics["solver_tol"])
-    recon = reconstruct_two_scale_velocity(cells, macro, config.params.f1)
+    recon = reconstruct_two_scale_velocity(cells, macro)
     probe = _probe_function(config.geometry.d1, config.params.f1)
     refined = TwoScaleVelocity(recon.cell_fields, recon.driving,
                                build_macro_mesh(config.geometry, 2 * n))

@@ -84,7 +84,7 @@ def test_reconstruction_zero_driving():
     ahat = effective_matrix(cells)
     f1 = lambda xb: np.ones((xb.shape[0], 1))   # no-flux: driving becomes 0
     macro = make_macro(ahat, f1, "iii")
-    recon = reconstruct_two_scale_velocity(cells, macro, f1)
+    recon = reconstruct_two_scale_velocity(cells, macro)
     xb = np.linspace(0.05, 0.95, 13)[:, None]
     y = np.column_stack([np.linspace(0, 1, 13), np.linspace(-0.9, 0.9, 13)])
     assert np.abs(two_scale_values(recon, xb, y)).max() <= 1e-9
@@ -110,7 +110,7 @@ def test_reconstruction_vertical_mean_zero():
     ahat = effective_matrix(cells)
     f1 = lambda xb: np.column_stack([np.sin(2 * np.pi * xb[:, 0])])
     macro = make_macro(ahat, f1)
-    recon = reconstruct_two_scale_velocity(cells, macro, f1)
+    recon = reconstruct_two_scale_velocity(cells, macro)
     axes = [np.linspace(0.02, 0.98, 31)]
     assert np.abs(recon.vertical_mean(axes)).max() <= 1e-8
 
@@ -120,7 +120,7 @@ def test_reconstruction_mean_matches_macro_velocity():
     ahat = effective_matrix(cells)
     f1 = lambda xb: np.column_stack([np.sin(2 * np.pi * xb[:, 0])])
     macro = make_macro(ahat, f1)
-    recon = reconstruct_two_scale_velocity(cells, macro, f1)
+    recon = reconstruct_two_scale_velocity(cells, macro)
     axes = [np.linspace(0.02, 0.98, 31)]
     got = recon.horizontal_mean(axes)
     want = macro.velocity(axes)
