@@ -613,10 +613,18 @@ def assemble_convection(space_v, u_coeffs, factor=1.0):
 
 def assemble_load(space, f_eval):
     """Load vector int f . v on the free dofs, the forcing sampled one slab
-    of the Gauss grid at a time."""
+    of the Gauss grid at a time.  A callable whose attribute horizontal is
+    true depends on the first d - 1 coordinates alone (as the forcing of
+    coefficients.FluidParams): it is called on their points, on the
+    horizontal grid of each slab, and broadcast across the layer."""
     def integrand(coords, w):
-        fv = _eval_callable(f_eval, grid_points(coords), space.ncomp)
-        return fv.reshape(w.shape + (-1,)) * w[..., None]
+        if getattr(f_eval, "horizontal", False):
+            fv = _eval_callable(f_eval, grid_points(coords[:-1]),
+                                space.ncomp).reshape(w.shape[:-1] + (1, -1))
+        else:
+            fv = _eval_callable(f_eval, grid_points(coords),
+                                space.ncomp).reshape(w.shape + (-1,))
+        return fv * w[..., None]
     return _slab_integral(space, integrand)
 
 

@@ -343,7 +343,9 @@ class FluidParams:
             raise InvalidDataError("porosity must lie in (0, 1]")
 
     def forcing(self, d1):
-        """Full forcing (f1(xbar), 0) as a callable on d-dim points."""
+        """Full forcing (f1(xbar), 0) as a callable on points whose first
+        d1 coordinates are xbar: d-dim points or their horizontal part.
+        Its attribute horizontal says so to assembly.assemble_load."""
         f1 = self.f1
 
         def fn(pts):
@@ -353,6 +355,7 @@ class FluidParams:
                 vals = np.asarray(f1(pts[:, :d1]), dtype=float)
                 out[:, :d1] = vals.reshape(pts.shape[0], d1)
             return out
+        fn.horizontal = True
         return fn
 
 

@@ -56,13 +56,21 @@ as sparse matrices and moves that system to a SaddleSolver for good, and
 SolveCounts records the CG iterations and the fallbacks.
 
 A block solver builds once what its solves reuse: the transposes of the
-divergence factors that B^T q takes, the Frobenius norms of K and B (from
-dense 1-D inner products), and one eigendecomposition per distinct pencil
-(the horizontal axes of a square box share theirs), so a solve constructs
-no sparse matrix.  Its norms are summed by numpy (_norm), not taken with
-np.linalg.norm: that is a BLAS ddot, which OpenBLAS splits across its
-threads on a long vector, and on a layer waking them costs more than the
-sum.  The dense per-axis products still run on the BLAS threads.
+divergence factors that B^T q takes, a dense copy of each 1-D factor, the
+Frobenius norms of K and B (from the dense copies' inner products), and one
+eigendecomposition per distinct pencil (the horizontal axes of a square box
+share theirs), so a solve constructs no sparse matrix.  It keeps K u,
+B^T q and B u of its current pair, so a sweep applies each once.  Its norms
+are summed by numpy (_norm), not taken with np.linalg.norm: that is a BLAS
+ddot, which OpenBLAS splits across its threads on a long vector, and on a
+layer waking them costs more than the sum.
+
+The pencils are decomposed with numpy's LAPACK (_pencil_eigh), not with
+scipy.linalg.eigh: numpy and scipy each ship their own OpenBLAS, and once
+scipy's has run, its thread pool competes with numpy's for the cores, which
+made the dense per-axis products of the block path several times slower at
+two BLAS threads.  In tensor form a block solve calls no scipy BLAS (the
+SuperLU of an assembled block is scipy's).
 """
 
 import functools
@@ -70,7 +78,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -154,8 +161,14 @@ def residual(system, solution):
         # q = -p in the symmetric block convention
         res_u -= system.B.T @ p
         parts.append(system.B @ u)
+    return _relative(system.rhs_u, parts)
+
+
+def _relative(rhs, parts):
+    """The norm of the residual parts against that of rhs, as residual()
+    takes it."""
     num = np.sqrt(sum(np.sum(r * r, axis=0) for r in parts))
-    den = np.sqrt(np.sum(system.rhs_u * system.rhs_u, axis=0))
+    den = np.sqrt(np.sum(rhs * rhs, axis=0))
     return float(np.max(num / np.where(den > 0, den, 1.0)))
 
 
@@ -311,11 +324,16 @@ def _dense(mat):
     return mat.toarray() if sp.issparse(mat) else np.asarray(mat)
 
 
+def _dense_pairs(pairs):
+    """Per-axis pairs [(X_c, Y_c), ...] of 1-D matrices as dense arrays."""
+    return [(_dense(x), _dense(y)) for x, y in pairs]
+
+
 def _kronecker_norm(terms):
-    """Frobenius norm of sum_t (x)_c X_{t,c}, from dense 1-D inner products:
-    <(x)_c X_c, (x)_c Y_c>_F = prod_c <X_c, Y_c>_F."""
+    """Frobenius norm of sum_t (x)_c X_{t,c}, from the inner products of
+    the dense 1-D factors: <(x)_c X_c, (x)_c Y_c>_F = prod_c <X_c, Y_c>_F."""
     def inner(x, y):
-        return float(np.einsum("ij,ij->", _dense(x), _dense(y)))
+        return float(np.einsum("ij,ij->", x, y))
 
     return float(np.sqrt(sum(np.prod([inner(x, y) for x, y in zip(s, t)])
                              for s in terms for t in terms)))
@@ -343,6 +361,17 @@ def _tensor_gradient(transposed, q):
                            for a in range(len(transposed))])
 
 
+def _pencil_eigh(stiffness, mass):
+    """(lam, V) with K V = M V diag(lam) and V^T M V = I, lam ascending, for
+    a symmetric pencil (K, M) with M positive definite, by the Cholesky
+    reduction M = L L^T: L^{-1} K L^{-T} = W diag(lam) W^T and
+    V = L^{-T} W.  Only numpy's LAPACK runs (see the module docstring)."""
+    lower = np.linalg.cholesky(mass)
+    lam, w = np.linalg.eigh(np.linalg.solve(
+        lower, np.linalg.solve(lower, stiffness).T))
+    return lam, np.linalg.solve(lower.T, w)
+
+
 class _KroneckerSumFunction:
     """A function g of the Kronecker sum of per-axis pencils of a tensor
     mesh, applied in their eigenbasis (fast diagonalization: Lynch, Rice &
@@ -351,7 +380,7 @@ class _KroneckerSumFunction:
     pencils [(M_a, K_a), ...] give the mass M, the Kronecker product of the
     M_a, and the Kronecker sum L = sum_a M_0 (x) ... (x) K_a (x) ... (x)
     M_{d-1}, dofs in lattice order (the last axis fastest).  With
-    K_a V_a = M_a V_a Lambda_a and V_a^T M_a V_a = I (scipy.linalg.eigh),
+    K_a V_a = M_a V_a Lambda_a and V_a^T M_a V_a = I (_pencil_eigh),
     the Kronecker product V of the V_a gives M^{-1} = V V^T and
     L = M V lam V^T M, lam the Kronecker sum of the Lambda_a.  The operator
     is V diag(g(lam)) V^T: g = 1 / lam makes it L^{-1}, and on Neumann
@@ -359,8 +388,10 @@ class _KroneckerSumFunction:
     against rounding), g = nu + sigma / lam with g = 0 on the constant mode
     makes it nu M^{-1} + sigma L^+ on mean-zero vectors.  One application is
     two transforms, a dense 1-D matrix per axis, and a product with g:
-    nothing is assembled or factored.  solve() takes and returns a vector,
-    or one column per load as a SuperLU object does.
+    nothing is assembled, and only the 1-D mass matrices are factored, by
+    numpy's Cholesky in _pencil_eigh.  The pencils may be sparse or dense;
+    each is made dense once.  solve() takes and returns a vector, or one
+    column per load as a SuperLU object does.
     """
 
     def __init__(self, pencils, n, what, g, neumann=False):
@@ -377,7 +408,7 @@ class _KroneckerSumFunction:
                 if all(np.array_equal(x, y) for x, y in zip(seen, pencil)):
                     break
             else:
-                lam, vec = scipy.linalg.eigh(*pencil)
+                lam, vec = _pencil_eigh(*pencil)
                 done.append((pencil, (lam, vec)))
             values.append(np.concatenate([[0.0], lam[1:]]) if neumann
                           else lam)
@@ -477,24 +508,25 @@ class BlockSaddleSolver:
     B_a = (x)_c F_{a,c}, F_{a,c} = D_c for c = a and M_c otherwise: B is
     not assembled, B u and B^T q are per-axis sparse products (B^T q with
     the factors' transposes, built once), and its Frobenius norm comes from
-    1-D inner products.  The block comes in one of two forms:
+    the inner products of the factors' dense copies, made once.  The block
+    comes in one of two forms:
 
     - assembled: a sparse matrix.  K u is A_s applied to the (d, n_s)
       reshape of u, and A_s is factored once: K^{-1} is one triangular
       solve with a column per component.
     - tensor: the per-axis pencils [(M_a, K_a), ...] whose Kronecker sum
       is A_s (a coefficient that is a diagonal matrix times a profile
-      across the layer).  K u is a sum of per-axis sparse products, |A_s|
-      comes from 1-D inner products, and K^{-1} is applied exactly in the
-      eigenbasis of the pencils with B fused into it (_FusedInverse), so
-      nothing is factored, and a CG iteration takes dense per-axis
-      products only.
+      across the layer).  K u is a sum of per-axis sparse products; the
+      pencils are made dense once, |A_s| comes from their inner products,
+      and K^{-1} is applied exactly in their eigenbasis (_pencil_eigh)
+      with B fused into it (_FusedInverse), so nothing of the layer's size
+      is factored, and a CG iteration takes dense per-axis products only.
 
     No pressure dof is pinned: q runs over the whole pressure space, and
     the constraint is B u = 0, whose residual sums to zero.  A solve refines
-    the solution of the previous solve (zero at first).  Each sweep
-    computes the residual R_u = f - K u - B^T q and the divergence B u, and
-    adds the correction
+    the solution of the previous solve (zero at first).  Each sweep takes
+    the residual R_u = f - K u - B^T q and the divergence B u, and adds the
+    correction
 
         B K^{-1} B^T dq = B K^{-1} R_u + B u,   du = K^{-1} (R_u - B^T dq),
 
@@ -524,10 +556,18 @@ class BlockSaddleSolver:
     an unchanged one none.  The pressure is p = -q, shifted to
     gauge^T p = 0.
 
+    The solver keeps K u, B^T q and B u of its current pair (zero at the
+    zero start), as three arrays, since f changes between solves and they do
+    not.  The backward error at the start of a solve, the error after each
+    sweep and the final residual check (residual(), less the gauge shift,
+    which B^T maps to zero) read them, so a sweep applies K, B^T and B once
+    each, to its new pair.  A solve that misses its check keeps neither its
+    pair nor its products.
+
     A solve returns only if its residual is at most tol, as on the direct
     path, whichever inverse of A_s it applied.  Otherwise, or where there
-    is no inverse (an LU that meets a zero pivot, pencils that eigh
-    rejects), the solver counts a direct fallback, builds K =
+    is no inverse (an LU that meets a zero pivot, pencils that
+    _pencil_eigh rejects), the solver counts a direct fallback, builds K =
     block_diag(A_s, ..., A_s) and B as sparse matrices (B, and A_s in
     tensor form, from Kronecker products) and solves this load and every
     later one with a SaddleSolver of them.  Loads are single vectors.  The
@@ -553,15 +593,21 @@ class BlockSaddleSolver:
             lengths = [mass.shape[0] for mass, _ in block]
             what, tiles = f"block pencils of sizes {lengths}", lengths == sizes
             self._terms = [_term(block, a) for a in range(len(block))]
-            norm_k = _kronecker_norm(self._terms)
-            invert = functools.partial(_FusedInverse, block, B)
+            # K u applies the sparse pencils, the norm and the inverse take
+            # their dense copies
+            dense = _dense_pairs(block)
+            norm_k = _kronecker_norm([_term(dense, a)
+                                      for a in range(len(dense))])
+            invert = functools.partial(_FusedInverse, dense, B)
         if not tiles or any(d != m for m, d in shapes):
             raise ComponentLayoutError(
                 f"divergence factors of shapes {shapes} do not tile {what}")
         self._factors = B
         n_u, n_p = self._ncomp * n_s, int(np.prod([m[0] for m, _ in shapes]))
+        dense = _dense_pairs(B)
         self._norms = (np.sqrt(self._ncomp) * norm_k, np.sqrt(sum(
-            _kronecker_norm([_term(B, a)]) ** 2 for a in range(self._ncomp))))
+            _kronecker_norm([_term(dense, a)]) ** 2
+            for a in range(self._ncomp))))
         apply = functools.partial(_block_apply, self._terms)
         self._system = SaddleSystem(
             K=spla.LinearOperator((n_u, n_u), matvec=apply, dtype=float),
@@ -574,8 +620,10 @@ class BlockSaddleSolver:
         self._precondition = _KroneckerSumFunction(
             pencils, n_p, "pressure",
             functools.partial(_cahouet_chabard, nu, sigma), neumann=True)
+        # the current pair (u, q) and its products K u, B^T q and B u
         self._u = np.zeros(n_u)
         self._q = np.zeros(n_p)
+        self._products = (np.zeros(n_u), np.zeros(n_u), np.zeros(n_p))
         self._direct = None
         # K^{-1}: without one the first solve takes the direct path
         try:
@@ -589,18 +637,17 @@ class BlockSaddleSolver:
         return sp.block_diag([block] * self._ncomp, format="csr"), \
             _kron_row([self._factors] * self._ncomp)
 
-    def _backward_error(self, u, q, f):
-        """Backward error of (u, q) in both equations, the velocity
-        residual and the divergence B u."""
+    def _backward_error(self, u, q, f, products):
+        """Backward error of (u, q) in both equations, from its products
+        K u, B^T q and B u, and the velocity residual f - K u - B^T q."""
         norm_k, norm_b = self._norms
-        K, B = self._system.K, self._system.B
-        res_u = f - K @ u - B.T @ q
-        div = B @ u
+        ku, btq, div = products
+        res_u = f - ku - btq
         size_u = _norm(u)
         error = max(_ratio(_norm(res_u), norm_k * size_u + norm_b
                            * _norm(q) + _norm(f)),
                     _ratio(_norm(div), norm_b * size_u))
-        return error, res_u, div
+        return error, res_u
 
     def _correction(self, u, res_u, div, budget):
         """CG for the correction (du, dq) of u; returns it and the
@@ -645,26 +692,31 @@ class BlockSaddleSolver:
         return formed, dq, iterations
 
     def _schur_solve(self, target, tol):
-        """(u, p) with residual <= tol, or None where CG cannot get there."""
+        """(u, p) with residual <= tol, or None where CG cannot get there;
+        the kept products stand in for K u, B^T q and B u."""
         f = np.asarray(target.rhs_u, dtype=float)
-        u, q = self._u.copy(), self._q.copy()
+        K, B = self._system.K, self._system.B
+        u, q, products = self._u.copy(), self._q.copy(), self._products
         best, iterations = np.inf, 0
         while iterations < _SCHUR_MAX_ITERS:
-            error, res_u, div = self._backward_error(u, q, f)
+            error, res_u = self._backward_error(u, q, f, products)
             if not error < best or error <= _BACKWARD_GOAL:
                 break
             best = error
             du, dq, taken = self._correction(
-                u, res_u, div, _SCHUR_MAX_ITERS - iterations)
+                u, res_u, products[2], _SCHUR_MAX_ITERS - iterations)
             iterations += taken
             u += du
             q += dq
+            products = K @ u, B.T @ q, B @ u
         self.counts.schur_iterations += iterations
-        solution = u, _project_gauge(self._gauge, -q)
-        if not residual(target, solution) <= tol:
+        # residual() of the pair, up to the gauge shift of p: B^T maps a
+        # constant pressure to zero
+        ku, btq, div = products
+        if not _relative(f, [f - ku - btq, div]) <= tol:
             return None
-        self._u, self._q = u, q
-        return solution
+        self._u, self._q, self._products = u, q, products
+        return u, _project_gauge(self._gauge, -q)
 
     def solve(self, tol=DEFAULT_TOL_DIRECT, rhs_u=None):
         """(u, p) for the system's load or for rhs_u, residual <= tol."""

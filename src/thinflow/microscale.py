@@ -13,34 +13,39 @@ every wall is tagged for every component, and each layer factors at most
 one matrix, once.  A d = 3 layer is solved in linalg.BlockSaddleSolver;
 every step is a preconditioned CG solve on the pressure Schur complement
 over mean-zero pressures, with no pinned dof, that starts from the previous
-step's solution, checked at the solver tolerance (a layer whose solve
-misses it goes over to the pinned LU of S).  Its Cahouet-Chabard
-preconditioner takes the per-axis pencils of the pressure space
-(assembly.axis_pencils), so no pressure matrix is assembled or factored.
+step's solution and the products K u, B^T q and B u the solver kept of it
+(so a step applies K once per sweep), checked at the solver tolerance (a
+layer whose solve misses it goes over to the pinned LU of S).  Its
+Cahouet-Chabard preconditioner takes the per-axis pencils of the pressure
+space (assembly.axis_pencils), so no pressure matrix is assembled or
+factored.
 The layer's divergence B is a sum of Kronecker products of 1-D factors
 (assembly.axis_divergence), so B is not assembled either: the dimension
 alone chooses the form of B, and the coefficient that of the block.
 Where the coefficient is separable (a diagonal matrix times a profile
 across the layer), the layer runs matrix-free: the block is the Kronecker
 sum of per-axis pencils (_block_pencils), its inverse is applied in the
-pencils' eigenbasis, and the layer factors no matrix.  Any other layer
+pencils' eigenbasis (decomposed by numpy's LAPACK, so that the solve runs
+on numpy's BLAS alone), and the layer factors no matrix.  Any other layer
 assembles the block once, on the "component" space with the drag mu/K
 folded into its element matrices, and a d = 3 one factors it.  A d = 2
 layer is sealed and hydrostatic, its velocity a discretization residue, and
 its 2-D saddle system is small: it assembles the divergence, factors the
 pinned LU of S in linalg.SaddleSolver and solves every step with it.  The
 solver, and with it any LU, is dropped before the a priori norms sample
-the fields.  The iteration stops when the relative velocity update falls
-below the fixed-point tolerance.  It converges where the map contracts,
-that is where the convection is small against S: ||S^{-1} N(u)|| < 1 near
-the fixed point (the small-data condition of the steady Navier-Stokes
-theory).  The thin layer velocity is O(eps^2), so the shipped
-configurations lie far inside it.  Outside it the updates stop
-shrinking: an update that is not smaller than the one before ends the
-loop, as stagnation at the arithmetic floor when it is at most
-sqrt(picard_tol), otherwise with a PicardDivergenceError.  The oscillating
-coefficient is evaluated pointwise at quadrature nodes, so the mesh must
-resolve its period geometrically.
+the fields.  The forcing (f1(xbar), 0) of FluidParams depends on the
+horizontal coordinates alone, so its load samples it on the horizontal
+Gauss grid and broadcasts it across the layer.  The iteration stops when the relative
+velocity update falls below the fixed-point tolerance.  It converges where
+the map contracts, that is where the convection is small against S:
+||S^{-1} N(u)|| < 1 near the fixed point (the small-data condition of the
+steady Navier-Stokes theory).  The thin layer velocity is O(eps^2), so the
+shipped configurations lie far inside it.  Outside it the updates stop
+shrinking: an update that is not smaller than the one before ends the loop,
+as stagnation at the arithmetic floor when it is at most sqrt(picard_tol),
+otherwise with a PicardDivergenceError.  The oscillating coefficient is
+evaluated pointwise at quadrature nodes, so the mesh must resolve its
+period geometrically.
 """
 
 from dataclasses import asdict, dataclass, field as dfield

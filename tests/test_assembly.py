@@ -231,6 +231,30 @@ def test_load_linear_forcing_thin():
     assert f.sum() == pytest.approx(0.5, abs=1e-10)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_horizontal_forcing_sampled_on_horizontal_grid(d):
+    # the forcing of FluidParams depends on xbar alone: its load calls f1 on
+    # the horizontal Gauss grid only (6 points across a layer of 2 elements
+    # stand for each) and is bit for bit the load of the same field sampled
+    # on the whole grid
+    calls = []
+
+    def f1(xb):
+        calls.append(len(xb))
+        return np.column_stack([np.sin(2 * np.pi * xb[:, a]) * (a + 1)
+                                for a in range(d - 1)])
+
+    mesh = build_thin_mesh(Geometry(d, (0.5,) * (d - 1), 0.125), 2, 2)
+    V = FunctionSpace(mesh, "velocity")
+    forcing = coefs.FluidParams(mu=1.0, f1=f1).forcing(d - 1)
+    assert forcing.horizontal
+    load = assemble_load(V, forcing)
+    horizontal = sum(calls)
+    calls.clear()
+    assert np.array_equal(load, assemble_load(V, lambda pts: forcing(pts)))
+    assert sum(calls) == 6 * horizontal
+
+
 def test_flux_load_constant_vector_is_zero():
     # int F . grad q vanishes for constant F and conforming q with free ends
     Q = FunctionSpace(unit_square_mesh(3), "pressure")

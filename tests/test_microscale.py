@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from thinflow import coefficients as coefs
@@ -464,6 +465,120 @@ def test_block_solve_warm_start_takes_no_iterations():
         assert np.array_equal(x, y)
 
 
+def block_solves(V, system, solver):
+    """A cold solve, a warm solve of its Picard load and an unchanged
+    repeat, each with the load it solved."""
+    u, p = solver.solve(tol=1e-10)
+    picard = system.rhs_u - assemble_convection(V, u, 1.0)
+    yield (u, p), system.rhs_u
+    for _ in range(2):
+        yield solver.solve(tol=1e-10, rhs_u=picard), picard
+
+
+def test_block_solve_applies_each_operator_once_per_sweep(monkeypatch):
+    # the solver keeps K u, B^T q and B u of its current pair: a sweep
+    # applies K, B^T and B once each, to its new pair, the backward error
+    # of a new load and the residual check take the kept products, and the
+    # zero start applies none
+    applied = {"K": 0, "B": 0, "B^T": 0, "sweeps": 0}
+    for name, key in (("_block_apply", "K"), ("_tensor_divergence", "B"),
+                      ("_tensor_gradient", "B^T")):
+        def spy(*args, _key=key, _original=getattr(linalg, name)):
+            applied[_key] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(linalg, name, spy)
+    correction = BlockSaddleSolver._correction
+
+    def spy_correction(self, *args):
+        applied["sweeps"] += 1
+        return correction(self, *args)
+
+    monkeypatch.setattr(BlockSaddleSolver, "_correction", spy_correction)
+    mesh = build_thin_mesh(Geometry(3, (0.5, 0.5), 0.125), 2, 2)
+    params = coefs.FluidParams(mu=1.0, f1=d3_forcing)
+    V, system, block_solver = dns_system(mesh, coefs.constant_field(3),
+                                         params, K_eps=0.125 ** 2)
+    solver = block_solver(SolveCounts())
+    sweeps = []
+    for _ in block_solves(V, system, solver):
+        sweeps.append(applied["sweeps"])
+        assert applied == {"K": sweeps[-1], "B": sweeps[-1],
+                           "B^T": sweeps[-1], "sweeps": sweeps[-1]}
+    # the warm solve sweeps, the unchanged repeat does not
+    assert 0 < sweeps[0] < sweeps[1] == sweeps[2]
+
+
+@pytest.mark.parametrize("separable", [True, False])
+def test_block_solve_meets_recomputed_residual(separable):
+    # the residual check reads the kept products; the residual recomputed
+    # from K, B and the returned pair meets the tolerance after the cold
+    # start, a warm one and an unchanged repeat, whose check reads nothing
+    # but the kept products
+    mesh = build_thin_mesh(Geometry(3, (0.5, 0.5), 0.125), 2, 2)
+    field = coefs.constant_field(3) if separable else PERIODIC_D3
+    params = coefs.FluidParams(mu=1.0, f1=d3_forcing)
+    V, system, block_solver = dns_system(mesh, field, params,
+                                         K_eps=0.125 ** 2)
+    counts = SolveCounts()
+    for solution, load in block_solves(V, system, block_solver(counts)):
+        assert residual(SaddleSystem(K=system.K, B=system.B,
+                                     gauge=system.gauge, rhs_u=load),
+                        solution) <= 1e-10
+    assert counts.schur_iterations > 0
+    assert counts.direct_fallbacks == 0
+
+
+def test_missed_check_falls_back_without_kept_products():
+    # after a warm start, a solve whose inverse is wrong misses its check
+    # and goes over to the direct path, which assembles its own operators:
+    # the kept products, spoiled here, reach neither its answer nor its
+    # residual check
+    mesh = build_thin_mesh(Geometry(3, (0.5, 0.5), 0.125), 2, 2)
+    params = coefs.FluidParams(mu=1.0, f1=d3_forcing)
+    V, system, block_solver = dns_system(mesh, coefs.constant_field(3),
+                                         params, K_eps=0.125 ** 2)
+    counts = SolveCounts()
+    solver = block_solver(counts)
+    u, _ = solver.solve(tol=1e-10)
+    assert counts.direct_fallbacks == 0
+    solver._inverse._g = -solver._inverse._g
+    solver._products = tuple(np.full_like(x, np.nan)
+                             for x in solver._products)
+    load = system.rhs_u - assemble_convection(V, u, 1.0)
+    solution = solver.solve(tol=1e-10, rhs_u=load)
+    assert counts.direct_fallbacks == 1
+    assert residual(SaddleSystem(K=system.K, B=system.B, gauge=system.gauge,
+                                 rhs_u=load), solution) <= 1e-10
+
+
+@pytest.mark.parametrize("separable", [True, False])
+def test_block_solver_calls_no_scipy_linalg(monkeypatch, separable):
+    # the pencils are decomposed by numpy's LAPACK, so building and solving
+    # a block solver calls no scipy.linalg function, whose BLAS is not
+    # numpy's
+    called = []
+    for name in scipy.linalg.__all__:
+        original = getattr(scipy.linalg, name)
+        if callable(original) and not isinstance(original, type):
+            def spy(*args, _name=name, _original=original, **kwargs):
+                called.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(scipy.linalg, name, spy)
+    mesh = build_thin_mesh(Geometry(3, (0.5, 0.5), 0.125), 2, 2)
+    field = coefs.constant_field(3) if separable else PERIODIC_D3
+    params = coefs.FluidParams(mu=1.0, f1=d3_forcing)
+    V, system, block_solver = dns_system(mesh, field, params,
+                                         K_eps=0.125 ** 2)
+    counts = SolveCounts()
+    for _ in block_solves(V, system, block_solver(counts)):
+        pass
+    assert counts.schur_iterations > 0
+    assert counts.direct_fallbacks == 0
+    assert called == []
+
+
 @pytest.mark.parametrize("separable", [True, False])
 def test_block_solve_builds_no_sparse_matrix(monkeypatch, separable):
     # after set-up a block solve applies only what the solver built once:
@@ -547,13 +662,13 @@ def test_equal_pencils_decomposed_once(monkeypatch):
     # inverse on it decomposes two pencils for three axes; unequal element
     # counts per axis give three
     calls = []
-    eigh = linalg.scipy.linalg.eigh
+    eigh = linalg._pencil_eigh
 
     def spy(*args, **kwargs):
         calls.append(args[0].shape)
         return eigh(*args, **kwargs)
 
-    monkeypatch.setattr(linalg.scipy.linalg, "eigh", spy)
+    monkeypatch.setattr(linalg, "_pencil_eigh", spy)
     for kind, decompositions in (("eps=1/8", 2), ("periodic", 3)):
         mesh, eps = layer_mesh(kind)
         S = FunctionSpace(mesh, "component")
@@ -563,6 +678,38 @@ def test_equal_pencils_decomposed_once(monkeypatch):
         linalg._KroneckerSumFunction(pencils, S.ndof, "velocity block",
                                      np.reciprocal)
         assert len(calls) == decompositions
+
+
+def decomposed_pencils(kind):
+    """The 1-D pencils (M, K) of a kind that the block solver decomposes."""
+    if kind == "periodic":
+        mesh, eps = layer_mesh("periodic")
+        S = FunctionSpace(mesh, "component")
+        return microscale._block_pencils(S, coefs.constant_field(3), eps,
+                                         1.0 / eps ** 2)
+    mesh = build_thin_mesh(Geometry(3, (0.5, 0.5), 0.0625), 2, 2)
+    if kind == "pressure":
+        return axis_pencils(FunctionSpace(mesh, "pressure"))
+    S = FunctionSpace(mesh, "component")
+    return microscale._block_pencils(S, SEPARABLE_D3["zeta_profile"],
+                                     0.0625, 1.0)[-1:]
+
+
+@pytest.mark.parametrize("kind", ["periodic", "pressure", "profile_z"])
+def test_pencil_eigh_decomposes(kind):
+    # K V = M V Lambda and V^T M V = I to rounding: on the block pencils of
+    # periodic axes, the Neumann pencils of the pressure (with the zero
+    # eigenvalue of the constants) and the profile-weighted z pencil
+    for mass, stiffness in decomposed_pencils(kind):
+        mass, stiffness = mass.toarray(), stiffness.toarray()
+        lam, vec = linalg._pencil_eigh(stiffness, mass)
+        assert np.all(np.diff(lam) >= 0)
+        scale = np.abs(stiffness).max() * np.abs(vec).max()
+        assert np.abs(stiffness @ vec - mass @ vec * lam).max() \
+            <= 1e-12 * scale
+        assert np.abs(vec.T @ mass @ vec - np.eye(len(lam))).max() <= 1e-12
+        if kind == "pressure":
+            assert abs(lam[0]) <= 1e-12 * lam[-1]
 
 
 SEPARABLE_D3 = {

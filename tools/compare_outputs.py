@@ -1,0 +1,80 @@
+"""Compare what two thinflow source trees write and report.
+
+    python3 tools/compare_outputs.py OLD_TREE NEW_TREE [--work DIR]
+
+Runs `thinflow run`, `diag` and `cell` (at its own regime) on each config in
+OLD_TREE/configs with each tree's src/, writing under DIR (default: a new
+temporary directory), and prints whether exit status and verdict lines
+agree, and per file "byte-identical" or, for a CSV, the largest relative
+drift |a - b| / max(|a|, |b|) of each column that differs."""
+
+import argparse
+import csv
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+
+def run(tree, command, config, outdir):
+    """Exit status and verdict lines ("[PASS] name") of one command."""
+    cmd = [sys.executable, "-m", "thinflow.cli", command, str(config),
+           "--output", str(outdir)]
+    if command == "cell":
+        alpha = json.loads(config.read_text())["regime"]["alpha"]
+        cmd += ["--regime", "i" if abs(alpha - 2) <= 1e-12
+                else "ii" if alpha > 2 else "iii"]
+    env = dict(os.environ, PYTHONPATH=str(Path(tree, "src").resolve()))
+    out = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    return out.returncode, [line.split(" = ")[0] for line in
+                            out.stdout.splitlines() if line.startswith("[")]
+
+
+def drift(a, b):
+    """Largest relative drift of each CSV column that differs."""
+    rows_a, rows_b = (list(csv.reader(p.open())) for p in (a, b))
+    if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
+        return "shape differs"
+    worst = {}
+    for ra, rb in zip(rows_a[1:], rows_b[1:]):
+        for name, x, y in zip(rows_a[0], ra, rb):
+            if x == y:
+                continue
+            try:
+                x, y = float(x), float(y)
+            except ValueError:
+                return f"text differs in column {name}"
+            worst[name] = max(worst.get(name, 0.0),
+                              abs(x - y) / max(abs(x), abs(y)))
+    return "drift " + " ".join(f"{k}={v:.2e}" for k, v in worst.items())
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    for name in ("old", "new", "--work"):
+        parser.add_argument(name)
+    args = parser.parse_args()
+    work = Path(args.work or tempfile.mkdtemp(prefix="compare_outputs_"))
+    for config in sorted(Path(args.old, "configs").glob("*.json")):
+        for command in ("run", "diag", "cell"):
+            dirs = [work / side / config.stem / command for side in "ab"]
+            (code_a, seen_a), (code_b, seen_b) = (
+                run(tree, command, Path(tree, "configs", config.name), d)
+                for tree, d in zip((args.old, args.new), dirs))
+            print(f"{config.stem} {command}: exit {code_a} -> {code_b}, "
+                  f"verdicts {'same' if seen_a == seen_b else 'DIFFERENT'}")
+            for name in sorted({p.name for d in dirs for p in d.glob("*")}):
+                a, b = (d / name for d in dirs)
+                if not (a.exists() and b.exists()):
+                    verdict = "missing on one side"
+                elif a.read_bytes() == b.read_bytes():
+                    verdict = "byte-identical"
+                else:
+                    verdict = drift(a, b) if a.suffix == ".csv" else "differs"
+                print(f"  {name}: {verdict}")
+
+
+if __name__ == "__main__":
+    main()
