@@ -30,8 +30,9 @@ that fits one slab is assembled in one pass.  Symmetry is checked on the
 element matrices.  A drag term is folded into the diffusion element
 matrices.  The divergence has one form: the block of each velocity
 component is a Kronecker product of 1-D mass and derivative matrices
-(_divergence_factors), applied axis by axis in d = 3 layers
-(axis_divergence) and assembled from them everywhere else.
+(_divergence_factors, one list per component: axis_divergence), applied
+axis by axis on the block path (d = 3 layers, the regime-ii cell) and
+assembled from them everywhere else.
 
 Discrete fields are sampled at Gauss points by sum factorization
 (meshing._kron_apply), one sparse 1D interpolation matrix per axis, which
@@ -503,15 +504,18 @@ def axis_pencils(space, weight=None):
     both integrands of the last axis: the Kronecker sum is then the
     diffusion matrix of the coefficient weight(z) I.  Each pencil is
     assembled on the 1-D mesh of its axis, with that axis's periodicity and
-    walls.
+    the walls that clamp the space there: a "component" space built with
+    wall_components=() has natural walls, as the tangential velocity
+    components of the regime-ii cell.
     """
     if space.ncomp != 1:
         raise SpaceMismatchError("axis pencils are defined for scalar spaces")
     mesh, pencils = space.mesh, []
-    for a, axis in enumerate(mesh.axes):
+    for a, (axis, free) in enumerate(zip(mesh.axes, space.axis_free[0])):
         line = FunctionSpace(TensorMesh(
             [axis], mesh.periodic[a:a + 1],
-            {(0, side) for ax, side in mesh.dirichlet if ax == a}), space.kind)
+            {(0, side) for ax, side in mesh.dirichlet
+             if ax == a and not free[0 if side == 0 else -1]}), space.kind)
         w = None if weight is None or a < mesh.ndim - 1 \
             else (lambda pts: weight(pts[:, 0]))
         pencils.append((assemble_mass(line, w), assemble_diffusion(line, w)))
@@ -549,26 +553,24 @@ def _divergence_factors(space_v, space_p, free):
 
 
 def axis_divergence(space_v, space_p):
-    """The divergence factors [(M_a, D_a), ...] (_divergence_factors) that
-    every velocity component shares, which must have the same free nodes:
-    the block of B for component c is the Kronecker product over the axes a
-    of D_a for a = c and M_a otherwise."""
-    free = space_v.axis_free[0]
-    if any(not np.array_equal(f, g) for other in space_v.axis_free
-           for f, g in zip(other, free)):
-        raise SpaceMismatchError(
-            "velocity components with different free nodes have no axis "
-            "divergence factors")
-    return _divergence_factors(space_v, space_p, free)
+    """The divergence factors of each velocity component: a list, one per
+    component c, of the per-axis pairs [(M_a, D_a), ...] of
+    _divergence_factors on the free nodes of c.  The block of B for
+    component c is the Kronecker product over the axes a of D_a for a = c
+    and M_a otherwise.  Components with the same free nodes share one list
+    (the same object), built once: every component where every wall clamps
+    every component, the horizontal ones where the walls clamp only the
+    wall-normal component, as in the regime-ii cell."""
+    return _per_free_set(space_v, functools.partial(
+        _divergence_factors, space_v, space_p))
 
 
 def assemble_divergence(space_v, space_p):
     """Matrix B with (B u)_q = int q div u for every pressure basis q: the
-    block of component c is the Kronecker product of the divergence factors
-    of its free nodes, D_a on axis a = c and M_a on the others
-    (meshing._kron_row), so B stores no integral that vanishes."""
-    return _kron_row(_per_free_set(space_v, functools.partial(
-        _divergence_factors, space_v, space_p)))
+    Kronecker products of the divergence factors of each component
+    (axis_divergence) as one block row (meshing._kron_row), so B stores no
+    integral that vanishes."""
+    return _kron_row(axis_divergence(space_v, space_p))
 
 
 def integrate_grid(space, coords, integrand, deriv_axis=None):

@@ -12,6 +12,18 @@ the interval (-1, 1)) with a unit vector load in each coordinate direction:
 
 The vertical problem (load e_d) is solved as well; it feeds the zero-column
 test of the upscaled matrix.
+
+The clamped problems (i, iii) are assembled and solved for all d loads by
+one pinned saddle LU (linalg.solve_sparse).  The regime-ii levels factor
+nothing: their operator has no coefficient and is a Kronecker sum of 1-D
+pencils on the tensor cell, so each level runs on the block path
+(linalg.BlockSaddleSolver) with one block per velocity component, the
+tangential components sharing one with natural walls and the wall-normal
+one clamped.  Its exact discrete solution is the same at every level (e_i
+/ mu for a tangential load, no flow and the pressure zeta for the vertical
+one), so each level starts from the previous level's pair of the same
+load.  A level whose block solve misses the tolerance falls back to the
+pinned LU of its assembled operator.
 """
 
 from dataclasses import asdict, dataclass, field as dfield
@@ -22,10 +34,11 @@ import numpy as np
 from . import coefficients as coefs
 from .assembly import (DiscreteField, FunctionSpace, assemble_diffusion,
                        assemble_divergence, assemble_load, assemble_mass,
-                       pressure_gauge)
+                       axis_divergence, axis_pencils, pressure_gauge)
 from .errors import InvalidParameterError, UnsupportedRegimeCoefficientError
-from .linalg import SaddleSystem, SolveCounts, solve_sparse
-from .meshing import TensorMesh
+from .linalg import (BlockSaddleSolver, SaddleSystem, SolveCounts,
+                     solve_sparse, with_eigenpairs)
+from .meshing import TensorMesh, _kron_row
 
 
 @dataclass
@@ -36,7 +49,10 @@ class CellSolution:
     cell operator for regimes i and iii, the drag term mu M for regime ii.
     The upscaled matrix is its Gram table over the velocities.
     solver_counts are the SolveCounts of the solves, as a dict like
-    MicroSolution.solver_counts.
+    MicroSolution.solver_counts: one factorization and no CG iterations for
+    regimes i and iii; for the regime-ii ladder no factorization, the CG
+    iterations of all levels and loads, and a direct fallback (with its
+    factorization) for each level whose block solve missed the tolerance.
     """
 
     regime: str
@@ -67,14 +83,6 @@ class CellSolution:
                          for i in range(self.d)])
 
 
-def _cell_spaces(mesh, wall_components=None):
-    space_v = FunctionSpace(mesh, "velocity", wall_components=wall_components)
-    space_p = FunctionSpace(mesh, "pressure")
-    B = assemble_divergence(space_v, space_p)
-    gauge = pressure_gauge(space_p)
-    return space_v, space_p, B, gauge
-
-
 def _unit_loads(space_v):
     d = space_v.mesh.ndim
     return [assemble_load(space_v, np.eye(d)[i]) for i in range(d)]
@@ -103,11 +111,13 @@ def _div_residuals(B, velocities):
 def _solve_clamped(regime, field, cell_mesh, tol, drag=0.0):
     """-div(A grad w) + drag w + grad q = e_i with the walls clamped."""
     coefs.check_ellipticity(field, n_samples=256)
-    space_v, space_p, B, gauge = _cell_spaces(cell_mesh)
+    space_v = FunctionSpace(cell_mesh, "velocity")
+    space_p = FunctionSpace(cell_mesh, "pressure")
+    B = assemble_divergence(space_v, space_p)
     S = assemble_diffusion(space_v, field.evaluate, drag=drag)
     counts = SolveCounts()
-    velocities, pressures = _solve_loads(S, B, gauge, _unit_loads(space_v),
-                                         tol, counts)
+    velocities, pressures = _solve_loads(S, B, pressure_gauge(space_p),
+                                         _unit_loads(space_v), tol, counts)
     return CellSolution(regime, cell_mesh, space_v, space_p, velocities,
                         pressures, _div_residuals(B, velocities), S,
                         solver_counts=asdict(counts))
@@ -142,6 +152,60 @@ def _extrapolate(level_arrays, n_values):
     return coef[0], misfit
 
 
+def _level_pencils(pencils, s, mu):
+    """The per-axis pencils whose Kronecker sum is s Laplacian + mu mass:
+    (M_a, s K_a), with the drag mu M_z added to the last axis's stiffness,
+    as microscale._block_pencils builds a layer's, each with its eigenpairs
+    from those that the pencils (M_a, K_a, (lam_a, V_a, |V_a|)) of the
+    Laplacian carry (linalg.with_eigenpairs): s lam_a, and s lam_z + mu on
+    the last axis, with the same eigenvectors."""
+    level = [(mass, s * stiffness, (s * lam, vec, norm))
+             for mass, stiffness, (lam, vec, norm) in pencils]
+    mass, stiffness, (lam, vec, norm) = level[-1]
+    level[-1] = (mass, stiffness + mu * mass, (lam + mu, vec, norm))
+    return level
+
+
+def _solve_ladder(mu, space_v, space_p, factors, n_list, tol, counts):
+    """The velocities and pressures of the unit loads at each level n of
+    the regime-ii ladder, [[(w_i, p_i) for each load i] for each n], on
+    the block path: each level's pair of a load refines the level before.
+    factors are the divergence factors of the spaces (axis_divergence).
+
+    The tangential components have natural walls and the wall-normal one is
+    clamped, so the level operator has two blocks, each the Kronecker sum
+    of its per-axis pencils (_level_pencils); the tangential components
+    share one.  The pencils of every level have the eigenvectors of the
+    Laplacian's, and the pressure pencils are the same at every level, so
+    the ladder decomposes each distinct 1-D pencil once.
+    """
+    mesh, d = space_v.mesh, space_v.mesh.ndim
+    natural = axis_pencils(FunctionSpace(mesh, "component",
+                                         wall_components=()))
+    # the wall-normal component's pencils: those of its free nodes
+    clamped = [(mass[free][:, free], stiffness[free][:, free])
+               for (mass, stiffness), free in zip(natural,
+                                                   space_v.axis_free[-1])]
+    # the two blocks share the decompositions of their equal pencils
+    laplacian = with_eigenpairs(natural + clamped)
+    natural, clamped = laplacian[:d], laplacian[d:]
+    gauge = pressure_gauge(space_p)
+    pencils_p = with_eigenpairs(axis_pencils(space_p))
+    loads = _unit_loads(space_v)
+    pairs = [(np.zeros(space_v.ndof), np.zeros(space_p.ndof))] * d
+    levels = []
+    for n in n_list:
+        s = 1.0 / n ** 2
+        blocks = [_level_pencils(natural, s, mu)] * (d - 1) \
+            + [_level_pencils(clamped, s, mu)]
+        solver = BlockSaddleSolver(blocks, factors, gauge, loads[0],
+                                   pencils_p, nu=s, sigma=mu, counts=counts)
+        pairs = [solver.solve(tol, rhs_u=load, start=pair)
+                 for load, pair in zip(loads, pairs)]
+        levels.append(pairs)
+    return levels
+
+
 def solve_cell_regime_ii(mu, cell_mesh, n_list=(4, 8, 16, 32), tol=1e-10):
     """Drag-limit cell problems via vanishing-viscosity regularization.
 
@@ -151,27 +215,27 @@ def solve_cell_regime_ii(mu, cell_mesh, n_list=(4, 8, 16, 32), tol=1e-10):
     survives the limit of the clamped regularized family (divergence-free
     fields keep their normal trace in the L^2 closure), so the walls clamp
     the wall-normal component only and leave tangential traces natural;
-    this reproduces the limit family exactly at every level.
+    this reproduces the limit family exactly at every level.  The levels
+    are solved on the block path (_solve_ladder), which factors nothing.
     """
     n_list = list(n_list)
     if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise InvalidParameterError(
             "n_list must be strictly increasing with at least 3 levels")
     d = cell_mesh.ndim
-    space_v, space_p, B, gauge = _cell_spaces(cell_mesh,
-                                              wall_components=(d - 1,))
+    space_v = FunctionSpace(cell_mesh, "velocity", wall_components=(d - 1,))
+    space_p = FunctionSpace(cell_mesh, "pressure")
+    factors = axis_divergence(space_v, space_p)
     K_lap = assemble_diffusion(space_v)
     M = assemble_mass(space_v)
     drag = mu * M
-    loads = _unit_loads(space_v)
     per_level_v = [[] for _ in range(d)]
     per_level_p = [[] for _ in range(d)]
     bounds = [[] for _ in range(d)]
     counts = SolveCounts()
-    for n in n_list:
-        S = (K_lap * (1.0 / n ** 2) + drag).tocsr()
-        level_v, level_p = _solve_loads(S, B, gauge, loads, tol, counts)
-        for i, (w, q) in enumerate(zip(level_v, level_p)):
+    for n, pairs in zip(n_list, _solve_ladder(mu, space_v, space_p, factors,
+                                              n_list, tol, counts)):
+        for i, (w, q) in enumerate(pairs):
             per_level_v[i].append(w)
             per_level_p[i].append(q)
             grad_sq = max(float(w @ (K_lap @ w)), 0.0)
@@ -186,7 +250,7 @@ def solve_cell_regime_ii(mu, cell_mesh, n_list=(4, 8, 16, 32), tol=1e-10):
         misfits.append(res_v)
     scale = max(max(float(np.linalg.norm(w)) for w in velocities), 1e-300)
     worst = max(misfits) / scale
-    residuals = _div_residuals(B, velocities)
+    residuals = _div_residuals(_kron_row(factors), velocities)
     levels = {"n": list(n_list),
               "bound": [list(map(float, b)) for b in bounds]}
     return CellSolution("ii", cell_mesh, space_v, space_p, velocities,

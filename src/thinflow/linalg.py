@@ -28,38 +28,45 @@ solved without factoring again.  Only solve_gauged_spd makes its load
 compatible along the gauge.
 
 BlockSaddleSolver is the block path, for systems whose velocity operator is
-d copies of one scalar block A_s (the d = 3 DNS, every wall tagged for
-every component).  It takes A_s alone and pins no dof: it solves each
-load by CG on the pressure Schur complement over the whole pressure space,
-and shifts the answer to gauge^T p = 0.  The Cahouet-Chabard
-preconditioner nu M_p^{-1} + sigma L_p^+ (pressure mass matrix and Neumann
-Laplacian) acts on mean-zero pressures, as Cahouet & Chabard define it
-(Int. J. Numer. Meth. Fluids 8, 1988).  On a tensor mesh both matrices are
-built from 1-D matrices by Kronecker products, so the preconditioner is a
-function of the Kronecker sum of the per-axis pencils, applied exactly in
-their eigenbasis (fast diagonalization), and neither pressure matrix is
-assembled or factored.  B has one form: each velocity component's block
-of B is a Kronecker product of 1-D mass and derivative matrices, never
-assembled and applied by per-axis products (sum factorization: Deville,
-Fischer & Mund, High-Order Methods for Incompressible Fluid Flow, 2002;
-meshing._kron_apply).  A_s has two.  Assembled, A_s is factored alone,
-with the direct path's SuperLU options.  In tensor form (a coefficient
-that is a diagonal matrix times a profile across the layer), A_s is the
+block diagonal with one scalar block per velocity component: the d = 3 DNS,
+where every wall clamps every component and the d blocks are one, and the
+regime-ii cell ladder, where the walls clamp the wall-normal component only,
+so the tangential components share one block with natural walls and the
+wall-normal one has its own.  It takes the blocks alone, one per component,
+and pins no dof: it solves each load by CG on the pressure Schur complement
+over the whole pressure space, and shifts the answer to gauge^T p = 0.  The
+Cahouet-Chabard preconditioner nu M_p^{-1} + sigma L_p^+ (pressure mass
+matrix and Neumann Laplacian) acts on mean-zero pressures, as Cahouet &
+Chabard define it (Int. J. Numer. Meth. Fluids 8, 1988).  On a tensor mesh
+both matrices are built from 1-D matrices by Kronecker products, so the
+preconditioner is a function of the Kronecker sum of the per-axis pencils,
+applied exactly in their eigenbasis (fast diagonalization), and neither
+pressure matrix is assembled or factored.  B has one form: each velocity
+component's block of B is a Kronecker product of 1-D mass and derivative
+matrices on that component's free nodes, never assembled and applied by
+per-axis products (sum factorization: Deville, Fischer & Mund, High-Order
+Methods for Incompressible Fluid Flow, 2002; meshing._kron_apply).  A block
+has two.  Assembled, it is factored alone, with the direct path's SuperLU
+options.  In tensor form (a coefficient that is a diagonal matrix times a
+profile across the layer, or a level of the regime-ii ladder), it is the
 Kronecker sum of per-axis pencils: it is not assembled either, its inverse
 is the reciprocal in the pencils' eigenbasis, and each CG product runs
 there with B fused into the basis, so nothing is factored.  One CG loop
-serves both forms.  Every solve refines the previous one, so the steps of
-a Picard loop start warm, and runs until the backward error is at
-roundoff.  Its result is checked against the same residual as the direct
-path; a solve that misses the tolerance builds the vector operator and B
-as sparse matrices and moves that system to a SaddleSolver for good, and
-SolveCounts records the CG iterations and the fallbacks.
+serves both forms.  Every solve refines a start pair, by default the
+previous solution, so the steps of a Picard loop start warm; the cell ladder
+gives each level the previous level's pair of the same load.  A solve runs
+until the backward error is at roundoff.  Its result is checked against the
+same residual as the direct path; a solve that misses the tolerance builds
+the vector operator and B as sparse matrices and moves that system to a
+SaddleSolver for good, and SolveCounts records the CG iterations and the
+fallbacks.
 
 A block solver builds once what its solves reuse: the transposes of the
 divergence factors that B^T q takes, a dense copy of each 1-D factor, the
 Frobenius norms of K and B (from the dense copies' inner products), and one
 eigendecomposition per distinct pencil (the horizontal axes of a square box
-share theirs), so a solve constructs no sparse matrix.  It keeps K u,
+share theirs, and so do the blocks of the cell's components), so a solve
+constructs no sparse matrix.  It keeps K u,
 B^T q and B u of its current pair, so a sweep applies each once.  Its norms
 are summed by numpy (_norm), not taken with np.linalg.norm: that is a BLAS
 ddot, which OpenBLAS splits across its threads on a long vector, and on a
@@ -74,6 +81,7 @@ SuperLU of an assembled block is scipy's).
 """
 
 import functools
+import itertools
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -133,9 +141,11 @@ class SolveCounts:
     """Work of the saddle solves behind one computation.
 
     factorizations counts the LU factorizations: of the pinned saddle
-    matrix on the direct path (cells, d = 2 DNS), of the scalar block on
-    the block path (d = 3 DNS), which factors nothing else, and nothing at
-    all where the block is inverted in the eigenbasis of its pencils.
+    matrix on the direct path (cells of regimes i and iii, d = 2 DNS), of
+    each distinct assembled block on the block path (d = 3 DNS), which
+    factors nothing else, and nothing at all where the blocks are inverted
+    in the eigenbasis of their pencils (separable d = 3 DNS, regime-ii
+    cell ladder).
     schur_iterations sums the CG iterations of the block path, and
     direct_fallbacks counts the block solvers that missed their tolerance
     and went over to the direct path.
@@ -339,26 +349,33 @@ def _kronecker_norm(terms):
                              for s in terms for t in terms)))
 
 
-def _block_apply(terms, u):
-    """(I_d (x) A_s) u for u listed component by component, A_s the sum
-    of the Kronecker products of the terms [[T_{t,0}, ...], ...]: the
-    assembled block as one term of one factor, or the d terms of the
-    Kronecker sum of per-axis pencils.  Per-axis sparse products."""
-    x = u.reshape(-1, int(np.prod([mat.shape[1] for mat in terms[0]])))
-    return sum(_kron_apply(term, x) for term in terms).ravel()
+def _block_apply(groups, u):
+    """K u for u listed component by component, K block diagonal with one
+    block per component: groups [(where, members, terms), ...] give each
+    group's slice of u, its components and its block, the sum of the
+    Kronecker products of the terms [[T_{t,0}, ...], ...] (the assembled
+    block as one term of one factor, or the d terms of the Kronecker sum of
+    per-axis pencils), applied to the group's rows at once by per-axis
+    products."""
+    out = np.empty_like(u)
+    for where, group, terms in groups:
+        x = u[where].reshape(len(group), -1)
+        out[where] = sum(_kron_apply(term, x) for term in terms).ravel()
+    return out
 
 
-def _tensor_divergence(factors, u):
-    """B u = sum_a B_a u_a, B_a = (x)_c F_{a,c}: per-axis sparse products."""
-    return sum(_kron_apply(_term(factors, a), x)
-               for a, x in enumerate(u.reshape(len(factors), -1)))
+def _tensor_divergence(terms, cuts, u):
+    """B u = sum_a B_a u_a, B_a = (x)_c terms[a][c], with u split into its
+    components at cuts (np.split: indices, or a count of equal parts):
+    per-axis sparse products."""
+    return sum(_kron_apply(term, x)
+               for term, x in zip(terms, np.split(np.ravel(u), cuts)))
 
 
 def _tensor_gradient(transposed, q):
     """B^T q, component by component: per-axis sparse products with the
-    transposes [(M_c^T, D_c^T), ...] of the divergence factors."""
-    return np.concatenate([_kron_apply(_term(transposed, a), q)
-                           for a in range(len(transposed))])
+    transposed factors transposed[a] of each component's block of B."""
+    return np.concatenate([_kron_apply(term, q) for term in transposed])
 
 
 def _pencil_eigh(stiffness, mass):
@@ -370,6 +387,40 @@ def _pencil_eigh(stiffness, mass):
     lam, w = np.linalg.eigh(np.linalg.solve(
         lower, np.linalg.solve(lower, stiffness).T))
     return lam, np.linalg.solve(lower.T, w)
+
+
+def _decomposed(pencil, done):
+    """The decomposition (lam, V, |V|_2) of a pencil (M, K): its eigenpairs
+    (_pencil_eigh) and the spectral norm of its eigenbasis.  It is the one
+    the pencil carries as (M, K, (lam, V, |V|_2)), or that of an equal
+    pencil in done, the list [(pencil, decomposition), ...] of the dense
+    pencils decomposed so far, or else its own, made dense once and added
+    to done."""
+    if len(pencil) > 2:
+        return pencil[2]
+    mass, stiffness = pencil
+    key = (_dense(stiffness), _dense(mass))
+    for seen, found in done:
+        if all(np.array_equal(x, y) for x, y in zip(seen, key)):
+            return found
+    lam, vec = _pencil_eigh(*key)
+    found = (lam, vec, np.linalg.norm(vec, 2))
+    done.append((key, found))
+    return found
+
+
+def with_eigenpairs(pencils):
+    """The per-axis pencils [(M_a, K_a), ...] as dense arrays with their
+    decompositions, [(M_a, K_a, (lam_a, V_a, |V_a|_2)), ...] (_decomposed),
+    each distinct pencil decomposed once, so that the block solvers and
+    preconditioners given them decompose none.  A pencil whose stiffness is
+    scaled and shifted, (M, s K + t M), has the eigenpairs (s lam + t, V):
+    the levels of the regime-ii cell ladder take theirs from one
+    decomposition, and scale and shift the dense 1-D matrices alone."""
+    done = []
+    return [(_dense(mass), _dense(stiffness),
+             _decomposed((mass, stiffness), done))
+            for mass, stiffness in pencils]
 
 
 class _KroneckerSumFunction:
@@ -389,30 +440,27 @@ class _KroneckerSumFunction:
     makes it nu M^{-1} + sigma L^+ on mean-zero vectors.  One application is
     two transforms, a dense 1-D matrix per axis, and a product with g:
     nothing is assembled, and only the 1-D mass matrices are factored, by
-    numpy's Cholesky in _pencil_eigh.  The pencils may be sparse or dense;
-    each is made dense once.  solve() takes and returns a vector, or one
-    column per load as a SuperLU object does.
+    numpy's Cholesky in _pencil_eigh.  The pencils may be sparse or dense,
+    and each is decomposed once (_decomposed): a pencil may carry its
+    eigenpairs (with_eigenpairs), equal pencils (the horizontal axes of a
+    square box) share one decomposition, and so do the functions that
+    share the list done.  solve() takes and returns a vector, or one column
+    per load as a SuperLU object does.
     """
 
-    def __init__(self, pencils, n, what, g, neumann=False):
-        sizes = tuple(mass.shape[0] for mass, _ in pencils)
+    def __init__(self, pencils, n, what, g, neumann=False, done=None):
+        sizes = tuple(pencil[0].shape[0] for pencil in pencils)
         if int(np.prod(sizes)) != n:
             raise ComponentLayoutError(
                 f"pencils of sizes {sizes} do not tile {n} {what} dofs")
-        values, self._bases, done = [], [], []
-        for mass, stiffness in pencils:
-            pencil = (_dense(stiffness), _dense(mass))
-            # axes with equal pencils (a square horizontal box) share one
-            # decomposition
-            for seen, (lam, vec) in done:
-                if all(np.array_equal(x, y) for x, y in zip(seen, pencil)):
-                    break
-            else:
-                lam, vec = _pencil_eigh(*pencil)
-                done.append((pencil, (lam, vec)))
+        values, self._bases, self._basis_norms = [], [], []
+        done = [] if done is None else done
+        for pencil in pencils:
+            lam, vec, norm = _decomposed(pencil, done)
             values.append(np.concatenate([[0.0], lam[1:]]) if neumann
                           else lam)
             self._bases.append(vec)
+            self._basis_norms.append(norm)
         self._g = g(functools.reduce(np.add.outer, values).ravel())
 
     def solve(self, rhs):
@@ -428,61 +476,63 @@ def _cahouet_chabard(nu, sigma, lam):
 
 
 class _BlockLU:
-    """K^{-1} = I_d (x) A_s^{-1} by one LU of the assembled block A_s, with
-    B and B^T applied by per-axis products of the divergence factors.  A
+    """A^{-1} on the k components that share the assembled block A, by one
+    LU of A, with their blocks of B and B^T applied by per-axis products of
+    the divergence factors terms and their transposes transposed.  A
     velocity is its own coordinates."""
 
     basis_norm = 1.0
 
-    def __init__(self, block, factors, transposed, counts):
+    def __init__(self, block, terms, transposed, counts):
         counts.factorizations += 1
-        self._lu, self._factors = _splu(block), factors
+        self._lu, self._terms = _splu(block), terms
         self._transposed = transposed
 
     def coordinates(self, load):
-        """K^{-1} load: one solve with A_s, a column per component."""
-        return self._lu.solve(load.reshape(len(self._factors), -1).T).T.ravel()
+        """A^{-1} load: one solve with A, a column per component."""
+        return self._lu.solve(
+            load.reshape(len(self._terms), -1).T).T.ravel()
 
     def velocity(self, hat):
-        return hat
+        return np.ravel(hat)
 
     def divergence(self, hat):
-        return _tensor_divergence(self._factors, hat)
+        return _tensor_divergence(self._terms, len(self._terms), hat)
 
     def schur(self, direction):
-        """The coordinates of w = K^{-1} B^T direction, and B w."""
+        """The coordinates of w = A^{-1} B^T direction, and B w."""
         w = self.coordinates(_tensor_gradient(self._transposed, direction))
         return w, self.divergence(w)
 
 
 class _FusedInverse(_KroneckerSumFunction):
-    """K^{-1} = I_d (x) A_s^{-1} in the eigenbasis V of the block pencils,
-    with the tensor divergence B_a = (x)_c F_{a,c} fused into it.
+    """A^{-1} on the k components that share the block A, in the eigenbasis
+    V of its pencils, with their blocks of the tensor divergence B_a =
+    (x)_c F_{a,c} (terms[j] for the j-th of them) fused into it.
 
     A velocity is held by its coordinates in V, one row per component:
-    u_a = V hat_a, and K^{-1} f has hat_a = diag(1 / lam) V^T f_a.  With
+    u_a = V hat_a, and A^{-1} f has hat_a = diag(1 / lam) V^T f_a.  With
     E_a = (x)_c E_{a,c}, E_{a,c} = F_{a,c} V_c a dense m_c x n_c matrix
-    built once, B u = sum_a E_a hat_a, and the Schur product B K^{-1} B^T d
+    built once, B u = sum_a E_a hat_a, and the Schur product B A^{-1} B^T d
     = sum_a E_a diag(1 / lam) E_a^T d is 2 d dense per-axis products per
     component: no sparse product and no basis transform.  basis_norm,
-    prod_c |V_c|_2, bounds |V hat| / |hat|.
+    prod_c |V_c|_2, bounds |V hat| / |hat|.  done is shared with the other
+    blocks' inverses (_KroneckerSumFunction).
     """
 
-    def __init__(self, pencils, factors):
-        super().__init__(pencils, int(np.prod([m.shape[0] for m, _ in
-                                                pencils])),
-                         "velocity block", np.reciprocal)
+    def __init__(self, pencils, terms, done):
+        super().__init__(pencils, int(np.prod([pencil[0].shape[0]
+                                                for pencil in pencils])),
+                         "velocity block", np.reciprocal, done=done)
         self._fused = [[np.asarray(f @ vec) for f, vec in
-                        zip(_term(factors, a), self._bases)]
-                       for a in range(len(factors))]
+                        zip(term, self._bases)] for term in terms]
         self._fused_t = [[e.T for e in fused] for fused in self._fused]
-        self.basis_norm = float(np.prod([np.linalg.norm(vec, 2)
-                                         for vec in self._bases]))
+        self.basis_norm = float(np.prod(self._basis_norms))
 
     def coordinates(self, load):
-        """The coordinates of K^{-1} load."""
+        """The coordinates of A^{-1} load."""
         return self._g * _kron_apply([vec.T for vec in self._bases],
-                                     load.reshape(len(self._bases), -1))
+                                     load.reshape(len(self._fused), -1))
 
     def velocity(self, hat):
         return _kron_apply(self._bases, hat).ravel()
@@ -491,41 +541,88 @@ class _FusedInverse(_KroneckerSumFunction):
         return sum(_kron_apply(fused, h) for fused, h in zip(self._fused, hat))
 
     def schur(self, direction):
-        """The coordinates of w = K^{-1} B^T direction, and B w."""
+        """The coordinates of w = A^{-1} B^T direction, and B w."""
         hat = self._g * np.stack([_kron_apply(fused_t, direction)
                                   for fused_t in self._fused_t])
         return hat, self.divergence(hat)
 
 
+class _ComponentInverses:
+    """K^{-1} for components with different blocks: the inverse of each
+    group of adjacent components that share a block, on that group's rows.
+    The coordinates of a velocity are those of the groups, one group after
+    the other, each flattened; basis_norm is the largest of the groups'."""
+
+    def __init__(self, parts, n_u):
+        # parts [(where, k, inverse), ...]: the group's slice of u, its
+        # component count and its inverse; a group has as many coordinates
+        # as velocity dofs
+        self._parts, self._n_u = parts, n_u
+        self._cuts = [where.stop for where, _, _ in parts[:-1]]
+        self.basis_norm = max(inverse.basis_norm for _, _, inverse in parts)
+
+    def _groups(self, hat):
+        return zip(self._parts, np.split(hat, self._cuts))
+
+    def coordinates(self, load):
+        return np.concatenate([np.ravel(inverse.coordinates(load[where]))
+                               for where, _, inverse in self._parts])
+
+    def velocity(self, hat):
+        u = np.empty(self._n_u)
+        for (where, k, inverse), h in self._groups(hat):
+            u[where] = inverse.velocity(h.reshape(k, -1))
+        return u
+
+    def divergence(self, hat):
+        return sum(inverse.divergence(h.reshape(k, -1))
+                   for (_, k, inverse), h in self._groups(hat))
+
+    def schur(self, direction):
+        parts = [inverse.schur(direction) for _, _, inverse in self._parts]
+        return (np.concatenate([np.ravel(w) for w, _ in parts]),
+                sum(s for _, s in parts))
+
+
 class BlockSaddleSolver:
-    """A saddle system whose velocity operator is K = I_d (x) A_s, solved
-    through its scalar block A_s, on mean-zero pressures.
+    """A saddle system whose velocity operator K is block diagonal, one
+    scalar block per velocity component, solved through those blocks on
+    mean-zero pressures.
 
-    block is A_s, the diagonal block that every velocity component shares,
-    and B, gauge and rhs_u complete the system, the velocity dofs numbered
-    component by component.  K is not formed.  B is the per-axis
-    divergence factors [(M_c, D_c), ...] of assembly.axis_divergence, with
-    B_a = (x)_c F_{a,c}, F_{a,c} = D_c for c = a and M_c otherwise: B is
-    not assembled, B u and B^T q are per-axis sparse products (B^T q with
-    the factors' transposes, built once), and its Frobenius norm comes from
-    the inner products of the factors' dense copies, made once.  The block
-    comes in one of two forms:
+    blocks lists the block A_a of each component a, and B, gauge and rhs_u
+    complete the system, the velocity dofs numbered component by component.
+    K is not formed.  B is the divergence factors of each component, as
+    assembly.axis_divergence gives them: a list of per-axis pairs
+    [(M_c, D_c), ...] per component a, with B_a = (x)_c F_{a,c}, F_{a,c} =
+    D_c for c = a and M_c otherwise.  Components may have different free
+    nodes (a wall that clamps the wall-normal component only), so each has
+    its own factors and its own block; adjacent components that share one
+    block (the same object: the d = 3 DNS passes d copies of one, the
+    regime-ii cell one for its tangential components) form a group, whose
+    block is decomposed once and applied to the group's rows at once.  B is not
+    assembled, B u and B^T q are per-axis sparse products (B^T q with the
+    factors' transposes, built once), and its Frobenius norm comes from the
+    inner products of the factors' dense copies, made once.  A block comes
+    in one of two forms:
 
-    - assembled: a sparse matrix.  K u is A_s applied to the (d, n_s)
-      reshape of u, and A_s is factored once: K^{-1} is one triangular
-      solve with a column per component.
+    - assembled: a sparse matrix.  The group's part of K u is A applied to
+      the (k, n) reshape of its rows, and A is factored once: its part of
+      K^{-1} is one triangular solve with a column per component.
     - tensor: the per-axis pencils [(M_a, K_a), ...] whose Kronecker sum
-      is A_s (a coefficient that is a diagonal matrix times a profile
-      across the layer).  K u is a sum of per-axis sparse products; the
-      pencils are made dense once, |A_s| comes from their inner products,
-      and K^{-1} is applied exactly in their eigenbasis (_pencil_eigh)
-      with B fused into it (_FusedInverse), so nothing of the layer's size
-      is factored, and a CG iteration takes dense per-axis products only.
+      is A (a coefficient that is a diagonal matrix times a profile across
+      the layer, or the regime-ii cell's s Laplacian plus a drag).  Its
+      part of K u is a sum of per-axis sparse products; the pencils are
+      made dense once, |A| comes from their inner products, and A^{-1} is
+      applied exactly in their eigenbasis (_pencil_eigh) with B fused into
+      it (_FusedInverse), so nothing is factored, and a CG iteration takes
+      dense per-axis products only.  Each distinct 1-D pencil is
+      decomposed once for all the blocks.
 
     No pressure dof is pinned: q runs over the whole pressure space, and
-    the constraint is B u = 0, whose residual sums to zero.  A solve refines
-    the solution of the previous solve (zero at first).  Each sweep takes
-    the residual R_u = f - K u - B^T q and the divergence B u, and adds the
+    the constraint is B u = 0, whose residual sums to zero.  A solve
+    refines a start pair: the pair given as start, as (u, p), or else the
+    solution of the previous solve (zero at first).  Each sweep takes the
+    residual R_u = f - K u - B^T q and the divergence B u, and adds the
     correction
 
         B K^{-1} B^T dq = B K^{-1} R_u + B u,   du = K^{-1} (R_u - B^T dq),
@@ -544,75 +641,111 @@ class BlockSaddleSolver:
     coordinates of the inverse (the eigenbasis, in tensor form) and
     transforms it back once per sweep.  Sweeps end when the
     backward error of both equations, |R_u| against |K| |u| + |B| |q| + |f|
-    and |B u| against |B| |u| (Frobenius norms, |K| = sqrt(d) |A_s|),
-    is at most the machine epsilon, as for the direct LU, or stops falling.
-    On a thin layer the pressure Schur complement is ill-conditioned, so a
-    looser goal would leave errors far above it in p.  Solving for
-    corrections puts the rounding of f - B^T q, which cancels almost
-    entirely when the forcing is nearly a gradient, into the velocity
-    equation rather than into B u: a hydrostatic velocity residue stays
-    discretely divergence free, as on the direct path.  A load that changes
-    little, as from one Picard step to the next, takes few iterations, and
-    an unchanged one none.  The pressure is p = -q, shifted to
-    gauge^T p = 0.
+    and |B u| against |B| |u| (Frobenius norms, |K|^2 the sum of the
+    blocks' |A_a|^2), is at most the machine epsilon, as for the direct LU,
+    or stops falling.  On a thin layer the pressure Schur complement is
+    ill-conditioned, so a looser goal would leave errors far above it in
+    p.  Solving for corrections puts the rounding of f - B^T q, which
+    cancels almost entirely when the forcing is nearly a gradient, into the
+    velocity equation rather than into B u: a hydrostatic velocity residue
+    stays discretely divergence free, as on the direct path.  A load that
+    changes little, as from one Picard step to the next or from one level
+    of the regime-ii cell ladder to the next, takes few iterations, and an
+    unchanged one none.  The pressure is p = -q, shifted to gauge^T p = 0.
 
     The solver keeps K u, B^T q and B u of its current pair (zero at the
     zero start), as three arrays, since f changes between solves and they do
     not.  The backward error at the start of a solve, the error after each
     sweep and the final residual check (residual(), less the gauge shift,
     which B^T maps to zero) read them, so a sweep applies K, B^T and B once
-    each, to its new pair.  A solve that misses its check keeps neither its
-    pair nor its products.
+    each, to its new pair.  A start pair comes from another operator, so
+    its products are computed afresh.  A solve that misses its check keeps
+    neither its pair nor its products.
 
     A solve returns only if its residual is at most tol, as on the direct
-    path, whichever inverse of A_s it applied.  Otherwise, or where there
-    is no inverse (an LU that meets a zero pivot, pencils that
+    path, whichever inverse of the blocks it applied.  Otherwise, or where
+    there is no inverse (an LU that meets a zero pivot, pencils that
     _pencil_eigh rejects), the solver counts a direct fallback, builds K =
-    block_diag(A_s, ..., A_s) and B as sparse matrices (B, and A_s in
-    tensor form, from Kronecker products) and solves this load and every
+    block_diag(A_0, ..., A_{d-1}) and B as sparse matrices (B, and a block
+    in tensor form, from Kronecker products) and solves this load and every
     later one with a SaddleSolver of them.  Loads are single vectors.  The
     work done is added to counts.
     """
 
-    def __init__(self, block, B, gauge, rhs_u, pencils, nu, sigma,
+    def __init__(self, blocks, B, gauge, rhs_u, pencils, nu, sigma,
                  counts=None):
         self.counts = SolveCounts() if counts is None else counts
-        shapes = [(mass.shape, der.shape) for mass, der in B]
-        transposed = [(mass.T, der.T) for mass, der in B]
-        sizes = [m[1] for m, _ in shapes]
-        self._ncomp, n_s = len(sizes), int(np.prod(sizes))
+        self._ncomp = len(B)
+        shapes = [[(mass.shape, der.shape) for mass, der in factors]
+                  for factors in B]
+        if len(blocks) != self._ncomp \
+                or any(len(axes) != self._ncomp for axes in shapes) \
+                or any(m != d or m[0] != p[0] for axes in shapes
+                       for (m, d), (p, _) in zip(axes, shapes[0])):
+            raise ComponentLayoutError(
+                f"{len(blocks)} blocks and divergence factors of shapes "
+                f"{shapes} do not tile {self._ncomp} velocity components")
+        sizes = [[m[1] for m, _ in axes] for axes in shapes]
+        ndofs = [int(np.prod(s)) for s in sizes]
+        offsets = np.concatenate([[0], np.cumsum(ndofs)])
+        n_u, n_p = int(offsets[-1]), int(np.prod([m[0] for m, _ in
+                                                   shapes[0]]))
+        terms = [_term(factors, a) for a, factors in enumerate(B)]
+        transposed = [[mat.T for mat in term] for term in terms]
+        # a group is a run of adjacent components that share one block; per
+        # group: its rows of u, its components and its block's terms, and
+        # the norm of its part of K; the inverses are built once all is
+        # checked
+        self._groups, norms, inverses, done = [], [], [], []
+        for _, run in itertools.groupby(range(self._ncomp),
+                                        key=lambda a: id(blocks[a])):
+            group = list(run)
+            block = blocks[group[0]]
+            if sp.issparse(block):
+                what = f"a block of shape {block.shape}"
+                tiles = all(block.shape == (ndofs[a],) * 2 for a in group)
+                block_terms, norm = [[block]], _norm(block.data)
+                inverses.append(functools.partial(
+                    _BlockLU, block, [terms[a] for a in group],
+                    [transposed[a] for a in group], self.counts))
+            else:
+                # a pencil may carry its eigenpairs (with_eigenpairs)
+                pairs = [pencil[:2] for pencil in block]
+                lengths = [mass.shape[0] for mass, _ in pairs]
+                what = f"block pencils of sizes {lengths}"
+                tiles = all(lengths == sizes[a] for a in group)
+                block_terms = [_term(pairs, c) for c in range(len(pairs))]
+                # K u applies the pencils as given (sparse in the DNS), the
+                # norm and the inverse take their dense copies
+                dense = _dense_pairs(pairs)
+                norm = _kronecker_norm([_term(dense, c)
+                                        for c in range(len(dense))])
+                inverses.append(functools.partial(
+                    _FusedInverse, [pair + tuple(pencil[2:]) for pair, pencil
+                                    in zip(dense, block)],
+                    [terms[a] for a in group], done))
+            if not tiles:
+                raise ComponentLayoutError(
+                    f"divergence factors of shapes {shapes} do not tile "
+                    f"{what}")
+            where = slice(int(offsets[group[0]]), int(offsets[group[-1] + 1]))
+            self._groups.append((where, group, block_terms))
+            norms.append(np.sqrt(len(group)) * norm)
+        self._factors = B
+        dense = {id(factors): _dense_pairs(factors) for factors in B}
+        self._norms = (_norm(np.array(norms)), np.sqrt(sum(
+            _kronecker_norm([_term(dense[id(factors)], a)]) ** 2
+            for a, factors in enumerate(B))))
         # no bound method is kept: a cycle would keep the inverse until gc
         # next runs
-        if sp.issparse(block):
-            what = f"a block of shape {block.shape}"
-            tiles = block.shape == (n_s, n_s)
-            self._terms, norm_k = [[block]], _norm(block.data)
-            invert = functools.partial(_BlockLU, block, B, transposed,
-                                       self.counts)
-        else:
-            lengths = [mass.shape[0] for mass, _ in block]
-            what, tiles = f"block pencils of sizes {lengths}", lengths == sizes
-            self._terms = [_term(block, a) for a in range(len(block))]
-            # K u applies the sparse pencils, the norm and the inverse take
-            # their dense copies
-            dense = _dense_pairs(block)
-            norm_k = _kronecker_norm([_term(dense, a)
-                                      for a in range(len(dense))])
-            invert = functools.partial(_FusedInverse, dense, B)
-        if not tiles or any(d != m for m, d in shapes):
-            raise ComponentLayoutError(
-                f"divergence factors of shapes {shapes} do not tile {what}")
-        self._factors = B
-        n_u, n_p = self._ncomp * n_s, int(np.prod([m[0] for m, _ in shapes]))
-        dense = _dense_pairs(B)
-        self._norms = (np.sqrt(self._ncomp) * norm_k, np.sqrt(sum(
-            _kronecker_norm([_term(dense, a)]) ** 2
-            for a in range(self._ncomp))))
-        apply = functools.partial(_block_apply, self._terms)
         self._system = SaddleSystem(
-            K=spla.LinearOperator((n_u, n_u), matvec=apply, dtype=float),
+            K=spla.LinearOperator(
+                (n_u, n_u), matvec=functools.partial(_block_apply,
+                                                     self._groups),
+                dtype=float),
             B=spla.LinearOperator(
-                (n_p, n_u), matvec=functools.partial(_tensor_divergence, B),
+                (n_p, n_u), matvec=functools.partial(
+                    _tensor_divergence, terms, offsets[1:-1]),
                 rmatvec=functools.partial(_tensor_gradient, transposed),
                 dtype=float),
             gauge=gauge, rhs_u=rhs_u)
@@ -627,15 +760,23 @@ class BlockSaddleSolver:
         self._direct = None
         # K^{-1}: without one the first solve takes the direct path
         try:
-            self._inverse = invert()
+            parts = [(where, len(group), invert()) for (where, group, _),
+                     invert in zip(self._groups, inverses)]
         except (RuntimeError, np.linalg.LinAlgError):
             self._inverse = None
+        else:
+            # one group holds every component, in order
+            self._inverse = parts[0][2] if len(parts) == 1 \
+                else _ComponentInverses(parts, n_u)
 
     def _assembled(self):
         """K and B as sparse matrices, for the direct path."""
-        block = sum(_kron(term) for term in self._terms)
-        return sp.block_diag([block] * self._ncomp, format="csr"), \
-            _kron_row([self._factors] * self._ncomp)
+        blocks = [None] * self._ncomp
+        for _, group, terms in self._groups:
+            block = sum(_kron(term) for term in terms)
+            for a in group:
+                blocks[a] = block
+        return sp.block_diag(blocks, format="csr"), _kron_row(self._factors)
 
     def _backward_error(self, u, q, f, products):
         """Backward error of (u, q) in both equations, from its products
@@ -691,12 +832,18 @@ class BlockSaddleSolver:
             formed = inverse.velocity(du)
         return formed, dq, iterations
 
-    def _schur_solve(self, target, tol):
+    def _schur_solve(self, target, tol, start):
         """(u, p) with residual <= tol, or None where CG cannot get there;
-        the kept products stand in for K u, B^T q and B u."""
+        the kept products stand in for K u, B^T q and B u, or those of the
+        start pair, if one is given."""
         f = np.asarray(target.rhs_u, dtype=float)
         K, B = self._system.K, self._system.B
-        u, q, products = self._u.copy(), self._q.copy(), self._products
+        if start is None:
+            u, q, products = self._u.copy(), self._q.copy(), self._products
+        else:
+            u = np.array(start[0], dtype=float)
+            q = -np.asarray(start[1], dtype=float)
+            products = K @ u, B.T @ q, B @ u
         best, iterations = np.inf, 0
         while iterations < _SCHUR_MAX_ITERS:
             error, res_u = self._backward_error(u, q, f, products)
@@ -718,15 +865,17 @@ class BlockSaddleSolver:
         self._u, self._q, self._products = u, q, products
         return u, _project_gauge(self._gauge, -q)
 
-    def solve(self, tol=DEFAULT_TOL_DIRECT, rhs_u=None):
-        """(u, p) for the system's load or for rhs_u, residual <= tol."""
+    def solve(self, tol=DEFAULT_TOL_DIRECT, rhs_u=None, start=None):
+        """(u, p) for the system's load or for rhs_u, residual <= tol,
+        refined from the pair start = (u, p), if given, and otherwise from
+        the previous solution."""
         _check_tol(tol)
         if np.ndim(self._system.rhs_u if rhs_u is None else rhs_u) != 1:
             raise ValueError("the block path solves one load at a time")
         if self._direct is None:
             target = self._system if rhs_u is None \
                 else replace(self._system, rhs_u=rhs_u)
-            solution = self._schur_solve(target, tol) \
+            solution = self._schur_solve(target, tol, start) \
                 if self._inverse is not None else None
             if solution is not None:
                 return solution

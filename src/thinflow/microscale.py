@@ -10,18 +10,22 @@ convective load N(u_k) u_k is assembled as a vector (assemble_convection);
 the operator N itself is never formed.  S is the Stokes-Brinkmann saddle
 operator, whose velocity block is d copies of one scalar block because
 every wall is tagged for every component, and each layer factors at most
-one matrix, once.  A d = 3 layer is solved in linalg.BlockSaddleSolver;
-every step is a preconditioned CG solve on the pressure Schur complement
-over mean-zero pressures, with no pinned dof, that starts from the previous
-step's solution and the products K u, B^T q and B u the solver kept of it
-(so a step applies K once per sweep), checked at the solver tolerance (a
-layer whose solve misses it goes over to the pinned LU of S).  Its
-Cahouet-Chabard preconditioner takes the per-axis pencils of the pressure
-space (assembly.axis_pencils), so no pressure matrix is assembled or
-factored.
+one matrix, once.  A d = 3 layer is solved in linalg.BlockSaddleSolver,
+which takes one block per velocity component: the layer passes d copies of
+its one block, which the solver decomposes once and applies to all
+components at once (the regime-ii cell ladder passes two distinct blocks
+to the same solver); every step is a preconditioned CG solve on the
+pressure Schur complement over mean-zero pressures, with no pinned dof,
+that starts from the previous step's solution and the products K u, B^T q
+and B u the solver kept of it (so a step applies K once per sweep),
+checked at the solver tolerance (a layer whose solve misses it goes over
+to the pinned LU of S).  Its Cahouet-Chabard preconditioner takes the
+per-axis pencils of the pressure space (assembly.axis_pencils), so no
+pressure matrix is assembled or factored.
 The layer's divergence B is a sum of Kronecker products of 1-D factors
-(assembly.axis_divergence), so B is not assembled either: the dimension
-alone chooses the form of B, and the coefficient that of the block.
+(assembly.axis_divergence, one list per component, here all the same), so
+B is not assembled either: the dimension alone chooses the form of B, and
+the coefficient that of the block.
 Where the coefficient is separable (a diagonal matrix times a profile
 across the layer), the layer runs matrix-free: the block is the Kronecker
 sum of per-axis pencils (_block_pencils), its inverse is applied in the
@@ -159,7 +163,7 @@ def solve_dlb(thin_mesh, field, params, K_eps, picard_tol=1e-10,
         # 1/eps where the drag is weak
         nu = float(np.sqrt(field.alpha_ell * field.beta_ell))
         solver = BlockSaddleSolver(
-            block, axis_divergence(space_v, space_p), gauge, load,
+            [block] * 3, axis_divergence(space_v, space_p), gauge, load,
             axis_pencils(space_p), nu=nu, sigma=sigma + 3.0 * nu / eps ** 2,
             counts=counts)
     for iterations in range(1, max_iters + 1):

@@ -1,17 +1,26 @@
 import numpy as np
 import pytest
 
+from thinflow import cell_problems, linalg
 from thinflow import coefficients as coefs
-from thinflow.cell_problems import (solve_cell_problems, solve_cell_regime_i,
+from thinflow.assembly import (FunctionSpace, assemble_diffusion,
+                               assemble_divergence, assemble_load,
+                               assemble_mass, axis_divergence, axis_pencils,
+                               pressure_gauge)
+from thinflow.cell_problems import (_solve_ladder, solve_cell_problems,
+                                    solve_cell_regime_i,
                                     solve_cell_regime_ii,
                                     solve_cell_regime_iii)
 from thinflow.errors import (InvalidParameterError,
                              NonEllipticCoefficientError,
                              UnsupportedRegimeCoefficientError)
+from thinflow.linalg import (BlockSaddleSolver, SaddleSystem, SolveCounts,
+                             residual, solve_sparse, with_eigenpairs)
 from thinflow.meshing import Geometry, build_cell_mesh
 from thinflow.upscaling import effective_matrix
 
 GEOM = Geometry(2, (1.0,), 0.125)
+GEOM_D3 = Geometry(3, (1.0, 1.0), 0.125)
 
 
 def identity_field(d=2):
@@ -110,6 +119,131 @@ def test_regime_ii_level_bounds():
         assert np.all(big[1:] <= 1.1 * big[:-1])
 
 
+def test_regime_ii_d3_constant_solution():
+    # the tangential loads drive the constant velocities e_i / mu, the
+    # vertical one a hydrostatic pressure with no flow
+    mu = 2.0
+    cells = solve_cell_regime_ii(mu, build_cell_mesh(GEOM_D3, 2, 4))
+    pts = np.column_stack([np.linspace(0, 1, 7), np.linspace(1, 0, 7),
+                           np.linspace(-1, 1, 7)])
+    for i in range(2):
+        assert np.abs(cells.velocity_field(i).evaluate(pts)
+                      - np.eye(3)[i] / mu).max() <= 1e-10
+    assert np.abs(cells.velocities[2]).max() <= 1e-10 / mu
+    inner = pts[1:-1]
+    assert np.abs(cells.pressure_field(2).evaluate(inner)
+                  - inner[:, 2]).max() <= 1e-10
+    ahat = effective_matrix(cells)
+    assert np.abs(ahat.matrix - (2 / mu) * np.eye(2)).max() <= 1e-10
+
+
+def assembled_levels(mu, mesh, n_list):
+    """Per level n the (velocities, pressures) of the unit loads from
+    solve_sparse on the assembled S_n = (1/n^2) Laplacian + mu mass."""
+    d = mesh.ndim
+    V = FunctionSpace(mesh, "velocity", wall_components=(d - 1,))
+    Q = FunctionSpace(mesh, "pressure")
+    K_lap, M = assemble_diffusion(V), assemble_mass(V)
+    loads = np.column_stack([assemble_load(V, e) for e in np.eye(d)])
+    levels = []
+    for n in n_list:
+        W, P = solve_sparse(SaddleSystem(
+            K=(K_lap / n ** 2 + mu * M).tocsr(),
+            B=assemble_divergence(V, Q), gauge=pressure_gauge(Q),
+            rhs_u=loads))
+        levels.append((W.T, P.T))
+    return V, Q, levels
+
+
+@pytest.mark.parametrize("mesh", [build_cell_mesh(GEOM, 4, 8),
+                                  build_cell_mesh(GEOM_D3, 2, 4)],
+                         ids=["d2", "d3"])
+def test_ladder_matches_assembled_levels(mesh):
+    # every level of the block-path ladder is the pinned LU's solution of
+    # the assembled level operator, each field to 1e-12 of the largest
+    # entry of its family
+    mu, n_list = 2.0, (4, 8, 16, 32)
+    V, Q, reference = assembled_levels(mu, mesh, n_list)
+    counts = SolveCounts()
+    levels = _solve_ladder(mu, V, Q, axis_divergence(V, Q), n_list, 1e-10,
+                           counts)
+    assert counts.factorizations == 0 and counts.direct_fallbacks == 0
+    for pairs, (W_ref, P_ref) in zip(levels, reference):
+        for got, ref in zip(zip(*pairs), (W_ref, P_ref)):
+            scale = np.abs(ref).max()
+            assert max(np.abs(x - y).max()
+                       for x, y in zip(got, ref)) <= 1e-12 * scale
+
+
+def test_ladder_levels_start_warm(monkeypatch):
+    # each level refines the level before, so it takes fewer CG iterations
+    # than the first level, which starts from zero
+    per_level = []
+
+    class Recording(BlockSaddleSolver):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            per_level.append(0)
+
+        def solve(self, *args, **kwargs):
+            before = self.counts.schur_iterations
+            solution = super().solve(*args, **kwargs)
+            per_level[-1] += self.counts.schur_iterations - before
+            return solution
+
+    monkeypatch.setattr(cell_problems, "BlockSaddleSolver", Recording)
+    solve_cell_regime_ii(2.0, build_cell_mesh(GEOM, 8, 32))
+    assert len(per_level) == 4
+    assert all(later < per_level[0] for later in per_level[1:])
+
+
+def _reject_pencils(blocks):
+    """Pencils with the masses and stiffnesses of two axes negated: their
+    Kronecker sum is the same block, but _pencil_eigh rejects them."""
+    return [[(-mass, -stiffness) if a < 2 else (mass, stiffness)
+             for a, (mass, stiffness, _) in enumerate(block)]
+            for block in blocks]
+
+
+def _nan_coordinates(monkeypatch):
+    monkeypatch.setattr(linalg._FusedInverse, "coordinates",
+                        lambda self, load: np.full(
+                            (len(self._fused), load.size // len(self._fused)),
+                            np.nan))
+
+
+@pytest.mark.parametrize("mesh", [build_cell_mesh(GEOM, 4, 8),
+                                  build_cell_mesh(GEOM_D3, 2, 4)],
+                         ids=["d2", "d3"])
+@pytest.mark.parametrize("broken", ["rejected_pencils", "nan_products"])
+def test_ladder_level_falls_back_to_pinned_lu(monkeypatch, mesh, broken):
+    # a level whose block inverse misses the check goes over to the pinned
+    # LU of its per-component block_diag, which meets the tolerance
+    mu, s, d = 2.0, 1.0 / 16, mesh.ndim
+    V = FunctionSpace(mesh, "velocity", wall_components=(d - 1,))
+    Q = FunctionSpace(mesh, "pressure")
+    natural, clamped = (cell_problems._level_pencils(with_eigenpairs(
+        axis_pencils(FunctionSpace(mesh, "component",
+                                   wall_components=walls))), s, mu)
+        for walls in ((), None))
+    if broken == "rejected_pencils":
+        natural, clamped = _reject_pencils((natural, clamped))
+    else:
+        _nan_coordinates(monkeypatch)
+    load = assemble_load(V, np.eye(d)[d - 1])
+    counts = SolveCounts()
+    solver = BlockSaddleSolver([natural] * (d - 1) + [clamped],
+                               axis_divergence(V, Q), pressure_gauge(Q),
+                               load, axis_pencils(Q), nu=s, sigma=mu,
+                               counts=counts)
+    u, p = solver.solve(tol=1e-10)
+    assert counts.direct_fallbacks == 1 and counts.factorizations == 1
+    system = SaddleSystem(
+        K=(assemble_diffusion(V) * s + mu * assemble_mass(V)).tocsr(),
+        B=assemble_divergence(V, Q), gauge=pressure_gauge(Q), rhs_u=load)
+    assert residual(system, (u, p)) <= 1e-10
+
+
 def test_regime_ii_invalid_levels():
     with pytest.raises(InvalidParameterError):
         solve_cell_regime_ii(1.0, build_cell_mesh(GEOM, 2, 4),
@@ -182,14 +316,18 @@ def test_cross_regime_limits():
                                              ("iii", (4, 8, 16))])
 def test_solver_counts(regime, n_list):
     # one LU serves all d loads of a clamped cell problem; the regime-ii
-    # ladder factors one regularized operator per level
+    # ladder runs on the block path, which factors nothing
     cells = solve_cell_problems(regime, build_cell_mesh(GEOM, 2, 4),
                                 field=identity_field(), K=1.0, n_list=n_list)
-    factorizations = len(n_list) if regime == "ii" else 1
-    assert cells.solver_counts == {"factorizations": factorizations,
-                                   "pivoted_fallbacks": 0,
-                                   "schur_iterations": 0,
-                                   "direct_fallbacks": 0}
+    counts = cells.solver_counts
+    if regime == "ii":
+        assert counts["factorizations"] == 0
+        assert counts["schur_iterations"] > 0
+    else:
+        assert counts["factorizations"] == 1
+        assert counts["schur_iterations"] == 0
+    assert counts["pivoted_fallbacks"] == 0
+    assert counts["direct_fallbacks"] == 0
 
 
 def test_dispatcher():

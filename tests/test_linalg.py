@@ -328,7 +328,8 @@ def test_block_solver_falls_back_to_direct_path():
     # pivoting cannot give a solution within tolerance, so the layer goes
     # over to the pinned LU of the whole system, for good.  B comes as the
     # divergence factors of a 6 x 1 velocity and a 2 x 1 pressure lattice,
-    # [(M_0, D_0), (M_1, D_1)]: B = [D_0 (x) M_1, M_0 (x) D_1]
+    # [(M_0, D_0), (M_1, D_1)] for each component: B = [D_0 (x) M_1,
+    # M_0 (x) D_1]
     block = near_zero_diagonal_block()
     K = sp.block_diag([block, block], format="csr")
     B = sp.csr_matrix(np.array([[1.0, -1.0, 0, 0, 0, 0, 0.5, 0, 0, 0, 0, 0],
@@ -340,8 +341,8 @@ def test_block_solver_falls_back_to_direct_path():
                (sp.csr_matrix([[1.0]]), sp.csr_matrix([[0.5]]))]
     load = np.arange(1.0, 13.0)
     counts = SolveCounts()
-    solver = BlockSaddleSolver(block, factors, np.ones(2), load, TOY_PENCILS,
-                               nu=1.0, sigma=1.0, counts=counts)
+    solver = BlockSaddleSolver([block] * 2, [factors] * 2, np.ones(2), load,
+                               TOY_PENCILS, nu=1.0, sigma=1.0, counts=counts)
     u, p = solver.solve(tol=1e-10)
     assert residual(SaddleSystem(K=K, B=B, gauge=np.ones(2), rhs_u=load),
                     (u, p)) <= 1e-10
@@ -366,19 +367,28 @@ _LAYOUT_SCRIPT = textwrap.dedent("""
     cases = {
         # a block of 2 dofs for divergence factors of 5 velocity dofs per
         # component
-        "block": (sp.identity(2, format="csr"),
-                  [(sp.csr_matrix(np.ones((2, 5))),) * 2], toy, 5),
+        "block": ([sp.identity(2, format="csr")],
+                  [[(sp.csr_matrix(np.ones((2, 5))),) * 2]], toy, 5),
         # pencils of 2 x 2 pressure dofs for divergence factors of 2 x 1
-        "pencils": (sp.identity(2, format="csr"),
-                    [pair, (sp.csr_matrix(np.ones((1, 1))),) * 2], toy * 2,
-                    4),
+        "pencils": ([sp.identity(2, format="csr")] * 2,
+                    [[pair, (sp.csr_matrix(np.ones((1, 1))),) * 2]] * 2,
+                    toy * 2, 4),
         # block pencils of 2 axes for divergence factors of one
-        "block_pencils": (toy * 2, [pair], toy, 4),
+        "block_pencils": ([toy * 2], [[pair]], toy, 4),
         # divergence factors of 1 x 4 velocity dofs per axis for block
         # pencils of 2 x 2: the products agree, the axes do not
-        "divergence": (toy * 2, [(sp.csr_matrix(np.ones((2, 1))),) * 2,
-                                 (sp.csr_matrix(np.ones((1, 4))),) * 2],
+        "divergence": ([toy * 2] * 2,
+                       [[(sp.csr_matrix(np.ones((2, 1))),) * 2,
+                         (sp.csr_matrix(np.ones((1, 4))),) * 2]] * 2,
                        toy, 8),
+        # one block for two components
+        "components": ([toy * 2], [[pair, pair]] * 2, toy * 2, 8),
+        # components whose divergence factors have 2 x 1 and 1 x 2
+        # pressure rows
+        "pressure": ([sp.identity(2, format="csr")] * 2,
+                     [[pair, (sp.csr_matrix(np.ones((1, 1))),) * 2],
+                      [(sp.csr_matrix(np.ones((1, 2))),) * 2,
+                       (sp.csr_matrix(np.ones((2, 1))),) * 2]], toy, 4),
     }
     for name, (block, B, pencils, n_u) in cases.items():
         try:
@@ -392,8 +402,10 @@ _LAYOUT_SCRIPT = textwrap.dedent("""
 def test_layout_errors_survive_optimize():
     # the block path must refuse a block that does not tile the velocity
     # lattice of its divergence factors, pencils that do not tile the
-    # pressure dofs, and divergence factors that do not tile the block
-    # pencils axis by axis, even when python -O strips assert statements
+    # pressure dofs, divergence factors that do not tile the block pencils
+    # axis by axis, a block count other than the component count, and
+    # components whose divergence factors disagree on the pressure lattice,
+    # even when python -O strips assert statements
     src = os.path.dirname(os.path.dirname(os.path.abspath(thinflow.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-O", "-c", _LAYOUT_SCRIPT],
@@ -402,7 +414,9 @@ def test_layout_errors_survive_optimize():
     assert out.stdout.split() == ["block", "raised", "False",
                                   "pencils", "raised", "False",
                                   "block_pencils", "raised", "False",
-                                  "divergence", "raised", "False"]
+                                  "divergence", "raised", "False",
+                                  "components", "raised", "False",
+                                  "pressure", "raised", "False"]
 
 
 @pytest.mark.parametrize("shape", [(1,), (7,), (10_007,), (3, 40_001)])

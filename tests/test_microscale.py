@@ -18,7 +18,7 @@ from thinflow.errors import InvalidResolutionError, PicardDivergenceError
 from thinflow.harness import load_config
 from thinflow.linalg import (BlockSaddleSolver, SaddleSystem, SolveCounts,
                              residual, solve_sparse)
-from thinflow.meshing import Geometry, TensorMesh, _term, build_thin_mesh
+from thinflow.meshing import Geometry, TensorMesh, build_thin_mesh
 from thinflow.microscale import apriori_norms, solve_dlb
 from thinflow.two_scale import poincare_wirtinger_ratio
 
@@ -389,7 +389,8 @@ def dns_system(mesh, field, params, K_eps):
     factors = axis_divergence(V, Q)
 
     def block_solver(counts):
-        return BlockSaddleSolver(block, factors, system.gauge, system.rhs_u,
+        return BlockSaddleSolver([block] * mesh.ndim, factors, system.gauge,
+                                 system.rhs_u,
                                  axis_pencils(Q), nu=1.0,
                                  sigma=params.mu / K_eps, counts=counts)
 
@@ -770,18 +771,20 @@ def test_tensor_operators_match_assembled(kind, name):
     factors = axis_divergence(V, Q)
     B = assemble_divergence(V, Q)
     tensor_B = sp.hstack([kron_all([der if c == a else mass for c, (
-        mass, der) in enumerate(factors)]) for a in range(3)], format="csr")
+        mass, der) in enumerate(factors[a])]) for a in range(3)],
+        format="csr")
     assert abs(tensor_B - B).max() <= 1e-13 * abs(B).max()
     block = assemble_diffusion(S, field.scaled(eps), drag=sigma)
     pencils = microscale._block_pencils(S, field, eps, sigma)
+    system = BlockSaddleSolver([pencils] * 3, factors, pressure_gauge(Q),
+                               np.zeros(V.ndof), axis_pencils(Q), nu=1.0,
+                               sigma=sigma)._system
     rng = np.random.default_rng(7)
     u, q = rng.standard_normal(V.ndof), rng.standard_normal(Q.ndof)
     for got, ref in (
-            (linalg._block_apply([_term(pencils, a) for a in range(3)], u),
-             (block @ u.reshape(3, -1).T).T.ravel()),
-            (linalg._tensor_divergence(factors, u), B @ u),
-            (linalg._tensor_gradient([(m.T, d.T) for m, d in factors], q),
-             B.T @ q)):
+            (system.K @ u, (block @ u.reshape(3, -1).T).T.ravel()),
+            (system.B @ u, B @ u),
+            (system.B.T @ q, B.T @ q)):
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 

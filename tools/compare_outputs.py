@@ -5,8 +5,11 @@
 Runs `thinflow run`, `diag` and `cell` (at its own regime) on each config in
 OLD_TREE/configs with each tree's src/, writing under DIR (default: a new
 temporary directory), and prints whether exit status and verdict lines
-agree, and per file "byte-identical" or, for a CSV, the largest relative
-drift |a - b| / max(|a|, |b|) of each column that differs."""
+agree, and per file "byte-identical" or, for a CSV, the drift of each column
+that differs: the largest relative drift |a - b| / max(|a|, |b|) of an
+entry, and in parentheses the largest |a - b| against the column's largest
+magnitude.  Exits with status 1 if an exit status or the verdict lines of a
+command differ between the trees, and 0 otherwise."""
 
 import argparse
 import csv
@@ -32,23 +35,38 @@ def run(tree, command, config, outdir):
                             out.stdout.splitlines() if line.startswith("[")]
 
 
+def _number(text):
+    """The value of a CSV field, or None if it is not a number."""
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
 def drift(a, b):
-    """Largest relative drift of each CSV column that differs."""
+    """Drift of each CSV column that differs: the largest entry drift
+    |x - y| / max(|x|, |y|), and the largest |x - y| against the column's
+    largest magnitude in either file, so that a roundoff entry beside
+    entries of order one does not read as a 100% drift."""
     rows_a, rows_b = (list(csv.reader(p.open())) for p in (a, b))
     if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
         return "shape differs"
-    worst = {}
+    worst, gap, size = {}, {}, {}
     for ra, rb in zip(rows_a[1:], rows_b[1:]):
         for name, x, y in zip(rows_a[0], ra, rb):
-            if x == y:
+            x, y, differs = _number(x), _number(y), x != y
+            if x is None or y is None:
+                if differs:
+                    return f"text differs in column {name}"
                 continue
-            try:
-                x, y = float(x), float(y)
-            except ValueError:
-                return f"text differs in column {name}"
-            worst[name] = max(worst.get(name, 0.0),
-                              abs(x - y) / max(abs(x), abs(y)))
-    return "drift " + " ".join(f"{k}={v:.2e}" for k, v in worst.items())
+            size[name] = max(size.get(name, 0.0), abs(x), abs(y))
+            if differs:
+                worst[name] = max(worst.get(name, 0.0),
+                                  abs(x - y) / max(abs(x), abs(y)))
+                gap[name] = max(gap.get(name, 0.0), abs(x - y))
+    return "drift " + " ".join(
+        f"{k}={v:.2e} (column {gap[k] / size[k]:.2e})"
+        for k, v in worst.items())
 
 
 def main():
@@ -57,6 +75,7 @@ def main():
         parser.add_argument(name)
     args = parser.parse_args()
     work = Path(args.work or tempfile.mkdtemp(prefix="compare_outputs_"))
+    same = True
     for config in sorted(Path(args.old, "configs").glob("*.json")):
         for command in ("run", "diag", "cell"):
             dirs = [work / side / config.stem / command for side in "ab"]
@@ -65,6 +84,7 @@ def main():
                 for tree, d in zip((args.old, args.new), dirs))
             print(f"{config.stem} {command}: exit {code_a} -> {code_b}, "
                   f"verdicts {'same' if seen_a == seen_b else 'DIFFERENT'}")
+            same = same and code_a == code_b and seen_a == seen_b
             for name in sorted({p.name for d in dirs for p in d.glob("*")}):
                 a, b = (d / name for d in dirs)
                 if not (a.exists() and b.exists()):
@@ -74,7 +94,8 @@ def main():
                 else:
                     verdict = drift(a, b) if a.suffix == ".csv" else "differs"
                 print(f"  {name}: {verdict}")
+    return 0 if same else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
