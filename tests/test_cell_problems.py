@@ -205,13 +205,6 @@ def _reject_pencils(blocks):
             for block in blocks]
 
 
-def _nan_coordinates(monkeypatch):
-    monkeypatch.setattr(linalg._FusedInverse, "coordinates",
-                        lambda self, load: np.full(
-                            (len(self._fused), load.size // len(self._fused)),
-                            np.nan))
-
-
 @pytest.mark.parametrize("mesh", [build_cell_mesh(GEOM, 4, 8),
                                   build_cell_mesh(GEOM_D3, 2, 4)],
                          ids=["d2", "d3"])
@@ -229,7 +222,8 @@ def test_ladder_level_falls_back_to_pinned_lu(monkeypatch, mesh, broken):
     if broken == "rejected_pencils":
         natural, clamped = _reject_pencils((natural, clamped))
     else:
-        _nan_coordinates(monkeypatch)
+        monkeypatch.setattr(linalg._FusedInverse, "coordinates",
+                            lambda self, load: np.full(load.shape, np.nan))
     load = assemble_load(V, np.eye(d)[d - 1])
     counts = SolveCounts()
     solver = BlockSaddleSolver([natural] * (d - 1) + [clamped],
