@@ -32,9 +32,13 @@ block diagonal with one scalar block per velocity component: the d = 3 DNS,
 where every wall clamps every component and the d blocks are one, and the
 regime-ii cell ladder, where the walls clamp the wall-normal component only,
 so the tangential components share one block with natural walls and the
-wall-normal one has its own.  It takes the blocks alone, one per component,
-and pins no dof: it solves each load by CG on the pressure Schur complement
-over the whole pressure space, and shifts the answer to gauge^T p = 0.  The
+wall-normal one has its own.  It takes the blocks alone, one per component.
+A run of adjacent components that share one block is a group: one object
+that holds its rows of u, its parts of K, B and B^T, and its part of
+K^{-1}.  The solver runs every operation group by group, so the DNS (one
+group) and the ladder (two) take the same code.  It pins no dof: it solves
+each load by CG on the pressure Schur complement over the whole pressure
+space, and shifts the answer to gauge^T p = 0.  The
 Cahouet-Chabard preconditioner nu M_p^{-1} + sigma L_p^+ (pressure mass
 matrix and Neumann Laplacian) acts on mean-zero pressures, as Cahouet &
 Chabard define it (Int. J. Numer. Meth. Fluids 8, 1988).  On a tensor mesh
@@ -46,13 +50,14 @@ component's block of B is a Kronecker product of 1-D mass and derivative
 matrices on that component's free nodes, never assembled and applied by
 per-axis products (sum factorization: Deville, Fischer & Mund, High-Order
 Methods for Incompressible Fluid Flow, 2002; meshing._kron_apply).  A block
-has two.  Assembled, it is factored alone, with the direct path's SuperLU
-options.  In tensor form (a coefficient that is a diagonal matrix times a
-profile across the layer, or a level of the regime-ii ladder), it is the
-Kronecker sum of per-axis pencils: it is not assembled either, its inverse
-is the reciprocal in the pencils' eigenbasis, and each CG product runs
-there with B fused into the basis, so nothing is factored.  One CG loop
-serves both forms.  Every solve refines a start pair, by default the
+has two, which make the two kinds of group.  Assembled (_BlockLU), it is
+factored alone, with the direct path's SuperLU options.  In tensor form
+(_FusedInverse: a coefficient that is a diagonal matrix times a profile
+across the layer, or a level of the regime-ii ladder), it is the Kronecker
+sum of per-axis pencils: it is not assembled either, its inverse is the
+reciprocal in the pencils' eigenbasis, and each CG product runs there with
+B fused into the basis, so nothing is factored.  One CG loop serves both
+kinds.  Every solve refines a start pair, by default the
 previous solution, so the steps of a Picard loop start warm; the cell ladder
 gives each level the previous level's pair of the same load.  A solve runs
 until the backward error is at roundoff.  Its result is checked against the
@@ -64,10 +69,10 @@ fallbacks.
 A block solver builds once what its solves reuse: the transposes of the
 divergence factors that B^T q takes, a dense copy of each 1-D factor, the
 Frobenius norms of K and B (from the dense copies' inner products), and one
-eigendecomposition per distinct pencil (the horizontal axes of a square box
-share theirs, and so do the blocks of the cell's components), so a solve
-constructs no sparse matrix.  It keeps K u,
-B^T q and B u of its current pair, so a sweep applies each once.  Its norms
+eigendecomposition per distinct pencil across its groups (the horizontal
+axes of a square box share theirs, and so do the blocks of the cell's
+components), so a solve constructs no sparse matrix.  It keeps K u, B^T q
+and B u of its current pair, so a sweep applies each once.  Its norms
 are summed by numpy (_norm), not taken with np.linalg.norm: that is a BLAS
 ddot, which OpenBLAS splits across its threads on a long vector, and on a
 layer waking them costs more than the sum.
@@ -114,8 +119,8 @@ class SaddleSystem:
     """Velocity block, optional coupling block and gauge.
 
     The constraint is B u = 0; rhs_u, the only load, may hold one load per
-    column.  residual() needs only K @ u, B @ u and B.T @ p: K and B may be
-    LinearOperators.
+    column.  K and B are sparse matrices: the block path forms them only
+    when it goes over to the direct path.
     """
 
     K: sp.spmatrix
@@ -349,35 +354,6 @@ def _kronecker_norm(terms):
                              for s in terms for t in terms)))
 
 
-def _block_apply(groups, u):
-    """K u for u listed component by component, K block diagonal with one
-    block per component: groups [(where, members, terms), ...] give each
-    group's slice of u, its components and its block, the sum of the
-    Kronecker products of the terms [[T_{t,0}, ...], ...] (the assembled
-    block as one term of one factor, or the d terms of the Kronecker sum of
-    per-axis pencils), applied to the group's rows at once by per-axis
-    products."""
-    out = np.empty_like(u)
-    for where, group, terms in groups:
-        x = u[where].reshape(len(group), -1)
-        out[where] = sum(_kron_apply(term, x) for term in terms).ravel()
-    return out
-
-
-def _tensor_divergence(terms, cuts, u):
-    """B u = sum_a B_a u_a, B_a = (x)_c terms[a][c], with u split into its
-    components at cuts (np.split: indices, or a count of equal parts):
-    per-axis sparse products."""
-    return sum(_kron_apply(term, x)
-               for term, x in zip(terms, np.split(np.ravel(u), cuts)))
-
-
-def _tensor_gradient(transposed, q):
-    """B^T q, component by component: per-axis sparse products with the
-    transposed factors transposed[a] of each component's block of B."""
-    return np.concatenate([_kron_apply(term, q) for term in transposed])
-
-
 def _pencil_eigh(stiffness, mass):
     """(lam, V) with K V = M V diag(lam) and V^T M V = I, lam ascending, for
     a symmetric pencil (K, M) with M positive definite, by the Cholesky
@@ -389,24 +365,29 @@ def _pencil_eigh(stiffness, mass):
     return lam, np.linalg.solve(lower.T, w)
 
 
-def _decomposed(pencil, done):
-    """The decomposition (lam, V, |V|_2) of a pencil (M, K): its eigenpairs
-    (_pencil_eigh) and the spectral norm of its eigenbasis.  It is the one
-    the pencil carries as (M, K, (lam, V, |V|_2)), or that of an equal
-    pencil in done, the list [(pencil, decomposition), ...] of the dense
-    pencils decomposed so far, or else its own, made dense once and added
-    to done."""
-    if len(pencil) > 2:
-        return pencil[2]
-    mass, stiffness = pencil
-    key = (_dense(stiffness), _dense(mass))
-    for seen, found in done:
-        if all(np.array_equal(x, y) for x, y in zip(seen, key)):
-            return found
-    lam, vec = _pencil_eigh(*key)
-    found = (lam, vec, np.linalg.norm(vec, 2))
-    done.append((key, found))
-    return found
+def _decomposed(blocks):
+    """The per-axis pencil lists blocks [[(M_a, K_a), ...], ...] as dense
+    pencils that carry their decompositions, [[(M_a, K_a, (lam_a, V_a,
+    |V_a|_2)), ...], ...]: the eigenpairs (_pencil_eigh) and the spectral
+    norm of the eigenbasis.  A pencil keeps the decomposition it carries,
+    and equal pencils share one across the lists (the horizontal axes of a
+    square box, the blocks of the cell's components), so each distinct
+    pencil is decomposed once."""
+    seen = []
+
+    def decomposed(pencil):
+        mass, stiffness = _dense(pencil[0]), _dense(pencil[1])
+        if len(pencil) > 2:
+            return mass, stiffness, pencil[2]
+        for other in seen:
+            if np.array_equal(other[0], mass) \
+                    and np.array_equal(other[1], stiffness):
+                return mass, stiffness, other[2]
+        lam, vec = _pencil_eigh(stiffness, mass)
+        seen.append((mass, stiffness, (lam, vec, np.linalg.norm(vec, 2))))
+        return seen[-1]
+
+    return [[decomposed(pencil) for pencil in block] for block in blocks]
 
 
 def with_eigenpairs(pencils):
@@ -417,10 +398,7 @@ def with_eigenpairs(pencils):
     scaled and shifted, (M, s K + t M), has the eigenpairs (s lam + t, V):
     the levels of the regime-ii cell ladder take theirs from one
     decomposition, and scale and shift the dense 1-D matrices alone."""
-    done = []
-    return [(_dense(mass), _dense(stiffness),
-             _decomposed((mass, stiffness), done))
-            for mass, stiffness in pencils]
+    return _decomposed([pencils])[0]
 
 
 class _KroneckerSumFunction:
@@ -441,26 +419,21 @@ class _KroneckerSumFunction:
     two transforms, a dense 1-D matrix per axis, and a product with g:
     nothing is assembled, and only the 1-D mass matrices are factored, by
     numpy's Cholesky in _pencil_eigh.  The pencils may be sparse or dense,
-    and each is decomposed once (_decomposed): a pencil may carry its
-    eigenpairs (with_eigenpairs), equal pencils (the horizontal axes of a
-    square box) share one decomposition, and so do the functions that
-    share the list done.  solve() takes and returns a vector, or one column
-    per load as a SuperLU object does.
+    and may carry their eigenpairs (with_eigenpairs); equal pencils (the
+    horizontal axes of a square box) share one decomposition.  solve()
+    takes and returns a vector, or one column per load as a SuperLU object
+    does.
     """
 
-    def __init__(self, pencils, n, what, g, neumann=False, done=None):
+    def __init__(self, pencils, n, what, g, neumann=False):
         sizes = tuple(pencil[0].shape[0] for pencil in pencils)
         if int(np.prod(sizes)) != n:
             raise ComponentLayoutError(
                 f"pencils of sizes {sizes} do not tile {n} {what} dofs")
-        values, self._bases, self._basis_norms = [], [], []
-        done = [] if done is None else done
-        for pencil in pencils:
-            lam, vec, norm = _decomposed(pencil, done)
-            values.append(np.concatenate([[0.0], lam[1:]]) if neumann
-                          else lam)
-            self._bases.append(vec)
-            self._basis_norms.append(norm)
+        values, self._bases, _ = zip(*(pencil[2] for pencil in
+                                       with_eigenpairs(pencils)))
+        if neumann:
+            values = [np.concatenate([[0.0], lam[1:]]) for lam in values]
         self._g = g(functools.reduce(np.add.outer, values).ravel())
 
     def solve(self, rhs):
@@ -475,113 +448,158 @@ def _cahouet_chabard(nu, sigma, lam):
     return g
 
 
-class _BlockLU:
-    """A^{-1} on the k components that share the assembled block A, by one
-    LU of A, with their blocks of B and B^T applied by per-axis products of
-    the divergence factors terms and their transposes transposed.  A
-    velocity is its own coordinates."""
+class _Group:
+    """A group of a block solver: a run of k adjacent velocity components
+    that share one block A, on its rows where of u, which reshape to one
+    row per component.
 
-    basis_norm = 1.0
+    Its part of K u applies the block's terms, A = sum_t (x)_c T_{t,c}, to
+    its k rows at once by per-axis products; its parts of B u and B^T q
+    take each component's divergence factors terms[j], B_j = (x)_c
+    terms[j][c], and their transposes, built once.  norm is the Frobenius
+    norm of its part of K.
 
-    def __init__(self, block, terms, transposed, counts):
-        counts.factorizations += 1
-        self._lu, self._terms = _splu(block), terms
-        self._transposed = transposed
-
-    def coordinates(self, load):
-        """A^{-1} load: one solve with A, a column per component."""
-        return self._lu.solve(
-            load.reshape(len(self._terms), -1).T).T.ravel()
-
-    def velocity(self, hat):
-        return np.ravel(hat)
-
-    def divergence(self, hat):
-        return _tensor_divergence(self._terms, len(self._terms), hat)
-
-    def schur(self, direction):
-        """The coordinates of w = A^{-1} B^T direction, and B w."""
-        w = self.coordinates(_tensor_gradient(self._transposed, direction))
-        return w, self.divergence(w)
-
-
-class _FusedInverse(_KroneckerSumFunction):
-    """A^{-1} on the k components that share the block A, in the eigenbasis
-    V of its pencils, with their blocks of the tensor divergence B_a =
-    (x)_c F_{a,c} (terms[j] for the j-th of them) fused into it.
-
-    A velocity is held by its coordinates in V, one row per component:
-    u_a = V hat_a, and A^{-1} f has hat_a = diag(1 / lam) V^T f_a.  With
-    E_a = (x)_c E_{a,c}, E_{a,c} = F_{a,c} V_c a dense m_c x n_c matrix
-    built once, B u = sum_a E_a hat_a, and the Schur product B A^{-1} B^T d
-    = sum_a E_a diag(1 / lam) E_a^T d is 2 d dense per-axis products per
-    component: no sparse product and no basis transform.  basis_norm,
-    prod_c |V_c|_2, bounds |V hat| / |hat|.  done is shared with the other
-    blocks' inverses (_KroneckerSumFunction).
+    invert() builds its part of K^{-1}, which holds a velocity by its
+    coordinates: an array of the shape of u, of which the group reads and
+    writes its own rows.  coordinates(load, hat) writes those of
+    A^{-1} load into hat, velocity(hat, u) the velocity they stand for into
+    u, hat_divergence(hat) is the group's part of B u from the coordinates
+    of u, and schur(direction, w) writes the coordinates of
+    A^{-1} B^T direction into w and returns its divergence.  basis_norm
+    bounds |u| / |hat| on the group's rows.
     """
 
-    def __init__(self, pencils, terms, done):
-        super().__init__(pencils, int(np.prod([pencil[0].shape[0]
-                                                for pencil in pencils])),
-                         "velocity block", np.reciprocal, done=done)
-        self._fused = [[np.asarray(f @ vec) for f, vec in
-                        zip(term, self._bases)] for term in terms]
-        self._fused_t = [[e.T for e in fused] for fused in self._fused]
-        self.basis_norm = float(np.prod(self._basis_norms))
+    def __init__(self, where, block_terms, terms):
+        self.where, self._block_terms, self._terms = where, block_terms, terms
+        self._transposed = [[mat.T for mat in term] for term in terms]
 
-    def coordinates(self, load):
-        """The coordinates of A^{-1} load."""
-        return self._g * _kron_apply([vec.T for vec in self._bases],
-                                     load.reshape(len(self._fused), -1))
+    def _rows(self, x):
+        """The group's rows of x, one per component."""
+        return x[self.where].reshape(len(self._terms), -1)
 
-    def velocity(self, hat):
-        return _kron_apply(self._bases, hat).ravel()
+    def _divergence(self, factors, x):
+        return sum(_kron_apply(term, row)
+                   for term, row in zip(factors, self._rows(x)))
 
-    def divergence(self, hat):
-        return sum(_kron_apply(fused, h) for fused, h in zip(self._fused, hat))
+    def apply(self, u):
+        """The group's rows of K u."""
+        rows = self._rows(u)
+        return sum(_kron_apply(term, rows)
+                   for term in self._block_terms).ravel()
 
-    def schur(self, direction):
-        """The coordinates of w = A^{-1} B^T direction, and B w."""
-        hat = self._g * np.stack([_kron_apply(fused_t, direction)
-                                  for fused_t in self._fused_t])
-        return hat, self.divergence(hat)
+    def gradient(self, q):
+        """The group's rows of B^T q, one array per component."""
+        return [_kron_apply(term, q) for term in self._transposed]
+
+    def divergence(self, u):
+        """The group's part of B u."""
+        return self._divergence(self._terms, u)
+
+    def hat_divergence(self, hat):
+        """The group's part of B u, from the coordinates of u."""
+        return self._divergence(self._hat_terms, hat)
+
+    def assembled(self):
+        """The group's blocks of K as sparse matrices, one per component."""
+        return [sum(_kron(term) for term in self._block_terms)] \
+            * len(self._terms)
 
 
-class _ComponentInverses:
-    """K^{-1} for components with different blocks: the inverse of each
-    group of adjacent components that share a block, on that group's rows.
-    The coordinates of a velocity are those of the groups, one group after
-    the other, each flattened; basis_norm is the largest of the groups'."""
+class _BlockLU(_Group):
+    """An assembled group: A is a sparse matrix, applied as one term of one
+    factor and factored once by invert(), with the direct path's SuperLU
+    options.  Its part of K^{-1} is one triangular solve with a column per
+    component, and a velocity is its own coordinates."""
 
-    def __init__(self, parts, n_u):
-        # parts [(where, k, inverse), ...]: the group's slice of u, its
-        # component count and its inverse; a group has as many coordinates
-        # as velocity dofs
-        self._parts, self._n_u = parts, n_u
-        self._cuts = [where.stop for where, _, _ in parts[:-1]]
-        self.basis_norm = max(inverse.basis_norm for _, _, inverse in parts)
+    pencils = ()
+    basis_norm = 1.0
 
-    def _groups(self, hat):
-        return zip(self._parts, np.split(hat, self._cuts))
+    def __init__(self, where, block, terms, counts):
+        sizes = [[mat.shape[1] for mat in term] for term in terms]
+        if any(block.shape != (int(np.prod(s)),) * 2 for s in sizes):
+            raise ComponentLayoutError(
+                f"divergence factors of sizes {sizes} do not tile a block "
+                f"of shape {block.shape}")
+        super().__init__(where, [[block]], terms)
+        self._hat_terms, self._counts = terms, counts
+        self.norm = np.sqrt(len(terms)) * _norm(block.data)
 
-    def coordinates(self, load):
-        return np.concatenate([np.ravel(inverse.coordinates(load[where]))
-                               for where, _, inverse in self._parts])
+    def invert(self, pencils):
+        """Factor A; pencils is empty, as an assembled group has none."""
+        self._counts.factorizations += 1
+        self._lu = _splu(self._block_terms[0][0])
 
-    def velocity(self, hat):
-        u = np.empty(self._n_u)
-        for (where, k, inverse), h in self._groups(hat):
-            u[where] = inverse.velocity(h.reshape(k, -1))
-        return u
+    def _solve(self, rows, out):
+        out[...] = self._lu.solve(rows.T).T
 
-    def divergence(self, hat):
-        return sum(inverse.divergence(h.reshape(k, -1))
-                   for (_, k, inverse), h in self._groups(hat))
+    def coordinates(self, load, hat):
+        self._solve(self._rows(load), self._rows(hat))
 
-    def schur(self, direction):
-        parts = [inverse.schur(direction) for _, _, inverse in self._parts]
-        return (np.concatenate([np.ravel(w) for w, _ in parts]),
-                sum(s for _, s in parts))
+    def velocity(self, hat, u):
+        u[self.where] = hat[self.where]
+
+    def schur(self, direction, w):
+        self._solve(np.stack(self.gradient(direction)), self._rows(w))
+        return self.hat_divergence(w)
+
+
+class _FusedInverse(_Group):
+    """A tensor group: A is the Kronecker sum of the per-axis pencils
+    [(M_c, K_c), ...] (a coefficient that is a diagonal matrix times a
+    profile across the layer, or a level of the regime-ii cell ladder),
+    applied as the sum of its d terms of per-axis products.  The pencils
+    may carry their eigenpairs (with_eigenpairs); K u applies them as
+    given (sparse in the DNS), and the norm takes their dense copies.
+
+    invert() takes the eigenbasis V of the pencils, and A^{-1} runs there
+    with the components' blocks of the tensor divergence B_j = (x)_c
+    F_{j,c} fused into it.  A velocity is held by its coordinates in V:
+    u_j = V hat_j, and A^{-1} f has hat_j = diag(1 / lam) V^T f_j.  With
+    E_j = (x)_c E_{j,c}, E_{j,c} = F_{j,c} V_c a dense m_c x n_c matrix
+    built once, B u = sum_j E_j hat_j, and the Schur product B A^{-1} B^T d
+    = sum_j E_j diag(1 / lam) E_j^T d is 2 d dense per-axis products per
+    component: no sparse product and no basis transform.  basis_norm is
+    prod_c |V_c|_2.
+    """
+
+    def __init__(self, where, pencils, terms):
+        pairs = [pencil[:2] for pencil in pencils]
+        lengths = [mass.shape[0] for mass, _ in pairs]
+        sizes = [[mat.shape[1] for mat in term] for term in terms]
+        if any(s != lengths for s in sizes):
+            raise ComponentLayoutError(
+                f"divergence factors of sizes {sizes} do not tile block "
+                f"pencils of sizes {lengths}")
+        super().__init__(where, [_term(pairs, c) for c in range(len(pairs))],
+                         terms)
+        dense = _dense_pairs(pairs)
+        self.norm = np.sqrt(len(terms)) * _kronecker_norm(
+            [_term(dense, c) for c in range(len(dense))])
+        self.pencils = pencils
+
+    def invert(self, pencils):
+        """Fuse B into the eigenbasis of pencils, the group's pencils with
+        their decompositions (_decomposed)."""
+        lam, self._bases, norms = zip(*(pencil[2] for pencil in pencils))
+        self._g = np.reciprocal(functools.reduce(np.add.outer, lam).ravel())
+        self._hat_terms = [[np.asarray(f @ vec) for f, vec in
+                            zip(term, self._bases)] for term in self._terms]
+        self._hat_t = [[e.T for e in fused] for fused in self._hat_terms]
+        self.basis_norm = float(np.prod(norms))
+
+    def coordinates(self, load, hat):
+        np.multiply(self._g, _kron_apply([vec.T for vec in self._bases],
+                                         self._rows(load)),
+                    out=self._rows(hat))
+
+    def velocity(self, hat, u):
+        self._rows(u)[...] = _kron_apply(self._bases, self._rows(hat))
+
+    def schur(self, direction, w):
+        np.multiply(self._g, np.stack([_kron_apply(fused_t, direction)
+                                       for fused_t in self._hat_t]),
+                    out=self._rows(w))
+        return self.hat_divergence(w)
 
 
 class BlockSaddleSolver:
@@ -596,27 +614,27 @@ class BlockSaddleSolver:
     [(M_c, D_c), ...] per component a, with B_a = (x)_c F_{a,c}, F_{a,c} =
     D_c for c = a and M_c otherwise.  Components may have different free
     nodes (a wall that clamps the wall-normal component only), so each has
-    its own factors and its own block; adjacent components that share one
+    its own factors and its own block.  Adjacent components that share one
     block (the same object: the d = 3 DNS passes d copies of one, the
-    regime-ii cell one for its tangential components) form a group, whose
-    block is decomposed once and applied to the group's rows at once.  B is not
-    assembled, B u and B^T q are per-axis sparse products (B^T q with the
-    factors' transposes, built once), and its Frobenius norm comes from the
-    inner products of the factors' dense copies, made once.  A block comes
-    in one of two forms:
+    regime-ii cell one for its tangential components) form a group
+    (_Group), and every operation runs group by group: the group holds its
+    rows of u, its parts of K, B and B^T, applied by per-axis products to
+    all its rows at once, and its part of K^{-1}.  B is not assembled
+    (B^T q takes the factors' transposes, built once), and its Frobenius
+    norm comes from the inner products of the factors' dense copies, made
+    once.  A block comes in one of two forms, which make the two kinds of
+    group:
 
-    - assembled: a sparse matrix.  The group's part of K u is A applied to
-      the (k, n) reshape of its rows, and A is factored once: its part of
+    - assembled (_BlockLU): a sparse matrix, factored once: its part of
       K^{-1} is one triangular solve with a column per component.
-    - tensor: the per-axis pencils [(M_a, K_a), ...] whose Kronecker sum
-      is A (a coefficient that is a diagonal matrix times a profile across
-      the layer, or the regime-ii cell's s Laplacian plus a drag).  Its
-      part of K u is a sum of per-axis sparse products; the pencils are
-      made dense once, |A| comes from their inner products, and A^{-1} is
-      applied exactly in their eigenbasis (_pencil_eigh) with B fused into
-      it (_FusedInverse), so nothing is factored, and a CG iteration takes
-      dense per-axis products only.  Each distinct 1-D pencil is
-      decomposed once for all the blocks.
+    - tensor (_FusedInverse): the per-axis pencils [(M_a, K_a), ...] whose
+      Kronecker sum is A.  Its part of K u is a sum of per-axis sparse
+      products, |A| comes from the inner products of the dense pencils, and
+      A^{-1} is applied exactly in their eigenbasis (_pencil_eigh) with B
+      fused into it, so nothing is factored, and a CG iteration takes
+      dense per-axis products only.  The solver decomposes the pencils of
+      all its tensor groups at once (_decomposed), each distinct 1-D pencil
+      once.
 
     No pressure dof is pinned: q runs over the whole pressure space, and
     the constraint is B u = 0, whose residual sums to zero.  A solve
@@ -638,8 +656,8 @@ class BlockSaddleSolver:
     (_KroneckerSumFunction), so no pressure matrix is factored.  It maps
     every residual to a vector of zero mean, so the CG iterates stay in the
     space where the Schur complement is definite.  CG accumulates du in the
-    coordinates of the inverse (the eigenbasis, in tensor form) and
-    transforms it back once per sweep.  Sweeps end when the
+    groups' coordinates (the eigenbasis, in tensor form) and transforms it
+    back once per sweep.  Sweeps end when the
     backward error of both equations, |R_u| against |K| |u| + |B| |q| + |f|
     and |B u| against |B| |u| (Frobenius norms, |K|^2 the sum of the
     blocks' |A_a|^2), is at most the machine epsilon, as for the direct LU,
@@ -675,81 +693,39 @@ class BlockSaddleSolver:
     def __init__(self, blocks, B, gauge, rhs_u, pencils, nu, sigma,
                  counts=None):
         self.counts = SolveCounts() if counts is None else counts
-        self._ncomp = len(B)
+        ncomp = len(B)
         shapes = [[(mass.shape, der.shape) for mass, der in factors]
                   for factors in B]
-        if len(blocks) != self._ncomp \
-                or any(len(axes) != self._ncomp for axes in shapes) \
+        if len(blocks) != ncomp \
+                or any(len(axes) != ncomp for axes in shapes) \
                 or any(m != d or m[0] != p[0] for axes in shapes
                        for (m, d), (p, _) in zip(axes, shapes[0])):
             raise ComponentLayoutError(
                 f"{len(blocks)} blocks and divergence factors of shapes "
-                f"{shapes} do not tile {self._ncomp} velocity components")
-        sizes = [[m[1] for m, _ in axes] for axes in shapes]
-        ndofs = [int(np.prod(s)) for s in sizes]
-        offsets = np.concatenate([[0], np.cumsum(ndofs)])
+                f"{shapes} do not tile {ncomp} velocity components")
+        offsets = np.cumsum([0] + [int(np.prod([m[1] for m, _ in axes]))
+                                   for axes in shapes])
         n_u, n_p = int(offsets[-1]), int(np.prod([m[0] for m, _ in
                                                    shapes[0]]))
         terms = [_term(factors, a) for a, factors in enumerate(B)]
-        transposed = [[mat.T for mat in term] for term in terms]
-        # a group is a run of adjacent components that share one block; per
-        # group: its rows of u, its components and its block's terms, and
-        # the norm of its part of K; the inverses are built once all is
-        # checked
-        self._groups, norms, inverses, done = [], [], [], []
-        for _, run in itertools.groupby(range(self._ncomp),
+        self._groups = []
+        for _, run in itertools.groupby(range(ncomp),
                                         key=lambda a: id(blocks[a])):
             group = list(run)
-            block = blocks[group[0]]
-            if sp.issparse(block):
-                what = f"a block of shape {block.shape}"
-                tiles = all(block.shape == (ndofs[a],) * 2 for a in group)
-                block_terms, norm = [[block]], _norm(block.data)
-                inverses.append(functools.partial(
-                    _BlockLU, block, [terms[a] for a in group],
-                    [transposed[a] for a in group], self.counts))
-            else:
-                # a pencil may carry its eigenpairs (with_eigenpairs)
-                pairs = [pencil[:2] for pencil in block]
-                lengths = [mass.shape[0] for mass, _ in pairs]
-                what = f"block pencils of sizes {lengths}"
-                tiles = all(lengths == sizes[a] for a in group)
-                block_terms = [_term(pairs, c) for c in range(len(pairs))]
-                # K u applies the pencils as given (sparse in the DNS), the
-                # norm and the inverse take their dense copies
-                dense = _dense_pairs(pairs)
-                norm = _kronecker_norm([_term(dense, c)
-                                        for c in range(len(dense))])
-                inverses.append(functools.partial(
-                    _FusedInverse, [pair + tuple(pencil[2:]) for pair, pencil
-                                    in zip(dense, block)],
-                    [terms[a] for a in group], done))
-            if not tiles:
-                raise ComponentLayoutError(
-                    f"divergence factors of shapes {shapes} do not tile "
-                    f"{what}")
             where = slice(int(offsets[group[0]]), int(offsets[group[-1] + 1]))
-            self._groups.append((where, group, block_terms))
-            norms.append(np.sqrt(len(group)) * norm)
+            block, group_terms = blocks[group[0]], [terms[a] for a in group]
+            self._groups.append(
+                _BlockLU(where, block, group_terms, self.counts)
+                if sp.issparse(block)
+                else _FusedInverse(where, block, group_terms))
         self._factors = B
         dense = {id(factors): _dense_pairs(factors) for factors in B}
-        self._norms = (_norm(np.array(norms)), np.sqrt(sum(
-            _kronecker_norm([_term(dense[id(factors)], a)]) ** 2
-            for a, factors in enumerate(B))))
-        # no bound method is kept: a cycle would keep the inverse until gc
-        # next runs
-        self._system = SaddleSystem(
-            K=spla.LinearOperator(
-                (n_u, n_u), matvec=functools.partial(_block_apply,
-                                                     self._groups),
-                dtype=float),
-            B=spla.LinearOperator(
-                (n_p, n_u), matvec=functools.partial(
-                    _tensor_divergence, terms, offsets[1:-1]),
-                rmatvec=functools.partial(_tensor_gradient, transposed),
-                dtype=float),
-            gauge=gauge, rhs_u=rhs_u)
+        self._norms = (_norm(np.array([group.norm for group in self._groups])),
+                       np.sqrt(sum(
+                           _kronecker_norm([_term(dense[id(factors)], a)]) ** 2
+                           for a, factors in enumerate(B))))
         self._gauge = _checked_gauge(gauge)
+        self._rhs_u = np.zeros(n_u) if rhs_u is None else rhs_u
         self._precondition = _KroneckerSumFunction(
             pencils, n_p, "pressure",
             functools.partial(_cahouet_chabard, nu, sigma), neumann=True)
@@ -758,25 +734,36 @@ class BlockSaddleSolver:
         self._q = np.zeros(n_p)
         self._products = (np.zeros(n_u), np.zeros(n_u), np.zeros(n_p))
         self._direct = None
-        # K^{-1}: without one the first solve takes the direct path
+        # K^{-1}: without it the first solve takes the direct path
         try:
-            parts = [(where, len(group), invert()) for (where, group, _),
-                     invert in zip(self._groups, inverses)]
+            for group, decomposed in zip(self._groups, _decomposed(
+                    [group.pencils for group in self._groups])):
+                group.invert(decomposed)
         except (RuntimeError, np.linalg.LinAlgError):
-            self._inverse = None
+            self._inverted = False
         else:
-            # one group holds every component, in order
-            self._inverse = parts[0][2] if len(parts) == 1 \
-                else _ComponentInverses(parts, n_u)
+            self._inverted = True
 
     def _assembled(self):
         """K and B as sparse matrices, for the direct path."""
-        blocks = [None] * self._ncomp
-        for _, group, terms in self._groups:
-            block = sum(_kron(term) for term in terms)
-            for a in group:
-                blocks[a] = block
-        return sp.block_diag(blocks, format="csr"), _kron_row(self._factors)
+        return (sp.block_diag([block for group in self._groups
+                               for block in group.assembled()], format="csr"),
+                _kron_row(self._factors))
+
+    def _apply(self, u, q):
+        """K u, B^T q and B u."""
+        groups = self._groups
+        return (np.concatenate([group.apply(u) for group in groups]),
+                np.concatenate([x for group in groups
+                                for x in group.gradient(q)]),
+                sum(group.divergence(u) for group in groups))
+
+    def _velocity(self, hat):
+        """The velocity of the coordinates hat."""
+        u = np.empty_like(hat)
+        for group in self._groups:
+            group.velocity(hat, u)
+        return u
 
     def _backward_error(self, u, q, f, products):
         """Backward error of (u, q) in both equations, from its products
@@ -795,32 +782,35 @@ class BlockSaddleSolver:
         iterations taken.  CG stops when the divergence it leaves meets the
         backward-error goal, or is _SWEEP_REDUCTION of the first one: the
         next sweep goes on from a fresh residual.  du is kept in the
-        coordinates of the inverse, and formed only where the bound
+        groups' coordinates, and formed only where the bound
         |u| + basis_norm |du_hat| of |u + du| says that the goal may be
         met; the du formed for the last test is the one returned."""
-        inverse, norm_b = self._inverse, self._norms[1]
+        groups, norm_b = self._groups, self._norms[1]
+        basis_norm = max(group.basis_norm for group in groups)
         dq = np.zeros(div.size)
-        du = inverse.coordinates(res_u)
-        res = inverse.divergence(du) + div      # the divergence of u + du
+        du, w = np.empty_like(res_u), np.empty_like(res_u)
+        for group in groups:
+            group.coordinates(res_u, du)
+        # the divergence of u + du
+        res = sum(group.hat_divergence(du) for group in groups) + div
         floor = _SWEEP_REDUCTION * _norm(res)
         size_u = _norm(u)
         direction, rz = None, 1.0
         for iterations in range(budget + 1):
             formed = None
             size = _norm(res)
-            bound = (size_u + inverse.basis_norm * _norm(du)) \
-                * (1 + _BOUND_SLACK)
+            bound = (size_u + basis_norm * _norm(du)) * (1 + _BOUND_SLACK)
             if iterations == budget or size <= floor:
                 break
             if size <= _BACKWARD_GOAL * (norm_b * bound):
-                formed = inverse.velocity(du)
+                formed = self._velocity(du)
                 if size <= _BACKWARD_GOAL * (norm_b * _norm(u + formed)):
                     break
             z = self._precondition.solve(res)
             rz, rz_old = res @ z, rz
             direction = z if direction is None \
                 else z + (rz / rz_old) * direction
-            w, s = inverse.schur(direction)
+            s = sum(group.schur(direction, w) for group in groups)
             curvature = direction @ s
             if not curvature > 0:      # breakdown, or not finite
                 break
@@ -829,21 +819,20 @@ class BlockSaddleSolver:
             du -= alpha * w
             res -= alpha * s
         if formed is None:
-            formed = inverse.velocity(du)
+            formed = self._velocity(du)
         return formed, dq, iterations
 
-    def _schur_solve(self, target, tol, start):
-        """(u, p) with residual <= tol, or None where CG cannot get there;
-        the kept products stand in for K u, B^T q and B u, or those of the
-        start pair, if one is given."""
-        f = np.asarray(target.rhs_u, dtype=float)
-        K, B = self._system.K, self._system.B
+    def _schur_solve(self, f, tol, start):
+        """(u, p) with residual <= tol for the load f, or None where CG
+        cannot get there; the kept products stand in for K u, B^T q and
+        B u, or those of the start pair, if one is given."""
+        f = np.asarray(f, dtype=float)
         if start is None:
             u, q, products = self._u.copy(), self._q.copy(), self._products
         else:
             u = np.array(start[0], dtype=float)
             q = -np.asarray(start[1], dtype=float)
-            products = K @ u, B.T @ q, B @ u
+            products = self._apply(u, q)
         best, iterations = np.inf, 0
         while iterations < _SCHUR_MAX_ITERS:
             error, res_u = self._backward_error(u, q, f, products)
@@ -855,7 +844,7 @@ class BlockSaddleSolver:
             iterations += taken
             u += du
             q += dq
-            products = K @ u, B.T @ q, B @ u
+            products = self._apply(u, q)
         self.counts.schur_iterations += iterations
         # residual() of the pair, up to the gauge shift of p: B^T maps a
         # constant pressure to zero
@@ -870,19 +859,18 @@ class BlockSaddleSolver:
         refined from the pair start = (u, p), if given, and otherwise from
         the previous solution."""
         _check_tol(tol)
-        if np.ndim(self._system.rhs_u if rhs_u is None else rhs_u) != 1:
+        f = self._rhs_u if rhs_u is None else rhs_u
+        if np.ndim(f) != 1:
             raise ValueError("the block path solves one load at a time")
         if self._direct is None:
-            target = self._system if rhs_u is None \
-                else replace(self._system, rhs_u=rhs_u)
-            solution = self._schur_solve(target, tol, start) \
-                if self._inverse is not None else None
+            solution = self._schur_solve(f, tol, start) \
+                if self._inverted else None
             if solution is not None:
                 return solution
             self.counts.direct_fallbacks += 1
             K, B = self._assembled()
-            self._direct = SaddleSolver(replace(self._system, K=K, B=B),
-                                        self.counts)
+            self._direct = SaddleSolver(SaddleSystem(
+                K=K, B=B, gauge=self._gauge, rhs_u=self._rhs_u), self.counts)
         return self._direct.solve(tol, rhs_u=rhs_u)
 
 

@@ -12,9 +12,10 @@ operator, whose velocity block is d copies of one scalar block because
 every wall is tagged for every component, and each layer factors at most
 one matrix, once.  A d = 3 layer is solved in linalg.BlockSaddleSolver,
 which takes one block per velocity component: the layer passes d copies of
-its one block, which the solver decomposes once and applies to all
-components at once (the regime-ii cell ladder passes two distinct blocks
-to the same solver); every step is a preconditioned CG solve on the
+its one block, so its components make one group of the solver, which holds
+their parts of K, B and B^T and inverts the block once for all of them
+(the regime-ii cell ladder's two blocks make two groups, which run the same
+code); every step is a preconditioned CG solve on the
 pressure Schur complement over mean-zero pressures, with no pinned dof,
 that starts from the previous step's solution and the products K u, B^T q
 and B u the solver kept of it (so a step applies K once per sweep),

@@ -37,3 +37,41 @@ def test_drift_of_text_and_shape(tmp_path):
     c = write_csv(tmp_path / "c.csv", [["check", "value"], ["PASS", 1.0],
                                        ["PASS", 2.0]])
     assert compare_outputs.drift(a, c) == "shape differs"
+
+
+def fake_trees(tmp_path, monkeypatch, written):
+    """Two trees with one config each, and a run() that writes, for each
+    tree, the files written[tree] into the output directory of every
+    command, with the same exit status and verdict lines."""
+    trees = [tmp_path / name for name in ("old", "new")]
+    for tree in trees:
+        (tree / "configs").mkdir(parents=True)
+        (tree / "configs" / "box.json").write_text("{}")
+
+    def run(tree, command, config, outdir):
+        outdir.mkdir(parents=True)
+        for name in written[Path(tree).name]:
+            (outdir / name).write_text("x,y\n1,2\n")
+        return 0, ["[PASS] check"]
+
+    monkeypatch.setattr(compare_outputs, "run", run)
+    monkeypatch.setattr("sys.argv", ["compare_outputs.py", *map(str, trees),
+                                     "--work", str(tmp_path / "work")])
+
+
+def test_same_files_exit_zero(tmp_path, monkeypatch, capsys):
+    fake_trees(tmp_path, monkeypatch, {"old": ["a.csv"], "new": ["a.csv"]})
+    assert compare_outputs.main() == 0
+    assert "a.csv: byte-identical" in capsys.readouterr().out
+
+
+def test_vanished_file_exits_one(tmp_path, monkeypatch, capsys):
+    # a file that only one tree writes fails the comparison, whichever
+    # tree writes it
+    for written in ({"old": ["a.csv", "b.csv"], "new": ["a.csv"]},
+                    {"old": ["a.csv"], "new": ["a.csv", "b.csv"]}):
+        fake_trees(tmp_path / str(len(written["old"])), monkeypatch, written)
+        assert compare_outputs.main() == 1
+        out = capsys.readouterr().out
+        assert "b.csv: missing on one side" in out
+        assert "a.csv: byte-identical" in out

@@ -1,3 +1,4 @@
+import collections
 import gc
 import weakref
 from pathlib import Path
@@ -8,7 +9,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from thinflow import coefficients as coefs
-from thinflow import linalg, microscale
+from thinflow import cell_problems, linalg, microscale
 from thinflow.assembly import (DiscreteField, FunctionSpace,
                                assemble_convection, assemble_diffusion,
                                assemble_divergence, assemble_load,
@@ -18,7 +19,8 @@ from thinflow.errors import InvalidResolutionError, PicardDivergenceError
 from thinflow.harness import load_config
 from thinflow.linalg import (BlockSaddleSolver, SaddleSystem, SolveCounts,
                              residual, solve_sparse)
-from thinflow.meshing import Geometry, TensorMesh, build_thin_mesh
+from thinflow.meshing import (Geometry, TensorMesh, build_cell_mesh,
+                              build_thin_mesh)
 from thinflow.microscale import apriori_norms, solve_dlb
 from thinflow.two_scale import poincare_wirtinger_ratio
 
@@ -371,7 +373,9 @@ def dns_system(mesh, field, params, K_eps):
     weights: they change the iteration count, not the answer).  The system
     holds the assembled divergence; the solvers take its axis factors, and
     the block in the form solve_dlb gives it: the block pencils on a d = 3
-    layer with a separable coefficient, the assembled block otherwise."""
+    layer with a separable coefficient, the assembled block otherwise.  The
+    factory passes one block for every component, or with distinct=True an
+    equal copy per component, each then a group of its own."""
     eps = float(mesh.axes[-1][-1])
     V = FunctionSpace(mesh, "velocity")
     S = FunctionSpace(mesh, "component")
@@ -388,9 +392,10 @@ def dns_system(mesh, field, params, K_eps):
         block = microscale._block_pencils(S, field, eps, params.mu / K_eps)
     factors = axis_divergence(V, Q)
 
-    def block_solver(counts):
-        return BlockSaddleSolver([block] * mesh.ndim, factors, system.gauge,
-                                 system.rhs_u,
+    def block_solver(counts, distinct=False):
+        blocks = [block.copy() for _ in range(mesh.ndim)] if distinct \
+            else [block] * mesh.ndim
+        return BlockSaddleSolver(blocks, factors, system.gauge, system.rhs_u,
                                  axis_pencils(Q), nu=1.0,
                                  sigma=params.mu / K_eps, counts=counts)
 
@@ -476,38 +481,108 @@ def block_solves(V, system, solver):
         yield solver.solve(tol=1e-10, rhs_u=picard), picard
 
 
-def test_block_solve_applies_each_operator_once_per_sweep(monkeypatch):
-    # the solver keeps K u, B^T q and B u of its current pair: a sweep
-    # applies K, B^T and B once each, to its new pair, the backward error
-    # of a new load and the residual check take the kept products, and the
-    # zero start applies none
-    applied = {"K": 0, "B": 0, "B^T": 0, "sweeps": 0}
-    for name, key in (("_block_apply", "K"), ("_tensor_divergence", "B"),
-                      ("_tensor_gradient", "B^T")):
-        def spy(*args, _key=key, _original=getattr(linalg, name)):
-            applied[_key] += 1
-            return _original(*args)
+def ladder_solves():
+    """The block solves of the regime-ii cell ladder of the regime_ii
+    config: every level refines each load from its pair of the level
+    before (zero at the first)."""
+    config = load_config(CONFIGS / "regime_ii.json")
+    numerics = config.numerics
+    cell_problems.solve_cell_regime_ii(
+        config.params.mu, build_cell_mesh(config.geometry,
+                                          numerics["cell_nx"],
+                                          numerics["cell_nz"]),
+        n_list=numerics["n_list"], tol=numerics["solver_tol"])
 
-        monkeypatch.setattr(linalg, name, spy)
-    correction = BlockSaddleSolver._correction
 
-    def spy_correction(self, *args):
-        applied["sweeps"] += 1
-        return correction(self, *args)
-
-    monkeypatch.setattr(BlockSaddleSolver, "_correction", spy_correction)
+def layer_solves():
+    """The block solves of a d = 3 layer (block_solves): a cold solve, a
+    warm one and an unchanged repeat, none from a given start."""
     mesh = build_thin_mesh(Geometry(3, (0.5, 0.5), 0.125), 2, 2)
     params = coefs.FluidParams(mu=1.0, f1=d3_forcing)
     V, system, block_solver = dns_system(mesh, coefs.constant_field(3),
                                          params, K_eps=0.125 ** 2)
-    solver = block_solver(SolveCounts())
-    sweeps = []
-    for _ in block_solves(V, system, solver):
-        sweeps.append(applied["sweeps"])
-        assert applied == {"K": sweeps[-1], "B": sweeps[-1],
-                           "B^T": sweeps[-1], "sweeps": sweeps[-1]}
-    # the warm solve sweeps, the unchanged repeat does not
-    assert 0 < sweeps[0] < sweeps[1] == sweeps[2]
+    for _ in block_solves(V, system, block_solver(SolveCounts())):
+        pass
+
+
+@pytest.mark.parametrize("solves, groups", [(layer_solves, 1),
+                                            (ladder_solves, 2)],
+                         ids=["d3_layer", "regime_ii_ladder"])
+def test_block_solve_applies_each_operator_once_per_sweep(monkeypatch, solves,
+                                                          groups):
+    # the solver keeps K u, B^T q and B u of its current pair: in a solve,
+    # each group applies K, B^T and B once per sweep, to its new pair, and
+    # once to a given start pair; the backward error of a new load and the
+    # residual check take the kept products, and the zero start applies
+    # none.  The d = 3 layer is one group, a level of the ladder two
+    names = ("apply", "gradient", "divergence")
+    applied, sweeps, records = collections.Counter(), [0], []
+    for name in names:
+        def spy(self, x, _name=name, _original=getattr(linalg._Group, name)):
+            applied[_name, id(self)] += 1
+            return _original(self, x)
+
+        monkeypatch.setattr(linalg._Group, name, spy)
+    correction, solve = BlockSaddleSolver._correction, BlockSaddleSolver.solve
+
+    def spy_correction(self, *args):
+        sweeps[0] += 1
+        return correction(self, *args)
+
+    def spy_solve(self, *args, start=None, **kwargs):
+        applied.clear()
+        sweeps[0] = 0
+        solution = solve(self, *args, start=start, **kwargs)
+        records.append((sweeps[0], start is not None, len(self._groups),
+                        sum(applied.values()),
+                        [applied[name, id(group)] for group in self._groups
+                         for name in names]))
+        return solution
+
+    monkeypatch.setattr(BlockSaddleSolver, "_correction", spy_correction)
+    monkeypatch.setattr(BlockSaddleSolver, "solve", spy_solve)
+    solves()
+    for taken, started, count, total, per_group in records:
+        assert count == groups
+        assert per_group == [taken + started] * (3 * groups)
+        assert total == 3 * groups * (taken + started)
+    if solves is layer_solves:
+        # the warm solve sweeps, the unchanged repeat does not
+        assert [(taken, started) for taken, started, *_ in records][2:] \
+            == [(0, False)]
+        assert all(taken > 0 for taken, *_ in records[:2])
+    else:
+        # a load that its start pair already solves takes no sweep
+        assert all(started for _, started, *_ in records)
+        assert {taken for taken, *_ in records} >= {0, 1}
+
+
+@pytest.mark.parametrize("separable", [True, False])
+def test_grouping_only_shares_work(separable):
+    # d distinct but equal blocks make d groups of one component each: they
+    # decompose or factor every copy, and return the pairs of one block
+    # shared by all components bit for bit, with the same CG iterations
+    mesh = build_thin_mesh(Geometry(3, (0.5, 0.5), 0.125), 2, 2)
+    field = coefs.constant_field(3) if separable else PERIODIC_D3
+    params = coefs.FluidParams(mu=1.0, f1=d3_forcing)
+    V, system, block_solver = dns_system(mesh, field, params,
+                                         K_eps=0.125 ** 2)
+    runs = []
+    for distinct in (False, True):
+        counts = SolveCounts()
+        solver = block_solver(counts, distinct=distinct)
+        assert len(solver._groups) == (3 if distinct else 1)
+        runs.append(([x.tobytes() for solution, _ in
+                      block_solves(V, system, solver) for x in solution],
+                     counts))
+    (shared, shared_counts), (split, split_counts) = runs
+    assert shared == split
+    assert split_counts.schur_iterations == shared_counts.schur_iterations
+    assert shared_counts.schur_iterations > 0
+    assert (shared_counts.factorizations, split_counts.factorizations) \
+        == ((0, 0) if separable else (1, 3))
+    assert shared_counts.direct_fallbacks == split_counts.direct_fallbacks \
+        == 0
 
 
 @pytest.mark.parametrize("separable", [True, False])
@@ -543,7 +618,8 @@ def test_missed_check_falls_back_without_kept_products():
     solver = block_solver(counts)
     u, _ = solver.solve(tol=1e-10)
     assert counts.direct_fallbacks == 0
-    solver._inverse._g = -solver._inverse._g
+    group = solver._groups[0]
+    group._g = -group._g
     solver._products = tuple(np.full_like(x, np.nan)
                              for x in solver._products)
     load = system.rhs_u - assemble_convection(V, u, 1.0)
@@ -625,10 +701,10 @@ def test_correction_forms_each_velocity_once(monkeypatch):
         transformed.append([])
         return correction(self, *args, **kwargs)
 
-    def spy_velocity(self, hat):
+    def spy_velocity(self, hat, u):
         transformed[-1].append(hat.tobytes())
         forms.append(hat.tobytes())
-        return velocity(self, hat)
+        return velocity(self, hat, u)
 
     monkeypatch.setattr(BlockSaddleSolver, "_correction", spy_correction)
     monkeypatch.setattr(linalg._FusedInverse, "velocity", spy_velocity)
@@ -776,15 +852,13 @@ def test_tensor_operators_match_assembled(kind, name):
     assert abs(tensor_B - B).max() <= 1e-13 * abs(B).max()
     block = assemble_diffusion(S, field.scaled(eps), drag=sigma)
     pencils = microscale._block_pencils(S, field, eps, sigma)
-    system = BlockSaddleSolver([pencils] * 3, factors, pressure_gauge(Q),
+    solver = BlockSaddleSolver([pencils] * 3, factors, pressure_gauge(Q),
                                np.zeros(V.ndof), axis_pencils(Q), nu=1.0,
-                               sigma=sigma)._system
+                               sigma=sigma)
     rng = np.random.default_rng(7)
     u, q = rng.standard_normal(V.ndof), rng.standard_normal(Q.ndof)
-    for got, ref in (
-            (system.K @ u, (block @ u.reshape(3, -1).T).T.ravel()),
-            (system.B @ u, B @ u),
-            (system.B.T @ q, B.T @ q)):
+    for got, ref in zip(solver._apply(u, q), (
+            (block @ u.reshape(3, -1).T).T.ravel(), B.T @ q, B @ u)):
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
@@ -817,7 +891,8 @@ def test_wrong_block_inverse_falls_back_to_direct_path():
     _, system, block_solver = dns_system(mesh, field, params, K_eps=eps ** 2)
     counts = SolveCounts()
     solver = block_solver(counts)
-    solver._inverse._g = -solver._inverse._g
+    group = solver._groups[0]
+    group._g = -group._g
     solution = solver.solve(tol=1e-10)
     assert counts.direct_fallbacks == 1
     assert counts.factorizations == 1

@@ -9,7 +9,8 @@ agree, and per file "byte-identical" or, for a CSV, the drift of each column
 that differs: the largest relative drift |a - b| / max(|a|, |b|) of an
 entry, and in parentheses the largest |a - b| against the column's largest
 magnitude.  Exits with status 1 if an exit status or the verdict lines of a
-command differ between the trees, and 0 otherwise."""
+command differ between the trees, or if only one tree writes a file, and 0
+otherwise."""
 
 import argparse
 import csv
@@ -89,6 +90,7 @@ def main():
                 a, b = (d / name for d in dirs)
                 if not (a.exists() and b.exists()):
                     verdict = "missing on one side"
+                    same = False
                 elif a.read_bytes() == b.read_bytes():
                     verdict = "byte-identical"
                 else:
