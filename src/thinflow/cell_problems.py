@@ -129,11 +129,12 @@ def solve_cell_regime_i(field, mu, K, cell_mesh, tol=1e-10):
 
 
 def solve_cell_regime_iii(field, cell_mesh, tol=1e-10):
-    """Dragless cell problems (periodic coefficients only), walls clamped."""
-    if field.klass == coefs.ASYMPTOTIC_PERIODIC:
+    """Dragless cell problems, walls clamped; a field with a decaying term
+    is not periodic and is refused."""
+    if field.gaussians:
         raise UnsupportedRegimeCoefficientError(
             "the high-permeability cell problem is only solvable for "
-            "periodic coefficients")
+            "periodic coefficients, and this one has decaying terms")
     return _solve_clamped("iii", field, cell_mesh, tol)
 
 

@@ -1,10 +1,11 @@
 """Heterogeneity matrices, fluid parameters, permeability regimes and means.
 
-Two concrete coefficient classes are numerically representable: truncated
-trigonometric polynomials in the horizontal variable (periodic, with smooth
-profile in the thickness variable) and their perturbation by Gaussian-decaying
-terms (asymptotic-periodic).  Constant and profile-only matrices are the
-degenerate periodic cases.
+A coefficient or a scalar field is the sum of its terms: a base value, a
+profile in the thickness variable, trigonometric Waves in the horizontal
+variable and Gaussian-decaying bumps.  Its class is read from those terms,
+never declared: a field without a decaying term is periodic, and a periodic
+field is the asymptotic-periodic field whose decaying part vanishes.
+Constant and profile-only matrices are the degenerate periodic cases.
 """
 
 from dataclasses import dataclass
@@ -25,11 +26,6 @@ _CELL_NQ = 6
 _BALL_NQ = 8
 _BALL_RADII = np.array([10.0, 20.0, 40.0])
 
-CONSTANT = "constant"
-ZETA_PROFILE = "zeta_profile"
-PERIODIC = "periodic"
-ASYMPTOTIC_PERIODIC = "asymptotic_periodic"
-
 
 def _sym(mat):
     mat = np.asarray(mat, dtype=float)
@@ -38,14 +34,32 @@ def _sym(mat):
     return (mat + mat.T) / 2
 
 
+def _max_wavenumber(waves):
+    """Largest |k_i| over the wavevectors of the waves; 0 without waves."""
+    return max((abs(int(c)) for w in waves for c in w.wavevector), default=0)
+
+
 @dataclass(frozen=True)
 class Wave:
-    """One trigonometric term: amplitude * trig(2 pi k . y') * profile(z)."""
+    """One trigonometric term: amplitude * trig(2 pi k . y') * profile(z).
+
+    The wavevector k has integer entries, so the term has period 1 in each
+    horizontal direction.  The amplitude is a symmetric matrix in a
+    CoefficientField and a number in a ScalarField, which ignores the
+    profile."""
 
     wavevector: tuple
     trig: str                      # "cos" or "sin"
     amplitude: np.ndarray
     zeta_profile: Optional[Callable] = None
+
+    def __post_init__(self):
+        if self.trig not in ("cos", "sin"):
+            raise InvalidDataError(
+                f"wave trig must be 'cos' or 'sin', got {self.trig!r}")
+        if not all(float(c).is_integer() for c in self.wavevector):
+            raise InvalidDataError(
+                f"wavevector entries must be integers, got {self.wavevector}")
 
     def horizontal(self, ybar):
         phase = 2 * np.pi * (ybar @ np.asarray(self.wavevector, dtype=float))
@@ -54,11 +68,18 @@ class Wave:
 
 @dataclass(frozen=True)
 class GaussianBump:
-    """Decaying perturbation: amplitude * exp(-|y' - center|^2 / sigma^2)."""
+    """Decaying perturbation: amplitude * exp(-|y' - center|^2 / sigma^2).
+
+    The amplitude is a symmetric matrix in a CoefficientField and a number
+    in a ScalarField; the center defaults to the origin."""
 
     amplitude: np.ndarray
     sigma: float = 1.0
     center: tuple = None
+
+    def __post_init__(self):
+        if not self.sigma > 0:
+            raise InvalidDataError("Gaussian widths sigma must be positive")
 
     def horizontal(self, ybar):
         c = np.zeros(ybar.shape[1]) if self.center is None \
@@ -68,14 +89,14 @@ class GaussianBump:
 
 
 class CoefficientField:
-    """Symmetric matrix coefficient A(y', z) with declared ellipticity bounds."""
+    """Symmetric matrix coefficient A(y', z) with declared ellipticity bounds:
+    base_matrix [* zeta_profile(z)] plus its waves and Gaussian bumps."""
 
-    def __init__(self, d, klass, base_matrix=None, zeta_profile=None,
+    def __init__(self, d, base_matrix=None, zeta_profile=None,
                  waves=(), gaussians=(), alpha_ell=1.0, beta_ell=None):
         if alpha_ell <= 0:
             raise NonEllipticCoefficientError("declared alpha must be positive")
         self.d = d
-        self.klass = klass
         self.base_matrix = _sym(base_matrix if base_matrix is not None
                                 else np.eye(d))
         if self.base_matrix.shape != (d, d):
@@ -87,9 +108,6 @@ class CoefficientField:
         self.beta_ell = float(beta_ell if beta_ell is not None else alpha_ell)
         if self.beta_ell < self.alpha_ell:
             raise InvalidDataError("beta must be >= alpha")
-        if klass != ASYMPTOTIC_PERIODIC and self.gaussians:
-            raise InvalidDataError("decaying terms require the "
-                                   "asymptotic-periodic class")
         if any(np.shape(t.amplitude) != (d, d)
                for t in self.waves + self.gaussians):
             raise InvalidDataError(f"amplitude matrices must be {d}x{d}")
@@ -100,23 +118,18 @@ class CoefficientField:
                for g in self.gaussians):
             raise InvalidDataError(
                 f"Gaussian centers must have {d - 1} entries")
-        if any(not g.sigma > 0 for g in self.gaussians):
-            raise InvalidDataError("Gaussian widths sigma must be positive")
 
     @property
     def max_wavenumber(self):
-        k = 0
-        for w in self.waves:
-            k = max(k, int(max(abs(int(c)) for c in w.wavevector)))
-        return k
+        return _max_wavenumber(self.waves)
 
     @property
     def separable(self):
         """Whether A(y', z) = diag(a) zeta(z): no wave, no decaying term and
         a diagonal base matrix.  Then A depends on no horizontal position
         and couples no two axes, so on a tensor mesh its diffusion matrix
-        is a Kronecker sum of per-axis matrices.  The class label does not
-        decide this: a constant matrix may couple the axes."""
+        is a Kronecker sum of per-axis matrices.  A constant matrix may
+        couple the axes."""
         base = self.base_matrix
         return not (self.waves or self.gaussians
                     or np.any(base - np.diag(np.diag(base))))
@@ -159,24 +172,7 @@ def constant_field(d, matrix=None, alpha_ell=None, beta_ell=None):
     beta = beta_ell if beta_ell is not None else float(eig[-1])
     if alpha <= 0:
         raise NonEllipticCoefficientError("constant matrix is not elliptic")
-    return CoefficientField(d, CONSTANT, matrix, alpha_ell=alpha, beta_ell=beta)
-
-
-def zeta_profile_field(d, matrix, profile, alpha_ell, beta_ell):
-    return CoefficientField(d, ZETA_PROFILE, matrix, zeta_profile=profile,
-                            alpha_ell=alpha_ell, beta_ell=beta_ell)
-
-
-def periodic_field(d, base_matrix, waves, alpha_ell, beta_ell):
-    return CoefficientField(d, PERIODIC, base_matrix, waves=waves,
-                            alpha_ell=alpha_ell, beta_ell=beta_ell)
-
-
-def asymptotic_periodic_field(d, base_matrix, waves, gaussians,
-                              alpha_ell, beta_ell):
-    return CoefficientField(d, ASYMPTOTIC_PERIODIC, base_matrix, waves=waves,
-                            gaussians=gaussians, alpha_ell=alpha_ell,
-                            beta_ell=beta_ell)
+    return CoefficientField(d, matrix, alpha_ell=alpha, beta_ell=beta)
 
 
 def _sample_points(field, n_samples):
@@ -210,41 +206,32 @@ def check_ellipticity(field, n_samples=2000):
 # -- scalar fields with a mean value ---------------------------------------
 
 class ScalarField:
-    """Scalar field on the horizontal space with a computable mean value."""
+    """Scalar field on the horizontal space with a computable mean value:
+    const plus Waves and GaussianBumps with number amplitudes."""
 
     def __init__(self, d1, const=0.0, waves=(), gaussians=()):
         self.d1 = d1
         self.const = float(const)
-        self.waves = tuple(waves)          # (wavevector, trig, coefficient)
-        self.gaussians = tuple(gaussians)  # (coefficient, sigma, center)
-        self.klass = ASYMPTOTIC_PERIODIC if self.gaussians else \
-            (PERIODIC if self.waves else CONSTANT)
+        self.waves = tuple(waves)
+        self.gaussians = tuple(gaussians)
 
     @property
     def max_wavenumber(self):
-        k = 0
-        for wave in self.waves:
-            k = max(k, int(max(abs(int(c)) for c in wave[0])))
-        return k
+        return _max_wavenumber(self.waves)
 
     def periodic_part(self, ybar):
         ybar = np.atleast_2d(np.asarray(ybar, dtype=float))
         out = np.full(ybar.shape[0], self.const)
-        for kvec, trig, coef in self.waves:
-            phase = 2 * np.pi * (ybar @ np.asarray(kvec, dtype=float))
-            out += coef * (np.cos(phase) if trig == "cos" else np.sin(phase))
-        return out
-
-    def decay_part(self, ybar):
-        ybar = np.atleast_2d(np.asarray(ybar, dtype=float))
-        out = np.zeros(ybar.shape[0])
-        for coef, sigma, center in self.gaussians:
-            c = np.zeros(self.d1) if center is None else np.asarray(center)
-            out += coef * np.exp(-np.sum((ybar - c) ** 2, axis=1) / sigma ** 2)
+        for w in self.waves:
+            out += w.amplitude * w.horizontal(ybar)
         return out
 
     def __call__(self, ybar):
-        return self.periodic_part(ybar) + self.decay_part(ybar)
+        ybar = np.atleast_2d(np.asarray(ybar, dtype=float))
+        out = self.periodic_part(ybar)
+        for g in self.gaussians:
+            out += g.amplitude * g.horizontal(ybar)
+        return out
 
 
 def cell_average(fn, d1, panels):
@@ -256,13 +243,13 @@ def cell_average(fn, d1, panels):
 
 
 def mean_value(g, transform=None):
-    """Mean value of a periodic or asymptotic-periodic scalar field.
+    """Mean value of a scalar field.
 
     The periodic part is averaged exactly over one cell by composite Gauss
-    quadrature; decaying terms contribute nothing.  For asymptotic-periodic
-    fields the result is cross-checked against the ball average at radii
-    10, 20, 40 with Richardson extrapolation in 1/R.  An optional pointwise
-    transform h computes M(h(g)) instead (used for |g|^p means).
+    quadrature; decaying terms contribute nothing.  For a field with
+    decaying terms the result is cross-checked against the ball average at
+    radii 10, 20, 40 with Richardson extrapolation in 1/R.  An optional
+    pointwise transform h computes M(h(g)) instead (used for |g|^p means).
     """
     if not isinstance(g, ScalarField):
         raise UnsupportedFieldError(
@@ -273,7 +260,7 @@ def mean_value(g, transform=None):
     if transform is not None:
         panels *= 2
     mean = cell_average(fn, g.d1, panels)
-    if g.klass == ASYMPTOTIC_PERIODIC and transform is None:
+    if g.gaussians and transform is None:
         extrap, _ = richardson_ball_mean(g)
         scale = max(1.0, abs(mean))
         tol = 1e-7 if g.d1 == 1 else 5e-3

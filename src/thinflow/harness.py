@@ -45,8 +45,8 @@ _EXPRESSION = (str, float)
 _SCHEMA = {
     "geometry": {"d": (int, _REQUIRED), "omega_extent": ([float], _REQUIRED)},
     "coefficient": {
-        "class": ({coefs.CONSTANT, coefs.ZETA_PROFILE, coefs.PERIODIC,
-                   coefs.ASYMPTOTIC_PERIODIC}, coefs.CONSTANT),
+        "class": ({"constant", "zeta_profile", "periodic",
+                   "asymptotic_periodic"}, "constant"),
         "matrix": (_MATRIX, None),          # None: the identity
         "alpha": (float, 1.0),
         "beta": (float, None),              # None: alpha
@@ -197,16 +197,18 @@ def _read(value, kind, name):
 
 
 def _coefficient_field(block, d):
-    """Field of the coefficient block.  A constant field takes no profile,
-    only the periodic classes take waves, and only asymptotic_periodic
-    takes Gaussian bumps; any other term is a ConfigError."""
-    klass = block["class"]
-    takes = {"zeta_expr": klass != coefs.CONSTANT,
-             "waves": klass in (coefs.PERIODIC, coefs.ASYMPTOTIC_PERIODIC),
-             "gaussians": klass == coefs.ASYMPTOTIC_PERIODIC}
+    """Field of the coefficient block.  The class is the config's name for
+    the terms the block may give: a constant field takes no profile, only
+    the periodic classes take waves, and only asymptotic_periodic takes
+    Gaussian bumps; any other term is a ConfigError.  The field keeps its
+    terms, not the class."""
+    kind = block["class"]
+    takes = {"zeta_expr": kind != "constant",
+             "waves": kind in ("periodic", "asymptotic_periodic"),
+             "gaussians": kind == "asymptotic_periodic"}
     for key, taken in takes.items():
         if block[key] not in (None, []) and not taken:
-            raise ConfigError(f"class '{klass}' takes no 'coefficient.{key}'")
+            raise ConfigError(f"class '{kind}' takes no 'coefficient.{key}'")
     zprof = _zeta_fn(block["zeta_expr"])
     waves = [coefs.Wave(tuple(w["k"]), w["trig"],
                         np.asarray(w["amplitude"], dtype=float),
@@ -216,7 +218,7 @@ def _coefficient_field(block, d):
                                     if g["center"] else None)
                  for g in block["gaussians"]]
     return coefs.CoefficientField(
-        d, klass, block["matrix"], zeta_profile=zprof, waves=waves,
+        d, block["matrix"], zeta_profile=zprof, waves=waves,
         gaussians=gaussians, alpha_ell=block["alpha"],
         beta_ell=block["beta"])
 
@@ -359,7 +361,7 @@ def _probe_function(d1, f1=None):
             xb.shape[0], -1)[:, 0]
     return OscillatingTestFunction(
         d1=d1, macro=macro, y_factor=coefs.ScalarField(
-            d1, const=1.0, waves=[(wavevec, "cos", 1.0)]))
+            d1, const=1.0, waves=[coefs.Wave(wavevec, "cos", 1.0)]))
 
 
 @contextlib.contextmanager

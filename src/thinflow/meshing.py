@@ -22,6 +22,9 @@ import scipy.sparse as sp
 
 from .errors import InvalidResolutionError, ThinDomainError
 
+# the steps of one axis agree to this fraction of the largest step
+_UNIFORM_TOL = 1e-9
+
 
 @functools.lru_cache(maxsize=None)
 def gauss_rule(n):
@@ -132,7 +135,7 @@ class TensorMesh:
     Attributes
     ----------
     axes : list of ndarray
-        Strictly increasing node coordinates per direction.
+        Strictly increasing, uniformly spaced node coordinates per direction.
     periodic : tuple of bool
         Whether each direction is periodically identified.
     dirichlet : frozenset of (axis, side)
@@ -142,8 +145,13 @@ class TensorMesh:
     def __init__(self, axes, periodic, dirichlet, label=""):
         self.axes = [np.asarray(a, dtype=float) for a in axes]
         for a in self.axes:
-            if a.size < 2 or np.any(np.diff(a) <= 0):
+            steps = np.diff(a)
+            if a.size < 2 or np.any(steps <= 0):
                 raise InvalidResolutionError("axis coordinates must increase")
+            # spacings and the element rules read one step per axis
+            if steps.max() - steps.min() > _UNIFORM_TOL * steps.max():
+                raise InvalidResolutionError(
+                    "axis coordinates must be uniformly spaced")
         self.periodic = tuple(bool(p) for p in periodic)
         self.dirichlet = frozenset(dirichlet)
         self.label = label

@@ -100,7 +100,7 @@ class OscillatingTestFunction:
         axis = np.linspace(0.0, 1.0, _SUP_GRID // 4 ** (g.d1 - 1),
                            endpoint=False)
         rows = max(1, _SUP_GRID // axis.size ** (g.d1 - 1))
-        spread = max((s for _, s, _ in g.gaussians), default=0.0) * 4
+        spread = max((b.sigma for b in g.gaussians), default=0.0) * 4
         best = 0.0
         for start in range(0, axis.size, rows):
             pts = grid_points([axis[start:start + rows]]

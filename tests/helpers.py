@@ -91,7 +91,7 @@ def translated(field, shift):
                                                      np.zeros(field.d - 1))
                                           - shift))
                  for g in field.gaussians]
-    return coefs.CoefficientField(field.d, field.klass, field.base_matrix,
+    return coefs.CoefficientField(field.d, field.base_matrix,
                                   field.zeta_profile, waves, gaussians,
                                   field.alpha_ell, field.beta_ell)
 

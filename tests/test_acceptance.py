@@ -47,8 +47,8 @@ def verdict(num, name, results):
 # -- shared expensive artifacts -------------------------------------------------
 
 def oscillatory_field():
-    return coefs.periodic_field(
-        2, 2 * np.eye(2), [coefs.Wave((1,), "sin", 0.75 * np.eye(2))],
+    return coefs.CoefficientField(
+        2, 2 * np.eye(2), waves=[coefs.Wave((1,), "sin", 0.75 * np.eye(2))],
         alpha_ell=1.25, beta_ell=2.75)
 
 
@@ -162,17 +162,18 @@ def effective_collection():
     mesh_osc = build_cell_mesh(GEOM2, 8, 16)
     cells = solve_cell_regime_i(osc, 1.0, 1.0, mesh_osc, tol=SOLVER_TOL)
     out["i/oscillatory"] = effective_matrix(cells)
-    asym = coefs.asymptotic_periodic_field(
-        2, 2 * np.eye(2), [coefs.Wave((1,), "sin", 0.5 * np.eye(2))],
-        [coefs.GaussianBump(0.25 * np.eye(2))], alpha_ell=1.0, beta_ell=3.0)
+    asym = coefs.CoefficientField(
+        2, 2 * np.eye(2), waves=[coefs.Wave((1,), "sin", 0.5 * np.eye(2))],
+        gaussians=[coefs.GaussianBump(0.25 * np.eye(2))],
+        alpha_ell=1.0, beta_ell=3.0)
     cells = solve_cell_regime_i(asym, 1.0, 1.0, mesh_osc, tol=SOLVER_TOL)
     out["i/asymptotic"] = effective_matrix(cells)
     cells = solve_cell_regime_ii(2.0, mesh, tol=SOLVER_TOL)
     out["ii/identity"] = effective_matrix(cells)
     cells = solve_cell_regime_iii(IDENT2, mesh, tol=SOLVER_TOL)
     out["iii/identity"] = effective_matrix(cells)
-    zprof = coefs.zeta_profile_field(2, np.eye(2), lambda z: 1 + z * z,
-                                     1.0, 2.0)
+    zprof = coefs.CoefficientField(2, np.eye(2), lambda z: 1 + z * z,
+                                   alpha_ell=1.0, beta_ell=2.0)
     cells = solve_cell_regime_iii(zprof, mesh, tol=SOLVER_TOL)
     out["iii/zeta"] = effective_matrix(cells)
     return out
@@ -204,8 +205,8 @@ def test_criterion_02_dragless_cell_oracle():
     cells = solve_cell_regime_iii(IDENT2, build_cell_mesh(GEOM2, 2, 16),
                                   tol=SOLVER_TOL)
     a_ident = effective_matrix(cells).matrix[0, 0]
-    zprof = coefs.zeta_profile_field(2, np.eye(2), lambda z: 1 + z * z,
-                                     1.0, 2.0)
+    zprof = coefs.CoefficientField(2, np.eye(2), lambda z: 1 + z * z,
+                                   alpha_ell=1.0, beta_ell=2.0)
     cells_z = solve_cell_regime_iii(zprof, build_cell_mesh(GEOM2, 2, 16),
                                     tol=SOLVER_TOL)
     a_zeta = effective_matrix(cells_z).matrix[0, 0]
@@ -443,18 +444,20 @@ def test_criterion_08_two_scale_functional_suite():
                     f"{v:.12f}"))
     eps = 1 / 32
     f_cos = OscillatingTestFunction(
-        d1=1, y_factor=coefs.ScalarField(1, waves=[((1,), "cos", 1.0)]))
+        d1=1,
+        y_factor=coefs.ScalarField(1, waves=[coefs.Wave((1,), "cos", 1.0)]))
     v = pair(lambda p: np.cos(2 * np.pi * p[:, 0] / eps), f_cos, eps)
     results.append(("cos^2 pairing near 1", abs(v - 1) <= 5e-3, f"{v:.6f}"))
     f_xsin = OscillatingTestFunction(
         d1=1, macro=lambda xb: xb[:, 0],
-        y_factor=coefs.ScalarField(1, waves=[((1,), "sin", 1.0)]))
+        y_factor=coefs.ScalarField(1, waves=[coefs.Wave((1,), "sin", 1.0)]))
     v = pair(lambda p: np.sin(2 * np.pi * p[:, 0] / eps), f_xsin, eps)
     results.append(("x-weighted sin pairing near 1/2", abs(v - 0.5) <= 5e-3,
                     f"{v:.6f}"))
 
     f_tab = OscillatingTestFunction(
-        d1=1, y_factor=coefs.ScalarField(1, waves=[((1,), "sin", 1.0)]))
+        d1=1,
+        y_factor=coefs.ScalarField(1, waves=[coefs.Wave((1,), "sin", 1.0)]))
     rows = oscillation_limit_table(f_tab, EPS_SWEEP, g)
     bound_ok = all(r["value"] <= r["bound"] * (1 + 1e-10) + 1e-10
                    for r in rows)
@@ -470,7 +473,8 @@ def test_criterion_08_two_scale_functional_suite():
     worst = 0.0
     f_mix = OscillatingTestFunction(
         d1=1, macro=lambda xb: 1 + xb[:, 0],
-        y_factor=coefs.ScalarField(1, const=0.5, waves=[((1,), "cos", 1.0)]))
+        y_factor=coefs.ScalarField(1, const=0.5,
+                                   waves=[coefs.Wave((1,), "cos", 1.0)]))
     for _ in range(4):
         a, b = rng.standard_normal(2)
         u1 = lambda p: np.cos(2 * np.pi * p[:, 0] / 0.0625)

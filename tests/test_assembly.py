@@ -17,7 +17,7 @@ from thinflow.assembly import (DiscreteField, FunctionSpace,
                                assemble_divergence, assemble_flux_load,
                                assemble_load, assemble_mass, axis_pencils,
                                element_gauss_axes, pressure_gauge)
-from thinflow.coefficients import ScalarField
+from thinflow.coefficients import ScalarField, Wave
 from thinflow.errors import AsymmetricOperatorError, SpaceMismatchError
 from thinflow.harness import _probe_function, load_config, solve_cells
 from thinflow.macro_model import solve_macro
@@ -347,8 +347,9 @@ def test_component_blocks_of_thin_operator():
     mesh = build_thin_mesh(Geometry(3, (0.5, 0.75), eps), 2, 2)
     V = FunctionSpace(mesh, "velocity")
     amp = np.array([[0.5, 0.2, 0.1], [0.2, 0.3, 0.0], [0.1, 0.0, 0.4]])
-    field = coefs.periodic_field(3, 2 * np.eye(3),
-                                 [coefs.Wave((1, 0), "sin", amp)], 1.0, 3.0)
+    field = coefs.CoefficientField(3, 2 * np.eye(3),
+                                   waves=[coefs.Wave((1, 0), "sin", amp)],
+                                   alpha_ell=1.0, beta_ell=3.0)
     K = (assemble_diffusion(V, field.scaled(eps))
          + 7.0 * assemble_mass(V)).tocsr()
     bounds = np.cumsum([0] + [f.size for f in V.free])
@@ -374,8 +375,8 @@ def test_diffusion_matches_gauss_point_loop(d):
     # batched element matrices agree with the Gauss-point loop
     amp = np.array([[0.5, 0.2, 0.1], [0.2, 0.3, 0.0], [0.1, 0.0, 0.4]])
     amp = amp[:d, :d]
-    field = coefs.periodic_field(d, 2 * np.eye(d), [coefs.Wave(
-        (1,) + (0,) * (d - 2), "sin", amp)], 1.0, 3.0)
+    field = coefs.CoefficientField(d, 2 * np.eye(d), waves=[coefs.Wave(
+        (1,) + (0,) * (d - 2), "sin", amp)], alpha_ell=1.0, beta_ell=3.0)
     eps = 0.25
     mesh = build_thin_mesh(Geometry(d, (0.5, 0.75)[:d - 1], eps), 2, 2)
     for kind in ("velocity", "pressure"):
@@ -391,9 +392,9 @@ def _wavy(mesh):
     # a varying, anisotropic coefficient at x / eps, eps the half-height
     d = mesh.ndim
     amp = np.array([[0.5, 0.2, 0.1], [0.2, 0.3, 0.0], [0.1, 0.0, 0.4]])
-    return coefs.periodic_field(d, 2 * np.eye(d), [coefs.Wave(
-        (1,) + (0,) * (d - 2), "sin", amp[:d, :d])], 1.0, 3.0).scaled(
-            mesh.axes[-1][-1])
+    return coefs.CoefficientField(d, 2 * np.eye(d), waves=[coefs.Wave(
+        (1,) + (0,) * (d - 2), "sin", amp[:d, :d])],
+        alpha_ell=1.0, beta_ell=3.0).scaled(mesh.axes[-1][-1])
 
 
 SLOT_MAP_SPACES = {
@@ -799,8 +800,8 @@ def slab_probe():
     return OscillatingTestFunction(
         d1=2, macro=lambda xb: 1 + xb[:, 0] * xb[:, 1],
         zeta_factor=lambda z: 1 - z * z,
-        y_factor=ScalarField(2, const=0.5, waves=[((1, 0), "cos", 1.0),
-                                                  ((1, 1), "sin", 0.5)]))
+        y_factor=ScalarField(2, const=0.5, waves=[Wave((1, 0), "cos", 1.0),
+                                                  Wave((1, 1), "sin", 0.5)]))
 
 
 def closed_form_layer(eps):

@@ -83,8 +83,7 @@ def test_regime_i_y_independent_solution():
 
 
 def test_regime_i_nonelliptic_rejected():
-    bad = coefs.CoefficientField(2, coefs.CONSTANT, np.diag([1.0, -1.0]),
-                                 alpha_ell=1.0)
+    bad = coefs.CoefficientField(2, np.diag([1.0, -1.0]), alpha_ell=1.0)
     with pytest.raises(NonEllipticCoefficientError):
         solve_cell_regime_i(bad, 1.0, 1.0, build_cell_mesh(GEOM, 2, 4))
 
@@ -260,8 +259,8 @@ def test_regime_iii_poiseuille():
 
 
 def test_regime_iii_zeta_profile():
-    field = coefs.zeta_profile_field(2, np.eye(2), lambda z: 1 + z * z,
-                                     1.0, 2.0)
+    field = coefs.CoefficientField(2, np.eye(2), lambda z: 1 + z * z,
+                                   alpha_ell=1.0, beta_ell=2.0)
     cells = solve_cell_regime_iii(field, build_cell_mesh(GEOM, 2, 16))
     val = cells.velocity_field(0).integrate()[0]
     assert val == pytest.approx(2 - np.pi / 2, abs=1e-3)
@@ -278,8 +277,8 @@ def test_regime_iii_vertical_problem():
 
 
 def test_regime_iii_rejects_asymptotic_periodic():
-    field = coefs.asymptotic_periodic_field(
-        2, 2 * np.eye(2), [], [coefs.GaussianBump(0.5 * np.eye(2))],
+    field = coefs.CoefficientField(
+        2, 2 * np.eye(2), gaussians=[coefs.GaussianBump(0.5 * np.eye(2))],
         alpha_ell=1.0, beta_ell=3.0)
     with pytest.raises(UnsupportedRegimeCoefficientError):
         solve_cell_regime_iii(field, build_cell_mesh(GEOM, 2, 4))

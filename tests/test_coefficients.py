@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from thinflow import coefficients as coefs
-from thinflow.errors import (InvalidRegimeError, NonEllipticCoefficientError,
-                             OutOfDomainError, UnsupportedFieldError)
+from thinflow.errors import (InvalidDataError, InvalidRegimeError,
+                             NonEllipticCoefficientError, OutOfDomainError,
+                             UnsupportedFieldError)
 
 from helpers import translated
 
@@ -13,8 +14,8 @@ def eval_A(field, y):
 
 
 def sin_field():
-    return coefs.periodic_field(
-        2, 2 * np.eye(2), [coefs.Wave((1,), "sin", np.eye(2))],
+    return coefs.CoefficientField(
+        2, 2 * np.eye(2), waves=[coefs.Wave((1,), "sin", np.eye(2))],
         alpha_ell=1.0, beta_ell=3.0)
 
 
@@ -30,9 +31,10 @@ def test_eval_periodic_substitution():
 
 
 def test_eval_asymptotic_substitution():
-    field = coefs.asymptotic_periodic_field(
-        2, 2 * np.eye(2), [coefs.Wave((1,), "sin", np.eye(2))],
-        [coefs.GaussianBump(np.eye(2))], alpha_ell=0.9, beta_ell=4.0)
+    field = coefs.CoefficientField(
+        2, 2 * np.eye(2), waves=[coefs.Wave((1,), "sin", np.eye(2))],
+        gaussians=[coefs.GaussianBump(np.eye(2))],
+        alpha_ell=0.9, beta_ell=4.0)
     got = eval_A(field, [0.0, 0.2])
     assert np.allclose(got, 3 * np.eye(2), atol=1e-14)
 
@@ -52,14 +54,39 @@ def test_eval_pure_and_symmetric():
     assert np.allclose(a1, np.transpose(a1, (0, 2, 1)), atol=0)
 
 
+def test_wave_rejects_a_non_integer_wavevector():
+    # sin(pi y) has mean 0, but a truncated wavenumber 0 made the cell
+    # average 2/pi of one half period
+    with pytest.raises(InvalidDataError, match="integers"):
+        coefs.Wave((0.5,), "sin", 1.0)
+    with pytest.raises(InvalidDataError, match="integers"):
+        coefs.Wave((1, 0.25), "cos", np.eye(3))
+    assert coefs.ScalarField(1, waves=[coefs.Wave((2.0,), "sin", 1.0)]) \
+        .max_wavenumber == 2
+
+
+def test_wave_rejects_an_unknown_trig():
+    # a trig other than cos was evaluated as sin
+    with pytest.raises(InvalidDataError, match="'cos' or 'sin'"):
+        coefs.Wave((1,), "tan", np.eye(2))
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan")])
+def test_bump_rejects_a_width_that_is_not_positive(sigma):
+    # checked by the bump itself, so a scalar field's bumps are checked too
+    with pytest.raises(InvalidDataError, match="sigma must be positive"):
+        coefs.GaussianBump(1.0, sigma)
+
+
 def test_separable_follows_structure_not_class():
     wave = coefs.Wave((1, 0), "cos", 0.5 * np.eye(3))
     assert coefs.constant_field(3, np.diag([1.0, 2.0, 3.0])).separable
-    assert coefs.zeta_profile_field(3, np.eye(3), lambda z: 1 + z * z,
-                                    alpha_ell=1.0, beta_ell=2.0).separable
-    # a periodic field without waves is a constant one
-    assert coefs.periodic_field(3, np.eye(3), [], 1.0, 1.0).separable
-    assert not coefs.periodic_field(3, np.eye(3), [wave], 0.5, 1.5).separable
+    assert coefs.CoefficientField(3, np.eye(3), lambda z: 1 + z * z,
+                                  alpha_ell=1.0, beta_ell=2.0).separable
+    # a field without waves is a constant one
+    assert coefs.CoefficientField(3, np.eye(3), waves=[]).separable
+    assert not coefs.CoefficientField(3, np.eye(3), waves=[wave],
+                                      alpha_ell=0.5, beta_ell=1.5).separable
     # a constant matrix that couples two axes
     assert not coefs.constant_field(3, [[1.0, 0.3, 0.0], [0.3, 1.0, 0.0],
                                         [0.0, 0.0, 1.0]]).separable
@@ -79,7 +106,7 @@ def test_check_ellipticity_sin():
 
 def test_check_ellipticity_failure():
     bad = coefs.CoefficientField(
-        2, coefs.CONSTANT, np.diag([1.0, -0.5]), alpha_ell=1.0, beta_ell=1.0)
+        2, np.diag([1.0, -0.5]), alpha_ell=1.0, beta_ell=1.0)
     with pytest.raises(NonEllipticCoefficientError):
         coefs.check_ellipticity(bad)
 
@@ -92,22 +119,22 @@ def test_mean_constant():
 
 
 def test_mean_shifted_sine():
-    g = coefs.ScalarField(1, const=2.0, waves=[((1,), "sin", 1.0)])
+    g = coefs.ScalarField(1, const=2.0, waves=[coefs.Wave((1,), "sin", 1.0)])
     assert coefs.mean_value(g) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_mean_sine_squared():
-    g = coefs.ScalarField(1, waves=[((2,), "sin", 1.0)])
+    g = coefs.ScalarField(1, waves=[coefs.Wave((2,), "sin", 1.0)])
     m = coefs.mean_value(g, transform=lambda v: v * v)
     assert m == pytest.approx(0.5, abs=1e-12)
 
 
 def test_mean_linearity():
-    g = coefs.ScalarField(1, const=1.0, waves=[((1,), "sin", 0.7)])
-    h = coefs.ScalarField(1, const=-2.0, waves=[((3,), "cos", 0.1)])
+    g = coefs.ScalarField(1, const=1.0, waves=[coefs.Wave((1,), "sin", 0.7)])
+    h = coefs.ScalarField(1, const=-2.0, waves=[coefs.Wave((3,), "cos", 0.1)])
     combo = coefs.ScalarField(1, const=2 * 1.0 + 3 * -2.0,
-                              waves=[((1,), "sin", 2 * 0.7),
-                                     ((3,), "cos", 3 * 0.1)])
+                              waves=[coefs.Wave((1,), "sin", 2 * 0.7),
+                                     coefs.Wave((3,), "cos", 3 * 0.1)])
     lhs = coefs.mean_value(combo)
     rhs = 2 * coefs.mean_value(g) + 3 * coefs.mean_value(h)
     assert lhs == pytest.approx(rhs, abs=1e-12)
@@ -116,13 +143,13 @@ def test_mean_linearity():
 @pytest.mark.parametrize("trig", ["sin", "cos"])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_mean_pure_oscillation_vanishes(trig, k):
-    g = coefs.ScalarField(1, waves=[((k,), trig, 1.0)])
+    g = coefs.ScalarField(1, waves=[coefs.Wave((k,), trig, 1.0)])
     assert abs(coefs.mean_value(g)) <= 1e-12
 
 
 def test_mean_asymptotic_periodic_cross_checked():
-    g = coefs.ScalarField(1, const=2.0, waves=[((1,), "sin", 1.0)],
-                          gaussians=[(1.0, 1.0, None)])
+    g = coefs.ScalarField(1, const=2.0, waves=[coefs.Wave((1,), "sin", 1.0)],
+                          gaussians=[coefs.GaussianBump(1.0)])
     assert coefs.mean_value(g) == pytest.approx(2.0, abs=1e-10)
 
 
@@ -134,8 +161,8 @@ def test_mean_unsupported():
 def test_ball_average_rate():
     # the decaying part contributes exactly c/R, so the interval averages
     # approach the cell mean at first order in 1/R
-    g = coefs.ScalarField(1, const=1.5, waves=[((1,), "cos", 0.5)],
-                          gaussians=[(1.0, 1.0, None)])
+    g = coefs.ScalarField(1, const=1.5, waves=[coefs.Wave((1,), "cos", 0.5)],
+                          gaussians=[coefs.GaussianBump(1.0)])
     radii = np.array([10.0, 20.0, 40.0])
     errs = np.array([abs(coefs.ball_average(g, r) - 1.5) for r in radii])
     slopes = np.log(errs[:-1] / errs[1:]) / np.log(2.0)
@@ -147,13 +174,13 @@ def test_ball_average_rate():
 def test_ball_average_periodic_bounded():
     # at integer radii a periodic field averages exactly; the deviation is
     # far below the generic O(1/R) envelope
-    g = coefs.ScalarField(1, const=2.0, waves=[((1,), "sin", 1.0)])
+    g = coefs.ScalarField(1, const=2.0, waves=[coefs.Wave((1,), "sin", 1.0)])
     for r in (10.0, 20.0, 40.0):
         assert abs(coefs.ball_average(g, r) - 2.0) <= 1.0 / r
 
 
 def test_ball_average_disc():
-    g = coefs.ScalarField(2, const=1.0, waves=[((1, 0), "cos", 1.0)])
+    g = coefs.ScalarField(2, const=1.0, waves=[coefs.Wave((1, 0), "cos", 1.0)])
     assert coefs.ball_average(g, 10.0) == pytest.approx(1.0, abs=5e-3)
 
 

@@ -42,13 +42,17 @@ def test_drift_of_text_and_shape(tmp_path):
 def fake_trees(tmp_path, monkeypatch, written):
     """Two trees with one config each, and a run() that writes, for each
     tree, the files written[tree] into the output directory of every
-    command, with the same exit status and verdict lines."""
+    command, with the same exit status and verdict lines.  Returns the
+    (command, output directory) of each call."""
     trees = [tmp_path / name for name in ("old", "new")]
     for tree in trees:
         (tree / "configs").mkdir(parents=True)
         (tree / "configs" / "box.json").write_text("{}")
 
+    calls = []
+
     def run(tree, command, config, outdir):
+        calls.append((command, outdir))
         outdir.mkdir(parents=True)
         for name in written[Path(tree).name]:
             (outdir / name).write_text("x,y\n1,2\n")
@@ -57,12 +61,27 @@ def fake_trees(tmp_path, monkeypatch, written):
     monkeypatch.setattr(compare_outputs, "run", run)
     monkeypatch.setattr("sys.argv", ["compare_outputs.py", *map(str, trees),
                                      "--work", str(tmp_path / "work")])
+    return calls
 
 
 def test_same_files_exit_zero(tmp_path, monkeypatch, capsys):
     fake_trees(tmp_path, monkeypatch, {"old": ["a.csv"], "new": ["a.csv"]})
     assert compare_outputs.main() == 0
     assert "a.csv: byte-identical" in capsys.readouterr().out
+
+
+def test_cell_runs_at_every_regime(tmp_path, monkeypatch, capsys):
+    # every command of each tree, and each regime of cell, has its own
+    # output directory, so no regime's files overwrite another's
+    calls = fake_trees(tmp_path, monkeypatch, {"old": ["a.csv"],
+                                               "new": ["a.csv"]})
+    assert compare_outputs.main() == 0
+    assert [command for command, _ in calls[::2]] == [
+        ["run"], ["diag"], ["cell", "--regime", "i"],
+        ["cell", "--regime", "ii"], ["cell", "--regime", "iii"]]
+    assert len({outdir for _, outdir in calls}) == len(calls) == 10
+    assert "box cell --regime iii: exit 0 -> 0, verdicts same" \
+        in capsys.readouterr().out
 
 
 def test_vanished_file_exits_one(tmp_path, monkeypatch, capsys):

@@ -15,6 +15,8 @@ from thinflow.macro_model import MacroSolution
 from thinflow.microscale import MicroSolution
 from thinflow.two_scale import OscillatingTestFunction
 
+CONFIGS = Path(__file__).parent.parent / "configs"
+
 BASE_CONFIG = {
     "geometry": {"d": 2, "omega_extent": [1.0]},
     "coefficient": {"class": "constant", "matrix": [[1.0, 0.0], [0.0, 1.0]],
@@ -246,6 +248,25 @@ def test_cli_cell(tmp_path, capsys):
     assert (tmp_path / "out" / "effective_matrix.csv").exists()
 
 
+def test_cli_cell_regime_iii_reads_the_class_from_the_terms(tmp_path,
+                                                           capsys):
+    # regime iii admits the regime_ii field without a decaying term under
+    # either periodic class name, and refuses it with a Gaussian bump
+    raw = json.loads((CONFIGS / "regime_ii.json").read_text())
+    written = {}
+    for kind in ("periodic", "asymptotic_periodic"):
+        raw["coefficient"]["class"] = kind
+        out = tmp_path / kind
+        assert cli_main(["cell", write_config(tmp_path, raw), "--regime",
+                         "iii", "--output", str(out)]) == 0
+        written[kind] = (out / "effective_matrix.csv").read_bytes()
+    assert written["asymptotic_periodic"] == written["periodic"]
+    raw["coefficient"]["gaussians"] = [{"amplitude": np.eye(2).tolist()}]
+    assert cli_main(["cell", write_config(tmp_path, raw), "--regime", "iii",
+                     "--output", str(tmp_path / "bump")]) == 2
+    assert "decaying terms" in capsys.readouterr().err
+
+
 def test_cli_diag(tmp_path, capsys):
     raw = copy.deepcopy(BASE_CONFIG)
     path = write_config(tmp_path, raw)
@@ -443,8 +464,7 @@ SHIPPED_REGIMES = {"regime_i": "i", "regime_ii": "ii", "regime_iii": "iii",
                    "homogenization_d3": "i"}
 
 
-@pytest.mark.parametrize("path", sorted(
-    (Path(__file__).parent.parent / "configs").glob("*.json")),
-    ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")),
+                         ids=lambda p: p.stem)
 def test_shipped_configs_load(path):
     assert load_config(str(path)).regime.regime == SHIPPED_REGIMES[path.stem]

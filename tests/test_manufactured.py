@@ -137,12 +137,12 @@ WIDTHS = {"d3_oscillating": 0.5}
 def case_field(name):
     d, diag, a, zeta = CASES[name][:4]
     if a is not None:
-        return coefs.periodic_field(d, np.diag(diag), [coefs.Wave(
+        return coefs.CoefficientField(d, np.diag(diag), waves=[coefs.Wave(
             (1,) + (0,) * (d - 2), "cos", 0.5 * np.diag(diag))],
             alpha_ell=0.5, beta_ell=1.5)
     if zeta is not None:
-        return coefs.zeta_profile_field(d, np.diag(diag), lambda y: 1 + y * y,
-                                        alpha_ell=1.0, beta_ell=2.0)
+        return coefs.CoefficientField(d, np.diag(diag), lambda y: 1 + y * y,
+                                      alpha_ell=1.0, beta_ell=2.0)
     return coefs.constant_field(d, np.diag(diag))
 
 

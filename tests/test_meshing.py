@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from thinflow.errors import InvalidResolutionError, ThinDomainError
-from thinflow.meshing import (Geometry, build_cell_mesh, build_macro_mesh,
-                              build_thin_mesh, composite_gauss, grid_points,
-                              tensor_rule, vtk_text)
+from thinflow.meshing import (Geometry, TensorMesh, build_cell_mesh,
+                              build_macro_mesh, build_thin_mesh,
+                              composite_gauss, grid_points, tensor_rule,
+                              vtk_text)
 
 from helpers import mesh_volume
 
@@ -40,6 +41,18 @@ def test_cell_mesh_invalid(geom2):
         build_cell_mesh(geom2, 0, 2)
     with pytest.raises(InvalidResolutionError):
         build_cell_mesh(geom2, 2, 3)
+
+
+def test_graded_axis_rejected():
+    # the spacings and the element rules read one step per axis: on this
+    # graded axis a pressure mass summed to 0.4 instead of the area 2
+    with pytest.raises(InvalidResolutionError, match="uniformly spaced"):
+        TensorMesh([[0.0, 0.5, 1.0], [-1.0, -0.9, 0.0, 0.9, 1.0]],
+                   (False, False), set())
+    # the roundoff of linspace is no grading
+    mesh = TensorMesh([np.linspace(0.0, 0.7, 50), np.linspace(-0.1, 0.1, 7)],
+                      (False, False), set())
+    assert mesh.spacings == pytest.approx((0.7 / 49, 0.2 / 6), rel=1e-12)
 
 
 def test_thin_mesh_counts():

@@ -148,8 +148,8 @@ def test_d3_layer_factors_no_matrix(monkeypatch):
     assert sol.solver_counts["direct_fallbacks"] == 0
 
 
-PERIODIC_D3 = coefs.periodic_field(
-    3, np.eye(3), [coefs.Wave((1, 0), "cos", 0.5 * np.eye(3))],
+PERIODIC_D3 = coefs.CoefficientField(
+    3, np.eye(3), waves=[coefs.Wave((1, 0), "cos", 0.5 * np.eye(3))],
     alpha_ell=0.5, beta_ell=1.5)
 
 
@@ -274,8 +274,8 @@ def dense_oracle(mesh, field, params, K_eps, picard_tol=1e-10, iters=50):
 
 def test_matches_dense_oracle():
     # oscillatory coefficient so the velocity is not identically zero
-    field = coefs.periodic_field(
-        2, 2 * np.eye(2), [coefs.Wave((1,), "sin", 0.5 * np.eye(2))],
+    field = coefs.CoefficientField(
+        2, 2 * np.eye(2), waves=[coefs.Wave((1,), "sin", 0.5 * np.eye(2))],
         alpha_ell=1.5, beta_ell=2.5)
     params = coefs.FluidParams(
         mu=1.0, f1=lambda xb: np.column_stack([np.sin(2 * np.pi * xb[:, 0])]))
@@ -297,8 +297,8 @@ def test_picard_iteration_budget():
 
 
 def test_coefficient_resolution_guard():
-    field = coefs.periodic_field(
-        2, 2 * np.eye(2), [coefs.Wave((1,), "sin", 0.5 * np.eye(2))],
+    field = coefs.CoefficientField(
+        2, 2 * np.eye(2), waves=[coefs.Wave((1,), "sin", 0.5 * np.eye(2))],
         alpha_ell=1.5, beta_ell=2.5)
     mesh = thin_mesh(eps=0.25, epp=2)   # two elements per period: too few
     params = coefs.FluidParams(mu=1.0, f1=None)
@@ -339,8 +339,8 @@ def test_apriori_norms_zero_field():
 
 
 def test_energy_balance_inequality():
-    field = coefs.periodic_field(
-        2, 2 * np.eye(2), [coefs.Wave((1,), "sin", 0.5 * np.eye(2))],
+    field = coefs.CoefficientField(
+        2, 2 * np.eye(2), waves=[coefs.Wave((1,), "sin", 0.5 * np.eye(2))],
         alpha_ell=1.5, beta_ell=2.5)
     params = coefs.FluidParams(
         mu=1.0, f1=lambda xb: np.column_stack([np.sin(2 * np.pi * xb[:, 0])]))
@@ -353,8 +353,8 @@ def test_energy_balance_inequality():
 
 
 def test_translation_by_full_period_invariant():
-    field = coefs.periodic_field(
-        2, 2 * np.eye(2), [coefs.Wave((1,), "sin", 0.5 * np.eye(2))],
+    field = coefs.CoefficientField(
+        2, 2 * np.eye(2), waves=[coefs.Wave((1,), "sin", 0.5 * np.eye(2))],
         alpha_ell=1.5, beta_ell=2.5)
     params = coefs.FluidParams(
         mu=1.0, f1=lambda xb: np.column_stack([np.sin(2 * np.pi * xb[:, 0])]))
@@ -791,7 +791,7 @@ def test_pencil_eigh_decomposes(kind):
 
 SEPARABLE_D3 = {
     "constant": coefs.constant_field(3, np.diag([1.0, 2.0, 0.5])),
-    "zeta_profile": coefs.zeta_profile_field(
+    "zeta_profile": coefs.CoefficientField(
         3, np.eye(3), lambda z: 1 + z * z, alpha_ell=1.0, beta_ell=2.0)}
 
 
@@ -919,8 +919,8 @@ def sine_forcing(xb):
 
 def regime_ii_layer(eps):
     """Drag-dominated: the regime_ii config's coefficient, K_eps = eps^3."""
-    field = coefs.periodic_field(
-        2, 2 * np.eye(2), [coefs.Wave((1,), "sin", np.eye(2))],
+    field = coefs.CoefficientField(
+        2, 2 * np.eye(2), waves=[coefs.Wave((1,), "sin", np.eye(2))],
         alpha_ell=1.0, beta_ell=3.0)
     return field, 2.0, eps ** 3
 
@@ -932,8 +932,8 @@ def test_schur_iterations_flat_in_eps_weak_drag_d3(eps):
     # friction 3 nu / eps^2, keeps one cold solve at 39 and 43 iterations
     # (and 43 at eps = 1/32); sigma alone lets the count grow with 1/eps
     # (39, 50 and 76 at eps = 1/8, 1/16 and 1/32)
-    field = coefs.zeta_profile_field(3, np.eye(3), lambda z: 1 + z * z,
-                                     alpha_ell=1.0, beta_ell=2.0)
+    field = coefs.CoefficientField(3, np.eye(3), lambda z: 1 + z * z,
+                                   alpha_ell=1.0, beta_ell=2.0)
     params = coefs.FluidParams(mu=1.0, rho=0.0, f1=lambda xb: np.column_stack(
         [np.sin(2 * np.pi * xb[:, 0]), np.zeros(len(xb))]))
     mesh = build_thin_mesh(Geometry(3, (0.5, 0.5), eps), 2, 2)

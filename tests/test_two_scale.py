@@ -10,7 +10,7 @@ from thinflow import coefficients as coefs
 from thinflow import assembly, two_scale
 from thinflow.assembly import DiscreteField, FunctionSpace, element_gauss_axes
 from thinflow.cell_problems import solve_cell_regime_i
-from thinflow.coefficients import ScalarField
+from thinflow.coefficients import ScalarField, Wave
 from thinflow.errors import InvalidParameterError, SpaceMismatchError
 from thinflow.harness import _probe_function, load_config, solve_cells
 from thinflow.macro_model import solve_macro
@@ -73,7 +73,7 @@ def test_pairing_constants():
 
 def test_pairing_cosine_square():
     eps = 1 / 32
-    f = osc(y_waves=[((1,), "cos", 1.0)])
+    f = osc(y_waves=[Wave((1,), "cos", 1.0)])
     val = two_scale_pairing(lambda p: np.cos(2 * np.pi * p[:, 0] / eps), f,
                             eps, geometry=geom(eps))
     assert abs(val - 1.0) <= 5e-3
@@ -81,7 +81,7 @@ def test_pairing_cosine_square():
 
 def test_pairing_macro_weighted_sine():
     eps = 1 / 32
-    f = osc(y_waves=[((1,), "sin", 1.0)], macro=lambda xb: xb[:, 0])
+    f = osc(y_waves=[Wave((1,), "sin", 1.0)], macro=lambda xb: xb[:, 0])
     val = two_scale_pairing(lambda p: np.sin(2 * np.pi * p[:, 0] / eps), f,
                             eps, geometry=geom(eps))
     assert abs(val - 0.5) <= 5e-3
@@ -98,7 +98,7 @@ def test_pairing_shape_error():
 def test_pairing_linearity_probes():
     eps = 1 / 16
     g = geom(eps)
-    f = osc(const=0.5, y_waves=[((1,), "cos", 1.0)],
+    f = osc(const=0.5, y_waves=[Wave((1,), "cos", 1.0)],
             macro=lambda xb: 1 + xb[:, 0])
     rng = np.random.default_rng(11)
     for _ in range(3):
@@ -129,14 +129,14 @@ def test_limit_pairing_examples():
     assert limit_pairing_reference(u1, f1, g) == pytest.approx(2.0,
                                                                abs=1e-12)
 
-    fcos = osc(y_waves=[((1,), "cos", 1.0)])
+    fcos = osc(y_waves=[Wave((1,), "cos", 1.0)])
     ucos = SimpleTwoScale(lambda xb, yb, z: np.cos(2 * np.pi * yb[:, 0]))
     assert limit_pairing_reference(ucos, fcos, g) == pytest.approx(
         1.0, abs=1e-12)
 
     # y'-independent representative against a zero-mean oscillation
     uplain = SimpleTwoScale(lambda xb, yb, z: 1 + xb[:, 0])
-    fosc = osc(y_waves=[((2,), "sin", 1.0)])
+    fosc = osc(y_waves=[Wave((2,), "sin", 1.0)])
     assert abs(limit_pairing_reference(uplain, fosc, g)) <= 1e-12
 
 
@@ -205,7 +205,7 @@ def test_separated_limit_matches_pointwise_reference(d):
     probe = OscillatingTestFunction(
         d1=d1, macro=lambda xb: 1 + xb[:, 0], zeta_factor=lambda z: 1 - z * z,
         y_factor=ScalarField(d1, const=0.5,
-                             waves=[((1,) + (0,) * (d1 - 1), "cos", 1.0)]))
+                             waves=[Wave((1,) + (0,) * (d1 - 1), "cos", 1.0)]))
     got = limit_pairing(limit, probe)
     want = limit_pairing_reference(values, probe, g)
     assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
@@ -329,8 +329,8 @@ def _layer_probe(d1):
         d1=d1, macro=lambda xb: 1 + xb[:, 0] * xb[:, -1],
         zeta_factor=lambda z: 1 - z * z + 0.3 * z ** 3,
         y_factor=ScalarField(d1, const=0.5,
-                             waves=[((1,) + (0,) * (d1 - 1), "cos", 1.0),
-                                    ((1,) * d1, "sin", 0.5)]))
+                             waves=[Wave((1,) + (0,) * (d1 - 1), "cos", 1.0),
+                                    Wave((1,) * d1, "sin", 0.5)]))
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -377,7 +377,7 @@ def test_oscillation_table_constant_tight():
 
 def test_oscillation_table_sine():
     g = geom(0.125)
-    f = osc(y_waves=[((1,), "sin", 1.0)])
+    f = osc(y_waves=[Wave((1,), "sin", 1.0)])
     rows = oscillation_limit_table(f, [1 / 8, 1 / 16, 1 / 32], g)
     for row in rows:
         assert row["limit"] == pytest.approx(1.0, abs=1e-10)
@@ -399,7 +399,7 @@ def test_product_rule_three_instances():
 
     # strong x weak: a(xbar) times an oscillation
     a = lambda x: 1 + 0.5 * x
-    fcos = osc(y_waves=[((1,), "cos", 1.0)])
+    fcos = osc(y_waves=[Wave((1,), "cos", 1.0)])
     for eps in eps_list:
         uv = lambda p: a(p[:, 0]) * np.cos(2 * np.pi * p[:, 0] / eps)
         got = two_scale_pairing(uv, fcos, eps, geometry=g.with_eps(eps))
@@ -414,7 +414,7 @@ def test_product_rule_three_instances():
         assert abs(got) <= 5 * eps
 
     # vertical profile (strong) times horizontal oscillation (weak)
-    fprof = osc(y_waves=[((1,), "sin", 1.0)], zeta=lambda z: z)
+    fprof = osc(y_waves=[Wave((1,), "sin", 1.0)], zeta=lambda z: z)
     for eps in eps_list:
         uv = lambda p: (p[:, 1] / eps) * np.sin(2 * np.pi * p[:, 0] / eps)
         got = two_scale_pairing(uv, fprof, eps, geometry=g.with_eps(eps))
@@ -462,8 +462,8 @@ def d3_layer():
         d1=2, macro=lambda xb: 1 + xb[:, 0] * xb[:, 1],
         zeta_factor=lambda z: 1 - z * z,
         y_factor=ScalarField(2, const=0.5,
-                             waves=[((1, 0), "cos", 1.0),
-                                    ((1, 1), "sin", 0.5)]))
+                             waves=[Wave((1, 0), "cos", 1.0),
+                                    Wave((1, 1), "sin", 0.5)]))
     return sol, recon, probe
 
 

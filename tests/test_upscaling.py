@@ -53,8 +53,8 @@ def test_refinement_cauchy_order():
 def test_solver_tolerance_backward_stability():
     # tightening the solve tolerance tenfold moves the upscaled entries by
     # less than ten times the looser tolerance
-    field = coefs.periodic_field(
-        2, 2 * np.eye(2), [coefs.Wave((1,), "sin", 0.5 * np.eye(2))],
+    field = coefs.CoefficientField(
+        2, 2 * np.eye(2), waves=[coefs.Wave((1,), "sin", 0.5 * np.eye(2))],
         alpha_ell=1.5, beta_ell=2.5)
     mesh = build_cell_mesh(GEOM, 4, 8)
     vals = []
@@ -66,8 +66,8 @@ def test_solver_tolerance_backward_stability():
 
 
 def test_oscillatory_coefficient_spd():
-    field = coefs.periodic_field(
-        2, 2 * np.eye(2), [coefs.Wave((1,), "sin", 0.8 * np.eye(2))],
+    field = coefs.CoefficientField(
+        2, 2 * np.eye(2), waves=[coefs.Wave((1,), "sin", 0.8 * np.eye(2))],
         alpha_ell=1.2, beta_ell=2.8)
     cells = solve_cell_regime_i(field, 1.0, 1.0, build_cell_mesh(GEOM, 8, 16))
     ahat = effective_matrix(cells)

@@ -2,19 +2,19 @@
 
     python3 tools/compare_outputs.py OLD_TREE NEW_TREE [--work DIR]
 
-Runs `thinflow run`, `diag` and `cell` (at its own regime) on each config in
-OLD_TREE/configs with each tree's src/, writing under DIR (default: a new
-temporary directory), and prints whether exit status and verdict lines
-agree, and per file "byte-identical" or, for a CSV, the drift of each column
-that differs: the largest relative drift |a - b| / max(|a|, |b|) of an
-entry, and in parentheses the largest |a - b| against the column's largest
-magnitude.  Exits with status 1 if an exit status or the verdict lines of a
-command differ between the trees, or if only one tree writes a file, and 0
-otherwise."""
+Runs `thinflow run`, `diag` and `cell --regime R` at each regime R (i, ii
+and iii) on each config in OLD_TREE/configs with each tree's src/.  Each
+command, and each regime of `cell`, writes into its own directory under DIR
+(default: a new temporary directory).  Prints whether exit status and verdict
+lines agree, and per file "byte-identical" or, for a CSV, the drift of each
+column that differs: the largest relative drift |a - b| / max(|a|, |b|) of
+an entry, and in parentheses the largest |a - b| against the column's
+largest magnitude.  Exits with status 1 if an exit status or the verdict
+lines of a command differ between the trees, or if only one tree writes a
+file, and 0 otherwise."""
 
 import argparse
 import csv
-import json
 import os
 import subprocess
 import sys
@@ -22,14 +22,16 @@ import tempfile
 from pathlib import Path
 
 
+# the output directory of each command, and its arguments after the config
+COMMANDS = {"run": ["run"], "diag": ["diag"],
+            **{f"cell_{regime}": ["cell", "--regime", regime]
+               for regime in ("i", "ii", "iii")}}
+
+
 def run(tree, command, config, outdir):
     """Exit status and verdict lines ("[PASS] name") of one command."""
-    cmd = [sys.executable, "-m", "thinflow.cli", command, str(config),
-           "--output", str(outdir)]
-    if command == "cell":
-        alpha = json.loads(config.read_text())["regime"]["alpha"]
-        cmd += ["--regime", "i" if abs(alpha - 2) <= 1e-12
-                else "ii" if alpha > 2 else "iii"]
+    cmd = [sys.executable, "-m", "thinflow.cli", command[0], str(config),
+           *command[1:], "--output", str(outdir)]
     env = dict(os.environ, PYTHONPATH=str(Path(tree, "src").resolve()))
     out = subprocess.run(cmd, env=env, capture_output=True, text=True)
     return out.returncode, [line.split(" = ")[0] for line in
@@ -78,12 +80,13 @@ def main():
     work = Path(args.work or tempfile.mkdtemp(prefix="compare_outputs_"))
     same = True
     for config in sorted(Path(args.old, "configs").glob("*.json")):
-        for command in ("run", "diag", "cell"):
-            dirs = [work / side / config.stem / command for side in "ab"]
+        for label, command in COMMANDS.items():
+            dirs = [work / side / config.stem / label for side in "ab"]
             (code_a, seen_a), (code_b, seen_b) = (
                 run(tree, command, Path(tree, "configs", config.name), d)
                 for tree, d in zip((args.old, args.new), dirs))
-            print(f"{config.stem} {command}: exit {code_a} -> {code_b}, "
+            print(f"{config.stem} {' '.join(command)}: "
+                  f"exit {code_a} -> {code_b}, "
                   f"verdicts {'same' if seen_a == seen_b else 'DIFFERENT'}")
             same = same and code_a == code_b and seen_a == seen_b
             for name in sorted({p.name for d in dirs for p in d.glob("*")}):
