@@ -44,8 +44,11 @@ once.  Every load (the forcing, the cell unit loads, the pressure gauge,
 the flux and Picard convection loads, the macro no-flux diagnostic) is the
 sample's transpose, integrate_grid, so no per-element dof map is kept; the
 forcing, gauge and convection loads are sampled and integrated one slab at
-a time too.  The Gauss rules and tensor grids are those of meshing
-(composite_gauss, tensor_rule, grid_points).
+a time too.  A load's source is evaluated on the axes of its grid
+(_eval_callable through meshing.grid_values): a callable that can, as the
+compiled config forcing, takes the axes, any other the grid's points.  The
+Gauss rules and tensor grids are those of meshing (composite_gauss,
+tensor_rule, grid_points).
 """
 
 import functools
@@ -56,7 +59,7 @@ import scipy.sparse as sp
 
 from .errors import AsymmetricOperatorError, SpaceMismatchError
 from .meshing import (TensorMesh, _kron_apply, _kron_row, composite_gauss,
-                      gauss_rule, grid_points, tensor_rule)
+                      gauss_rule, grid_points, grid_values, tensor_rule)
 
 _SYM_CHECK_REL = 1e-13
 # Gauss points per axis and element of the bilinear forms and the loads
@@ -293,11 +296,13 @@ def _interpolation(space, a, x, deriv=False):
     return pair
 
 
-def _eval_callable(fn, pts, ncomp):
-    """Evaluate a coefficient given as callable, constant or array."""
-    n = pts.shape[0]
+def _eval_callable(fn, coords, ncomp):
+    """A coefficient given as callable, constant or array at the points of
+    the tensor grid of per-axis coordinates: (N,) or (N, ncomp).  A
+    callable is evaluated there by meshing.grid_values."""
+    n = int(np.prod([len(x) for x in coords]))
     if callable(fn):
-        vals = np.asarray(fn(pts), dtype=float)
+        vals = np.asarray(grid_values(fn, coords), dtype=float)
     else:
         vals = np.asarray(fn, dtype=float)
         vals = np.broadcast_to(vals, (n,) + vals.shape).copy() \
@@ -621,11 +626,11 @@ def assemble_load(space, f_eval):
     horizontal grid of each slab, and broadcast across the layer."""
     def integrand(coords, w):
         if getattr(f_eval, "horizontal", False):
-            fv = _eval_callable(f_eval, grid_points(coords[:-1]),
-                                space.ncomp).reshape(w.shape[:-1] + (1, -1))
+            fv = _eval_callable(f_eval, coords[:-1], space.ncomp).reshape(
+                w.shape[:-1] + (1, -1))
         else:
-            fv = _eval_callable(f_eval, grid_points(coords),
-                                space.ncomp).reshape(w.shape + (-1,))
+            fv = _eval_callable(f_eval, coords, space.ncomp).reshape(
+                w.shape + (-1,))
         return fv * w[..., None]
     return _slab_integral(space, integrand)
 
@@ -636,7 +641,7 @@ def assemble_flux_load(space, vec_eval):
         raise SpaceMismatchError("flux load is defined for scalar spaces")
     ndim = space.mesh.ndim
     coords, w = tensor_rule(element_gauss_axes(space.mesh, _NQUAD))
-    fv = _eval_callable(vec_eval, grid_points(coords), ndim).reshape(
+    fv = _eval_callable(vec_eval, coords, ndim).reshape(
         w.shape + (ndim,)) * w[..., None]
     return sum(integrate_grid(space, coords, fv[..., a:a + 1], deriv_axis=a)
                for a in range(ndim))
@@ -662,6 +667,9 @@ class DiscreteField:
             raise SpaceMismatchError(
                 f"expected {space.ndof} coefficients, got {self.coeffs.size}")
         self._full = self._grad_l2 = None
+        # (int |u|^2, int |u|^4) on the 5-point Gauss grid, kept by the
+        # two-scale pass over a layer field (two_scale.layer_moments)
+        self._moments = None
 
     def full_values(self):
         """The lattice array (FunctionSpace.expand), expanded once and

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import (InvalidDataError, InvalidRegimeError,
                      NonEllipticCoefficientError, OutOfDomainError,
                      UnsupportedFieldError)
-from .meshing import composite_gauss, grid_points, tensor_rule
+from .meshing import composite_gauss, grid_points, grid_values, tensor_rule
 
 _GOLDEN = 0.6180339887498949
 _ZETA_TOL = 1e-9
@@ -45,7 +45,7 @@ class Wave:
 
     The wavevector k has integer entries, so the term has period 1 in each
     horizontal direction.  The amplitude is a symmetric matrix in a
-    CoefficientField and a number in a ScalarField, which ignores the
+    CoefficientField and a number in a ScalarField, which takes no
     profile."""
 
     wavevector: tuple
@@ -88,6 +88,15 @@ class GaussianBump:
         return np.exp(-r2 / self.sigma ** 2)
 
 
+def _check_horizontal(waves, gaussians, d1):
+    """Raise InvalidDataError unless every wave vector and Gaussian center
+    has the d1 entries of the horizontal variable."""
+    if any(len(w.wavevector) != d1 for w in waves):
+        raise InvalidDataError(f"wave vectors must have {d1} entries")
+    if any(g.center is not None and len(g.center) != d1 for g in gaussians):
+        raise InvalidDataError(f"Gaussian centers must have {d1} entries")
+
+
 class CoefficientField:
     """Symmetric matrix coefficient A(y', z) with declared ellipticity bounds:
     base_matrix [* zeta_profile(z)] plus its waves and Gaussian bumps."""
@@ -112,12 +121,7 @@ class CoefficientField:
                for t in self.waves + self.gaussians):
             raise InvalidDataError(f"amplitude matrices must be {d}x{d}")
         # the horizontal variable y' has d - 1 entries
-        if any(len(w.wavevector) != d - 1 for w in self.waves):
-            raise InvalidDataError(f"wave vectors must have {d - 1} entries")
-        if any(g.center is not None and len(g.center) != d - 1
-               for g in self.gaussians):
-            raise InvalidDataError(
-                f"Gaussian centers must have {d - 1} entries")
+        _check_horizontal(self.waves, self.gaussians, d - 1)
 
     @property
     def max_wavenumber(self):
@@ -207,13 +211,19 @@ def check_ellipticity(field, n_samples=2000):
 
 class ScalarField:
     """Scalar field on the horizontal space with a computable mean value:
-    const plus Waves and GaussianBumps with number amplitudes."""
+    const plus Waves and GaussianBumps with number amplitudes.  It has no
+    thickness variable, so a wave with a profile is an InvalidDataError,
+    as is a wave vector or center without d1 entries."""
 
     def __init__(self, d1, const=0.0, waves=(), gaussians=()):
         self.d1 = d1
         self.const = float(const)
         self.waves = tuple(waves)
         self.gaussians = tuple(gaussians)
+        _check_horizontal(self.waves, self.gaussians, d1)
+        if any(w.zeta_profile is not None for w in self.waves):
+            raise InvalidDataError(
+                "a scalar field on the horizontal space takes no profile")
 
     @property
     def max_wavenumber(self):
@@ -332,17 +342,27 @@ class FluidParams:
     def forcing(self, d1):
         """Full forcing (f1(xbar), 0) as a callable on points whose first
         d1 coordinates are xbar: d-dim points or their horizontal part.
-        Its attribute horizontal says so to assembly.assemble_load."""
+        Its attribute horizontal says so to assembly.assemble_load, and its
+        attribute grid takes the horizontal axes of a tensor grid and
+        evaluates f1 there through meshing.grid_values."""
         f1 = self.f1
+
+        def padded(n, vals):
+            out = np.zeros((n, d1 + 1))
+            if vals is not None:
+                out[:, :d1] = np.asarray(vals, dtype=float).reshape(n, d1)
+            return out
 
         def fn(pts):
             pts = np.atleast_2d(pts)
-            out = np.zeros((pts.shape[0], d1 + 1))
-            if f1 is not None:
-                vals = np.asarray(f1(pts[:, :d1]), dtype=float)
-                out[:, :d1] = vals.reshape(pts.shape[0], d1)
-            return out
+            return padded(pts.shape[0],
+                          None if f1 is None else f1(pts[:, :d1]))
+
+        def grid(coords):
+            return padded(int(np.prod([len(x) for x in coords])),
+                          None if f1 is None else grid_values(f1, coords))
         fn.horizontal = True
+        fn.grid = grid
         return fn
 
 

@@ -5,9 +5,14 @@ _SCHEMA, which gives every key its kind and either its default or marks it
 required.  An unknown key, a missing required key or a value of the wrong
 kind raises a ConfigError that names 'block.key'; load_config then builds the
 geometry, coefficient field, fluid parameters and regime once, as attributes
-of ExperimentConfig.  A pipeline run produces a convergence report whose CSV
-serializations are byte-identical across reruns of the same configuration
-(17 significant digits, UNIX line endings, no timestamps).
+of ExperimentConfig.  The f1 expressions compile to a callable on points
+that also evaluates on the per-axis coordinates of a tensor grid by
+broadcasting (_expr_fn, meshing.grid_values): every tensor grid of a run
+takes the forcing that way, so a factor of one coordinate costs that axis's
+length, and each value is bit for bit the one at its point.  A pipeline run
+produces a convergence report whose CSV serializations are byte-identical
+across reruns of the same configuration (17 significant digits, UNIX line
+endings, no timestamps).
 """
 
 import contextlib
@@ -23,7 +28,7 @@ from .cell_problems import solve_cell_problems
 from .errors import ConfigError, InvalidDataError, PipelineError, ThinflowError
 from .macro_model import solve_macro
 from .meshing import (Geometry, build_cell_mesh, build_macro_mesh,
-                      build_thin_mesh, grid_points, vtk_text)
+                      build_thin_mesh, composed, grid_values, vtk_text)
 from .microscale import solve_dlb
 from .two_scale import OscillatingTestFunction, layer_checks, limit_pairing
 from .upscaling import effective_matrix, reconstruct_two_scale_velocity
@@ -111,25 +116,43 @@ def _compile_expr(expr, variables):
 
 
 def _expr_fn(exprs, d1):
-    """Callable (N, d1) -> (N, d1) from d1 expression strings."""
+    """Callable (N, d1) -> (N, d1) from d1 expression strings.
+
+    Its attribute grid (meshing.grid_values) evaluates on the tensor grid of
+    per-axis coordinates: each x_i is its axis, shaped to broadcast along
+    axis i, so a factor of one coordinate is taken on that axis alone and
+    the grid is formed by the operations that combine the coordinates.
+    Every grid value is computed by the same operations as at its point,
+    so the two paths agree bit for bit."""
     if len(exprs) != d1:
         raise ConfigError(f"f1 needs {d1} expressions, got {len(exprs)}")
     variables = tuple(f"x{i}" for i in range(d1))
     codes = [_compile_expr(e, variables) if isinstance(e, str) else float(e)
              for e in exprs]
 
-    def fn(xb):
-        xb = np.atleast_2d(xb)
-        env = {f"x{i}": xb[:, i] for i in range(d1)}
+    def columns(env, shape):
         cols = []
         for code in codes:
             if isinstance(code, float):
-                cols.append(np.full(xb.shape[0], code))
+                cols.append(np.full(shape, code))
             else:
                 val = eval(code, {"__builtins__": {}, **_EXPR_GLOBALS}, env)
                 cols.append(np.broadcast_to(np.asarray(val, dtype=float),
-                                            (xb.shape[0],)))
-        return np.column_stack(cols)
+                                            shape))
+        return cols
+
+    def fn(xb):
+        xb = np.atleast_2d(xb)
+        return np.column_stack(columns(
+            {f"x{i}": xb[:, i] for i in range(d1)}, (xb.shape[0],)))
+
+    def grid(coords):
+        shape = tuple(len(x) for x in coords)
+        env = {f"x{i}": np.asarray(x, dtype=float).reshape(
+            [-1 if a == i else 1 for a in range(d1)])
+            for i, x in enumerate(coords)}
+        return np.column_stack([c.ravel() for c in columns(env, shape)])
+    fn.grid = grid
     return fn
 
 
@@ -353,12 +376,13 @@ _SWEEP_KEYS = ["eps", "K_eps", "picard_iterations", "u_l2", "grad_u_l2",
 
 def _probe_function(d1, f1=None):
     """Oscillating probe; its macro factor follows the forcing (when any)
-    so the limit pairing couples to the reconstructed field."""
+    so the limit pairing couples to the reconstructed field.  The factor
+    is the first component of f1 and keeps its grid path (composed)."""
     wavevec = (1,) + (0,) * (d1 - 1)
     macro = 1.0
     if f1 is not None:
-        macro = lambda xb: np.asarray(f1(xb), dtype=float).reshape(
-            xb.shape[0], -1)[:, 0]
+        macro = composed(lambda vals: np.asarray(vals, dtype=float).reshape(
+            len(vals), -1)[:, 0], f1)
     return OscillatingTestFunction(
         d1=d1, macro=macro, y_factor=coefs.ScalarField(
             d1, const=1.0, waves=[coefs.Wave(wavevec, "cos", 1.0)]))
@@ -478,8 +502,8 @@ def run_pipeline(config):
         # rows carry no content there and are recorded as informational
         fscale = 1.0
         if params.f1 is not None:
-            fscale = max(1.0, float(np.abs(params.f1(grid_points(
-                _sample_axes(geometry, n=9)))).max()))
+            fscale = max(1.0, float(np.abs(grid_values(
+                params.f1, _sample_axes(geometry, n=9))).max()))
         degenerate = (geometry.d1 == 1
                       or float(np.abs(macro.u_prime).max()) <= 1e-10 * fscale)
         _sweep_checks(report, config, rows, degenerate=degenerate)

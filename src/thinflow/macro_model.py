@@ -8,8 +8,10 @@ in primal form with a mean-zero gauge (in the low-permeability regime the
 forcing drops out and the velocity is -Ahat grad p).  The driving force and
 the velocity are sampled on tensor grids: per-axis coordinates in, values
 at their grid points out, the pressure gradient one derivative axis at a
-time by sum factorization (DiscreteField.evaluate_grid).  The effective
-velocity is reconstructed per element at the centroid.
+time by sum factorization (DiscreteField.evaluate_grid), the forcing on
+the axes themselves (meshing.grid_values), as is the forcing of the flux
+load.  The effective velocity is reconstructed per element at the
+centroid.
 """
 
 from dataclasses import dataclass
@@ -21,7 +23,7 @@ from .assembly import (DiscreteField, FunctionSpace, assemble_diffusion,
                        assemble_flux_load, integrate_grid, pressure_gauge)
 from .errors import InvalidEffectiveMatrixError
 from .linalg import _compatible, solve_gauged_spd
-from .meshing import composite_gauss, grid_points, tensor_rule
+from .meshing import composed, composite_gauss, grid_values, tensor_rule
 
 
 @dataclass
@@ -58,7 +60,7 @@ class MacroSolution:
         g = -np.column_stack([p0.evaluate_grid(axes, deriv_axis=a).ravel()
                               for a in range(len(axes))])
         if self.forcing is not None:
-            g = g + np.asarray(self.forcing(grid_points(axes)),
+            g = g + np.asarray(grid_values(self.forcing, axes),
                                dtype=float).reshape(g.shape[0], -1)
         return g
 
@@ -96,9 +98,9 @@ def solve_macro(Ahat, f1, macro_mesh, regime="i", tol=1e-10):
     if forcing is None:
         rhs = np.zeros(space.ndof)
     else:
-        rhs = assemble_flux_load(
-            space, lambda pts: np.asarray(forcing(pts), dtype=float).reshape(
-                pts.shape[0], -1) @ A.T)
+        rhs = assemble_flux_load(space, composed(
+            lambda vals: np.asarray(vals, dtype=float).reshape(
+                len(vals), -1) @ A.T, forcing))
     gauge = pressure_gauge(space)
     p0 = solve_gauged_spd(K, rhs, gauge, tol=tol)
     sol = MacroSolution(macro_mesh, space, p0, None, A, regime,

@@ -7,7 +7,9 @@ class), which keeps every assembled operator symmetric.
 
 Every integral of the toolkit is a composite Gauss rule on a tensor grid, and
 this module owns both: gauss_rule, composite_gauss over given panel edges,
-tensor_rule and grid_points.  No other module builds a rule or a grid.  It
+tensor_rule and grid_points.  No other module builds a rule or a grid.  A
+callable is sampled on a grid by grid_values, on the grid's axes where it
+can (its grid attribute) and at the grid's points otherwise.  The module
 also owns the one sum-factorization kernel, _kron_apply, which applies a
 Kronecker product of per-axis matrices to arrays in lattice order: the
 samples and loads of assembly and the tensor operators of linalg use it.
@@ -57,6 +59,25 @@ def grid_points(coords):
     """Points (N, d) of the tensor grid of per-axis coordinates, grid order."""
     grids = np.meshgrid(*coords, indexing="ij")
     return np.column_stack([g.ravel() for g in grids])
+
+
+def grid_values(fn, coords):
+    """fn on the tensor grid of per-axis coordinates: its values at
+    grid_points(coords), in that order.  A callable with a grid attribute
+    takes the coordinates themselves (the compiled config forcing evaluates
+    there by broadcasting, so a factor of one coordinate costs that axis's
+    length); any other is called on grid_points(coords)."""
+    grid = getattr(fn, "grid", None)
+    return grid(coords) if grid is not None else fn(grid_points(coords))
+
+
+def composed(post, fn):
+    """The callable pts -> post(fn(pts)) that keeps the grid path of fn:
+    on a tensor grid it is post(grid_values(fn, coords))."""
+    def out(pts):
+        return post(fn(pts))
+    out.grid = lambda coords: post(grid_values(fn, coords))
+    return out
 
 
 def _kron_apply(mats, x):

@@ -37,10 +37,14 @@ folded into its element matrices, and a d = 3 one factors it.  A d = 2
 layer is sealed and hydrostatic, its velocity a discretization residue, and
 its 2-D saddle system is small: it assembles the divergence, factors the
 pinned LU of S in linalg.SaddleSolver and solves every step with it.  The
-solver, and with it any LU, is dropped before the a priori norms sample
-the fields.  The forcing (f1(xbar), 0) of FluidParams depends on the
-horizontal coordinates alone, so its load samples it on the horizontal
-Gauss grid and broadcasts it across the layer.  The iteration stops when the relative
+a priori norms are taken when MicroSolution.norms is first read, so the
+solver, and with it any LU, is gone before they sample the fields; u_l2 and
+u_l4 are the roots of the velocity's moments (two_scale.layer_moments),
+which a pipeline's two-scale pass of the layer has taken by then, so the
+velocity is sampled on its 5-point grid once.  The forcing (f1(xbar), 0) of
+FluidParams depends on the horizontal coordinates alone, so its load
+samples it on the axes of the horizontal Gauss grid (meshing.grid_values)
+and broadcasts it across the layer.  The iteration stops when the relative
 velocity update falls below the fixed-point tolerance.  It converges where
 the map contracts, that is where the convection is small against S:
 ||S^{-1} N(u)|| < 1 near the fixed point (the small-data condition of the
@@ -65,6 +69,7 @@ from .errors import (InvalidParameterError, InvalidResolutionError,
                      PicardDivergenceError)
 from .linalg import (BlockSaddleSolver, SaddleSolver, SaddleSystem,
                      SolveCounts, _norm)
+from .two_scale import layer_moments
 
 
 @dataclass
@@ -91,12 +96,22 @@ class MicroSolution:
     K_eps: float
     picard_iterations: int
     final_update: float
-    norms: dict = dfield(default_factory=dict)
     update_history: list = dfield(default_factory=list)
     stop_reason: str = ""
     solver_counts: dict = dfield(default_factory=dict)
     _velocity: DiscreteField = dfield(default=None, init=False, repr=False,
                                       compare=False)
+    _norms: dict = dfield(default=None, init=False, repr=False,
+                          compare=False)
+
+    @property
+    def norms(self):
+        """The a priori norms (apriori_norms), taken on first reading: in
+        a pipeline after the two-scale pass, whose samples give u_l2 and
+        u_l4 (two_scale.layer_moments)."""
+        if self._norms is None:
+            self._norms = apriori_norms(self)
+        return self._norms
 
     def velocity_field(self):
         """The velocity as one DiscreteField per solution, so that its
@@ -205,13 +220,11 @@ def solve_dlb(thin_mesh, field, params, K_eps, picard_tol=1e-10,
             f"no fixed point within {max_iters} iterations "
             f"(last update {update:.3e})", history=history)
 
-    # any LU goes before the norms' Gauss samples, so they do not stack
-    del solver
-    sol = MicroSolution(thin_mesh, space_v, space_p, u, p, eps, K_eps,
-                        iterations, update, update_history=history,
-                        stop_reason=reason, solver_counts=asdict(counts))
-    sol.norms = apriori_norms(sol)
-    return sol
+    # the norms are taken when first read, after the solver and any LU of
+    # it are gone, so their Gauss samples do not stack on them
+    return MicroSolution(thin_mesh, space_v, space_p, u, p, eps, K_eps,
+                         iterations, update, update_history=history,
+                         stop_reason=reason, solver_counts=asdict(counts))
 
 
 def _block_pencils(space_s, field, eps, sigma):
@@ -232,13 +245,16 @@ def _block_pencils(space_s, field, eps, sigma):
 def apriori_norms(sol):
     """Quadrature-exact norms and the thin-domain Sobolev ratios.
 
-    r2 and r4 are the ratios whose uniform boundedness over a sweep encodes
-    the thin-layer embedding inequalities; they are zero for the zero field.
+    u_l2 and u_l4 are the roots of the velocity's layer_moments, which the
+    two-scale pass of a pipeline has already taken; the gradient norm is
+    kept on the velocity field too.  r2 and r4 are the ratios whose
+    uniform boundedness over a sweep encodes the thin-layer embedding
+    inequalities; they are zero for the zero field.
     """
     uf = sol.velocity_field()
-    l2 = uf.lp_norm(2)
+    sq, quartic = layer_moments(uf)
+    l2, l4 = float(sq ** 0.5), float(quartic ** 0.25)
     grad = uf.grad_l2_norm()
-    l4 = uf.lp_norm(4)
     p_l2 = sol.pressure_field().lp_norm(2)
     r2 = l2 / (sol.eps * grad) if grad > 0 else 0.0
     r4 = l4 / (np.sqrt(sol.eps) * grad) if grad > 0 else 0.0

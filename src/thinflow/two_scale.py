@@ -25,9 +25,16 @@ The functionals on a layer share one pass (_layer_sums): it samples the
 field once per slab of whole vertical columns (assembly._rule_slabs, the
 slabs that every pass over that grid cuts), so the vertical mean sees whole
 columns, and feeds the sample to one small term per functional: the
-distance, the pairing, the fluctuation.  two_scale_distance,
-two_scale_pairing and poincare_wirtinger_ratio run that pass with their one
-term, and layer_checks with all three.  The limit u0(xbar, x/eps) of the
+distance, the pairing, the fluctuation, and the moments int |u|^2 and
+int |u|^4 behind the a priori norms u_l2 and u_l4 (microscale).
+two_scale_distance, two_scale_pairing and poincare_wirtinger_ratio run that
+pass with their one term, layer_moments with the moments alone, and
+layer_checks with all of them: it keeps a discrete field's moments on the
+field, so a pipeline samples each layer velocity on its 5-point grid once.
+The macro factor of a test function is taken on the axes of the
+horizontal grid (meshing.grid_values), so the probe's factor, the first
+component of the compiled forcing, costs the axis lengths where its
+expression separates.  The limit u0(xbar, x/eps) of the
 distance is sampled per layer, not per slab (_period_limit): the driving
 once on the layer's horizontal grid, and each cell field once on one
 period, since the cell fields are periodic and the layer's horizontal
@@ -45,7 +52,7 @@ import numpy as np
 from .assembly import DiscreteField, _rule_slabs, element_gauss_axes
 from .coefficients import ScalarField, mean_value
 from .errors import InvalidParameterError, SpaceMismatchError
-from .meshing import composite_gauss, grid_points, tensor_rule
+from .meshing import composite_gauss, grid_points, grid_values, tensor_rule
 
 # points of the envelope grid per axis in d1 = 1, and per sample of it
 _SUP_GRID = 4096
@@ -66,8 +73,9 @@ _WRAP_TOL = 1e-12
 class OscillatingTestFunction:
     """Separated test function: macro factor x periodic factor x profile.
 
-    macro acts on (N, d1) horizontal points, y_factor is a scalar field with
-    a mean value, zeta_factor acts on the thickness coordinate in [-1, 1].
+    macro acts on (N, d1) horizontal points (and is taken on tensor grids
+    by meshing.grid_values), y_factor is a scalar field with a mean value,
+    zeta_factor acts on the thickness coordinate in [-1, 1].
     """
 
     macro: object = 1.0
@@ -83,10 +91,13 @@ class OscillatingTestFunction:
                 f"periodic factor lives in dimension {self.y_factor.d1}, "
                 f"expected {self.d1}")
 
-    def _macro_vals(self, xbar):
+    def _macro_vals(self, coords):
+        """The macro factor on the tensor grid of the horizontal per-axis
+        coordinates coords (meshing.grid_values), in grid_points order."""
         if callable(self.macro):
-            return np.asarray(self.macro(xbar), dtype=float)
-        return np.full(xbar.shape[0], float(self.macro))
+            return np.asarray(grid_values(self.macro, coords), dtype=float)
+        return np.full(int(np.prod([len(x) for x in coords])),
+                       float(self.macro))
 
     def _zeta_vals(self, zeta):
         if callable(self.zeta_factor):
@@ -117,11 +128,11 @@ def _panel_rule(a, b, panels):
 
 
 def _macro_rule(geometry):
-    """Points (N, d1) and weights (N,) of the composite rule on the
+    """Per-axis points and weights (N,) of the composite rule on the
     horizontal box of the oscillation table."""
     coords, w = tensor_rule([_panel_rule(0.0, extent, _MACRO_PANELS)
                              for extent in geometry.omega_extent])
-    return grid_points(coords), w.ravel()
+    return coords, w.ravel()
 
 
 def _layer_rules(geometry, eps):
@@ -194,9 +205,9 @@ def _pairing_term(f, eps):
 
         def part(s, coords, w, vals):
             *horizontal, z = coords
-            xbar = grid_points(horizontal)
             fv = np.multiply.outer(
-                f._macro_vals(xbar) * f.y_factor(xbar / eps),
+                f._macro_vals(horizontal)
+                * f.y_factor(grid_points(horizontal) / eps),
                 f._zeta_vals(z / eps))
             return np.einsum("i,ic->c", w.ravel() * fv.ravel(),
                              vals.reshape(w.size, -1))
@@ -242,6 +253,29 @@ def _gradient_term(grad):
     return make
 
 
+def _moment_term(rules):
+    """int |u|^2 and int |u|^4, with no root taken: a term (as in
+    _layer_sums) that needs no rule of its own.  On the _NQ-point Gauss
+    grid of a quadratic field both are exact, |u|^4 having degree 8 per
+    axis."""
+    def part(s, coords, w, vals):
+        sq = np.einsum("...c,...c->...", vals, vals)
+        weighted = w * sq
+        return np.array([weighted.sum(), np.vdot(weighted, sq)])
+    return part
+
+
+def layer_moments(u_eps):
+    """(int |u|^2, int |u|^4) of a discrete layer field, summed by
+    _moment_term on the _NQ-point Gauss grid of its elements.  Taken once
+    per field and kept on it: layer_checks keeps them from its pass, and a
+    field that has not been through that pass takes a pass of this one
+    term, which cuts the same slabs and so gives the same numbers."""
+    if u_eps._moments is None:
+        (u_eps._moments,) = _layer_sums(u_eps, None, None, [_moment_term])
+    return u_eps._moments
+
+
 def _pairing(total, eps, scale=1.0):
     out = total / (eps * scale)
     return float(out[0]) if out.size == 1 else out
@@ -271,7 +305,7 @@ def limit_pairing(u0, f):
     """
     coords, w_x = tensor_rule(element_gauss_axes(u0.macro_mesh, _NQ))
     g = u0.driving(coords)                           # (Nx, n_terms)
-    mv = f._macro_vals(grid_points(coords))
+    mv = f._macro_vals(coords)
     x_weights = (g * (w_x.ravel() * mv)[:, None]).sum(axis=0)
 
     cell_ints = []
@@ -405,12 +439,20 @@ def layer_checks(u_eps, u0, f, eps, scale=1.0, geometry=None, grad=None):
     eps), two_scale_pairing(u_eps / scale, f, eps) and
     poincare_wirtinger_ratio(u_eps, eps), each with geometry (and grad)
     for a closed-form field.  The field is sampled once per slab, and the
-    scale is folded into the limit: |u - scale u0| / scale.
+    scale is folded into the limit: |u - scale u0| / scale.  A discrete
+    field whose layer_moments are not taken yet takes them in the same
+    pass and keeps them, so that the a priori norms of a layer
+    (microscale.apriori_norms) sample its velocity no more.
     """
     pw_terms, report = _pw_terms(u_eps, eps, grad)
-    total, pairing, *pw = _layer_sums(
+    keep = isinstance(u_eps, DiscreteField) and u_eps._moments is None
+    sums = _layer_sums(
         u_eps, eps, geometry,
-        [_distance_term(u0, eps, scale), _pairing_term(f, eps), *pw_terms])
+        [_distance_term(u0, eps, scale), _pairing_term(f, eps), *pw_terms]
+        + ([_moment_term] if keep else []))
+    if keep:
+        u_eps._moments = sums.pop()
+    total, pairing, *pw = sums
     return (_distance(total, eps, scale), _pairing(pairing, eps, scale),
             report(*pw))
 
@@ -424,8 +466,8 @@ def oscillation_limit_table(f, eps_list, geometry, p=2.0):
     eps_list = list(eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise InvalidParameterError("eps_list must be strictly decreasing")
-    pts_x, w_x = _macro_rule(geometry)
-    macro_mass = float(np.sum(w_x * np.abs(f._macro_vals(pts_x)) ** p))
+    coords, w_x = _macro_rule(geometry)
+    macro_mass = float(np.sum(w_x * np.abs(f._macro_vals(coords)) ** p))
     z_pts, z_w = _panel_rule(-1.0, 1.0, _ZETA_PANELS)
     zeta_mass = float(np.sum(z_w * np.abs(f._zeta_vals(z_pts)) ** p))
     y_mean = mean_value(f.y_factor, transform=lambda v: np.abs(v) ** p)
@@ -438,9 +480,8 @@ def oscillation_limit_table(f, eps_list, geometry, p=2.0):
         # horizontal grid times one over the thickness
         *horizontal, (z, w_z) = _layer_rules(geometry, eps)
         coords, w_x = tensor_rule(horizontal)
-        xbar = grid_points(coords)
-        x_sum = np.sum(w_x.ravel() * np.abs(
-            f._macro_vals(xbar) * f.y_factor(xbar / eps)) ** p)
+        x_sum = np.sum(w_x.ravel() * np.abs(f._macro_vals(coords) * f.y_factor(
+            grid_points(coords) / eps)) ** p)
         z_sum = np.sum(w_z * np.abs(f._zeta_vals(z / eps)) ** p)
         value = float(x_sum * z_sum / eps)
         rows.append({"eps": eps, "value": value, "bound": bound,

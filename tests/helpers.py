@@ -47,8 +47,8 @@ import scipy.sparse.linalg as spla
 
 from thinflow import coefficients as coefs
 from thinflow.assembly import (DiscreteField, _element_nodes,
-                               _element_points, _eval_callable, _on_grid,
-                               _shape1d, assemble_diffusion, assemble_mass,
+                               _element_points, _on_grid, _shape1d,
+                               assemble_diffusion, assemble_mass,
                                pressure_gauge)
 from thinflow.linalg import solve_gauged_spd
 from thinflow.meshing import (composite_gauss, gauss_rule, grid_points,
@@ -123,10 +123,13 @@ def quadrature_points(space, nquad):
 
 
 def _element_samples(space, fn, ncomp, nquad):
-    """fn at the Gauss points of every element: (ne, nq, ncomp)."""
+    """fn (a callable, or a constant taken at every point) at the Gauss
+    points of every element: (ne, nq, ncomp)."""
     pts = quadrature_points(space, nquad)
-    return _eval_callable(fn, pts.reshape(-1, space.mesh.ndim),
-                          ncomp).reshape(pts.shape[:2] + (ncomp,))
+    n = pts.shape[0] * pts.shape[1]
+    vals = np.asarray(fn(pts.reshape(n, -1)) if callable(fn) else
+                      np.broadcast_to(fn, (n,) + np.shape(fn)), dtype=float)
+    return vals.reshape(pts.shape[:2] + (ncomp,))
 
 
 def load_reference(space, f, nquad=3):
@@ -303,10 +306,17 @@ def two_scale_values(u0, xbar, y):
     return out
 
 
+def macro_values(f, xbar):
+    """The macro factor of a separated test function f at points (N, d1)."""
+    if callable(f.macro):
+        return np.asarray(f.macro(xbar), dtype=float)
+    return np.full(len(xbar), float(f.macro))
+
+
 def probe_values(f, xbar, ybar, zeta):
     """A separated test function f at paired points: macro factor at xbar
     (N, d1), periodic factor at ybar (N, d1), profile at zeta (N,)."""
-    return (f._macro_vals(np.atleast_2d(xbar))
+    return (macro_values(f, np.atleast_2d(xbar))
             * f.y_factor(np.atleast_2d(ybar))
             * f._zeta_vals(np.asarray(zeta, dtype=float)))
 

@@ -158,6 +158,32 @@ def test_mean_unsupported():
         coefs.mean_value(lambda y: y)
 
 
+def test_scalar_field_rejects_a_wavevector_of_the_wrong_length():
+    # a 1-entry wave vector in d1 = 2 failed only in the mean, in numpy's
+    # matmul
+    with pytest.raises(InvalidDataError, match="wave vectors must have 2"):
+        coefs.ScalarField(2, 1.0, waves=[coefs.Wave((1,), "cos", 1.0)])
+
+
+def test_scalar_field_rejects_a_center_of_the_wrong_length():
+    # a 2-entry center in d1 = 1 was broadcast: the field read
+    # 1 + exp(-0.5) at y = 0.5 instead of 1 + exp(-0.25)
+    with pytest.raises(InvalidDataError, match="centers must have 1"):
+        coefs.ScalarField(1, 1.0, gaussians=[
+            coefs.GaussianBump(1.0, center=(0.0, 0.0))])
+    g = coefs.ScalarField(1, 1.0, gaussians=[
+        coefs.GaussianBump(1.0, center=(0.0,))])
+    assert g(np.array([[0.5]]))[0] == pytest.approx(1 + np.exp(-0.25),
+                                                    rel=1e-15)
+
+
+def test_scalar_field_rejects_a_wave_profile():
+    # a scalar field has no thickness variable, so a profile was ignored
+    with pytest.raises(InvalidDataError, match="takes no profile"):
+        coefs.ScalarField(1, waves=[coefs.Wave((1,), "cos", 1.0,
+                                               lambda z: 1 - z * z)])
+
+
 def test_ball_average_rate():
     # the decaying part contributes exactly c/R, so the interval averages
     # approach the cell mean at first order in 1/R

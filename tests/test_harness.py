@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 from pathlib import Path
 
@@ -6,12 +7,15 @@ import numpy as np
 import pytest
 
 from thinflow import assembly, harness
+from thinflow.assembly import DiscreteField, _rule_slabs, element_gauss_axes
 from thinflow.cell_problems import CellSolution
 from thinflow.cli import main as cli_main
+from thinflow.coefficients import FluidParams
 from thinflow.errors import ConfigError, InvalidDataError
 from thinflow.harness import (estimate_rate, load_config, report_csv,
                               run_pipeline, save_report, sweep_csv)
 from thinflow.macro_model import MacroSolution
+from thinflow.meshing import grid_points, grid_values
 from thinflow.microscale import MicroSolution
 from thinflow.two_scale import OscillatingTestFunction
 
@@ -166,6 +170,79 @@ def test_pipeline_marks_each_traced_stage_once(monkeypatch):
     assert calls.count("limit_pairing") == 1
     assert calls.index("reconstruct_two_scale_velocity") \
         < calls.index("limit_pairing") < calls.index("solve_dlb")
+
+
+def test_pipeline_samples_each_layer_velocity_once_per_slab(monkeypatch):
+    # the two-scale pass takes the velocity moments of the a priori norms
+    # too, so each DNS velocity is sampled once per slab of its 5-point
+    # Gauss grid (its gradient, by derivative axis, on the 3-point grid);
+    # a bare solution gives the norms of the report bit for bit
+    samples = []
+    evaluate_grid = DiscreteField.evaluate_grid
+
+    def spy(field, coords, deriv_axis=None):
+        if deriv_axis is None:
+            samples.append((field, [x.tobytes() for x in coords]))
+        return evaluate_grid(field, coords, deriv_axis)
+
+    monkeypatch.setattr(DiscreteField, "evaluate_grid", spy)
+    report = run_pipeline(load_config(CONFIGS / "homogenization_d3.json"))
+    monkeypatch.undo()
+    for sol, row in zip(report.layers, report.sweep_rows):
+        field = sol.velocity_field()
+        slabs = [[x.tobytes() for x in coords] for coords, _ in
+                 _rule_slabs(element_gauss_axes(sol.mesh, 5))]
+        assert [c for f, c in samples if f is field] == slabs
+        bare = dataclasses.replace(sol)
+        assert bare.velocity_field() is not field
+        assert bare.norms == {key: row[key] for key in bare.norms}
+        assert row["u_l2"] == pytest.approx(field.lp_norm(2), rel=1e-13)
+        assert row["u_l4"] == pytest.approx(field.lp_norm(4), rel=1e-13)
+    assert len(slabs) > 1
+
+
+def test_pipeline_takes_the_forcing_on_grid_axes():
+    # every tensor grid of the pipeline evaluates the compiled forcing on
+    # its axes (meshing.grid_values), never at its points
+    config = load_config(CONFIGS / "homogenization_d3.json")
+    f1 = config.params.f1
+    calls = []
+
+    def forcing(xb):
+        calls.append("points")
+        return f1(xb)
+
+    def grid(coords):
+        calls.append("axes")
+        return f1.grid(coords)
+
+    forcing.grid = grid
+    config.params = dataclasses.replace(config.params, f1=forcing)
+    run_pipeline(config)
+    assert "axes" in calls and "points" not in calls
+
+
+@pytest.mark.parametrize("d1, exprs", [
+    (1, ["1"]), (1, ["sin(2*pi*x0)"]),
+    (1, ["4*pi*sin(2*pi*x0)*cos(2*pi*x0)*exp(-x0)"]), (1, ["abs(x0-0.5)"]),
+    (1, [0.25]),
+    (2, ["1", "sin(2*pi*x0)"]),
+    (2, ["4*pi*sin(2*pi*x0)*sin(2*pi*x0)*sin(2*pi*x1)*cos(2*pi*x1)",
+         "-4*pi*sin(2*pi*x0)*cos(2*pi*x0)*sin(2*pi*x1)*sin(2*pi*x1)"]),
+    (2, ["sin(2*pi*(x0+x1))", "abs(x0-0.5)"]),
+    (2, ["sin(2*pi*x1)", 0.25])])
+def test_compiled_forcing_on_grid_axes_matches_its_points(d1, exprs):
+    # the grid path computes each value by the operations of its point:
+    # equal bit for bit, also through the forcing of FluidParams
+    fn = harness._expr_fn(exprs, d1)
+    rng = np.random.default_rng(5)
+    coords = [np.sort(rng.uniform(0.0, 1.0, n)) for n in (13, 7)[:d1]]
+    pts = grid_points(coords)
+    got = grid_values(fn, coords)
+    assert got.shape == (pts.shape[0], d1)
+    assert np.array_equal(got, fn(pts))
+    forcing = FluidParams(mu=1.0, f1=fn).forcing(d1)
+    assert np.array_equal(grid_values(forcing, coords), forcing(pts))
 
 
 def test_pipeline_structure_checks(small_report):

@@ -9,7 +9,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from thinflow import coefficients as coefs
-from thinflow import cell_problems, linalg, microscale
+from thinflow import cell_problems, linalg, microscale, two_scale
 from thinflow.assembly import (DiscreteField, FunctionSpace,
                                assemble_convection, assemble_diffusion,
                                assemble_divergence, assemble_load,
@@ -22,7 +22,7 @@ from thinflow.linalg import (BlockSaddleSolver, SaddleSystem, SolveCounts,
 from thinflow.meshing import (Geometry, TensorMesh, build_cell_mesh,
                               build_thin_mesh)
 from thinflow.microscale import apriori_norms, solve_dlb
-from thinflow.two_scale import poincare_wirtinger_ratio
+from thinflow.two_scale import layer_moments, poincare_wirtinger_ratio
 
 from helpers import interpolate, oseen_matrix, translated
 
@@ -183,7 +183,9 @@ def test_d3_non_separable_layer_factors_its_block(monkeypatch, field):
 @pytest.mark.parametrize("d", [2, 3])
 def test_solver_freed_before_norms(monkeypatch, d):
     # the layer's solver, and with it its LU, is gone when the a priori
-    # norms sample the fields, on either solver path
+    # norms sample the fields, on either solver path: solve_dlb samples no
+    # norm, and the first reading of sol.norms takes the velocity's
+    # moments, its gradient norm and the pressure norm after it returned
     solvers = []
     for name in ("SaddleSolver", "BlockSaddleSolver"):
         class Spy(getattr(microscale, name)):
@@ -193,20 +195,29 @@ def test_solver_freed_before_norms(monkeypatch, d):
 
         monkeypatch.setattr(microscale, name, Spy)
     alive = []
-    norms = microscale.apriori_norms
 
-    def spy_norms(sol):
-        alive.extend(ref() is not None for ref in solvers)
-        return norms(sol)
+    def spy(owner, name):
+        original = getattr(owner, name)
 
-    monkeypatch.setattr(microscale, "apriori_norms", spy_norms)
+        def sample(*args, **kwargs):
+            alive.append([ref() is not None for ref in solvers])
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, sample)
+
+    spy(two_scale, "_layer_sums")
+    spy(DiscreteField, "grad_l2_norm")
+    spy(DiscreteField, "lp_norm")
     if d == 2:
         field, mu, K_eps = regime_ii_layer(0.125)
-        solve_dlb(thin_mesh(eps=0.125), field,
-                  coefs.FluidParams(mu=mu, f1=sine_forcing), K_eps=K_eps)
+        sol = solve_dlb(thin_mesh(eps=0.125), field,
+                        coefs.FluidParams(mu=mu, f1=sine_forcing),
+                        K_eps=K_eps)
     else:
-        d3_flow(rho=1.0)
-    assert alive == [False]
+        *_, sol = d3_flow(rho=1.0)
+    assert alive == []
+    assert set(sol.norms) == {"u_l2", "grad_u_l2", "u_l4", "p_l2", "r2",
+                              "r4"}
+    assert alive == [[False]] * 3
 
 
 def test_stop_rule_strong_convection_converges():
@@ -716,19 +727,23 @@ def test_correction_forms_each_velocity_once(monkeypatch):
 
 
 def test_layer_velocity_sampled_for_its_gradient_norm_once(monkeypatch):
-    # one velocity field per solution, whose gradient norm apriori_norms
-    # has already taken: the Poincare-Wirtinger ratio reuses it, and gives
-    # the ratio of a fresh field bit for bit
+    # one velocity field per solution, whose gradient norm and moments the
+    # first reading of the norms takes: reading them again samples
+    # nothing, the Poincare-Wirtinger ratio reuses the gradient norm, and
+    # gives the ratio of a fresh field bit for bit
     *_, sol = d3_flow(rho=1.0)
     field = sol.velocity_field()
     assert field is sol.velocity_field()
+    norms = sol.norms
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the gradient is sampled again")
+        raise AssertionError("the velocity is sampled again")
 
     with monkeypatch.context() as patch:
         patch.setattr(DiscreteField, "evaluate_grid", refuse)
-        assert field.grad_l2_norm() == sol.norms["grad_u_l2"]
+        assert field.grad_l2_norm() == norms["grad_u_l2"]
+        assert layer_moments(field) is layer_moments(field)
+        assert sol.norms is norms
     fresh = DiscreteField(sol.space_v, sol.u)
     assert poincare_wirtinger_ratio(field, sol.eps) \
         == poincare_wirtinger_ratio(fresh, sol.eps)

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from thinflow import coefficients as coefs
-from thinflow import assembly, two_scale
+from thinflow import assembly, meshing, two_scale
 from thinflow.assembly import DiscreteField, FunctionSpace, element_gauss_axes
 from thinflow.cell_problems import solve_cell_regime_i
 from thinflow.coefficients import ScalarField, Wave
@@ -18,7 +18,8 @@ from thinflow.meshing import (Geometry, build_cell_mesh, build_macro_mesh,
                               build_thin_mesh, composite_gauss, tensor_rule)
 from thinflow.microscale import solve_dlb
 from thinflow.two_scale import (OscillatingTestFunction, _field_sample,
-                                _layer_rules, layer_checks, limit_pairing,
+                                _layer_rules, layer_checks, layer_moments,
+                                limit_pairing,
                                 oscillation_limit_table,
                                 poincare_wirtinger_ratio, two_scale_distance,
                                 two_scale_pairing)
@@ -26,8 +27,9 @@ from thinflow.upscaling import (TwoScaleVelocity, effective_matrix,
                                 reconstruct_two_scale_velocity)
 
 from helpers import (distance_reference, interpolate, layer_quadrature,
-                     limit_pairing_reference, on_grid, probe_values,
-                     quadrature_sample, thin_average, two_scale_values)
+                     limit_pairing_reference, macro_values, on_grid,
+                     probe_values, quadrature_sample, thin_average,
+                     two_scale_values)
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 
@@ -348,7 +350,8 @@ def test_separated_mass_matches_full_layer_sum(d):
 
 def test_oscillation_table_builds_no_layer_grid(monkeypatch):
     # the mass is a horizontal sum times a vertical one: no grid larger
-    # than the horizontal layer grid of the finest eps is ever built
+    # than the horizontal layer grid of the finest eps is ever built, by
+    # two_scale or by meshing.grid_values for the macro factor
     eps_list = [1 / 8, 1 / 16]
     built = []
     real = two_scale.grid_points
@@ -358,6 +361,7 @@ def test_oscillation_table_builds_no_layer_grid(monkeypatch):
         return real(coords)
 
     monkeypatch.setattr(two_scale, "grid_points", spy)
+    monkeypatch.setattr(meshing, "grid_points", spy)
     oscillation_limit_table(_layer_probe(2), eps_list, D3_GEOM)
     horizontal = int(np.prod([x.size for x, _ in
                               _layer_rules(D3_GEOM, eps_list[-1])[:-1]]))
@@ -627,19 +631,23 @@ def test_cell_points_merge_only_repeats():
 def test_five_point_passes_share_their_slabs(d3_layer, monkeypatch):
     # every pass over the layer's 5-point Gauss grid cuts it into the same
     # slabs, so after the first one the interpolation matrices of each
-    # slab are built: lp_norm(4) and the two-scale pass build none (the
-    # gradient norm, on the 3-point grid, is taken first, as apriori_norms
-    # does)
+    # slab are built: the moments' own pass, lp_norm(4) and a second
+    # two-scale pass build none (the gradient norm, on the 3-point grid,
+    # is taken first, as the Poincare-Wirtinger ratio does)
     sol, recon, probe = d3_layer
     monkeypatch.setattr(assembly, "_SLAB_ENTRIES", 2 ** 13)
     space = FunctionSpace(sol.mesh, "velocity")
     u = DiscreteField(space, sol.u)
     u.grad_l2_norm()
-    u.lp_norm(4)
-    built = len(space._interpolations)
-    u.lp_norm(4)
     layer_checks(u, recon, probe, D3_EPS, D3_EPS ** 2)
+    built = len(space._interpolations)
+    fresh = DiscreteField(space, sol.u)
+    layer_moments(fresh)
+    fresh.lp_norm(4)
+    layer_checks(fresh, recon, probe, D3_EPS, D3_EPS ** 2)
     assert len(space._interpolations) == built
+    # and the moments of the two-scale pass are those of their own pass
+    assert np.array_equal(layer_moments(u), layer_moments(fresh))
 
 
 def test_pw_ratio_takes_the_exact_vertical_mean():
@@ -667,7 +675,7 @@ def _magnitude_limit(u0, f):
     by magnitude: the size of the terms whose sum the limit is, and so the
     scale of its rounding."""
     magnitude = OscillatingTestFunction(
-        d1=f.d1, macro=lambda xb: np.abs(f._macro_vals(xb)),
+        d1=f.d1, macro=lambda xb: np.abs(macro_values(f, xb)),
         y_factor=f.y_factor, zeta_factor=f.zeta_factor)
     return limit_pairing(TwoScaleVelocity(
         u0.cell_fields, lambda xb: np.abs(u0.driving(xb)), u0.macro_mesh),
