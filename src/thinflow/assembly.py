@@ -28,27 +28,31 @@ element slab at a time (_slabs: whole element rows along axis 0, at most
 _SLAB_ENTRIES local entries), so only the pattern spans the mesh; a mesh
 that fits one slab is assembled in one pass.  Symmetry is checked on the
 element matrices.  A drag term is folded into the diffusion element
-matrices.  The divergence has one form: the block of each velocity
+matrices.  The 1-D factors of the tensor forms are dense arrays, each
+summed from its axis's element matrices by one helper (_line_matrix): the
+mass and stiffness pencils of a scalar space (axis_pencils) and the
+divergence's.  The divergence has one form: the block of each velocity
 component is a Kronecker product of 1-D mass and derivative matrices
 (_divergence_factors, one list per component: axis_divergence), applied
 axis by axis on the block path (d = 3 layers, the regime-ii cell) and
 assembled from them everywhere else.
 
 Discrete fields are sampled at Gauss points by sum factorization
-(meshing._kron_apply), one sparse 1D interpolation matrix per axis, which
-the space builds once and keeps; each norm samples on the smallest Gauss
-rule exact for its integrand, one slab of the grid at a time (_rule_slabs),
-and sums the slabs in order.  A field keeps a read-only copy of its
-coefficients, so it expands its lattice array and takes its gradient norm
-once.  Every load (the forcing, the cell unit loads, the pressure gauge,
-the flux and Picard convection loads, the macro no-flux diagnostic) is the
-sample's transpose, integrate_grid, so no per-element dof map is kept; the
-forcing, gauge and convection loads are sampled and integrated one slab at
-a time too.  A load's source is evaluated on the axes of its grid
-(_eval_callable through meshing.grid_values): a callable that can, as the
-compiled config forcing, takes the axes, any other the grid's points.  The
-Gauss rules and tensor grids are those of meshing (composite_gauss,
-tensor_rule, grid_points).
+(meshing._kron_apply), one 1D interpolation matrix per axis, which the
+space builds once and keeps: dense on a short axis, so that the axis takes
+one BLAS product, and sparse on a long one (_DENSE_NODES).  Each norm
+samples on the smallest Gauss rule exact for its integrand, one slab of the
+grid at a time (_rule_slabs), and sums the slabs in order.  A field keeps a
+read-only copy of its coefficients, so it expands its lattice array and
+takes its gradient norm once.  Every load (the forcing, the cell unit
+loads, the pressure gauge, the flux and Picard convection loads, the macro
+no-flux diagnostic) is the sample's transpose, integrate_grid, so no
+per-element dof map is kept; the forcing, gauge and convection loads are
+sampled and integrated one slab at a time too.  A load's source is
+evaluated on the axes of its grid (_eval_callable through
+meshing.grid_values): a callable that can, as the compiled config forcing,
+takes the axes, any other the grid's points.  The Gauss rules and tensor
+grids are those of meshing (composite_gauss, tensor_rule, grid_points).
 """
 
 import functools
@@ -58,8 +62,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import AsymmetricOperatorError, SpaceMismatchError
-from .meshing import (TensorMesh, _kron_apply, _kron_row, composite_gauss,
-                      gauss_rule, grid_points, grid_values, tensor_rule)
+from .meshing import (_kron_apply, _kron_row, composite_gauss, gauss_rule,
+                      grid_points, grid_values, tensor_rule)
 
 _SYM_CHECK_REL = 1e-13
 # Gauss points per axis and element of the bilinear forms and the loads
@@ -71,6 +75,10 @@ _VANISHING = 1e-8
 # the most entries (element-local matrix entries, or grid values) that one
 # slab of a pass over a tensor grid holds; see _slabs
 _SLAB_ENTRIES = 2 ** 17
+# a lattice axis of at most this many nodes interpolates by a dense matrix,
+# applied with one BLAS product; a longer one (the d = 2 layers' horizontal
+# axes) by a sparse one, whose dense form would cost memory
+_DENSE_NODES = 128
 
 
 def _slabs(shape, per_point):
@@ -184,18 +192,25 @@ class FunctionSpace:
         (phi (nq, nloc), grad (nq, nloc, ndim), wq (nq,)), each the
         Kronecker product of its 1D factors (last axis fastest).
         """
-        ndim, h = self.mesh.ndim, self.mesh.spacings
-        gp, gw = gauss_rule(nquad)
-        vals, ders = _shape1d(self.order, gp)
+        vals, ders, weights = zip(*(self.axis_reference(a, nquad)
+                                    for a in range(self.mesh.ndim)))
 
         def tensor(factors):
             return functools.reduce(np.kron, factors)
 
-        grad = np.stack([tensor([ders * (2.0 / h[a]) if a == b else vals
-                                 for a in range(ndim)])
-                         for b in range(ndim)], axis=-1)
-        return (tensor([vals] * ndim), grad,
-                tensor([gw * (h[a] / 2.0) for a in range(ndim)]))
+        grad = np.stack([tensor([ders[a] if a == b else vals[a]
+                                 for a in range(len(vals))])
+                         for b in range(len(vals))], axis=-1)
+        return tensor(vals), grad, tensor(weights)
+
+    def axis_reference(self, a, nquad):
+        """The 1D factors of reference_data along axis a: basis values
+        (nq, order + 1), their derivatives in global units, and the Gauss
+        weights scaled to one element."""
+        h = self.mesh.spacings[a]
+        gp, gw = gauss_rule(nquad)
+        vals, ders = _shape1d(self.order, gp)
+        return vals, ders * (2.0 / h), gw * (h / 2.0)
 
 
 def element_gauss_axes(mesh, nquad):
@@ -277,21 +292,26 @@ def _axis_basis(space, a, x, deriv=False):
 
 
 def _interpolation(space, a, x, deriv=False):
-    """Sparse 1D interpolation matrix (len(x), lattice size) along axis a,
-    order + 1 entries per row, periodic wrap included, and its transpose.
-    Both are built once per space and kept on it; callers must not modify
-    them."""
+    """1D interpolation matrix (len(x), lattice size) along axis a, order +
+    1 entries per row, periodic wrap included, and its transpose.  A short
+    axis (at most _DENSE_NODES lattice nodes) gets a dense array, whose
+    transpose is a view of it; a longer one a CSR matrix.  Both are built
+    once per space and kept on it; callers must not modify them."""
     x = np.asarray(x, dtype=float)
     key = (a, bool(deriv), x.tobytes())
     pair = space._interpolations.get(key)
     if pair is None:
         nodes, weights = _axis_basis(space, a, x, deriv=deriv)
-        mat = sp.csr_matrix((weights.ravel(), nodes.ravel(), np.arange(
-            0, nodes.size + 1, space.order + 1)),
-            shape=(nodes.shape[0], space.lattice_sizes[a]))
-        # canonical form, as from triplets: a periodic wrap lists the
-        # nodes of a row out of order
-        mat.sum_duplicates()
+        shape = (nodes.shape[0], space.lattice_sizes[a])
+        if shape[1] <= _DENSE_NODES:
+            mat = np.zeros(shape)
+            np.add.at(mat, (np.arange(shape[0])[:, None], nodes), weights)
+        else:
+            mat = sp.csr_matrix((weights.ravel(), nodes.ravel(), np.arange(
+                0, nodes.size + 1, space.order + 1)), shape=shape)
+            # canonical form, as from triplets: a periodic wrap lists the
+            # nodes of a row out of order
+            mat.sum_duplicates()
         pair = space._interpolations[key] = (mat, mat.T)
     return pair
 
@@ -498,17 +518,35 @@ def assemble_mass(space, weight=None):
     return _square(space, slab_local)
 
 
+def _line_matrix(space_r, space_c, a, local, free_r, free_c):
+    """The dense 1-D matrix along axis a of the element matrices local, one
+    (m, n) for every element or (n_a, m, n): rows the lattice nodes of axis
+    a of space_r, columns those of space_c.  Each element's entries are
+    added onto its nodes (_element_nodes, periodic wrap included) by
+    np.add.at in element order; then the clamped rows and columns go: only
+    the nodes that free_r and free_c (masks of the axis, or slices) keep
+    stay."""
+    e = np.arange(space_r.mesh.n_elements[a])
+    out = np.zeros((space_r.lattice_sizes[a], space_c.lattice_sizes[a]))
+    np.add.at(out, (_element_nodes(space_r, a, e)[:, :, None],
+                    _element_nodes(space_c, a, e)[:, None, :]),
+              np.broadcast_to(local, (e.size,) + local.shape[-2:]))
+    return out[free_r][:, free_c]
+
+
 def axis_pencils(space, weight=None):
     """Per-axis 1-D mass and stiffness matrices [(M_a, K_a), ...] of a
-    scalar space.
+    scalar space, as dense arrays.
 
     On a tensor mesh the mass matrix of the space is the Kronecker product
     of the M_a, and its identity-coefficient diffusion matrix the Kronecker
     sum of the K_a against those masses (free nodes in lattice order, the
     last axis fastest).  weight, a function of the last coordinate, weights
     both integrands of the last axis: the Kronecker sum is then the
-    diffusion matrix of the coefficient weight(z) I.  Each pencil is
-    assembled on the 1-D mesh of its axis, with that axis's periodicity and
+    diffusion matrix of the coefficient weight(z) I.  Each pencil sums the
+    element matrices of its axis (_line_matrix), formed as assemble_mass
+    and assemble_diffusion form them on a line, so it holds the bits of
+    those on the 1-D mesh of the axis.  It keeps the axis's periodicity and
     the walls that clamp the space there: a "component" space built with
     wall_components=() has natural walls, as the tangential velocity
     components of the regime-ii cell.
@@ -516,24 +554,34 @@ def axis_pencils(space, weight=None):
     if space.ncomp != 1:
         raise SpaceMismatchError("axis pencils are defined for scalar spaces")
     mesh, pencils = space.mesh, []
-    for a, (axis, free) in enumerate(zip(mesh.axes, space.axis_free[0])):
-        line = FunctionSpace(TensorMesh(
-            [axis], mesh.periodic[a:a + 1],
-            {(0, side) for ax, side in mesh.dirichlet
-             if ax == a and not free[0 if side == 0 else -1]}), space.kind)
-        w = None if weight is None or a < mesh.ndim - 1 \
-            else (lambda pts: weight(pts[:, 0]))
-        pencils.append((assemble_mass(line, w), assemble_diffusion(line, w)))
+    for a, free in enumerate(space.axis_free[0]):
+        # the factors of reference_data on the 1-D mesh of the axis
+        phi, ders, wq = space.axis_reference(a, _NQUAD)
+        grad = np.stack([ders], axis=-1)
+        if weight is None or a < mesh.ndim - 1:
+            mats = (np.einsum("qi,qj,q->ij", phi, phi, wq),
+                    np.einsum("qia,qja,q->ij", grad, grad, wq))
+        else:
+            w = np.asarray(weight(composite_gauss(mesh.axes[a], _NQUAD)[0]),
+                           dtype=float).reshape(-1, wq.size)
+            table = np.einsum("q,qia,qjb->qabij", wq, grad, grad).reshape(
+                wq.size, -1)
+            mats = (np.einsum("eq,qi,qj,q->eij", w, phi, phi, wq),
+                    (w @ table).reshape((-1,) + phi.shape[1:] * 2))
+        for local in mats:
+            _check_symmetric(local)
+        pencils.append(tuple(_line_matrix(space, space, a, local, free, free)
+                             for local in mats))
     return pencils
 
 
 def _divergence_factors(space_v, space_p, free):
     """Per-axis 1-D mass and derivative matrices [(M_a, D_a), ...] of the
-    divergence: int q v and int q v' on the 1-D mesh of axis a, rows the
-    pressure lattice and columns the free nodes (per-axis masks free) of a
-    velocity component.  Each sums the reference element matrix, exact at
-    _NQUAD Gauss points, over the elements, and drops the integrals that
-    vanish."""
+    divergence, as dense arrays: int q v and int q v' on the 1-D mesh of
+    axis a, rows the pressure lattice and columns the free nodes (per-axis
+    masks free) of a velocity component.  Each sums the reference element
+    matrix, exact at _NQUAD Gauss points, over the elements (_line_matrix),
+    and zeroes the integrals that vanish."""
     if space_v.mesh is not space_p.mesh:
         raise SpaceMismatchError("velocity and pressure spaces share no mesh")
     gp, gw = gauss_rule(_NQUAD)
@@ -541,18 +589,12 @@ def _divergence_factors(space_v, space_p, free):
     phi_v, dphi_v = _shape1d(space_v.order, gp)
     factors = []
     for a, h in enumerate(space_v.mesh.spacings):
-        e = np.arange(space_v.mesh.n_elements[a])
-        rows, cols = (x.ravel() for x in np.broadcast_arrays(
-            _element_nodes(space_p, a, e)[:, :, None],
-            _element_nodes(space_v, a, e)[:, None, :]))
         # the derivative's 2 / h cancels the Jacobian h / 2
         for table, scale in ((phi_v * (h / 2), h), (dphi_v, 1.0)):
-            local = phi_p.T @ (gw[:, None] * table)
-            mat = sp.csr_matrix((np.tile(local.ravel(), e.size), (rows, cols)),
-                                shape=(space_p.lattice_sizes[a],
-                                       space_v.lattice_sizes[a]))[:, free[a]]
-            mat.data[np.abs(mat.data) <= _VANISHING * scale] = 0.0
-            mat.eliminate_zeros()
+            mat = _line_matrix(space_p, space_v, a,
+                               phi_p.T @ (gw[:, None] * table), slice(None),
+                               free[a])
+            mat[np.abs(mat) <= _VANISHING * scale] = 0.0
             factors.append(mat)
     return list(zip(factors[::2], factors[1::2]))
 
@@ -701,9 +743,10 @@ class DiscreteField:
         """Field on the tensor grid of per-axis coordinates.
 
         Returns (m_0, ..., m_{d-1}, ncomp) values, or the derivative along
-        deriv_axis.  Sum factorization: one sparse 1D interpolation matrix
-        (order + 1 entries per row, periodic wrap included) is applied per
-        axis to the lattice array of coefficients.
+        deriv_axis.  Sum factorization: one 1D interpolation matrix
+        (_interpolation: order + 1 entries per row, periodic wrap
+        included) is applied per axis to the lattice array of
+        coefficients.
         """
         space = self.space
         return _kron_apply(

@@ -66,16 +66,19 @@ the vector operator and B as sparse matrices and moves that system to a
 SaddleSolver for good, and SolveCounts records the CG iterations and the
 fallbacks.
 
-A block solver builds once what its solves reuse: the transposes of the
-divergence factors that B^T q takes, a dense copy of each 1-D factor, the
-Frobenius norms of K and B (from the dense copies' inner products), and one
-eigendecomposition per distinct pencil across its groups (the horizontal
-axes of a square box share theirs, and so do the blocks of the cell's
-components), so a solve constructs no sparse matrix.  It keeps K u, B^T q
-and B u of its current pair, so a sweep applies each once.  Its norms
-are summed by numpy (_norm), not taken with np.linalg.norm: that is a BLAS
-ddot, which OpenBLAS splits across its threads on a long vector, and on a
-layer waking them costs more than the sum.
+The 1-D factors of the block path, pencils and divergence factors alike,
+are dense numpy arrays (assembly.axis_pencils, assembly.axis_divergence),
+so every per-axis product is one BLAS call.  A block solver builds once
+what its solves reuse: the transposes of the divergence factors that B^T q
+takes (views), the Frobenius norms of K and B (from the factors' inner
+products), and one eigendecomposition per distinct pencil across its
+groups (the horizontal axes of a square box share theirs, and so do the
+blocks of the cell's components).  In tensor form, neither its set-up nor
+a solve constructs a sparse matrix.  It keeps K u, B^T q and B u of its
+current pair, so a sweep applies each once.  Its norms are summed by numpy
+(_norm), not taken with np.linalg.norm: that is a BLAS ddot, which OpenBLAS
+splits across its threads on a long vector, and on a layer waking them
+costs more than the sum.
 
 The pencils are decomposed with numpy's LAPACK (_pencil_eigh), not with
 scipy.linalg.eigh: numpy and scipy each ship their own OpenBLAS, and once
@@ -334,19 +337,9 @@ def _norm(x):
     return float(np.sqrt(np.einsum("i,i->", x, x)))
 
 
-def _dense(mat):
-    """A 1-D matrix, sparse or dense, as a dense array."""
-    return mat.toarray() if sp.issparse(mat) else np.asarray(mat)
-
-
-def _dense_pairs(pairs):
-    """Per-axis pairs [(X_c, Y_c), ...] of 1-D matrices as dense arrays."""
-    return [(_dense(x), _dense(y)) for x, y in pairs]
-
-
 def _kronecker_norm(terms):
     """Frobenius norm of sum_t (x)_c X_{t,c}, from the inner products of
-    the dense 1-D factors: <(x)_c X_c, (x)_c Y_c>_F = prod_c <X_c, Y_c>_F."""
+    the 1-D factors: <(x)_c X_c, (x)_c Y_c>_F = prod_c <X_c, Y_c>_F."""
     def inner(x, y):
         return float(np.einsum("ij,ij->", x, y))
 
@@ -366,7 +359,7 @@ def _pencil_eigh(stiffness, mass):
 
 
 def _decomposed(blocks):
-    """The per-axis pencil lists blocks [[(M_a, K_a), ...], ...] as dense
+    """The per-axis pencil lists blocks [[(M_a, K_a), ...], ...] as
     pencils that carry their decompositions, [[(M_a, K_a, (lam_a, V_a,
     |V_a|_2)), ...], ...]: the eigenpairs (_pencil_eigh) and the spectral
     norm of the eigenbasis.  A pencil keeps the decomposition it carries,
@@ -376,7 +369,7 @@ def _decomposed(blocks):
     seen = []
 
     def decomposed(pencil):
-        mass, stiffness = _dense(pencil[0]), _dense(pencil[1])
+        mass, stiffness = pencil[:2]
         if len(pencil) > 2:
             return mass, stiffness, pencil[2]
         for other in seen:
@@ -391,7 +384,7 @@ def _decomposed(blocks):
 
 
 def with_eigenpairs(pencils):
-    """The per-axis pencils [(M_a, K_a), ...] as dense arrays with their
+    """The per-axis pencils [(M_a, K_a), ...] with their
     decompositions, [(M_a, K_a, (lam_a, V_a, |V_a|_2)), ...] (_decomposed),
     each distinct pencil decomposed once, so that the block solvers and
     preconditioners given them decompose none.  A pencil whose stiffness is
@@ -418,8 +411,8 @@ class _KroneckerSumFunction:
     makes it nu M^{-1} + sigma L^+ on mean-zero vectors.  One application is
     two transforms, a dense 1-D matrix per axis, and a product with g:
     nothing is assembled, and only the 1-D mass matrices are factored, by
-    numpy's Cholesky in _pencil_eigh.  The pencils may be sparse or dense,
-    and may carry their eigenpairs (with_eigenpairs); equal pencils (the
+    numpy's Cholesky in _pencil_eigh.  The pencils are dense arrays and
+    may carry their eigenpairs (with_eigenpairs); equal pencils (the
     horizontal axes of a square box) share one decomposition.  solve()
     takes and returns a vector, or one column per load as a SuperLU object
     does.
@@ -548,8 +541,8 @@ class _FusedInverse(_Group):
     [(M_c, K_c), ...] (a coefficient that is a diagonal matrix times a
     profile across the layer, or a level of the regime-ii cell ladder),
     applied as the sum of its d terms of per-axis products.  The pencils
-    may carry their eigenpairs (with_eigenpairs); K u applies them as
-    given (sparse in the DNS), and the norm takes their dense copies.
+    may carry their eigenpairs (with_eigenpairs); K u and the norm take
+    them as they are.
 
     invert() takes the eigenbasis V of the pencils, and A^{-1} runs there
     with the components' blocks of the tensor divergence B_j = (x)_c
@@ -572,9 +565,8 @@ class _FusedInverse(_Group):
                 f"pencils of sizes {lengths}")
         super().__init__(where, [_term(pairs, c) for c in range(len(pairs))],
                          terms)
-        dense = _dense_pairs(pairs)
         self.norm = np.sqrt(len(terms)) * _kronecker_norm(
-            [_term(dense, c) for c in range(len(dense))])
+            [_term(pairs, c) for c in range(len(pairs))])
         self.pencils = pencils
 
     def invert(self, pencils):
@@ -582,8 +574,8 @@ class _FusedInverse(_Group):
         their decompositions (_decomposed)."""
         lam, self._bases, norms = zip(*(pencil[2] for pencil in pencils))
         self._g = np.reciprocal(functools.reduce(np.add.outer, lam).ravel())
-        self._hat_terms = [[np.asarray(f @ vec) for f, vec in
-                            zip(term, self._bases)] for term in self._terms]
+        self._hat_terms = [[f @ vec for f, vec in zip(term, self._bases)]
+                           for term in self._terms]
         self._hat_t = [[e.T for e in fused] for fused in self._hat_terms]
         self.basis_norm = float(np.prod(norms))
 
@@ -620,16 +612,15 @@ class BlockSaddleSolver:
     (_Group), and every operation runs group by group: the group holds its
     rows of u, its parts of K, B and B^T, applied by per-axis products to
     all its rows at once, and its part of K^{-1}.  B is not assembled
-    (B^T q takes the factors' transposes, built once), and its Frobenius
-    norm comes from the inner products of the factors' dense copies, made
-    once.  A block comes in one of two forms, which make the two kinds of
-    group:
+    (B^T q takes the factors' transposes), and its Frobenius norm comes
+    from the inner products of the factors.  A block comes in one of two
+    forms, which make the two kinds of group:
 
     - assembled (_BlockLU): a sparse matrix, factored once: its part of
       K^{-1} is one triangular solve with a column per component.
     - tensor (_FusedInverse): the per-axis pencils [(M_a, K_a), ...] whose
-      Kronecker sum is A.  Its part of K u is a sum of per-axis sparse
-      products, |A| comes from the inner products of the dense pencils, and
+      Kronecker sum is A.  Its part of K u is a sum of per-axis dense
+      products, |A| comes from the inner products of the pencils, and
       A^{-1} is applied exactly in their eigenbasis (_pencil_eigh) with B
       fused into it, so nothing is factored, and a CG iteration takes
       dense per-axis products only.  The solver decomposes the pencils of
@@ -719,11 +710,9 @@ class BlockSaddleSolver:
                 if sp.issparse(block)
                 else _FusedInverse(where, block, group_terms))
         self._factors = B
-        dense = {id(factors): _dense_pairs(factors) for factors in B}
         self._norms = (_norm(np.array([group.norm for group in self._groups])),
-                       np.sqrt(sum(
-                           _kronecker_norm([_term(dense[id(factors)], a)]) ** 2
-                           for a, factors in enumerate(B))))
+                       np.sqrt(sum(_kronecker_norm([term]) ** 2
+                                   for term in terms)))
         self._gauge = _checked_gauge(gauge)
         self._rhs_u = np.zeros(n_u) if rhs_u is None else rhs_u
         self._precondition = _KroneckerSumFunction(

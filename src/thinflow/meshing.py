@@ -13,7 +13,11 @@ can (its grid attribute) and at the grid's points otherwise.  The module
 also owns the one sum-factorization kernel, _kron_apply, which applies a
 Kronecker product of per-axis matrices to arrays in lattice order: the
 samples and loads of assembly and the tensor operators of linalg use it.
-The sparse divergence of both is _kron_row.
+Their per-axis matrices are dense numpy arrays, each applied by one BLAS
+product, except the interpolation matrices of long axes, which are sparse.
+Where a whole operator is wanted as a sparse matrix (the assembled
+divergence, the direct path's fallback), _kron and _kron_row form it from
+the per-axis factors.
 """
 
 import functools
@@ -82,17 +86,21 @@ def composed(post, fn):
 
 def _kron_apply(mats, x):
     """(mats[0] (x) ... (x) mats[d-1]) x along the last axis of x, entries
-    in lattice order (the last axis fastest), each matrix dense or sparse
-    (sum factorization: Orszag, J. Comput. Phys. 37, 1980).  Each axis
-    takes one 2-D product with the lattice axis it acts on in front, and
-    moves that axis to the back: after d products the axes are in order
-    again.  A stack of small products, one per leading index, is several
-    times slower."""
+    in lattice order (the last axis fastest) (sum factorization: Orszag,
+    J. Comput. Phys. 37, 1980).  Each axis takes one 2-D product with the
+    lattice axis it acts on in front, and moves that axis to the back: after
+    d products the axes are in order again.  A dense matrix (a numpy array)
+    is applied by one BLAS product whose result is in that order already,
+    so the next axis reads it without a copy; a sparse one (the
+    interpolation matrix of a long axis) by scipy, whose result the next
+    axis copies.  A stack of small products, one per leading index, is
+    several times slower."""
     lead = x.shape[:-1]
     arr = x.reshape(-1, x.shape[-1]).T
     for mat in mats:
         rows = arr.reshape(mat.shape[1], -1)
-        arr = (mat @ rows).T if sp.issparse(mat) else rows.T @ mat.T
+        arr = rows.T @ mat.T if isinstance(mat, np.ndarray) \
+            else (mat @ rows).T
     return arr.reshape(lead + (-1,))
 
 
@@ -103,7 +111,8 @@ def _term(pairs, a):
 
 
 def _kron(mats):
-    """The Kronecker product of mats, as a CSR matrix."""
+    """The Kronecker product of mats, dense or sparse, as a CSR matrix; an
+    entry that is zero in a factor stores no entry."""
     return functools.reduce(lambda x, y: sp.kron(x, y, format="csr"), mats)
 
 

@@ -31,7 +31,9 @@ Where the coefficient is separable (a diagonal matrix times a profile
 across the layer), the layer runs matrix-free: the block is the Kronecker
 sum of per-axis pencils (_block_pencils), its inverse is applied in the
 pencils' eigenbasis (decomposed by numpy's LAPACK, so that the solve runs
-on numpy's BLAS alone), and the layer factors no matrix.  Any other layer
+on numpy's BLAS alone), and the layer factors no matrix.  Its pencils,
+divergence factors and interpolation matrices are short dense arrays, so
+such a layer constructs no sparse matrix at all.  Any other layer
 assembles the block once, on the "component" space with the drag mu/K
 folded into its element matrices, and a d = 3 one factors it.  A d = 2
 layer is sealed and hydrostatic, its velocity a discretization residue, and

@@ -34,6 +34,14 @@ the tensor grid of that rule (two_scale._field_sample) and sums the mass of
 a separated test function axis group by axis group
 (two_scale.oscillation_limit_table).
 
+line_pencils and line_divergence_factors build the 1-D factors of the
+tensor forms through the sparse assembly: each pencil by assemble_mass and
+assemble_diffusion on the 1-D mesh of its axis, and the divergence factors
+from CSR triplets.  They are the
+references for the library, which sums each axis's element matrices into a
+dense array (assembly._line_matrix).  refuse_sparse makes the construction
+of a CSR, CSC or COO matrix raise.
+
 cahouet_chabard_reference is the block path's pressure preconditioner on
 mean-zero pressures, from the assembled pressure mass and Neumann
 Laplacian (the latter gauged or pinned at a given dof), the reference for
@@ -46,13 +54,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from thinflow import coefficients as coefs
-from thinflow.assembly import (DiscreteField, _element_nodes,
+from thinflow.assembly import (_NQUAD, _VANISHING, DiscreteField,
+                               FunctionSpace, _element_nodes,
                                _element_points, _on_grid, _shape1d,
                                assemble_diffusion, assemble_mass,
                                pressure_gauge)
 from thinflow.linalg import solve_gauged_spd
-from thinflow.meshing import (composite_gauss, gauss_rule, grid_points,
-                              tensor_rule)
+from thinflow.meshing import (TensorMesh, composite_gauss, gauss_rule,
+                              grid_points, tensor_rule)
 from thinflow.two_scale import _layer_rules
 
 
@@ -391,6 +400,59 @@ def distance_reference(u, u0_values, eps, geometry):
     diff = vals - u0v.reshape(n, -1)
     mag = np.sqrt(np.sum(diff * diff, axis=1))
     return float(np.sum(w * mag ** 2) ** 0.5 * eps ** -0.5)
+
+
+def line_pencils(space, weight=None):
+    """Per-axis pencils [(M_a, K_a), ...] of a scalar space, each assembled
+    by assemble_mass and assemble_diffusion on the 1-D mesh of its axis,
+    with the axis's periodicity and the walls that clamp the space there;
+    weight, a function of the last coordinate, weights the last axis's."""
+    mesh, pencils = space.mesh, []
+    for a, (axis, free) in enumerate(zip(mesh.axes, space.axis_free[0])):
+        line = FunctionSpace(TensorMesh(
+            [axis], mesh.periodic[a:a + 1],
+            {(0, side) for ax, side in mesh.dirichlet
+             if ax == a and not free[0 if side == 0 else -1]}), space.kind)
+        w = None if weight is None or a < mesh.ndim - 1 \
+            else (lambda pts: weight(pts[:, 0]))
+        pencils.append((assemble_mass(line, w).toarray(),
+                        assemble_diffusion(line, w).toarray()))
+    return pencils
+
+
+def line_divergence_factors(space_v, space_p, free):
+    """Per-axis divergence factors [(M_a, D_a), ...] of the velocity
+    component with the per-axis free masks free: the reference element
+    matrices summed from CSR triplets, the vanishing integrals dropped."""
+    gp, gw = gauss_rule(_NQUAD)
+    phi_p = _shape1d(space_p.order, gp)[0]
+    phi_v, dphi_v = _shape1d(space_v.order, gp)
+    factors = []
+    for a, h in enumerate(space_v.mesh.spacings):
+        e = np.arange(space_v.mesh.n_elements[a])
+        rows, cols = (x.ravel() for x in np.broadcast_arrays(
+            _element_nodes(space_p, a, e)[:, :, None],
+            _element_nodes(space_v, a, e)[:, None, :]))
+        for table, scale in ((phi_v * (h / 2), h), (dphi_v, 1.0)):
+            local = phi_p.T @ (gw[:, None] * table)
+            mat = sp.csr_matrix((np.tile(local.ravel(), e.size), (rows, cols)),
+                                shape=(space_p.lattice_sizes[a],
+                                       space_v.lattice_sizes[a]))[:, free[a]]
+            mat.data[np.abs(mat.data) <= _VANISHING * scale] = 0.0
+            mat.eliminate_zeros()
+            factors.append(mat.toarray())
+    return list(zip(factors[::2], factors[1::2]))
+
+
+def refuse_sparse(monkeypatch):
+    """Make the construction of a CSR, CSC or COO matrix raise: the formats
+    that scipy's triplet builds, products, transposes and Kronecker
+    products make."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("sparse matrix constructed")
+
+    monkeypatch.setattr(sp._compressed._cs_matrix, "__init__", refuse)
+    monkeypatch.setattr(sp._coo._coo_base, "__init__", refuse)
 
 
 def cahouet_chabard_reference(space_p, nu, sigma, pin=None):

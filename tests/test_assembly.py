@@ -15,8 +15,9 @@ from thinflow import assembly, coefficients as coefs
 from thinflow.assembly import (DiscreteField, FunctionSpace,
                                assemble_convection, assemble_diffusion,
                                assemble_divergence, assemble_flux_load,
-                               assemble_load, assemble_mass, axis_pencils,
-                               element_gauss_axes, pressure_gauge)
+                               assemble_load, assemble_mass, axis_divergence,
+                               axis_pencils, element_gauss_axes,
+                               pressure_gauge)
 from thinflow.coefficients import ScalarField, Wave
 from thinflow.errors import AsymmetricOperatorError, SpaceMismatchError
 from thinflow.harness import _probe_function, load_config, solve_cells
@@ -30,8 +31,9 @@ from thinflow.upscaling import (TwoScaleVelocity, effective_matrix,
                                 reconstruct_two_scale_velocity)
 
 from helpers import (diffusion_reference, flux_load_reference, gradient,
-                     interpolate, load_reference, mesh_volume, on_grid,
-                     oseen_matrix, quadrature_sample, scatter, vectorize)
+                     interpolate, line_divergence_factors, line_pencils,
+                     load_reference, mesh_volume, on_grid, oseen_matrix,
+                     quadrature_sample, scatter, vectorize)
 
 
 def unit_square_mesh(n):
@@ -488,6 +490,81 @@ def test_axis_pencils_kronecker_forms(kind, weighted):
     for got, ref in ((mass, assemble_mass(space, at_z)),
                      (stiffness, assemble_diffusion(space, at_z))):
         assert abs(got - ref).max() <= 1e-15 * abs(ref).max()
+
+
+# a periodic cell (horizontal axes periodic, walls across) and a walled
+# thin layer, each in d = 3
+LINE_MESHES = {
+    "periodic": build_cell_mesh(Geometry(3, (1.0, 1.0), 0.125), 3, 4),
+    "walled": build_thin_mesh(Geometry(3, (0.5, 0.75), 0.25), 2, 2)}
+
+
+@pytest.mark.parametrize("mesh_name", LINE_MESHES)
+@pytest.mark.parametrize("kind, walls", [("component", None),
+                                         ("component", ()),
+                                         ("pressure", None)],
+                         ids=["component", "natural", "pressure"])
+@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+def test_axis_pencils_match_line_assembly(mesh_name, kind, walls, weighted):
+    # each dense pencil holds the bits of the mass and diffusion matrices
+    # assembled on the 1-D mesh of its axis, with its walls
+    space = FunctionSpace(LINE_MESHES[mesh_name], kind, wall_components=walls)
+    weight = (lambda z: 1.0 + 16.0 * z * z) if weighted else None
+    got, ref = axis_pencils(space, weight), line_pencils(space, weight)
+    assert all(isinstance(mat, np.ndarray) for pencil in got
+               for mat in pencil)
+    assert len(got) == len(ref) == 3
+    for pencil, ref_pencil in zip(got, ref):
+        for mat, ref_mat in zip(pencil, ref_pencil):
+            assert np.array_equal(mat, ref_mat)
+
+
+@pytest.mark.parametrize("mesh_name", LINE_MESHES)
+@pytest.mark.parametrize("walls", [None, (2,)], ids=["clamped", "normal"])
+def test_axis_divergence_matches_triplets(mesh_name, walls):
+    # each component's dense divergence factors hold the bits of the 1-D
+    # matrices summed from CSR triplets, the vanishing integrals zeroed
+    mesh = LINE_MESHES[mesh_name]
+    V = FunctionSpace(mesh, "velocity", wall_components=walls)
+    Q = FunctionSpace(mesh, "pressure")
+    for factors, free in zip(axis_divergence(V, Q), V.axis_free):
+        ref = line_divergence_factors(V, Q, free)
+        for pair, ref_pair in zip(factors, ref):
+            for mat, ref_mat in zip(pair, ref_pair):
+                assert isinstance(mat, np.ndarray)
+                assert np.array_equal(mat, ref_mat)
+
+
+@pytest.mark.parametrize("kind", ["velocity", "pressure"])
+def test_grid_maps_on_both_sides_of_the_dense_cut(kind):
+    # a d = 2 layer at eps = 1/32: its horizontal lattice (257 velocity or
+    # 129 pressure nodes) interpolates by a sparse matrix, its vertical one
+    # by a dense array.  Values and each derivative agree with the pointwise
+    # evaluation, and integrate_grid is the transpose of the sample
+    mesh = build_thin_mesh(Geometry(2, (1.0,), 1 / 32), 4, 4)
+    field = random_field(mesh, kind)
+    space = field.space
+    assert space.lattice_sizes[0] > assembly._DENSE_NODES \
+        >= space.lattice_sizes[1]
+    coords = [x for x, _ in element_gauss_axes(mesh, 3)]
+    mats = [assembly._interpolation(space, a, x)[0]
+            for a, x in enumerate(coords)]
+    assert sp.issparse(mats[0]) and isinstance(mats[1], np.ndarray)
+    pts = assembly.grid_points(coords)
+    shape = tuple(x.size for x in coords) + (space.ncomp,)
+    grads = gradient(field, pts)
+    for deriv_axis in (None, 0, 1):
+        got = field.evaluate_grid(coords, deriv_axis=deriv_axis)
+        ref = (field.evaluate(pts) if deriv_axis is None
+               else grads[..., deriv_axis]).reshape(shape)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+        # <integrate_grid(g), c> = <g, sample of c> for any samples g
+        samples = np.random.default_rng(3).standard_normal(shape)
+        load = assembly.integrate_grid(space, coords, samples,
+                                       deriv_axis=deriv_axis)
+        lhs, rhs = load @ field.coeffs, np.sum(samples * got)
+        assert abs(lhs - rhs) <= 1e-13 * np.abs(samples).sum() \
+            * np.abs(got).max()
 
 
 def test_assembly_builds_no_coo(monkeypatch):

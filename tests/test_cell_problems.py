@@ -19,6 +19,8 @@ from thinflow.linalg import (BlockSaddleSolver, SaddleSystem, SolveCounts,
 from thinflow.meshing import Geometry, build_cell_mesh
 from thinflow.upscaling import effective_matrix
 
+from helpers import refuse_sparse
+
 GEOM = Geometry(2, (1.0,), 0.125)
 GEOM_D3 = Geometry(3, (1.0, 1.0), 0.125)
 
@@ -172,6 +174,23 @@ def test_ladder_matches_assembled_levels(mesh):
             scale = np.abs(ref).max()
             assert max(np.abs(x - y).max()
                        for x, y in zip(got, ref)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("mesh", [build_cell_mesh(GEOM, 4, 8),
+                                  build_cell_mesh(GEOM_D3, 2, 4)],
+                         ids=["d2", "d3"])
+def test_ladder_builds_no_sparse_matrix(mesh, monkeypatch):
+    # once its spaces are built, the block-path ladder takes dense pencils,
+    # divergence factors and interpolation matrices: it constructs no
+    # scipy sparse matrix
+    V = FunctionSpace(mesh, "velocity", wall_components=(mesh.ndim - 1,))
+    Q = FunctionSpace(mesh, "pressure")
+    counts = SolveCounts()
+    refuse_sparse(monkeypatch)
+    levels = _solve_ladder(2.0, V, Q, axis_divergence(V, Q), (4, 8, 16),
+                           1e-10, counts)
+    assert len(levels) == 3
+    assert counts.factorizations == 0 and counts.direct_fallbacks == 0
 
 
 def test_ladder_levels_start_warm(monkeypatch):

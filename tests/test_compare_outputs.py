@@ -19,7 +19,7 @@ def test_drift_of_each_column(tmp_path):
                                        [0, 1.0, "x"], [1, 1.7e-30, "y"]])
     b = write_csv(tmp_path / "b.csv", [["i", "value", "name"],
                                        [0, 1.0, "x"], [1, -1.7e-30, "y"]])
-    assert compare_outputs.drift(a, b) == "drift value=2.00e+00 " \
+    assert compare_outputs.drift(a, b) == "drift value=2.00e+00 at i=1 " \
         "(column 3.40e-30)"
 
 
@@ -27,7 +27,23 @@ def test_drift_takes_the_largest_of_the_column(tmp_path):
     a = write_csv(tmp_path / "a.csv", [["u", "p"], [4.0, 1.0], [2.0, 1.0]])
     b = write_csv(tmp_path / "b.csv", [["u", "p"], [4.0, 1.0], [2.2, 1.5]])
     assert compare_outputs.drift(a, b) == \
-        "drift u=9.09e-02 (column 5.00e-02) p=3.33e-01 (column 3.33e-01)"
+        "drift u=9.09e-02 at u=2.0 (column 5.00e-02) " \
+        "p=3.33e-01 at u=2.0 (column 3.33e-01)"
+
+
+def test_drift_names_the_row_of_the_worst_entry(tmp_path):
+    # each column names the row of its largest entry drift by the file's
+    # first column, here the check of a report: the residue row drifts
+    # most in value, the law's row in ratio
+    a = write_csv(tmp_path / "a.csv", [["check", "value", "ratio"],
+                                       ["law_u", 2.0, 1.0],
+                                       ["residue_u", 1e-10, 0.5]])
+    b = write_csv(tmp_path / "b.csv", [["check", "value", "ratio"],
+                                       ["law_u", 2.0 + 2e-12, 1.1],
+                                       ["residue_u", 3e-10, 0.5 + 1e-6]])
+    assert compare_outputs.drift(a, b) == \
+        "drift value=6.67e-01 at check=residue_u (column 1.00e-10) " \
+        "ratio=9.09e-02 at check=law_u (column 9.09e-02)"
 
 
 def test_drift_of_text_and_shape(tmp_path):

@@ -320,7 +320,7 @@ def test_cahouet_chabard_matches_pinned_lu_reference(geometry, where):
 
 # the pressure pencil of a 2-dof toy system: one axis, unit mass and the
 # Neumann Laplacian of one element
-TOY_PENCILS = [(sp.identity(2), np.array([[1.0, -1.0], [-1.0, 1.0]]))]
+TOY_PENCILS = [(np.eye(2), np.array([[1.0, -1.0], [-1.0, 1.0]]))]
 
 
 def test_block_solver_falls_back_to_direct_path():
@@ -334,11 +334,9 @@ def test_block_solver_falls_back_to_direct_path():
     K = sp.block_diag([block, block], format="csr")
     B = sp.csr_matrix(np.array([[1.0, -1.0, 0, 0, 0, 0, 0.5, 0, 0, 0, 0, 0],
                                 [-1.0, 1.0, 0, 0, 0, 0, -0.5, 0, 0, 0, 0, 0]]))
-    factors = [(sp.csr_matrix(np.array([[1.0, 0, 0, 0, 0, 0],
-                                        [-1.0, 0, 0, 0, 0, 0]])),
-                sp.csr_matrix(np.array([[1.0, -1.0, 0, 0, 0, 0],
-                                        [-1.0, 1.0, 0, 0, 0, 0]]))),
-               (sp.csr_matrix([[1.0]]), sp.csr_matrix([[0.5]]))]
+    factors = [(np.array([[1.0, 0, 0, 0, 0, 0], [-1.0, 0, 0, 0, 0, 0]]),
+                np.array([[1.0, -1.0, 0, 0, 0, 0], [-1.0, 1.0, 0, 0, 0, 0]])),
+               (np.array([[1.0]]), np.array([[0.5]]))]
     load = np.arange(1.0, 13.0)
     counts = SolveCounts()
     solver = BlockSaddleSolver([block] * 2, [factors] * 2, np.ones(2), load,
@@ -362,33 +360,33 @@ _LAYOUT_SCRIPT = textwrap.dedent("""
     from thinflow.errors import ComponentLayoutError
     from thinflow.linalg import BlockSaddleSolver
 
-    toy = [(sp.identity(2), np.array([[1.0, -1.0], [-1.0, 1.0]]))]
-    pair = (sp.csr_matrix(np.ones((2, 2))),) * 2
+    toy = [(np.eye(2), np.array([[1.0, -1.0], [-1.0, 1.0]]))]
+    pair = (np.ones((2, 2)),) * 2
     cases = {
         # a block of 2 dofs for divergence factors of 5 velocity dofs per
         # component
         "block": ([sp.identity(2, format="csr")],
-                  [[(sp.csr_matrix(np.ones((2, 5))),) * 2]], toy, 5),
+                  [[(np.ones((2, 5)),) * 2]], toy, 5),
         # pencils of 2 x 2 pressure dofs for divergence factors of 2 x 1
         "pencils": ([sp.identity(2, format="csr")] * 2,
-                    [[pair, (sp.csr_matrix(np.ones((1, 1))),) * 2]] * 2,
+                    [[pair, (np.ones((1, 1)),) * 2]] * 2,
                     toy * 2, 4),
         # block pencils of 2 axes for divergence factors of one
         "block_pencils": ([toy * 2], [[pair]], toy, 4),
         # divergence factors of 1 x 4 velocity dofs per axis for block
         # pencils of 2 x 2: the products agree, the axes do not
         "divergence": ([toy * 2] * 2,
-                       [[(sp.csr_matrix(np.ones((2, 1))),) * 2,
-                         (sp.csr_matrix(np.ones((1, 4))),) * 2]] * 2,
+                       [[(np.ones((2, 1)),) * 2,
+                         (np.ones((1, 4)),) * 2]] * 2,
                        toy, 8),
         # one block for two components
         "components": ([toy * 2], [[pair, pair]] * 2, toy * 2, 8),
         # components whose divergence factors have 2 x 1 and 1 x 2
         # pressure rows
         "pressure": ([sp.identity(2, format="csr")] * 2,
-                     [[pair, (sp.csr_matrix(np.ones((1, 1))),) * 2],
-                      [(sp.csr_matrix(np.ones((1, 2))),) * 2,
-                       (sp.csr_matrix(np.ones((2, 1))),) * 2]], toy, 4),
+                     [[pair, (np.ones((1, 1)),) * 2],
+                      [(np.ones((1, 2)),) * 2,
+                       (np.ones((2, 1)),) * 2]], toy, 4),
     }
     for name, (block, B, pencils, n_u) in cases.items():
         try:

@@ -24,7 +24,7 @@ from thinflow.meshing import (Geometry, TensorMesh, build_cell_mesh,
 from thinflow.microscale import apriori_norms, solve_dlb
 from thinflow.two_scale import layer_moments, poincare_wirtinger_ratio
 
-from helpers import interpolate, oseen_matrix, translated
+from helpers import interpolate, oseen_matrix, refuse_sparse, translated
 
 IDENT = coefs.constant_field(2)
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -793,7 +793,6 @@ def test_pencil_eigh_decomposes(kind):
     # periodic axes, the Neumann pencils of the pressure (with the zero
     # eigenvalue of the constants) and the profile-weighted z pencil
     for mass, stiffness in decomposed_pencils(kind):
-        mass, stiffness = mass.toarray(), stiffness.toarray()
         lam, vec = linalg._pencil_eigh(stiffness, mass)
         assert np.all(np.diff(lam) >= 0)
         scale = np.abs(stiffness).max() * np.abs(vec).max()
@@ -891,6 +890,23 @@ def test_separable_d3_layer_assembles_nothing(monkeypatch):
         monkeypatch.setattr(microscale, name, spy)
     _, _, _, sol = d3_flow(rho=1.0)
     assert called == []
+    assert sol.solver_counts["factorizations"] == 0
+    assert sol.solver_counts["direct_fallbacks"] == 0
+
+
+def test_separable_d3_layer_builds_no_sparse_matrix(monkeypatch):
+    # a homogenization_d3 layer: its pencils, divergence factors and
+    # interpolation matrices are dense arrays, so neither the set-up nor
+    # the Picard loop constructs a scipy sparse matrix
+    config = load_config(CONFIGS / "homogenization_d3.json")
+    eps = config.eps_list[0]
+    mesh = build_thin_mesh(config.geometry.with_eps(eps),
+                           config.numerics["dns_elements_per_period"],
+                           config.numerics["dns_nz"])
+    refuse_sparse(monkeypatch)
+    sol = solve_dlb(mesh, config.field, config.params,
+                    config.regime.K_eps(eps))
+    assert sol.stop_reason == "converged"
     assert sol.solver_counts["factorizations"] == 0
     assert sol.solver_counts["direct_fallbacks"] == 0
 

@@ -8,10 +8,11 @@ command, and each regime of `cell`, writes into its own directory under DIR
 (default: a new temporary directory).  Prints whether exit status and verdict
 lines agree, and per file "byte-identical" or, for a CSV, the drift of each
 column that differs: the largest relative drift |a - b| / max(|a|, |b|) of
-an entry, and in parentheses the largest |a - b| against the column's
-largest magnitude.  Exits with status 1 if an exit status or the verdict
-lines of a command differ between the trees, or if only one tree writes a
-file, and 0 otherwise."""
+an entry, the row of that entry named by the file's first column (check in
+report.csv, eps in sweep.csv), and in parentheses the largest |a - b|
+against the column's largest magnitude.  Exits with status 1 if an exit
+status or the verdict lines of a command differ between the trees, or if
+only one tree writes a file, and 0 otherwise."""
 
 import argparse
 import csv
@@ -48,13 +49,14 @@ def _number(text):
 
 def drift(a, b):
     """Drift of each CSV column that differs: the largest entry drift
-    |x - y| / max(|x|, |y|), and the largest |x - y| against the column's
-    largest magnitude in either file, so that a roundoff entry beside
-    entries of order one does not read as a 100% drift."""
+    |x - y| / max(|x|, |y|), the row of that entry as its first column
+    reads in a, and the largest |x - y| against the column's largest
+    magnitude in either file, so that a roundoff entry beside entries of
+    order one does not read as a 100% drift."""
     rows_a, rows_b = (list(csv.reader(p.open())) for p in (a, b))
     if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
         return "shape differs"
-    worst, gap, size = {}, {}, {}
+    worst, row, gap, size = {}, {}, {}, {}
     for ra, rb in zip(rows_a[1:], rows_b[1:]):
         for name, x, y in zip(rows_a[0], ra, rb):
             x, y, differs = _number(x), _number(y), x != y
@@ -64,12 +66,13 @@ def drift(a, b):
                 continue
             size[name] = max(size.get(name, 0.0), abs(x), abs(y))
             if differs:
-                worst[name] = max(worst.get(name, 0.0),
-                                  abs(x - y) / max(abs(x), abs(y)))
+                rel = abs(x - y) / max(abs(x), abs(y))
+                if rel > worst.get(name, -1.0):
+                    worst[name], row[name] = rel, ra[0]
                 gap[name] = max(gap.get(name, 0.0), abs(x - y))
     return "drift " + " ".join(
-        f"{k}={v:.2e} (column {gap[k] / size[k]:.2e})"
-        for k, v in worst.items())
+        f"{k}={v:.2e} at {rows_a[0][0]}={row[k]} "
+        f"(column {gap[k] / size[k]:.2e})" for k, v in worst.items())
 
 
 def main():
