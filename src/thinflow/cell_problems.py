@@ -24,6 +24,14 @@ one clamped.  Its exact discrete solution is the same at every level (e_i
 one), so each level starts from the previous level's pair of the same
 load.  A level whose block solve misses the tolerance falls back to the
 pinned LU of its assembled operator.
+
+Each solution carries the Gram table of its energy form over the
+velocities, from which upscaling reads the effective matrix.  The clamped
+problems take it from their assembled operator.  The regime-ii cell
+assembles nothing once its spaces are built: the Gram table mu W^T M W, the
+level bounds (from w^T K_lap w and w^T M w) and the divergence residuals
+apply the Laplacian's 1-D pencils and the divergence factors that the
+ladder runs on, by per-axis products (meshing._kron_apply).
 """
 
 from dataclasses import asdict, dataclass, field as dfield
@@ -33,21 +41,22 @@ import numpy as np
 
 from . import coefficients as coefs
 from .assembly import (DiscreteField, FunctionSpace, assemble_diffusion,
-                       assemble_divergence, assemble_load, assemble_mass,
-                       axis_divergence, axis_pencils, pressure_gauge)
+                       assemble_divergence, assemble_load, axis_divergence,
+                       axis_pencils, pressure_gauge)
 from .errors import InvalidParameterError, UnsupportedRegimeCoefficientError
 from .linalg import (BlockSaddleSolver, SaddleSystem, SolveCounts,
                      solve_sparse, with_eigenpairs)
-from .meshing import TensorMesh, _kron_row
+from .meshing import TensorMesh, _kron_apply, _kron_sum_apply, _term
 
 
 @dataclass
 class CellSolution:
     """Discrete cell velocities/pressures for the d unit-direction loads.
 
-    ``form`` is the sparse energy form of the regime's local problem: the
-    cell operator for regimes i and iii, the drag term mu M for regime ii.
-    The upscaled matrix is its Gram table over the velocities.
+    ``gram`` is the d x d Gram table of the energy form of the regime's
+    local problem over the velocities, w_i^T S w_j: S is the assembled cell
+    operator for regimes i and iii and the drag term mu M for regime ii,
+    applied in tensor form.  The upscaled matrix is read from it.
     solver_counts are the SolveCounts of the solves, as a dict like
     MicroSolution.solver_counts: one factorization and no CG iterations for
     regimes i and iii; for the regime-ii ladder no factorization, the CG
@@ -62,7 +71,7 @@ class CellSolution:
     velocities: list
     pressures: list
     div_residuals: list
-    form: object
+    gram: np.ndarray
     levels: Optional[dict] = None
     extrapolation_residual: Optional[float] = None
     solver_counts: dict = dfield(default_factory=dict)
@@ -96,8 +105,9 @@ def _solve_loads(S, B, gauge, loads, tol, counts):
     return list(np.ascontiguousarray(W.T)), list(np.ascontiguousarray(Q.T))
 
 
-def _div_residuals(B, velocities):
-    """Divergence defects scaled by the largest member of the family.
+def _div_residuals(velocities, divergences):
+    """Divergence defects |B w| of the velocities w, given the divergences
+    B w, scaled by the largest member of the family.
 
     The vertical problem has a vanishing velocity, so its defect is
     meaningful only relative to the horizontal solutions.
@@ -105,7 +115,7 @@ def _div_residuals(B, velocities):
     scale = max(float(np.linalg.norm(w)) for w in velocities)
     if scale == 0.0:
         return [0.0 for _ in velocities]
-    return [float(np.linalg.norm(B @ w)) / scale for w in velocities]
+    return [float(np.linalg.norm(div)) / scale for div in divergences]
 
 
 def _solve_clamped(regime, field, cell_mesh, tol, drag=0.0):
@@ -118,8 +128,10 @@ def _solve_clamped(regime, field, cell_mesh, tol, drag=0.0):
     counts = SolveCounts()
     velocities, pressures = _solve_loads(S, B, pressure_gauge(space_p),
                                          _unit_loads(space_v), tol, counts)
+    W = np.column_stack(velocities)
+    residuals = _div_residuals(velocities, [B @ w for w in velocities])
     return CellSolution(regime, cell_mesh, space_v, space_p, velocities,
-                        pressures, _div_residuals(B, velocities), S,
+                        pressures, residuals, W.T @ (S @ W),
                         solver_counts=asdict(counts))
 
 
@@ -167,29 +179,38 @@ def _level_pencils(pencils, s, mu):
     return level
 
 
-def _solve_ladder(mu, space_v, space_p, factors, n_list, tol, counts):
-    """The velocities and pressures of the unit loads at each level n of
-    the regime-ii ladder, [[(w_i, p_i) for each load i] for each n], on
-    the block path: each level's pair of a load refines the level before.
-    factors are the divergence factors of the spaces (axis_divergence).
-
-    The tangential components have natural walls and the wall-normal one is
-    clamped, so the level operator has two blocks, each the Kronecker sum
-    of its per-axis pencils (_level_pencils); the tangential components
-    share one.  The pencils of every level have the eigenvectors of the
-    Laplacian's, and the pressure pencils are the same at every level, so
-    the ladder decomposes each distinct 1-D pencil once.
-    """
+def _laplacian_pencils(space_v):
+    """The per-axis pencils (M_a, K_a, (lam_a, V_a, |V_a|)) of the blocks
+    of the velocity Laplacian of the regime-ii cell, with their eigenpairs:
+    (natural, clamped), of the tangential components, which have natural
+    walls, and of the wall-normal one, clamped (its free nodes).  The two
+    share the decompositions of their equal pencils."""
     mesh, d = space_v.mesh, space_v.mesh.ndim
     natural = axis_pencils(FunctionSpace(mesh, "component",
                                          wall_components=()))
-    # the wall-normal component's pencils: those of its free nodes
     clamped = [(mass[free][:, free], stiffness[free][:, free])
                for (mass, stiffness), free in zip(natural,
                                                    space_v.axis_free[-1])]
-    # the two blocks share the decompositions of their equal pencils
     laplacian = with_eigenpairs(natural + clamped)
-    natural, clamped = laplacian[:d], laplacian[d:]
+    return laplacian[:d], laplacian[d:]
+
+
+def _solve_ladder(mu, space_v, space_p, factors, laplacian, n_list, tol,
+                  counts):
+    """The velocities and pressures of the unit loads at each level n of
+    the regime-ii ladder, [[(w_i, p_i) for each load i] for each n], on
+    the block path: each level's pair of a load refines the level before.
+    factors are the divergence factors of the spaces (axis_divergence),
+    laplacian the Laplacian's pencils (_laplacian_pencils).
+
+    The level operator has two blocks, each the Kronecker sum of its
+    per-axis pencils (_level_pencils); the tangential components share
+    one.  The pencils of every level have the eigenvectors of the
+    Laplacian's, and the pressure pencils are the same at every level, so
+    the ladder decomposes each distinct 1-D pencil once.
+    """
+    d = space_v.mesh.ndim
+    natural, clamped = laplacian
     gauge = pressure_gauge(space_p)
     pencils_p = with_eigenpairs(axis_pencils(space_p))
     loads = _unit_loads(space_v)
@@ -207,6 +228,43 @@ def _solve_ladder(mu, space_v, space_p, factors, n_list, tol, counts):
     return levels
 
 
+def _columns(space_v, vectors):
+    """The columns of each velocity component in the stacked velocities
+    vectors (m, ndof), a view per component."""
+    edges = np.cumsum([0] + [free.size for free in space_v.free])
+    return [vectors[:, a:b] for a, b in zip(edges, edges[1:])]
+
+
+def _energies(pairs, columns):
+    """w^T K_lap w and w^T M w of each stacked velocity w, from the columns
+    of each component c and the pairs [(M_a, K_a), ...] of its pencils: the
+    Kronecker product of the M_a is its block of the mass matrix M, their
+    Kronecker sum with the K_a its block of the Laplacian K_lap."""
+    grad_sq = mass_sq = 0.0
+    for rows, axes in zip(columns, pairs):
+        stiff = _kron_sum_apply([_term(axes, a) for a in range(len(axes))],
+                                rows)
+        mass = _kron_apply([m for m, _ in axes], rows)
+        grad_sq = grad_sq + np.einsum("ij,ij->i", rows, stiff)
+        mass_sq = mass_sq + np.einsum("ij,ij->i", rows, mass)
+    return grad_sq, mass_sq
+
+
+def _mass_gram(pairs, columns):
+    """The Gram table W^T M W of the mass matrix over the stacked
+    velocities, whose columns and pairs are those of _energies."""
+    return sum(rows @ _kron_apply([m for m, _ in axes], rows).T
+               for rows, axes in zip(columns, pairs))
+
+
+def _divergences(factors, columns):
+    """B w of each stacked velocity w, from the columns of each component
+    c and its divergence factors: its block of B is the Kronecker product
+    of term c of them (meshing._term)."""
+    return sum(_kron_apply(_term(pairs, c), rows)
+               for c, (rows, pairs) in enumerate(zip(columns, factors)))
+
+
 def solve_cell_regime_ii(mu, cell_mesh, n_list=(4, 8, 16, 32), tol=1e-10):
     """Drag-limit cell problems via vanishing-viscosity regularization.
 
@@ -217,7 +275,10 @@ def solve_cell_regime_ii(mu, cell_mesh, n_list=(4, 8, 16, 32), tol=1e-10):
     fields keep their normal trace in the L^2 closure), so the walls clamp
     the wall-normal component only and leave tangential traces natural;
     this reproduces the limit family exactly at every level.  The levels
-    are solved on the block path (_solve_ladder), which factors nothing.
+    are solved on the block path (_solve_ladder), which factors nothing,
+    and the level bounds, the Gram table mu W^T M W and the divergence
+    residuals apply the Laplacian's pencils and the divergence factors of
+    the ladder in tensor form: no sparse matrix is built.
     """
     n_list = list(n_list)
     if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -227,35 +288,36 @@ def solve_cell_regime_ii(mu, cell_mesh, n_list=(4, 8, 16, 32), tol=1e-10):
     space_v = FunctionSpace(cell_mesh, "velocity", wall_components=(d - 1,))
     space_p = FunctionSpace(cell_mesh, "pressure")
     factors = axis_divergence(space_v, space_p)
-    K_lap = assemble_diffusion(space_v)
-    M = assemble_mass(space_v)
-    drag = mu * M
-    per_level_v = [[] for _ in range(d)]
-    per_level_p = [[] for _ in range(d)]
-    bounds = [[] for _ in range(d)]
+    laplacian = _laplacian_pencils(space_v)
     counts = SolveCounts()
-    for n, pairs in zip(n_list, _solve_ladder(mu, space_v, space_p, factors,
-                                              n_list, tol, counts)):
-        for i, (w, q) in enumerate(pairs):
-            per_level_v[i].append(w)
-            per_level_p[i].append(q)
-            grad_sq = max(float(w @ (K_lap @ w)), 0.0)
-            mass_sq = max(float(w @ (M @ w)), 0.0)
-            bounds[i].append((1.0 / n) * np.sqrt(grad_sq) + np.sqrt(mass_sq))
+    levels = _solve_ladder(mu, space_v, space_p, factors, laplacian, n_list,
+                           tol, counts)
+    natural, clamped = ([pencil[:2] for pencil in pencils]
+                        for pencils in laplacian)
+    pairs = [natural] * (d - 1) + [clamped]
+    # the level bounds (1/n) |grad w| + |w|, level by level and load by load
+    grad_sq, mass_sq = _energies(pairs, _columns(space_v, np.array(
+        [w for level in levels for w, _ in level])))
+    bounds = (np.repeat(1.0 / np.array(n_list, dtype=float), d)
+              * np.sqrt(np.maximum(grad_sq, 0.0))
+              + np.sqrt(np.maximum(mass_sq, 0.0))).reshape(-1, d).T
     velocities, pressures, misfits = [], [], []
     for i in range(d):
-        w_inf, res_v = _extrapolate(per_level_v[i], n_list)
-        q_inf, _ = _extrapolate(per_level_p[i], n_list)
+        w_inf, res_v = _extrapolate([level[i][0] for level in levels],
+                                    n_list)
+        q_inf, _ = _extrapolate([level[i][1] for level in levels], n_list)
         velocities.append(w_inf)
         pressures.append(q_inf)
         misfits.append(res_v)
     scale = max(max(float(np.linalg.norm(w)) for w in velocities), 1e-300)
     worst = max(misfits) / scale
-    residuals = _div_residuals(_kron_row(factors), velocities)
+    columns = _columns(space_v, np.array(velocities))
+    residuals = _div_residuals(velocities, _divergences(factors, columns))
     levels = {"n": list(n_list),
               "bound": [list(map(float, b)) for b in bounds]}
     return CellSolution("ii", cell_mesh, space_v, space_p, velocities,
-                        pressures, residuals, drag, levels=levels,
+                        pressures, residuals,
+                        mu * _mass_gram(pairs, columns), levels=levels,
                         extrapolation_residual=worst,
                         solver_counts=asdict(counts))
 

@@ -57,14 +57,15 @@ across the layer, or a level of the regime-ii ladder), it is the Kronecker
 sum of per-axis pencils: it is not assembled either, its inverse is the
 reciprocal in the pencils' eigenbasis, and each CG product runs there with
 B fused into the basis, so nothing is factored.  One CG loop serves both
-kinds.  Every solve refines a start pair, by default the
-previous solution, so the steps of a Picard loop start warm; the cell ladder
-gives each level the previous level's pair of the same load.  A solve runs
-until the backward error is at roundoff.  Its result is checked against the
-same residual as the direct path; a solve that misses the tolerance builds
-the vector operator and B as sparse matrices and moves that system to a
-SaddleSolver for good, and SolveCounts records the CG iterations and the
-fallbacks.
+kinds.  Every solve refines a start pair, by default the previous
+solution, so the steps of a Picard loop start warm; the cell ladder gives
+each level the previous level's pair of the same load.  A solve runs until
+the backward error is at roundoff, or stops falling by half from one sweep
+to the next, and keeps the pair of the smallest error.  Its result is
+checked against the same residual as the direct path; a solve that misses
+the tolerance builds the vector operator and B as sparse matrices and
+moves that system to a SaddleSolver for good, and SolveCounts records the
+CG iterations and the fallbacks.
 
 The 1-D factors of the block path, pencils and divergence factors alike,
 are dense numpy arrays (assembly.axis_pencils, assembly.axis_divergence),
@@ -99,15 +100,19 @@ import scipy.sparse.linalg as spla
 
 from .errors import (ComponentLayoutError, ConvergenceFailureError,
                      SingularSystemError)
-from .meshing import _kron, _kron_apply, _kron_row, _term
+from .meshing import (_kron, _kron_apply, _kron_row, _kron_sum_apply,
+                      _term)
 
 DEFAULT_TOL_DIRECT = 1e-10
 # the block path refines until the backward error is at most
-# _BACKWARD_GOAL, each CG solve reducing its residual by at most
+# _BACKWARD_GOAL, or until a sweep fails to cut it to _SWEEP_STALL of the
+# error before (its rounding floor: LAPACK's xGERFS test), and keeps the
+# pair of the smallest error; each CG solve reduces its residual by at most
 # _SWEEP_REDUCTION (well above the rounding floor of one correction, which
 # the next sweep starts below), with at most _SCHUR_MAX_ITERS CG
 # iterations per solve
 _BACKWARD_GOAL = float(np.finfo(float).eps)
+_SWEEP_STALL = 0.5
 _SWEEP_REDUCTION = 1e-10
 _SCHUR_MAX_ITERS = 200
 # relative margin on the upper bound of |u + du| that CG tests before it
@@ -447,7 +452,8 @@ class _Group:
     row per component.
 
     Its part of K u applies the block's terms, A = sum_t (x)_c T_{t,c}, to
-    its k rows at once by per-axis products; its parts of B u and B^T q
+    its k rows at once by per-axis products, all terms from one transposed
+    copy of the rows (meshing._kron_sum_apply); its parts of B u and B^T q
     take each component's divergence factors terms[j], B_j = (x)_c
     terms[j][c], and their transposes, built once.  norm is the Frobenius
     norm of its part of K.
@@ -476,9 +482,7 @@ class _Group:
 
     def apply(self, u):
         """The group's rows of K u."""
-        rows = self._rows(u)
-        return sum(_kron_apply(term, rows)
-                   for term in self._block_terms).ravel()
+        return _kron_sum_apply(self._block_terms, self._rows(u)).ravel()
 
     def gradient(self, q):
         """The group's rows of B^T q, one array per component."""
@@ -652,7 +656,12 @@ class BlockSaddleSolver:
     backward error of both equations, |R_u| against |K| |u| + |B| |q| + |f|
     and |B u| against |B| |u| (Frobenius norms, |K|^2 the sum of the
     blocks' |A_a|^2), is at most the machine epsilon, as for the direct LU,
-    or stops falling.  On a thin layer the pressure Schur complement is
+    or when a sweep cuts it by less than half (_SWEEP_STALL): the error has
+    reached its rounding floor, where further sweeps only move it about,
+    as LAPACK's refinement (xGERFS) stops (Arioli, Demmel & Duff, SIAM J.
+    Matrix Anal. Appl. 10, 1989).  The solve returns the pair of the
+    smallest backward error, with its products: a last sweep that raised
+    the error is dropped.  On a thin layer the pressure Schur complement is
     ill-conditioned, so a looser goal would leave errors far above it in
     p.  Solving for corrections puts the rounding of f - B^T q, which
     cancels almost entirely when the forcing is nearly a gradient, into the
@@ -668,8 +677,12 @@ class BlockSaddleSolver:
     sweep and the final residual check (residual(), less the gauge shift,
     which B^T maps to zero) read them, so a sweep applies K, B^T and B once
     each, to its new pair.  A start pair comes from another operator, so
-    its products are computed afresh.  A solve that misses its check keeps
-    neither its pair nor its products.
+    its products are computed afresh.  The kept pair is the one of the
+    smallest backward error; a sweep forms a new pair rather than update
+    one in place, so a pair before the last sweep is still whole.  A solve
+    that misses its check keeps neither its pair nor its products, and a
+    start pair that is not finite has no backward error: that solve goes
+    over to the direct path.
 
     A solve returns only if its residual is at most tol, as on the direct
     path, whichever inverse of the blocks it applied.  Otherwise, or where
@@ -814,33 +827,44 @@ class BlockSaddleSolver:
     def _schur_solve(self, f, tol, start):
         """(u, p) with residual <= tol for the load f, or None where CG
         cannot get there; the kept products stand in for K u, B^T q and
-        B u, or those of the start pair, if one is given."""
+        B u, or those of the start pair, if one is given.  Sweeps stop at
+        the goal or once one fails to cut the backward error by
+        _SWEEP_STALL, and the pair of the smallest error is the one
+        checked and kept."""
         f = np.asarray(f, dtype=float)
         if start is None:
-            u, q, products = self._u.copy(), self._q.copy(), self._products
+            u, q, products = self._u, self._q, self._products
         else:
             u = np.array(start[0], dtype=float)
             q = -np.asarray(start[1], dtype=float)
             products = self._apply(u, q)
-        best, iterations = np.inf, 0
-        while iterations < _SCHUR_MAX_ITERS:
+        best, kept, iterations = np.inf, None, 0
+        while True:
             error, res_u = self._backward_error(u, q, f, products)
-            if not error < best or error <= _BACKWARD_GOAL:
+            # a sweep that raised the error, or a start that is not finite
+            if not error < best:
                 break
-            best = error
+            stalled = error > _SWEEP_STALL * best
+            best, kept = error, (u, q, products)
+            if stalled or error <= _BACKWARD_GOAL \
+                    or iterations >= _SCHUR_MAX_ITERS:
+                break
             du, dq, taken = self._correction(
                 u, res_u, products[2], _SCHUR_MAX_ITERS - iterations)
             iterations += taken
-            u += du
-            q += dq
+            # new arrays: kept holds the pair before the sweep
+            u, q = u + du, q + dq
             products = self._apply(u, q)
         self.counts.schur_iterations += iterations
+        if kept is None:
+            return None
+        u, q, products = kept
         # residual() of the pair, up to the gauge shift of p: B^T maps a
         # constant pressure to zero
         ku, btq, div = products
         if not _relative(f, [f - ku - btq, div]) <= tol:
             return None
-        self._u, self._q, self._products = u, q, products
+        self._u, self._q, self._products = kept
         return u, _project_gauge(self._gauge, -q)
 
     def solve(self, tol=DEFAULT_TOL_DIRECT, rhs_u=None, start=None):

@@ -12,7 +12,10 @@ callable is sampled on a grid by grid_values, on the grid's axes where it
 can (its grid attribute) and at the grid's points otherwise.  The module
 also owns the one sum-factorization kernel, _kron_apply, which applies a
 Kronecker product of per-axis matrices to arrays in lattice order: the
-samples and loads of assembly and the tensor operators of linalg use it.
+samples and loads of assembly and the tensor operators of linalg use it,
+and _kron_sum_apply applies a sum of such products (a Kronecker sum, as
+the velocity blocks of linalg and the regime-ii cell's Laplacian) from one
+transposed copy of its input.
 Their per-axis matrices are dense numpy arrays, each applied by one BLAS
 product, except the interpolation matrices of long axes, which are sparse.
 Where a whole operator is wanted as a sparse matrix (the assembled
@@ -96,12 +99,29 @@ def _kron_apply(mats, x):
     axis copies.  A stack of small products, one per leading index, is
     several times slower."""
     lead = x.shape[:-1]
-    arr = x.reshape(-1, x.shape[-1]).T
+    return _axis_products(mats, x.reshape(-1, x.shape[-1]).T).reshape(
+        lead + (-1,))
+
+
+def _kron_sum_apply(terms, x):
+    """sum_t (terms[t][0] (x) ... (x) terms[t][d-1]) x along the last axis
+    of x, as _kron_apply applies each term, the terms added in order.  x
+    with its lattice axis in front is formed once for all terms: for
+    several leading rows (the components of a group) that is a copy."""
+    lead = x.shape[:-1]
+    first = x.reshape(-1, x.shape[-1]).T.reshape(terms[0][0].shape[1], -1)
+    return sum(_axis_products(mats, first) for mats in terms).reshape(
+        lead + (-1,))
+
+
+def _axis_products(mats, arr):
+    """The per-axis products of _kron_apply, from the rows arr of the
+    first axis."""
     for mat in mats:
         rows = arr.reshape(mat.shape[1], -1)
         arr = rows.T @ mat.T if isinstance(mat, np.ndarray) \
             else (mat @ rows).T
-    return arr.reshape(lead + (-1,))
+    return arr
 
 
 def _term(pairs, a):

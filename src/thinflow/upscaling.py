@@ -7,10 +7,12 @@ The entries are cell-quadrature evaluations of the regime formulas
     iii: a_ij = int_I M(A grad w_i : grad w_j)
 
 which, on the discrete level, are exactly the Gram tables of the energy forms
-that the cell solvers assembled and store on their solutions (the unit
-horizontal cell has measure one).  The mean-velocity form int_I M(w_j) . e_i
-is computed as well; for the dragless regime the two must agree to the
-discrete Galerkin identity.
+over the cell velocities.  The cell solvers form those tables and store them
+on their solutions: regimes i and iii from their assembled operator, regime
+ii from the tensor form of its mass matrix (the unit horizontal cell has
+measure one).  The mean-velocity form int_I M(w_j) . e_i is computed as
+well; for the dragless regime the two must agree to the discrete Galerkin
+identity.
 """
 
 from dataclasses import dataclass
@@ -50,8 +52,7 @@ class EffectiveMatrix:
 def effective_matrix(cells):
     """Upscaled matrix: the Gram table of the cells' energy form."""
     d = cells.d
-    W = np.column_stack(cells.velocities)
-    table = W.T @ (cells.form @ W)
+    table = cells.gram
     dual_defect = _relative_defect(table, cells.mean_velocity_table())
     if cells.regime == "iii" and dual_defect > _DUAL_REL:
         raise InvalidEffectiveMatrixError(

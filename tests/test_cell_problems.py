@@ -7,7 +7,8 @@ from thinflow.assembly import (FunctionSpace, assemble_diffusion,
                                assemble_divergence, assemble_load,
                                assemble_mass, axis_divergence, axis_pencils,
                                pressure_gauge)
-from thinflow.cell_problems import (_solve_ladder, solve_cell_problems,
+from thinflow.cell_problems import (_laplacian_pencils, _solve_ladder,
+                                    solve_cell_problems,
                                     solve_cell_regime_i,
                                     solve_cell_regime_ii,
                                     solve_cell_regime_iii)
@@ -166,31 +167,14 @@ def test_ladder_matches_assembled_levels(mesh):
     mu, n_list = 2.0, (4, 8, 16, 32)
     V, Q, reference = assembled_levels(mu, mesh, n_list)
     counts = SolveCounts()
-    levels = _solve_ladder(mu, V, Q, axis_divergence(V, Q), n_list, 1e-10,
-                           counts)
+    levels = _solve_ladder(mu, V, Q, axis_divergence(V, Q),
+                           _laplacian_pencils(V), n_list, 1e-10, counts)
     assert counts.factorizations == 0 and counts.direct_fallbacks == 0
     for pairs, (W_ref, P_ref) in zip(levels, reference):
         for got, ref in zip(zip(*pairs), (W_ref, P_ref)):
             scale = np.abs(ref).max()
             assert max(np.abs(x - y).max()
                        for x, y in zip(got, ref)) <= 1e-12 * scale
-
-
-@pytest.mark.parametrize("mesh", [build_cell_mesh(GEOM, 4, 8),
-                                  build_cell_mesh(GEOM_D3, 2, 4)],
-                         ids=["d2", "d3"])
-def test_ladder_builds_no_sparse_matrix(mesh, monkeypatch):
-    # once its spaces are built, the block-path ladder takes dense pencils,
-    # divergence factors and interpolation matrices: it constructs no
-    # scipy sparse matrix
-    V = FunctionSpace(mesh, "velocity", wall_components=(mesh.ndim - 1,))
-    Q = FunctionSpace(mesh, "pressure")
-    counts = SolveCounts()
-    refuse_sparse(monkeypatch)
-    levels = _solve_ladder(2.0, V, Q, axis_divergence(V, Q), (4, 8, 16),
-                           1e-10, counts)
-    assert len(levels) == 3
-    assert counts.factorizations == 0 and counts.direct_fallbacks == 0
 
 
 def test_ladder_levels_start_warm(monkeypatch):
@@ -213,6 +197,117 @@ def test_ladder_levels_start_warm(monkeypatch):
     solve_cell_regime_ii(2.0, build_cell_mesh(GEOM, 8, 32))
     assert len(per_level) == 4
     assert all(later < per_level[0] for later in per_level[1:])
+
+
+def test_ladder_stops_refining_at_the_rounding_floor(monkeypatch):
+    # on the shipped regime-ii cell, a solve stops once a sweep fails to
+    # halve its backward error, so no solve sweeps at the rounding floor
+    # for long: few sweeps per solve and few CG iterations in all
+    sweeps = []
+    schur_solve, correction = (BlockSaddleSolver._schur_solve,
+                               BlockSaddleSolver._correction)
+
+    def counted_solve(self, *args):
+        sweeps.append(0)
+        return schur_solve(self, *args)
+
+    def counted_correction(self, *args):
+        sweeps[-1] += 1
+        return correction(self, *args)
+
+    monkeypatch.setattr(BlockSaddleSolver, "_schur_solve", counted_solve)
+    monkeypatch.setattr(BlockSaddleSolver, "_correction", counted_correction)
+    cells = solve_cell_regime_ii(2.0, build_cell_mesh(GEOM, 8, 32))
+    counts = cells.solver_counts
+    assert len(sweeps) == 8
+    assert max(sweeps) <= 5
+    assert counts["schur_iterations"] <= 50
+    assert counts["factorizations"] == 0 and counts["direct_fallbacks"] == 0
+
+
+def _largest(x):
+    return float(np.abs(x).max())
+
+
+@pytest.mark.parametrize("mesh", [build_cell_mesh(GEOM, 4, 8),
+                                  build_cell_mesh(GEOM_D3, 2, 4)],
+                         ids=["d2", "d3"])
+def test_ladder_builds_no_sparse_matrix(mesh, monkeypatch):
+    # the regime-ii cell and its upscaling take dense pencils, divergence
+    # factors and interpolation matrices: they construct no scipy sparse
+    # matrix.  The Gram table, the level bounds and the divergence
+    # residuals agree with those of the assembled mass, Laplacian and
+    # divergence to 1e-13 of their largest entry
+    mu, d = 2.0, mesh.ndim
+    recorded = []
+
+    def recording(*args):
+        levels = _solve_ladder(*args)
+        recorded.extend(w for pairs in levels for w, _ in pairs)
+        return levels
+
+    monkeypatch.setattr(cell_problems, "_solve_ladder", recording)
+    with monkeypatch.context() as refused:
+        refuse_sparse(refused)
+        cells = solve_cell_regime_ii(mu, mesh)
+        ahat = effective_matrix(cells)
+    counts = cells.solver_counts
+    assert counts["factorizations"] == 0 and counts["direct_fallbacks"] == 0
+    V, Q = cells.space_v, cells.space_p
+    M, K_lap = assemble_mass(V), assemble_diffusion(V)
+    W = np.column_stack(cells.velocities)
+    gram = W.T @ ((mu * M) @ W)
+    assert _largest(cells.gram - gram) <= 1e-13 * _largest(gram)
+    assert np.array_equal(ahat.extended, (cells.gram + cells.gram.T) / 2)
+    # the level velocities are constant or zero, so w^T K_lap w is a
+    # rounding residue, which the square root of the bound magnifies: the
+    # energies agree to 1e-13 of w^T |K_lap| w, and the bounds to what
+    # that leaves after the square root
+    levels = np.array(recorded)
+    inv_n = np.repeat(1.0 / np.array(cells.levels["n"]), d)
+    bounds = (inv_n * np.sqrt(np.maximum(np.einsum(
+        "ij,ij->i", levels, (K_lap @ levels.T).T), 0.0))
+              + np.sqrt(np.maximum(np.einsum(
+                  "ij,ij->i", levels, (M @ levels.T).T), 0.0)))
+    magnitude = np.einsum("ij,ij->i", np.abs(levels),
+                          (abs(K_lap) @ np.abs(levels).T).T)
+    got = np.array(cells.levels["bound"]).T.ravel()
+    assert np.all(np.abs(got - bounds) <= 1e-13 * _largest(bounds)
+                  + inv_n * np.sqrt(1e-13 * magnitude))
+    divergences = assemble_divergence(V, Q) @ W
+    scale = max(np.linalg.norm(w) for w in cells.velocities)
+    assert _largest(np.array(cells.div_residuals)
+                    - np.linalg.norm(divergences, axis=0) / scale) \
+        <= 1e-13
+
+
+@pytest.mark.parametrize("mesh", [build_cell_mesh(GEOM, 4, 8),
+                                  build_cell_mesh(GEOM_D3, 2, 4)],
+                         ids=["d2", "d3"])
+def test_regime_ii_tensor_forms_match_assembled(mesh):
+    # on velocities that are not constant, the tensor forms of the mass,
+    # the Laplacian and the divergence give the assembled w^T M w,
+    # w^T K_lap w, the Gram table and B w to 1e-13 of their largest entry
+    d = mesh.ndim
+    V = FunctionSpace(mesh, "velocity", wall_components=(d - 1,))
+    Q = FunctionSpace(mesh, "pressure")
+    laplacian = _laplacian_pencils(V)
+    natural, clamped = ([pencil[:2] for pencil in pencils]
+                        for pencils in laplacian)
+    pairs = [natural] * (d - 1) + [clamped]
+    X = np.random.default_rng(7).standard_normal((5, V.ndof))
+    columns = cell_problems._columns(V, X)
+    M, K_lap = assemble_mass(V), assemble_diffusion(V)
+    grad_sq, mass_sq = cell_problems._energies(pairs, columns)
+    for got, ref in ((grad_sq, np.einsum("ij,ij->i", X, (K_lap @ X.T).T)),
+                     (mass_sq, np.einsum("ij,ij->i", X, (M @ X.T).T)),
+                     (cell_problems._mass_gram(pairs, columns),
+                      X @ (M @ X.T)),
+                     (cell_problems._divergences(axis_divergence(V, Q),
+                                                 columns),
+                      (assemble_divergence(V, Q) @ X.T).T)):
+        assert got.shape == ref.shape
+        assert _largest(got - ref) <= 1e-13 * _largest(ref)
 
 
 def _reject_pencils(blocks):

@@ -13,7 +13,9 @@ import thinflow
 
 from thinflow.assembly import (FunctionSpace, assemble_diffusion,
                                assemble_divergence, assemble_load,
-                               assemble_mass, axis_pencils, pressure_gauge)
+                               assemble_mass, axis_divergence, axis_pencils,
+                               pressure_gauge)
+from thinflow.cell_problems import _laplacian_pencils, _level_pencils
 from thinflow.errors import SingularSystemError
 from thinflow.linalg import (BlockSaddleSolver, SaddleSolver, SaddleSystem,
                              SolveCounts, _cahouet_chabard, _gauge_and_pin,
@@ -352,6 +354,72 @@ def test_block_solver_falls_back_to_direct_path():
     assert counts == after_first
     assert residual(SaddleSystem(K=K, B=B, gauge=np.ones(2), rhs_u=load),
                     (u, p)) <= 1e-10
+
+
+def cell_level(counts):
+    """The level s Laplacian + mu mass, s = 1/16 and mu = 2, of the
+    regime-ii cell ladder on a 4 x 8 cell: its block solver for the
+    vertical load, which takes several sweeps from zero, and the assembled
+    system of that load."""
+    s, mu = 1.0 / 16, 2.0
+    mesh = build_cell_mesh(Geometry(2, (1.0,), 0.125), 4, 8)
+    V = FunctionSpace(mesh, "velocity", wall_components=(1,))
+    Q = FunctionSpace(mesh, "pressure")
+    natural, clamped = (_level_pencils(pencils, s, mu)
+                        for pencils in _laplacian_pencils(V))
+    load = assemble_load(V, np.array([0.0, 1.0]))
+    solver = BlockSaddleSolver([natural, clamped], axis_divergence(V, Q),
+                               pressure_gauge(Q), load, axis_pencils(Q),
+                               nu=s, sigma=mu, counts=counts)
+    system = SaddleSystem(
+        K=(s * assemble_diffusion(V) + mu * assemble_mass(V)).tocsr(),
+        B=assemble_divergence(V, Q), gauge=pressure_gauge(Q), rhs_u=load)
+    return solver, system
+
+
+def test_block_solver_keeps_the_pair_before_a_worse_sweep(monkeypatch):
+    # the first sweep from a pair of backward error 1e-8 or less is spoilt
+    # by a pressure ramp in its correction, so that it raises the error:
+    # the solve stops and returns the pair it started that sweep from,
+    # which passes the residual check without the direct path
+    correct, measure = (BlockSaddleSolver._correction,
+                        BlockSaddleSolver._backward_error)
+    errors, spoilt = [], {}
+
+    def backward_error(self, *args):
+        error, res_u = measure(self, *args)
+        errors.append(error)
+        return error, res_u
+
+    def correction(self, u, res_u, div, budget):
+        du, dq, taken = correct(self, u, res_u, div, budget)
+        if not spoilt and errors[-1] <= 1e-8:
+            spoilt.update(u=u.copy(), error=errors[-1])
+            dq = dq + 1e-3 * np.linspace(-1.0, 1.0, dq.size)
+        return du, dq, taken
+
+    monkeypatch.setattr(BlockSaddleSolver, "_backward_error",
+                        backward_error)
+    monkeypatch.setattr(BlockSaddleSolver, "_correction", correction)
+    counts = SolveCounts()
+    solver, system = cell_level(counts)
+    u, p = solver.solve(tol=1e-10)
+    assert spoilt and errors[-1] > spoilt["error"]
+    assert np.array_equal(u, spoilt["u"])
+    assert counts.direct_fallbacks == 0 and counts.factorizations == 0
+    assert residual(system, (u, p)) <= 1e-10
+
+
+def test_block_solver_falls_back_from_a_start_that_is_not_finite():
+    # a start pair that is not finite has no backward error to refine:
+    # the solve goes over to the direct path, which meets the tolerance
+    counts = SolveCounts()
+    solver, system = cell_level(counts)
+    start = (np.full(system.n_u, np.nan), np.zeros(system.n_p))
+    u, p = solver.solve(tol=1e-10, start=start)
+    assert counts.direct_fallbacks == 1 and counts.factorizations == 1
+    assert counts.schur_iterations == 0
+    assert residual(system, (u, p)) <= 1e-10
 
 
 _LAYOUT_SCRIPT = textwrap.dedent("""
