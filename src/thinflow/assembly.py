@@ -43,16 +43,16 @@ space builds once and keeps: dense on a short axis, so that the axis takes
 one BLAS product, and sparse on a long one (_DENSE_NODES).  Each norm
 samples on the smallest Gauss rule exact for its integrand, one slab of the
 grid at a time (_rule_slabs), and sums the slabs in order.  A field keeps a
-read-only copy of its coefficients, so it expands its lattice array and
-takes its gradient norm once.  Every load (the forcing, the cell unit
-loads, the pressure gauge, the flux and Picard convection loads, the macro
-no-flux diagnostic) is the sample's transpose, integrate_grid, so no
-per-element dof map is kept; the forcing, gauge and convection loads are
-sampled and integrated one slab at a time too.  A load's source is
-evaluated on the axes of its grid (_eval_callable through
-meshing.grid_values): a callable that can, as the compiled config forcing,
-takes the axes, any other the grid's points.  The Gauss rules and tensor
-grids are those of meshing (composite_gauss, tensor_rule, grid_points).
+read-only copy of its coefficients and expands its lattice array once; it
+keeps no norm (a pipeline takes each layer's gradient norm once).  Every
+load (the forcing, the cell unit loads, the pressure gauge, the flux and
+Picard convection loads, the macro no-flux diagnostic) is the sample's
+transpose, integrate_grid, so no per-element dof map is kept; the forcing,
+gauge and convection loads are sampled and integrated one slab at a time
+too.  A load's source is evaluated on the axes of its grid (_eval_callable
+through meshing.grid_values): a callable that can, as the compiled config
+forcing, takes the axes, any other the grid's points.  The Gauss rules and
+tensor grids are those of meshing (composite_gauss, tensor_rule, grid_points).
 """
 
 import functools
@@ -708,10 +708,7 @@ class DiscreteField:
         if self.coeffs.size != space.ndof:
             raise SpaceMismatchError(
                 f"expected {space.ndof} coefficients, got {self.coeffs.size}")
-        self._full = self._grad_l2 = None
-        # (int |u|^2, int |u|^4) on the 5-point Gauss grid, kept by the
-        # two-scale pass over a layer field (two_scale.layer_moments)
-        self._moments = None
+        self._full = None
 
     def full_values(self):
         """The lattice array (FunctionSpace.expand), expanded once and
@@ -784,16 +781,15 @@ class DiscreteField:
     def grad_l2_norm(self):
         """L^2 norm of the gradient, exact: |grad u|^2 has degree 2 k.
         Sums |d_a u|^2 one slab of the Gauss grid (_slabs) and one
-        derivative axis a at a time, with no values; computed once."""
-        if self._grad_l2 is None:
-            total = 0.0
-            for coords, w in _rule_slabs(element_gauss_axes(
-                    self.space.mesh, self.space.order + 1)):
-                w = w[..., None]
-                total += sum(np.sum(w * self.evaluate_grid(
-                    coords, deriv_axis=a) ** 2) for a in range(len(coords)))
-            self._grad_l2 = float(np.sqrt(total))
-        return self._grad_l2
+        derivative axis a at a time, with no values; computed at each
+        call."""
+        total = 0.0
+        for coords, w in _rule_slabs(element_gauss_axes(
+                self.space.mesh, self.space.order + 1)):
+            w = w[..., None]
+            total += sum(np.sum(w * self.evaluate_grid(
+                coords, deriv_axis=a) ** 2) for a in range(len(coords)))
+        return float(np.sqrt(total))
 
     def integrate(self):
         """Componentwise integral over the mesh, exact: degree k."""

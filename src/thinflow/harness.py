@@ -29,7 +29,7 @@ from .errors import ConfigError, InvalidDataError, PipelineError, ThinflowError
 from .macro_model import solve_macro
 from .meshing import (Geometry, build_cell_mesh, build_macro_mesh,
                       build_thin_mesh, composed, grid_values, vtk_text)
-from .microscale import solve_dlb
+from .microscale import apriori_norms, solve_dlb
 from .two_scale import OscillatingTestFunction, layer_checks, limit_pairing
 from .upscaling import effective_matrix, reconstruct_two_scale_velocity
 
@@ -485,11 +485,12 @@ def run_pipeline(config):
             # law eps^2 across a layer of width 2 eps: in regime iii
             # (K_eps >> eps^2) the drag is weaker than the walls' shear, so
             # the walls set the scale, as the harness's default slopes say;
-            # the distance and the pairing take the velocity over eps^2
-            strong, pairing, pw = layer_checks(sol.velocity_field(), recon,
-                                               probe, eps, eps ** 2)
+            # the distance and the pairing take the velocity over eps^2, the
+            # a priori norms the pass's moments and gradient norm
+            strong, pairing, pw, moments = layer_checks(
+                sol.velocity_field(), recon, probe, eps, eps ** 2)
             gap = float(np.linalg.norm(np.atleast_1d(pairing) - limit_vec))
-            row = dict(sol.norms)
+            row = apriori_norms(sol, moments, pw.gradient_norm)
             row.update({"eps": eps, "K_eps": sol.K_eps,
                         "picard_iterations": sol.picard_iterations,
                         "pw_ratio": pw.ratio, "strong_error": strong,

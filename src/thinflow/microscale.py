@@ -38,15 +38,14 @@ assembles the block once, on the "component" space with the drag mu/K
 folded into its element matrices, and a d = 3 one factors it.  A d = 2
 layer is sealed and hydrostatic, its velocity a discretization residue, and
 its 2-D saddle system is small: it assembles the divergence, factors the
-pinned LU of S in linalg.SaddleSolver and solves every step with it.  The
-a priori norms are taken when MicroSolution.norms is first read, so the
-solver, and with it any LU, is gone before they sample the fields; u_l2 and
-u_l4 are the roots of the velocity's moments (two_scale.layer_moments),
-which a pipeline's two-scale pass of the layer has taken by then, so the
-velocity is sampled on its 5-point grid once.  The forcing (f1(xbar), 0) of
-FluidParams depends on the horizontal coordinates alone, so its load
-samples it on the axes of the horizontal Gauss grid (meshing.grid_values)
-and broadcasts it across the layer.  The iteration stops when the relative
+pinned LU of S in linalg.SaddleSolver and solves every step with it, which
+is faster there than the block path.  No solver outlives solve_dlb, so any
+LU is gone before the norms sample the fields; apriori_norms samples the
+pressure alone and takes the velocity's moments and gradient norm from a
+pipeline's two-scale pass.  The forcing (f1(xbar), 0) of FluidParams
+depends on the horizontal coordinates alone, so its load samples it on the
+axes of the horizontal Gauss grid (meshing.grid_values) and broadcasts it
+across the layer.  The iteration stops when the relative
 velocity update falls below the fixed-point tolerance.  It converges where
 the map contracts, that is where the convection is small against S:
 ||S^{-1} N(u)|| < 1 near the fixed point (the small-data condition of the
@@ -71,12 +70,11 @@ from .errors import (InvalidParameterError, InvalidResolutionError,
                      PicardDivergenceError)
 from .linalg import (BlockSaddleSolver, SaddleSolver, SaddleSystem,
                      SolveCounts, _norm)
-from .two_scale import layer_moments
 
 
 @dataclass
 class MicroSolution:
-    """Velocity/pressure pair on the thin mesh with its norm record.
+    """Velocity/pressure pair on the thin mesh with its Picard record.
 
     stop_reason says why the Picard loop ended: "converged" (update below
     the fixed-point tolerance), "zero_branch" (the forcing is balanced by
@@ -86,7 +84,8 @@ class MicroSolution:
     the pinned saddle matrix; in d = 3 none for a separable coefficient,
     otherwise one, of the scalar block, and never one of B), the CG
     iterations of all steps (none in d = 2), and the fallbacks to the
-    direct path and to pivoting, if any.
+    direct path and to pivoting, if any.  A plain record: it keeps no norm
+    and no field (apriori_norms takes the norms).
     """
 
     mesh: object
@@ -101,26 +100,9 @@ class MicroSolution:
     update_history: list = dfield(default_factory=list)
     stop_reason: str = ""
     solver_counts: dict = dfield(default_factory=dict)
-    _velocity: DiscreteField = dfield(default=None, init=False, repr=False,
-                                      compare=False)
-    _norms: dict = dfield(default=None, init=False, repr=False,
-                          compare=False)
-
-    @property
-    def norms(self):
-        """The a priori norms (apriori_norms), taken on first reading: in
-        a pipeline after the two-scale pass, whose samples give u_l2 and
-        u_l4 (two_scale.layer_moments)."""
-        if self._norms is None:
-            self._norms = apriori_norms(self)
-        return self._norms
 
     def velocity_field(self):
-        """The velocity as one DiscreteField per solution, so that its
-        lattice array and gradient norm are computed once per layer."""
-        if self._velocity is None:
-            self._velocity = DiscreteField(self.space_v, self.u)
-        return self._velocity
+        return DiscreteField(self.space_v, self.u)
 
     def pressure_field(self):
         return DiscreteField(self.space_p, self.p)
@@ -166,9 +148,9 @@ def solve_dlb(thin_mesh, field, params, K_eps, picard_tol=1e-10,
     counts = SolveCounts()
     if thin_mesh.ndim == 2:
         # a sealed layer over a 1-D box is hydrostatic (the force (f1(x0), 0)
-        # is a gradient), so its velocity is a discretization residue that
-        # CG would resolve over some 26 decades; the small 2-D saddle LU
-        # gets it to roundoff with one factorization
+        # is a gradient), so its velocity is a discretization residue; the
+        # block path gives the same verdicts, but its CG takes 28 to 46
+        # iterations per regime_ii layer: the small 2-D saddle LU is faster
         solver = SaddleSolver(SaddleSystem(
             K=sp.block_diag([block] * 2, format="csr"),
             B=assemble_divergence(space_v, space_p), gauge=gauge,
@@ -222,8 +204,8 @@ def solve_dlb(thin_mesh, field, params, K_eps, picard_tol=1e-10,
             f"no fixed point within {max_iters} iterations "
             f"(last update {update:.3e})", history=history)
 
-    # the norms are taken when first read, after the solver and any LU of
-    # it are gone, so their Gauss samples do not stack on them
+    # the solver and any LU of it are gone on return, so the Gauss samples
+    # of the norms do not stack on them
     return MicroSolution(thin_mesh, space_v, space_p, u, p, eps, K_eps,
                          iterations, update, update_history=history,
                          stop_reason=reason, solver_counts=asdict(counts))
@@ -244,19 +226,17 @@ def _block_pencils(space_s, field, eps, sigma):
     return pencils
 
 
-def apriori_norms(sol):
+def apriori_norms(sol, moments, grad):
     """Quadrature-exact norms and the thin-domain Sobolev ratios.
 
-    u_l2 and u_l4 are the roots of the velocity's layer_moments, which the
-    two-scale pass of a pipeline has already taken; the gradient norm is
-    kept on the velocity field too.  r2 and r4 are the ratios whose
+    u_l2 and u_l4 are the roots of the velocity's moments (as
+    two_scale.layer_moments returns them) and grad is its gradient norm;
+    only the pressure is sampled here.  r2 and r4 are the ratios whose
     uniform boundedness over a sweep encodes the thin-layer embedding
     inequalities; they are zero for the zero field.
     """
-    uf = sol.velocity_field()
-    sq, quartic = layer_moments(uf)
+    sq, quartic = moments
     l2, l4 = float(sq ** 0.5), float(quartic ** 0.25)
-    grad = uf.grad_l2_norm()
     p_l2 = sol.pressure_field().lp_norm(2)
     r2 = l2 / (sol.eps * grad) if grad > 0 else 0.0
     r4 = l4 / (np.sqrt(sol.eps) * grad) if grad > 0 else 0.0

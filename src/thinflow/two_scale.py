@@ -29,8 +29,8 @@ distance, the pairing, the fluctuation, and the moments int |u|^2 and
 int |u|^4 behind the a priori norms u_l2 and u_l4 (microscale).
 two_scale_distance, two_scale_pairing and poincare_wirtinger_ratio run that
 pass with their one term, layer_moments with the moments alone, and
-layer_checks with all of them: it keeps a discrete field's moments on the
-field, so a pipeline samples each layer velocity on its 5-point grid once.
+layer_checks with all of them, returning the moments with the checks, so a
+pipeline samples each layer velocity on its 5-point grid once.
 The macro factor of a test function is taken on the axes of the
 horizontal grid (meshing.grid_values), so the probe's factor, the first
 component of the compiled forcing, costs the axis lengths where its
@@ -266,14 +266,11 @@ def _moment_term(rules):
 
 
 def layer_moments(u_eps):
-    """(int |u|^2, int |u|^4) of a discrete layer field, summed by
-    _moment_term on the _NQ-point Gauss grid of its elements.  Taken once
-    per field and kept on it: layer_checks keeps them from its pass, and a
-    field that has not been through that pass takes a pass of this one
-    term, which cuts the same slabs and so gives the same numbers."""
-    if u_eps._moments is None:
-        (u_eps._moments,) = _layer_sums(u_eps, None, None, [_moment_term])
-    return u_eps._moments
+    """(int |u|^2, int |u|^4) of a discrete layer field on the _NQ-point
+    Gauss grid of its elements: the moments of layer_checks' pass, bit for
+    bit, from a pass of _moment_term alone."""
+    (moments,) = _layer_sums(u_eps, None, None, [_moment_term])
+    return moments
 
 
 def _pairing(total, eps, scale=1.0):
@@ -435,26 +432,20 @@ def poincare_wirtinger_ratio(u_eps, eps, geometry=None, grad=None):
 def layer_checks(u_eps, u0, f, eps, scale=1.0, geometry=None, grad=None):
     """The two-scale checks of a layer velocity, in one pass.
 
-    Returns (distance, pairing, pw): two_scale_distance(u_eps / scale, u0,
-    eps), two_scale_pairing(u_eps / scale, f, eps) and
+    Returns (distance, pairing, pw, moments): two_scale_distance(u_eps /
+    scale, u0, eps), two_scale_pairing(u_eps / scale, f, eps),
     poincare_wirtinger_ratio(u_eps, eps), each with geometry (and grad)
-    for a closed-form field.  The field is sampled once per slab, and the
-    scale is folded into the limit: |u - scale u0| / scale.  A discrete
-    field whose layer_moments are not taken yet takes them in the same
-    pass and keeps them, so that the a priori norms of a layer
-    (microscale.apriori_norms) sample its velocity no more.
+    for a closed-form field, and layer_moments(u_eps).  The field is sampled
+    once per slab, and the scale is folded into the limit: |u - scale u0| /
+    scale.
     """
     pw_terms, report = _pw_terms(u_eps, eps, grad)
-    keep = isinstance(u_eps, DiscreteField) and u_eps._moments is None
-    sums = _layer_sums(
+    total, pairing, *pw, moments = _layer_sums(
         u_eps, eps, geometry,
-        [_distance_term(u0, eps, scale), _pairing_term(f, eps), *pw_terms]
-        + ([_moment_term] if keep else []))
-    if keep:
-        u_eps._moments = sums.pop()
-    total, pairing, *pw = sums
+        [_distance_term(u0, eps, scale), _pairing_term(f, eps), *pw_terms,
+         _moment_term])
     return (_distance(total, eps, scale), _pairing(pairing, eps, scale),
-            report(*pw))
+            report(*pw), moments)
 
 
 def oscillation_limit_table(f, eps_list, geometry, p=2.0):

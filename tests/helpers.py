@@ -42,6 +42,10 @@ references for the library, which sums each axis's element matrices into a
 dense array (assembly._line_matrix).  refuse_sparse makes the construction
 of a CSR, CSC or COO matrix raise.
 
+layer_norms takes the a priori norms of a layer solution on its own, by a
+moment pass and a gradient norm of its own, where a pipeline reuses those
+of its two-scale checks (harness.run_pipeline).
+
 cahouet_chabard_reference is the block path's pressure preconditioner on
 mean-zero pressures, from the assembled pressure mass and Neumann
 Laplacian (the latter gauged or pinned at a given dof), the reference for
@@ -62,7 +66,8 @@ from thinflow.assembly import (_NQUAD, _VANISHING, DiscreteField,
 from thinflow.linalg import solve_gauged_spd
 from thinflow.meshing import (TensorMesh, composite_gauss, gauss_rule,
                               grid_points, tensor_rule)
-from thinflow.two_scale import _layer_rules
+from thinflow.microscale import apriori_norms
+from thinflow.two_scale import _layer_rules, layer_moments
 
 
 def interpolate(space, fn):
@@ -272,6 +277,13 @@ def boundary_flux_reference(macro):
                     node = idx[0] * space.lattice_sizes[1] + idx[1]
                     fb[node] += float(np.sum(w * un * vals1[:, loc]))
     return float(np.abs(fb).max())
+
+
+def layer_norms(sol):
+    """The a priori norms of a MicroSolution outside a pipeline: from one
+    fresh velocity field's moment pass and gradient norm."""
+    field = sol.velocity_field()
+    return apriori_norms(sol, layer_moments(field), field.grad_l2_norm())
 
 
 def gradient(field, pts):

@@ -19,6 +19,8 @@ from thinflow.meshing import grid_points, grid_values
 from thinflow.microscale import MicroSolution
 from thinflow.two_scale import OscillatingTestFunction
 
+from helpers import layer_norms
+
 CONFIGS = Path(__file__).parent.parent / "configs"
 
 BASE_CONFIG = {
@@ -174,31 +176,43 @@ def test_pipeline_marks_each_traced_stage_once(monkeypatch):
 
 def test_pipeline_samples_each_layer_velocity_once_per_slab(monkeypatch):
     # the two-scale pass takes the velocity moments of the a priori norms
-    # too, so each DNS velocity is sampled once per slab of its 5-point
-    # Gauss grid (its gradient, by derivative axis, on the 3-point grid);
-    # a bare solution gives the norms of the report bit for bit
-    samples = []
-    evaluate_grid = DiscreteField.evaluate_grid
+    # too, and its Poincare-Wirtinger ratio the gradient norm, so each DNS
+    # velocity is sampled once per slab of its 5-point Gauss grid and its
+    # gradient in one pass over the 3-point grid, one derivative axis per
+    # slab, after the Picard loop's samples of its iterates; the norms of a
+    # bare solution are those of the report bit for bit
+    samples, solved = [], []
+    evaluate_grid, solve_dlb = DiscreteField.evaluate_grid, harness.solve_dlb
 
     def spy(field, coords, deriv_axis=None):
-        if deriv_axis is None:
-            samples.append((field, [x.tobytes() for x in coords]))
+        samples.append((field.space, [x.tobytes() for x in coords],
+                        deriv_axis))
         return evaluate_grid(field, coords, deriv_axis)
 
+    def spy_solve(*args, **kwargs):
+        sol = solve_dlb(*args, **kwargs)
+        solved.append(len(samples))
+        return sol
+
     monkeypatch.setattr(DiscreteField, "evaluate_grid", spy)
+    monkeypatch.setattr(harness, "solve_dlb", spy_solve)
     report = run_pipeline(load_config(CONFIGS / "homogenization_d3.json"))
     monkeypatch.undo()
-    for sol, row in zip(report.layers, report.sweep_rows):
+    for sol, row, start in zip(report.layers, report.sweep_rows, solved):
+        slabs = {n: [[x.tobytes() for x in coords] for coords, _ in
+                     _rule_slabs(element_gauss_axes(sol.mesh, n))]
+                 for n in (3, 5)}
+        velocity = [(c, a) for space, c, a in samples[start:]
+                    if space is sol.space_v]
+        assert [c for c, a in velocity if a is None] == slabs[5]
+        assert [(c, a) for c, a in velocity if a is not None] \
+            == [(c, a) for c in slabs[3] for a in range(3)]
+        norms = layer_norms(sol)
+        assert norms == {key: row[key] for key in norms}
         field = sol.velocity_field()
-        slabs = [[x.tobytes() for x in coords] for coords, _ in
-                 _rule_slabs(element_gauss_axes(sol.mesh, 5))]
-        assert [c for f, c in samples if f is field] == slabs
-        bare = dataclasses.replace(sol)
-        assert bare.velocity_field() is not field
-        assert bare.norms == {key: row[key] for key in bare.norms}
         assert row["u_l2"] == pytest.approx(field.lp_norm(2), rel=1e-13)
         assert row["u_l4"] == pytest.approx(field.lp_norm(4), rel=1e-13)
-    assert len(slabs) > 1
+    assert len(slabs[5]) > 1
 
 
 def test_pipeline_takes_the_forcing_on_grid_axes():

@@ -10,21 +10,22 @@ import scipy.sparse as sp
 
 from thinflow import coefficients as coefs
 from thinflow import cell_problems, linalg, microscale, two_scale
-from thinflow.assembly import (DiscreteField, FunctionSpace,
+from thinflow.assembly import (DiscreteField, FunctionSpace, _rule_slabs,
                                assemble_convection, assemble_diffusion,
                                assemble_divergence, assemble_load,
                                assemble_mass, axis_divergence, axis_pencils,
-                               pressure_gauge)
+                               element_gauss_axes, pressure_gauge)
 from thinflow.errors import InvalidResolutionError, PicardDivergenceError
 from thinflow.harness import load_config
 from thinflow.linalg import (BlockSaddleSolver, SaddleSystem, SolveCounts,
                              residual, solve_sparse)
 from thinflow.meshing import (Geometry, TensorMesh, build_cell_mesh,
                               build_thin_mesh)
-from thinflow.microscale import apriori_norms, solve_dlb
-from thinflow.two_scale import layer_moments, poincare_wirtinger_ratio
+from thinflow.microscale import solve_dlb
+from thinflow.two_scale import poincare_wirtinger_ratio
 
-from helpers import interpolate, oseen_matrix, refuse_sparse, translated
+from helpers import (interpolate, layer_norms, oseen_matrix, refuse_sparse,
+                     translated)
 
 IDENT = coefs.constant_field(2)
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -58,8 +59,9 @@ def thin_mesh(eps=0.25, epp=4, nz=4):
 def test_zero_forcing_zero_solution():
     params = coefs.FluidParams(mu=1.0, f1=None)
     sol = solve_dlb(thin_mesh(), IDENT, params, K_eps=0.0625)
-    assert sol.norms["u_l2"] == 0.0
-    assert sol.norms["p_l2"] == 0.0
+    norms = layer_norms(sol)
+    assert norms["u_l2"] == 0.0
+    assert norms["p_l2"] == 0.0
 
 
 def test_stop_reason_zero_field():
@@ -105,7 +107,7 @@ def nonlinear_residual(sol, field, params):
 
 def test_stop_reason_d3_flow():
     mesh, field, params, sol = d3_flow(rho=1.0)
-    assert sol.norms["u_l2"] > 1e-3
+    assert layer_norms(sol)["u_l2"] > 1e-3
     assert sol.stop_reason == "converged"
     assert sol.final_update <= 1e-10
     # the separable layer factors nothing: every Picard step applies the
@@ -184,8 +186,8 @@ def test_d3_non_separable_layer_factors_its_block(monkeypatch, field):
 def test_solver_freed_before_norms(monkeypatch, d):
     # the layer's solver, and with it its LU, is gone when the a priori
     # norms sample the fields, on either solver path: solve_dlb samples no
-    # norm, and the first reading of sol.norms takes the velocity's
-    # moments, its gradient norm and the pressure norm after it returned
+    # norm, and the norms take the velocity's moments, its gradient norm
+    # and the pressure norm after it returned
     solvers = []
     for name in ("SaddleSolver", "BlockSaddleSolver"):
         class Spy(getattr(microscale, name)):
@@ -215,8 +217,8 @@ def test_solver_freed_before_norms(monkeypatch, d):
     else:
         *_, sol = d3_flow(rho=1.0)
     assert alive == []
-    assert set(sol.norms) == {"u_l2", "grad_u_l2", "u_l4", "p_l2", "r2",
-                              "r4"}
+    assert set(layer_norms(sol)) == {"u_l2", "grad_u_l2", "u_l4", "p_l2",
+                                     "r2", "r4"}
     assert alive == [[False]] * 3
 
 
@@ -242,7 +244,7 @@ def test_conservative_forcing_hydrostatic():
     # is sealed, the force does no work and the flow is hydrostatic
     params = coefs.FluidParams(mu=1.0, f1=lambda xb: np.ones((len(xb), 1)))
     sol = solve_dlb(thin_mesh(), IDENT, params, K_eps=0.0625)
-    assert sol.norms["u_l2"] <= 1e-12
+    assert layer_norms(sol)["u_l2"] <= 1e-12
     x = np.array([[0.75, 0.0], [0.25, -0.1]])
     pv = sol.pressure_field().evaluate(x)
     assert np.allclose(pv, x[:, 0] - 0.5, atol=1e-10)
@@ -344,7 +346,7 @@ def test_synthetic_norm_quadrature():
 def test_apriori_norms_zero_field():
     params = coefs.FluidParams(mu=1.0, f1=None)
     sol = solve_dlb(thin_mesh(), IDENT, params, K_eps=0.0625)
-    norms = apriori_norms(sol)
+    norms = layer_norms(sol)
     assert all(norms[k] == 0.0 for k in ("u_l2", "grad_u_l2", "u_l4", "r2",
                                          "r4"))
 
@@ -727,26 +729,34 @@ def test_correction_forms_each_velocity_once(monkeypatch):
 
 
 def test_layer_velocity_sampled_for_its_gradient_norm_once(monkeypatch):
-    # one velocity field per solution, whose gradient norm and moments the
-    # first reading of the norms takes: reading them again samples
-    # nothing, the Poincare-Wirtinger ratio reuses the gradient norm, and
-    # gives the ratio of a fresh field bit for bit
+    # the norms of a layer sample its velocity once per slab of the 5-point
+    # Gauss grid (the moments) and its gradient in one pass over the
+    # 3-point grid, one derivative axis per slab; no field keeps a norm, so
+    # the Poincare-Wirtinger ratio takes the same gradient norm again and
+    # a second field gives it bit for bit
     *_, sol = d3_flow(rho=1.0)
-    field = sol.velocity_field()
-    assert field is sol.velocity_field()
-    norms = sol.norms
+    samples = []
+    evaluate_grid = DiscreteField.evaluate_grid
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the velocity is sampled again")
+    def spy(field, coords, deriv_axis=None):
+        if field.space is sol.space_v:
+            samples.append(([x.tobytes() for x in coords], deriv_axis))
+        return evaluate_grid(field, coords, deriv_axis)
 
     with monkeypatch.context() as patch:
-        patch.setattr(DiscreteField, "evaluate_grid", refuse)
-        assert field.grad_l2_norm() == norms["grad_u_l2"]
-        assert layer_moments(field) is layer_moments(field)
-        assert sol.norms is norms
-    fresh = DiscreteField(sol.space_v, sol.u)
+        patch.setattr(DiscreteField, "evaluate_grid", spy)
+        norms = layer_norms(sol)
+    values = [[x.tobytes() for x in coords] for coords, _ in
+              _rule_slabs(element_gauss_axes(sol.mesh, 5))]
+    gradients = [([x.tobytes() for x in coords], a) for coords, _ in
+                 _rule_slabs(element_gauss_axes(sol.mesh, 3))
+                 for a in range(3)]
+    assert samples == [(c, None) for c in values] + gradients
+    field = sol.velocity_field()
+    assert poincare_wirtinger_ratio(field, sol.eps).gradient_norm \
+        == norms["grad_u_l2"]
     assert poincare_wirtinger_ratio(field, sol.eps) \
-        == poincare_wirtinger_ratio(fresh, sol.eps)
+        == poincare_wirtinger_ratio(sol.velocity_field(), sol.eps)
 
 
 def test_equal_pencils_decomposed_once(monkeypatch):
@@ -1040,7 +1050,8 @@ def test_dns_sweep_slopes_resolved(name):
 
     def slopes(**refine):
         sols = [config_layer(name, e, **refine) for e in eps]
-        return np.array([np.log(sols[0].norms[k] / sols[1].norms[k])
+        norms = [layer_norms(s) for s in sols]
+        return np.array([np.log(norms[0][k] / norms[1][k])
                          / np.log(eps[0] / eps[1]) for k in keys])
 
     base = slopes()

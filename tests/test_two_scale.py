@@ -533,7 +533,8 @@ def test_functionals_never_evaluate_pointwise(d3_layer, monkeypatch):
     assert two_scale_distance(scaled, recon, D3_EPS) > 0
     assert np.abs(two_scale_pairing(scaled, probe, D3_EPS)).max() > 0
     assert np.abs(limit_pairing(recon, probe)).max() > 0
-    strong, pairing, pw = layer_checks(u, recon, probe, D3_EPS, D3_EPS ** 2)
+    strong, pairing, pw, _ = layer_checks(u, recon, probe, D3_EPS,
+                                          D3_EPS ** 2)
     assert strong > 0 and pw.ratio > 0 and np.abs(pairing).max() > 0
 
 
@@ -569,8 +570,8 @@ def test_one_pass_matches_single_functionals(d3_layer, kind):
 
         def scaled(p):
             return u(p) / scale
-    strong, pairing, pw = layer_checks(u, recon, probe, D3_EPS, scale,
-                                       geometry, grad)
+    strong, pairing, pw, _ = layer_checks(u, recon, probe, D3_EPS, scale,
+                                          geometry, grad)
     assert strong == pytest.approx(
         two_scale_distance(scaled, recon, D3_EPS, geometry), rel=1e-13)
     want = two_scale_pairing(scaled, probe, D3_EPS, geometry)
@@ -639,7 +640,7 @@ def test_five_point_passes_share_their_slabs(d3_layer, monkeypatch):
     space = FunctionSpace(sol.mesh, "velocity")
     u = DiscreteField(space, sol.u)
     u.grad_l2_norm()
-    layer_checks(u, recon, probe, D3_EPS, D3_EPS ** 2)
+    *_, moments = layer_checks(u, recon, probe, D3_EPS, D3_EPS ** 2)
     built = len(space._interpolations)
     fresh = DiscreteField(space, sol.u)
     layer_moments(fresh)
@@ -647,7 +648,21 @@ def test_five_point_passes_share_their_slabs(d3_layer, monkeypatch):
     layer_checks(fresh, recon, probe, D3_EPS, D3_EPS ** 2)
     assert len(space._interpolations) == built
     # and the moments of the two-scale pass are those of their own pass
-    assert np.array_equal(layer_moments(u), layer_moments(fresh))
+    assert np.array_equal(moments, layer_moments(fresh))
+
+
+def test_layer_checks_leaves_its_field_alone(d3_layer):
+    # the checks return the moments of their pass and keep nothing on the
+    # field: its one attribute that changes is its own lattice array
+    sol, recon, probe = d3_layer
+    u = sol.velocity_field()
+    before = dict(vars(u))
+    *_, moments = layer_checks(u, recon, probe, D3_EPS, D3_EPS ** 2)
+    after = dict(vars(u))
+    assert before.pop("_full") is None and after.pop("_full") is not None
+    assert after.keys() == before.keys()
+    assert all(after[key] is before[key] for key in before)
+    assert np.array_equal(moments, layer_moments(sol.velocity_field()))
 
 
 def test_pw_ratio_takes_the_exact_vertical_mean():
