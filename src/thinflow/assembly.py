@@ -59,7 +59,6 @@ import functools
 import itertools
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import AsymmetricOperatorError, SpaceMismatchError
 from .meshing import (_kron_apply, _kron_row, composite_gauss, gauss_rule,
@@ -307,6 +306,7 @@ def _interpolation(space, a, x, deriv=False):
             mat = np.zeros(shape)
             np.add.at(mat, (np.arange(shape[0])[:, None], nodes), weights)
         else:
+            import scipy.sparse as sp
             mat = sp.csr_matrix((weights.ravel(), nodes.ravel(), np.arange(
                 0, nodes.size + 1, space.order + 1)), shape=shape)
             # canonical form, as from triplets: a periodic wrap lists the
@@ -404,6 +404,7 @@ def _fill(slot_map, local):
     np.add.at, so the entries of every slot are added in element order
     whatever the slabs.
     """
+    import scipy.sparse as sp
     indptr, slabs, slab_slots = slot_map
     indices = np.empty(int(indptr[-1]) + 1, dtype=np.int32)
     data = np.zeros(indices.size)
@@ -442,6 +443,7 @@ def _square(space, local):
 def _block_diagonal(blocks):
     """The block diagonal CSR matrix of CSR blocks, their arrays joined
     with the row and column offsets added: no COO triplets, no sort."""
+    import scipy.sparse as sp
     if len(blocks) == 1:
         return blocks[0]
     rows = cols = nnz = 0

@@ -47,6 +47,7 @@ from .errors import InvalidParameterError, UnsupportedRegimeCoefficientError
 from .linalg import (BlockSaddleSolver, SaddleSystem, SolveCounts,
                      solve_sparse, with_eigenpairs)
 from .meshing import TensorMesh, _kron_apply, _kron_sum_apply, _term
+from .microscale import _block_pencils, block_solver, tensor_form
 
 
 @dataclass
@@ -119,20 +120,48 @@ def _div_residuals(velocities, divergences):
 
 
 def _solve_clamped(regime, field, cell_mesh, tol, drag=0.0):
-    """-div(A grad w) + drag w + grad q = e_i with the walls clamped."""
+    """-div(A grad w) + drag w + grad q = e_i with the walls clamped: in
+    tensor form (_solve_tensor) where microscale.tensor_form says so, and
+    otherwise assembled and solved by one pinned saddle LU."""
     coefs.check_ellipticity(field, n_samples=256)
     space_v = FunctionSpace(cell_mesh, "velocity")
     space_p = FunctionSpace(cell_mesh, "pressure")
-    B = assemble_divergence(space_v, space_p)
-    S = assemble_diffusion(space_v, field.evaluate, drag=drag)
     counts = SolveCounts()
-    velocities, pressures = _solve_loads(S, B, pressure_gauge(space_p),
-                                         _unit_loads(space_v), tol, counts)
-    W = np.column_stack(velocities)
-    residuals = _div_residuals(velocities, [B @ w for w in velocities])
+    if tensor_form(cell_mesh, field):
+        velocities, pressures, divergences, gram = _solve_tensor(
+            field, space_v, space_p, tol, drag, counts)
+    else:
+        B = assemble_divergence(space_v, space_p)
+        S = assemble_diffusion(space_v, field.evaluate, drag=drag)
+        velocities, pressures = _solve_loads(
+            S, B, pressure_gauge(space_p), _unit_loads(space_v), tol, counts)
+        W = np.column_stack(velocities)
+        divergences, gram = [B @ w for w in velocities], W.T @ (S @ W)
     return CellSolution(regime, cell_mesh, space_v, space_p, velocities,
-                        pressures, residuals, W.T @ (S @ W),
-                        solver_counts=asdict(counts))
+                        pressures, _div_residuals(velocities, divergences),
+                        gram, solver_counts=asdict(counts))
+
+
+def _solve_tensor(field, space_v, space_p, tol, drag, counts):
+    """The velocities, pressures, divergences B w and Gram table W^T S W of
+    the unit loads of a clamped cell whose scalar block is the Kronecker sum
+    of its per-axis pencils (microscale._block_pencils at half-width 1):
+    each load is solved from zero on the block path
+    (microscale.block_solver), which factors nothing, and S and B are
+    applied by per-axis products."""
+    pencils = _block_pencils(FunctionSpace(space_v.mesh, "component"), field,
+                             1.0, drag)
+    factors = axis_divergence(space_v, space_p)
+    loads = _unit_loads(space_v)
+    solver = block_solver(pencils, factors, space_p, field, 1.0, drag,
+                          loads[0], counts)
+    zero = (np.zeros(space_v.ndof), np.zeros(space_p.ndof))
+    velocities, pressures = (list(x) for x in zip(*(
+        solver.solve(tol, rhs_u=load, start=zero) for load in loads)))
+    columns = _columns(space_v, np.array(velocities))
+    block = [_term(pencils, a) for a in range(len(pencils))]
+    return (velocities, pressures, _divergences(factors, columns),
+            _gram([block] * len(columns), columns))
 
 
 def solve_cell_regime_i(field, mu, K, cell_mesh, tol=1e-10):
@@ -215,6 +244,7 @@ def _solve_ladder(mu, space_v, space_p, factors, laplacian, n_list, tol,
     pencils_p = with_eigenpairs(axis_pencils(space_p))
     loads = _unit_loads(space_v)
     pairs = [(np.zeros(space_v.ndof), np.zeros(space_p.ndof))] * d
+    floors = [0.0] * d
     levels = []
     for n in n_list:
         s = 1.0 / n ** 2
@@ -222,8 +252,11 @@ def _solve_ladder(mu, space_v, space_p, factors, laplacian, n_list, tol,
             + [_level_pencils(clamped, s, mu)]
         solver = BlockSaddleSolver(blocks, factors, gauge, loads[0],
                                    pencils_p, nu=s, sigma=mu, counts=counts)
-        pairs = [solver.solve(tol, rhs_u=load, start=pair)
-                 for load, pair in zip(loads, pairs)]
+        pairs = list(pairs)
+        for i, load in enumerate(loads):
+            pairs[i] = solver.solve(tol, rhs_u=load, start=pairs[i],
+                                    floor=floors[i])
+            floors[i] = solver.backward_error
         levels.append(pairs)
     return levels
 
@@ -250,11 +283,18 @@ def _energies(pairs, columns):
     return grad_sq, mass_sq
 
 
+def _gram(blocks, columns):
+    """The Gram table W^T S W over the stacked velocities W of the block
+    diagonal S whose block for component c is the sum of the Kronecker
+    products blocks[c], from the columns of each component (_columns)."""
+    return sum(rows @ _kron_sum_apply(terms, rows).T
+               for rows, terms in zip(columns, blocks))
+
+
 def _mass_gram(pairs, columns):
     """The Gram table W^T M W of the mass matrix over the stacked
     velocities, whose columns and pairs are those of _energies."""
-    return sum(rows @ _kron_apply([m for m, _ in axes], rows).T
-               for rows, axes in zip(columns, pairs))
+    return _gram([[[m for m, _ in axes]] for axes in pairs], columns)
 
 
 def _divergences(factors, columns):

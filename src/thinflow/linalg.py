@@ -95,8 +95,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (ComponentLayoutError, ConvergenceFailureError,
                      SingularSystemError)
@@ -131,8 +129,8 @@ class SaddleSystem:
     when it goes over to the direct path.
     """
 
-    K: sp.spmatrix
-    B: Optional[sp.spmatrix] = None
+    K: object
+    B: Optional[object] = None
     gauge: Optional[np.ndarray] = None
     rhs_u: np.ndarray = field(default=None)
 
@@ -240,6 +238,8 @@ def _gauge_and_pin(gauge):
 def _splu(mat, pivot=False):
     """SuperLU under a minimum-degree ordering of A^T + A, without pivoting
     unless asked for; RuntimeError if a pivot is exactly zero."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
     options = {} if pivot else {"diag_pivot_thresh": 0.0}
     return spla.splu(sp.csc_matrix(mat), permc_spec="MMD_AT_PLUS_A",
                      **options)
@@ -297,6 +297,7 @@ class SaddleSolver:
     """
 
     def __init__(self, system, counts=None):
+        import scipy.sparse as sp
         self.counts = SolveCounts() if counts is None else counts
         self._n_u, self._pin = system.n_u, None
         mat = system.K
@@ -444,6 +445,28 @@ def _cahouet_chabard(nu, sigma, lam):
     g = np.zeros_like(lam)
     g[1:] = nu + sigma / lam[1:]
     return g
+
+
+class KroneckerSum:
+    """The Kronecker sum L = sum_a M_0 (x) ... (x) K_a (x) ... (x) M_{d-1}
+    of per-axis pencils [(M_a, K_a), ...] (dense arrays), dofs in lattice
+    order, as an operator that is not assembled: L @ x applies it to the
+    last axis of x by per-axis products, all terms from one transposed
+    copy (meshing._kron_sum_apply).  solve_gauged_spd inverts it by fast
+    diagonalization, and assembled() forms it as a sparse matrix for the
+    direct path."""
+
+    def __init__(self, pencils):
+        self.pencils = pencils
+        self._terms = [_term(pencils, a) for a in range(len(pencils))]
+        n = int(np.prod([mass.shape[0] for mass, _ in pencils]))
+        self.shape = (n, n)
+
+    def __matmul__(self, x):
+        return _kron_sum_apply(self._terms, x)
+
+    def assembled(self):
+        return sum(_kron(term) for term in self._terms)
 
 
 class _Group:
@@ -719,9 +742,9 @@ class BlockSaddleSolver:
             where = slice(int(offsets[group[0]]), int(offsets[group[-1] + 1]))
             block, group_terms = blocks[group[0]], [terms[a] for a in group]
             self._groups.append(
-                _BlockLU(where, block, group_terms, self.counts)
-                if sp.issparse(block)
-                else _FusedInverse(where, block, group_terms))
+                _FusedInverse(where, block, group_terms)
+                if isinstance(block, (list, tuple))
+                else _BlockLU(where, block, group_terms, self.counts))
         self._factors = B
         self._norms = (_norm(np.array([group.norm for group in self._groups])),
                        np.sqrt(sum(_kronecker_norm([term]) ** 2
@@ -736,6 +759,8 @@ class BlockSaddleSolver:
         self._q = np.zeros(n_p)
         self._products = (np.zeros(n_u), np.zeros(n_u), np.zeros(n_p))
         self._direct = None
+        # the backward error of the last solution, 0 on the direct path
+        self.backward_error = 0.0
         # K^{-1}: without it the first solve takes the direct path
         try:
             for group, decomposed in zip(self._groups, _decomposed(
@@ -748,6 +773,7 @@ class BlockSaddleSolver:
 
     def _assembled(self):
         """K and B as sparse matrices, for the direct path."""
+        import scipy.sparse as sp
         return (sp.block_diag([block for group in self._groups
                                for block in group.assembled()], format="csr"),
                 _kron_row(self._factors))
@@ -824,13 +850,13 @@ class BlockSaddleSolver:
             formed = self._velocity(du)
         return formed, dq, iterations
 
-    def _schur_solve(self, f, tol, start):
+    def _schur_solve(self, f, tol, start, floor):
         """(u, p) with residual <= tol for the load f, or None where CG
         cannot get there; the kept products stand in for K u, B^T q and
         B u, or those of the start pair, if one is given.  Sweeps stop at
-        the goal or once one fails to cut the backward error by
-        _SWEEP_STALL, and the pair of the smallest error is the one
-        checked and kept."""
+        the goal (for the start pair, at most floor) or once one fails to
+        cut the backward error by _SWEEP_STALL, and the pair of the
+        smallest error is the one checked and kept."""
         f = np.asarray(f, dtype=float)
         if start is None:
             u, q, products = self._u, self._q, self._products
@@ -839,6 +865,7 @@ class BlockSaddleSolver:
             q = -np.asarray(start[1], dtype=float)
             products = self._apply(u, q)
         best, kept, iterations = np.inf, None, 0
+        goal = max(_BACKWARD_GOAL, floor)
         while True:
             error, res_u = self._backward_error(u, q, f, products)
             # a sweep that raised the error, or a start that is not finite
@@ -846,9 +873,9 @@ class BlockSaddleSolver:
                 break
             stalled = error > _SWEEP_STALL * best
             best, kept = error, (u, q, products)
-            if stalled or error <= _BACKWARD_GOAL \
-                    or iterations >= _SCHUR_MAX_ITERS:
+            if stalled or error <= goal or iterations >= _SCHUR_MAX_ITERS:
                 break
+            goal = _BACKWARD_GOAL
             du, dq, taken = self._correction(
                 u, res_u, products[2], _SCHUR_MAX_ITERS - iterations)
             iterations += taken
@@ -865,21 +892,27 @@ class BlockSaddleSolver:
         if not _relative(f, [f - ku - btq, div]) <= tol:
             return None
         self._u, self._q, self._products = kept
+        self.backward_error = best
         return u, _project_gauge(self._gauge, -q)
 
-    def solve(self, tol=DEFAULT_TOL_DIRECT, rhs_u=None, start=None):
+    def solve(self, tol=DEFAULT_TOL_DIRECT, rhs_u=None, start=None,
+              floor=0.0):
         """(u, p) for the system's load or for rhs_u, residual <= tol,
         refined from the pair start = (u, p), if given, and otherwise from
-        the previous solution."""
+        the previous solution.  floor is the backward error that an
+        earlier solve of this load reached (its backward_error), at the
+        rounding floor: a start pair whose error is at most floor is taken
+        as it is, as the sweeps from it would only move the error about."""
         _check_tol(tol)
         f = self._rhs_u if rhs_u is None else rhs_u
         if np.ndim(f) != 1:
             raise ValueError("the block path solves one load at a time")
         if self._direct is None:
-            solution = self._schur_solve(f, tol, start) \
+            solution = self._schur_solve(f, tol, start, floor) \
                 if self._inverted else None
             if solution is not None:
                 return solution
+            self.backward_error = 0.0
             self.counts.direct_fallbacks += 1
             K, B = self._assembled()
             self._direct = SaddleSolver(SaddleSystem(
@@ -900,16 +933,33 @@ def solve_sparse(system, tol=DEFAULT_TOL_DIRECT, counts=None):
 
 
 def solve_gauged_spd(K, rhs, gauge, tol=DEFAULT_TOL_DIRECT):
-    """Solve K x = rhs subject to gauge^T x = 0 with one dof of K pinned.
+    """Solve K x = rhs subject to gauge^T x = 0, to a residual <= tol.
 
     For symmetric positive semidefinite K whose kernel is spanned by the
     constants (pure Neumann problems); the rhs is first compatibilized
-    against the gauge direction, as a border multiplier would.
+    against the gauge direction, as a border multiplier would.  K is a
+    sparse matrix, factored with one dof pinned, or a KroneckerSum of
+    Neumann pencils: their first eigenvectors are the constants, so
+    _KroneckerSumFunction with g = 1 / lam off the constant mode and 0 on
+    it applies K^+ to the compatible load, with nothing factored.  Its
+    result is shifted to gauge^T x = 0 and checked like the LU's, and one
+    that misses the tolerance goes to the LU of the assembled K.
     """
     _check_tol(tol)
     gauge, pin = _gauge_and_pin(gauge)
     system = SaddleSystem(K=K, rhs_u=_compatible(
         np.asarray(rhs, dtype=float), gauge))
+    if isinstance(K, KroneckerSum):
+        inverse = _KroneckerSumFunction(
+            K.pencils, K.shape[0], "gauged",
+            functools.partial(_cahouet_chabard, 0.0, 1.0), neumann=True)
+        x = inverse.solve(system.rhs_u)
+        x = _project_gauge(gauge, x + inverse.solve(system.rhs_u - K @ x))
+        if residual(system, (x, None)) <= tol:
+            return x
+        K = K.assembled()
+        system = replace(system, K=K)
+    import scipy.sparse as sp
     keep = np.delete(np.arange(K.shape[0]), pin)
     lu = _PinnedLU(sp.csr_matrix(K)[keep][:, keep], SolveCounts())
 

@@ -20,9 +20,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .assembly import (DiscreteField, FunctionSpace, assemble_diffusion,
-                       assemble_flux_load, integrate_grid, pressure_gauge)
+                       assemble_flux_load, axis_pencils, integrate_grid,
+                       pressure_gauge)
 from .errors import InvalidEffectiveMatrixError
-from .linalg import _compatible, solve_gauged_spd
+from .linalg import KroneckerSum, _compatible, solve_gauged_spd
 from .meshing import composed, composite_gauss, grid_values, tensor_rule
 
 
@@ -79,6 +80,18 @@ def _conservation_residual(K, p0, rhs, gauge):
     return residual / scale if scale > 0 else residual
 
 
+def _pressure_operator(space, A):
+    """The matrix of (p, q) -> int A grad p . grad q on the pressure space:
+    for a diagonal A the Kronecker sum of the per-axis pencils
+    (M_a, A_aa K_a) (linalg.KroneckerSum), never assembled, and otherwise
+    the assembled sparse matrix."""
+    if np.any(A - np.diag(np.diag(A))):
+        return assemble_diffusion(space, lambda pts: np.broadcast_to(
+            A, (pts.shape[0],) + A.shape))
+    return KroneckerSum([(mass, a * stiffness) for (mass, stiffness), a
+                         in zip(axis_pencils(space), np.diag(A))])
+
+
 def solve_macro(Ahat, f1, macro_mesh, regime="i", tol=1e-10):
     """Solve the limit Darcy problem for the mean-zero pressure.
 
@@ -92,8 +105,7 @@ def solve_macro(Ahat, f1, macro_mesh, regime="i", tol=1e-10):
         raise InvalidEffectiveMatrixError(
             f"effective matrix not positive definite: min eig {eigs[0]:.3e}")
     space = FunctionSpace(macro_mesh, "pressure")
-    K = assemble_diffusion(space, lambda pts: np.broadcast_to(
-        A, (pts.shape[0],) + A.shape))
+    K = _pressure_operator(space, A)
     forcing = None if regime == "ii" else f1
     if forcing is None:
         rhs = np.zeros(space.ndof)

@@ -27,7 +27,6 @@ import functools
 import warnings
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InvalidResolutionError, ThinDomainError
 
@@ -133,12 +132,14 @@ def _term(pairs, a):
 def _kron(mats):
     """The Kronecker product of mats, dense or sparse, as a CSR matrix; an
     entry that is zero in a factor stores no entry."""
+    import scipy.sparse as sp
     return functools.reduce(lambda x, y: sp.kron(x, y, format="csr"), mats)
 
 
 def _kron_row(pair_lists):
     """The CSR block row of the Kronecker products of term a of the pairs
     pair_lists[a] (_term): the divergence, a block per velocity component."""
+    import scipy.sparse as sp
     return sp.hstack([_kron(_term(pairs, a))
                       for a, pairs in enumerate(pair_lists)], format="csr")
 

@@ -61,7 +61,6 @@ period geometrically.
 from dataclasses import asdict, dataclass, field as dfield
 
 import numpy as np
-import scipy.sparse as sp
 
 from .assembly import (DiscreteField, FunctionSpace, assemble_convection,
                        assemble_diffusion, assemble_divergence, assemble_load,
@@ -130,12 +129,11 @@ def solve_dlb(thin_mesh, field, params, K_eps, picard_tol=1e-10,
     space_s = FunctionSpace(thin_mesh, "component")
     space_p = FunctionSpace(thin_mesh, "pressure")
     sigma = params.mu / K_eps
-    if thin_mesh.ndim == 3 and field.separable:
-        # the tensor form: nothing of the layer's size is assembled
+    if tensor_form(thin_mesh, field):
+        # nothing of the layer's size is assembled
         block = _block_pencils(space_s, field, eps, sigma)
     else:
         block = assemble_diffusion(space_s, field.scaled(eps), drag=sigma)
-    gauge = pressure_gauge(space_p)
     load = assemble_load(space_v, params.forcing(thin_mesh.ndim - 1))
     factor = params.rho / params.phi ** 2
     load_scale = _norm(load)
@@ -151,21 +149,14 @@ def solve_dlb(thin_mesh, field, params, K_eps, picard_tol=1e-10,
         # is a gradient), so its velocity is a discretization residue; the
         # block path gives the same verdicts, but its CG takes 28 to 46
         # iterations per regime_ii layer: the small 2-D saddle LU is faster
+        import scipy.sparse as sp
         solver = SaddleSolver(SaddleSystem(
             K=sp.block_diag([block] * 2, format="csr"),
-            B=assemble_divergence(space_v, space_p), gauge=gauge,
-            rhs_u=load), counts)
+            B=assemble_divergence(space_v, space_p),
+            gauge=pressure_gauge(space_p), rhs_u=load), counts)
     else:
-        # preconditioner weights: the viscosity is the geometric mean of the
-        # coefficient's ellipticity bounds alpha <= A <= beta; the drag adds
-        # to sigma the Hele-Shaw friction 3 nu / eps^2 that the walls exert
-        # on the layer-averaged flow, without which the CG count grows like
-        # 1/eps where the drag is weak
-        nu = float(np.sqrt(field.alpha_ell * field.beta_ell))
-        solver = BlockSaddleSolver(
-            [block] * 3, axis_divergence(space_v, space_p), gauge, load,
-            axis_pencils(space_p), nu=nu, sigma=sigma + 3.0 * nu / eps ** 2,
-            counts=counts)
+        solver = block_solver(block, axis_divergence(space_v, space_p),
+                              space_p, field, eps, sigma, load, counts)
     for iterations in range(1, max_iters + 1):
         rhs = load - assemble_convection(space_v, u, factor) \
             if factor != 0.0 and np.any(u) else load
@@ -209,6 +200,31 @@ def solve_dlb(thin_mesh, field, params, K_eps, picard_tol=1e-10,
     return MicroSolution(thin_mesh, space_v, space_p, u, p, eps, K_eps,
                          iterations, update, update_history=history,
                          stop_reason=reason, solver_counts=asdict(counts))
+
+
+def tensor_form(mesh, field):
+    """Whether a clamped Brinkmann problem of the coefficient field on the
+    mesh (a thin layer, or a cell of regime i or iii) runs in tensor form:
+    a d = 3 mesh and a separable field, whose scalar block is then the
+    Kronecker sum of per-axis pencils (_block_pencils).  In d = 2 the
+    pinned saddle LU is faster."""
+    return mesh.ndim == 3 and field.separable
+
+
+def block_solver(block, factors, space_p, field, eps, sigma, load, counts):
+    """The linalg.BlockSaddleSolver of a clamped Brinkmann problem of
+    half-width eps with drag sigma: one block for every velocity
+    component, the pencils (_block_pencils) or the assembled matrix, and
+    the divergence factors of axis_divergence.  Its preconditioner weights:
+    the viscosity is the geometric mean of the coefficient's ellipticity
+    bounds alpha <= A <= beta; the drag adds to sigma the Hele-Shaw
+    friction 3 nu / eps^2 that the walls exert on the layer-averaged flow,
+    without which the CG count grows like 1/eps where the drag is weak."""
+    nu = float(np.sqrt(field.alpha_ell * field.beta_ell))
+    return BlockSaddleSolver(
+        [block] * len(factors), factors, pressure_gauge(space_p), load,
+        axis_pencils(space_p), nu=nu, sigma=sigma + 3.0 * nu / eps ** 2,
+        counts=counts)
 
 
 def _block_pencils(space_s, field, eps, sigma):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from thinflow import coefficients as coefs
 from thinflow import cell_problems, linalg, microscale, two_scale
@@ -128,13 +129,13 @@ def test_stop_reason_d3_flow():
 def spy_on_splu(monkeypatch):
     """The sizes of the matrices SuperLU factors from now on."""
     factored = []
-    splu = linalg.spla.splu
+    splu = scipy.sparse.linalg.splu
 
     def spy(mat, *args, **kwargs):
         factored.append(mat.shape[0])
         return splu(mat, *args, **kwargs)
 
-    monkeypatch.setattr(linalg.spla, "splu", spy)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
     return factored
 
 
