@@ -18,10 +18,12 @@ blocks are one block, which the "component" space (that scalar lattice,
 walls clamped) assembles alone.
 
 Each square operator is summed into a fixed CSR pattern, built once per
-distinct free set.  The free nodes of a component are a tensor product of
-per-axis sets, so the pattern is the Kronecker product of 1-D patterns, and
-a slot map built from them, axis by axis and with no sort, places every
-element-local entry (_slot_map); the blocks of the components are joined
+distinct free set; scipy is imported only where a CSR matrix is built
+(_fill, _block_diagonal and the long axes of _interpolation).  The free
+nodes of a component are a tensor product of per-axis sets, so the pattern
+is the Kronecker product of 1-D patterns, and a slot map built from them,
+axis by axis and with no sort, places every element-local entry
+(_slot_map); the blocks of the components are joined
 array by array (_block_diagonal), so no square operator passes through COO.
 The slots, the element matrices and their quadrature points are formed one
 element slab at a time (_slabs: whole element rows along axis 0, at most

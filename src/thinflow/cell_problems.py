@@ -13,25 +13,36 @@ the interval (-1, 1)) with a unit vector load in each coordinate direction:
 The vertical problem (load e_d) is solved as well; it feeds the zero-column
 test of the upscaled matrix.
 
-The clamped problems (i, iii) are assembled and solved for all d loads by
-one pinned saddle LU (linalg.solve_sparse).  The regime-ii levels factor
-nothing: their operator has no coefficient and is a Kronecker sum of 1-D
-pencils on the tensor cell, so each level runs on the block path
-(linalg.BlockSaddleSolver) with one block per velocity component, the
-tangential components sharing one with natural walls and the wall-normal
-one clamped.  Its exact discrete solution is the same at every level (e_i
-/ mu for a tangential load, no flow and the pressure zeta for the vertical
-one), so each level starts from the previous level's pair of the same
-load.  A level whose block solve misses the tolerance falls back to the
-pinned LU of its assembled operator.
+The clamped problems (i, iii) take the form that a thin layer of the same
+coefficient takes (microscale.tensor_form).  A d = 3 cell with a separable
+coefficient (a diagonal matrix times a profile across the cell) runs in
+tensor form: its scalar block is the Kronecker sum of the per-axis pencils
+of microscale._block_pencils at half-width 1, and each load is solved from
+zero on the block path (microscale.block_solver, linalg.BlockSaddleSolver),
+which factors nothing.  Any other cell (every d = 2 cell, and a d = 3 one
+whose coefficient varies horizontally or couples two axes) is assembled and
+solved for all d loads by one pinned saddle LU (linalg.solve_sparse).  The
+regime-ii levels factor nothing: their operator has no coefficient and is a
+Kronecker sum of 1-D pencils on the tensor cell, so each level runs on the
+block path with one block per velocity component, the tangential components
+sharing one with natural walls and the wall-normal one clamped.  Its exact
+discrete solution is the same at every level (e_i / mu for a tangential
+load, no flow and the pressure zeta for the vertical one), so each level
+starts from the previous level's pair of the same load, with the backward
+error that pair reached as its floor: a start pair already at that floor
+(the vertical load's, from the second level on) is taken as it is.  A level
+whose block solve misses the tolerance falls back to the pinned LU of its
+assembled operator.
 
 Each solution carries the Gram table of its energy form over the
-velocities, from which upscaling reads the effective matrix.  The clamped
-problems take it from their assembled operator.  The regime-ii cell
-assembles nothing once its spaces are built: the Gram table mu W^T M W, the
-level bounds (from w^T K_lap w and w^T M w) and the divergence residuals
-apply the Laplacian's 1-D pencils and the divergence factors that the
-ladder runs on, by per-axis products (meshing._kron_apply).
+velocities, from which upscaling reads the effective matrix.  An assembled
+clamped cell takes it from its assembled operator.  A cell in tensor form
+assembles nothing once its spaces are built: the Gram table (W^T S W of the
+clamped block's pencils, or mu W^T M W on the regime-ii cell), the
+regime-ii level bounds (from w^T K_lap w and w^T M w) and the divergence
+residuals apply the 1-D pencils and the divergence factors that its solves
+run on, by per-axis products (meshing._kron_apply and _kron_sum_apply), so
+it imports no scipy.
 """
 
 from dataclasses import asdict, dataclass, field as dfield
@@ -55,14 +66,16 @@ class CellSolution:
     """Discrete cell velocities/pressures for the d unit-direction loads.
 
     ``gram`` is the d x d Gram table of the energy form of the regime's
-    local problem over the velocities, w_i^T S w_j: S is the assembled cell
-    operator for regimes i and iii and the drag term mu M for regime ii,
-    applied in tensor form.  The upscaled matrix is read from it.
-    solver_counts are the SolveCounts of the solves, as a dict like
-    MicroSolution.solver_counts: one factorization and no CG iterations for
-    regimes i and iii; for the regime-ii ladder no factorization, the CG
-    iterations of all levels and loads, and a direct fallback (with its
-    factorization) for each level whose block solve missed the tolerance.
+    local problem over the velocities, w_i^T S w_j: S is the cell operator
+    for regimes i and iii, assembled or in tensor form, and the drag term
+    mu M for regime ii, applied in tensor form.  The upscaled matrix is
+    read from it.  solver_counts are the SolveCounts of the solves, as a
+    dict like MicroSolution.solver_counts: for an assembled cell of regime
+    i or iii one factorization and no CG iterations; for one in tensor
+    form and for the regime-ii ladder no factorization, the CG iterations
+    of all solves, and a direct fallback (with its factorization) for each
+    block solver (a tensor cell's one, or a ladder level's) whose solve
+    missed the tolerance.
     """
 
     regime: str
@@ -228,7 +241,8 @@ def _solve_ladder(mu, space_v, space_p, factors, laplacian, n_list, tol,
                   counts):
     """The velocities and pressures of the unit loads at each level n of
     the regime-ii ladder, [[(w_i, p_i) for each load i] for each n], on
-    the block path: each level's pair of a load refines the level before.
+    the block path: each level's pair of a load refines the level before,
+    whose backward error is its floor (BlockSaddleSolver.solve).
     factors are the divergence factors of the spaces (axis_divergence),
     laplacian the Laplacian's pencils (_laplacian_pencils).
 

@@ -25,14 +25,22 @@ it, all loads at once when its rhs has one column per load, and
 solve_gauged_spd applies the same path to pure Neumann problems.
 SaddleSolver keeps the factorization, so that later velocity loads are
 solved without factoring again.  Only solve_gauged_spd makes its load
-compatible along the gauge.
+compatible along the gauge.  It also takes a KroneckerSum of Neumann
+pencils (the macro pressure operator of a diagonal Ahat), which it solves
+by fast diagonalization, checked like the LU, with the LU of the assembled
+sum as the fallback.
+
+scipy is imported only in the functions that build or factor a sparse
+matrix (the direct path, an assembled block, the fallbacks), so a process
+that runs in tensor form alone never loads it.
 
 BlockSaddleSolver is the block path, for systems whose velocity operator is
-block diagonal with one scalar block per velocity component: the d = 3 DNS,
-where every wall clamps every component and the d blocks are one, and the
-regime-ii cell ladder, where the walls clamp the wall-normal component only,
-so the tangential components share one block with natural walls and the
-wall-normal one has its own.  It takes the blocks alone, one per component.
+block diagonal with one scalar block per velocity component: the d = 3 DNS
+and the separable d = 3 cells of regimes i and iii, where every wall clamps
+every component and the d blocks are one, and the regime-ii cell ladder,
+where the walls clamp the wall-normal component only, so the tangential
+components share one block with natural walls and the wall-normal one has
+its own.  It takes the blocks alone, one per component.
 A run of adjacent components that share one block is a group: one object
 that holds its rows of u, its parts of K, B and B^T, and its part of
 K^{-1}.  The solver runs every operation group by group, so the DNS (one
@@ -125,7 +133,8 @@ class SaddleSystem:
     """Velocity block, optional coupling block and gauge.
 
     The constraint is B u = 0; rhs_u, the only load, may hold one load per
-    column.  K and B are sparse matrices: the block path forms them only
+    column.  K and B are scipy sparse matrices (K may also be a
+    KroneckerSum for solve_gauged_spd): the block path forms them only
     when it goes over to the direct path.
     """
 
@@ -152,11 +161,12 @@ class SolveCounts:
     """Work of the saddle solves behind one computation.
 
     factorizations counts the LU factorizations: of the pinned saddle
-    matrix on the direct path (cells of regimes i and iii, d = 2 DNS), of
-    each distinct assembled block on the block path (d = 3 DNS), which
-    factors nothing else, and nothing at all where the blocks are inverted
-    in the eigenbasis of their pencils (separable d = 3 DNS, regime-ii
-    cell ladder).
+    matrix on the direct path (d = 2 DNS, assembled cells of regimes i and
+    iii), of each distinct assembled block on the block path
+    (non-separable d = 3 DNS), which factors nothing else, and nothing at
+    all where the blocks are inverted in the eigenbasis of their pencils
+    (separable d = 3 DNS and cells of regimes i and iii, regime-ii cell
+    ladder).
     schur_iterations sums the CG iterations of the block path, and
     direct_fallbacks counts the block solvers that missed their tolerance
     and went over to the direct path.
@@ -645,19 +655,23 @@ class BlockSaddleSolver:
 
     - assembled (_BlockLU): a sparse matrix, factored once: its part of
       K^{-1} is one triangular solve with a column per component.
-    - tensor (_FusedInverse): the per-axis pencils [(M_a, K_a), ...] whose
-      Kronecker sum is A.  Its part of K u is a sum of per-axis dense
-      products, |A| comes from the inner products of the pencils, and
-      A^{-1} is applied exactly in their eigenbasis (_pencil_eigh) with B
-      fused into it, so nothing is factored, and a CG iteration takes
-      dense per-axis products only.  The solver decomposes the pencils of
-      all its tensor groups at once (_decomposed), each distinct 1-D pencil
-      once.
+    - tensor (_FusedInverse): a list of the per-axis pencils
+      [(M_a, K_a), ...] whose Kronecker sum is A.  Its part of K u is a
+      sum of per-axis dense products, |A| comes from the inner products of
+      the pencils, and A^{-1} is applied exactly in their eigenbasis
+      (_pencil_eigh) with B fused into it, so nothing is factored, and a
+      CG iteration takes dense per-axis products only.  The solver
+      decomposes the pencils of all its tensor groups at once
+      (_decomposed), each distinct 1-D pencil once.
 
     No pressure dof is pinned: q runs over the whole pressure space, and
     the constraint is B u = 0, whose residual sums to zero.  A solve
     refines a start pair: the pair given as start, as (u, p), or else the
-    solution of the previous solve (zero at first).  Each sweep takes the
+    solution of the previous solve (zero at first).  A start pair whose
+    backward error is at most the floor given with it, the error that an
+    earlier solve of the same load reached (backward_error), is taken as
+    it is: at its rounding floor, a sweep only moves the error about.
+    Each sweep takes the
     residual R_u = f - K u - B^T q and the divergence B u, and adds the
     correction
 
@@ -941,9 +955,10 @@ def solve_gauged_spd(K, rhs, gauge, tol=DEFAULT_TOL_DIRECT):
     sparse matrix, factored with one dof pinned, or a KroneckerSum of
     Neumann pencils: their first eigenvectors are the constants, so
     _KroneckerSumFunction with g = 1 / lam off the constant mode and 0 on
-    it applies K^+ to the compatible load, with nothing factored.  Its
-    result is shifted to gauge^T x = 0 and checked like the LU's, and one
-    that misses the tolerance goes to the LU of the assembled K.
+    it applies K^+ to the compatible load, with nothing factored.  As on
+    the LU, one step of iterative refinement follows; the result is
+    shifted to gauge^T x = 0 and checked like the LU's, and one that
+    misses the tolerance goes to the LU of the assembled K.
     """
     _check_tol(tol)
     gauge, pin = _gauge_and_pin(gauge)

@@ -5,7 +5,15 @@ The pressure solves the pure Neumann problem
     div( Ahat (f1 - grad p) ) = 0,   Ahat (f1 - grad p) . nu = 0 on the edge
 
 in primal form with a mean-zero gauge (in the low-permeability regime the
-forcing drops out and the velocity is -Ahat grad p).  The driving force and
+forcing drops out and the velocity is -Ahat grad p).  The pressure operator
+takes one of two forms (_pressure_operator).  For a diagonal Ahat, as in
+every shipped config, it is the Kronecker sum sum_a Ahat_aa K_a (x) M_rest
+of the 1-D Neumann pencils of the tensor mesh (linalg.KroneckerSum), never
+assembled: linalg.solve_gauged_spd solves it by fast diagonalization
+(Lynch, Rice & Thomas, Numer. Math. 6, 1964), and the conservation
+residual and the energy apply the same sum to p0, so nothing here imports
+scipy.  An Ahat that couples the axes is assembled and solved by the
+pinned LU.  The driving force and
 the velocity are sampled on tensor grids: per-axis coordinates in, values
 at their grid points out, the pressure gradient one derivative axis at a
 time by sum factorization (DiscreteField.evaluate_grid), the forcing on

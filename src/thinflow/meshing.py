@@ -20,7 +20,7 @@ Their per-axis matrices are dense numpy arrays, each applied by one BLAS
 product, except the interpolation matrices of long axes, which are sparse.
 Where a whole operator is wanted as a sparse matrix (the assembled
 divergence, the direct path's fallback), _kron and _kron_row form it from
-the per-axis factors.
+the per-axis factors; they alone import scipy here.
 """
 
 import functools

@@ -28,18 +28,20 @@ The layer's divergence B is a sum of Kronecker products of 1-D factors
 B is not assembled either: the dimension alone chooses the form of B, and
 the coefficient that of the block.
 Where the coefficient is separable (a diagonal matrix times a profile
-across the layer), the layer runs matrix-free: the block is the Kronecker
-sum of per-axis pencils (_block_pencils), its inverse is applied in the
-pencils' eigenbasis (decomposed by numpy's LAPACK, so that the solve runs
-on numpy's BLAS alone), and the layer factors no matrix.  Its pencils,
+across the layer) and d = 3 (tensor_form, the rule that the clamped cells
+of cell_problems follow too), the layer runs matrix-free: the block is the
+Kronecker sum of per-axis pencils (_block_pencils), its inverse is applied
+in the pencils' eigenbasis (decomposed by numpy's LAPACK, so that the solve
+runs on numpy's BLAS alone), and the layer factors no matrix.  Its pencils,
 divergence factors and interpolation matrices are short dense arrays, so
-such a layer constructs no sparse matrix at all.  Any other layer
-assembles the block once, on the "component" space with the drag mu/K
-folded into its element matrices, and a d = 3 one factors it.  A d = 2
-layer is sealed and hydrostatic, its velocity a discretization residue, and
-its 2-D saddle system is small: it assembles the divergence, factors the
-pinned LU of S in linalg.SaddleSolver and solves every step with it, which
-is faster there than the block path.  No solver outlives solve_dlb, so any
+such a layer constructs no sparse matrix at all and imports no scipy.  Any
+other layer assembles the block once, on the "component" space with the
+drag mu/K folded into its element matrices, and a d = 3 one factors it.
+block_solver builds the block solver of a d = 3 layer, or of a cell, from
+its block.  A d = 2 layer is sealed and hydrostatic, its velocity a
+discretization residue, and its 2-D saddle system is small: it assembles
+the divergence, factors the pinned LU of S in linalg.SaddleSolver and
+solves every step with it, which is faster there than the block path.  No solver outlives solve_dlb, so any
 LU is gone before the norms sample the fields; apriori_norms samples the
 pressure alone and takes the velocity's moments and gradient norm from a
 pipeline's two-scale pass.  The forcing (f1(xbar), 0) of FluidParams

@@ -225,6 +225,30 @@ def test_ladder_stops_refining_at_the_rounding_floor(monkeypatch):
     assert counts["factorizations"] == 0 and counts["direct_fallbacks"] == 0
 
 
+def test_ladder_takes_each_vertical_start_at_its_floor(monkeypatch):
+    # the vertical load's first-level pair is at its rounding floor, and
+    # each later level starts from it with that floor: it takes the pair
+    # as it is, with no sweep, which halves the CG iterations of the
+    # shipped regime-ii cell (42 before the floor rule)
+    sweeps = []
+    schur_solve, correction = (BlockSaddleSolver._schur_solve,
+                               BlockSaddleSolver._correction)
+
+    def counted_solve(self, *args):
+        sweeps.append(0)
+        return schur_solve(self, *args)
+
+    def counted_correction(self, *args):
+        sweeps[-1] += 1
+        return correction(self, *args)
+
+    monkeypatch.setattr(BlockSaddleSolver, "_schur_solve", counted_solve)
+    monkeypatch.setattr(BlockSaddleSolver, "_correction", counted_correction)
+    cells = solve_cell_regime_ii(2.0, build_cell_mesh(GEOM, 8, 32))
+    assert sweeps[1] > 0 and sweeps[3::2] == [0, 0, 0]
+    assert cells.solver_counts["schur_iterations"] <= 25
+
+
 def _largest(x):
     return float(np.abs(x).max())
 
@@ -435,6 +459,42 @@ def test_solver_counts(regime, n_list):
         assert counts["schur_iterations"] == 0
     assert counts["pivoted_fallbacks"] == 0
     assert counts["direct_fallbacks"] == 0
+
+
+SEPARABLE_D3 = [
+    identity_field(3),
+    coefs.CoefficientField(3, np.diag([1.0, 2.0, 0.5]),
+                           zeta_profile=lambda z: 1.0 + 0.5 * z ** 2,
+                           alpha_ell=0.5, beta_ell=3.0)]
+
+
+@pytest.mark.parametrize("field", SEPARABLE_D3, ids=["identity", "profile"])
+@pytest.mark.parametrize("regime", ["i", "iii"])
+def test_separable_d3_cell_runs_in_tensor_form(regime, field):
+    # a clamped d = 3 cell with a separable coefficient runs on the block
+    # path, which factors nothing: its Gram table agrees with that of the
+    # pinned LU of the assembled operator to 1e-12 of its largest entry,
+    # and its divergence residuals are those of the assembled B
+    mesh = build_cell_mesh(GEOM_D3, 2, 4)
+    cells = solve_cell_problems(regime, mesh, field=field, mu=1.5, K=0.5)
+    counts = cells.solver_counts
+    assert counts["factorizations"] == 0 and counts["direct_fallbacks"] == 0
+    assert counts["schur_iterations"] > 0
+    V, Q = cells.space_v, cells.space_p
+    drag = 3.0 if regime == "i" else 0.0
+    S = assemble_diffusion(V, field.evaluate, drag=drag)
+    B = assemble_divergence(V, Q)
+    W, _ = solve_sparse(SaddleSystem(
+        K=S, B=B, gauge=pressure_gauge(Q),
+        rhs_u=np.column_stack([assemble_load(V, e) for e in np.eye(3)])))
+    gram = W.T @ (S @ W)
+    assert _largest(cells.gram - gram) <= 1e-12 * _largest(gram)
+    assert _largest(np.column_stack(cells.velocities) - W) \
+        <= 1e-10 * _largest(W)
+    W = np.column_stack(cells.velocities)
+    scale = max(np.linalg.norm(w) for w in cells.velocities)
+    assert _largest(np.array(cells.div_residuals)
+                    - np.linalg.norm(B @ W, axis=0) / scale) <= 1e-13
 
 
 def test_dispatcher():

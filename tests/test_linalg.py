@@ -17,10 +17,10 @@ from thinflow.assembly import (FunctionSpace, assemble_diffusion,
                                pressure_gauge)
 from thinflow.cell_problems import _laplacian_pencils, _level_pencils
 from thinflow.errors import SingularSystemError
-from thinflow.linalg import (BlockSaddleSolver, SaddleSolver, SaddleSystem,
-                             SolveCounts, _cahouet_chabard, _gauge_and_pin,
-                             _KroneckerSumFunction, _norm, residual,
-                             solve_gauged_spd, solve_sparse)
+from thinflow.linalg import (BlockSaddleSolver, KroneckerSum, SaddleSolver,
+                             SaddleSystem, SolveCounts, _cahouet_chabard,
+                             _gauge_and_pin, _KroneckerSumFunction, _norm,
+                             residual, solve_gauged_spd, solve_sparse)
 from thinflow.meshing import Geometry, build_cell_mesh, build_thin_mesh
 
 from helpers import cahouet_chabard_reference, interpolate, oseen_matrix
@@ -493,3 +493,51 @@ def test_norm_matches_numpy(shape):
         ref = np.linalg.norm(scale * x)
         assert abs(_norm(scale * x) - ref) <= 1e-15 * ref
     assert _norm(np.zeros(shape)) == 0.0
+
+
+def test_start_pair_at_its_floor_takes_no_sweep(monkeypatch):
+    # a start pair whose backward error is at most the floor that an
+    # earlier solve of its load reached is taken as it is: no sweep and no
+    # CG.  Above the floor it still sweeps, and either pair passes the
+    # residual check
+    sweeps = []
+    correct = BlockSaddleSolver._correction
+
+    def correction(self, *args):
+        sweeps.append(1)
+        return correct(self, *args)
+
+    counts = SolveCounts()
+    solver, system = cell_level(counts)
+    start = solver.solve(tol=1e-10)
+    floor = solver.backward_error
+    assert 0.0 < floor <= 1e-10
+    monkeypatch.setattr(BlockSaddleSolver, "_correction", correction)
+    for given, swept in ((floor, False), (floor / 4, True)):
+        sweeps.clear()
+        before = counts.schur_iterations
+        solver, _ = cell_level(counts)
+        u, p = solver.solve(tol=1e-10, start=start, floor=given)
+        assert bool(sweeps) == swept
+        assert residual(system, (u, p)) <= 1e-10
+        if not swept:
+            assert counts.schur_iterations == before
+            assert solver.backward_error == floor
+            assert np.array_equal(u, start[0])
+            assert np.abs(p - start[1]).max() <= 1e-15 * np.abs(p).max()
+
+
+def test_gauged_kronecker_sum_falls_back_to_the_lu(monkeypatch):
+    # a fast-diagonalization solve that misses the tolerance goes to the
+    # pinned LU of the assembled Kronecker sum, whose answer it returns
+    space = FunctionSpace(build_cell_mesh(Geometry(3, (1.0, 1.0), 0.125),
+                                          3, 4), "pressure")
+    K = KroneckerSum(axis_pencils(space))
+    rhs = np.random.default_rng(3).standard_normal(space.ndof)
+    gauge = pressure_gauge(space)
+    want = solve_gauged_spd(K.assembled(), rhs, gauge, tol=1e-12)
+    got = solve_gauged_spd(K, rhs, gauge, tol=1e-12)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    monkeypatch.setattr(_KroneckerSumFunction, "solve",
+                        lambda self, rhs: np.full_like(rhs, np.nan))
+    assert np.array_equal(solve_gauged_spd(K, rhs, gauge, tol=1e-12), want)

@@ -4,11 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thinflow.assembly import (assemble_diffusion, assemble_flux_load,
-                               pressure_gauge)
+from thinflow import macro_model
+from thinflow.assembly import (FunctionSpace, assemble_diffusion,
+                               assemble_flux_load, pressure_gauge)
 from thinflow.errors import InvalidEffectiveMatrixError
 from thinflow.harness import load_config
-from thinflow.linalg import KroneckerSum
+from thinflow.linalg import KroneckerSum, solve_gauged_spd
 from thinflow.macro_model import (_conservation_residual, _pressure_operator,
                                   boundary_flux_residual, solve_macro)
 from thinflow.meshing import Geometry, build_macro_mesh, grid_points
@@ -196,3 +197,54 @@ def test_conservation_flags_perturbed_pressure(name):
     step = np.random.default_rng(0).standard_normal(sol.p0.size)
     step *= 1e-8 * np.linalg.norm(sol.p0) / np.linalg.norm(step)
     assert _conservation_residual(K, sol.p0 + step, rhs, gauge) > bound
+
+
+@pytest.mark.parametrize("geometry, n, A, f1", [
+    (GEOM2, 32, np.array([[1.3]]), lambda xb: np.sin(3 * xb + 0.2)),
+    (Geometry(3, (0.5, 0.75), 0.125), 12, np.diag([2.0, 0.7]),
+     skew_forcing)], ids=["d1=1", "d1=2"])
+def test_diagonal_ahat_solves_in_tensor_form(geometry, n, A, f1):
+    # a diagonal Ahat makes the pressure operator the Kronecker sum of the
+    # axis pencils, solved by fast diagonalization: p0 agrees with the
+    # pinned LU of the assembled matrix to 1e-12 of its size, and so do the
+    # energy and work, while both conservation residuals stay at rounding
+    sol = solve_macro(A, f1, build_macro_mesh(geometry, n), "i")
+    K = assemble_diffusion(sol.space, lambda pts: np.broadcast_to(
+        A, (pts.shape[0],) + A.shape))
+    rhs = assemble_flux_load(sol.space, lambda pts: np.asarray(
+        f1(pts), dtype=float).reshape(pts.shape[0], -1) @ A.T)
+    gauge = pressure_gauge(sol.space)
+    p0 = solve_gauged_spd(K, rhs, gauge)
+    assert np.abs(p0).max() > 0.1
+    assert np.abs(sol.p0 - p0).max() <= 1e-12 * np.abs(p0).max()
+    energy = p0 @ (K @ p0)
+    assert abs(sol.energy - energy) <= 1e-12 * energy
+    assert abs(sol.work - p0 @ rhs) <= 1e-12 * energy
+    for residual in (sol.conservation_residual,
+                     _conservation_residual(K, sol.p0, rhs, gauge),
+                     _conservation_residual(K, p0, rhs, gauge)):
+        assert residual <= 1e-13
+
+
+@pytest.mark.parametrize("A, tensor", [
+    (np.diag([2.0, 0.7]), True),
+    (np.array([[2.0, 0.5], [0.5, 1.0]]), False)],
+    ids=["diagonal", "coupled"])
+def test_only_a_diagonal_ahat_skips_the_sparse_matrix(monkeypatch, A,
+                                                      tensor):
+    # an Ahat that couples the axes is assembled and factored, as before
+    solved = []
+
+    def spy(K, *args, **kwargs):
+        solved.append(K)
+        return solve_gauged_spd(K, *args, **kwargs)
+
+    monkeypatch.setattr(macro_model, "solve_gauged_spd", spy)
+    mesh = build_macro_mesh(GEOM3, 6)
+    solve_macro(A, skew_forcing, mesh, "i")
+    (K,) = solved
+    assert isinstance(K, KroneckerSum) == tensor
+    assert isinstance(_pressure_operator(FunctionSpace(mesh, "pressure"), A),
+                      KroneckerSum) == tensor
+    if not tensor:
+        assert K.nnz > 0
