@@ -41,8 +41,9 @@ block_solver builds the block solver of a d = 3 layer, or of a cell, from
 its block.  A d = 2 layer is sealed and hydrostatic, its velocity a
 discretization residue, and its 2-D saddle system is small: it assembles
 the divergence, factors the pinned LU of S in linalg.SaddleSolver and
-solves every step with it, which is faster there than the block path.  No solver outlives solve_dlb, so any
-LU is gone before the norms sample the fields; apriori_norms samples the
+solves every step with it, which is faster there than the block path.  No
+solver outlives solve_dlb, so any LU is gone before the norms sample the
+fields; apriori_norms samples the
 pressure alone and takes the velocity's moments and gradient norm from a
 pipeline's two-scale pass.  The forcing (f1(xbar), 0) of FluidParams
 depends on the horizontal coordinates alone, so its load samples it on the
