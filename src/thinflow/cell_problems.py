@@ -16,8 +16,8 @@ test of the upscaled matrix.
 The clamped problems (i, iii) take the form that a thin layer of the same
 coefficient takes (microscale.tensor_form).  A d = 3 cell with a separable
 coefficient (a diagonal matrix times a profile across the cell) runs in
-tensor form: its scalar block is the Kronecker sum of the per-axis pencils
-of microscale._block_pencils at half-width 1, and each load is solved from
+tensor form: its scalar block is the KroneckerSum of
+microscale._block_pencils at half-width 1, and each load is solved from
 zero on the block path (microscale.block_solver, linalg.BlockSaddleSolver),
 which factors nothing.  Any other cell (every d = 2 cell, and a d = 3 one
 whose coefficient varies horizontally or couples two axes) is assembled and
@@ -32,7 +32,10 @@ starts from the previous level's pair of the same load, with the backward
 error that pair reached as its floor: a start pair already at that floor
 (the vertical load's, from the second level on) is taken as it is.  A level
 whose block solve misses the tolerance falls back to the pinned LU of its
-assembled operator.
+assembled operator.  Each level's blocks are the Laplacian's
+KroneckerSums shifted to s L + mu M (KroneckerSum.shifted), with the
+Laplacian's eigenpairs, so the ladder decomposes each distinct 1-D pencil
+once.
 
 Each solution carries the Gram table of its energy form over the
 velocities, from which upscaling reads the effective matrix.  An assembled
@@ -40,9 +43,9 @@ clamped cell takes it from its assembled operator.  A cell in tensor form
 assembles nothing once its spaces are built: the Gram table (W^T S W of the
 clamped block's pencils, or mu W^T M W on the regime-ii cell), the
 regime-ii level bounds (from w^T K_lap w and w^T M w) and the divergence
-residuals apply the 1-D pencils and the divergence factors that its solves
-run on, by per-axis products (meshing._kron_apply and _kron_sum_apply), so
-it imports no scipy.
+residuals apply the KroneckerSums and the divergence factors that its
+solves run on, by per-axis products (meshing._kron_apply), so it imports
+no scipy.
 """
 
 from dataclasses import asdict, dataclass, field as dfield
@@ -55,9 +58,9 @@ from .assembly import (DiscreteField, FunctionSpace, assemble_diffusion,
                        assemble_divergence, assemble_load, axis_divergence,
                        axis_pencils, pressure_gauge)
 from .errors import InvalidParameterError, UnsupportedRegimeCoefficientError
-from .linalg import (BlockSaddleSolver, SaddleSystem, SolveCounts,
-                     solve_sparse, with_eigenpairs)
-from .meshing import TensorMesh, _kron_apply, _kron_sum_apply, _term
+from .linalg import (BlockSaddleSolver, KroneckerSum, SaddleSystem,
+                     SolveCounts, _decomposed, solve_sparse)
+from .meshing import TensorMesh, _kron_apply, _term
 from .microscale import _block_pencils, block_solver, tensor_form
 
 
@@ -162,19 +165,18 @@ def _solve_tensor(field, space_v, space_p, tol, drag, counts):
     each load is solved from zero on the block path
     (microscale.block_solver), which factors nothing, and S and B are
     applied by per-axis products."""
-    pencils = _block_pencils(FunctionSpace(space_v.mesh, "component"), field,
-                             1.0, drag)
+    block = _block_pencils(FunctionSpace(space_v.mesh, "component"), field,
+                           1.0, drag)
     factors = axis_divergence(space_v, space_p)
     loads = _unit_loads(space_v)
-    solver = block_solver(pencils, factors, space_p, field, 1.0, drag,
+    solver = block_solver(block, factors, space_p, field, 1.0, drag,
                           loads[0], counts)
     zero = (np.zeros(space_v.ndof), np.zeros(space_p.ndof))
     velocities, pressures = (list(x) for x in zip(*(
         solver.solve(tol, rhs_u=load, start=zero) for load in loads)))
     columns = _columns(space_v, np.array(velocities))
-    block = [_term(pencils, a) for a in range(len(pencils))]
     return (velocities, pressures, _divergences(factors, columns),
-            _gram([block] * len(columns), columns))
+            _gram(columns, [block @ rows for rows in columns]))
 
 
 def solve_cell_regime_i(field, mu, K, cell_mesh, tol=1e-10):
@@ -207,34 +209,19 @@ def _extrapolate(level_arrays, n_values):
     return coef[0], misfit
 
 
-def _level_pencils(pencils, s, mu):
-    """The per-axis pencils whose Kronecker sum is s Laplacian + mu mass:
-    (M_a, s K_a), with the drag mu M_z added to the last axis's stiffness,
-    as microscale._block_pencils builds a layer's, each with its eigenpairs
-    from those that the pencils (M_a, K_a, (lam_a, V_a, |V_a|)) of the
-    Laplacian carry (linalg.with_eigenpairs): s lam_a, and s lam_z + mu on
-    the last axis, with the same eigenvectors."""
-    level = [(mass, s * stiffness, (s * lam, vec, norm))
-             for mass, stiffness, (lam, vec, norm) in pencils]
-    mass, stiffness, (lam, vec, norm) = level[-1]
-    level[-1] = (mass, stiffness + mu * mass, (lam + mu, vec, norm))
-    return level
-
-
 def _laplacian_pencils(space_v):
-    """The per-axis pencils (M_a, K_a, (lam_a, V_a, |V_a|)) of the blocks
-    of the velocity Laplacian of the regime-ii cell, with their eigenpairs:
-    (natural, clamped), of the tangential components, which have natural
-    walls, and of the wall-normal one, clamped (its free nodes).  The two
-    share the decompositions of their equal pencils."""
-    mesh, d = space_v.mesh, space_v.mesh.ndim
-    natural = axis_pencils(FunctionSpace(mesh, "component",
-                                         wall_components=()))
-    clamped = [(mass[free][:, free], stiffness[free][:, free])
-               for (mass, stiffness), free in zip(natural,
+    """The blocks of the velocity Laplacian of the regime-ii cell as
+    KroneckerSums with their eigenpairs: (natural, clamped), of the
+    tangential components, which have natural walls, and of the
+    wall-normal one, clamped (its free nodes).  The clamped block takes the
+    decompositions of the natural block's equal (horizontal) pencils."""
+    natural = KroneckerSum(axis_pencils(FunctionSpace(
+        space_v.mesh, "component", wall_components=())))
+    pencils = [(mass[free][:, free], stiffness[free][:, free])
+               for (mass, stiffness), free in zip(natural.pencils,
                                                    space_v.axis_free[-1])]
-    laplacian = with_eigenpairs(natural + clamped)
-    return laplacian[:d], laplacian[d:]
+    return natural, KroneckerSum(pencils, _decomposed(
+        pencils, known=zip(natural.pencils, natural.eigenpairs())))
 
 
 def _solve_ladder(mu, space_v, space_p, factors, laplacian, n_list, tol,
@@ -244,28 +231,28 @@ def _solve_ladder(mu, space_v, space_p, factors, laplacian, n_list, tol,
     the block path: each level's pair of a load refines the level before,
     whose backward error is its floor (BlockSaddleSolver.solve).
     factors are the divergence factors of the spaces (axis_divergence),
-    laplacian the Laplacian's pencils (_laplacian_pencils).
+    laplacian the Laplacian's blocks (_laplacian_pencils).
 
-    The level operator has two blocks, each the Kronecker sum of its
-    per-axis pencils (_level_pencils); the tangential components share
-    one.  The pencils of every level have the eigenvectors of the
-    Laplacian's, and the pressure pencils are the same at every level, so
+    The level operator has two blocks, each the Laplacian's shifted to
+    s L + mu M (KroneckerSum.shifted); the tangential components share
+    one.  The blocks of every level have the eigenvectors of the
+    Laplacian's, and the pressure operator is the same at every level, so
     the ladder decomposes each distinct 1-D pencil once.
     """
     d = space_v.mesh.ndim
     natural, clamped = laplacian
     gauge = pressure_gauge(space_p)
-    pencils_p = with_eigenpairs(axis_pencils(space_p))
+    pressure = KroneckerSum(axis_pencils(space_p))
     loads = _unit_loads(space_v)
     pairs = [(np.zeros(space_v.ndof), np.zeros(space_p.ndof))] * d
     floors = [0.0] * d
     levels = []
     for n in n_list:
         s = 1.0 / n ** 2
-        blocks = [_level_pencils(natural, s, mu)] * (d - 1) \
-            + [_level_pencils(clamped, s, mu)]
+        blocks = [natural.shifted(s, mu)] * (d - 1) \
+            + [clamped.shifted(s, mu)]
         solver = BlockSaddleSolver(blocks, factors, gauge, loads[0],
-                                   pencils_p, nu=s, sigma=mu, counts=counts)
+                                   pressure, nu=s, sigma=mu, counts=counts)
         pairs = list(pairs)
         for i, load in enumerate(loads):
             pairs[i] = solver.solve(tol, rhs_u=load, start=pairs[i],
@@ -282,33 +269,36 @@ def _columns(space_v, vectors):
     return [vectors[:, a:b] for a, b in zip(edges, edges[1:])]
 
 
-def _energies(pairs, columns):
+def _mass(block, rows):
+    """M w of the rows w of a component whose block of the Laplacian is the
+    KroneckerSum block: its block of the mass matrix M is the Kronecker
+    product of the masses of its pencils."""
+    return _kron_apply([mass for mass, _ in block.pencils], rows)
+
+
+def _energies(blocks, columns):
     """w^T K_lap w and w^T M w of each stacked velocity w, from the columns
-    of each component c and the pairs [(M_a, K_a), ...] of its pencils: the
-    Kronecker product of the M_a is its block of the mass matrix M, their
-    Kronecker sum with the K_a its block of the Laplacian K_lap."""
+    of each component c and its block of the Laplacian K_lap, a
+    KroneckerSum."""
     grad_sq = mass_sq = 0.0
-    for rows, axes in zip(columns, pairs):
-        stiff = _kron_sum_apply([_term(axes, a) for a in range(len(axes))],
-                                rows)
-        mass = _kron_apply([m for m, _ in axes], rows)
-        grad_sq = grad_sq + np.einsum("ij,ij->i", rows, stiff)
-        mass_sq = mass_sq + np.einsum("ij,ij->i", rows, mass)
+    for rows, block in zip(columns, blocks):
+        grad_sq = grad_sq + np.einsum("ij,ij->i", rows, block @ rows)
+        mass_sq = mass_sq + np.einsum("ij,ij->i", rows, _mass(block, rows))
     return grad_sq, mass_sq
 
 
-def _gram(blocks, columns):
-    """The Gram table W^T S W over the stacked velocities W of the block
-    diagonal S whose block for component c is the sum of the Kronecker
-    products blocks[c], from the columns of each component (_columns)."""
-    return sum(rows @ _kron_sum_apply(terms, rows).T
-               for rows, terms in zip(columns, blocks))
+def _gram(columns, images):
+    """The Gram table W^T S W over the stacked velocities W of a block
+    diagonal S, from the columns of each component (_columns) and their
+    images under its block of S."""
+    return sum(rows @ image.T for rows, image in zip(columns, images))
 
 
-def _mass_gram(pairs, columns):
+def _mass_gram(blocks, columns):
     """The Gram table W^T M W of the mass matrix over the stacked
-    velocities, whose columns and pairs are those of _energies."""
-    return _gram([[[m for m, _ in axes]] for axes in pairs], columns)
+    velocities, whose columns and blocks are those of _energies."""
+    return _gram(columns, [_mass(block, rows)
+                           for rows, block in zip(columns, blocks)])
 
 
 def _divergences(factors, columns):
@@ -346,11 +336,10 @@ def solve_cell_regime_ii(mu, cell_mesh, n_list=(4, 8, 16, 32), tol=1e-10):
     counts = SolveCounts()
     levels = _solve_ladder(mu, space_v, space_p, factors, laplacian, n_list,
                            tol, counts)
-    natural, clamped = ([pencil[:2] for pencil in pencils]
-                        for pencils in laplacian)
-    pairs = [natural] * (d - 1) + [clamped]
+    natural, clamped = laplacian
+    blocks = [natural] * (d - 1) + [clamped]
     # the level bounds (1/n) |grad w| + |w|, level by level and load by load
-    grad_sq, mass_sq = _energies(pairs, _columns(space_v, np.array(
+    grad_sq, mass_sq = _energies(blocks, _columns(space_v, np.array(
         [w for level in levels for w, _ in level])))
     bounds = (np.repeat(1.0 / np.array(n_list, dtype=float), d)
               * np.sqrt(np.maximum(grad_sq, 0.0))
@@ -371,7 +360,7 @@ def solve_cell_regime_ii(mu, cell_mesh, n_list=(4, 8, 16, 32), tol=1e-10):
               "bound": [list(map(float, b)) for b in bounds]}
     return CellSolution("ii", cell_mesh, space_v, space_p, velocities,
                         pressures, residuals,
-                        mu * _mass_gram(pairs, columns), levels=levels,
+                        mu * _mass_gram(blocks, columns), levels=levels,
                         extrapolation_residual=worst,
                         solver_counts=asdict(counts))
 

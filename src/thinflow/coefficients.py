@@ -169,16 +169,6 @@ class CoefficientField:
         return evaluator
 
 
-def constant_field(d, matrix=None, alpha_ell=None, beta_ell=None):
-    matrix = np.eye(d) if matrix is None else _sym(matrix)
-    eig = np.linalg.eigvalsh(matrix)
-    alpha = alpha_ell if alpha_ell is not None else float(eig[0])
-    beta = beta_ell if beta_ell is not None else float(eig[-1])
-    if alpha <= 0:
-        raise NonEllipticCoefficientError("constant matrix is not elliptic")
-    return CoefficientField(d, matrix, alpha_ell=alpha, beta_ell=beta)
-
-
 def _sample_points(field, n_samples):
     """Deterministic low-discrepancy samples of the cell (and decay region)."""
     d1 = field.d - 1

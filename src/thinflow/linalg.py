@@ -30,6 +30,12 @@ pencils (the macro pressure operator of a diagonal Ahat), which it solves
 by fast diagonalization, checked like the LU, with the LU of the assembled
 sum as the fallback.
 
+KroneckerSum, the Kronecker sum of the 1-D pencils of a tensor mesh, is the
+one tensor operator: each tensor velocity block, regime-ii ladder level,
+preconditioner pressure operator and macro pressure operator is one.  It
+holds its pencils' eigenpairs, from which it forms its functions (inverse,
+preconditioner) and its shifts s L + sigma M (the ladder levels).
+
 scipy is imported only in the functions that build or factor a sparse
 matrix (the direct path, an assembled block, the fallbacks), so a process
 that runs in tensor form alone never loads it.
@@ -51,7 +57,7 @@ Cahouet-Chabard preconditioner nu M_p^{-1} + sigma L_p^+ (pressure mass
 matrix and Neumann Laplacian) acts on mean-zero pressures, as Cahouet &
 Chabard define it (Int. J. Numer. Meth. Fluids 8, 1988).  On a tensor mesh
 both matrices are built from 1-D matrices by Kronecker products, so the
-preconditioner is a function of the Kronecker sum of the per-axis pencils,
+preconditioner is a function of the KroneckerSum of the per-axis pencils,
 applied exactly in their eigenbasis (fast diagonalization), and neither
 pressure matrix is assembled or factored.  B has one form: each velocity
 component's block of B is a Kronecker product of 1-D mass and derivative
@@ -61,8 +67,8 @@ Methods for Incompressible Fluid Flow, 2002; meshing._kron_apply).  A block
 has two, which make the two kinds of group.  Assembled (_BlockLU), it is
 factored alone, with the direct path's SuperLU options.  In tensor form
 (_FusedInverse: a coefficient that is a diagonal matrix times a profile
-across the layer, or a level of the regime-ii ladder), it is the Kronecker
-sum of per-axis pencils: it is not assembled either, its inverse is the
+across the layer, or a level of the regime-ii ladder), it is a KroneckerSum
+of per-axis pencils: it is not assembled either, its inverse is the
 reciprocal in the pencils' eigenbasis, and each CG product runs there with
 B fused into the basis, so nothing is factored.  One CG loop serves both
 kinds.  Every solve refines a start pair, by default the previous
@@ -80,14 +86,15 @@ are dense numpy arrays (assembly.axis_pencils, assembly.axis_divergence),
 so every per-axis product is one BLAS call.  A block solver builds once
 what its solves reuse: the transposes of the divergence factors that B^T q
 takes (views), the Frobenius norms of K and B (from the factors' inner
-products), and one eigendecomposition per distinct pencil across its
-groups (the horizontal axes of a square box share theirs, and so do the
-blocks of the cell's components).  In tensor form, neither its set-up nor
-a solve constructs a sparse matrix.  It keeps K u, B^T q and B u of its
-current pair, so a sweep applies each once.  Its norms are summed by numpy
-(_norm), not taken with np.linalg.norm: that is a BLAS ddot, which OpenBLAS
-splits across its threads on a long vector, and on a layer waking them
-costs more than the sum.
+products), and the eigenpairs of its blocks and its pressure operator:
+one decomposition per distinct pencil of each KroneckerSum (the horizontal
+axes of a square box share theirs), and none for a sum that carries them
+(the ladder levels, shifted from the Laplacian's).  In tensor form,
+neither its set-up nor a solve constructs a sparse matrix.  It keeps K u,
+B^T q and B u of its current pair, so a sweep applies each once.  Its
+norms are summed by numpy (_norm), not taken with np.linalg.norm: that is
+a BLAS ddot, which OpenBLAS splits across its threads on a long vector, and
+on a layer waking them costs more than the sum.
 
 The pencils are decomposed with numpy's LAPACK (_pencil_eigh), not with
 scipy.linalg.eigh: numpy and scipy each ship their own OpenBLAS, and once
@@ -374,80 +381,25 @@ def _pencil_eigh(stiffness, mass):
     return lam, np.linalg.solve(lower.T, w)
 
 
-def _decomposed(blocks):
-    """The per-axis pencil lists blocks [[(M_a, K_a), ...], ...] as
-    pencils that carry their decompositions, [[(M_a, K_a, (lam_a, V_a,
-    |V_a|_2)), ...], ...]: the eigenpairs (_pencil_eigh) and the spectral
-    norm of the eigenbasis.  A pencil keeps the decomposition it carries,
-    and equal pencils share one across the lists (the horizontal axes of a
-    square box, the blocks of the cell's components), so each distinct
-    pencil is decomposed once."""
-    seen = []
+def _decomposed(pencils, known=()):
+    """The decompositions (lam, V, |V|_2) of the pencils [(M_a, K_a), ...]:
+    the eigenpairs (_pencil_eigh) and the spectral norm of the eigenbasis.
+    Equal pencils share one decomposition (the horizontal axes of a square
+    box), and a pencil equal to one of known, pairs (pencil, decomposition)
+    of another sum, takes that one, so each distinct pencil is decomposed
+    once."""
+    seen = list(known)
 
-    def decomposed(pencil):
-        mass, stiffness = pencil[:2]
-        if len(pencil) > 2:
-            return mass, stiffness, pencil[2]
-        for other in seen:
-            if np.array_equal(other[0], mass) \
-                    and np.array_equal(other[1], stiffness):
-                return mass, stiffness, other[2]
+    def decomposed(mass, stiffness):
+        for (other_mass, other_stiffness), pairs in seen:
+            if np.array_equal(other_mass, mass) \
+                    and np.array_equal(other_stiffness, stiffness):
+                return pairs
         lam, vec = _pencil_eigh(stiffness, mass)
-        seen.append((mass, stiffness, (lam, vec, np.linalg.norm(vec, 2))))
-        return seen[-1]
+        seen.append(((mass, stiffness), (lam, vec, np.linalg.norm(vec, 2))))
+        return seen[-1][1]
 
-    return [[decomposed(pencil) for pencil in block] for block in blocks]
-
-
-def with_eigenpairs(pencils):
-    """The per-axis pencils [(M_a, K_a), ...] with their
-    decompositions, [(M_a, K_a, (lam_a, V_a, |V_a|_2)), ...] (_decomposed),
-    each distinct pencil decomposed once, so that the block solvers and
-    preconditioners given them decompose none.  A pencil whose stiffness is
-    scaled and shifted, (M, s K + t M), has the eigenpairs (s lam + t, V):
-    the levels of the regime-ii cell ladder take theirs from one
-    decomposition, and scale and shift the dense 1-D matrices alone."""
-    return _decomposed([pencils])[0]
-
-
-class _KroneckerSumFunction:
-    """A function g of the Kronecker sum of per-axis pencils of a tensor
-    mesh, applied in their eigenbasis (fast diagonalization: Lynch, Rice &
-    Thomas, Numer. Math. 6, 1964).
-
-    pencils [(M_a, K_a), ...] give the mass M, the Kronecker product of the
-    M_a, and the Kronecker sum L = sum_a M_0 (x) ... (x) K_a (x) ... (x)
-    M_{d-1}, dofs in lattice order (the last axis fastest).  With
-    K_a V_a = M_a V_a Lambda_a and V_a^T M_a V_a = I (_pencil_eigh),
-    the Kronecker product V of the V_a gives M^{-1} = V V^T and
-    L = M V lam V^T M, lam the Kronecker sum of the Lambda_a.  The operator
-    is V diag(g(lam)) V^T: g = 1 / lam makes it L^{-1}, and on Neumann
-    pencils, whose first eigenvector is the constant (its eigenvalue zeroed
-    against rounding), g = nu + sigma / lam with g = 0 on the constant mode
-    makes it nu M^{-1} + sigma L^+ on mean-zero vectors.  One application is
-    two transforms, a dense 1-D matrix per axis, and a product with g:
-    nothing is assembled, and only the 1-D mass matrices are factored, by
-    numpy's Cholesky in _pencil_eigh.  The pencils are dense arrays and
-    may carry their eigenpairs (with_eigenpairs); equal pencils (the
-    horizontal axes of a square box) share one decomposition.  solve()
-    takes and returns a vector, or one column per load as a SuperLU object
-    does.
-    """
-
-    def __init__(self, pencils, n, what, g, neumann=False):
-        sizes = tuple(pencil[0].shape[0] for pencil in pencils)
-        if int(np.prod(sizes)) != n:
-            raise ComponentLayoutError(
-                f"pencils of sizes {sizes} do not tile {n} {what} dofs")
-        values, self._bases, _ = zip(*(pencil[2] for pencil in
-                                       with_eigenpairs(pencils)))
-        if neumann:
-            values = [np.concatenate([[0.0], lam[1:]]) for lam in values]
-        self._g = g(functools.reduce(np.add.outer, values).ravel())
-
-    def solve(self, rhs):
-        coef = _kron_apply([vec.T for vec in self._bases], rhs.T)
-        return _kron_apply(self._bases, self._g * coef).T
+    return [decomposed(mass, stiffness) for mass, stiffness in pencils]
 
 
 def _cahouet_chabard(nu, sigma, lam):
@@ -460,23 +412,74 @@ def _cahouet_chabard(nu, sigma, lam):
 class KroneckerSum:
     """The Kronecker sum L = sum_a M_0 (x) ... (x) K_a (x) ... (x) M_{d-1}
     of per-axis pencils [(M_a, K_a), ...] (dense arrays), dofs in lattice
-    order, as an operator that is not assembled: L @ x applies it to the
-    last axis of x by per-axis products, all terms from one transposed
-    copy (meshing._kron_sum_apply).  solve_gauged_spd inverts it by fast
-    diagonalization, and assembled() forms it as a sparse matrix for the
-    direct path."""
+    order (the last axis fastest), assembled only by assembled(), for the
+    direct path.  L @ x applies it to the last axis of x by per-axis
+    products, all terms from one transposed copy of x
+    (meshing._kron_sum_apply); norm() is its Frobenius norm
+    (_kronecker_norm).
 
-    def __init__(self, pencils):
-        self.pencils = pencils
-        self._terms = [_term(pencils, a) for a in range(len(pencils))]
-        n = int(np.prod([mass.shape[0] for mass, _ in pencils]))
+    eigenpairs() lists (Lambda_a, V_a, |V_a|_2) per axis, with K_a V_a =
+    M_a V_a Lambda_a and V_a^T M_a V_a = I: decomposed at first use, each
+    distinct pencil once (_decomposed), unless given.  With V the Kronecker
+    product of the V_a and lam the Kronecker sum of the Lambda_a,
+    M^{-1} = V V^T and L = M V lam V^T M (fast diagonalization: Lynch, Rice
+    & Thomas, Numer. Math. 6, 1964), so function(g) = V diag(g(lam)) V^T
+    costs two transforms, a dense 1-D matrix per axis, and a product with
+    g.  g = 1 / lam gives L^{-1}; on Neumann pencils, whose first
+    eigenvector is the constant (its eigenvalue zeroed against rounding),
+    g = nu + sigma / lam with g = 0 on the constant mode gives
+    nu M^{-1} + sigma L^+ on mean-zero vectors.  shifted(s, sigma) is
+    s L + sigma M, the drag on the last axis: its pencils (M_a, s K_a) and
+    (M_z, s K_z + sigma M_z) have the eigenpairs (s Lambda_a, V_a) and
+    (s Lambda_z + sigma, V_z), so the levels of the regime-ii cell ladder
+    decompose nothing.
+    """
+
+    def __init__(self, pencils, eigenpairs=None):
+        self.pencils = list(pencils)
+        self.sizes = tuple(mass.shape[0] for mass, _ in self.pencils)
+        n = int(np.prod(self.sizes))
         self.shape = (n, n)
+        self._terms = [_term(self.pencils, a)
+                       for a in range(len(self.pencils))]
+        self._eigenpairs = eigenpairs
 
     def __matmul__(self, x):
         return _kron_sum_apply(self._terms, x)
 
     def assembled(self):
         return sum(_kron(term) for term in self._terms)
+
+    def norm(self):
+        return _kronecker_norm(self._terms)
+
+    def eigenpairs(self):
+        if self._eigenpairs is None:
+            self._eigenpairs = _decomposed(self.pencils)
+        return self._eigenpairs
+
+    def shifted(self, s, sigma):
+        pencils = [(mass, s * stiffness) for mass, stiffness in self.pencils]
+        pairs = [(s * lam, vec, norm) for lam, vec, norm in self.eigenpairs()]
+        mass, stiffness = pencils[-1]
+        pencils[-1] = (mass, stiffness + sigma * mass)
+        lam, vec, norm = pairs[-1]
+        pairs[-1] = (lam + sigma, vec, norm)
+        return KroneckerSum(pencils, pairs)
+
+    def function(self, g, neumann=False):
+        """x -> V diag(g(lam)) V^T x, for a vector x or one column per
+        load, as a SuperLU object solves."""
+        values, bases, _ = zip(*self.eigenpairs())
+        if neumann:
+            values = [np.concatenate([[0.0], lam[1:]]) for lam in values]
+        weights = g(functools.reduce(np.add.outer, values).ravel())
+
+        def apply(x):
+            coef = _kron_apply([vec.T for vec in bases], x.T)
+            return _kron_apply(bases, weights * coef).T
+
+        return apply
 
 
 class _Group:
@@ -541,7 +544,6 @@ class _BlockLU(_Group):
     options.  Its part of K^{-1} is one triangular solve with a column per
     component, and a velocity is its own coordinates."""
 
-    pencils = ()
     basis_norm = 1.0
 
     def __init__(self, where, block, terms, counts):
@@ -554,8 +556,8 @@ class _BlockLU(_Group):
         self._hat_terms, self._counts = terms, counts
         self.norm = np.sqrt(len(terms)) * _norm(block.data)
 
-    def invert(self, pencils):
-        """Factor A; pencils is empty, as an assembled group has none."""
+    def invert(self):
+        """Factor A."""
         self._counts.factorizations += 1
         self._lu = _splu(self._block_terms[0][0])
 
@@ -574,17 +576,16 @@ class _BlockLU(_Group):
 
 
 class _FusedInverse(_Group):
-    """A tensor group: A is the Kronecker sum of the per-axis pencils
-    [(M_c, K_c), ...] (a coefficient that is a diagonal matrix times a
-    profile across the layer, or a level of the regime-ii cell ladder),
-    applied as the sum of its d terms of per-axis products.  The pencils
-    may carry their eigenpairs (with_eigenpairs); K u and the norm take
-    them as they are.
+    """A tensor group: A is a KroneckerSum of per-axis pencils (a
+    coefficient that is a diagonal matrix times a profile across the layer,
+    or a level of the regime-ii cell ladder), applied as the sum of its d
+    terms of per-axis products.
 
-    invert() takes the eigenbasis V of the pencils, and A^{-1} runs there
-    with the components' blocks of the tensor divergence B_j = (x)_c
-    F_{j,c} fused into it.  A velocity is held by its coordinates in V:
-    u_j = V hat_j, and A^{-1} f has hat_j = diag(1 / lam) V^T f_j.  With
+    invert() takes the eigenbasis V of A (KroneckerSum.eigenpairs), and
+    A^{-1} runs there with the components' blocks of the tensor divergence
+    B_j = (x)_c F_{j,c} fused into it.  A velocity is held by its
+    coordinates in V: u_j = V hat_j, and A^{-1} f has
+    hat_j = diag(1 / lam) V^T f_j.  With
     E_j = (x)_c E_{j,c}, E_{j,c} = F_{j,c} V_c a dense m_c x n_c matrix
     built once, B u = sum_j E_j hat_j, and the Schur product B A^{-1} B^T d
     = sum_j E_j diag(1 / lam) E_j^T d is 2 d dense per-axis products per
@@ -592,24 +593,19 @@ class _FusedInverse(_Group):
     prod_c |V_c|_2.
     """
 
-    def __init__(self, where, pencils, terms):
-        pairs = [pencil[:2] for pencil in pencils]
-        lengths = [mass.shape[0] for mass, _ in pairs]
+    def __init__(self, where, block, terms):
         sizes = [[mat.shape[1] for mat in term] for term in terms]
-        if any(s != lengths for s in sizes):
+        if any(tuple(s) != block.sizes for s in sizes):
             raise ComponentLayoutError(
                 f"divergence factors of sizes {sizes} do not tile block "
-                f"pencils of sizes {lengths}")
-        super().__init__(where, [_term(pairs, c) for c in range(len(pairs))],
-                         terms)
-        self.norm = np.sqrt(len(terms)) * _kronecker_norm(
-            [_term(pairs, c) for c in range(len(pairs))])
-        self.pencils = pencils
+                f"pencils of sizes {list(block.sizes)}")
+        super().__init__(where, block._terms, terms)
+        self.norm = np.sqrt(len(terms)) * block.norm()
+        self._block = block
 
-    def invert(self, pencils):
-        """Fuse B into the eigenbasis of pencils, the group's pencils with
-        their decompositions (_decomposed)."""
-        lam, self._bases, norms = zip(*(pencil[2] for pencil in pencils))
+    def invert(self):
+        """Fuse B into the eigenbasis of A."""
+        lam, self._bases, norms = zip(*self._block.eigenpairs())
         self._g = np.reciprocal(functools.reduce(np.add.outer, lam).ravel())
         self._hat_terms = [[f @ vec for f, vec in zip(term, self._bases)]
                            for term in self._terms]
@@ -655,14 +651,12 @@ class BlockSaddleSolver:
 
     - assembled (_BlockLU): a sparse matrix, factored once: its part of
       K^{-1} is one triangular solve with a column per component.
-    - tensor (_FusedInverse): a list of the per-axis pencils
-      [(M_a, K_a), ...] whose Kronecker sum is A.  Its part of K u is a
-      sum of per-axis dense products, |A| comes from the inner products of
-      the pencils, and A^{-1} is applied exactly in their eigenbasis
-      (_pencil_eigh) with B fused into it, so nothing is factored, and a
-      CG iteration takes dense per-axis products only.  The solver
-      decomposes the pencils of all its tensor groups at once
-      (_decomposed), each distinct 1-D pencil once.
+    - tensor (_FusedInverse): a KroneckerSum of per-axis pencils.  Its
+      part of K u is a sum of per-axis dense products, |A| comes from the
+      inner products of the pencils, and A^{-1} is applied exactly in
+      their eigenbasis (KroneckerSum.eigenpairs) with B fused into it, so
+      nothing is factored, and a CG iteration takes dense per-axis
+      products only.  Groups that share a block share its decompositions.
 
     No pressure dof is pinned: q runs over the whole pressure space, and
     the constraint is B u = 0, whose residual sums to zero.  A solve
@@ -682,10 +676,10 @@ class BlockSaddleSolver:
     operator nu M_p^{-1} + sigma L_p^+ of velocity operators like
     -nu Laplacian + sigma mass on mean-zero pressures: M_p is the pressure
     mass matrix and L_p the Neumann Laplacian of the pressure space.
-    pencils gives them per mesh axis, as the 1-D mass and stiffness
-    matrices [(M_a, K_a), ...] of assembly.axis_pencils, and the
-    preconditioner is applied exactly in the tensor eigenbasis
-    (_KroneckerSumFunction), so no pressure matrix is factored.  It maps
+    pressure gives them per mesh axis, as the KroneckerSum of the 1-D mass
+    and stiffness matrices of assembly.axis_pencils, and the
+    preconditioner is applied exactly in its eigenbasis
+    (KroneckerSum.function), so no pressure matrix is factored.  It maps
     every residual to a vector of zero mean, so the CG iterates stay in the
     space where the Schur complement is definite.  CG accumulates du in the
     groups' coordinates (the eigenbasis, in tensor form) and transforms it
@@ -731,7 +725,7 @@ class BlockSaddleSolver:
     work done is added to counts.
     """
 
-    def __init__(self, blocks, B, gauge, rhs_u, pencils, nu, sigma,
+    def __init__(self, blocks, B, gauge, rhs_u, pressure, nu, sigma,
                  counts=None):
         self.counts = SolveCounts() if counts is None else counts
         ncomp = len(B)
@@ -757,7 +751,7 @@ class BlockSaddleSolver:
             block, group_terms = blocks[group[0]], [terms[a] for a in group]
             self._groups.append(
                 _FusedInverse(where, block, group_terms)
-                if isinstance(block, (list, tuple))
+                if isinstance(block, KroneckerSum)
                 else _BlockLU(where, block, group_terms, self.counts))
         self._factors = B
         self._norms = (_norm(np.array([group.norm for group in self._groups])),
@@ -765,8 +759,11 @@ class BlockSaddleSolver:
                                    for term in terms)))
         self._gauge = _checked_gauge(gauge)
         self._rhs_u = np.zeros(n_u) if rhs_u is None else rhs_u
-        self._precondition = _KroneckerSumFunction(
-            pencils, n_p, "pressure",
+        if pressure.shape[0] != n_p:
+            raise ComponentLayoutError(
+                f"pencils of sizes {pressure.sizes} do not tile {n_p} "
+                f"pressure dofs")
+        self._precondition = pressure.function(
             functools.partial(_cahouet_chabard, nu, sigma), neumann=True)
         # the current pair (u, q) and its products K u, B^T q and B u
         self._u = np.zeros(n_u)
@@ -777,9 +774,8 @@ class BlockSaddleSolver:
         self.backward_error = 0.0
         # K^{-1}: without it the first solve takes the direct path
         try:
-            for group, decomposed in zip(self._groups, _decomposed(
-                    [group.pencils for group in self._groups])):
-                group.invert(decomposed)
+            for group in self._groups:
+                group.invert()
         except (RuntimeError, np.linalg.LinAlgError):
             self._inverted = False
         else:
@@ -848,7 +844,7 @@ class BlockSaddleSolver:
                 formed = self._velocity(du)
                 if size <= _BACKWARD_GOAL * (norm_b * _norm(u + formed)):
                     break
-            z = self._precondition.solve(res)
+            z = self._precondition(res)
             rz, rz_old = res @ z, rz
             direction = z if direction is None \
                 else z + (rz / rz_old) * direction
@@ -954,8 +950,8 @@ def solve_gauged_spd(K, rhs, gauge, tol=DEFAULT_TOL_DIRECT):
     against the gauge direction, as a border multiplier would.  K is a
     sparse matrix, factored with one dof pinned, or a KroneckerSum of
     Neumann pencils: their first eigenvectors are the constants, so
-    _KroneckerSumFunction with g = 1 / lam off the constant mode and 0 on
-    it applies K^+ to the compatible load, with nothing factored.  As on
+    K.function with g = 1 / lam off the constant mode and 0 on it applies
+    K^+ to the compatible load, with nothing factored.  As on
     the LU, one step of iterative refinement follows; the result is
     shifted to gauge^T x = 0 and checked like the LU's, and one that
     misses the tolerance goes to the LU of the assembled K.
@@ -965,11 +961,10 @@ def solve_gauged_spd(K, rhs, gauge, tol=DEFAULT_TOL_DIRECT):
     system = SaddleSystem(K=K, rhs_u=_compatible(
         np.asarray(rhs, dtype=float), gauge))
     if isinstance(K, KroneckerSum):
-        inverse = _KroneckerSumFunction(
-            K.pencils, K.shape[0], "gauged",
-            functools.partial(_cahouet_chabard, 0.0, 1.0), neumann=True)
-        x = inverse.solve(system.rhs_u)
-        x = _project_gauge(gauge, x + inverse.solve(system.rhs_u - K @ x))
+        inverse = K.function(functools.partial(_cahouet_chabard, 0.0, 1.0),
+                             neumann=True)
+        x = inverse(system.rhs_u)
+        x = _project_gauge(gauge, x + inverse(system.rhs_u - K @ x))
         if residual(system, (x, None)) <= tol:
             return x
         K = K.assembled()

@@ -216,10 +216,6 @@ class TensorMesh:
         return tuple(a.size - 1 for a in self.axes)
 
     @property
-    def element_count(self):
-        return int(np.prod(self.n_elements))
-
-    @property
     def spacings(self):
         return tuple(float(a[1] - a[0]) for a in self.axes)
 

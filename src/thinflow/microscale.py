@@ -21,8 +21,8 @@ that starts from the previous step's solution and the products K u, B^T q
 and B u the solver kept of it (so a step applies K once per sweep),
 checked at the solver tolerance (a layer whose solve misses it goes over
 to the pinned LU of S).  Its Cahouet-Chabard preconditioner takes the
-per-axis pencils of the pressure space (assembly.axis_pencils), so no
-pressure matrix is assembled or factored.
+KroneckerSum of the per-axis pencils of the pressure space
+(assembly.axis_pencils), so no pressure matrix is assembled or factored.
 The layer's divergence B is a sum of Kronecker products of 1-D factors
 (assembly.axis_divergence, one list per component, here all the same), so
 B is not assembled either: the dimension alone chooses the form of B, and
@@ -30,7 +30,7 @@ the coefficient that of the block.
 Where the coefficient is separable (a diagonal matrix times a profile
 across the layer) and d = 3 (tensor_form, the rule that the clamped cells
 of cell_problems follow too), the layer runs matrix-free: the block is the
-Kronecker sum of per-axis pencils (_block_pencils), its inverse is applied
+KroneckerSum of per-axis pencils (_block_pencils), its inverse is applied
 in the pencils' eigenbasis (decomposed by numpy's LAPACK, so that the solve
 runs on numpy's BLAS alone), and the layer factors no matrix.  Its pencils,
 divergence factors and interpolation matrices are short dense arrays, so
@@ -70,8 +70,8 @@ from .assembly import (DiscreteField, FunctionSpace, assemble_convection,
                        axis_divergence, axis_pencils, pressure_gauge)
 from .errors import (InvalidParameterError, InvalidResolutionError,
                      PicardDivergenceError)
-from .linalg import (BlockSaddleSolver, SaddleSolver, SaddleSystem,
-                     SolveCounts, _norm)
+from .linalg import (BlockSaddleSolver, KroneckerSum, SaddleSolver,
+                     SaddleSystem, SolveCounts, _norm)
 
 
 @dataclass
@@ -209,7 +209,7 @@ def tensor_form(mesh, field):
     """Whether a clamped Brinkmann problem of the coefficient field on the
     mesh (a thin layer, or a cell of regime i or iii) runs in tensor form:
     a d = 3 mesh and a separable field, whose scalar block is then the
-    Kronecker sum of per-axis pencils (_block_pencils).  In d = 2 the
+    KroneckerSum of per-axis pencils (_block_pencils).  In d = 2 the
     pinned saddle LU is faster."""
     return mesh.ndim == 3 and field.separable
 
@@ -217,22 +217,23 @@ def tensor_form(mesh, field):
 def block_solver(block, factors, space_p, field, eps, sigma, load, counts):
     """The linalg.BlockSaddleSolver of a clamped Brinkmann problem of
     half-width eps with drag sigma: one block for every velocity
-    component, the pencils (_block_pencils) or the assembled matrix, and
-    the divergence factors of axis_divergence.  Its preconditioner weights:
-    the viscosity is the geometric mean of the coefficient's ellipticity
-    bounds alpha <= A <= beta; the drag adds to sigma the Hele-Shaw
-    friction 3 nu / eps^2 that the walls exert on the layer-averaged flow,
-    without which the CG count grows like 1/eps where the drag is weak."""
+    component, the KroneckerSum (_block_pencils) or the assembled matrix,
+    and the divergence factors of axis_divergence.  Its preconditioner
+    weights: the viscosity is the geometric mean of the coefficient's
+    ellipticity bounds alpha <= A <= beta; the drag adds to sigma the
+    Hele-Shaw friction 3 nu / eps^2 that the walls exert on the
+    layer-averaged flow, without which the CG count grows like 1/eps where
+    the drag is weak."""
     nu = float(np.sqrt(field.alpha_ell * field.beta_ell))
     return BlockSaddleSolver(
         [block] * len(factors), factors, pressure_gauge(space_p), load,
-        axis_pencils(space_p), nu=nu, sigma=sigma + 3.0 * nu / eps ** 2,
-        counts=counts)
+        KroneckerSum(axis_pencils(space_p)), nu=nu,
+        sigma=sigma + 3.0 * nu / eps ** 2, counts=counts)
 
 
 def _block_pencils(space_s, field, eps, sigma):
-    """Per-axis pencils whose Kronecker sum is the scalar block of a
-    separable coefficient diag(a) zeta(z/eps) with drag sigma: each axis's
+    """The scalar block of a separable coefficient diag(a) zeta(z/eps) with
+    drag sigma, as the KroneckerSum of its per-axis pencils: each axis's
     stiffness times its a, the last axis's pair weighted by the profile
     zeta, and the drag sigma M_z (unweighted) added to its stiffness."""
     profile = field.zeta_profile
@@ -242,15 +243,15 @@ def _block_pencils(space_s, field, eps, sigma):
     drag = pencils[-1][0] if weight is None else axis_pencils(space_s)[-1][0]
     mass, stiffness = pencils[-1]
     pencils[-1] = (mass, stiffness + sigma * drag)
-    return pencils
+    return KroneckerSum(pencils)
 
 
 def apriori_norms(sol, moments, grad):
     """Quadrature-exact norms and the thin-domain Sobolev ratios.
 
-    u_l2 and u_l4 are the roots of the velocity's moments (as
-    two_scale.layer_moments returns them) and grad is its gradient norm;
-    only the pressure is sampled here.  r2 and r4 are the ratios whose
+    u_l2 and u_l4 are the roots of the velocity's moments
+    (int |u|^2, int |u|^4), as two_scale.layer_checks returns them, and
+    grad is its gradient norm; only the pressure is sampled here.  r2 and r4 are the ratios whose
     uniform boundedness over a sweep encodes the thin-layer embedding
     inequalities; they are zero for the zero field.
     """

@@ -28,9 +28,9 @@ columns, and feeds the sample to one small term per functional: the
 distance, the pairing, the fluctuation, and the moments int |u|^2 and
 int |u|^4 behind the a priori norms u_l2 and u_l4 (microscale).
 two_scale_distance, two_scale_pairing and poincare_wirtinger_ratio run that
-pass with their one term, layer_moments with the moments alone, and
-layer_checks with all of them, returning the moments with the checks, so a
-pipeline samples each layer velocity on its 5-point grid once.
+pass with their one term, and layer_checks with all of them, returning the
+moments with the checks, so a pipeline samples each layer velocity on its
+5-point grid once.
 The macro factor of a test function is taken on the axes of the
 horizontal grid (meshing.grid_values), so the probe's factor, the first
 component of the compiled forcing, costs the axis lengths where its
@@ -265,14 +265,6 @@ def _moment_term(rules):
     return part
 
 
-def layer_moments(u_eps):
-    """(int |u|^2, int |u|^4) of a discrete layer field on the _NQ-point
-    Gauss grid of its elements: the moments of layer_checks' pass, bit for
-    bit, from a pass of _moment_term alone."""
-    (moments,) = _layer_sums(u_eps, None, None, [_moment_term])
-    return moments
-
-
 def _pairing(total, eps, scale=1.0):
     out = total / (eps * scale)
     return float(out[0]) if out.size == 1 else out
@@ -435,9 +427,9 @@ def layer_checks(u_eps, u0, f, eps, scale=1.0, geometry=None, grad=None):
     Returns (distance, pairing, pw, moments): two_scale_distance(u_eps /
     scale, u0, eps), two_scale_pairing(u_eps / scale, f, eps),
     poincare_wirtinger_ratio(u_eps, eps), each with geometry (and grad)
-    for a closed-form field, and layer_moments(u_eps).  The field is sampled
-    once per slab, and the scale is folded into the limit: |u - scale u0| /
-    scale.
+    for a closed-form field, and the moments (int |u|^2, int |u|^4) of
+    u_eps (_moment_term).  The field is sampled once per slab, and the
+    scale is folded into the limit: |u - scale u0| / scale.
     """
     pw_terms, report = _pw_terms(u_eps, eps, grad)
     total, pairing, *pw, moments = _layer_sums(

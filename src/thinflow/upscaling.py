@@ -8,9 +8,10 @@ The entries are cell-quadrature evaluations of the regime formulas
 
 which, on the discrete level, are exactly the Gram tables of the energy forms
 over the cell velocities.  The cell solvers form those tables and store them
-on their solutions: regimes i and iii from their assembled operator, regime
-ii from the tensor form of its mass matrix (the unit horizontal cell has
-measure one).  The mean-velocity form int_I M(w_j) . e_i is computed as
+on their solutions: regimes i and iii from their cell operator, assembled,
+or in tensor form for a separable d = 3 cell (its KroneckerSum block),
+regime ii from the tensor form of its mass matrix (the unit horizontal cell
+has measure one).  The mean-velocity form int_I M(w_j) . e_i is computed as
 well; for the dragless regime the two must agree to the discrete Galerkin
 identity.
 """

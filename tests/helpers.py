@@ -43,8 +43,11 @@ dense array (assembly._line_matrix).  refuse_sparse makes the construction
 of a CSR, CSC or COO matrix raise.
 
 layer_norms takes the a priori norms of a layer solution on its own, by a
-moment pass and a gradient norm of its own, where a pipeline reuses those
-of its two-scale checks (harness.run_pipeline).
+moment pass (layer_moments) and a gradient norm of its own, where a
+pipeline reuses those of its two-scale checks (harness.run_pipeline).
+
+constant_field builds a spatially constant coefficient, and element_count
+counts the elements of a mesh.
 
 cahouet_chabard_reference is the block path's pressure preconditioner on
 mean-zero pressures, from the assembled pressure mass and Neumann
@@ -57,7 +60,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from thinflow import coefficients as coefs
+from thinflow import coefficients as coefs, two_scale
+from thinflow.errors import NonEllipticCoefficientError
 from thinflow.assembly import (_NQUAD, _VANISHING, DiscreteField,
                                FunctionSpace, _element_nodes,
                                _element_points, _on_grid, _shape1d,
@@ -67,7 +71,7 @@ from thinflow.linalg import solve_gauged_spd
 from thinflow.meshing import (TensorMesh, composite_gauss, gauss_rule,
                               grid_points, tensor_rule)
 from thinflow.microscale import apriori_norms
-from thinflow.two_scale import _layer_rules, layer_moments
+from thinflow.two_scale import _layer_rules
 
 
 def interpolate(space, fn):
@@ -117,7 +121,7 @@ def dofmap(space):
         flat = flat * space.lattice_sizes[a] + _on_grid(
             _element_nodes(space, a, np.arange(n)), a, (0, 1),
             space.mesh.ndim)
-    return flat.reshape(space.mesh.element_count, -1)
+    return flat.reshape(element_count(space.mesh), -1)
 
 
 def gather(space, locals_):
@@ -229,7 +233,7 @@ def diffusion_reference(space, a_eval, nquad=3):
     (assemble_diffusion)."""
     _, grad, wq = space.reference_data(nquad)
     ndim = space.mesh.ndim
-    ne = space.mesh.element_count
+    ne = element_count(space.mesh)
     nq, nloc = grad.shape[0], grad.shape[1]
     pts = quadrature_points(space, nquad).reshape(-1, ndim)
     avals = np.asarray(a_eval(pts), dtype=float).reshape(ne, nq, ndim, ndim)
@@ -277,6 +281,32 @@ def boundary_flux_reference(macro):
                     node = idx[0] * space.lattice_sizes[1] + idx[1]
                     fb[node] += float(np.sum(w * un * vals1[:, loc]))
     return float(np.abs(fb).max())
+
+
+def constant_field(d, matrix=None, alpha_ell=None, beta_ell=None):
+    """The coefficient field of a constant matrix (the identity by
+    default), its ellipticity bounds the extreme eigenvalues unless given."""
+    matrix = np.eye(d) if matrix is None else coefs._sym(matrix)
+    eig = np.linalg.eigvalsh(matrix)
+    alpha = alpha_ell if alpha_ell is not None else float(eig[0])
+    beta = beta_ell if beta_ell is not None else float(eig[-1])
+    if alpha <= 0:
+        raise NonEllipticCoefficientError("constant matrix is not elliptic")
+    return coefs.CoefficientField(d, matrix, alpha_ell=alpha, beta_ell=beta)
+
+
+def element_count(mesh):
+    return int(np.prod(mesh.n_elements))
+
+
+def layer_moments(u_eps):
+    """(int |u|^2, int |u|^4) of a discrete layer field on the Gauss grid of
+    its elements: the moments of two_scale.layer_checks' pass, bit for bit,
+    from a pass of its moment term alone (looked up on the module, where a
+    test may spy on the pass)."""
+    (moments,) = two_scale._layer_sums(u_eps, None, None,
+                                       [two_scale._moment_term])
+    return moments
 
 
 def layer_norms(sol):

@@ -25,10 +25,10 @@ from thinflow.two_scale import (OscillatingTestFunction,
                                 poincare_wirtinger_ratio, two_scale_pairing)
 from thinflow.upscaling import effective_matrix
 
-from helpers import layer_norms, quadrature_sample
+from helpers import constant_field, layer_norms, quadrature_sample
 
 GEOM2 = Geometry(2, (1.0,), 0.125)
-IDENT2 = coefs.constant_field(2)
+IDENT2 = constant_field(2)
 SOLVER_TOL = 1e-10
 MU = 1.0
 EPS_SWEEP = [1 / 8, 1 / 16, 1 / 32, 1 / 64]

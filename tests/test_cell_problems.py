@@ -15,19 +15,19 @@ from thinflow.cell_problems import (_laplacian_pencils, _solve_ladder,
 from thinflow.errors import (InvalidParameterError,
                              NonEllipticCoefficientError,
                              UnsupportedRegimeCoefficientError)
-from thinflow.linalg import (BlockSaddleSolver, SaddleSystem, SolveCounts,
-                             residual, solve_sparse, with_eigenpairs)
+from thinflow.linalg import (BlockSaddleSolver, KroneckerSum, SaddleSystem,
+                             SolveCounts, residual, solve_sparse)
 from thinflow.meshing import Geometry, build_cell_mesh
 from thinflow.upscaling import effective_matrix
 
-from helpers import refuse_sparse
+from helpers import constant_field, refuse_sparse
 
 GEOM = Geometry(2, (1.0,), 0.125)
 GEOM_D3 = Geometry(3, (1.0, 1.0), 0.125)
 
 
 def identity_field(d=2):
-    return coefs.constant_field(d)
+    return constant_field(d)
 
 
 def brinkmann_profile(zeta, mu, K):
@@ -315,17 +315,15 @@ def test_regime_ii_tensor_forms_match_assembled(mesh):
     d = mesh.ndim
     V = FunctionSpace(mesh, "velocity", wall_components=(d - 1,))
     Q = FunctionSpace(mesh, "pressure")
-    laplacian = _laplacian_pencils(V)
-    natural, clamped = ([pencil[:2] for pencil in pencils]
-                        for pencils in laplacian)
-    pairs = [natural] * (d - 1) + [clamped]
+    natural, clamped = _laplacian_pencils(V)
+    blocks = [natural] * (d - 1) + [clamped]
     X = np.random.default_rng(7).standard_normal((5, V.ndof))
     columns = cell_problems._columns(V, X)
     M, K_lap = assemble_mass(V), assemble_diffusion(V)
-    grad_sq, mass_sq = cell_problems._energies(pairs, columns)
+    grad_sq, mass_sq = cell_problems._energies(blocks, columns)
     for got, ref in ((grad_sq, np.einsum("ij,ij->i", X, (K_lap @ X.T).T)),
                      (mass_sq, np.einsum("ij,ij->i", X, (M @ X.T).T)),
-                     (cell_problems._mass_gram(pairs, columns),
+                     (cell_problems._mass_gram(blocks, columns),
                       X @ (M @ X.T)),
                      (cell_problems._divergences(axis_divergence(V, Q),
                                                  columns),
@@ -335,10 +333,12 @@ def test_regime_ii_tensor_forms_match_assembled(mesh):
 
 
 def _reject_pencils(blocks):
-    """Pencils with the masses and stiffnesses of two axes negated: their
-    Kronecker sum is the same block, but _pencil_eigh rejects them."""
-    return [[(-mass, -stiffness) if a < 2 else (mass, stiffness)
-             for a, (mass, stiffness, _) in enumerate(block)]
+    """Blocks whose pencils have the masses and stiffnesses of two axes
+    negated, without eigenpairs: their Kronecker sum is the same block, but
+    _pencil_eigh rejects them."""
+    return [KroneckerSum([(-mass, -stiffness) if a < 2 else (mass, stiffness)
+                          for a, (mass, stiffness)
+                          in enumerate(block.pencils)])
             for block in blocks]
 
 
@@ -352,9 +352,8 @@ def test_ladder_level_falls_back_to_pinned_lu(monkeypatch, mesh, broken):
     mu, s, d = 2.0, 1.0 / 16, mesh.ndim
     V = FunctionSpace(mesh, "velocity", wall_components=(d - 1,))
     Q = FunctionSpace(mesh, "pressure")
-    natural, clamped = (cell_problems._level_pencils(with_eigenpairs(
-        axis_pencils(FunctionSpace(mesh, "component",
-                                   wall_components=walls))), s, mu)
+    natural, clamped = (KroneckerSum(axis_pencils(FunctionSpace(
+        mesh, "component", wall_components=walls))).shifted(s, mu)
         for walls in ((), None))
     if broken == "rejected_pencils":
         natural, clamped = _reject_pencils((natural, clamped))
@@ -365,7 +364,8 @@ def test_ladder_level_falls_back_to_pinned_lu(monkeypatch, mesh, broken):
     counts = SolveCounts()
     solver = BlockSaddleSolver([natural] * (d - 1) + [clamped],
                                axis_divergence(V, Q), pressure_gauge(Q),
-                               load, axis_pencils(Q), nu=s, sigma=mu,
+                               load, KroneckerSum(axis_pencils(Q)), nu=s,
+                               sigma=mu,
                                counts=counts)
     u, p = solver.solve(tol=1e-10)
     assert counts.direct_fallbacks == 1 and counts.factorizations == 1

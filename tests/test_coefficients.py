@@ -6,7 +6,7 @@ from thinflow.errors import (InvalidDataError, InvalidRegimeError,
                              NonEllipticCoefficientError, OutOfDomainError,
                              UnsupportedFieldError)
 
-from helpers import translated
+from helpers import constant_field, translated
 
 
 def eval_A(field, y):
@@ -20,7 +20,7 @@ def sin_field():
 
 
 def test_eval_constant_identity():
-    field = coefs.constant_field(2)
+    field = constant_field(2)
     assert np.allclose(eval_A(field, [0.3, 0.5]), np.eye(2))
 
 
@@ -40,7 +40,7 @@ def test_eval_asymptotic_substitution():
 
 
 def test_eval_out_of_domain():
-    field = coefs.constant_field(2)
+    field = constant_field(2)
     with pytest.raises(OutOfDomainError):
         eval_A(field, [0.1, 1.5])
 
@@ -80,7 +80,7 @@ def test_bump_rejects_a_width_that_is_not_positive(sigma):
 
 def test_separable_follows_structure_not_class():
     wave = coefs.Wave((1, 0), "cos", 0.5 * np.eye(3))
-    assert coefs.constant_field(3, np.diag([1.0, 2.0, 3.0])).separable
+    assert constant_field(3, np.diag([1.0, 2.0, 3.0])).separable
     assert coefs.CoefficientField(3, np.eye(3), lambda z: 1 + z * z,
                                   alpha_ell=1.0, beta_ell=2.0).separable
     # a field without waves is a constant one
@@ -88,12 +88,12 @@ def test_separable_follows_structure_not_class():
     assert not coefs.CoefficientField(3, np.eye(3), waves=[wave],
                                       alpha_ell=0.5, beta_ell=1.5).separable
     # a constant matrix that couples two axes
-    assert not coefs.constant_field(3, [[1.0, 0.3, 0.0], [0.3, 1.0, 0.0],
+    assert not constant_field(3, [[1.0, 0.3, 0.0], [0.3, 1.0, 0.0],
                                         [0.0, 0.0, 1.0]]).separable
 
 
 def test_check_ellipticity_identity():
-    alpha, beta = coefs.check_ellipticity(coefs.constant_field(2))
+    alpha, beta = coefs.check_ellipticity(constant_field(2))
     assert alpha == pytest.approx(1.0, abs=1e-12)
     assert beta == pytest.approx(1.0, abs=1e-12)
 

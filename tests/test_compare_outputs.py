@@ -110,3 +110,31 @@ def test_vanished_file_exits_one(tmp_path, monkeypatch, capsys):
         out = capsys.readouterr().out
         assert "b.csv: missing on one side" in out
         assert "a.csv: byte-identical" in out
+
+
+def test_tally_ends_the_output(tmp_path, monkeypatch, capsys):
+    # the last line counts the byte-identical files among all files of all
+    # commands, and the commands whose exit status or verdicts differ
+    fake_trees(tmp_path, monkeypatch, {"old": ["a.csv", "b.csv"],
+                                       "new": ["a.csv"]})
+    assert compare_outputs.main() == 1
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "5 of 10 files byte-identical; 0 commands differ in exit or verdicts"
+
+
+def test_tally_counts_commands_that_differ(tmp_path, monkeypatch, capsys):
+    # a tree whose diag fails differs in one command; the exit status of the
+    # comparison does not change for the tally
+    fake_trees(tmp_path, monkeypatch, {"old": ["a.csv"], "new": ["a.csv"]})
+    run = compare_outputs.run
+
+    def failing_diag(tree, command, config, outdir):
+        code, seen = run(tree, command, config, outdir)
+        if Path(tree).name == "new" and command == ["diag"]:
+            return 1, []
+        return code, seen
+
+    monkeypatch.setattr(compare_outputs, "run", failing_diag)
+    assert compare_outputs.main() == 1
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "5 of 5 files byte-identical; 1 commands differ in exit or verdicts"

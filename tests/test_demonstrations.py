@@ -10,11 +10,11 @@ norm slopes approaching their limits as the layer thins.
 import numpy as np
 import pytest
 
-from thinflow.coefficients import FluidParams, constant_field
+from thinflow.coefficients import FluidParams
 from thinflow.meshing import Geometry, build_thin_mesh
 from thinflow.microscale import solve_dlb
 
-from helpers import layer_norms
+from helpers import constant_field, layer_norms
 from test_microscale import energy_balance
 
 PS = 2 * np.pi   # the horizontal box is (0, 1/2)^2

@@ -15,12 +15,12 @@ from thinflow.assembly import (FunctionSpace, assemble_diffusion,
                                assemble_divergence, assemble_load,
                                assemble_mass, axis_divergence, axis_pencils,
                                pressure_gauge)
-from thinflow.cell_problems import _laplacian_pencils, _level_pencils
+from thinflow.cell_problems import _laplacian_pencils
 from thinflow.errors import SingularSystemError
 from thinflow.linalg import (BlockSaddleSolver, KroneckerSum, SaddleSolver,
                              SaddleSystem, SolveCounts, _cahouet_chabard,
-                             _gauge_and_pin, _KroneckerSumFunction, _norm,
-                             residual, solve_gauged_spd, solve_sparse)
+                             _gauge_and_pin, _norm, residual,
+                             solve_gauged_spd, solve_sparse)
 from thinflow.meshing import Geometry, build_cell_mesh, build_thin_mesh
 
 from helpers import cahouet_chabard_reference, interpolate, oseen_matrix
@@ -279,10 +279,8 @@ def test_cahouet_chabard_matches_unpinned_reference(geometry):
     gauge = pressure_gauge(Q)
     res = np.random.default_rng(3).standard_normal((3, Q.ndof))
     for nu, sigma in ((1.0, 0.0), (0.0, 1.0), (1.0, 3.0 / 0.125 ** 2)):
-        apply = _KroneckerSumFunction(
-            axis_pencils(Q), Q.ndof, "pressure",
-            functools.partial(_cahouet_chabard, nu, sigma),
-            neumann=True).solve
+        apply = KroneckerSum(axis_pencils(Q)).function(
+            functools.partial(_cahouet_chabard, nu, sigma), neumann=True)
         reference = cahouet_chabard_reference(Q, nu, sigma)
         for r in res:
             z, ref = apply(r), reference(r)
@@ -309,10 +307,8 @@ def test_cahouet_chabard_matches_pinned_lu_reference(geometry, where):
     res = np.random.default_rng(3).standard_normal((3, Q.ndof))
     res -= np.multiply.outer(res.sum(axis=1), gauge) / gauge.sum()
     for nu, sigma in ((1.0, 0.0), (0.0, 1.0), (1.0, 3.0 / 0.125 ** 2)):
-        apply = _KroneckerSumFunction(
-            axis_pencils(Q), Q.ndof, "pressure",
-            functools.partial(_cahouet_chabard, nu, sigma),
-            neumann=True).solve
+        apply = KroneckerSum(axis_pencils(Q)).function(
+            functools.partial(_cahouet_chabard, nu, sigma), neumann=True)
         reference = cahouet_chabard_reference(Q, nu, sigma, pin=pin)
         for r in res:
             ref = reference(r)
@@ -320,9 +316,10 @@ def test_cahouet_chabard_matches_pinned_lu_reference(geometry, where):
                 <= 1e-12 * np.linalg.norm(ref)
 
 
-# the pressure pencil of a 2-dof toy system: one axis, unit mass and the
+# the pressure operator of a 2-dof toy system: one axis, unit mass and the
 # Neumann Laplacian of one element
-TOY_PENCILS = [(np.eye(2), np.array([[1.0, -1.0], [-1.0, 1.0]]))]
+TOY_PRESSURE = KroneckerSum([(np.eye(2),
+                              np.array([[1.0, -1.0], [-1.0, 1.0]]))])
 
 
 def test_block_solver_falls_back_to_direct_path():
@@ -342,7 +339,7 @@ def test_block_solver_falls_back_to_direct_path():
     load = np.arange(1.0, 13.0)
     counts = SolveCounts()
     solver = BlockSaddleSolver([block] * 2, [factors] * 2, np.ones(2), load,
-                               TOY_PENCILS, nu=1.0, sigma=1.0, counts=counts)
+                               TOY_PRESSURE, nu=1.0, sigma=1.0, counts=counts)
     u, p = solver.solve(tol=1e-10)
     assert residual(SaddleSystem(K=K, B=B, gauge=np.ones(2), rhs_u=load),
                     (u, p)) <= 1e-10
@@ -365,12 +362,13 @@ def cell_level(counts):
     mesh = build_cell_mesh(Geometry(2, (1.0,), 0.125), 4, 8)
     V = FunctionSpace(mesh, "velocity", wall_components=(1,))
     Q = FunctionSpace(mesh, "pressure")
-    natural, clamped = (_level_pencils(pencils, s, mu)
-                        for pencils in _laplacian_pencils(V))
+    natural, clamped = (block.shifted(s, mu)
+                        for block in _laplacian_pencils(V))
     load = assemble_load(V, np.array([0.0, 1.0]))
     solver = BlockSaddleSolver([natural, clamped], axis_divergence(V, Q),
-                               pressure_gauge(Q), load, axis_pencils(Q),
-                               nu=s, sigma=mu, counts=counts)
+                               pressure_gauge(Q), load,
+                               KroneckerSum(axis_pencils(Q)), nu=s, sigma=mu,
+                               counts=counts)
     system = SaddleSystem(
         K=(s * assemble_diffusion(V) + mu * assemble_mass(V)).tocsr(),
         B=assemble_divergence(V, Q), gauge=pressure_gauge(Q), rhs_u=load)
@@ -426,7 +424,7 @@ _LAYOUT_SCRIPT = textwrap.dedent("""
     import numpy as np
     import scipy.sparse as sp
     from thinflow.errors import ComponentLayoutError
-    from thinflow.linalg import BlockSaddleSolver
+    from thinflow.linalg import BlockSaddleSolver, KroneckerSum
 
     toy = [(np.eye(2), np.array([[1.0, -1.0], [-1.0, 1.0]]))]
     pair = (np.ones((2, 2)),) * 2
@@ -440,15 +438,16 @@ _LAYOUT_SCRIPT = textwrap.dedent("""
                     [[pair, (np.ones((1, 1)),) * 2]] * 2,
                     toy * 2, 4),
         # block pencils of 2 axes for divergence factors of one
-        "block_pencils": ([toy * 2], [[pair]], toy, 4),
+        "block_pencils": ([KroneckerSum(toy * 2)], [[pair]], toy, 4),
         # divergence factors of 1 x 4 velocity dofs per axis for block
         # pencils of 2 x 2: the products agree, the axes do not
-        "divergence": ([toy * 2] * 2,
+        "divergence": ([KroneckerSum(toy * 2)] * 2,
                        [[(np.ones((2, 1)),) * 2,
                          (np.ones((1, 4)),) * 2]] * 2,
                        toy, 8),
         # one block for two components
-        "components": ([toy * 2], [[pair, pair]] * 2, toy * 2, 8),
+        "components": ([KroneckerSum(toy * 2)], [[pair, pair]] * 2, toy * 2,
+                       8),
         # components whose divergence factors have 2 x 1 and 1 x 2
         # pressure rows
         "pressure": ([sp.identity(2, format="csr")] * 2,
@@ -458,8 +457,8 @@ _LAYOUT_SCRIPT = textwrap.dedent("""
     }
     for name, (block, B, pencils, n_u) in cases.items():
         try:
-            BlockSaddleSolver(block, B, np.ones(2), np.ones(n_u), pencils,
-                              nu=1.0, sigma=1.0)
+            BlockSaddleSolver(block, B, np.ones(2), np.ones(n_u),
+                              KroneckerSum(pencils), nu=1.0, sigma=1.0)
         except ComponentLayoutError:
             print(name, "raised", __debug__)
 """)
@@ -538,6 +537,7 @@ def test_gauged_kronecker_sum_falls_back_to_the_lu(monkeypatch):
     want = solve_gauged_spd(K.assembled(), rhs, gauge, tol=1e-12)
     got = solve_gauged_spd(K, rhs, gauge, tol=1e-12)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    monkeypatch.setattr(_KroneckerSumFunction, "solve",
-                        lambda self, rhs: np.full_like(rhs, np.nan))
+    monkeypatch.setattr(KroneckerSum, "function",
+                        lambda self, g, neumann=False:
+                        lambda rhs: np.full_like(rhs, np.nan))
     assert np.array_equal(solve_gauged_spd(K, rhs, gauge, tol=1e-12), want)

@@ -36,6 +36,8 @@ from thinflow.meshing import (Geometry, build_thin_mesh, composite_gauss,
                               grid_points, tensor_rule)
 from thinflow.microscale import solve_dlb
 
+from helpers import constant_field
+
 EPS, MU, K, RHO = 0.25, 4.0, 1.0, 1.0     # porosity phi = 1
 # velocity amplitude: the convection is about half the drag (0.6 in d = 2,
 # 0.5 in d = 3, in L2), while the shear, at 1/eps^2, dominates both
@@ -143,7 +145,7 @@ def case_field(name):
     if zeta is not None:
         return coefs.CoefficientField(d, np.diag(diag), lambda y: 1 + y * y,
                                       alpha_ell=1.0, beta_ell=2.0)
-    return coefs.constant_field(d, np.diag(diag))
+    return constant_field(d, np.diag(diag))
 
 
 def l2_error(space, coeffs, reference):

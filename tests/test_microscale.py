@@ -1,4 +1,5 @@
 import collections
+import copy
 import gc
 import weakref
 from pathlib import Path
@@ -17,18 +18,18 @@ from thinflow.assembly import (DiscreteField, FunctionSpace, _rule_slabs,
                                assemble_mass, axis_divergence, axis_pencils,
                                element_gauss_axes, pressure_gauge)
 from thinflow.errors import InvalidResolutionError, PicardDivergenceError
-from thinflow.harness import load_config
-from thinflow.linalg import (BlockSaddleSolver, SaddleSystem, SolveCounts,
-                             residual, solve_sparse)
+from thinflow.harness import load_config, solve_cells
+from thinflow.linalg import (BlockSaddleSolver, KroneckerSum, SaddleSystem,
+                             SolveCounts, residual, solve_sparse)
 from thinflow.meshing import (Geometry, TensorMesh, build_cell_mesh,
                               build_thin_mesh)
 from thinflow.microscale import solve_dlb
 from thinflow.two_scale import poincare_wirtinger_ratio
 
-from helpers import (interpolate, layer_norms, oseen_matrix, refuse_sparse,
-                     translated)
+from helpers import (constant_field, interpolate, layer_norms,
+                     oseen_matrix, refuse_sparse, translated)
 
-IDENT = coefs.constant_field(2)
+IDENT = constant_field(2)
 CONFIGS = Path(__file__).parent.parent / "configs"
 
 
@@ -87,7 +88,7 @@ def d3_forcing(xb):
 def d3_flow(rho, eps=0.125):
     """The d = 3 layer driven by d3_forcing, and its DNS at density rho."""
     mesh = build_thin_mesh(Geometry(3, (0.5, 0.5), eps), 2, 2)
-    field = coefs.constant_field(3)
+    field = constant_field(3)
     params = coefs.FluidParams(mu=1.0, rho=rho, f1=d3_forcing)
     return mesh, field, params, solve_dlb(mesh, field, params,
                                           K_eps=eps ** 2)
@@ -158,7 +159,7 @@ PERIODIC_D3 = coefs.CoefficientField(
 
 @pytest.mark.parametrize("field", [
     PERIODIC_D3,
-    coefs.constant_field(3, [[1.0, 0.3, 0.0], [0.3, 1.0, 0.0],
+    constant_field(3, [[1.0, 0.3, 0.0], [0.3, 1.0, 0.0],
                              [0.0, 0.0, 1.0]])], ids=["periodic", "coupled"])
 def test_d3_non_separable_layer_factors_its_block(monkeypatch, field):
     # a coefficient that varies horizontally or couples two axes makes no
@@ -407,10 +408,10 @@ def dns_system(mesh, field, params, K_eps):
     factors = axis_divergence(V, Q)
 
     def block_solver(counts, distinct=False):
-        blocks = [block.copy() for _ in range(mesh.ndim)] if distinct \
+        blocks = [copy.copy(block) for _ in range(mesh.ndim)] if distinct \
             else [block] * mesh.ndim
         return BlockSaddleSolver(blocks, factors, system.gauge, system.rhs_u,
-                                 axis_pencils(Q), nu=1.0,
+                                 KroneckerSum(axis_pencils(Q)), nu=1.0,
                                  sigma=params.mu / K_eps, counts=counts)
 
     return V, system, block_solver
@@ -441,7 +442,7 @@ def test_block_solve_matches_pinned_lu_d3():
     # a separable layer: the block's inverse needs no factorization
     mesh = build_thin_mesh(Geometry(3, (0.5, 0.5), 0.125), 2, 2)
     params = coefs.FluidParams(mu=1.0, rho=1.0, f1=d3_forcing)
-    V, system, block_solver = dns_system(mesh, coefs.constant_field(3),
+    V, system, block_solver = dns_system(mesh, constant_field(3),
                                          params, K_eps=0.125 ** 2)
     assert_matches_pinned_lu(V, system, block_solver, params,
                              factorizations=0)
@@ -472,7 +473,7 @@ def test_block_solve_matches_pinned_lu_drag_dominated_d2():
 def test_block_solve_warm_start_takes_no_iterations():
     mesh = build_thin_mesh(Geometry(3, (0.5, 0.5), 0.125), 2, 2)
     params = coefs.FluidParams(mu=1.0, f1=d3_forcing)
-    _, system, block_solver = dns_system(mesh, coefs.constant_field(3),
+    _, system, block_solver = dns_system(mesh, constant_field(3),
                                          params, K_eps=0.125 ** 2)
     counts = SolveCounts()
     solver = block_solver(counts)
@@ -513,7 +514,7 @@ def layer_solves():
     warm one and an unchanged repeat, none from a given start."""
     mesh = build_thin_mesh(Geometry(3, (0.5, 0.5), 0.125), 2, 2)
     params = coefs.FluidParams(mu=1.0, f1=d3_forcing)
-    V, system, block_solver = dns_system(mesh, coefs.constant_field(3),
+    V, system, block_solver = dns_system(mesh, constant_field(3),
                                          params, K_eps=0.125 ** 2)
     for _ in block_solves(V, system, block_solver(SolveCounts())):
         pass
@@ -577,7 +578,7 @@ def test_grouping_only_shares_work(separable):
     # decompose or factor every copy, and return the pairs of one block
     # shared by all components bit for bit, with the same CG iterations
     mesh = build_thin_mesh(Geometry(3, (0.5, 0.5), 0.125), 2, 2)
-    field = coefs.constant_field(3) if separable else PERIODIC_D3
+    field = constant_field(3) if separable else PERIODIC_D3
     params = coefs.FluidParams(mu=1.0, f1=d3_forcing)
     V, system, block_solver = dns_system(mesh, field, params,
                                          K_eps=0.125 ** 2)
@@ -606,7 +607,7 @@ def test_block_solve_meets_recomputed_residual(separable):
     # start, a warm one and an unchanged repeat, whose check reads nothing
     # but the kept products
     mesh = build_thin_mesh(Geometry(3, (0.5, 0.5), 0.125), 2, 2)
-    field = coefs.constant_field(3) if separable else PERIODIC_D3
+    field = constant_field(3) if separable else PERIODIC_D3
     params = coefs.FluidParams(mu=1.0, f1=d3_forcing)
     V, system, block_solver = dns_system(mesh, field, params,
                                          K_eps=0.125 ** 2)
@@ -626,7 +627,7 @@ def test_missed_check_falls_back_without_kept_products():
     # residual check
     mesh = build_thin_mesh(Geometry(3, (0.5, 0.5), 0.125), 2, 2)
     params = coefs.FluidParams(mu=1.0, f1=d3_forcing)
-    V, system, block_solver = dns_system(mesh, coefs.constant_field(3),
+    V, system, block_solver = dns_system(mesh, constant_field(3),
                                          params, K_eps=0.125 ** 2)
     counts = SolveCounts()
     solver = block_solver(counts)
@@ -658,7 +659,7 @@ def test_block_solver_calls_no_scipy_linalg(monkeypatch, separable):
 
             monkeypatch.setattr(scipy.linalg, name, spy)
     mesh = build_thin_mesh(Geometry(3, (0.5, 0.5), 0.125), 2, 2)
-    field = coefs.constant_field(3) if separable else PERIODIC_D3
+    field = constant_field(3) if separable else PERIODIC_D3
     params = coefs.FluidParams(mu=1.0, f1=d3_forcing)
     V, system, block_solver = dns_system(mesh, field, params,
                                          K_eps=0.125 ** 2)
@@ -677,7 +678,7 @@ def test_block_solve_builds_no_sparse_matrix(monkeypatch, separable):
     # kept on the solver), and it takes every norm with linalg._norm, never
     # with np.linalg.norm, whose BLAS ddot wakes the BLAS threads
     mesh = build_thin_mesh(Geometry(3, (0.5, 0.5), 0.125), 2, 2)
-    field = coefs.constant_field(3) if separable else PERIODIC_D3
+    field = constant_field(3) if separable else PERIODIC_D3
     params = coefs.FluidParams(mu=1.0, f1=d3_forcing)
     _, _, block_solver = dns_system(mesh, field, params, K_eps=0.125 ** 2)
     counts = SolveCounts()
@@ -775,12 +776,43 @@ def test_equal_pencils_decomposed_once(monkeypatch):
     for kind, decompositions in (("eps=1/8", 2), ("periodic", 3)):
         mesh, eps = layer_mesh(kind)
         S = FunctionSpace(mesh, "component")
-        pencils = microscale._block_pencils(S, coefs.constant_field(3), eps,
-                                            1.0)
+        block = microscale._block_pencils(S, constant_field(3), eps,
+                                          1.0)
         calls.clear()
-        linalg._KroneckerSumFunction(pencils, S.ndof, "velocity block",
-                                     np.reciprocal)
+        block.function(np.reciprocal)
         assert len(calls) == decompositions
+
+
+def test_each_distinct_pencil_decomposed_once_per_computation(monkeypatch):
+    # one _pencil_eigh per distinct 1-D pencil of a computation, listed by
+    # its length in the order of the calls: the regime-ii ladder of
+    # regime_ii decomposes the natural x and z pencils of its Laplacian, the
+    # clamped z one (its x pencil is the natural one) and the two pressure
+    # pencils, once for all levels; homogenization_d3's regime-i cell and
+    # its eps = 1/32 layer decompose a horizontal pencil shared by both
+    # axes and a z pencil, for the velocity block and for the pressure
+    calls = []
+    eigh = linalg._pencil_eigh
+
+    def spy(stiffness, mass):
+        calls.append(stiffness.shape[0])
+        return eigh(stiffness, mass)
+
+    monkeypatch.setattr(linalg, "_pencil_eigh", spy)
+    solve_cells(load_config(CONFIGS / "regime_ii.json"), "ii")
+    assert calls == [16, 65, 63, 8, 33]
+    config = load_config(CONFIGS / "homogenization_d3.json")
+    calls.clear()
+    solve_cells(config, "i")
+    assert len(calls) == 4
+    eps = 1.0 / 32
+    assert eps in config.eps_list
+    mesh = build_thin_mesh(config.geometry.with_eps(eps),
+                           config.numerics["dns_elements_per_period"],
+                           config.numerics["dns_nz"])
+    calls.clear()
+    solve_dlb(mesh, config.field, config.params, config.regime.K_eps(eps))
+    assert calls == [33, 3, 63, 3]
 
 
 def decomposed_pencils(kind):
@@ -788,14 +820,14 @@ def decomposed_pencils(kind):
     if kind == "periodic":
         mesh, eps = layer_mesh("periodic")
         S = FunctionSpace(mesh, "component")
-        return microscale._block_pencils(S, coefs.constant_field(3), eps,
-                                         1.0 / eps ** 2)
+        return microscale._block_pencils(S, constant_field(3), eps,
+                                         1.0 / eps ** 2).pencils
     mesh = build_thin_mesh(Geometry(3, (0.5, 0.5), 0.0625), 2, 2)
     if kind == "pressure":
         return axis_pencils(FunctionSpace(mesh, "pressure"))
     S = FunctionSpace(mesh, "component")
     return microscale._block_pencils(S, SEPARABLE_D3["zeta_profile"],
-                                     0.0625, 1.0)[-1:]
+                                     0.0625, 1.0).pencils[-1:]
 
 
 @pytest.mark.parametrize("kind", ["periodic", "pressure", "profile_z"])
@@ -815,7 +847,7 @@ def test_pencil_eigh_decomposes(kind):
 
 
 SEPARABLE_D3 = {
-    "constant": coefs.constant_field(3, np.diag([1.0, 2.0, 0.5])),
+    "constant": constant_field(3, np.diag([1.0, 2.0, 0.5])),
     "zeta_profile": coefs.CoefficientField(
         3, np.eye(3), lambda z: 1 + z * z, alpha_ell=1.0, beta_ell=2.0)}
 
@@ -831,12 +863,11 @@ def test_block_inverse_matches_lu(name):
     mesh = build_thin_mesh(Geometry(3, (0.5, 0.5), eps), 2, 2)
     S = FunctionSpace(mesh, "component")
     block = assemble_diffusion(S, field.scaled(eps), drag=sigma)
-    inverse = linalg._KroneckerSumFunction(
-        microscale._block_pencils(S, field, eps, sigma), S.ndof,
-        "velocity block", np.reciprocal)
+    inverse = microscale._block_pencils(S, field, eps, sigma).function(
+        np.reciprocal)
     rhs = np.random.default_rng(5).standard_normal((S.ndof, 3))
     ref = linalg._splu(block).solve(rhs)
-    assert np.abs(inverse.solve(rhs) - ref).max() \
+    assert np.abs(inverse(rhs) - ref).max() \
         <= 1e-12 * np.abs(ref).max()
 
 
@@ -878,7 +909,8 @@ def test_tensor_operators_match_assembled(kind, name):
     block = assemble_diffusion(S, field.scaled(eps), drag=sigma)
     pencils = microscale._block_pencils(S, field, eps, sigma)
     solver = BlockSaddleSolver([pencils] * 3, factors, pressure_gauge(Q),
-                               np.zeros(V.ndof), axis_pencils(Q), nu=1.0,
+                               np.zeros(V.ndof),
+                               KroneckerSum(axis_pencils(Q)), nu=1.0,
                                sigma=sigma)
     rng = np.random.default_rng(7)
     u, q = rng.standard_normal(V.ndof), rng.standard_normal(Q.ndof)
@@ -928,7 +960,7 @@ def test_wrong_block_inverse_falls_back_to_direct_path():
     # to the pinned LU of the system built from the Kronecker products,
     # whose answer meets the tolerance of the assembled system
     mesh = build_thin_mesh(Geometry(3, (0.5, 0.5), 0.125), 2, 2)
-    field, eps = coefs.constant_field(3), 0.125
+    field, eps = constant_field(3), 0.125
     params = coefs.FluidParams(mu=1.0, f1=d3_forcing)
     _, system, block_solver = dns_system(mesh, field, params, K_eps=eps ** 2)
     counts = SolveCounts()
@@ -947,7 +979,7 @@ def test_schur_iterations_flat_in_eps_d3():
     params = coefs.FluidParams(mu=1.0, rho=0.0, f1=d3_forcing)
     for eps in (0.125, 0.0625):
         mesh = build_thin_mesh(Geometry(3, (0.5, 0.5), eps), 2, 2)
-        sol = solve_dlb(mesh, coefs.constant_field(3), params,
+        sol = solve_dlb(mesh, constant_field(3), params,
                         K_eps=eps ** 2)
         assert sol.picard_iterations == 1
         assert sol.solver_counts["direct_fallbacks"] == 0

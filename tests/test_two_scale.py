@@ -18,15 +18,15 @@ from thinflow.meshing import (Geometry, build_cell_mesh, build_macro_mesh,
                               build_thin_mesh, composite_gauss, tensor_rule)
 from thinflow.microscale import solve_dlb
 from thinflow.two_scale import (OscillatingTestFunction, _field_sample,
-                                _layer_rules, layer_checks, layer_moments,
-                                limit_pairing,
+                                _layer_rules, layer_checks, limit_pairing,
                                 oscillation_limit_table,
                                 poincare_wirtinger_ratio, two_scale_distance,
                                 two_scale_pairing)
 from thinflow.upscaling import (TwoScaleVelocity, effective_matrix,
                                 reconstruct_two_scale_velocity)
 
-from helpers import (distance_reference, interpolate, layer_quadrature,
+from helpers import (constant_field, distance_reference, interpolate,
+                     layer_moments, layer_quadrature,
                      limit_pairing_reference, macro_values, on_grid,
                      probe_values, quadrature_sample, thin_average,
                      two_scale_values)
@@ -453,7 +453,7 @@ def d3_forcing(xb):
 @pytest.fixture(scope="module")
 def d3_layer():
     """DNS velocity on one d = 3 layer and its two-scale limit (regime i)."""
-    field = coefs.constant_field(3)
+    field = constant_field(3)
     params = coefs.FluidParams(mu=1.0, rho=1.0, f1=d3_forcing)
     sol = solve_dlb(build_thin_mesh(D3_GEOM, 2, 2), field, params,
                     K_eps=D3_EPS ** 2)

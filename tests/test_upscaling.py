@@ -8,10 +8,10 @@ from thinflow.macro_model import solve_macro
 from thinflow.meshing import Geometry, build_cell_mesh, build_macro_mesh
 from thinflow.upscaling import effective_matrix, reconstruct_two_scale_velocity
 
-from helpers import on_grid, two_scale_values
+from helpers import constant_field, on_grid, two_scale_values
 
 GEOM = Geometry(2, (1.0,), 0.125)
-IDENT = coefs.constant_field(2)
+IDENT = constant_field(2)
 
 
 def test_balanced_oracle():

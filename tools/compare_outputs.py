@@ -10,9 +10,10 @@ lines agree, and per file "byte-identical" or, for a CSV, the drift of each
 column that differs: the largest relative drift |a - b| / max(|a|, |b|) of
 an entry, the row of that entry named by the file's first column (check in
 report.csv, eps in sweep.csv), and in parentheses the largest |a - b|
-against the column's largest magnitude.  Exits with status 1 if an exit
-status or the verdict lines of a command differ between the trees, or if
-only one tree writes a file, and 0 otherwise."""
+against the column's largest magnitude.  Ends with the tally "N of M files
+byte-identical; K commands differ in exit or verdicts".  Exits with status
+1 if an exit status or the verdict lines of a command differ between the
+trees, or if only one tree writes a file, and 0 otherwise."""
 
 import argparse
 import csv
@@ -82,6 +83,7 @@ def main():
     args = parser.parse_args()
     work = Path(args.work or tempfile.mkdtemp(prefix="compare_outputs_"))
     same = True
+    identical = files = commands = 0
     for config in sorted(Path(args.old, "configs").glob("*.json")):
         for label, command in COMMANDS.items():
             dirs = [work / side / config.stem / label for side in "ab"]
@@ -91,17 +93,23 @@ def main():
             print(f"{config.stem} {' '.join(command)}: "
                   f"exit {code_a} -> {code_b}, "
                   f"verdicts {'same' if seen_a == seen_b else 'DIFFERENT'}")
-            same = same and code_a == code_b and seen_a == seen_b
+            agree = code_a == code_b and seen_a == seen_b
+            same = same and agree
+            commands += not agree
             for name in sorted({p.name for d in dirs for p in d.glob("*")}):
                 a, b = (d / name for d in dirs)
+                files += 1
                 if not (a.exists() and b.exists()):
                     verdict = "missing on one side"
                     same = False
                 elif a.read_bytes() == b.read_bytes():
                     verdict = "byte-identical"
+                    identical += 1
                 else:
                     verdict = drift(a, b) if a.suffix == ".csv" else "differs"
                 print(f"  {name}: {verdict}")
+    print(f"{identical} of {files} files byte-identical; {commands} "
+          f"commands differ in exit or verdicts")
     return 0 if same else 1
 
 
