@@ -89,7 +89,7 @@ def test_separable_follows_structure_not_class():
                                       alpha_ell=0.5, beta_ell=1.5).separable
     # a constant matrix that couples two axes
     assert not constant_field(3, [[1.0, 0.3, 0.0], [0.3, 1.0, 0.0],
-                                        [0.0, 0.0, 1.0]]).separable
+                                  [0.0, 0.0, 1.0]]).separable
 
 
 def test_check_ellipticity_identity():

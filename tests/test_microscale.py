@@ -160,7 +160,7 @@ PERIODIC_D3 = coefs.CoefficientField(
 @pytest.mark.parametrize("field", [
     PERIODIC_D3,
     constant_field(3, [[1.0, 0.3, 0.0], [0.3, 1.0, 0.0],
-                             [0.0, 0.0, 1.0]])], ids=["periodic", "coupled"])
+                       [0.0, 0.0, 1.0]])], ids=["periodic", "coupled"])
 def test_d3_non_separable_layer_factors_its_block(monkeypatch, field):
     # a coefficient that varies horizontally or couples two axes makes no
     # Kronecker sum: the layer factors its scalar block, once, and takes
