@@ -19,7 +19,7 @@ walls clamped) assembles alone.
 
 Each square operator is summed into a fixed CSR pattern, built once per
 distinct free set; scipy is imported only where a CSR matrix is built
-(_fill, _block_diagonal and the long axes of _interpolation).  The free
+(_fill and _block_diagonal).  The free
 nodes of a component are a tensor product of per-axis sets, so the pattern
 is the Kronecker product of 1-D patterns, and a slot map built from them,
 axis by axis and with no sort, places every element-local entry
@@ -37,12 +37,17 @@ divergence's.  The divergence has one form: the block of each velocity
 component is a Kronecker product of 1-D mass and derivative matrices
 (_divergence_factors, one list per component: axis_divergence), applied
 axis by axis on the block path (d = 3 layers, the regime-ii cell) and
-assembled from them everywhere else.
+assembled from them everywhere else.  The saddle matrix of a d = 2 layer
+is block tridiagonal when its unknowns are numbered by element columns
+along the layer: assemble_column_saddle adds the same element matrices and
+divergence factor products straight into that block storage
+(linalg.BlockTridiagonal), so a layer builds no CSR matrix.
 
 Discrete fields are sampled at Gauss points by sum factorization
 (meshing._kron_apply), one 1D interpolation matrix per axis, which the
 space builds once and keeps: dense on a short axis, so that the axis takes
-one BLAS product, and sparse on a long one (_DENSE_NODES).  Each norm
+one BLAS product, and on a long one (_DENSE_NODES) a gather of the rows
+that its order + 1 nodes per point name (_Gather).  Each norm
 samples on the smallest Gauss rule exact for its integrand, one slab of the
 grid at a time (_rule_slabs), and sums the slabs in order.  A field keeps a
 read-only copy of its coefficients and expands its lattice array once; it
@@ -62,9 +67,11 @@ import itertools
 
 import numpy as np
 
-from .errors import AsymmetricOperatorError, SpaceMismatchError
-from .meshing import (_kron_apply, _kron_row, composite_gauss, gauss_rule,
-                      grid_points, grid_values, tensor_rule)
+from .errors import (AsymmetricOperatorError, ComponentLayoutError,
+                     SpaceMismatchError)
+from .linalg import BlockTridiagonal
+from .meshing import (_kron_apply, _kron_row, _term, composite_gauss,
+                      gauss_rule, grid_points, grid_values, tensor_rule)
 
 _SYM_CHECK_REL = 1e-13
 # Gauss points per axis and element of the bilinear forms and the loads
@@ -78,7 +85,8 @@ _VANISHING = 1e-8
 _SLAB_ENTRIES = 2 ** 17
 # a lattice axis of at most this many nodes interpolates by a dense matrix,
 # applied with one BLAS product; a longer one (the d = 2 layers' horizontal
-# axes) by a sparse one, whose dense form would cost memory
+# axes) by a gather of its nodes and weights (_Gather), since its dense
+# form would cost memory
 _DENSE_NODES = 128
 
 
@@ -93,18 +101,25 @@ def _slabs(shape, per_point):
             for i in range(0, shape[0], step)]
 
 
+def _basis_columns(order, x, deriv):
+    """The 1D Lagrange basis functions of the order on [-1, 1] at x, or
+    their derivatives when deriv is set: one array per basis function."""
+    if order == 1:
+        if deriv:
+            return np.full_like(x, -0.5), np.full_like(x, 0.5)
+        return (1 - x) / 2, (1 + x) / 2
+    if order == 2:
+        if deriv:
+            return x - 0.5, -2 * x, x + 0.5
+        return x * (x - 1) / 2, 1 - x * x, x * (x + 1) / 2
+    raise ValueError(f"unsupported order {order}")
+
+
 def _shape1d(order, x):
     """Values and derivatives of the 1D Lagrange basis on [-1, 1]."""
     x = np.asarray(x, dtype=float)
-    if order == 1:
-        vals = np.stack([(1 - x) / 2, (1 + x) / 2], axis=-1)
-        ders = np.stack([np.full_like(x, -0.5), np.full_like(x, 0.5)], axis=-1)
-    elif order == 2:
-        vals = np.stack([x * (x - 1) / 2, 1 - x * x, x * (x + 1) / 2], axis=-1)
-        ders = np.stack([x - 0.5, -2 * x, x + 0.5], axis=-1)
-    else:
-        raise ValueError(f"unsupported order {order}")
-    return vals, ders
+    return tuple(np.stack(_basis_columns(order, x, deriv), axis=-1)
+                 for deriv in (False, True))
 
 
 class FunctionSpace:
@@ -285,19 +300,64 @@ def _axis_basis(space, a, x, deriv=False):
     x = np.asarray(x, dtype=float)
     if mesh.periodic[a]:
         x = axis[0] + np.mod(x - axis[0], axis[-1] - axis[0])
-    h = mesh.spacings[a]
-    e = np.clip(((x - axis[0]) / h).astype(np.int64), 0,
-                mesh.n_elements[a] - 1)
-    vals, ders = _shape1d(p, 2 * (x - axis[e]) / h - 1)
-    return _element_nodes(space, a, e), (ders * (2.0 / h) if deriv else vals)
+    h = float(axis[1] - axis[0])
+    # the element of each coordinate, the ends clamped onto the axis
+    e = ((x - axis[0]) / h).astype(np.int64)
+    np.minimum(e, axis.size - 2, out=e)
+    np.maximum(e, 0, out=e)
+    nodes = e[:, None] * p + np.arange(p + 1)
+    if mesh.periodic[a]:
+        np.mod(nodes, space.lattice_sizes[a], out=nodes)
+    weights = np.empty(nodes.shape)
+    for k, column in enumerate(_basis_columns(p, 2 * (x - axis[e]) / h - 1,
+                                              deriv)):
+        weights[:, k] = column * (2.0 / h) if deriv else column
+    return nodes, weights
+
+
+class _Gather:
+    """A matrix with the same number of entries in every row, held as the
+    column index (rows, k) and the value weights (rows, k) of each entry:
+    the interpolation matrix of a long axis, and its transpose, whose rows
+    are padded with zero weights.  m @ x, for x of one column per sample,
+    adds weights[:, j] x[index[:, j]] over j in order: k gathers of rows of
+    x, and no scatter."""
+
+    def __init__(self, index, weights, ncols):
+        self.index, self.weights = index, weights[:, :, None]
+        self.shape = (index.shape[0], ncols)
+
+    def __matmul__(self, x):
+        out = self.weights[:, 0] * x[self.index[:, 0]]
+        for j in range(1, self.index.shape[1]):
+            out += self.weights[:, j] * x[self.index[:, j]]
+        return out
+
+    @classmethod
+    def transposed(cls, index, weights, ncols):
+        """The transpose of the gather (index, weights) of ncols columns:
+        row l lists the entries of column l, in row order."""
+        flat = index.ravel()
+        order = np.argsort(flat, kind="stable")
+        counts = np.bincount(flat, minlength=ncols)
+        place = np.arange(flat.size) - np.repeat(np.cumsum(counts) - counts,
+                                                 counts)
+        width = max(int(counts.max(initial=0)), 1)
+        rows = np.zeros((ncols, width), dtype=np.intp)
+        values = np.zeros((ncols, width))
+        rows[flat[order], place] = order // index.shape[1]
+        values[flat[order], place] = weights.ravel()[order]
+        return cls(rows, values, index.shape[0])
 
 
 def _interpolation(space, a, x, deriv=False):
     """1D interpolation matrix (len(x), lattice size) along axis a, order +
     1 entries per row, periodic wrap included, and its transpose.  A short
     axis (at most _DENSE_NODES lattice nodes) gets a dense array, whose
-    transpose is a view of it; a longer one a CSR matrix.  Both are built
-    once per space and kept on it; callers must not modify them."""
+    transpose is a view of it; a longer one a gather of the nodes and
+    weights of _axis_basis (_Gather), whose transpose is a gather padded to
+    the most entries of a lattice node.  Both are built once per space and
+    kept on it; callers must not modify them."""
     x = np.asarray(x, dtype=float)
     key = (a, bool(deriv), x.tobytes())
     pair = space._interpolations.get(key)
@@ -307,14 +367,11 @@ def _interpolation(space, a, x, deriv=False):
         if shape[1] <= _DENSE_NODES:
             mat = np.zeros(shape)
             np.add.at(mat, (np.arange(shape[0])[:, None], nodes), weights)
+            pair = (mat, mat.T)
         else:
-            import scipy.sparse as sp
-            mat = sp.csr_matrix((weights.ravel(), nodes.ravel(), np.arange(
-                0, nodes.size + 1, space.order + 1)), shape=shape)
-            # canonical form, as from triplets: a periodic wrap lists the
-            # nodes of a row out of order
-            mat.sum_duplicates()
-        pair = space._interpolations[key] = (mat, mat.T)
+            pair = (_Gather(nodes, weights, shape[1]),
+                    _Gather.transposed(nodes, weights, shape[1]))
+        space._interpolations[key] = pair
     return pair
 
 
@@ -482,13 +539,19 @@ def assemble_diffusion(space, a_eval=None, drag=0.0):
     identity coefficient.  The drag is added to the element matrices, and
     the coefficient is sampled one element slab at a time.
     """
+    return _square(space, _diffusion_local(space, a_eval, drag))
+
+
+def _diffusion_local(space, a_eval, drag):
+    """The element matrices of assemble_diffusion: local(s) for the element
+    slab s (see _fill)."""
     phi, grad, wq = space.reference_data(_NQUAD)
     ndim = space.mesh.ndim
     nq, nloc = grad.shape[0], grad.shape[1]
     drag_local = drag * np.einsum("qi,qj,q->ij", phi, phi, wq)
     if a_eval is None:
         local = np.einsum("qia,qja,q->ij", grad, grad, wq) + drag_local
-        return _square(space, lambda s: local)
+        return lambda s: local
     # sum over q, a, b of w_q A_ab grad_i[a] grad_j[b]: one product of the
     # coefficient samples with a fixed table
     table = np.einsum("q,qia,qjb->qabij", wq, grad, grad).reshape(
@@ -503,7 +566,7 @@ def assemble_diffusion(space, a_eval=None, drag=0.0):
             -1, nloc, nloc)
         local += drag_local
         return local
-    return _square(space, slab_local)
+    return slab_local
 
 
 def assemble_mass(space, weight=None):
@@ -622,6 +685,115 @@ def assemble_divergence(space_v, space_p):
     (axis_divergence) as one block row (meshing._kron_row), so B stores no
     integral that vanishes."""
     return _kron_row(axis_divergence(space_v, space_p))
+
+
+def assemble_column_saddle(space_v, space_p, a_eval=None, drag=0.0):
+    """The saddle matrix [[K, B^T], [B, 0]] of a d = 2 layer, K the
+    diffusion matrix of assemble_diffusion and B that of
+    assemble_divergence, in block tridiagonal storage
+    (linalg.BlockTridiagonal) by element columns along axis 0.
+
+    Column e holds the velocity on the lattice lines 2 e and 2 e + 1 of
+    axis 0 and the pressure on the vertex line e; the last lines of the
+    axis join the last column.  An element of column e reaches no further
+    than the lines on the left edge of column e + 1 (velocity line 2 e + 2,
+    pressure line e + 1), so the matrix is block tridiagonal, and a column
+    lists those edge unknowns first (velocity before pressure, each in dof
+    order), then the rest: the blocks off the diagonal are as wide as the
+    edge.  Each block is padded to the largest column.  The velocity
+    space's walls must clamp every component alike, so that K is one scalar
+    block A per component, and axis 0 must not be periodic.  The element
+    matrices of A (_diffusion_local) are added into the blocks in element
+    order by np.add.at, as _fill adds them into its CSR pattern, and the
+    entries of B are the products of the divergence factors
+    (axis_divergence) that its Kronecker products form: the blocks hold the
+    bits of the assembled matrices.
+    """
+    mesh, free = space_v.mesh, space_v.axis_free
+    if mesh.ndim != 2 or mesh.periodic[0] or space_v.kind != "velocity" \
+            or any(f is not free[0] for f in free):
+        raise ComponentLayoutError(
+            "element columns need a d = 2 velocity space, not periodic "
+            "along axis 0, whose walls clamp every component alike")
+    columns = mesh.n_elements[0]
+
+    def column_of(space):
+        """The column of each dof of the space, and whether the dof lies on
+        the column's left edge: on the lattice line order * e of axis 0."""
+        line = np.concatenate([f // space.lattice_sizes[1]
+                               for f in space.free])
+        column = np.minimum(line // space.order, columns - 1)
+        return column, line == space.order * column
+
+    col, edge = (np.concatenate(parts) for parts in zip(
+        column_of(space_v), column_of(space_p)))
+    counts = np.bincount(col, minlength=columns)
+    width = int(counts.max())
+    coupling = int(np.bincount(col[edge], minlength=columns)[1:].max(
+        initial=0))
+    slot = np.empty_like(col)
+    slot[np.lexsort((~edge, col))] = np.arange(col.size) - np.repeat(
+        np.cumsum(counts) - counts, counts)
+    index = np.full((columns, width), -1)
+    index[col, slot] = np.arange(col.size)
+    sizes = [columns * width * width, (columns - 1) * width * coupling]
+    flat = np.zeros(sizes[0] + 2 * sizes[1])
+    diagonal, upper, lower = (
+        part.reshape(shape) for part, shape in zip(
+            np.split(flat, np.cumsum(sizes)),
+            [(columns, width, width), (columns - 1, width, coupling),
+             (columns - 1, coupling, width)]))
+
+    def place(rows, cols):
+        """The places in flat of the entries (rows, cols) of the matrix:
+        in D of their column, or in U or L of the lower of two
+        neighbouring columns, where the higher one's slot is an edge
+        slot."""
+        col_r, col_c, slot_r, slot_c = col[rows], col[cols], slot[rows], \
+            slot[cols]
+        step = col_c - col_r
+        if np.any(np.abs(step) > 1) or np.any(slot_c[step > 0] >= coupling) \
+                or np.any(slot_r[step < 0] >= coupling):
+            raise ComponentLayoutError(
+                "an element couples columns that are not neighbours")
+        return np.where(
+            step == 0, (col_r * width + slot_r) * width + slot_c,
+            np.where(step > 0,
+                     sizes[0] + (col_r * width + slot_r) * coupling + slot_c,
+                     sum(sizes) + (col_c * coupling + slot_r) * width
+                     + slot_c))
+
+    # K: one scalar block per component, its element matrices added in
+    # element order (element rows along axis 0, slab by slab)
+    n_free = space_v.free[0].size
+    dof = np.full(space_v.n_scalar, -1)
+    dof[space_v.free[0]] = np.arange(n_free)
+    nz = space_v.lattice_sizes[1]
+    nodes_z = _element_nodes(space_v, 1, np.arange(mesh.n_elements[1]))
+    local = _diffusion_local(space_v, a_eval, drag)
+    for s in _slabs(mesh.n_elements, (space_v.order + 1) ** 4):
+        mats = local(s)
+        _check_symmetric(mats)
+        nodes_x = _element_nodes(space_v, 0, np.arange(s.start, s.stop))
+        nodes = dof[(nodes_x[:, None, :, None] * nz
+                     + nodes_z[None, :, None, :]).reshape(-1, mats.shape[-1])]
+        rows, cols = np.broadcast_arrays(nodes[:, :, None], nodes[:, None, :])
+        keep = (rows >= 0) & (cols >= 0)
+        rows, cols = rows[keep], cols[keep]
+        values = np.broadcast_to(mats, keep.shape)[keep]
+        for c in range(mesh.ndim):
+            np.add.at(flat, place(rows + c * n_free, cols + c * n_free),
+                      values)
+    # B and B^T: the products of the nonzero entries of the factors
+    for c, pairs in enumerate(axis_divergence(space_v, space_p)):
+        fx, fz = _term(pairs, c)
+        (px, vx), (pz, vz) = np.nonzero(fx), np.nonzero(fz)
+        values = np.multiply.outer(fx[px, vx], fz[pz, vz])
+        rows = space_v.ndof + np.add.outer(px * fz.shape[0], pz)
+        cols = c * n_free + np.add.outer(vx * fz.shape[1], vz)
+        flat[place(rows, cols)] = values
+        flat[place(cols, rows)] = values
+    return BlockTridiagonal(diagonal, upper, lower, index)
 
 
 def integrate_grid(space, coords, integrand, deriv_axis=None):

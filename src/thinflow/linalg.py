@@ -30,6 +30,13 @@ pencils (the macro pressure operator of a diagonal Ahat), which it solves
 by fast diagonalization, checked like the LU, with the LU of the assembled
 sum as the fallback.
 
+TridiagonalSaddleSolver keeps the direct path's contract for a matrix that
+is block tridiagonal (BlockTridiagonal: a d = 2 layer numbered by element
+columns, assembly.assemble_column_saddle): the same pinned dof, one step
+of refinement, the unpinned residual checked and the gauge shift, but a
+block LU in numpy in place of SuperLU, with the pinned SuperLU of the
+assembled matrix as its fallback.
+
 KroneckerSum, the Kronecker sum of the 1-D pencils of a tensor mesh, is the
 one tensor operator: each tensor velocity block, regime-ii ladder level,
 preconditioner pressure operator and macro pressure operator is one.  It
@@ -38,7 +45,8 @@ preconditioner) and its shifts s L + sigma M (the ladder levels).
 
 scipy is imported only in the functions that build or factor a sparse
 matrix (the direct path, an assembled block, the fallbacks), so a process
-that runs in tensor form alone never loads it.
+that runs in tensor form or on the block LU of element columns alone never
+loads it.
 
 BlockSaddleSolver is the block path, for systems whose velocity operator is
 block diagonal with one scalar block per velocity component: the d = 3 DNS
@@ -168,15 +176,16 @@ class SolveCounts:
     """Work of the saddle solves behind one computation.
 
     factorizations counts the LU factorizations: of the pinned saddle
-    matrix on the direct path (d = 2 DNS, assembled cells of regimes i and
-    iii), of each distinct assembled block on the block path
-    (non-separable d = 3 DNS), which factors nothing else, and nothing at
-    all where the blocks are inverted in the eigenbasis of their pencils
-    (separable d = 3 DNS and cells of regimes i and iii, regime-ii cell
-    ladder).
+    matrix by SuperLU on the direct path (assembled cells of regimes i and
+    iii, every d = 2 cell, the fallbacks) and by block LU of its element
+    columns on a d = 2 DNS layer (TridiagonalSaddleSolver), of each
+    distinct assembled block on the block path (non-separable d = 3 DNS),
+    which factors nothing else, and nothing at all where the blocks are
+    inverted in the eigenbasis of their pencils (separable d = 3 DNS and
+    cells of regimes i and iii, regime-ii cell ladder).
     schur_iterations sums the CG iterations of the block path, and
-    direct_fallbacks counts the block solvers that missed their tolerance
-    and went over to the direct path.
+    direct_fallbacks counts the block and block-LU solvers that missed
+    their tolerance and went over to the direct path.
     """
 
     factorizations: int = 0
@@ -351,6 +360,170 @@ class SaddleSolver:
         x = self._lu.solve(rhs, lambda x: residual(target, self._unpin(x)),
                            tol)
         return self._unpin(x)
+
+
+class BlockTridiagonal:
+    """A square matrix stored by blocks on three block diagonals, whose
+    blocks off the diagonal reach only the first c slots of the later
+    block.
+
+    diagonal (n, m, m) holds the diagonal blocks D_k; upper (n - 1, m, c)
+    the blocks U_k above them (block row k, the first c columns of block
+    column k + 1) and lower (n - 1, c, m) the blocks L_k below them (the
+    first c rows of block row k + 1, block column k), outside of which the
+    blocks off the diagonal are zero.  index (n, m) names the row (and
+    column) of the matrix of each slot of a block, -1 on the padding that
+    fills a block up to m, whose rows and columns hold zeros.  L_k is kept
+    apart from U_k^T: an assembled operator is symmetric only to the
+    rounding of its element matrices.
+    """
+
+    def __init__(self, diagonal, upper, lower, index):
+        self.diagonal, self.upper, self.lower = diagonal, upper, lower
+        self.index = index
+        self.size = int(np.count_nonzero(index >= 0))
+
+    def to_blocks(self, x):
+        """x (size,) as an array (n, m) of the blocks' slots, 0 on padding."""
+        return np.append(x, 0.0)[self.index]
+
+    def from_blocks(self, xb):
+        """The vector (size,) of the slots xb (n, m)."""
+        out = np.empty(self.size + 1)
+        out[self.index] = xb
+        return out[:-1]
+
+    def apply_blocks(self, xb):
+        """The product with the slots xb (n, m), as slots."""
+        c = self.upper.shape[2]
+        out = np.matmul(self.diagonal, xb[..., None])[..., 0]
+        out[:-1] += np.matmul(self.upper, xb[1:, :c, None])[..., 0]
+        out[1:, :c] += np.matmul(self.lower, xb[:-1, :, None])[..., 0]
+        return out
+
+    def assembled(self):
+        """The matrix as a CSR matrix of its nonzero entries (the padding
+        holds zeros only)."""
+        import scipy.sparse as sp
+        index, c = self.index, self.upper.shape[2]
+        parts = [(index, index, self.diagonal),
+                 (index[:-1], index[1:, :c], self.upper),
+                 (index[1:, :c], index[:-1], self.lower)]
+        rows, cols, vals = (np.concatenate([a.ravel() for a in arrays]) for
+                            arrays in zip(*[np.broadcast_arrays(
+                                r[:, :, None], q[:, None, :], b)
+                                for r, q, b in parts]))
+        keep = vals != 0.0
+        return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
+                             shape=(self.size,) * 2)
+
+
+class TridiagonalSaddleSolver:
+    """A saddle system in block tridiagonal storage (a d = 2 layer, by
+    element columns: assembly.assemble_column_saddle), factored once by
+    block LU with one pressure dof pinned, as SaddleSolver pins it.
+
+    matrix is [[K, B^T], [B, 0]] unpinned, as a BlockTridiagonal whose
+    first n_u rows are the velocity.  The factorization is block Gaussian
+    elimination (Golub & Van Loan, Matrix Computations, 4th ed., sec. 4.5):
+    S_0 = D_0, S_k = D_k - L_{k-1} S_{k-1}^{-1} U_{k-1}, each S_k inverted
+    by numpy's LAPACK with partial pivoting inside the block.  L_{k-1} and
+    U_{k-1} reach the first c slots of block k alone, so the update changes
+    only the leading c x c part of D_k, and X_k = S_k^{-1} U_k has c
+    columns.  Padding and the pinned dof are left out of the pivots: S_k is
+    inverted on its other slots, and its inverse is zero in their rows and
+    columns, so a solve holds zero there and reads nothing of their rows.
+    The solver keeps the matrix, the S_k^{-1} and the X_k.  A solve sweeps
+    forward, y_k = S_k^{-1} (b_k - L_{k-1} y_{k-1}), and back, x_k = y_k -
+    X_k x_{k+1}; it applies one step of iterative refinement, checks the
+    residual of the unpinned system against the tolerance, and shifts p to
+    gauge^T p = 0.  A block that LAPACK finds singular, or a solve that
+    misses its check, counts a direct fallback: that load and every later
+    one go to a SaddleSolver (the pinned SuperLU) of the assembled matrix.
+    Loads are single vectors.  The work done is added to counts.
+    """
+
+    def __init__(self, matrix, n_u, gauge, rhs_u, counts=None):
+        self.counts = SolveCounts() if counts is None else counts
+        self._matrix, self._n_u, self._rhs_u = matrix, n_u, rhs_u
+        self._gauge, pin = _gauge_and_pin(gauge)
+        self._direct = None
+        self.counts.factorizations += 1
+        try:
+            self._factors = self._factor(
+                *np.argwhere(matrix.index == n_u + pin)[0])
+        except np.linalg.LinAlgError:
+            self._factors = None
+
+    def _factor(self, pin_block, pin_slot):
+        """S_k^{-1} and X_k of every block."""
+        m = self._matrix
+        c = m.upper.shape[2]
+        sizes = np.count_nonzero(m.index >= 0, axis=1)
+        inverse = np.zeros_like(m.diagonal)
+        x = np.zeros_like(m.upper)
+        for k, (block, size) in enumerate(zip(m.diagonal, sizes)):
+            schur = block.copy()
+            if k:
+                schur[:c, :c] -= m.lower[k - 1] @ x[k - 1]
+            schur = schur[:size, :size]
+            if k == pin_block:
+                schur[pin_slot], schur[:, pin_slot] = 0.0, 0.0
+                schur[pin_slot, pin_slot] = 1.0
+            part = np.linalg.inv(schur)
+            if k == pin_block:
+                part[pin_slot], part[:, pin_slot] = 0.0, 0.0
+            inverse[k, :size, :size] = part
+            if k < x.shape[0]:
+                np.matmul(part, m.upper[k, :size], out=x[k, :size])
+        return inverse, x
+
+    def _sweep(self, b):
+        """The pinned solution of the slots b.  The loops iterate over the
+        block arrays, whose items are views: indexing the arrays in the
+        loops would cost more than the products."""
+        inverse, x = self._factors
+        c = x.shape[2]
+        z = np.matmul(inverse, b[..., None])[..., 0]
+        y = [z[0]]
+        for edge, zk, low in zip(inverse[1:, :, :c], z[1:],
+                                 self._matrix.lower):
+            y.append(zk - edge @ (low @ y[-1]))
+        for k, coupling in zip(range(len(y) - 2, -1, -1), x[::-1]):
+            y[k] = y[k] - coupling @ y[k + 1][:c]
+        return np.array(y)
+
+    def _checked(self, f, tol):
+        """(u, p) for the load f with residual <= tol, or None."""
+        m = self._matrix
+        b = m.to_blocks(np.concatenate([f, np.zeros(m.size - self._n_u)]))
+        x = self._sweep(b)
+        x = x + self._sweep(b - m.apply_blocks(x))
+        rel = _relative(f, [(m.apply_blocks(x) - b).ravel()]) \
+            if np.all(np.isfinite(x)) else np.inf
+        if not rel <= tol:
+            return None
+        x = m.from_blocks(x)
+        return x[:self._n_u], _project_gauge(self._gauge, -x[self._n_u:])
+
+    def solve(self, tol=DEFAULT_TOL_DIRECT, rhs_u=None):
+        """(u, p) for the system's load or for rhs_u, residual <= tol."""
+        _check_tol(tol)
+        f = np.asarray(self._rhs_u if rhs_u is None else rhs_u, dtype=float)
+        if f.ndim != 1:
+            raise ValueError("the block LU solves one load at a time")
+        if self._direct is None:
+            solution = None if self._factors is None \
+                else self._checked(f, tol)
+            if solution is not None:
+                return solution
+            self.counts.direct_fallbacks += 1
+            self._factors = None
+            mat, n_u = self._matrix.assembled(), self._n_u
+            self._direct = SaddleSolver(SaddleSystem(
+                K=mat[:n_u, :n_u], B=mat[n_u:, :n_u], gauge=self._gauge,
+                rhs_u=self._rhs_u), self.counts)
+        return self._direct.solve(tol, rhs_u=rhs_u)
 
 
 def _norm(x):

@@ -17,7 +17,8 @@ and _kron_sum_apply applies a sum of such products (a Kronecker sum, as
 the velocity blocks of linalg and the regime-ii cell's Laplacian) from one
 transposed copy of its input.
 Their per-axis matrices are dense numpy arrays, each applied by one BLAS
-product, except the interpolation matrices of long axes, which are sparse.
+product, except the interpolation matrices of long axes, which are gathers
+of rows (assembly._Gather).
 Where a whole operator is wanted as a sparse matrix (the assembled
 divergence, the direct path's fallback), _kron and _kron_row form it from
 the per-axis factors; they alone import scipy here.
@@ -93,8 +94,8 @@ def _kron_apply(mats, x):
     lattice axis it acts on in front, and moves that axis to the back: after
     d products the axes are in order again.  A dense matrix (a numpy array)
     is applied by one BLAS product whose result is in that order already,
-    so the next axis reads it without a copy; a sparse one (the
-    interpolation matrix of a long axis) by scipy, whose result the next
+    so the next axis reads it without a copy; any other (the gather that
+    interpolates on a long axis) by its own product, whose result the next
     axis copies.  A stack of small products, one per leading index, is
     several times slower."""
     lead = x.shape[:-1]

@@ -35,15 +35,20 @@ in the pencils' eigenbasis (decomposed by numpy's LAPACK, so that the solve
 runs on numpy's BLAS alone), and the layer factors no matrix.  Its pencils,
 divergence factors and interpolation matrices are short dense arrays, so
 such a layer constructs no sparse matrix at all and imports no scipy.  Any
-other layer assembles the block once, on the "component" space with the
-drag mu/K folded into its element matrices, and a d = 3 one factors it.
+other d = 3 layer assembles the block once, on the "component" space with
+the drag mu/K folded into its element matrices, and factors it.
 block_solver builds the block solver of a d = 3 layer, or of a cell, from
 its block.  A d = 2 layer is sealed and hydrostatic, its velocity a
-discretization residue, and its 2-D saddle system is small: it assembles
-the divergence, factors the pinned LU of S in linalg.SaddleSolver and
-solves every step with it, which is faster there than the block path.  No
-solver outlives solve_dlb, so any LU is gone before the norms sample the
-fields; apriori_norms samples the
+discretization residue, and its 2-D saddle system is small and, numbered
+by element columns along the layer, block tridiagonal: it assembles S
+straight into that block storage (assembly.assemble_column_saddle), factors
+it once by block LU with one pressure dof pinned
+(linalg.TridiagonalSaddleSolver) and solves every step with it, which is
+faster there than the block path.  Such a layer builds no sparse matrix
+either and imports no scipy, unless its solve misses the tolerance and goes
+over to the pinned SuperLU.  No solver outlives solve_dlb, so any
+factorization is gone before the norms sample the fields; apriori_norms
+samples the
 pressure alone and takes the velocity's moments and gradient norm from a
 pipeline's two-scale pass.  The forcing (f1(xbar), 0) of FluidParams
 depends on the horizontal coordinates alone, so its load samples it on the
@@ -65,13 +70,13 @@ from dataclasses import asdict, dataclass, field as dfield
 
 import numpy as np
 
-from .assembly import (DiscreteField, FunctionSpace, assemble_convection,
-                       assemble_diffusion, assemble_divergence, assemble_load,
+from .assembly import (DiscreteField, FunctionSpace, assemble_column_saddle,
+                       assemble_convection, assemble_diffusion, assemble_load,
                        axis_divergence, axis_pencils, pressure_gauge)
 from .errors import (InvalidParameterError, InvalidResolutionError,
                      PicardDivergenceError)
-from .linalg import (BlockSaddleSolver, KroneckerSum, SaddleSolver,
-                     SaddleSystem, SolveCounts, _norm)
+from .linalg import (BlockSaddleSolver, KroneckerSum, SolveCounts,
+                     TridiagonalSaddleSolver, _norm)
 
 
 @dataclass
@@ -82,8 +87,9 @@ class MicroSolution:
     the fixed-point tolerance), "zero_branch" (the forcing is balanced by
     the pressure alone), "stalled" (updates stagnate at the arithmetic
     floor) or "linear" (no convection, one step is exact).  solver_counts
-    is the loop's linalg.SolveCounts: its factorizations (in d = 2 one, of
-    the pinned saddle matrix; in d = 3 none for a separable coefficient,
+    is the loop's linalg.SolveCounts: its factorizations (in d = 2 one, the
+    block LU of the pinned saddle matrix; in d = 3 none for a separable
+    coefficient,
     otherwise one, of the scalar block, and never one of B), the CG
     iterations of all steps (none in d = 2), and the fallbacks to the
     direct path and to pivoting, if any.  A plain record: it keeps no norm
@@ -129,14 +135,8 @@ def solve_dlb(thin_mesh, field, params, K_eps, picard_tol=1e-10,
                 f"horizontal spacing {h:.3g} does not resolve the coefficient "
                 f"period {eps / kmax:.3g} with >= 4 elements")
     space_v = FunctionSpace(thin_mesh, "velocity")
-    space_s = FunctionSpace(thin_mesh, "component")
     space_p = FunctionSpace(thin_mesh, "pressure")
     sigma = params.mu / K_eps
-    if tensor_form(thin_mesh, field):
-        # nothing of the layer's size is assembled
-        block = _block_pencils(space_s, field, eps, sigma)
-    else:
-        block = assemble_diffusion(space_s, field.scaled(eps), drag=sigma)
     load = assemble_load(space_v, params.forcing(thin_mesh.ndim - 1))
     factor = params.rho / params.phi ** 2
     load_scale = _norm(load)
@@ -151,13 +151,18 @@ def solve_dlb(thin_mesh, field, params, K_eps, picard_tol=1e-10,
         # a sealed layer over a 1-D box is hydrostatic (the force (f1(x0), 0)
         # is a gradient), so its velocity is a discretization residue; the
         # block path gives the same verdicts, but its CG takes 28 to 46
-        # iterations per regime_ii layer: the small 2-D saddle LU is faster
-        import scipy.sparse as sp
-        solver = SaddleSolver(SaddleSystem(
-            K=sp.block_diag([block] * 2, format="csr"),
-            B=assemble_divergence(space_v, space_p),
-            gauge=pressure_gauge(space_p), rhs_u=load), counts)
+        # iterations per regime_ii layer: the block LU of the element
+        # columns is faster
+        solver = TridiagonalSaddleSolver(
+            assemble_column_saddle(space_v, space_p, field.scaled(eps),
+                                   drag=sigma),
+            space_v.ndof, pressure_gauge(space_p), load, counts)
     else:
+        space_s = FunctionSpace(thin_mesh, "component")
+        # in tensor form nothing of the layer's size is assembled
+        block = _block_pencils(space_s, field, eps, sigma) \
+            if tensor_form(thin_mesh, field) \
+            else assemble_diffusion(space_s, field.scaled(eps), drag=sigma)
         solver = block_solver(block, axis_divergence(space_v, space_p),
                               space_p, field, eps, sigma, load, counts)
     for iterations in range(1, max_iters + 1):
@@ -209,8 +214,10 @@ def tensor_form(mesh, field):
     """Whether a clamped Brinkmann problem of the coefficient field on the
     mesh (a thin layer, or a cell of regime i or iii) runs in tensor form:
     a d = 3 mesh and a separable field, whose scalar block is then the
-    KroneckerSum of per-axis pencils (_block_pencils).  In d = 2 the
-    pinned saddle LU is faster."""
+    KroneckerSum of per-axis pencils (_block_pencils).  In d = 2 a direct
+    solve is faster: the block LU of a layer's element columns, the pinned
+    SuperLU of a cell, which is periodic across the cell and so not block
+    tridiagonal."""
     return mesh.ndim == 3 and field.separable
 
 

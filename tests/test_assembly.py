@@ -13,13 +13,14 @@ import thinflow
 
 from thinflow import assembly, coefficients as coefs
 from thinflow.assembly import (DiscreteField, FunctionSpace,
-                               assemble_convection, assemble_diffusion,
-                               assemble_divergence, assemble_flux_load,
-                               assemble_load, assemble_mass, axis_divergence,
-                               axis_pencils, element_gauss_axes,
-                               pressure_gauge)
+                               assemble_column_saddle, assemble_convection,
+                               assemble_diffusion, assemble_divergence,
+                               assemble_flux_load, assemble_load,
+                               assemble_mass, axis_divergence, axis_pencils,
+                               element_gauss_axes, pressure_gauge)
 from thinflow.coefficients import ScalarField, Wave
-from thinflow.errors import AsymmetricOperatorError, SpaceMismatchError
+from thinflow.errors import (AsymmetricOperatorError, ComponentLayoutError,
+                             SpaceMismatchError)
 from thinflow.harness import _probe_function, load_config, solve_cells
 from thinflow.macro_model import solve_macro
 from thinflow.meshing import Geometry, build_cell_mesh, build_macro_mesh, \
@@ -30,10 +31,11 @@ from thinflow.two_scale import (OscillatingTestFunction,
 from thinflow.upscaling import (TwoScaleVelocity, effective_matrix,
                                 reconstruct_two_scale_velocity)
 
-from helpers import (diffusion_reference, flux_load_reference, gradient,
-                     interpolate, line_divergence_factors, line_pencils,
-                     load_reference, mesh_volume, on_grid, oseen_matrix,
-                     quadrature_sample, scatter, vectorize)
+from helpers import (constant_field, diffusion_reference,
+                     flux_load_reference, gradient, interpolate,
+                     line_divergence_factors, line_pencils, load_reference,
+                     mesh_volume, on_grid, oseen_matrix, quadrature_sample,
+                     scatter, vectorize)
 
 
 def unit_square_mesh(n):
@@ -168,6 +170,56 @@ def test_divergence_space_mismatch():
     Q = FunctionSpace(unit_square_mesh(2), "pressure")
     with pytest.raises(SpaceMismatchError):
         assemble_divergence(V, Q)
+
+
+# -- the saddle matrix of a d = 2 layer by element columns ---------------------
+
+COLUMN_FIELDS = {
+    "constant": constant_field(2, [[2.0, 0.3], [0.3, 1.0]]),
+    "zeta": coefs.CoefficientField(2, np.diag([2.0, 0.5]),
+                                   zeta_profile=lambda z: 1.0 + z * z,
+                                   alpha_ell=0.5, beta_ell=4.0),
+    "periodic": coefs.CoefficientField(
+        2, np.eye(2), waves=[Wave((1,), "cos", 0.5 * np.eye(2))],
+        alpha_ell=0.5, beta_ell=1.5),
+}
+
+
+@pytest.mark.parametrize("eps", [0.25, 0.125])
+@pytest.mark.parametrize("name", sorted(COLUMN_FIELDS))
+def test_column_saddle_holds_the_assembled_matrix(name, eps):
+    # the block storage holds [[K, B^T], [B, 0]] of the CSR assembly bit for
+    # bit: the same element matrices added in the same order, the same
+    # products of the divergence factors
+    mesh = build_thin_mesh(Geometry(2, (1.0,), eps), 4, 4)
+    V, S, Q = (FunctionSpace(mesh, kind)
+               for kind in ("velocity", "component", "pressure"))
+    a_eval, drag = COLUMN_FIELDS[name].scaled(eps), 3.0
+    A = assemble_diffusion(S, a_eval, drag=drag)
+    B = assemble_divergence(V, Q)
+    ref = sp.bmat([[sp.block_diag([A, A]), B.T], [B, None]]).toarray()
+    matrix = assemble_column_saddle(V, Q, a_eval, drag=drag)
+    assert np.array_equal(matrix.assembled().toarray(), ref)
+    # one block per element column: a line holds 14 velocity unknowns (2
+    # components on 7 free z nodes) and 5 pressures, the first column one
+    # velocity line, the last two pressure lines; the blocks off the
+    # diagonal reach the 19 unknowns on the edge of the later column
+    n = mesh.n_elements[0]
+    assert np.count_nonzero(matrix.index >= 0, axis=1).tolist() \
+        == [19] + [33] * (n - 2) + [38]
+    assert (matrix.diagonal.shape, matrix.upper.shape, matrix.lower.shape) \
+        == ((n, 38, 38), (n - 1, 38, 19), (n - 1, 19, 38))
+    x = np.random.default_rng(5).standard_normal(matrix.size)
+    got = matrix.from_blocks(matrix.apply_blocks(matrix.to_blocks(x)))
+    assert np.abs(got - ref @ x).max() <= 1e-13 * np.abs(ref @ x).max()
+
+
+def test_column_saddle_needs_a_sealed_axis():
+    # a periodic axis 0 joins the last column to the first: no tridiagonal
+    mesh = cell_mesh()
+    with pytest.raises(ComponentLayoutError):
+        assemble_column_saddle(FunctionSpace(mesh, "velocity"),
+                               FunctionSpace(mesh, "pressure"))
 
 
 # -- convection --------------------------------------------------------------
@@ -538,9 +590,10 @@ def test_axis_divergence_matches_triplets(mesh_name, walls):
 @pytest.mark.parametrize("kind", ["velocity", "pressure"])
 def test_grid_maps_on_both_sides_of_the_dense_cut(kind):
     # a d = 2 layer at eps = 1/32: its horizontal lattice (257 velocity or
-    # 129 pressure nodes) interpolates by a sparse matrix, its vertical one
-    # by a dense array.  Values and each derivative agree with the pointwise
-    # evaluation, and integrate_grid is the transpose of the sample
+    # 129 pressure nodes) interpolates by a gather of its nodes and weights,
+    # its vertical one by a dense array.  Values and each derivative agree
+    # with the pointwise evaluation, and integrate_grid is the transpose of
+    # the sample
     mesh = build_thin_mesh(Geometry(2, (1.0,), 1 / 32), 4, 4)
     field = random_field(mesh, kind)
     space = field.space
@@ -549,7 +602,8 @@ def test_grid_maps_on_both_sides_of_the_dense_cut(kind):
     coords = [x for x, _ in element_gauss_axes(mesh, 3)]
     mats = [assembly._interpolation(space, a, x)[0]
             for a, x in enumerate(coords)]
-    assert sp.issparse(mats[0]) and isinstance(mats[1], np.ndarray)
+    assert isinstance(mats[0], assembly._Gather) \
+        and isinstance(mats[1], np.ndarray)
     pts = assembly.grid_points(coords)
     shape = tuple(x.size for x in coords) + (space.ncomp,)
     grads = gradient(field, pts)
@@ -565,6 +619,72 @@ def test_grid_maps_on_both_sides_of_the_dense_cut(kind):
         lhs, rhs = load @ field.coeffs, np.sum(samples * got)
         assert abs(lhs - rhs) <= 1e-13 * np.abs(samples).sum() \
             * np.abs(got).max()
+
+
+def old_axis_basis(space, a, x, deriv=False):
+    """_axis_basis as first written: the basis of _shape1d, np.clip and
+    _element_nodes."""
+    mesh, p = space.mesh, space.order
+    axis = mesh.axes[a]
+    x = np.asarray(x, dtype=float)
+    if mesh.periodic[a]:
+        x = axis[0] + np.mod(x - axis[0], axis[-1] - axis[0])
+    h = mesh.spacings[a]
+    e = np.clip(((x - axis[0]) / h).astype(np.int64), 0,
+                mesh.n_elements[a] - 1)
+    vals, ders = assembly._shape1d(p, 2 * (x - axis[e]) / h - 1)
+    return (assembly._element_nodes(space, a, e),
+            ders * (2.0 / h) if deriv else vals)
+
+
+@pytest.mark.parametrize("kind", ["velocity", "pressure"])
+@pytest.mark.parametrize("mesh", [
+    build_thin_mesh(Geometry(2, (1.0,), 1 / 8), 4, 4),
+    build_cell_mesh(Geometry(2, (1.0,), 0.125), 5, 4)],
+    ids=["thin", "periodic"])
+def test_axis_basis_keeps_the_arithmetic_of_the_shape_functions(mesh, kind):
+    # nodes and weights bit for bit as the basis of _shape1d gives them, at
+    # random points, at the element edges (both ends included) and, on a
+    # periodic axis, at points wrapped from outside the period
+    space = FunctionSpace(mesh, kind)
+    rng = np.random.default_rng(11)
+    for a, axis in enumerate(mesh.axes):
+        lo, hi = axis[0], axis[-1]
+        points = [rng.uniform(lo, hi, 200), axis,
+                  (axis[:-1] + axis[1:]) / 2]
+        if mesh.periodic[a]:
+            span = hi - lo
+            points += [rng.uniform(lo - 2 * span, hi + 2 * span, 200),
+                       axis + span, axis - span]
+        x = np.concatenate(points)
+        for deriv in (False, True):
+            got = assembly._axis_basis(space, a, x, deriv=deriv)
+            for new, old in zip(got, old_axis_basis(space, a, x, deriv)):
+                assert new.dtype == old.dtype and np.array_equal(new, old)
+
+
+def test_long_axis_gather_is_the_interpolation_matrix():
+    # a long periodic axis (160 velocity nodes), points of uneven density
+    # that wrap: the gather and its padded transpose apply the matrix of
+    # _axis_basis and its transpose
+    mesh = build_cell_mesh(Geometry(2, (1.0,), 0.125), 80, 4)
+    space = FunctionSpace(mesh, "velocity")
+    n = space.lattice_sizes[0]
+    assert n > assembly._DENSE_NODES
+    rng = np.random.default_rng(4)
+    x = np.concatenate([rng.uniform(-0.5, 1.5, 300),
+                        rng.uniform(0.2, 0.21, 50), mesh.axes[0]])
+    for deriv in (False, True):
+        gather, transpose = assembly._interpolation(space, 0, x, deriv)
+        assert isinstance(gather, assembly._Gather)
+        assert gather.shape == (x.size, n) and transpose.shape == (n, x.size)
+        nodes, weights = assembly._axis_basis(space, 0, x, deriv=deriv)
+        dense = np.zeros((x.size, n))
+        np.add.at(dense, (np.arange(x.size)[:, None], nodes), weights)
+        for mat, ref in ((gather, dense), (transpose, dense.T)):
+            y = rng.standard_normal((mat.shape[1], 3))
+            want = ref @ y
+            assert np.abs(mat @ y - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_assembly_builds_no_coo(monkeypatch):

@@ -53,12 +53,14 @@ def test_loading_imports_no_scipy(config, tmp_path):
 
 
 @pytest.mark.parametrize("config, args, imported", [
-    # the regime-ii ladder and the d = 3 pipeline build no sparse matrix
+    # the regime-ii ladder, the d = 3 pipeline and the d = 2 layers (a
+    # block LU of their element columns) build no sparse matrix
     ("regime_ii", ["cell", "--regime", "ii"], False),
     ("homogenization_d3", ["run"], False),
-    # the d = 2 layers factor their pinned saddle LU
-    ("regime_ii", ["run"], True),
-], ids=["cell_ii", "run_d3", "run_d2"])
+    ("regime_ii", ["run"], False),
+    # the clamped d = 2 cell of regime i factors its pinned saddle LU
+    ("regime_i", ["run"], True),
+], ids=["cell_ii", "run_d3", "run_d2", "run_d2_cell_i"])
 def test_commands_import_scipy_only_to_factor(config, args, imported,
                                               tmp_path):
     path = str(CONFIGS / f"{config}.json")

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 from copy import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,14 +12,15 @@ import scipy.sparse as sp
 
 import thinflow
 
-from thinflow.assembly import (FunctionSpace, assemble_diffusion,
-                               assemble_divergence, assemble_load,
-                               assemble_mass, axis_divergence, axis_pencils,
-                               pressure_gauge)
+from thinflow.assembly import (FunctionSpace, assemble_column_saddle,
+                               assemble_diffusion, assemble_divergence,
+                               assemble_load, assemble_mass, axis_divergence,
+                               axis_pencils, pressure_gauge)
 from thinflow.cell_problems import _laplacian_pencils
 from thinflow.errors import SingularSystemError
 from thinflow.linalg import (BlockSaddleSolver, KroneckerSum, SaddleSolver,
-                             SaddleSystem, SolveCounts, _cahouet_chabard,
+                             SaddleSystem, SolveCounts,
+                             TridiagonalSaddleSolver, _cahouet_chabard,
                              _gauge_and_pin, _norm, residual,
                              solve_gauged_spd, solve_sparse)
 from thinflow.meshing import Geometry, build_cell_mesh, build_thin_mesh
@@ -351,6 +353,60 @@ def test_block_solver_falls_back_to_direct_path():
     assert counts == after_first
     assert residual(SaddleSystem(K=K, B=B, gauge=np.ones(2), rhs_u=load),
                     (u, p)) <= 1e-10
+
+
+def column_system(eps=0.125):
+    """A d = 2 layer's saddle matrix by element columns, with a load that
+    drives a flow, and the same system assembled as CSR matrices."""
+    mesh = build_thin_mesh(Geometry(2, (1.0,), eps), 4, 4)
+    V, S, Q = (FunctionSpace(mesh, kind)
+               for kind in ("velocity", "component", "pressure"))
+    load = assemble_load(V, lambda x: np.column_stack(
+        [np.sin(3 * x[:, 0]) * (1 + x[:, 1] / eps), np.cos(2 * x[:, 0])]))
+    matrix = assemble_column_saddle(V, Q, drag=4.0)
+    A = assemble_diffusion(S, drag=4.0)
+    system = SaddleSystem(K=sp.block_diag([A, A], format="csr"),
+                          B=assemble_divergence(V, Q),
+                          gauge=pressure_gauge(Q), rhs_u=load)
+    return matrix, system
+
+
+def test_tridiagonal_solver_matches_the_pinned_lu():
+    # the block LU pins the dof that the pinned SuperLU pins, refines once
+    # and shifts p to the gauge: the same solution to rounding, from one
+    # factorization for every load
+    matrix, system = column_system()
+    counts = SolveCounts()
+    solver = TridiagonalSaddleSolver(matrix, system.n_u, system.gauge,
+                                     system.rhs_u, counts)
+    for load in (system.rhs_u, -2.5 * system.rhs_u[::-1]):
+        target = replace(system, rhs_u=load)
+        u, p = solver.solve(tol=1e-12, rhs_u=load)
+        assert residual(target, (u, p)) <= 1e-13
+        assert abs(system.gauge @ p) <= 1e-14 * np.abs(p).max()
+        for x, ref in zip((u, p), solve_sparse(target)):
+            assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+    assert counts == SolveCounts(factorizations=1)
+    with pytest.raises(ValueError):
+        solver.solve(rhs_u=np.stack([system.rhs_u] * 2, axis=1))
+
+
+def test_tridiagonal_solver_falls_back_to_pinned_lu():
+    # a corrupted block inverse leaves the refined solution far from the
+    # tolerance: the solver goes over to the pinned SuperLU of the
+    # assembled matrix, for this load and every later one
+    matrix, system = column_system()
+    counts = SolveCounts()
+    solver = TridiagonalSaddleSolver(matrix, system.n_u, system.gauge,
+                                     system.rhs_u, counts)
+    solver._factors[0][3] *= 1.5
+    u, p = solver.solve(tol=1e-10)
+    assert residual(system, (u, p)) <= 1e-10
+    assert counts == SolveCounts(factorizations=2, direct_fallbacks=1)
+    load = -system.rhs_u
+    u, p = solver.solve(tol=1e-10, rhs_u=load)
+    assert residual(replace(system, rhs_u=load), (u, p)) <= 1e-10
+    assert counts == SolveCounts(factorizations=2, direct_fallbacks=1)
 
 
 def cell_level(counts):

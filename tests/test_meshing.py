@@ -194,6 +194,40 @@ def test_library_has_no_assert_statement():
     assert offenders == []
 
 
+def scipy_imports(tree):
+    """The import statements of a module's syntax tree that load scipy."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(n == "scipy" or n.startswith("scipy.") for n in names):
+            yield node
+
+
+def test_library_imports_scipy_inside_functions():
+    # scipy is loaded only where a sparse matrix is built or factored: an
+    # import at module or class level would load it in every process that
+    # imports the module
+    sources = sorted(SRC.glob("*.py"))
+    assert "linalg.py" in [p.name for p in sources]
+    local, offenders = 0, []
+    for path in sources:
+        tree = ast.parse(path.read_text())
+        inside = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for node in ast.walk(fn)}
+        for node in scipy_imports(tree):
+            if id(node) in inside:
+                local += 1
+            else:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+    assert local > 0
+
+
 def test_norm_rules_are_chosen_in_assembly():
     # DiscreteField picks the exact Gauss rule of each norm and integral;
     # a module that passes nquad would be choosing norm rules again

@@ -11,7 +11,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from thinflow import coefficients as coefs
-from thinflow import cell_problems, linalg, microscale, two_scale
+from thinflow import assembly, cell_problems, linalg, microscale, two_scale
 from thinflow.assembly import (DiscreteField, FunctionSpace, _rule_slabs,
                                assemble_convection, assemble_diffusion,
                                assemble_divergence, assemble_load,
@@ -152,6 +152,22 @@ def test_d3_layer_factors_no_matrix(monkeypatch):
     assert sol.solver_counts["direct_fallbacks"] == 0
 
 
+def spy_on_assembled_divergence(monkeypatch):
+    """The divergences assembled as sparse matrices from now on: every one
+    is the block row of Kronecker products that meshing._kron_row forms,
+    called by assemble_divergence and by the fallbacks of linalg."""
+    assembled = []
+    original = assembly._kron_row
+
+    def spy(*args, **kwargs):
+        assembled.append(args)
+        return original(*args, **kwargs)
+
+    for module in (assembly, linalg):
+        monkeypatch.setattr(module, "_kron_row", spy)
+    return assembled
+
+
 PERIODIC_D3 = coefs.CoefficientField(
     3, np.eye(3), waves=[coefs.Wave((1, 0), "cos", 0.5 * np.eye(3))],
     alpha_ell=0.5, beta_ell=1.5)
@@ -167,14 +183,7 @@ def test_d3_non_separable_layer_factors_its_block(monkeypatch, field):
     # its divergence as axis factors, never assembled
     assert not field.separable
     factored = spy_on_splu(monkeypatch)
-    assembled = []
-    original = microscale.assemble_divergence
-
-    def spy(*args, **kwargs):
-        assembled.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(microscale, "assemble_divergence", spy)
+    assembled = spy_on_assembled_divergence(monkeypatch)
     mesh = build_thin_mesh(Geometry(3, (0.5, 0.5), 0.125), 4, 2)
     sol = solve_dlb(mesh, field, coefs.FluidParams(mu=1.0, f1=d3_forcing),
                     K_eps=0.125 ** 2)
@@ -191,7 +200,7 @@ def test_solver_freed_before_norms(monkeypatch, d):
     # norm, and the norms take the velocity's moments, its gradient norm
     # and the pressure norm after it returned
     solvers = []
-    for name in ("SaddleSolver", "BlockSaddleSolver"):
+    for name in ("TridiagonalSaddleSolver", "BlockSaddleSolver"):
         class Spy(getattr(microscale, name)):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
@@ -922,15 +931,14 @@ def test_tensor_operators_match_assembled(kind, name):
 def test_separable_d3_layer_assembles_nothing(monkeypatch):
     # a separable d = 3 layer keeps its velocity block and its divergence
     # in tensor form: neither is assembled, and nothing is factored
-    called = []
-    for name in ("assemble_diffusion", "assemble_divergence"):
-        original = getattr(microscale, name)
+    called = spy_on_assembled_divergence(monkeypatch)
+    original = microscale.assemble_diffusion
 
-        def spy(*args, _name=name, _original=original, **kwargs):
-            called.append(_name)
-            return _original(*args, **kwargs)
+    def spy(*args, **kwargs):
+        called.append(args)
+        return original(*args, **kwargs)
 
-        monkeypatch.setattr(microscale, name, spy)
+    monkeypatch.setattr(microscale, "assemble_diffusion", spy)
     _, _, _, sol = d3_flow(rho=1.0)
     assert called == []
     assert sol.solver_counts["factorizations"] == 0
@@ -1018,8 +1026,8 @@ def test_schur_iterations_flat_in_eps_weak_drag_d3(eps):
 
 
 def test_d2_layer_solved_on_pinned_lu():
-    # a d = 2 layer is hydrostatic: one saddle LU and no CG, with the
-    # block path's answer
+    # a d = 2 layer is hydrostatic: one block LU of its element columns and
+    # no CG, with the block path's answer
     field, mu, K_eps = regime_ii_layer(0.125)
     params = coefs.FluidParams(mu=mu, rho=0.0, f1=sine_forcing)
     mesh = thin_mesh(eps=0.125)
@@ -1032,6 +1040,22 @@ def test_d2_layer_solved_on_pinned_lu():
     for x, x_ref in zip((sol.u, sol.p),
                         block_solver(SolveCounts()).solve(tol=1e-10)):
         assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
+
+
+@pytest.mark.parametrize("name", ["regime_i", "regime_ii", "regime_iii"])
+def test_d2_config_layers_factor_their_columns_once(monkeypatch, name):
+    # every d = 2 layer of a shipped config: one block LU, no SuperLU and no
+    # fallback, two Picard steps to convergence (as on the pinned SuperLU)
+    factored = spy_on_splu(monkeypatch)
+    assembled = spy_on_assembled_divergence(monkeypatch)
+    for eps in load_config(CONFIGS / f"{name}.json").eps_list:
+        sol = config_layer(name, eps)
+        assert sol.solver_counts == {"factorizations": 1,
+                                     "pivoted_fallbacks": 0,
+                                     "schur_iterations": 0,
+                                     "direct_fallbacks": 0}
+        assert (sol.picard_iterations, sol.stop_reason) == (2, "converged")
+    assert factored == [] and assembled == []
 
 
 def config_layer(name, eps, elements_per_period=None, nz=None):
