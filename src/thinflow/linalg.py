@@ -12,30 +12,36 @@ constant pressures, so the matrix is singular.  Every direct solve removes
 that kernel by pinning one pressure dof, whose row and column are dropped:
 the first whose gauge weight is within a relative 1e-12 of the largest, so
 that weights tied to rounding pin the same dof in any summation order.
-The pinned matrix is factored by SuperLU
-without pivoting under a minimum-degree ordering of A^T + A, which keeps
-the fill close to that of the velocity block.  Each solve applies one step
-of iterative refinement, shifts the pressure to gauge^T p = 0 and checks
-the unpinned residual against the tolerance.  A solve that misses it is
-repeated with a partially pivoted factorization of the same pinned matrix
-before the solver gives up.
 
-There is one direct path.  solve_sparse factors a system once and solves
-it, all loads at once when its rhs has one column per load, and
-solve_gauged_spd applies the same path to pure Neumann problems.
-SaddleSolver keeps the factorization, so that later velocity loads are
-solved without factoring again.  Only solve_gauged_spd makes its load
-compatible along the gauge.  It also takes a KroneckerSum of Neumann
-pencils (the macro pressure operator of a diagonal Ahat), which it solves
-by fast diagonalization, checked like the LU, with the LU of the assembled
-sum as the fallback.
+Every solve goes through one checked-solve chain (_Chain), the policy of
+Higham (Accuracy and Stability of Numerical Algorithms, 2nd ed., secs. 7.1
+and 12): an ordered list of tiers.  A tier solves (a direct one, and fast
+diagonalization, with one step of iterative refinement), and the chain
+checks the residual of the unpinned system (residual(), after the gauge
+shift) against the tolerance.  A tier that misses it, or that cannot be
+built (numpy's LAPACK finds a block singular, SuperLU an exactly zero
+pivot), is dropped for good, and SolveCounts counts the hand-over:
+pivoted_fallbacks for a partially pivoted refactor of the same matrix,
+direct_fallbacks for the pinned saddle LU.  The last tier alone raises,
+ConvergenceFailureError (with the residual) or SingularSystemError.  The
+tiers, direct fallbacks last (Benzi, Golub & Liesen, Acta Numerica 14,
+2005, sec. 5):
 
-TridiagonalSaddleSolver keeps the direct path's contract for a matrix that
-is block tridiagonal (BlockTridiagonal: a d = 2 layer numbered by element
-columns, assembly.assemble_column_saddle): the same pinned dof, one step
-of refinement, the unpinned residual checked and the gauge shift, but a
-block LU in numpy in place of SuperLU, with the pinned SuperLU of the
-assembled matrix as its fallback.
+- the pinned LU (SaddleSolver, solve_sparse): SuperLU without pivoting,
+  under a minimum-degree ordering of A^T + A, which keeps the fill close to
+  that of the velocity block, then with partial pivoting;
+- TridiagonalSaddleSolver (a d = 2 layer by element columns): a block LU
+  in numpy with the pinned LU's pin, then the pinned LU;
+- BlockSaddleSolver: CG on the pressure Schur complement, then the pinned
+  LU of K and B assembled;
+- solve_gauged_spd of a KroneckerSum: fast diagonalization, then the
+  pinned LU of the assembled sum.
+
+SaddleSolver keeps its factorization, so that later velocity loads are
+solved without factoring again, all loads at once when the rhs has one
+column per load.  solve_gauged_spd solves pure Neumann problems on the same
+path, with a dof of K pinned, and is the only solver that makes its load
+compatible along the gauge.
 
 KroneckerSum, the Kronecker sum of the 1-D pencils of a tensor mesh, is the
 one tensor operator: each tensor velocity block, regime-ii ladder level,
@@ -83,11 +89,8 @@ kinds.  Every solve refines a start pair, by default the previous
 solution, so the steps of a Picard loop start warm; the cell ladder gives
 each level the previous level's pair of the same load.  A solve runs until
 the backward error is at roundoff, or stops falling by half from one sweep
-to the next, and keeps the pair of the smallest error.  Its result is
-checked against the same residual as the direct path; a solve that misses
-the tolerance builds the vector operator and B as sparse matrices and
-moves that system to a SaddleSolver for good, and SolveCounts records the
-CG iterations and the fallbacks.
+to the next, and keeps the pair of the smallest error, which the chain
+checks; SolveCounts records the CG iterations.
 
 The 1-D factors of the block path, pencils and divergence factors alike,
 are dense numpy arrays (assembly.axis_pencils, assembly.axis_divergence),
@@ -175,17 +178,15 @@ class SaddleSystem:
 class SolveCounts:
     """Work of the saddle solves behind one computation.
 
-    factorizations counts the LU factorizations: of the pinned saddle
-    matrix by SuperLU on the direct path (assembled cells of regimes i and
-    iii, every d = 2 cell, the fallbacks) and by block LU of its element
-    columns on a d = 2 DNS layer (TridiagonalSaddleSolver), of each
-    distinct assembled block on the block path (non-separable d = 3 DNS),
-    which factors nothing else, and nothing at all where the blocks are
-    inverted in the eigenbasis of their pencils (separable d = 3 DNS and
-    cells of regimes i and iii, regime-ii cell ladder).
-    schur_iterations sums the CG iterations of the block path, and
-    direct_fallbacks counts the block and block-LU solvers that missed
-    their tolerance and went over to the direct path.
+    factorizations counts the LU factorizations: by SuperLU of a pinned
+    matrix (SaddleSolver: d = 2 and non-separable d = 3 cells of regimes i
+    and iii, the fallbacks) or of an assembled block (non-separable d = 3
+    DNS), and by block LU of a d = 2 DNS layer's element columns.  Blocks
+    inverted in the eigenbasis of their pencils factor nothing (separable
+    d = 3 DNS and cells of regimes i and iii, the regime-ii cell ladder).
+    schur_iterations sums the CG iterations of the block path;
+    pivoted_fallbacks and direct_fallbacks count the hand-overs of the
+    checked-solve chain (see the module docstring).
     """
 
     factorizations: int = 0
@@ -271,78 +272,107 @@ def _splu(mat, pivot=False):
                      **options)
 
 
-class _PinnedLU:
-    """SuperLU of a pinned matrix: no pivoting first, partial pivoting as
-    the fallback when a checked solve misses its tolerance."""
+class _Chain:
+    """The checked-solve chain of a solver, its owner (see the module
+    docstring).  tiers lists (field, build) in order: build(owner) returns
+    the tier's solve, (owner, load, tol) -> (answer, residual), and field
+    names the SolveCounts field that counts the hand-over to the tier.  The
+    first tier is built with the chain, each later one at the hand-over.
+    The owner comes with each call, so that no tier holds it in a reference
+    cycle: a solver and its factors go with its last reference."""
 
-    def __init__(self, mat, counts):
-        self.mat = mat.tocsc()
-        self.counts = counts
-        self.pivoted = False
-        try:
-            self.lu = self._factor(pivot=False)
-        except RuntimeError:
-            self._fall_back()
+    def __init__(self, owner, counts, tiers):
+        self._counts, self._tiers = counts, list(tiers)
+        self._build(owner)
 
-    def _factor(self, pivot):
-        self.counts.factorizations += 1
-        return _splu(self.mat, pivot)
-
-    def _fall_back(self):
-        self.counts.pivoted_fallbacks += 1
-        self.pivoted = True
-        try:
-            self.lu = self._factor(pivot=True)
-        except RuntimeError as exc:
-            raise SingularSystemError(f"factorization failed: {exc}") from exc
-
-    def solve(self, rhs, check, tol):
-        """Refined solution x with check(x) <= tol; check maps a pinned
-        solution to its unpinned relative residual."""
+    def _build(self, owner, failure=None):
+        """Build the first tier that can be, after a failed current one."""
         while True:
-            x = self.lu.solve(rhs)
-            x = x + self.lu.solve(rhs - self.mat @ x)
-            rel = check(x) if np.all(np.isfinite(x)) else np.inf
+            if failure is not None:
+                if len(self._tiers) == 1:
+                    raise failure
+                self._solve = None      # freed before the next is built
+                del self._tiers[0]
+                name = self._tiers[0][0]
+                setattr(self._counts, name, getattr(self._counts, name) + 1)
+            try:
+                self._solve = self._tiers[0][1](owner)
+                return
+            except (RuntimeError, np.linalg.LinAlgError) as exc:
+                failure = SingularSystemError(f"factorization failed: {exc}")
+
+    def solve(self, owner, load, tol):
+        """The first tier's answer within tol, and its residual."""
+        _check_tol(tol)
+        while True:
+            answer, rel = self._solve(owner, load, tol)
             if rel <= tol:
-                return x
-            if self.pivoted:
-                raise ConvergenceFailureError(
-                    f"residual {rel:.3e} above tolerance {tol:.3e}",
-                    residual=rel)
-            self._fall_back()
+                return answer, rel
+            self._build(owner, ConvergenceFailureError(
+                f"residual {rel:.3e} above tolerance {tol:.3e}",
+                residual=rel))
 
 
 class SaddleSolver:
-    """A saddle system factored once, with one pressure dof pinned.
-
-    The pinned matrix has u first, then q = -p without the pin, and its rhs
-    is the velocity load padded with zeros for B u = 0.  solve() returns the
-    solution of the factored operator for the system's load or for another
-    velocity load, several loads at once when the load has one column per
-    load.  The work done is added to counts.
+    """A saddle system, or a Neumann K with a gauge and no B, factored once
+    by SuperLU with one dof pinned: a pressure dof of a saddle system, whose
+    pinned matrix has u first, then q = -p without the pin, and whose rhs is
+    the velocity load padded with zeros for B u = 0; a dof of K otherwise,
+    none for a K alone.  solve() returns the solution of the factored
+    operator for the system's load or for another velocity load, several
+    loads at once when the load has one column per load, p (a Neumann K's
+    u) shifted to gauge^T p = 0.  Its chain is the pinned LU of the module
+    docstring.  The work done is added to counts.
     """
 
     def __init__(self, system, counts=None):
         import scipy.sparse as sp
         self.counts = SolveCounts() if counts is None else counts
-        self._n_u, self._pin = system.n_u, None
+        self._system, self._gauge, self._pin = system, None, None
+        if system.B is not None or system.gauge is not None:
+            self._gauge, self._pin = _gauge_and_pin(system.gauge)
         mat = system.K
         if system.B is not None:
-            self._gauge, self._pin = _gauge_and_pin(system.gauge)
-            B = sp.csr_matrix(system.B)[
-                np.delete(np.arange(system.n_p), self._pin)]
+            B = sp.csr_matrix(system.B)[np.arange(system.n_p) != self._pin]
             mat = sp.bmat([[system.K, B.T], [B, None]], format="csc")
             del B       # not held while SuperLU factors
-        self._system = system
-        self._lu = _PinnedLU(mat, self.counts)
+        elif self._pin is not None:
+            keep = np.delete(np.arange(system.n_u), self._pin)
+            mat = sp.csr_matrix(system.K)[keep][:, keep]
+        self._mat = mat.tocsc()
+        self._chain = _Chain(self, self.counts, [
+            (None, functools.partial(SaddleSolver._factored, pivot=False)),
+            ("pivoted_fallbacks",
+             functools.partial(SaddleSolver._factored, pivot=True))])
 
-    def _unpin(self, x):
-        """(u, p) from a pinned solution, p shifted to gauge^T p = 0."""
-        u = x[:self._n_u]
-        if self._pin is None:
-            return u, None
-        q = np.insert(x[self._n_u:], self._pin, 0.0, axis=0)
-        return u, _project_gauge(self._gauge, -q)
+    def _factored(self, pivot):
+        """The tier of the pinned matrix factored by _splu."""
+        self.counts.factorizations += 1
+        lu = _splu(self._mat, pivot)
+        return lambda owner, f, tol: owner._refined(lu, f)
+
+    def _refined(self, lu, f):
+        """(u, p) for the velocity load f from the factors lu, with one step
+        of refinement and p (a Neumann K's u) shifted to gauge^T p = 0, and
+        its residual."""
+        system, pin, n_u = self._system, self._pin, self._system.n_u
+        if system.B is not None:
+            rhs = np.concatenate(
+                [f, np.zeros((system.n_p - 1,) + f.shape[1:])])
+        else:
+            rhs = f if pin is None else np.delete(f, pin, axis=0)
+        x = lu.solve(rhs)
+        x = x + lu.solve(rhs - self._mat @ x)
+        if system.B is not None:
+            pair = x[:n_u], _project_gauge(
+                self._gauge, -np.insert(x[n_u:], pin, 0.0, axis=0))
+        elif pin is not None:
+            pair = _project_gauge(self._gauge,
+                                  np.insert(x, pin, 0.0, axis=0)), None
+        else:
+            pair = x, None
+        return pair, residual(replace(system, rhs_u=f), pair) \
+            if np.all(np.isfinite(x)) else np.inf
 
     def solve(self, tol=DEFAULT_TOL_DIRECT, rhs_u=None):
         """(u, p) of the factored operator, residual <= tol.
@@ -350,16 +380,9 @@ class SaddleSolver:
         rhs_u, if given, replaces the system's velocity load and must have
         its shape.
         """
-        _check_tol(tol)
-        target = self._system if rhs_u is None \
-            else replace(self._system, rhs_u=rhs_u)
-        rhs = np.asarray(target.rhs_u, dtype=float)
-        if self._pin is not None:
-            rhs = np.concatenate([rhs, np.zeros(
-                (target.n_p - 1,) + rhs.shape[1:])])
-        x = self._lu.solve(rhs, lambda x: residual(target, self._unpin(x)),
-                           tol)
-        return self._unpin(x)
+        return self._chain.solve(self, np.asarray(
+            self._system.rhs_u if rhs_u is None else rhs_u, dtype=float),
+            tol)[0]
 
 
 class BlockTridiagonal:
@@ -433,27 +456,35 @@ class TridiagonalSaddleSolver:
     columns.  Padding and the pinned dof are left out of the pivots: S_k is
     inverted on its other slots, and its inverse is zero in their rows and
     columns, so a solve holds zero there and reads nothing of their rows.
-    The solver keeps the matrix, the S_k^{-1} and the X_k.  A solve sweeps
-    forward, y_k = S_k^{-1} (b_k - L_{k-1} y_{k-1}), and back, x_k = y_k -
-    X_k x_{k+1}; it applies one step of iterative refinement, checks the
-    residual of the unpinned system against the tolerance, and shifts p to
-    gauge^T p = 0.  A block that LAPACK finds singular, or a solve that
-    misses its check, counts a direct fallback: that load and every later
-    one go to a SaddleSolver (the pinned SuperLU) of the assembled matrix.
+    A solve sweeps forward, y_k = S_k^{-1} (b_k - L_{k-1} y_{k-1}), and
+    back, x_k = y_k - X_k x_{k+1}, applies one step of iterative
+    refinement and shifts p to gauge^T p = 0.  Its chain is the block LU,
+    then the pinned LU of the assembled matrix (see the module docstring).
     Loads are single vectors.  The work done is added to counts.
     """
 
     def __init__(self, matrix, n_u, gauge, rhs_u, counts=None):
         self.counts = SolveCounts() if counts is None else counts
         self._matrix, self._n_u, self._rhs_u = matrix, n_u, rhs_u
-        self._gauge, pin = _gauge_and_pin(gauge)
-        self._direct = None
+        self._gauge, self._pin = _gauge_and_pin(gauge)
+        self._chain = _Chain(self, self.counts, [
+            (None, TridiagonalSaddleSolver._block_lu),
+            ("direct_fallbacks", TridiagonalSaddleSolver._pinned_lu)])
+
+    def _block_lu(self):
+        """The block LU tier."""
         self.counts.factorizations += 1
-        try:
-            self._factors = self._factor(
-                *np.argwhere(matrix.index == n_u + pin)[0])
-        except np.linalg.LinAlgError:
-            self._factors = None
+        factors = self._factor(
+            *np.argwhere(self._matrix.index == self._n_u + self._pin)[0])
+        return lambda owner, f, tol: owner._checked(factors, f)
+
+    def _pinned_lu(self):
+        """The pinned LU tier of the assembled matrix."""
+        mat, n_u = self._matrix.assembled(), self._n_u
+        saddle = SaddleSolver(SaddleSystem(
+            K=mat[:n_u, :n_u], B=mat[n_u:, :n_u], gauge=self._gauge),
+            self.counts)
+        return lambda _, f, tol: saddle._chain.solve(saddle, f, tol)
 
     def _factor(self, pin_block, pin_slot):
         """S_k^{-1} and X_k of every block."""
@@ -478,11 +509,11 @@ class TridiagonalSaddleSolver:
                 np.matmul(part, m.upper[k, :size], out=x[k, :size])
         return inverse, x
 
-    def _sweep(self, b):
+    def _sweep(self, factors, b):
         """The pinned solution of the slots b.  The loops iterate over the
         block arrays, whose items are views: indexing the arrays in the
         loops would cost more than the products."""
-        inverse, x = self._factors
+        inverse, x = factors
         c = x.shape[2]
         z = np.matmul(inverse, b[..., None])[..., 0]
         y = [z[0]]
@@ -493,37 +524,23 @@ class TridiagonalSaddleSolver:
             y[k] = y[k] - coupling @ y[k + 1][:c]
         return np.array(y)
 
-    def _checked(self, f, tol):
-        """(u, p) for the load f with residual <= tol, or None."""
+    def _checked(self, factors, f):
+        """(u, p) for the load f and its residual."""
         m = self._matrix
         b = m.to_blocks(np.concatenate([f, np.zeros(m.size - self._n_u)]))
-        x = self._sweep(b)
-        x = x + self._sweep(b - m.apply_blocks(x))
+        x = self._sweep(factors, b)
+        x = x + self._sweep(factors, b - m.apply_blocks(x))
         rel = _relative(f, [(m.apply_blocks(x) - b).ravel()]) \
             if np.all(np.isfinite(x)) else np.inf
-        if not rel <= tol:
-            return None
-        x = m.from_blocks(x)
-        return x[:self._n_u], _project_gauge(self._gauge, -x[self._n_u:])
+        u, q = np.split(m.from_blocks(x), [self._n_u])
+        return (u, _project_gauge(self._gauge, -q)), rel
 
     def solve(self, tol=DEFAULT_TOL_DIRECT, rhs_u=None):
         """(u, p) for the system's load or for rhs_u, residual <= tol."""
-        _check_tol(tol)
         f = np.asarray(self._rhs_u if rhs_u is None else rhs_u, dtype=float)
         if f.ndim != 1:
             raise ValueError("the block LU solves one load at a time")
-        if self._direct is None:
-            solution = None if self._factors is None \
-                else self._checked(f, tol)
-            if solution is not None:
-                return solution
-            self.counts.direct_fallbacks += 1
-            self._factors = None
-            mat, n_u = self._matrix.assembled(), self._n_u
-            self._direct = SaddleSolver(SaddleSystem(
-                K=mat[:n_u, :n_u], B=mat[n_u:, :n_u], gauge=self._gauge,
-                rhs_u=self._rhs_u), self.counts)
-        return self._direct.solve(tol, rhs_u=rhs_u)
+        return self._chain.solve(self, f, tol)[0]
 
 
 def _norm(x):
@@ -883,19 +900,13 @@ class BlockSaddleSolver:
     each, to its new pair.  A start pair comes from another operator, so
     its products are computed afresh.  The kept pair is the one of the
     smallest backward error; a sweep forms a new pair rather than update
-    one in place, so a pair before the last sweep is still whole.  A solve
-    that misses its check keeps neither its pair nor its products, and a
-    start pair that is not finite has no backward error: that solve goes
-    over to the direct path.
-
-    A solve returns only if its residual is at most tol, as on the direct
-    path, whichever inverse of the blocks it applied.  Otherwise, or where
-    there is no inverse (an LU that meets a zero pivot, pencils that
-    _pencil_eigh rejects), the solver counts a direct fallback, builds K =
-    block_diag(A_0, ..., A_{d-1}) and B as sparse matrices (B, and a block
-    in tensor form, from Kronecker products) and solves this load and every
-    later one with a SaddleSolver of them.  Loads are single vectors.  The
-    work done is added to counts.
+    one in place, so a pair before the last sweep is still whole.  A start
+    pair that is not finite has no answer.  Its chain (see the module
+    docstring) is the Schur CG, which cannot be built where an LU meets a
+    zero pivot or _pencil_eigh rejects a pencil, then the pinned LU of K =
+    block_diag(A_0, ..., A_{d-1}) and B (B, and a block in tensor form,
+    from Kronecker products).  Loads are single vectors.  The work done is
+    added to counts.
     """
 
     def __init__(self, blocks, B, gauge, rhs_u, pressure, nu, sigma,
@@ -942,24 +953,27 @@ class BlockSaddleSolver:
         self._u = np.zeros(n_u)
         self._q = np.zeros(n_p)
         self._products = (np.zeros(n_u), np.zeros(n_u), np.zeros(n_p))
-        self._direct = None
         # the backward error of the last solution, 0 on the direct path
         self.backward_error = 0.0
-        # K^{-1}: without it the first solve takes the direct path
-        try:
-            for group in self._groups:
-                group.invert()
-        except (RuntimeError, np.linalg.LinAlgError):
-            self._inverted = False
-        else:
-            self._inverted = True
+        self._chain = _Chain(self, self.counts, [
+            (None, BlockSaddleSolver._invert),
+            ("direct_fallbacks", BlockSaddleSolver._pinned_lu)])
 
-    def _assembled(self):
-        """K and B as sparse matrices, for the direct path."""
+    def _invert(self):
+        """The Schur CG tier: the groups' parts of K^{-1}."""
+        for group in self._groups:
+            group.invert()
+        return lambda owner, load, tol: owner._schur_solve(*load)
+
+    def _pinned_lu(self):
+        """The pinned LU tier of K and B as sparse matrices."""
         import scipy.sparse as sp
-        return (sp.block_diag([block for group in self._groups
-                               for block in group.assembled()], format="csr"),
-                _kron_row(self._factors))
+        self.backward_error = 0.0
+        saddle = SaddleSolver(SaddleSystem(
+            K=sp.block_diag([block for group in self._groups
+                             for block in group.assembled()], format="csr"),
+            B=_kron_row(self._factors), gauge=self._gauge), self.counts)
+        return lambda _, load, tol: saddle._chain.solve(saddle, load[0], tol)
 
     def _apply(self, u, q):
         """K u, B^T q and B u."""
@@ -1033,14 +1047,13 @@ class BlockSaddleSolver:
             formed = self._velocity(du)
         return formed, dq, iterations
 
-    def _schur_solve(self, f, tol, start, floor):
-        """(u, p) with residual <= tol for the load f, or None where CG
-        cannot get there; the kept products stand in for K u, B^T q and
+    def _schur_solve(self, f, start, floor):
+        """(u, p) for the load f and its residual, or None where CG has no
+        pair to start from; the kept products stand in for K u, B^T q and
         B u, or those of the start pair, if one is given.  Sweeps stop at
         the goal (for the start pair, at most floor) or once one fails to
         cut the backward error by _SWEEP_STALL, and the pair of the
-        smallest error is the one checked and kept."""
-        f = np.asarray(f, dtype=float)
+        smallest error is the one kept and checked."""
         if start is None:
             u, q, products = self._u, self._q, self._products
         else:
@@ -1067,16 +1080,14 @@ class BlockSaddleSolver:
             products = self._apply(u, q)
         self.counts.schur_iterations += iterations
         if kept is None:
-            return None
-        u, q, products = kept
-        # residual() of the pair, up to the gauge shift of p: B^T maps a
-        # constant pressure to zero
-        ku, btq, div = products
-        if not _relative(f, [f - ku - btq, div]) <= tol:
-            return None
+            return None, np.inf
         self._u, self._q, self._products = kept
         self.backward_error = best
-        return u, _project_gauge(self._gauge, -q)
+        u, q, (ku, btq, div) = kept
+        # residual() of the pair, up to the gauge shift of p: B^T maps a
+        # constant pressure to zero
+        return (u, _project_gauge(self._gauge, -q)), \
+            _relative(f, [f - ku - btq, div])
 
     def solve(self, tol=DEFAULT_TOL_DIRECT, rhs_u=None, start=None,
               floor=0.0):
@@ -1086,21 +1097,10 @@ class BlockSaddleSolver:
         earlier solve of this load reached (its backward_error), at the
         rounding floor: a start pair whose error is at most floor is taken
         as it is, as the sweeps from it would only move the error about."""
-        _check_tol(tol)
-        f = self._rhs_u if rhs_u is None else rhs_u
-        if np.ndim(f) != 1:
+        f = np.asarray(self._rhs_u if rhs_u is None else rhs_u, dtype=float)
+        if f.ndim != 1:
             raise ValueError("the block path solves one load at a time")
-        if self._direct is None:
-            solution = self._schur_solve(f, tol, start, floor) \
-                if self._inverted else None
-            if solution is not None:
-                return solution
-            self.backward_error = 0.0
-            self.counts.direct_fallbacks += 1
-            K, B = self._assembled()
-            self._direct = SaddleSolver(SaddleSystem(
-                K=K, B=B, gauge=self._gauge, rhs_u=self._rhs_u), self.counts)
-        return self._direct.solve(tol, rhs_u=rhs_u)
+        return self._chain.solve(self, (f, start, floor), tol)[0]
 
 
 def solve_sparse(system, tol=DEFAULT_TOL_DIRECT, counts=None):
@@ -1121,34 +1121,33 @@ def solve_gauged_spd(K, rhs, gauge, tol=DEFAULT_TOL_DIRECT):
     For symmetric positive semidefinite K whose kernel is spanned by the
     constants (pure Neumann problems); the rhs is first compatibilized
     against the gauge direction, as a border multiplier would.  K is a
-    sparse matrix, factored with one dof pinned, or a KroneckerSum of
-    Neumann pencils: their first eigenvectors are the constants, so
-    K.function with g = 1 / lam off the constant mode and 0 on it applies
-    K^+ to the compatible load, with nothing factored.  As on
-    the LU, one step of iterative refinement follows; the result is
-    shifted to gauge^T x = 0 and checked like the LU's, and one that
-    misses the tolerance goes to the LU of the assembled K.
+    sparse matrix, pinned by SaddleSolver, or a KroneckerSum of Neumann
+    pencils: their first eigenvectors are the constants, so K.function with
+    g = 1 / lam off the constant mode and 0 on it applies K^+ to the
+    compatible load, with nothing factored (the chain: see the module
+    docstring).
     """
-    _check_tol(tol)
-    gauge, pin = _gauge_and_pin(gauge)
-    system = SaddleSystem(K=K, rhs_u=_compatible(
+    gauge = _checked_gauge(gauge)
+    system = SaddleSystem(K=K, gauge=gauge, rhs_u=_compatible(
         np.asarray(rhs, dtype=float), gauge))
-    if isinstance(K, KroneckerSum):
+    if not isinstance(K, KroneckerSum):
+        return SaddleSolver(system).solve(tol)[0]
+
+    def diagonalized(_):
         inverse = K.function(functools.partial(_cahouet_chabard, 0.0, 1.0),
                              neumann=True)
-        x = inverse(system.rhs_u)
-        x = _project_gauge(gauge, x + inverse(system.rhs_u - K @ x))
-        if residual(system, (x, None)) <= tol:
-            return x
-        K = K.assembled()
-        system = replace(system, K=K)
-    import scipy.sparse as sp
-    keep = np.delete(np.arange(K.shape[0]), pin)
-    lu = _PinnedLU(sp.csr_matrix(K)[keep][:, keep], SolveCounts())
 
-    def unpin(x):
-        return _project_gauge(gauge, np.insert(x, pin, 0.0))
+        def solve(_, f, tol):
+            x = inverse(f)
+            x = _project_gauge(gauge, x + inverse(f - K @ x))
+            return (x, None), residual(system, (x, None))
 
-    x = lu.solve(system.rhs_u[keep],
-                 lambda x: residual(system, (unpin(x), None)), tol)
-    return unpin(x)
+        return solve
+
+    def pinned_lu(_):
+        saddle = SaddleSolver(replace(system, K=K.assembled()))
+        return lambda _, f, tol: saddle._chain.solve(saddle, f, tol)
+
+    return _Chain(None, SolveCounts(), [
+        (None, diagonalized), ("direct_fallbacks", pinned_lu)]).solve(
+            None, system.rhs_u, tol)[0][0]

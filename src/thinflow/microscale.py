@@ -214,10 +214,11 @@ def tensor_form(mesh, field):
     """Whether a clamped Brinkmann problem of the coefficient field on the
     mesh (a thin layer, or a cell of regime i or iii) runs in tensor form:
     a d = 3 mesh and a separable field, whose scalar block is then the
-    KroneckerSum of per-axis pencils (_block_pencils).  In d = 2 a direct
-    solve is faster: the block LU of a layer's element columns, the pinned
-    SuperLU of a cell, which is periodic across the cell and so not block
-    tridiagonal."""
+    KroneckerSum of per-axis pencils (_block_pencils).  In d = 2 a layer
+    is solved on the block LU of its element columns; d = 2 cells stay on
+    the pinned LU (a cell is periodic across, so not block tridiagonal)
+    until separable d = 2 cells run in tensor form too, which measured
+    faster on the shipped cells."""
     return mesh.ndim == 3 and field.separable
 
 

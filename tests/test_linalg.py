@@ -17,12 +17,12 @@ from thinflow.assembly import (FunctionSpace, assemble_column_saddle,
                                assemble_load, assemble_mass, axis_divergence,
                                axis_pencils, pressure_gauge)
 from thinflow.cell_problems import _laplacian_pencils
-from thinflow.errors import SingularSystemError
-from thinflow.linalg import (BlockSaddleSolver, KroneckerSum, SaddleSolver,
-                             SaddleSystem, SolveCounts,
-                             TridiagonalSaddleSolver, _cahouet_chabard,
-                             _gauge_and_pin, _norm, residual,
-                             solve_gauged_spd, solve_sparse)
+from thinflow.errors import ConvergenceFailureError, SingularSystemError
+from thinflow.linalg import (BlockSaddleSolver, BlockTridiagonal,
+                             KroneckerSum, SaddleSolver, SaddleSystem,
+                             SolveCounts, TridiagonalSaddleSolver,
+                             _cahouet_chabard, _gauge_and_pin, _norm,
+                             residual, solve_gauged_spd, solve_sparse)
 from thinflow.meshing import Geometry, build_cell_mesh, build_thin_mesh
 
 from helpers import cahouet_chabard_reference, interpolate, oseen_matrix
@@ -355,6 +355,144 @@ def test_block_solver_falls_back_to_direct_path():
                     (u, p)) <= 1e-10
 
 
+def test_block_lu_with_a_zero_pivot_falls_back_to_pinned_lu():
+    # the first component's block is the Neumann Laplacian of a path,
+    # singular along the constants, which its divergence does not annihilate:
+    # SuperLU meets an exactly zero pivot in the block, so the block path
+    # cannot be built, while the pinned LU of the whole system solves it.
+    # B comes as the divergence factors of a 6 x 1 velocity and a 2 x 1
+    # pressure lattice, as in test_block_solver_falls_back_to_direct_path
+    n = 6
+    path = sp.diags([np.r_[1.0, np.full(n - 2, 2.0), 1.0], -np.ones(n - 1),
+                     -np.ones(n - 1)], [0, -1, 1], format="csr")
+    blocks = [path, (path + sp.identity(n)).tocsr()]
+    mass, derivative = np.zeros((2, n)), np.zeros((2, n))
+    mass[:, 0] = derivative[:, 0] = [1.0, -1.0]
+    factors = [(mass, derivative), (np.array([[1.0]]), np.array([[0.5]]))]
+    K = sp.block_diag(blocks, format="csr")
+    B = sp.csr_matrix(np.hstack([derivative, 0.5 * mass]))
+    counts = SolveCounts()
+    solver = BlockSaddleSolver(blocks, [factors] * 2, np.ones(2), None,
+                               TOY_PRESSURE, nu=1.0, sigma=1.0, counts=counts)
+    seen = []
+    for load in (np.arange(1.0, 2 * n + 1), np.cos(np.arange(2.0 * n))):
+        u, p = solver.solve(tol=1e-10, rhs_u=load)
+        system = SaddleSystem(K=K, B=B, gauge=np.ones(2), rhs_u=load)
+        assert residual(system, (u, p)) <= 1e-10
+        for x, ref in zip((u, p), solve_sparse(system)):
+            assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+        seen.append(copy(counts))
+    assert seen[0].direct_fallbacks == 1 and seen[0].schur_iterations == 0
+    # the second load adds no count
+    assert seen[1] == seen[0]
+
+
+def two_block_saddle(K, B, velocity_first=True, load=None):
+    """The saddle system of the dense K and B (gauge 1, load 1, 2, ... by
+    default) and its matrix as a BlockTridiagonal of two blocks, the
+    velocity dofs in one and the pressure dofs in the other, in that order
+    or the reverse; the blocks off the diagonal reach the first n_p slots
+    of the second block."""
+    n_u, n_p = K.shape[0], B.shape[0]
+    full = np.zeros((n_u + n_p + 1,) * 2)   # its last row and column: padding
+    full[:n_u, :n_u], full[:n_u, n_u:-1], full[n_u:-1, :n_u] = K, B.T, B
+    slots = [list(range(n_u)), list(range(n_u, n_u + n_p))]
+    if not velocity_first:
+        slots.reverse()
+    m = max(n_u, n_p)
+    index = np.array([r + [-1] * (m - len(r)) for r in slots])
+
+    def part(rows, cols):
+        return full[np.ix_(rows, cols)]
+
+    matrix = BlockTridiagonal(
+        np.stack([part(r, r) for r in index]),
+        part(index[0], index[1][:n_p])[None],
+        part(index[1][:n_p], index[0])[None], index)
+    system = SaddleSystem(K=sp.csr_matrix(K), B=sp.csr_matrix(B),
+                          gauge=np.ones(n_p),
+                          rhs_u=np.arange(1.0, n_u + 1) if load is None
+                          else load)
+    return system, matrix
+
+
+# a velocity block with two dofs and a divergence that annihilates the
+# constant pressures
+TOY_K = np.array([[2.0, 0.5], [0.5, 1.0]])
+TOY_B = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def test_tridiagonal_singular_block_falls_back_to_pinned_lu():
+    # the pressure dofs first: the first diagonal block is zero but for the
+    # pinned dof, and LAPACK finds it singular, so the block LU cannot be
+    # built; the pinned LU of the assembled matrix answers every load
+    system, matrix = two_block_saddle(TOY_K, TOY_B, velocity_first=False)
+    counts = SolveCounts()
+    solver = TridiagonalSaddleSolver(matrix, system.n_u, system.gauge,
+                                     system.rhs_u, counts)
+    for load in (system.rhs_u, np.array([-3.0, 1.0])):
+        target = replace(system, rhs_u=load)
+        u, p = solver.solve(tol=1e-10, rhs_u=load)
+        assert residual(target, (u, p)) <= 1e-10
+        for x, ref in zip((u, p), solve_sparse(target)):
+            assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+        # the second load adds no count
+        assert counts == SolveCounts(factorizations=2, direct_fallbacks=1)
+
+
+def hilbert_saddle():
+    """A saddle system whose velocity block is the Hilbert matrix of order
+    10 (condition 1.6e13), with a load that drives a velocity of order
+    1e10: a backward stable solve leaves a residual near 1e-6 of it."""
+    n = 10
+    K = 1.0 / (np.arange(n)[:, None] + np.arange(n) + 1.0)
+    B = np.zeros((2, n))
+    B[:, :2] = TOY_B
+    return two_block_saddle(
+        K, B, load=np.random.default_rng(0).standard_normal(n))
+
+
+def solve_on(path, system, matrix, counts):
+    """Solve system on the direct path or its block tridiagonal matrix on
+    the block LU, whose last tier is the direct path."""
+    if path == "direct":
+        return solve_sparse(system, counts=counts)
+    return TridiagonalSaddleSolver(matrix, system.n_u, system.gauge,
+                                   system.rhs_u, counts).solve()
+
+
+# the counts of a chain that runs out: the pinned LU, without pivoting and
+# with it, after the block LU on the block tridiagonal path
+CHAIN_END_COUNTS = {
+    "direct": SolveCounts(factorizations=2, pivoted_fallbacks=1),
+    "block_lu": SolveCounts(factorizations=3, pivoted_fallbacks=1,
+                            direct_fallbacks=1)}
+
+
+@pytest.mark.parametrize("path", ["direct", "block_lu"])
+def test_chain_raises_its_last_tiers_residual(path):
+    # every tier misses the tolerance on the Hilbert block: the block LU,
+    # then SuperLU without pivoting and with it; the last raises with its
+    # residual
+    system, matrix = hilbert_saddle()
+    counts = SolveCounts()
+    with pytest.raises(ConvergenceFailureError) as failure:
+        solve_on(path, system, matrix, counts)
+    assert failure.value.residual > 1e-10
+    assert counts == CHAIN_END_COUNTS[path]
+
+
+@pytest.mark.parametrize("path", ["direct", "block_lu"])
+def test_chain_raises_on_a_singular_pinned_matrix(path):
+    # with B = 0 the pinned matrix has an empty row: SuperLU meets a zero
+    # pivot without pivoting and with it, and the block LU a singular block
+    system, matrix = two_block_saddle(TOY_K, np.zeros((2, 2)))
+    counts = SolveCounts()
+    with pytest.raises(SingularSystemError):
+        solve_on(path, system, matrix, counts)
+    assert counts == CHAIN_END_COUNTS[path]
+
+
 def column_system(eps=0.125):
     """A d = 2 layer's saddle matrix by element columns, with a load that
     drives a flow, and the same system assembled as CSR matrices."""
@@ -391,15 +529,22 @@ def test_tridiagonal_solver_matches_the_pinned_lu():
         solver.solve(rhs_u=np.stack([system.rhs_u] * 2, axis=1))
 
 
-def test_tridiagonal_solver_falls_back_to_pinned_lu():
+def test_tridiagonal_solver_falls_back_to_pinned_lu(monkeypatch):
     # a corrupted block inverse leaves the refined solution far from the
     # tolerance: the solver goes over to the pinned SuperLU of the
     # assembled matrix, for this load and every later one
+    factor = TridiagonalSaddleSolver._factor
+
+    def corrupted(self, *pin):
+        inverse, x = factor(self, *pin)
+        inverse[3] *= 1.5
+        return inverse, x
+
+    monkeypatch.setattr(TridiagonalSaddleSolver, "_factor", corrupted)
     matrix, system = column_system()
     counts = SolveCounts()
     solver = TridiagonalSaddleSolver(matrix, system.n_u, system.gauge,
                                      system.rhs_u, counts)
-    solver._factors[0][3] *= 1.5
     u, p = solver.solve(tol=1e-10)
     assert residual(system, (u, p)) <= 1e-10
     assert counts == SolveCounts(factorizations=2, direct_fallbacks=1)
