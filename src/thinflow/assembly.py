@@ -39,9 +39,9 @@ component is a Kronecker product of 1-D mass and derivative matrices
 axis by axis on the block path (d = 3 layers, the regime-ii cell) and
 assembled from them everywhere else.  The saddle matrix of a d = 2 layer
 is block tridiagonal when its unknowns are numbered by element columns
-along the layer: assemble_column_saddle adds the same element matrices and
-divergence factor products straight into that block storage
-(linalg.BlockTridiagonal), so a layer builds no CSR matrix.
+along the layer: columns.assemble_column_saddle adds the same element
+matrices and divergence factor products straight into that block storage,
+so a layer builds no CSR matrix.
 
 Discrete fields are sampled at Gauss points by sum factorization
 (meshing._kron_apply), one 1D interpolation matrix per axis, which the
@@ -67,11 +67,9 @@ import itertools
 
 import numpy as np
 
-from .errors import (AsymmetricOperatorError, ComponentLayoutError,
-                     SpaceMismatchError)
-from .linalg import BlockTridiagonal
-from .meshing import (_kron_apply, _kron_row, _term, composite_gauss,
-                      gauss_rule, grid_points, grid_values, tensor_rule)
+from .errors import AsymmetricOperatorError, SpaceMismatchError
+from .meshing import (_kron_apply, _kron_row, composite_gauss, gauss_rule,
+                      grid_points, grid_values, tensor_rule)
 
 _SYM_CHECK_REL = 1e-13
 # Gauss points per axis and element of the bilinear forms and the loads
@@ -685,115 +683,6 @@ def assemble_divergence(space_v, space_p):
     (axis_divergence) as one block row (meshing._kron_row), so B stores no
     integral that vanishes."""
     return _kron_row(axis_divergence(space_v, space_p))
-
-
-def assemble_column_saddle(space_v, space_p, a_eval=None, drag=0.0):
-    """The saddle matrix [[K, B^T], [B, 0]] of a d = 2 layer, K the
-    diffusion matrix of assemble_diffusion and B that of
-    assemble_divergence, in block tridiagonal storage
-    (linalg.BlockTridiagonal) by element columns along axis 0.
-
-    Column e holds the velocity on the lattice lines 2 e and 2 e + 1 of
-    axis 0 and the pressure on the vertex line e; the last lines of the
-    axis join the last column.  An element of column e reaches no further
-    than the lines on the left edge of column e + 1 (velocity line 2 e + 2,
-    pressure line e + 1), so the matrix is block tridiagonal, and a column
-    lists those edge unknowns first (velocity before pressure, each in dof
-    order), then the rest: the blocks off the diagonal are as wide as the
-    edge.  Each block is padded to the largest column.  The velocity
-    space's walls must clamp every component alike, so that K is one scalar
-    block A per component, and axis 0 must not be periodic.  The element
-    matrices of A (_diffusion_local) are added into the blocks in element
-    order by np.add.at, as _fill adds them into its CSR pattern, and the
-    entries of B are the products of the divergence factors
-    (axis_divergence) that its Kronecker products form: the blocks hold the
-    bits of the assembled matrices.
-    """
-    mesh, free = space_v.mesh, space_v.axis_free
-    if mesh.ndim != 2 or mesh.periodic[0] or space_v.kind != "velocity" \
-            or any(f is not free[0] for f in free):
-        raise ComponentLayoutError(
-            "element columns need a d = 2 velocity space, not periodic "
-            "along axis 0, whose walls clamp every component alike")
-    columns = mesh.n_elements[0]
-
-    def column_of(space):
-        """The column of each dof of the space, and whether the dof lies on
-        the column's left edge: on the lattice line order * e of axis 0."""
-        line = np.concatenate([f // space.lattice_sizes[1]
-                               for f in space.free])
-        column = np.minimum(line // space.order, columns - 1)
-        return column, line == space.order * column
-
-    col, edge = (np.concatenate(parts) for parts in zip(
-        column_of(space_v), column_of(space_p)))
-    counts = np.bincount(col, minlength=columns)
-    width = int(counts.max())
-    coupling = int(np.bincount(col[edge], minlength=columns)[1:].max(
-        initial=0))
-    slot = np.empty_like(col)
-    slot[np.lexsort((~edge, col))] = np.arange(col.size) - np.repeat(
-        np.cumsum(counts) - counts, counts)
-    index = np.full((columns, width), -1)
-    index[col, slot] = np.arange(col.size)
-    sizes = [columns * width * width, (columns - 1) * width * coupling]
-    flat = np.zeros(sizes[0] + 2 * sizes[1])
-    diagonal, upper, lower = (
-        part.reshape(shape) for part, shape in zip(
-            np.split(flat, np.cumsum(sizes)),
-            [(columns, width, width), (columns - 1, width, coupling),
-             (columns - 1, coupling, width)]))
-
-    def place(rows, cols):
-        """The places in flat of the entries (rows, cols) of the matrix:
-        in D of their column, or in U or L of the lower of two
-        neighbouring columns, where the higher one's slot is an edge
-        slot."""
-        col_r, col_c, slot_r, slot_c = col[rows], col[cols], slot[rows], \
-            slot[cols]
-        step = col_c - col_r
-        if np.any(np.abs(step) > 1) or np.any(slot_c[step > 0] >= coupling) \
-                or np.any(slot_r[step < 0] >= coupling):
-            raise ComponentLayoutError(
-                "an element couples columns that are not neighbours")
-        return np.where(
-            step == 0, (col_r * width + slot_r) * width + slot_c,
-            np.where(step > 0,
-                     sizes[0] + (col_r * width + slot_r) * coupling + slot_c,
-                     sum(sizes) + (col_c * coupling + slot_r) * width
-                     + slot_c))
-
-    # K: one scalar block per component, its element matrices added in
-    # element order (element rows along axis 0, slab by slab)
-    n_free = space_v.free[0].size
-    dof = np.full(space_v.n_scalar, -1)
-    dof[space_v.free[0]] = np.arange(n_free)
-    nz = space_v.lattice_sizes[1]
-    nodes_z = _element_nodes(space_v, 1, np.arange(mesh.n_elements[1]))
-    local = _diffusion_local(space_v, a_eval, drag)
-    for s in _slabs(mesh.n_elements, (space_v.order + 1) ** 4):
-        mats = local(s)
-        _check_symmetric(mats)
-        nodes_x = _element_nodes(space_v, 0, np.arange(s.start, s.stop))
-        nodes = dof[(nodes_x[:, None, :, None] * nz
-                     + nodes_z[None, :, None, :]).reshape(-1, mats.shape[-1])]
-        rows, cols = np.broadcast_arrays(nodes[:, :, None], nodes[:, None, :])
-        keep = (rows >= 0) & (cols >= 0)
-        rows, cols = rows[keep], cols[keep]
-        values = np.broadcast_to(mats, keep.shape)[keep]
-        for c in range(mesh.ndim):
-            np.add.at(flat, place(rows + c * n_free, cols + c * n_free),
-                      values)
-    # B and B^T: the products of the nonzero entries of the factors
-    for c, pairs in enumerate(axis_divergence(space_v, space_p)):
-        fx, fz = _term(pairs, c)
-        (px, vx), (pz, vz) = np.nonzero(fx), np.nonzero(fz)
-        values = np.multiply.outer(fx[px, vx], fz[pz, vz])
-        rows = space_v.ndof + np.add.outer(px * fz.shape[0], pz)
-        cols = c * n_free + np.add.outer(vx * fz.shape[1], vz)
-        flat[place(rows, cols)] = values
-        flat[place(cols, rows)] = values
-    return BlockTridiagonal(diagonal, upper, lower, index)
 
 
 def integrate_grid(space, coords, integrand, deriv_axis=None):

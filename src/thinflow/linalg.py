@@ -30,8 +30,10 @@ tiers, direct fallbacks last (Benzi, Golub & Liesen, Acta Numerica 14,
 - the pinned LU (SaddleSolver, solve_sparse): SuperLU without pivoting,
   under a minimum-degree ordering of A^T + A, which keeps the fill close to
   that of the velocity block, then with partial pivoting;
-- TridiagonalSaddleSolver (a d = 2 layer by element columns): a block LU
-  in numpy with the pinned LU's pin, then the pinned LU;
+- columns.TridiagonalSaddleSolver (a d = 2 layer by element columns): a
+  block LU in numpy with the pinned LU's pin, by static condensation of
+  each column's interior and cyclic reduction of what is left (see the
+  columns module), then the pinned LU;
 - BlockSaddleSolver: CG on the pressure Schur complement, then the pinned
   LU of K and B assembled;
 - solve_gauged_spd of a KroneckerSum: fast diagonalization, then the
@@ -181,7 +183,8 @@ class SolveCounts:
     factorizations counts the LU factorizations: by SuperLU of a pinned
     matrix (SaddleSolver: d = 2 and non-separable d = 3 cells of regimes i
     and iii, the fallbacks) or of an assembled block (non-separable d = 3
-    DNS), and by block LU of a d = 2 DNS layer's element columns.  Blocks
+    DNS), and by block LU of a d = 2 DNS layer's element columns (static
+    condensation and cyclic reduction: one factorization).  Blocks
     inverted in the eigenbasis of their pencils factor nothing (separable
     d = 3 DNS and cells of regimes i and iii, the regime-ii cell ladder).
     schur_iterations sums the CG iterations of the block path;
@@ -383,164 +386,6 @@ class SaddleSolver:
         return self._chain.solve(self, np.asarray(
             self._system.rhs_u if rhs_u is None else rhs_u, dtype=float),
             tol)[0]
-
-
-class BlockTridiagonal:
-    """A square matrix stored by blocks on three block diagonals, whose
-    blocks off the diagonal reach only the first c slots of the later
-    block.
-
-    diagonal (n, m, m) holds the diagonal blocks D_k; upper (n - 1, m, c)
-    the blocks U_k above them (block row k, the first c columns of block
-    column k + 1) and lower (n - 1, c, m) the blocks L_k below them (the
-    first c rows of block row k + 1, block column k), outside of which the
-    blocks off the diagonal are zero.  index (n, m) names the row (and
-    column) of the matrix of each slot of a block, -1 on the padding that
-    fills a block up to m, whose rows and columns hold zeros.  L_k is kept
-    apart from U_k^T: an assembled operator is symmetric only to the
-    rounding of its element matrices.
-    """
-
-    def __init__(self, diagonal, upper, lower, index):
-        self.diagonal, self.upper, self.lower = diagonal, upper, lower
-        self.index = index
-        self.size = int(np.count_nonzero(index >= 0))
-
-    def to_blocks(self, x):
-        """x (size,) as an array (n, m) of the blocks' slots, 0 on padding."""
-        return np.append(x, 0.0)[self.index]
-
-    def from_blocks(self, xb):
-        """The vector (size,) of the slots xb (n, m)."""
-        out = np.empty(self.size + 1)
-        out[self.index] = xb
-        return out[:-1]
-
-    def apply_blocks(self, xb):
-        """The product with the slots xb (n, m), as slots."""
-        c = self.upper.shape[2]
-        out = np.matmul(self.diagonal, xb[..., None])[..., 0]
-        out[:-1] += np.matmul(self.upper, xb[1:, :c, None])[..., 0]
-        out[1:, :c] += np.matmul(self.lower, xb[:-1, :, None])[..., 0]
-        return out
-
-    def assembled(self):
-        """The matrix as a CSR matrix of its nonzero entries (the padding
-        holds zeros only)."""
-        import scipy.sparse as sp
-        index, c = self.index, self.upper.shape[2]
-        parts = [(index, index, self.diagonal),
-                 (index[:-1], index[1:, :c], self.upper),
-                 (index[1:, :c], index[:-1], self.lower)]
-        rows, cols, vals = (np.concatenate([a.ravel() for a in arrays]) for
-                            arrays in zip(*[np.broadcast_arrays(
-                                r[:, :, None], q[:, None, :], b)
-                                for r, q, b in parts]))
-        keep = vals != 0.0
-        return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
-                             shape=(self.size,) * 2)
-
-
-class TridiagonalSaddleSolver:
-    """A saddle system in block tridiagonal storage (a d = 2 layer, by
-    element columns: assembly.assemble_column_saddle), factored once by
-    block LU with one pressure dof pinned, as SaddleSolver pins it.
-
-    matrix is [[K, B^T], [B, 0]] unpinned, as a BlockTridiagonal whose
-    first n_u rows are the velocity.  The factorization is block Gaussian
-    elimination (Golub & Van Loan, Matrix Computations, 4th ed., sec. 4.5):
-    S_0 = D_0, S_k = D_k - L_{k-1} S_{k-1}^{-1} U_{k-1}, each S_k inverted
-    by numpy's LAPACK with partial pivoting inside the block.  L_{k-1} and
-    U_{k-1} reach the first c slots of block k alone, so the update changes
-    only the leading c x c part of D_k, and X_k = S_k^{-1} U_k has c
-    columns.  Padding and the pinned dof are left out of the pivots: S_k is
-    inverted on its other slots, and its inverse is zero in their rows and
-    columns, so a solve holds zero there and reads nothing of their rows.
-    A solve sweeps forward, y_k = S_k^{-1} (b_k - L_{k-1} y_{k-1}), and
-    back, x_k = y_k - X_k x_{k+1}, applies one step of iterative
-    refinement and shifts p to gauge^T p = 0.  Its chain is the block LU,
-    then the pinned LU of the assembled matrix (see the module docstring).
-    Loads are single vectors.  The work done is added to counts.
-    """
-
-    def __init__(self, matrix, n_u, gauge, rhs_u, counts=None):
-        self.counts = SolveCounts() if counts is None else counts
-        self._matrix, self._n_u, self._rhs_u = matrix, n_u, rhs_u
-        self._gauge, self._pin = _gauge_and_pin(gauge)
-        self._chain = _Chain(self, self.counts, [
-            (None, TridiagonalSaddleSolver._block_lu),
-            ("direct_fallbacks", TridiagonalSaddleSolver._pinned_lu)])
-
-    def _block_lu(self):
-        """The block LU tier."""
-        self.counts.factorizations += 1
-        factors = self._factor(
-            *np.argwhere(self._matrix.index == self._n_u + self._pin)[0])
-        return lambda owner, f, tol: owner._checked(factors, f)
-
-    def _pinned_lu(self):
-        """The pinned LU tier of the assembled matrix."""
-        mat, n_u = self._matrix.assembled(), self._n_u
-        saddle = SaddleSolver(SaddleSystem(
-            K=mat[:n_u, :n_u], B=mat[n_u:, :n_u], gauge=self._gauge),
-            self.counts)
-        return lambda _, f, tol: saddle._chain.solve(saddle, f, tol)
-
-    def _factor(self, pin_block, pin_slot):
-        """S_k^{-1} and X_k of every block."""
-        m = self._matrix
-        c = m.upper.shape[2]
-        sizes = np.count_nonzero(m.index >= 0, axis=1)
-        inverse = np.zeros_like(m.diagonal)
-        x = np.zeros_like(m.upper)
-        for k, (block, size) in enumerate(zip(m.diagonal, sizes)):
-            schur = block.copy()
-            if k:
-                schur[:c, :c] -= m.lower[k - 1] @ x[k - 1]
-            schur = schur[:size, :size]
-            if k == pin_block:
-                schur[pin_slot], schur[:, pin_slot] = 0.0, 0.0
-                schur[pin_slot, pin_slot] = 1.0
-            part = np.linalg.inv(schur)
-            if k == pin_block:
-                part[pin_slot], part[:, pin_slot] = 0.0, 0.0
-            inverse[k, :size, :size] = part
-            if k < x.shape[0]:
-                np.matmul(part, m.upper[k, :size], out=x[k, :size])
-        return inverse, x
-
-    def _sweep(self, factors, b):
-        """The pinned solution of the slots b.  The loops iterate over the
-        block arrays, whose items are views: indexing the arrays in the
-        loops would cost more than the products."""
-        inverse, x = factors
-        c = x.shape[2]
-        z = np.matmul(inverse, b[..., None])[..., 0]
-        y = [z[0]]
-        for edge, zk, low in zip(inverse[1:, :, :c], z[1:],
-                                 self._matrix.lower):
-            y.append(zk - edge @ (low @ y[-1]))
-        for k, coupling in zip(range(len(y) - 2, -1, -1), x[::-1]):
-            y[k] = y[k] - coupling @ y[k + 1][:c]
-        return np.array(y)
-
-    def _checked(self, factors, f):
-        """(u, p) for the load f and its residual."""
-        m = self._matrix
-        b = m.to_blocks(np.concatenate([f, np.zeros(m.size - self._n_u)]))
-        x = self._sweep(factors, b)
-        x = x + self._sweep(factors, b - m.apply_blocks(x))
-        rel = _relative(f, [(m.apply_blocks(x) - b).ravel()]) \
-            if np.all(np.isfinite(x)) else np.inf
-        u, q = np.split(m.from_blocks(x), [self._n_u])
-        return (u, _project_gauge(self._gauge, -q)), rel
-
-    def solve(self, tol=DEFAULT_TOL_DIRECT, rhs_u=None):
-        """(u, p) for the system's load or for rhs_u, residual <= tol."""
-        f = np.asarray(self._rhs_u if rhs_u is None else rhs_u, dtype=float)
-        if f.ndim != 1:
-            raise ValueError("the block LU solves one load at a time")
-        return self._chain.solve(self, f, tol)[0]
 
 
 def _norm(x):

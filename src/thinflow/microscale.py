@@ -41,10 +41,13 @@ block_solver builds the block solver of a d = 3 layer, or of a cell, from
 its block.  A d = 2 layer is sealed and hydrostatic, its velocity a
 discretization residue, and its 2-D saddle system is small and, numbered
 by element columns along the layer, block tridiagonal: it assembles S
-straight into that block storage (assembly.assemble_column_saddle), factors
+straight into that block storage (columns.assemble_column_saddle), factors
 it once by block LU with one pressure dof pinned
-(linalg.TridiagonalSaddleSolver) and solves every step with it, which is
-faster there than the block path.  Such a layer builds no sparse matrix
+(columns.TridiagonalSaddleSolver: static condensation of the mid-element
+velocity line of every column, then cyclic reduction of the block
+tridiagonal matrix left on the vertex lines, each step batched over the
+columns) and solves every step with it, which is faster there than the
+block path.  Such a layer builds no sparse matrix
 either and imports no scipy, unless its solve misses the tolerance and goes
 over to the pinned SuperLU.  No solver outlives solve_dlb, so any
 factorization is gone before the norms sample the fields; apriori_norms
@@ -70,13 +73,12 @@ from dataclasses import asdict, dataclass, field as dfield
 
 import numpy as np
 
-from .assembly import (DiscreteField, FunctionSpace, assemble_column_saddle,
-                       assemble_convection, assemble_diffusion, assemble_load,
-                       axis_divergence, axis_pencils, pressure_gauge)
+from .assembly import (DiscreteField, FunctionSpace, assemble_convection,
+                       assemble_diffusion, assemble_load, axis_divergence,
+                       axis_pencils, pressure_gauge)
 from .errors import (InvalidParameterError, InvalidResolutionError,
                      PicardDivergenceError)
-from .linalg import (BlockSaddleSolver, KroneckerSum, SolveCounts,
-                     TridiagonalSaddleSolver, _norm)
+from .linalg import BlockSaddleSolver, KroneckerSum, SolveCounts, _norm
 
 
 @dataclass
@@ -152,7 +154,10 @@ def solve_dlb(thin_mesh, field, params, K_eps, picard_tol=1e-10,
         # is a gradient), so its velocity is a discretization residue; the
         # block path gives the same verdicts, but its CG takes 28 to 46
         # iterations per regime_ii layer: the block LU of the element
-        # columns is faster
+        # columns (their interiors condensed, the vertex lines reduced
+        # cyclically) is faster.  columns is imported here, so that a run
+        # without a d = 2 layer does not hold its code
+        from .columns import TridiagonalSaddleSolver, assemble_column_saddle
         solver = TridiagonalSaddleSolver(
             assemble_column_saddle(space_v, space_p, field.scaled(eps),
                                    drag=sigma),
@@ -215,8 +220,9 @@ def tensor_form(mesh, field):
     mesh (a thin layer, or a cell of regime i or iii) runs in tensor form:
     a d = 3 mesh and a separable field, whose scalar block is then the
     KroneckerSum of per-axis pencils (_block_pencils).  In d = 2 a layer
-    is solved on the block LU of its element columns; d = 2 cells stay on
-    the pinned LU (a cell is periodic across, so not block tridiagonal)
+    is solved on the block LU of its element columns (static condensation
+    and cyclic reduction, columns.TridiagonalSaddleSolver); d = 2 cells stay
+    on the pinned LU (a cell is periodic across, so not block tridiagonal)
     until separable d = 2 cells run in tensor form too, which measured
     faster on the shipped cells."""
     return mesh.ndim == 3 and field.separable

@@ -13,12 +13,13 @@ import thinflow
 
 from thinflow import assembly, coefficients as coefs
 from thinflow.assembly import (DiscreteField, FunctionSpace,
-                               assemble_column_saddle, assemble_convection,
-                               assemble_diffusion, assemble_divergence,
-                               assemble_flux_load, assemble_load,
-                               assemble_mass, axis_divergence, axis_pencils,
-                               element_gauss_axes, pressure_gauge)
+                               assemble_convection, assemble_diffusion,
+                               assemble_divergence, assemble_flux_load,
+                               assemble_load, assemble_mass, axis_divergence,
+                               axis_pencils, element_gauss_axes,
+                               pressure_gauge)
 from thinflow.coefficients import ScalarField, Wave
+from thinflow.columns import assemble_column_saddle
 from thinflow.errors import (AsymmetricOperatorError, ComponentLayoutError,
                              SpaceMismatchError)
 from thinflow.harness import _probe_function, load_config, solve_cells
@@ -185,13 +186,26 @@ COLUMN_FIELDS = {
 }
 
 
-@pytest.mark.parametrize("eps", [0.25, 0.125])
+# (eps, elements per period) of a layer 1 wide: 16 and 32 columns at 4 per
+# period, and layers whose middle columns are few or whose column count
+# is no power of two: 8 at 2 per period, 6 and 9 over 3 periods
+COLUMN_LAYERS = [
+    pytest.param((0.25, 4), id="0.25"),
+    pytest.param((0.125, 4), id="0.125"),
+    pytest.param((0.25, 2), id="0.25-2"),
+    pytest.param((1 / 3, 2), id="third-2"),
+    pytest.param((1 / 3, 3), id="third-3"),
+]
+
+
+@pytest.mark.parametrize("layer", COLUMN_LAYERS)
 @pytest.mark.parametrize("name", sorted(COLUMN_FIELDS))
-def test_column_saddle_holds_the_assembled_matrix(name, eps):
+def test_column_saddle_holds_the_assembled_matrix(name, layer):
     # the block storage holds [[K, B^T], [B, 0]] of the CSR assembly bit for
     # bit: the same element matrices added in the same order, the same
     # products of the divergence factors
-    mesh = build_thin_mesh(Geometry(2, (1.0,), eps), 4, 4)
+    eps, per_period = layer
+    mesh = build_thin_mesh(Geometry(2, (1.0,), eps), per_period, 4)
     V, S, Q = (FunctionSpace(mesh, kind)
                for kind in ("velocity", "component", "pressure"))
     a_eval, drag = COLUMN_FIELDS[name].scaled(eps), 3.0
@@ -200,15 +214,16 @@ def test_column_saddle_holds_the_assembled_matrix(name, eps):
     ref = sp.bmat([[sp.block_diag([A, A]), B.T], [B, None]]).toarray()
     matrix = assemble_column_saddle(V, Q, a_eval, drag=drag)
     assert np.array_equal(matrix.assembled().toarray(), ref)
-    # one block per element column: a line holds 14 velocity unknowns (2
-    # components on 7 free z nodes) and 5 pressures, the first column one
-    # velocity line, the last two pressure lines; the blocks off the
-    # diagonal reach the 19 unknowns on the edge of the later column
+    # one block per element column and one for the last vertex line: a
+    # line holds 14 velocity unknowns (2 components on 7 free z nodes) and
+    # 5 pressures, the first column one velocity line (the wall clamps
+    # line 0), the last block the pressures of the last line; the blocks
+    # off the diagonal reach the 19 unknowns on the edge of the later block
     n = mesh.n_elements[0]
     assert np.count_nonzero(matrix.index >= 0, axis=1).tolist() \
-        == [19] + [33] * (n - 2) + [38]
+        == [19] + [33] * (n - 1) + [5]
     assert (matrix.diagonal.shape, matrix.upper.shape, matrix.lower.shape) \
-        == ((n, 38, 38), (n - 1, 38, 19), (n - 1, 19, 38))
+        == ((n + 1, 33, 33), (n, 33, 19), (n, 19, 33))
     x = np.random.default_rng(5).standard_normal(matrix.size)
     got = matrix.from_blocks(matrix.apply_blocks(matrix.to_blocks(x)))
     assert np.abs(got - ref @ x).max() <= 1e-13 * np.abs(ref @ x).max()

@@ -12,20 +12,22 @@ import scipy.sparse as sp
 
 import thinflow
 
-from thinflow.assembly import (FunctionSpace, assemble_column_saddle,
-                               assemble_diffusion, assemble_divergence,
-                               assemble_load, assemble_mass, axis_divergence,
-                               axis_pencils, pressure_gauge)
+from thinflow.assembly import (FunctionSpace, assemble_diffusion,
+                               assemble_divergence, assemble_load,
+                               assemble_mass, axis_divergence, axis_pencils,
+                               pressure_gauge)
 from thinflow.cell_problems import _laplacian_pencils
+from thinflow.columns import (BlockTridiagonal, TridiagonalSaddleSolver,
+                              _Condensed, assemble_column_saddle)
 from thinflow.errors import ConvergenceFailureError, SingularSystemError
-from thinflow.linalg import (BlockSaddleSolver, BlockTridiagonal,
-                             KroneckerSum, SaddleSolver, SaddleSystem,
-                             SolveCounts, TridiagonalSaddleSolver,
-                             _cahouet_chabard, _gauge_and_pin, _norm,
-                             residual, solve_gauged_spd, solve_sparse)
+from thinflow.linalg import (BlockSaddleSolver, KroneckerSum, SaddleSolver,
+                             SaddleSystem, SolveCounts, _cahouet_chabard,
+                             _gauge_and_pin, _norm, residual,
+                             solve_gauged_spd, solve_sparse)
 from thinflow.meshing import Geometry, build_cell_mesh, build_thin_mesh
 
 from helpers import cahouet_chabard_reference, interpolate, oseen_matrix
+from test_assembly import COLUMN_FIELDS
 
 
 def stokes_system(nx=4, nz=4, drag=1.0, space=False):
@@ -529,18 +531,95 @@ def test_tridiagonal_solver_matches_the_pinned_lu():
         solver.solve(rhs_u=np.stack([system.rhs_u] * 2, axis=1))
 
 
+# layers 1 wide as (eps, elements per period): 6, 9 and 8 columns, so 7,
+# 10 and 9 blocks of the reduced system (one per vertex line), whose
+# reduction levels leave a block over
+UNEVEN_LAYERS = [pytest.param((1 / 3, 2), id="6"),
+                 pytest.param((1 / 3, 3), id="9"),
+                 pytest.param((0.25, 2), id="8")]
+
+
+@pytest.mark.parametrize("pinned", ["first", "middle", "last"])
+@pytest.mark.parametrize("layer", UNEVEN_LAYERS)
+def test_tridiagonal_solver_pins_any_pressure_line(layer, pinned):
+    # the gauge weighs one pressure line most, so the pin lands in the
+    # first, a middle or the last block of the reduced system; the
+    # off-diagonal 0.3 of the coefficient couples the two velocity
+    # components inside each interior.  The condensed and reduced solve
+    # agrees with the pinned SuperLU to rounding
+    eps, per_period = layer
+    mesh = build_thin_mesh(Geometry(2, (1.0,), eps), per_period, 4)
+    V, S, Q = (FunctionSpace(mesh, kind)
+               for kind in ("velocity", "component", "pressure"))
+    a_eval = COLUMN_FIELDS["constant"].scaled(eps)
+    line = Q.free[0] // Q.lattice_sizes[1]
+    target = {"first": 0, "middle": line.max() // 2,
+              "last": line.max()}[pinned]
+    gauge = pressure_gauge(Q) * np.where(line == target, 3.0, 1.0)
+    assert line[_gauge_and_pin(gauge)[1]] == target
+    A = assemble_diffusion(S, a_eval, drag=4.0)
+    system = SaddleSystem(
+        K=sp.block_diag([A, A], format="csr"), B=assemble_divergence(V, Q),
+        gauge=gauge, rhs_u=assemble_load(V, lambda x: np.column_stack(
+            [np.sin(3 * x[:, 0]) * (1 + x[:, 1] / eps),
+             np.cos(2 * x[:, 0])])))
+    counts = SolveCounts()
+    solver = TridiagonalSaddleSolver(
+        assemble_column_saddle(V, Q, a_eval, drag=4.0), system.n_u, gauge,
+        system.rhs_u, counts)
+    u, p = solver.solve(tol=1e-12)
+    assert residual(system, (u, p)) <= 1e-13
+    for x, ref in zip((u, p), solve_sparse(system)):
+        assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+    assert counts == SolveCounts(factorizations=1)
+
+
+def test_condensation_eliminates_each_interior_alone():
+    # one batched LAPACK call eliminates every block's interior, its
+    # velocity slots that the block before cannot reach: the same interior
+    # solutions as a solve block by block, and the boundary load that they
+    # leave is the rest of the load minus the matrix times them
+    matrix, system = column_system()
+    index, c = matrix.index, matrix.upper.shape[2]
+    n, m = index.shape
+    interior = (index >= 0) & (index < system.n_u) & (
+        (np.arange(m) >= c) | (np.arange(n) == 0)[:, None])
+    factors = _Condensed(matrix, interior)
+    b = matrix.to_blocks(np.concatenate(
+        [system.rhs_u, np.zeros(system.n_p)]))
+    inner, rest = factors.eliminate(b)
+    y = np.zeros(n * m + 1)
+    for k in range(n):
+        at = factors._inner_at[k]
+        known = at < n * m
+        slots = at[known] - k * m
+        assert np.array_equal(np.sort(slots), np.flatnonzero(interior[k]))
+        if not slots.size:      # the last block, pressures alone
+            continue
+        want = np.linalg.solve(matrix.diagonal[k][np.ix_(slots, slots)],
+                               b[k, slots])
+        assert np.abs(inner[k, known, 0] - want).max() \
+            <= 1e-12 * np.abs(want).max()
+        y[at[known]] = want
+    left = np.append(b - matrix.apply_blocks(y[:-1].reshape(n, m)), 0.0)
+    known = factors._boundary_at < n * m
+    want = left[factors._boundary_at[known]]
+    assert np.abs(rest[known, 0] - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_tridiagonal_solver_falls_back_to_pinned_lu(monkeypatch):
-    # a corrupted block inverse leaves the refined solution far from the
-    # tolerance: the solver goes over to the pinned SuperLU of the
-    # assembled matrix, for this load and every later one
-    factor = TridiagonalSaddleSolver._factor
+    # a corrupted block inverse (the fourth of the first reduction level)
+    # leaves the refined solution far from the tolerance: the solver goes
+    # over to the pinned SuperLU of the assembled matrix, for this load and
+    # every later one
+    reduce = thinflow.columns._CyclicReduction.__init__
 
-    def corrupted(self, *pin):
-        inverse, x = factor(self, *pin)
-        inverse[3] *= 1.5
-        return inverse, x
+    def corrupted(self, *blocks):
+        reduce(self, *blocks)
+        self._levels[0][0][3] *= 1.5
 
-    monkeypatch.setattr(TridiagonalSaddleSolver, "_factor", corrupted)
+    monkeypatch.setattr(thinflow.columns._CyclicReduction, "__init__",
+                        corrupted)
     matrix, system = column_system()
     counts = SolveCounts()
     solver = TridiagonalSaddleSolver(matrix, system.n_u, system.gauge,

@@ -11,7 +11,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from thinflow import coefficients as coefs
-from thinflow import assembly, cell_problems, linalg, microscale, two_scale
+from thinflow import (assembly, cell_problems, columns, linalg, microscale,
+                      two_scale)
 from thinflow.assembly import (DiscreteField, FunctionSpace, _rule_slabs,
                                assemble_convection, assemble_diffusion,
                                assemble_divergence, assemble_load,
@@ -200,13 +201,14 @@ def test_solver_freed_before_norms(monkeypatch, d):
     # norm, and the norms take the velocity's moments, its gradient norm
     # and the pressure norm after it returned
     solvers = []
-    for name in ("TridiagonalSaddleSolver", "BlockSaddleSolver"):
-        class Spy(getattr(microscale, name)):
+    for owner, name in ((columns, "TridiagonalSaddleSolver"),
+                        (microscale, "BlockSaddleSolver")):
+        class Spy(getattr(owner, name)):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 solvers.append(weakref.ref(self))
 
-        monkeypatch.setattr(microscale, name, Spy)
+        monkeypatch.setattr(owner, name, Spy)
     alive = []
 
     def spy(owner, name):
