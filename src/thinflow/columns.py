@@ -12,12 +12,16 @@ dof pinned: static condensation of each column's mid-element velocity line
 on the vertex lines (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970;
 Heller, SIAM J. Numer. Anal. 13, 1976; Golub & Van Loan, Matrix
 Computations, 4th ed., sec. 4.5), each step one batched numpy call over
-all columns.  Its checked-solve chain goes over to the pinned SuperLU of
-linalg.  The slot layout of a block is the one decision that the assembly
-and the solver share: a block lists the unknowns that the block before
-reaches first, and every column its mid-element line in the same slots,
-so that the solver takes the parts of the blocks as views.  Nothing here
-imports scipy but the fallback.
+all columns.  The slot layout of a block is the one decision that the
+assembly and the solver share: the first c slots of every block hold the
+unknowns that the block before reaches (a vertex line: velocities and
+pressures), and the slots from c on its interior (the mid-element
+velocity line, or padding), so that the solver condenses the same slices
+of every block and takes them as views.  Its checked-solve chain goes over
+to the pinned SuperLU of linalg when a block it inverts is singular (one
+of pressures alone, say, on a matrix laid out otherwise) or when a solve
+misses the tolerance.
+Nothing here imports scipy but the fallback.
 """
 
 import numpy as np
@@ -45,10 +49,9 @@ class BlockTridiagonal:
     fills a block up to m, whose rows and columns hold zeros.  L_k is kept
     apart from U_k^T: an assembled operator is symmetric only to the
     rounding of its element matrices.  TridiagonalSaddleSolver factors it
-    by static condensation of the slots beyond the first c of each block
-    (which the block before cannot reach), then cyclic reduction of what
-    the first c slots leave: the storage fits both when every block lists
-    the slots reached from the block before first.
+    by static condensation of the slots from c on of each block (which the
+    block before cannot reach), then cyclic reduction of what the first c
+    slots leave.
     """
 
     def __init__(self, diagonal, upper, lower, index):
@@ -103,9 +106,9 @@ def assemble_column_saddle(space_v, space_p, a_eval=None, drag=0.0):
     the lines on the left edge of block e + 1 (velocity line 2 e + 2,
     pressure line e + 1), so the matrix is block tridiagonal, and a block
     lists those edge unknowns first (velocity before pressure, each in dof
-    order), then the rest from the slot past the widest edge: the blocks
-    off the diagonal are as wide as the edge, and every column lists its
-    mid-element line in the same slots, which the solver condenses
+    order), then the rest from the slot c past the widest edge: the blocks
+    off the diagonal are c wide, and the slots from c on of every block
+    hold its mid-element velocity line alone, which the solver condenses
     (TridiagonalSaddleSolver).  Each block is padded to the largest.
     The velocity space's walls must clamp every component alike, so that K
     is one scalar block A per component, and axis 0 must not be periodic.
@@ -260,47 +263,6 @@ def assemble_column_saddle(space_v, space_p, a_eval=None, drag=0.0):
     return BlockTridiagonal(diagonal, upper, lower, index)
 
 
-def _packed(mask):
-    """The slots of each row of mask, in order, padded with -1 to the widest
-    row."""
-    counts = np.count_nonzero(mask, axis=1)
-    out = np.full((mask.shape[0], int(counts.max(initial=0))), -1)
-    rows, slots = np.nonzero(mask)
-    out[rows, np.arange(rows.size)
-        - np.repeat(np.cumsum(counts) - counts, counts)] = slots
-    return out
-
-
-def _axis(slots):
-    """slots as an index of an axis: a slice (a view) where they run on by
-    one."""
-    if slots.size and slots[0] >= 0 and np.array_equal(
-            slots, np.arange(slots[0], slots[0] + slots.size)):
-        return slice(slots[0], slots[0] + slots.size)
-    return slots
-
-
-def _part(blocks, rows, cols):
-    """blocks[k][rows[k]][:, cols[k]] of every block k (rows and cols
-    (n, r)), zero in a row or a column named -1: a view where every block
-    has the same slots and they run on by one, else gathered at once for
-    each run of blocks with the same slots."""
-    same = np.all(rows[1:] == rows[:-1], axis=1) \
-        & np.all(cols[1:] == cols[:-1], axis=1)
-    if np.all(same) and len(blocks):
-        r, q = _axis(rows[0]), _axis(cols[0])
-        if isinstance(r, slice) and isinstance(q, slice):
-            return blocks[:, r, q]
-    out = np.empty((len(blocks), rows.shape[1], cols.shape[1]))
-    bounds = np.unique([0, *(np.flatnonzero(~same) + 1), len(blocks)])
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        r, q = rows[a], cols[a]
-        out[a:b] = blocks[a:b, _axis(r)][:, :, _axis(q)]
-        out[a:b, r < 0] = 0.0
-        out[a:b, :, q < 0] = 0.0
-    return out
-
-
 class _CyclicReduction:
     """Odd-even block cyclic reduction of a block tridiagonal matrix
     (diagonal (n, w, w), upper (n - 1, w, c), lower (n - 1, c, w), as in
@@ -374,80 +336,55 @@ class _Condensed:
     Fischer & Mund, High-Order Methods for Incompressible Fluid Flow, 2002,
     on static condensation).
 
-    interior (n, m) marks the interior slots of each block: those of block
-    k > 0 must lie beyond the first c, which block k - 1 reaches.  The
-    padding beyond the first c joins the interior, and the other slots of
-    a block, but its padding, are its boundary, its first c slots first:
-    what remains once the interiors are eliminated is block tridiagonal on
-    the boundaries, and its blocks off the diagonal are c wide again.  On a
-    d = 2 layer the interiors are the mid-element velocity lines and the
-    boundaries the vertex lines.  pin, a (block, slot) or None, is left out
-    with the padding: its rows and columns in the reduced matrix act as the
-    identity, and it holds zero in a solution.
+    The first c slots of a block, which the block before reaches, are its
+    boundary R, and the other slots its interior I, as assemble_column_saddle
+    lays a layer out: the interiors are the mid-element velocity lines and
+    the boundaries the vertex lines.  What remains once the interiors are
+    eliminated is block tridiagonal on the boundaries, c wide.  The padding
+    and the pin, a (block, slot < c) or None, are left out: their rows and
+    columns act as the identity, and they hold zero in a solution.  Where
+    LAPACK finds an interior or a reduced block singular (one of pressures
+    alone, say), the build fails with LinAlgError, and the checked-solve
+    chain goes over to its next tier; the solves of any factors it does
+    build have their residuals checked there.
 
-    With the interior I and the boundary R of block k, G_k = D_k[I, I]^{-1}
-    (one batched LAPACK call for all blocks) eliminates the interior, and
-    the reduced blocks are the Schur complements
+    With G_k = D_k[I, I]^{-1} (one batched LAPACK call for all blocks), the
+    reduced blocks are the Schur complements
 
         D'_k = D_k[R, R] - D_k[R, I] G_k D_k[I, R]
-               - (L_{k-1}[:, I] G_{k-1} U_{k-1}[I])  in the first c x c,
+               - L_{k-1}[:, I] G_{k-1} U_{k-1}[I]   (k > 0),
         U'_k = U_k[R] - D_k[R, I] G_k U_k[I],
         L'_k = L_k[:, R] - L_k[:, I] G_k D_k[I, R].
 
     No symmetry is assumed: the products of both sides are kept.
-    _CyclicReduction factors the reduced matrix.  Each part of the blocks
-    is a view where every block lists its interior and its boundary in the
-    same slots, running on by one (on a layer, whose columns all list them
-    alike), and is gathered run by run of blocks with the same slots
-    otherwise.
+    _CyclicReduction factors the reduced matrix.  The parts of the blocks
+    that a solve takes are views: the factors copy nothing of the matrix.
     """
 
-    def __init__(self, matrix, interior, pin=None):
+    def __init__(self, matrix, pin=None):
         index, c = matrix.index, matrix.upper.shape[2]
-        n, m = index.shape
-        slot = np.arange(m)
-        # the interior with the padding beyond the first c slots, and the
-        # boundary: the first c slots but the interior, then the other
-        # slots but the padding
-        inner = _packed(interior | (index < 0) & (slot >= c))
-        boundary = _packed(~interior & ((slot < c) | (index >= 0)))
-        edge = np.broadcast_to(slot[:c], (n - 1, c))
-
-        # where each interior and boundary slot lies in the slots (n, m)
-        # flattened, those left out at the sentinel n m
-        def flat(slots):
-            blocks = np.arange(n)[:, None]
-            known = (slots >= 0) & (index[blocks, slots] >= 0)
-            return np.where(known, blocks * m + slots, n * m)
-
-        self._inner_at, self._boundary_at = flat(inner), flat(boundary)
-        if pin is not None:
-            self._boundary_at[self._boundary_at == pin[0] * m + pin[1]] = \
-                n * m
         d, u, l = matrix.diagonal, matrix.upper, matrix.lower
-        d_ii = np.array(_part(d, inner, inner))
-        k, j = np.nonzero(self._inner_at == n * m)
+        d_ii = d[:, c:, c:].copy()
+        k, j = np.nonzero(index[:, c:] < 0)
         d_ii[k, j, j] = 1.0
         self._inverse = np.linalg.inv(d_ii)
-        # the parts of the matrix that a solve takes (views on a layer)
-        self._d_ri = _part(d, boundary, inner)
-        self._l_i = _part(l, edge, inner[:-1])
-        self._d_ir = _part(d, inner, boundary)
-        self._u_i = _part(u, inner[:-1], edge)
+        self._d_ri, self._d_ir = d[:, :c, c:], d[:, c:, :c]
+        self._l_i, self._u_i = l[:, :, c:], u[:, c:]
         g_r = self._inverse @ self._d_ir
         g_u = self._inverse[:-1] @ self._u_i
-        diagonal = _part(d, boundary, boundary) - self._d_ri @ g_r
-        diagonal[1:, :c, :c] -= self._l_i @ g_u
-        upper = _part(u, boundary[:-1], edge) - self._d_ri[:-1] @ g_u
-        lower = _part(l, edge, boundary[:-1]) - self._l_i @ g_r[:-1]
+        diagonal = d[:, :c, :c] - self._d_ri @ g_r
+        diagonal[1:] -= self._l_i @ g_u
+        upper = u[:, :c] - self._d_ri[:-1] @ g_u
+        lower = l[:, :, :c] - self._l_i @ g_r[:-1]
         del g_r, g_u
         # the rows and columns left out: zero, and the identity on the
         # diagonal
-        self._out = self._boundary_at == n * m
-        out = self._out
+        self._out = out = index[:, :c] < 0
+        if pin is not None:
+            out[tuple(pin)] = True
         for part, rows, cols in ((diagonal, out, out),
-                                 (upper, out[:-1], out[1:, :c]),
-                                 (lower, out[1:, :c], out[:-1])):
+                                 (upper, out[:-1], out[1:]),
+                                 (lower, out[1:], out[:-1])):
             part[rows] = 0.0
             part.transpose(0, 2, 1)[cols] = 0.0
         k, j = np.nonzero(out)
@@ -456,11 +393,11 @@ class _Condensed:
 
     def eliminate(self, b):
         """The interior solutions G_k b_k[I] of the slots b (n, m) and the
-        reduced load that they leave, as (n, i, 1) and (n, w, 1)."""
-        flat = np.append(b, 0.0)
-        inner = self._inverse @ flat[self._inner_at][..., None]
-        rest = flat[self._boundary_at][..., None] - self._d_ri @ inner
-        rest[1:, :self._l_i.shape[1]] -= self._l_i @ inner[:-1]
+        reduced load that they leave, as (n, m - c, 1) and (n, c, 1)."""
+        c = self._d_ri.shape[1]
+        inner = self._inverse @ b[:, c:, None]
+        rest = b[:, :c, None] - self._d_ri @ inner
+        rest[1:] -= self._l_i @ inner[:-1]
         return inner, rest
 
     def solve(self, b):
@@ -469,14 +406,13 @@ class _Condensed:
         solution x, zero on the slots left out."""
         inner, rest = self.eliminate(b)
         x = self._reduced.solve(rest)
+        # rest is not zero on the pin (its load, and its row of D_RI), and
+        # the pin's column of D_IR would carry that into the interiors
         x[self._out] = 0.0
         reach = self._d_ir @ x
-        reach[:-1] += self._u_i @ x[1:, :self._u_i.shape[2]]
+        reach[:-1] += self._u_i @ x[1:]
         inner -= self._inverse @ reach
-        out = np.zeros(b.size + 1)
-        out[self._boundary_at] = x[..., 0]
-        out[self._inner_at] = inner[..., 0]
-        return out[:-1].reshape(b.shape)
+        return np.concatenate([x, inner], axis=1)[..., 0]
 
 
 class TridiagonalSaddleSolver:
@@ -489,19 +425,21 @@ class TridiagonalSaddleSolver:
     elimination in another order than block by block (Golub & Van Loan,
     Matrix Computations, 4th ed., sec. 4.5), in batched numpy with no
     Python loop over the blocks (_Condensed): first static condensation of
-    each block's interior, its velocity slots that the block before cannot
-    reach (slot >= c, and every velocity slot of block 0; on a layer the
+    each block's interior, its slots from c on, which the block before
+    cannot reach and which hold velocities alone (on a layer the
     mid-element velocity line 2 e + 1, 14 slots), then odd-even cyclic
     reduction (_CyclicReduction) of the block tridiagonal Schur complement
-    on the rest (on a layer the vertex lines, 19 slots each).  The pinned
-    dof and the padding are left out: their rows and columns act as the
-    identity and hold zero in a solution.  Every block is inverted by
+    on the first c slots (on a layer the vertex lines, 19 slots each).  The
+    pinned dof and the padding are left out: their rows and columns act as
+    the identity and hold zero in a solution.  Every block is inverted by
     numpy's LAPACK with partial pivoting inside the block, and K need not
     be symmetric.  A solve condenses the load, sweeps the reduction levels
     forward and back, recovers the interiors, applies one step of
     iterative refinement and shifts p to gauge^T p = 0; the residual is
     that of the unpinned matrix.  Its chain is the block LU, then the
-    pinned LU of the assembled matrix (see the linalg module docstring).
+    pinned LU of the assembled matrix (see the linalg module docstring),
+    which takes over when LAPACK finds a block singular (one of pressures
+    alone, say) or a solve misses the tolerance.
     Loads are single vectors.  The work done is added to counts.
     """
 
@@ -514,16 +452,10 @@ class TridiagonalSaddleSolver:
             ("direct_fallbacks", TridiagonalSaddleSolver._pinned_lu)])
 
     def _block_lu(self):
-        """The block LU tier: the interiors condensed, the rest reduced.
-        The interior of a block is its velocity slots that the block before
-        cannot reach."""
+        """The block LU tier: the interiors condensed, the rest reduced."""
         self.counts.factorizations += 1
-        index, c = self._matrix.index, self._matrix.upper.shape[2]
-        interior = (index >= 0) & (index < self._n_u) & (
-            (np.arange(index.shape[1]) >= c)
-            | (np.arange(index.shape[0]) == 0)[:, None])
-        factors = _Condensed(self._matrix, interior, np.argwhere(
-            index == self._n_u + self._pin)[0])
+        factors = _Condensed(self._matrix, np.argwhere(
+            self._matrix.index == self._n_u + self._pin)[0])
         return lambda owner, f, tol: owner._checked(factors, f)
 
     def _pinned_lu(self):

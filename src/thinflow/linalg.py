@@ -32,8 +32,9 @@ tiers, direct fallbacks last (Benzi, Golub & Liesen, Acta Numerica 14,
   that of the velocity block, then with partial pivoting;
 - columns.TridiagonalSaddleSolver (a d = 2 layer by element columns): a
   block LU in numpy with the pinned LU's pin, by static condensation of
-  each column's interior and cyclic reduction of what is left (see the
-  columns module), then the pinned LU;
+  every block's slots from c on (a column's mid-element velocity line) and
+  cyclic reduction of its first c slots (see the columns module), then the
+  pinned LU, which also takes over when a block is singular;
 - BlockSaddleSolver: CG on the pressure Schur complement, then the pinned
   LU of K and B assembled;
 - solve_gauged_spd of a KroneckerSum: fast diagonalization, then the

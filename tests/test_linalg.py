@@ -531,12 +531,16 @@ def test_tridiagonal_solver_matches_the_pinned_lu():
         solver.solve(rhs_u=np.stack([system.rhs_u] * 2, axis=1))
 
 
-# layers 1 wide as (eps, elements per period): 6, 9 and 8 columns, so 7,
-# 10 and 9 blocks of the reduced system (one per vertex line), whose
-# reduction levels leave a block over
-UNEVEN_LAYERS = [pytest.param((1 / 3, 2), id="6"),
-                 pytest.param((1 / 3, 3), id="9"),
-                 pytest.param((0.25, 2), id="8")]
+# layers 1 wide as (eps, elements per period, elements across): 6, 9 and 8
+# columns, so 7, 10 and 9 blocks of the reduced system (one per vertex
+# line), whose reduction levels leave a block over; and 4 columns one and
+# two elements across, whose interiors hold one and three velocity rows of
+# each component
+UNEVEN_LAYERS = [pytest.param((1 / 3, 2, 4), id="6"),
+                 pytest.param((1 / 3, 3, 4), id="9"),
+                 pytest.param((0.25, 2, 4), id="8"),
+                 pytest.param((0.5, 2, 1), id="4-across1"),
+                 pytest.param((0.5, 2, 2), id="4-across2")]
 
 
 @pytest.mark.parametrize("pinned", ["first", "middle", "last"])
@@ -547,8 +551,8 @@ def test_tridiagonal_solver_pins_any_pressure_line(layer, pinned):
     # off-diagonal 0.3 of the coefficient couples the two velocity
     # components inside each interior.  The condensed and reduced solve
     # agrees with the pinned SuperLU to rounding
-    eps, per_period = layer
-    mesh = build_thin_mesh(Geometry(2, (1.0,), eps), per_period, 4)
+    eps, per_period, across = layer
+    mesh = build_thin_mesh(Geometry(2, (1.0,), eps), per_period, across)
     V, S, Q = (FunctionSpace(mesh, kind)
                for kind in ("velocity", "component", "pressure"))
     a_eval = COLUMN_FIELDS["constant"].scaled(eps)
@@ -575,36 +579,43 @@ def test_tridiagonal_solver_pins_any_pressure_line(layer, pinned):
 
 
 def test_condensation_eliminates_each_interior_alone():
-    # one batched LAPACK call eliminates every block's interior, its
-    # velocity slots that the block before cannot reach: the same interior
-    # solutions as a solve block by block, and the boundary load that they
-    # leave is the rest of the load minus the matrix times them
+    # one batched LAPACK call eliminates every block's interior, its slots
+    # from c on, which hold velocities alone: the same interior solutions
+    # as a solve block by block, and the boundary load that they leave is
+    # the rest of the load minus the matrix times them
     matrix, system = column_system()
     index, c = matrix.index, matrix.upper.shape[2]
     n, m = index.shape
-    interior = (index >= 0) & (index < system.n_u) & (
-        (np.arange(m) >= c) | (np.arange(n) == 0)[:, None])
-    factors = _Condensed(matrix, interior)
+    assert np.all(index[:, c:] < system.n_u)
+    factors = _Condensed(matrix)
     b = matrix.to_blocks(np.concatenate(
         [system.rhs_u, np.zeros(system.n_p)]))
     inner, rest = factors.eliminate(b)
-    y = np.zeros(n * m + 1)
+    y = np.zeros((n, m))
     for k in range(n):
-        at = factors._inner_at[k]
-        known = at < n * m
-        slots = at[known] - k * m
-        assert np.array_equal(np.sort(slots), np.flatnonzero(interior[k]))
+        slots = c + np.flatnonzero(index[k, c:] >= 0)
         if not slots.size:      # the last block, pressures alone
             continue
         want = np.linalg.solve(matrix.diagonal[k][np.ix_(slots, slots)],
                                b[k, slots])
-        assert np.abs(inner[k, known, 0] - want).max() \
+        assert np.abs(inner[k, slots - c, 0] - want).max() \
             <= 1e-12 * np.abs(want).max()
-        y[at[known]] = want
-    left = np.append(b - matrix.apply_blocks(y[:-1].reshape(n, m)), 0.0)
-    known = factors._boundary_at < n * m
-    want = left[factors._boundary_at[known]]
+        y[k, slots] = want
+    known = index[:, :c] >= 0
+    want = (b - matrix.apply_blocks(y))[:, :c][known]
     assert np.abs(rest[known, 0] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_condensation_copies_nothing_of_a_layer():
+    # the parts of the blocks that a solve takes are views of the layer's
+    # matrix, so the factors hold only the inverses and the reduction
+    matrix, _ = column_system()
+    factors = _Condensed(matrix)
+    for part, whole in ((factors._d_ri, matrix.diagonal),
+                        (factors._d_ir, matrix.diagonal),
+                        (factors._l_i, matrix.lower),
+                        (factors._u_i, matrix.upper)):
+        assert np.shares_memory(part, whole)
 
 
 def test_tridiagonal_solver_falls_back_to_pinned_lu(monkeypatch):
